@@ -21,7 +21,6 @@ use gogreen_data::{CountSink, MinSupport};
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use gogreen_miners::engine::vt::VtRepr;
 use gogreen_miners::{mine_hmine, Eclat, Miner};
-use gogreen_obs::metrics;
 use gogreen_util::pool::Parallelism;
 use gogreen_util::{Json, ToJson};
 use std::time::Instant;
@@ -226,10 +225,15 @@ mod tests {
 
     #[test]
     fn vt_repr_ablation_rows_agree_across_modes() {
-        let rows = vt_repr_ablation(PresetKind::Connect4, 0.001);
+        let (rows, outer) = gogreen_obs::measure(|| vt_repr_ablation(PresetKind::Connect4, 0.001));
         // 4 modes × {raw, MCP}.
         assert_eq!(rows.len(), 8);
         assert!(rows.iter().all(|r| r.patterns == rows[0].patterns));
+        // Each row is measured in its own scope, and the scopes add up
+        // to the enclosing run's totals: nothing is reset mid-run.
+        let row_words: u64 = rows.iter().map(|r| r.bitmap_words).sum();
+        assert!(row_words > 0);
+        assert_eq!(outer.value("mine.bitmap_words_scanned"), Some(row_words));
         // Each forced mode accounts its traffic in its own unit: pure
         // bitmap scans no list elements, pure tid-list runs count list
         // elements, and forced modes never switch representation.
@@ -702,18 +706,17 @@ pub fn vt_repr_ablation(dataset: PresetKind, scale: f64) -> Vec<VtReprRow> {
     let mut reference: Option<u64> = None;
     for repr in VtRepr::ALL {
         for substrate in ["raw", "MCP"] {
-            metrics::reset();
-            metrics::set_enabled(true);
             let mut sink = CountSink::new();
             let start = Instant::now();
-            if substrate == "raw" {
-                Eclat::with_repr(repr).mine_into(&db, xi_new, &mut sink);
-            } else {
-                RecycleVt::with_repr(repr).mine_into(&cdb, xi_new, &mut sink);
-            }
+            let ((), snap) = gogreen_obs::measure(|| {
+                if substrate == "raw" {
+                    Eclat::with_repr(repr).mine_into(&db, xi_new, &mut sink);
+                } else {
+                    RecycleVt::with_repr(repr).mine_into(&cdb, xi_new, &mut sink);
+                }
+            });
             let secs = start.elapsed().as_secs_f64();
-            metrics::set_enabled(false);
-            let get = |name: &str| metrics::get(name).unwrap_or(0);
+            let get = |name: &str| snap.value(name).unwrap_or(0);
             let row = VtReprRow {
                 dataset: name,
                 mode: repr.as_str(),
@@ -726,7 +729,6 @@ pub fn vt_repr_ablation(dataset: PresetKind, scale: f64) -> Vec<VtReprRow> {
                 repr_switches: get("mine.repr_switches"),
                 arena_bytes: get("alloc.projection_bytes"),
             };
-            metrics::reset();
             match reference {
                 None => reference = Some(row.patterns),
                 Some(n) => {

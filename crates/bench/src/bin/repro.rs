@@ -49,8 +49,8 @@
 //! ```
 //!
 //! `--scale` multiplies the paper's tuple counts (default 0.05).
-//! `--metrics-out` enables the `gogreen_obs` counter registry and writes
-//! the final snapshot as JSON lines.
+//! `--metrics-out` installs a `gogreen_obs` recorder for the whole run
+//! and writes its final snapshot as JSON lines.
 
 use gogreen_bench::ablation;
 use gogreen_bench::figures::{run_figure, run_mem_figure, FigureResult, MemFigureResult};
@@ -64,7 +64,7 @@ use gogreen_core::{Compressor, RecyclingMiner, Strategy};
 use gogreen_data::MinSupport;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use gogreen_miners::mine_hmine;
-use gogreen_obs::{histogram, metrics, profile};
+use gogreen_obs::Recorder;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -104,12 +104,10 @@ fn main() {
     if scale <= 0.0 {
         die("--scale must be positive");
     }
-    if metrics_out.is_some() {
-        metrics::set_enabled(true);
-    }
     if profile_out.is_some() {
-        profile::reset();
-        profile::set_enabled(true);
+        Recorder::new().with_profile().install();
+    } else if metrics_out.is_some() {
+        Recorder::new().install();
     }
     let reporter = Reporter::new(&results_dir);
     let command = rest.first().map(String::as_str).unwrap_or("all");
@@ -172,20 +170,20 @@ fn main() {
         }
         other => die(&format!("unknown command {other:?} (try --help)")),
     }
+    let Some(rec) = Recorder::uninstall() else { return };
     if let Some(path) = metrics_out {
-        let mut body = metrics::to_jsonl();
-        body.push_str(&histogram::to_jsonl());
-        std::fs::write(&path, body).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        if !gogreen_obs::quiet() {
-            eprintln!("metrics ({path}):\n{}", metrics::render_table());
-        }
-    }
-    if let Some(path) = profile_out {
-        profile::set_enabled(false);
-        std::fs::write(&path, profile::to_collapsed())
+        let snap = rec.snapshot();
+        std::fs::write(&path, snap.to_jsonl())
             .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
         if !gogreen_obs::quiet() {
-            eprintln!("profile ({path}):\n{}", profile::render_table());
+            eprintln!("metrics ({path}):\n{}", snap.render_metrics());
+        }
+    }
+    if let (Some(path), Some(profile)) = (profile_out, rec.profile()) {
+        std::fs::write(&path, profile.to_collapsed())
+            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+        if !gogreen_obs::quiet() {
+            eprintln!("profile ({path}):\n{}", profile.render_table());
         }
     }
 }
@@ -251,9 +249,8 @@ fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
         "\n== Extension: batched multi-query mining — one shared pass answers a \
          k=8 Zipf fleet (weather + connect4, scale {scale}) ==\n"
     );
-    let was_enabled = metrics::enabled();
-    metrics::set_enabled(true);
-    let touches = || metrics::get("mine.tuple_touches").unwrap_or(0);
+    let touches =
+        |snap: gogreen_obs::MetricsSnapshot| snap.value("mine.tuple_touches").unwrap_or(0);
     let pattern_bytes = |tag: &str, set: &gogreen_data::PatternSet| -> Vec<u8> {
         let p =
             std::env::temp_dir().join(format!("gogreen-ext-batch-{tag}-{}", std::process::id()));
@@ -272,13 +269,11 @@ fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
             ladder.iter().map(|xi| xi.to_absolute(db.len())).min().expect("non-empty ladder");
 
         // The batched run at 1 thread: one shared pass at ξ_min.
-        let before = touches();
         let t0 = Instant::now();
-        let out1 = batchwork::fleet(&ladder)
-            .run(&db, "hmine")
-            .unwrap_or_else(|e| die(&format!("batched run: {e}")));
+        let (out1, snap) = gogreen_obs::measure(|| batchwork::fleet(&ladder).run(&db, "hmine"));
+        let out1 = out1.unwrap_or_else(|e| die(&format!("batched run: {e}")));
         let secs_batched = t0.elapsed().as_secs_f64();
-        let touches_batched = touches() - before;
+        let touches_batched = touches(snap);
         if !out1.report.plan.rejected.is_empty() {
             die("pure-support fleet unexpectedly rejected a query");
         }
@@ -297,16 +292,18 @@ fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
 
         // Reference costs: the 8 solo runs the batch replaces, and the
         // single ξ_min run that lower-bounds the shared pass.
-        let before = touches();
         let t0 = Instant::now();
-        for &xi in &ladder {
-            AlgoFamily::HMine.run_baseline(&db, xi);
-        }
+        let ((), snap) = gogreen_obs::measure(|| {
+            for &xi in &ladder {
+                AlgoFamily::HMine.run_baseline(&db, xi);
+            }
+        });
         let secs_solo = t0.elapsed().as_secs_f64();
-        let touches_solo = touches() - before;
-        let before = touches();
-        AlgoFamily::HMine.run_baseline(&db, MinSupport::Absolute(xi_min));
-        let touches_floor = touches() - before;
+        let touches_solo = touches(snap);
+        let (_, snap) = gogreen_obs::measure(|| {
+            AlgoFamily::HMine.run_baseline(&db, MinSupport::Absolute(xi_min))
+        });
+        let touches_floor = touches(snap);
 
         let vs_floor = touches_batched as f64 / touches_floor.max(1) as f64;
         let vs_solo = touches_batched as f64 / touches_solo.max(1) as f64;
@@ -347,7 +344,6 @@ fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
             )
             .expect("save extension");
     }
-    metrics::set_enabled(was_enabled);
     print!(
         "{}",
         render_table(
@@ -423,8 +419,6 @@ fn cmd_ext_ooc(scale: f64, reporter: &Reporter) {
     };
     let expected = fp_file("mem", &reference);
 
-    let was_enabled = metrics::enabled();
-    metrics::set_enabled(true);
     let mut table: Vec<Vec<String>> = vec![vec![
         "in-memory".into(),
         "1".into(),
@@ -435,15 +429,14 @@ fn cmd_ext_ooc(scale: f64, reporter: &Reporter) {
         "-".into(),
     ]];
     for threads in [1usize, 4] {
-        let before = metrics::get("storage.segments_read").unwrap_or(0);
         let t0 = Instant::now();
-        let patterns = OocMiner::new(&seg)
-            .with_parallelism(Parallelism::threads(threads))
-            .mine(xi_new)
-            .unwrap_or_else(|e| die(&format!("out-of-core mining: {e}")));
+        let (patterns, snap) = gogreen_obs::measure(|| {
+            OocMiner::new(&seg).with_parallelism(Parallelism::threads(threads)).mine(xi_new)
+        });
+        let patterns = patterns.unwrap_or_else(|e| die(&format!("out-of-core mining: {e}")));
         let secs = t0.elapsed().as_secs_f64();
-        let passes = metrics::get("storage.segments_read").unwrap_or(0) - before;
-        let peak = metrics::get("storage.resident_peak").unwrap_or(0);
+        let passes = snap.value("storage.segments_read").unwrap_or(0);
+        let peak = snap.value("storage.resident_peak").unwrap_or(0);
         if passes != segments as u64 {
             die(&format!("expected one pass per segment ({segments}), measured {passes}"));
         }
@@ -478,7 +471,6 @@ fn cmd_ext_ooc(scale: f64, reporter: &Reporter) {
             )
             .expect("save extension");
     }
-    metrics::set_enabled(was_enabled);
     std::fs::remove_dir_all(&dir).unwrap_or_else(|e| die(&format!("removing {dir:?}: {e}")));
     print!(
         "{}",
@@ -609,11 +601,8 @@ fn check_perf_mining(path: &str, drifts: &mut Vec<String>, compared: &mut usize)
         let xi_new = *preset.sweep().last().expect("non-empty sweep");
         let ladder = gogreen_bench::batchwork::zipf_ladder(&preset.sweep(), 8);
         for family in AlgoFamily::with_vertical() {
-            perfgate::reset_registries();
             let raw = perfgate::measure(|| family.run_baseline(&db, xi_new).patterns);
-            perfgate::reset_registries();
             let rec = perfgate::measure(|| family.run_recycled(&cdb, xi_new).patterns);
-            perfgate::reset_registries();
             let batched = perfgate::measure(|| {
                 gogreen_bench::batchwork::run_batched(
                     &db,
@@ -661,7 +650,6 @@ fn check_perf_compression(path: &str, drifts: &mut Vec<String>, compared: &mut u
         let db = preset.generate();
         let fp = mine_hmine(&db, preset.xi_old());
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
-            perfgate::reset_registries();
             let obs = perfgate::measure(|| Compressor::new(strategy).compress(&db, &fp));
             compare_rows(
                 &rows,
@@ -684,10 +672,8 @@ fn check_perf_compression(path: &str, drifts: &mut Vec<String>, compared: &mut u
             let fp = mine_hmine(&db, MinSupport::Relative(rel));
             let compressor = Compressor::new(Strategy::Mcp);
             let param = format!("{}/fp{}", preset.name(), fp.len());
-            perfgate::reset_registries();
             let linear = perfgate::measure(|| compressor.compress_reference(&db, &fp));
             compare_rows(&rows, &mut matched, "linear", &param, &linear, drifts, compared);
-            perfgate::reset_registries();
             let indexed = perfgate::measure(|| compressor.compress(&db, &fp));
             compare_rows(&rows, &mut matched, "indexed", &param, &indexed, drifts, compared);
         }
@@ -716,18 +702,17 @@ fn cmd_obs_hist(scale: f64, reporter: &Reporter) {
     let fp = mine_hmine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
-    let was_enabled = metrics::enabled();
-    metrics::set_enabled(true);
     let mut table: Vec<Vec<String>> = Vec::new();
     for family in AlgoFamily::with_vertical() {
         for recycled in [false, true] {
-            histogram::reset();
-            let (engine, patterns) = if recycled {
-                (format!("{}-MCP", family.tag()), family.run_recycled(&cdb, xi_new).patterns)
-            } else {
-                (family.baseline_name().to_owned(), family.run_baseline(&db, xi_new).patterns)
-            };
-            let h = histogram::get("mine.projected_db_size").unwrap_or_default();
+            let ((engine, patterns), snap) = gogreen_obs::measure(|| {
+                if recycled {
+                    (format!("{}-MCP", family.tag()), family.run_recycled(&cdb, xi_new).patterns)
+                } else {
+                    (family.baseline_name().to_owned(), family.run_baseline(&db, xi_new).patterns)
+                }
+            });
+            let h = snap.hists.get("mine.projected_db_size").cloned().unwrap_or_default();
             table.push(vec![
                 engine.clone(),
                 h.count.to_string(),
@@ -750,7 +735,6 @@ fn cmd_obs_hist(scale: f64, reporter: &Reporter) {
                 .expect("save extension");
         }
     }
-    metrics::set_enabled(was_enabled);
     print!(
         "{}",
         render_table(

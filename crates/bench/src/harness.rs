@@ -4,11 +4,11 @@
 //! Each measurement runs the closure once to warm caches, then `samples`
 //! timed iterations, reporting min/median/mean. Results print as a table
 //! and are returned so callers can archive them as JSON. When the
-//! `gogreen_obs` metrics registry is enabled, each result also carries
-//! the per-run counter deltas, so archived rows explain *what work* the
-//! timed code did, not just how long it took.
+//! calling thread has a `gogreen_obs` recorder, each result also carries
+//! the per-run counters of its own measured scope, so archived rows
+//! explain *what work* the timed code did, not just how long it took.
 
-use gogreen_obs::{histogram, metrics};
+use gogreen_obs::metrics;
 use gogreen_util::{Json, Stopwatch, ToJson};
 
 /// One benchmark's measured timings.
@@ -28,10 +28,10 @@ pub struct BenchResult {
     pub mean_s: f64,
     /// Number of timed samples.
     pub samples: usize,
-    /// Per-run counter deltas (counters only, averaged over warmup +
-    /// samples). Empty unless `gogreen_obs::metrics` is enabled.
+    /// Per-run counters (counters only, averaged over warmup +
+    /// samples). Empty unless a `gogreen_obs` recorder is installed.
     pub counters: Vec<(&'static str, u64)>,
-    /// Per-run histogram totals as `(name, count, sum)` deltas, averaged
+    /// Per-run histogram totals as `(name, count, sum)`, averaged
     /// the same way. Bucket vectors stay out of the archive: count+sum
     /// already pin the distribution for the perf gate, and the full
     /// vectors are available live via `--metrics-out`.
@@ -86,39 +86,40 @@ impl BenchGroup {
     /// result under `id`/`param`. The closure's return value is consumed
     /// via `std::hint::black_box` so the work is not optimized away.
     pub fn bench<T>(&mut self, id: &str, param: &str, mut f: impl FnMut() -> T) -> &BenchResult {
-        let before: Vec<(&'static str, u64)> = counter_values();
-        let hists_before = hist_totals();
-        std::hint::black_box(f());
-        let mut times = Vec::with_capacity(self.samples);
-        // One stopwatch for the whole loop; each `lap()` reads the split
-        // since the previous one, so bookkeeping between samples (the
-        // push) is the only non-measured work charged to the next sample.
-        let mut watch = Stopwatch::started();
-        for _ in 0..self.samples {
+        let samples = self.samples;
+        let mut run = || {
             std::hint::black_box(f());
-            times.push(watch.lap().as_secs_f64());
-        }
+            let mut times = Vec::with_capacity(samples);
+            // One stopwatch for the whole loop; each `lap()` reads the
+            // split since the previous one, so bookkeeping between
+            // samples (the push) is the only non-measured work charged
+            // to the next sample.
+            let mut watch = Stopwatch::started();
+            for _ in 0..samples {
+                std::hint::black_box(f());
+                times.push(watch.lap().as_secs_f64());
+            }
+            times
+        };
+        let (mut times, snap) = if metrics::enabled() {
+            gogreen_obs::measure(run)
+        } else {
+            (run(), Default::default())
+        };
         // Deterministic workloads add the same counts every run, so the
-        // total delta divided by the run count is the exact per-run cost.
-        let runs = (self.samples + 1) as u64;
-        let counters = counter_values()
-            .into_iter()
-            .map(|(name, v)| {
-                let prev = before.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v);
-                (name, v.saturating_sub(prev) / runs)
-            })
-            .filter(|&(_, delta)| delta > 0)
+        // total divided by the run count is the exact per-run cost.
+        let runs = (samples + 1) as u64;
+        let counters = snap
+            .metrics
+            .iter()
+            .filter(|(_, m)| m.kind == metrics::Kind::Counter && m.value / runs > 0)
+            .map(|(&name, m)| (name, m.value / runs))
             .collect();
-        let hists = hist_totals()
-            .into_iter()
-            .map(|(name, count, sum)| {
-                let (pc, ps) = hists_before
-                    .iter()
-                    .find(|(n, _, _)| *n == name)
-                    .map_or((0, 0), |&(_, c, s)| (c, s));
-                (name, count.saturating_sub(pc) / runs, sum.saturating_sub(ps) / runs)
-            })
-            .filter(|&(_, count, _)| count > 0)
+        let hists = snap
+            .hists
+            .iter()
+            .filter(|(_, h)| h.count / runs > 0)
+            .map(|(&name, h)| (name, h.count / runs, h.sum / runs))
             .collect();
         times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let result = BenchResult {
@@ -154,21 +155,6 @@ impl BenchGroup {
     pub fn finish(self) -> Vec<BenchResult> {
         self.results
     }
-}
-
-/// Current counter values (max-gauges excluded: their deltas across a
-/// benchmark run are not meaningful work counts).
-fn counter_values() -> Vec<(&'static str, u64)> {
-    metrics::snapshot()
-        .into_iter()
-        .filter(|(_, m)| m.kind == metrics::Kind::Counter)
-        .map(|(n, m)| (n, m.value))
-        .collect()
-}
-
-/// Current histogram totals as `(name, count, sum)`.
-fn hist_totals() -> Vec<(&'static str, u64, u64)> {
-    histogram::snapshot().into_iter().map(|(n, h)| (n, h.count, h.sum)).collect()
 }
 
 #[cfg(test)]
@@ -207,11 +193,11 @@ mod tests {
 
     #[test]
     fn counters_ride_along_when_enabled() {
-        metrics::set_enabled(true);
         let mut g = BenchGroup::new("t");
         g.sample_size(4);
-        let r = g.bench("count", "x", || metrics::add("bench.test_counter", 2)).clone();
-        metrics::set_enabled(false);
+        let (r, _) = gogreen_obs::measure(|| {
+            g.bench("count", "x", || metrics::add("bench.test_counter", 2)).clone()
+        });
         // 5 runs (1 warmup + 4 samples) × 2 per run, averaged back to 2.
         assert!(r.counters.iter().any(|&(n, v)| n == "bench.test_counter" && v == 2));
     }

@@ -13,14 +13,13 @@
 //!
 //! The flow (`repro check-perf`): parse the committed baseline rows,
 //! re-run each row's workload once (serially — invariance makes the
-//! thread count irrelevant), [`measure`] the counter/histogram deltas,
+//! thread count irrelevant), [`measure`] its counter/histogram totals,
 //! and [`compare`] them against every matching row. Thread-variant
 //! names (`cover.*`) are skipped on both sides; everything else must
 //! match in both directions — a counter that drifted, vanished, or
 //! newly appeared is a failure naming the exact metric and values.
 
 use gogreen_obs::metrics::{self, Kind};
-use gogreen_obs::{histogram, MetricsSnapshot};
 use gogreen_util::Json;
 
 /// One archived benchmark row's identity and work fingerprint.
@@ -88,25 +87,21 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
         .collect()
 }
 
-/// Runs `f` once with the metrics registry enabled and returns its exact
-/// counter and histogram-total deltas (thread-variant and zero entries
+/// Runs `f` once in a [`gogreen_obs::measure`] scope and returns its
+/// exact counter and histogram totals (thread-variant and zero entries
 /// included; [`compare`] does the filtering so the caller sees the raw
 /// fingerprint).
 pub fn measure<T>(f: impl FnOnce() -> T) -> Observed {
-    let was_enabled = metrics::enabled();
-    metrics::set_enabled(true);
-    let before = MetricsSnapshot::capture();
-    std::hint::black_box(f());
-    let delta = MetricsSnapshot::capture().delta_since(&before);
-    metrics::set_enabled(was_enabled);
+    let (out, snap) = gogreen_obs::measure(f);
+    std::hint::black_box(out);
     Observed {
-        counters: delta
+        counters: snap
             .metrics
             .iter()
             .filter(|(_, m)| m.kind == Kind::Counter && m.value > 0)
             .map(|(&n, m)| (n.to_owned(), m.value))
             .collect(),
-        hists: delta
+        hists: snap
             .hists
             .iter()
             .filter(|(_, h)| h.count > 0)
@@ -161,14 +156,6 @@ pub fn compare(row: &BaselineRow, observed: &Observed) -> Vec<String> {
         }
     }
     drifts
-}
-
-/// Resets counters and histograms between measured workloads so deltas
-/// never bleed across rows. (Snapshot deltas already isolate runs; the
-/// reset additionally keeps [`measure`]'s captures small.)
-pub fn reset_registries() {
-    metrics::reset();
-    histogram::reset();
 }
 
 #[cfg(test)]
@@ -240,14 +227,12 @@ mod tests {
 
     #[test]
     fn measure_fingerprints_one_run() {
+        use gogreen_obs::histogram;
         let obs = measure(|| {
             metrics::add("mine.candidate_tests", 5);
             histogram::observe("mine.projected_db_size", 8);
         });
-        assert!(obs.counters.iter().any(|(n, v)| n == "mine.candidate_tests" && *v >= 5));
-        assert!(obs
-            .hists
-            .iter()
-            .any(|(n, c, s)| n == "mine.projected_db_size" && *c >= 1 && *s >= 8));
+        assert_eq!(obs.counters, [("mine.candidate_tests".to_owned(), 5)]);
+        assert_eq!(obs.hists, [("mine.projected_db_size".to_owned(), 1, 8)]);
     }
 }

@@ -57,54 +57,36 @@ pub fn show_support(ms: MinSupport, db_len: usize) -> String {
     format!("{ms} (≥ {} tuples)", ms.to_absolute(db_len))
 }
 
-/// Measures a mining closure's arena traffic: runs `f` with the metrics
-/// registry enabled and returns the `alloc.projection_bytes` delta —
-/// the bytes every engine family's slab arenas (horizontal projection
-/// slabs and vertical column arenas alike) report on flush. Restores
-/// the registry's enabled state, so `--metrics-out` accounting is
-/// unaffected.
+/// Measures a mining closure's arena traffic: runs `f` in a
+/// [`gogreen_obs::measure`] scope and returns its
+/// `alloc.projection_bytes` — the bytes every engine family's slab
+/// arenas (horizontal projection slabs and vertical column arenas
+/// alike) report on flush. The scope merges into any `--metrics-out`
+/// recorder, so that accounting is unaffected.
 pub fn measure_arena_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let was_enabled = gogreen_obs::metrics::enabled();
-    if !was_enabled {
-        gogreen_obs::metrics::set_enabled(true);
-    }
-    let before = gogreen_obs::metrics::get("alloc.projection_bytes").unwrap_or(0);
-    let out = f();
-    let after = gogreen_obs::metrics::get("alloc.projection_bytes").unwrap_or(0);
-    if !was_enabled {
-        gogreen_obs::metrics::set_enabled(false);
-    }
-    (out, after.saturating_sub(before))
+    let (out, snap) = gogreen_obs::measure(f);
+    (out, snap.value("alloc.projection_bytes").unwrap_or(0))
 }
 
 /// Segment traffic of an out-of-core command, for the summary row.
 pub struct StorageTraffic {
-    /// Full segment payload loads (`storage.segments_read` delta).
+    /// Full segment payload loads (`storage.segments_read`).
     pub passes: u64,
-    /// Largest segment payload resident at once.
+    /// Largest segment payload resident at once during this command.
     pub resident_peak: u64,
 }
 
 /// Measures a closure's segment traffic alongside its arena bytes: the
 /// out-of-core analog of [`measure_arena_bytes`], returning how many
-/// segment passes the work made and the resident high-water mark.
+/// segment passes the work made and its own resident high-water mark.
 pub fn measure_storage<T>(f: impl FnOnce() -> T) -> (T, u64, StorageTraffic) {
-    let was_enabled = gogreen_obs::metrics::enabled();
-    if !was_enabled {
-        gogreen_obs::metrics::set_enabled(true);
-    }
-    let arena_before = gogreen_obs::metrics::get("alloc.projection_bytes").unwrap_or(0);
-    let passes_before = gogreen_obs::metrics::get("storage.segments_read").unwrap_or(0);
-    let out = f();
-    let arena_after = gogreen_obs::metrics::get("alloc.projection_bytes").unwrap_or(0);
-    let passes_after = gogreen_obs::metrics::get("storage.segments_read").unwrap_or(0);
-    let resident_peak = gogreen_obs::metrics::get("storage.resident_peak").unwrap_or(0);
-    if !was_enabled {
-        gogreen_obs::metrics::set_enabled(false);
-    }
-    let traffic =
-        StorageTraffic { passes: passes_after.saturating_sub(passes_before), resident_peak };
-    (out, arena_after.saturating_sub(arena_before), traffic)
+    let (out, snap) = gogreen_obs::measure(f);
+    let get = |name: &str| snap.value(name).unwrap_or(0);
+    let traffic = StorageTraffic {
+        passes: get("storage.segments_read"),
+        resident_peak: get("storage.resident_peak"),
+    };
+    (out, get("alloc.projection_bytes"), traffic)
 }
 
 /// Parses a byte count with an optional binary suffix: `4096`, `64k`,
@@ -147,34 +129,37 @@ pub fn show_bytes(bytes: u64) -> String {
 pub struct ObsGuard {
     metrics_out: Option<String>,
     profile_out: Option<String>,
-    snapshot_out: bool,
 }
 
-/// Installs the trace writer, enables the metrics registry and the
-/// profile/snapshot layers as requested, and records where to write
-/// each output on [`ObsGuard::finish`].
+/// Installs a [`gogreen_obs::Recorder`] for the command when any output
+/// flag is given — tracing, profiling and exporting snapshots as
+/// requested — and records where to write each output on
+/// [`ObsGuard::finish`].
 pub fn setup_obs(args: &Args) -> Result<ObsGuard, String> {
     gogreen_obs::set_quiet(args.switch("quiet-metrics"));
-    if let Some(path) = args.opt("trace-out") {
-        let f = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-        gogreen_obs::set_trace_writer(Box::new(std::io::BufWriter::new(f)));
-    }
+    let create = |path: &str| {
+        std::fs::File::create(path)
+            .map(std::io::BufWriter::new)
+            .map_err(|e| format!("creating {path}: {e}"))
+    };
     let metrics_out = args.opt("metrics-out").map(str::to_owned);
     let profile_out = args.opt("profile-out").map(str::to_owned);
-    let snapshot_out = args.opt("snapshot-out").map(str::to_owned);
-    if metrics_out.is_some() || snapshot_out.is_some() || args.opt("trace-out").is_some() {
-        gogreen_obs::metrics::set_enabled(true);
+    let outputs = ["metrics-out", "profile-out", "trace-out", "snapshot-out"];
+    if outputs.iter().all(|flag| args.opt(flag).is_none()) {
+        return Ok(ObsGuard { metrics_out, profile_out });
+    }
+    let mut rec = gogreen_obs::Recorder::new();
+    if let Some(path) = args.opt("trace-out") {
+        rec = rec.with_trace(Box::new(create(path)?));
     }
     if profile_out.is_some() {
-        gogreen_obs::profile::reset();
-        gogreen_obs::profile::set_enabled(true);
+        rec = rec.with_profile();
     }
-    if let Some(path) = &snapshot_out {
+    if let Some(path) = args.opt("snapshot-out") {
         // Each emitted snapshot (e.g. one per session round) becomes one
         // JSON line: {"snapshot":label,"counters":{..},..}.
-        let f = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-        let mut w = std::io::BufWriter::new(f);
-        gogreen_obs::snapshot::set_exporter(Box::new(move |label, snap| {
+        let mut w = create(path)?;
+        rec = rec.with_exporter(Box::new(move |label, snap| {
             let mut line = vec![("snapshot", gogreen_util::Json::from(label))];
             if let gogreen_util::Json::Obj(fields) = snap.to_json() {
                 line.extend(fields.into_iter().map(|(k, v)| match k.as_str() {
@@ -186,7 +171,8 @@ pub fn setup_obs(args: &Args) -> Result<ObsGuard, String> {
             let _ = writeln!(w, "{}", gogreen_util::Json::obj(line).dump());
         }));
     }
-    Ok(ObsGuard { metrics_out, profile_out, snapshot_out: snapshot_out.is_some() })
+    rec.install();
+    Ok(ObsGuard { metrics_out, profile_out })
 }
 
 impl ObsGuard {
@@ -195,33 +181,26 @@ impl ObsGuard {
     /// tables to stderr (unless `--quiet-metrics`), and flushes/closes
     /// the trace and snapshot writers.
     pub fn finish(self) -> Result<(), String> {
+        let Some(rec) = gogreen_obs::Recorder::uninstall() else { return Ok(()) };
         if let Some(path) = &self.metrics_out {
-            let mut body = gogreen_obs::metrics::to_jsonl();
-            body.push_str(&gogreen_obs::histogram::to_jsonl());
-            std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
+            let snap = rec.snapshot();
+            std::fs::write(path, snap.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
             if !gogreen_obs::quiet() {
-                eprintln!("metrics ({path}):\n{}", gogreen_obs::metrics::render_table());
-                let hists = gogreen_obs::histogram::render_table();
-                if !hists.contains("no histograms") {
-                    eprintln!("histograms ({path}):\n{hists}");
+                eprintln!("metrics ({path}):\n{}", snap.render_metrics());
+                if !snap.hists.is_empty() {
+                    eprintln!("histograms ({path}):\n{}", snap.render_hists());
                 }
             }
         }
-        if let Some(path) = &self.profile_out {
-            gogreen_obs::profile::set_enabled(false);
-            std::fs::write(path, gogreen_obs::profile::to_collapsed())
+        if let (Some(path), Some(profile)) = (&self.profile_out, rec.profile()) {
+            std::fs::write(path, profile.to_collapsed())
                 .map_err(|e| format!("writing {path}: {e}"))?;
             if !gogreen_obs::quiet() {
-                eprintln!("profile ({path}):\n{}", gogreen_obs::profile::render_table());
+                eprintln!("profile ({path}):\n{}", profile.render_table());
             }
         }
-        if self.snapshot_out {
-            // Dropping the exporter flushes its BufWriter.
-            drop(gogreen_obs::snapshot::take_exporter());
-        }
-        if let Some(mut w) = gogreen_obs::take_trace_writer() {
-            w.flush().map_err(|e| format!("flushing trace: {e}"))?;
-        }
+        rec.flush_trace().map_err(|e| format!("flushing trace: {e}"))?;
+        // Dropping the recorder closes the trace and snapshot writers.
         Ok(())
     }
 }

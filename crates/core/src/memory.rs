@@ -212,12 +212,10 @@ mod tests {
         use crate::RecyclingMiner;
         let db = TransactionDb::paper_example();
         let cdb = CompressedDb::uncompressed(&db);
-        gogreen_obs::metrics::reset();
-        gogreen_obs::metrics::set_enabled(true);
-        let fp = crate::recycle_vt::RecycleVt::new().mine(&cdb, MinSupport::Absolute(2));
-        gogreen_obs::metrics::set_enabled(false);
-        let bytes = gogreen_obs::metrics::get("alloc.projection_bytes").unwrap_or(0);
-        gogreen_obs::metrics::reset();
+        let (fp, snap) = gogreen_obs::measure(|| {
+            crate::recycle_vt::RecycleVt::new().mine(&cdb, MinSupport::Absolute(2))
+        });
+        let bytes = snap.value("alloc.projection_bytes").unwrap_or(0);
         assert!(!fp.is_empty());
         assert!(bytes > 0, "vertical arenas did not report projection bytes");
     }

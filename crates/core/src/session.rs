@@ -131,33 +131,6 @@ impl RunMode {
     }
 }
 
-/// Per-round snapshot emission: captures the merged metric state when a
-/// round opens and delivers the delta (exactly the round's own activity)
-/// to the installed [`snapshot`] exporter when it closes, on every exit
-/// path including the cached early return. When no exporter is installed
-/// — the common library case — opening and closing cost two lock-free
-/// checks and no capture.
-struct RoundScope {
-    before: Option<(u64, snapshot::MetricsSnapshot)>,
-}
-
-impl RoundScope {
-    fn open(round: u64) -> RoundScope {
-        let before =
-            snapshot::exporter_installed().then(|| (round, snapshot::MetricsSnapshot::capture()));
-        RoundScope { before }
-    }
-}
-
-impl Drop for RoundScope {
-    fn drop(&mut self) {
-        if let Some((round, before)) = self.before.take() {
-            let delta = snapshot::MetricsSnapshot::capture().delta_since(&before);
-            snapshot::emit(&format!("session.round/{round}"), &delta);
-        }
-    }
-}
-
 /// Metrics of one session round.
 #[derive(Debug, Clone)]
 pub struct RoundReport {
@@ -207,7 +180,8 @@ pub struct MiningSession {
     /// [`PatternStore::best_for`] the recycling fodder.
     store: PatternStore,
     /// Rounds run by *this* session — labels the per-round metric
-    /// snapshots (the global `session.rounds` counter spans sessions).
+    /// snapshots (the recorder's `session.rounds` counter spans every
+    /// session it measures).
     rounds_run: u64,
 }
 
@@ -271,12 +245,25 @@ impl MiningSession {
         self.run_with_report(constraints).0
     }
 
-    /// Runs one round, also reporting how it was answered.
+    /// Runs one round, also reporting how it was answered. With a
+    /// snapshot exporter installed, the round runs in its own
+    /// [`gogreen_obs::measure`] scope and its snapshot — exactly the
+    /// round's own activity, maxes included — is emitted as
+    /// `session.round/<n>`.
     pub fn run_with_report(&mut self, constraints: ConstraintSet) -> (PatternSet, RoundReport) {
+        self.rounds_run += 1;
+        if !snapshot::exporter_installed() {
+            return self.run_round(constraints);
+        }
+        let round = self.rounds_run;
+        let (out, snap) = gogreen_obs::measure(|| self.run_round(constraints));
+        snapshot::emit(&format!("session.round/{round}"), &snap);
+        out
+    }
+
+    fn run_round(&mut self, constraints: ConstraintSet) -> (PatternSet, RoundReport) {
         let db_len = self.db.len();
         let xi = constraints.min_support().to_absolute(db_len);
-        self.rounds_run += 1;
-        let _snap_scope = RoundScope::open(self.rounds_run);
         let mut sp = span("session.round");
         let started = std::time::Instant::now();
         if let Some((prev_cs, _, prev_answer)) = &self.last {

@@ -3,8 +3,7 @@
 //! driver every projected-database miner routes its root loop through.
 
 use gogreen_data::{CsrTuples, FList, Item, PatternSink, TransactionDb};
-use gogreen_util::pool::Parallelism;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use gogreen_util::pool::{par_map_init, Parallelism};
 
 /// Encodes `db` against `flist` straight into flat CSR rank storage,
 /// dropping tuples with no frequent item — one pass, no intermediate
@@ -162,10 +161,10 @@ impl PatternBuffer {
 ///
 /// * Serial (or `n < 2`): one `init()` state, units run in order directly
 ///   against the real sink — no buffering, no overhead.
-/// * Parallel: workers steal unit indices from a shared atomic cursor
+/// * Parallel: [`par_map_init`] workers claim unit indices dynamically
 ///   (skewed prefixes don't straggle behind a static partition), emit
 ///   each unit into a private [`PatternBuffer`], and the buffers are
-///   replayed in index order after the scoped join.
+///   replayed in index order after the join.
 ///
 /// Because the serial path runs the *same* per-unit code as each worker,
 /// the output stream is byte-identical at any thread count, and every
@@ -182,45 +181,20 @@ pub fn fan_out_ordered<S, I, F>(
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut dyn PatternSink) + Sync,
 {
-    let workers = par.for_items(n);
-    if workers <= 1 {
+    if par.for_items(n) <= 1 {
         let mut state = init();
         for i in 0..n {
             unit(&mut state, i, sink);
         }
         return;
     }
-    let cursor = AtomicUsize::new(0);
-    let mut parts: Vec<Vec<(usize, PatternBuffer)>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut state = init();
-                let mut done: Vec<(usize, PatternBuffer)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut buf = PatternBuffer::default();
-                    unit(&mut state, i, &mut buf);
-                    done.push((i, buf));
-                }
-                done
-            }));
-        }
-        for h in handles {
-            parts.push(h.join().expect("mining worker panicked"));
-        }
+    let buffers = par_map_init(par, n, init, |state, i| {
+        let mut buf = PatternBuffer::default();
+        unit(state, i, &mut buf);
+        buf
     });
-    let mut slots: Vec<Option<PatternBuffer>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for (i, buf) in parts.into_iter().flatten() {
-        slots[i] = Some(buf);
-    }
-    for slot in slots {
-        slot.expect("every unit index visited exactly once").replay(sink);
+    for buf in buffers {
+        buf.replay(sink);
     }
 }
 

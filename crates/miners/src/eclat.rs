@@ -73,7 +73,6 @@ mod tests {
     use super::*;
     use crate::mine_apriori;
     use gogreen_data::{FnSink, Item, MinSupport, Transaction, TransactionDb};
-    use gogreen_obs::metrics;
     use gogreen_util::rng::{Rng, SmallRng};
     use std::collections::BTreeSet;
 
@@ -95,13 +94,9 @@ mod tests {
         // terminates the node without materializing a child tidset.
         let db = TransactionDb::from_rows(&[&[1, 2, 3][..], &[1, 2, 3], &[1, 2], &[1, 3], &[2, 3]]);
         let oracle = mine_apriori(&db, MinSupport::Absolute(2));
-        metrics::reset();
-        metrics::set_enabled(true);
-        let vt = Eclat::new().mine(&db, MinSupport::Absolute(2));
-        metrics::set_enabled(false);
-        let prunes = metrics::get("mine.bound_prunes").unwrap_or(0);
-        let words = metrics::get("mine.bitmap_words_scanned").unwrap_or(0);
-        metrics::reset();
+        let (vt, snap) = gogreen_obs::measure(|| Eclat::new().mine(&db, MinSupport::Absolute(2)));
+        let prunes = snap.value("mine.bound_prunes").unwrap_or(0);
+        let words = snap.value("mine.bitmap_words_scanned").unwrap_or(0);
         assert!(vt.same_patterns_as(&oracle));
         assert!(prunes >= 1, "bound prune did not fire");
         assert!(words >= 1, "bitmap kernel counter missing");

@@ -19,21 +19,17 @@
 //!
 //! # Determinism
 //!
-//! Observations land in a per-thread shard (same scheme as the counter
-//! registry) and merge by element-wise bucket addition — commutative and
-//! associative. A workload whose logical units are fixed (the fan-out
+//! Observations land in the calling thread's [`crate::Recorder`] (same
+//! scheme as the counters) and merge by element-wise bucket addition —
+//! commutative and associative. A workload whose logical units are fixed (the fan-out
 //! units of the miners, the groups of a compression) therefore produces
 //! **bit-identical bucket vectors at any `--threads N`** for every
 //! histogram whose name is thread-invariant per the registry; only the
 //! `cover.*` sweep histograms may vary (chunked sweeps re-partition the
-//! claims). Enabling follows [`crate::metrics::enabled`]: one registry
-//! switch turns the whole measurement layer on.
+//! claims). An installed recorder turns the whole measurement layer on.
 
-use crate::metrics;
-use gogreen_util::{FxHashMap, Json};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use crate::recorder::{active, with_current};
+use gogreen_util::Json;
 
 /// Number of log₂ buckets: bit lengths 0 (the value 0) through 64.
 pub const NUM_BUCKETS: usize = 65;
@@ -92,21 +88,6 @@ impl Histogram {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += *o;
         }
-    }
-
-    /// Element-wise difference `self − earlier`; the delta of two
-    /// snapshots of a monotone histogram. Saturates at zero so a reset
-    /// between snapshots cannot underflow.
-    pub fn delta_since(&self, earlier: &Histogram) -> Histogram {
-        let mut out = Histogram {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            ..Histogram::default()
-        };
-        for (i, o) in out.buckets.iter_mut().enumerate() {
-            *o = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        out
     }
 
     /// Mean observed value (0 when empty).
@@ -178,125 +159,18 @@ impl Histogram {
     }
 }
 
-static GLOBAL: Mutex<BTreeMap<&'static str, Histogram>> = Mutex::new(BTreeMap::new());
-
-struct Shard {
-    map: FxHashMap<&'static str, Histogram>,
-}
-
-impl Drop for Shard {
-    fn drop(&mut self) {
-        merge_into_global(&mut self.map);
-    }
-}
-
-thread_local! {
-    static SHARD: RefCell<Shard> = RefCell::new(Shard { map: FxHashMap::default() });
-}
-
-fn merge_into_global(map: &mut FxHashMap<&'static str, Histogram>) {
-    if map.is_empty() {
-        return;
-    }
-    let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    for (name, h) in map.drain() {
-        global.entry(name).and_modify(|g| g.merge(&h)).or_insert(h);
-    }
-}
-
-/// Records `value` into the histogram `name`. No-op while the metrics
-/// registry is disabled (histograms share the counters' master switch,
-/// so the disabled path stays one relaxed load and a branch).
+/// Records `value` into the histogram `name`. No-op without a recorder
+/// (one thread-local load and a branch, like the counters).
 #[inline]
 pub fn observe(name: &'static str, value: u64) {
-    if !metrics::enabled() {
-        return;
+    if active() {
+        with_current(|r| r.observe(name, value));
     }
-    // Shard access can fail only during thread teardown; stragglers
-    // merge directly, mirroring the counter registry.
-    let direct =
-        SHARD.try_with(|s| s.borrow_mut().map.entry(name).or_default().observe(value)).is_err();
-    if direct {
-        let mut one = FxHashMap::default();
-        one.entry(name).or_insert_with(Histogram::default).observe(value);
-        merge_into_global(&mut one);
-    }
-}
-
-/// Merges the calling thread's shard and returns every histogram,
-/// sorted by name.
-pub fn snapshot() -> Vec<(&'static str, Histogram)> {
-    let _ = SHARD.try_with(|s| merge_into_global(&mut s.borrow_mut().map));
-    let global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    global.iter().map(|(&k, v)| (k, v.clone())).collect()
-}
-
-/// The merged histogram `name`, if it has been touched.
-pub fn get(name: &str) -> Option<Histogram> {
-    snapshot().into_iter().find(|(n, _)| *n == name).map(|(_, h)| h)
-}
-
-/// Clears the global table and the calling thread's shard (same caveat
-/// as [`crate::metrics::reset`]: worker threads are scoped and gone).
-pub fn reset() {
-    let _ = SHARD.try_with(|s| s.borrow_mut().map.clear());
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner()).clear();
-}
-
-/// Renders every histogram as an aligned table: count, sum, mean, the
-/// p50/p90/p99 bucket upper bounds, and the value range of the largest
-/// populated bucket.
-pub fn render_table() -> String {
-    let snap = snapshot();
-    if snap.is_empty() {
-        return "  (no histograms recorded)".to_string();
-    }
-    let width = snap.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (name, h) in snap {
-        let top = h
-            .max_bucket()
-            .and_then(bucket_range)
-            .map_or("-".to_string(), |(lo, hi)| format!("{lo}..={hi}"));
-        out.push_str(&format!(
-            "  {name:<width$}  n={} sum={} mean={:.1} p50≤{} p90≤{} p99≤{} top {top}\n",
-            h.count,
-            h.sum,
-            h.mean(),
-            h.quantile_upper(0.50),
-            h.quantile_upper(0.90),
-            h.quantile_upper(0.99),
-        ));
-    }
-    out.pop();
-    out
-}
-
-/// Renders every histogram as JSON lines:
-/// `{"hist":"mine.projected_db_size","count":..,"sum":..,"buckets":{..}}`.
-pub fn to_jsonl() -> String {
-    let mut out = String::new();
-    for (name, h) in snapshot() {
-        let mut line = vec![("hist", Json::from(name))];
-        if let Json::Obj(fields) = h.to_json() {
-            line.extend(fields.into_iter().map(|(k, v)| match k.as_str() {
-                "count" => ("count", v),
-                "sum" => ("sum", v),
-                _ => ("buckets", v),
-            }));
-        }
-        out.push_str(&Json::obj(line).dump());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Process-global state: serialize tests touching it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn bucketing_is_bit_length() {
@@ -335,39 +209,6 @@ mod tests {
         assert_eq!(m.count, 12);
         assert_eq!(m.sum, 232);
         assert_eq!(m.buckets[1], 4);
-        let d = m.delta_since(&h);
-        assert_eq!(d, h);
-    }
-
-    #[test]
-    fn disabled_observations_record_nothing() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        metrics::set_enabled(false);
-        observe("test.hist_disabled", 5);
-        assert_eq!(get("test.hist_disabled"), None);
-    }
-
-    #[test]
-    fn sharded_observations_merge_order_free() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        metrics::set_enabled(true);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                scope.spawn(move || {
-                    for i in 0..100u64 {
-                        observe("test.hist_sharded", t * 100 + i);
-                    }
-                });
-            }
-        });
-        metrics::set_enabled(false);
-        let h = get("test.hist_sharded").expect("recorded");
-        assert_eq!(h.count, 400);
-        assert_eq!(h.sum, (0..400u64).sum());
-        assert_eq!(h.buckets.iter().sum::<u64>(), 400);
-        reset();
     }
 
     #[test]
@@ -379,21 +220,5 @@ mod tests {
         let j = h.to_json();
         let back = Histogram::from_json(&Json::parse(&j.dump()).unwrap()).unwrap();
         assert_eq!(back, h);
-    }
-
-    #[test]
-    fn jsonl_lists_nonempty_buckets_only() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        metrics::set_enabled(true);
-        observe("test.hist_jsonl", 6);
-        metrics::set_enabled(false);
-        let text = to_jsonl();
-        assert!(
-            text.contains(r#"{"hist":"test.hist_jsonl","count":1,"sum":6,"buckets":{"3":1}}"#),
-            "{text}"
-        );
-        assert!(render_table().contains("test.hist_jsonl"));
-        reset();
     }
 }

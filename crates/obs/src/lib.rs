@@ -9,37 +9,40 @@
 //! tuple-at-a-time. Wall clock alone cannot show that. This crate
 //! provides the two missing instruments:
 //!
-//! * [`metrics`] — a process-wide registry of named counters and
-//!   max-gauges. Updates go to a per-thread shard (no cross-thread
-//!   contention on hot paths) and merge into the global registry when the
-//!   thread exits or a snapshot is taken. Counter merges are additions
-//!   and gauge merges are `max` — both commutative and associative — so
-//!   totals are **bit-identical at any `--threads` setting** for counters
-//!   that measure logical work. When disabled (the default), every
-//!   update is a single relaxed atomic load and a branch.
+//! * [`Recorder`] — everything one run measures, owned by that run:
+//!   installed in a thread-local slot for the run's length, inherited by
+//!   `gogreen_util::pool` workers (each merges its share back before it
+//!   returns), and scoped by [`measure`], which runs a closure under a
+//!   child recorder and returns exactly what the closure recorded.
+//!   Merges are additions (counters) and `max` (gauges) — commutative
+//!   and associative — so totals are **bit-identical at any `--threads`
+//!   setting** for counters that measure logical work. With no recorder
+//!   installed (the default), every update is one thread-local load and
+//!   a branch.
+//! * [`metrics`] — named counters and max-gauges.
 //! * [`span`] — hierarchical wall-time spans (enter/exit, phase name,
-//!   `key=value` fields, parent links) emitted as JSON lines to a
-//!   configurable writer. When no writer is installed, entering a span
-//!   reads no clock and allocates nothing.
+//!   `key=value` fields, parent links) emitted as JSON lines to the
+//!   recorder's trace writer. When it has none, entering a span reads
+//!   no clock and allocates nothing.
 //!
-//! On top of those two primitives sit the profiling layers added for
-//! the perf-gate work:
+//! On top of those primitives sit the profiling layers added for the
+//! perf-gate work:
 //!
-//! * [`histogram`] — deterministic log₂-bucketed distributions, sharded
-//!   and merged exactly like the counters, sharing their master switch.
+//! * [`histogram`] — deterministic log₂-bucketed distributions, recorded
+//!   and merged exactly like the counters.
 //! * [`profile`] — the span stream folded in-process into a
 //!   self-time/total-time/call-count tree, exported as a table or
 //!   collapsed-stack format for flamegraph tooling.
-//! * [`snapshot`] — point-in-time captures of all metric state,
-//!   delta-able and deliverable through a periodic exporter hook (the
-//!   interface a long-running server polls).
+//! * [`snapshot`] — captures of all metric state and the exporter hook
+//!   (the interface a long-running server polls).
 //! * [`registry`] — the central declaration of every observable name
 //!   with its thread-invariance class, linted against the source tree.
 //!
-//! All layers are *off* by default so that library users and the test
-//! suite pay (nearly) nothing; the CLI's `--trace-out` / `--metrics-out`
-//! / `--profile-out` / `--snapshot-out` flags switch them on per
-//! process.
+//! Nothing is recorded until a recorder is installed, so library users
+//! and the test suite pay (nearly) nothing, and concurrent runs — tests
+//! on the harness's threads, members of a batch — never see each
+//! other's counts. The CLI's `--trace-out` / `--metrics-out` /
+//! `--profile-out` / `--snapshot-out` flags install one per command.
 //!
 //! The crate depends only on `gogreen-util` (for [`gogreen_util::Json`]
 //! and the hasher), so every other workspace crate can depend on it
@@ -48,12 +51,14 @@
 pub mod histogram;
 pub mod metrics;
 pub mod profile;
+pub mod recorder;
 pub mod registry;
 pub mod snapshot;
 pub mod span;
 
+pub use recorder::{measure, Recorder};
 pub use snapshot::MetricsSnapshot;
-pub use span::{event, set_trace_writer, span, take_trace_writer, tracing_enabled, Span};
+pub use span::{event, span, tracing_enabled, Span};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -1,4 +1,4 @@
-//! The metrics registry: named counters and max-gauges.
+//! Named counters and max-gauges.
 //!
 //! # Naming scheme
 //!
@@ -19,34 +19,27 @@
 //!   may vary with `--threads`; [`is_thread_invariant`] tells the two
 //!   classes apart.
 //!
-//! # Sharding
+//! # Recording
 //!
-//! Updates land in a per-thread shard (a plain hash map — no atomics, no
-//! locks on the hot path) and merge into the global registry when the
-//! thread exits; [`snapshot`] additionally merges the calling thread's
-//! shard so the main thread always sees its own writes. The worker
-//! threads of `gogreen_util::pool` are scoped and terminate before the
-//! fork-join call returns, so their shards are merged by the time the
-//! caller can observe anything.
+//! Updates land in the calling thread's [`crate::Recorder`]; pool
+//! workers record into children of it that merge back at join (see
+//! [`crate::recorder`]). Counter merges are additions and gauge merges
+//! are `max`, both order-independent.
 //!
 //! # Overhead
 //!
-//! Disabled (the default), an update is one relaxed atomic load and a
-//! branch — the budget is < 2% on a compression run even at 10⁴ calls,
-//! enforced by `tests/obs_metrics.rs`.
+//! With no recorder installed (the default), an update is one
+//! thread-local load and a branch — the budget is < 2% on a compression
+//! run even at 10⁴ calls, enforced by `tests/obs_metrics.rs`.
 
-use gogreen_util::{FxHashMap, Json};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use crate::recorder::{self, with_current, Recorder};
 
-/// What a metric measures and how shards merge into it.
+/// What a metric measures and how recorders merge it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// A monotone count; shards merge by addition.
+    /// A monotone count; merges by addition.
     Counter,
-    /// A high-water mark; shards merge by maximum.
+    /// A high-water mark; merges by maximum.
     Max,
 }
 
@@ -60,7 +53,7 @@ pub struct Metric {
 }
 
 impl Metric {
-    fn merge(&mut self, other: Metric) {
+    pub(crate) fn merge(&mut self, other: Metric) {
         debug_assert_eq!(self.kind, other.kind, "metric kind mismatch");
         match self.kind {
             Kind::Counter => self.value += other.value,
@@ -69,100 +62,50 @@ impl Metric {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: Mutex<BTreeMap<&'static str, Metric>> = Mutex::new(BTreeMap::new());
-
-/// The per-thread shard. Dropping it (thread exit) merges into the
-/// global registry.
-struct Shard {
-    map: FxHashMap<&'static str, Metric>,
-}
-
-impl Drop for Shard {
-    fn drop(&mut self) {
-        merge_into_global(&mut self.map);
-    }
-}
-
-thread_local! {
-    static SHARD: RefCell<Shard> = RefCell::new(Shard { map: FxHashMap::default() });
-}
-
-fn merge_into_global(map: &mut FxHashMap<&'static str, Metric>) {
-    if map.is_empty() {
-        return;
-    }
-    let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    for (name, m) in map.drain() {
-        global.entry(name).and_modify(|g| g.merge(m)).or_insert(m);
-    }
-}
-
 fn record(name: &'static str, kind: Kind, value: u64) {
-    let m = Metric { kind, value };
-    // Shard access can fail only during thread teardown (the TLS value
-    // already dropped); those late stragglers merge directly.
-    let direct = SHARD
-        .try_with(|s| {
-            s.borrow_mut().map.entry(name).and_modify(|g| g.merge(m)).or_insert(m);
-        })
-        .is_err();
-    if direct {
-        let mut one = FxHashMap::default();
-        one.insert(name, m);
-        merge_into_global(&mut one);
+    with_current(|r| r.record(name, Metric { kind, value }));
+}
+
+/// With `on`, installs a fresh [`Recorder`] on the calling thread unless
+/// one is already installed; without, removes the calling thread's
+/// recorder and discards what it recorded. A shim for callers that
+/// toggle recording around their own before/after reads; scoped code
+/// uses [`crate::measure`].
+pub fn set_enabled(on: bool) {
+    if !on {
+        drop(Recorder::uninstall());
+    } else if !enabled() {
+        Recorder::new().install();
     }
 }
 
-/// Turns metric recording on or off. Off (the default) makes every
-/// update a load-and-branch no-op.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// True while updates are being recorded.
+/// True while the calling thread has a recorder installed.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    recorder::active()
 }
 
-/// Adds `delta` to the counter `name`. No-op while disabled.
+/// Adds `delta` to the counter `name`. No-op without a recorder.
 #[inline]
 pub fn add(name: &'static str, delta: u64) {
-    if !enabled() || delta == 0 {
-        return;
+    if delta != 0 && enabled() {
+        record(name, Kind::Counter, delta);
     }
-    record(name, Kind::Counter, delta);
 }
 
-/// Raises the max-gauge `name` to at least `value`. No-op while disabled.
+/// Raises the max-gauge `name` to at least `value`. No-op without a
+/// recorder.
 #[inline]
 pub fn set_max(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record(name, Kind::Max, value);
     }
-    record(name, Kind::Max, value);
 }
 
-/// Merges the calling thread's shard and returns every metric, sorted by
-/// name.
+/// Every metric of the calling thread's recorder, sorted by name (empty
+/// without a recorder).
 pub fn snapshot() -> Vec<(&'static str, Metric)> {
-    let _ = SHARD.try_with(|s| merge_into_global(&mut s.borrow_mut().map));
-    let global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    global.iter().map(|(&k, &v)| (k, v)).collect()
-}
-
-/// The current value of one metric, if it has been touched.
-pub fn get(name: &str) -> Option<u64> {
-    snapshot().iter().find(|(n, _)| *n == name).map(|(_, m)| m.value)
-}
-
-/// Clears the registry and the calling thread's shard. (Shards of other
-/// still-live threads are untouched; the workspace's worker threads are
-/// scoped and gone by the time anyone resets.)
-pub fn reset() {
-    let _ = SHARD.try_with(|s| s.borrow_mut().map.clear());
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    with_current(|r| r.snapshot().metrics.into_iter().collect()).unwrap_or_default()
 }
 
 /// True when `name` measures logical work (thread-invariant totals), as
@@ -180,115 +123,30 @@ pub fn is_thread_invariant(name: &str) -> bool {
     }
 }
 
-/// Renders the registry as an aligned, `gogreen stats`-style table.
-pub fn render_table() -> String {
-    let snap = snapshot();
-    if snap.is_empty() {
-        return "  (no metrics recorded)".to_string();
-    }
-    let width = snap.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (name, m) in snap {
-        let tag = match m.kind {
-            Kind::Counter => "",
-            Kind::Max => " (max)",
-        };
-        out.push_str(&format!("  {name:<width$}  {}{tag}\n", m.value));
-    }
-    out.pop();
-    out
-}
-
-/// Renders the registry as JSON lines, one metric per line:
-/// `{"metric":"mine.candidate_tests","kind":"counter","value":123}`.
-pub fn to_jsonl() -> String {
-    let mut out = String::new();
-    for (name, m) in snapshot() {
-        let kind = match m.kind {
-            Kind::Counter => "counter",
-            Kind::Max => "max",
-        };
-        let line = Json::obj([
-            ("metric", Json::from(name)),
-            ("kind", Json::from(kind)),
-            ("value", Json::from(m.value)),
-        ]);
-        out.push_str(&line.dump());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The registry is process-global, so tests in this module serialize
-    /// themselves on one lock to avoid cross-talk.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disabled_updates_record_nothing() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
         set_enabled(false);
         add("test.counter", 5);
         set_max("test.gauge", 9);
-        assert_eq!(get("test.counter"), None);
-        assert_eq!(get("test.gauge"), None);
+        assert!(snapshot().is_empty());
     }
 
     #[test]
     fn counters_add_and_gauges_max() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
         set_enabled(true);
         add("test.c", 2);
         add("test.c", 3);
         set_max("test.m", 7);
         set_max("test.m", 4);
-        assert_eq!(get("test.c"), Some(5));
-        assert_eq!(get("test.m"), Some(7));
+        let snap = snapshot();
         set_enabled(false);
-        reset();
-    }
-
-    #[test]
-    fn scoped_threads_merge_on_exit_and_totals_are_order_free() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        set_enabled(true);
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        add("test.sharded", 1);
-                    }
-                    set_max("test.depth", 10 + t);
-                });
-            }
-        });
-        assert_eq!(get("test.sharded"), Some(400));
-        assert_eq!(get("test.depth"), Some(13));
-        set_enabled(false);
-        reset();
-    }
-
-    #[test]
-    fn jsonl_and_table_render() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        set_enabled(true);
-        add("test.a", 1);
-        set_max("test.b", 2);
-        let jsonl = to_jsonl();
-        assert!(jsonl.contains(r#"{"metric":"test.a","kind":"counter","value":1}"#));
-        assert!(jsonl.contains(r#"{"metric":"test.b","kind":"max","value":2}"#));
-        let table = render_table();
-        assert!(table.contains("test.a"));
-        assert!(table.contains("(max)"));
-        set_enabled(false);
-        reset();
+        assert_eq!(snap[0], ("test.c", Metric { kind: Kind::Counter, value: 5 }));
+        assert_eq!(snap[1], ("test.m", Metric { kind: Kind::Max, value: 7 }));
+        assert!(!enabled());
     }
 
     #[test]

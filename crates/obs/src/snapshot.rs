@@ -1,32 +1,24 @@
-//! Point-in-time metric snapshots, deltas between them, and the
-//! periodic exporter hook.
+//! Metric snapshots, their renderings, and the exporter hook.
 //!
-//! The one-shot JSONL dump at process exit (`ObsGuard`) cannot serve a
-//! long-running `gogreen serve`: a server needs *periodic, mergeable*
-//! readings — what happened since the last poll, per tenant or per
-//! round. [`MetricsSnapshot`] is that reading: a merge-of-shards capture
-//! of every counter, max-gauge and histogram at one instant, with
-//! [`MetricsSnapshot::delta_since`] producing the exact activity between
-//! two captures (counters and histogram buckets subtract; max-gauges
-//! keep the later high-water mark, which is the only meaningful reading
-//! of a monotone gauge).
+//! A [`MetricsSnapshot`] is every counter, max-gauge and histogram a
+//! [`crate::Recorder`] holds at one instant — what [`crate::measure`]
+//! returns for a scope and what the CLI's `--metrics-out` dumps for a
+//! whole run. Because the underlying counters are bit-identical at any
+//! thread count for registry-invariant names, so are the snapshots of a
+//! measured scope — the property `tests/obs_snapshot.rs` pins.
 //!
-//! Because the underlying counters are bit-identical at any thread count
-//! for registry-invariant names, so are snapshot deltas — the property
-//! `tests/obs_snapshot.rs` pins.
-//!
-//! The exporter hook is the polling interface: install a callback with
-//! [`set_exporter`] and every [`emit`] call delivers a labelled
-//! snapshot. `MiningSession` emits one per round today; `gogreen serve`
-//! will emit on a timer.
+//! The exporter hook is the polling interface a long-running process
+//! needs: build the recorder [`crate::Recorder::with_exporter`] and
+//! every [`emit`] call delivers a labelled snapshot. `MiningSession`
+//! emits one per round today, each measured in its own scope.
 
-use crate::histogram::{self, Histogram};
-use crate::metrics::{self, Kind, Metric};
+use crate::histogram::{bucket_range, Histogram};
+use crate::metrics::{Kind, Metric};
+use crate::recorder::with_current;
 use gogreen_util::Json;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
-/// All merged metric state at one point in time.
+/// All metric state of one recorder at one point in time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counters and max-gauges, by name.
@@ -36,38 +28,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Captures the current merged state of every counter, gauge and
-    /// histogram (merging the calling thread's shards first).
-    pub fn capture() -> MetricsSnapshot {
-        MetricsSnapshot {
-            metrics: metrics::snapshot().into_iter().collect(),
-            hists: histogram::snapshot().into_iter().collect(),
-        }
-    }
-
-    /// The activity between `earlier` and `self`: counters and histogram
-    /// buckets subtract element-wise (saturating, so a reset between the
-    /// two captures cannot underflow); max-gauges keep `self`'s value.
-    /// Names absent from `earlier` pass through unchanged.
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::default();
-        for (&name, &m) in &self.metrics {
-            let value = match (m.kind, earlier.metrics.get(name)) {
-                (Kind::Counter, Some(prev)) => m.value.saturating_sub(prev.value),
-                _ => m.value,
-            };
-            out.metrics.insert(name, Metric { kind: m.kind, value });
-        }
-        for (&name, h) in &self.hists {
-            let d = match earlier.hists.get(name) {
-                Some(prev) => h.delta_since(prev),
-                None => h.clone(),
-            };
-            out.hists.insert(name, d);
-        }
-        out
-    }
-
     /// The value of one counter/gauge in this snapshot.
     pub fn value(&self, name: &str) -> Option<u64> {
         self.metrics.get(name).map(|m| m.value)
@@ -98,115 +58,168 @@ impl MetricsSnapshot {
             ("hists", Json::Obj(hists)),
         ])
     }
+
+    /// Renders as JSON lines, one metric per line
+    /// (`{"metric":"mine.candidate_tests","kind":"counter","value":123}`)
+    /// followed by one histogram per line
+    /// (`{"hist":"mine.projected_db_size","count":..,"sum":..,"buckets":{..}}`).
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        for (&name, m) in &self.metrics {
+            let kind = match m.kind {
+                Kind::Counter => "counter",
+                Kind::Max => "max",
+            };
+            let line = Json::obj([
+                ("metric", Json::from(name)),
+                ("kind", Json::from(kind)),
+                ("value", Json::from(m.value)),
+            ]);
+            out.push_str(&line.dump());
+            out.push('\n');
+        }
+        for (&name, h) in &self.hists {
+            let mut line = vec![("hist", Json::from(name))];
+            if let Json::Obj(fields) = h.to_json() {
+                line.extend(fields.into_iter().map(|(k, v)| match k.as_str() {
+                    "count" => ("count", v),
+                    "sum" => ("sum", v),
+                    _ => ("buckets", v),
+                }));
+            }
+            out.push_str(&Json::obj(line).dump());
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Renders the counters and gauges as an aligned, `gogreen
+    /// stats`-style table.
+    pub fn render_metrics(&self) -> String {
+        if self.metrics.is_empty() {
+            return "  (no metrics recorded)".to_string();
+        }
+        let width = self.metrics.keys().map(|n| n.len()).max().unwrap_or(0);
+        let mut out = String::new();
+        for (name, m) in &self.metrics {
+            let tag = match m.kind {
+                Kind::Counter => "",
+                Kind::Max => " (max)",
+            };
+            out.push_str(&format!("  {name:<width$}  {}{tag}\n", m.value));
+        }
+        out.pop();
+        out
+    }
+
+    /// Renders the histograms as an aligned table: count, sum, mean, the
+    /// p50/p90/p99 bucket upper bounds, and the value range of the
+    /// largest populated bucket.
+    pub fn render_hists(&self) -> String {
+        if self.hists.is_empty() {
+            return "  (no histograms recorded)".to_string();
+        }
+        let width = self.hists.keys().map(|n| n.len()).max().unwrap_or(0);
+        let mut out = String::new();
+        for (name, h) in &self.hists {
+            let top = h
+                .max_bucket()
+                .and_then(bucket_range)
+                .map_or("-".to_string(), |(lo, hi)| format!("{lo}..={hi}"));
+            out.push_str(&format!(
+                "  {name:<width$}  n={} sum={} mean={:.1} p50≤{} p90≤{} p99≤{} top {top}\n",
+                h.count,
+                h.sum,
+                h.mean(),
+                h.quantile_upper(0.50),
+                h.quantile_upper(0.90),
+                h.quantile_upper(0.99),
+            ));
+        }
+        out.pop();
+        out
+    }
 }
 
 /// The exporter callback: receives a label and the snapshot.
 pub type Exporter = Box<dyn FnMut(&str, &MetricsSnapshot) + Send>;
 
-static EXPORTER: Mutex<Option<Exporter>> = Mutex::new(None);
-
-/// Installs the snapshot exporter; [`emit`] delivers to it until
-/// [`take_exporter`] removes it.
-pub fn set_exporter(e: Exporter) {
-    *EXPORTER.lock().unwrap_or_else(|p| p.into_inner()) = Some(e);
-}
-
-/// Removes and returns the exporter (dropping it flushes file sinks).
-pub fn take_exporter() -> Option<Exporter> {
-    EXPORTER.lock().unwrap_or_else(|p| p.into_inner()).take()
-}
-
-/// True while an exporter is installed — emitters use this to skip the
-/// capture cost when nothing is listening.
+/// True while the calling thread's recorder has an exporter — emitters
+/// use this to skip measuring when nothing is listening.
 pub fn exporter_installed() -> bool {
-    EXPORTER.lock().unwrap_or_else(|p| p.into_inner()).is_some()
+    with_current(|r| r.exporter.is_some()).unwrap_or(false)
 }
 
-/// Delivers a labelled snapshot to the installed exporter (no-op
-/// otherwise). Callers that want deltas capture before/after and pass
-/// the [`MetricsSnapshot::delta_since`] result.
+/// Delivers a labelled snapshot to the calling thread's exporter (no-op
+/// otherwise).
 pub fn emit(label: &str, snap: &MetricsSnapshot) {
-    let mut exporter = EXPORTER.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(e) = exporter.as_mut() {
-        e(label, snap);
+    // Clone the shared exporter out first: the callback may record.
+    if let Some(Some(e)) = with_current(|r| r.exporter.clone()) {
+        (e.lock().unwrap_or_else(|p| p.into_inner()))(label, snap);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{histogram, measure, metrics, Recorder};
+    use std::sync::{Arc, Mutex};
 
-    /// Snapshots read process-global registries; serialize these tests.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn delta_subtracts_counters_and_buckets_keeps_maxes() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        metrics::reset();
-        histogram::reset();
-        metrics::set_enabled(true);
-        metrics::add("test.snap_c", 10);
-        metrics::set_max("test.snap_m", 7);
-        histogram::observe("test.snap_h", 3);
-        let before = MetricsSnapshot::capture();
-        metrics::add("test.snap_c", 5);
-        metrics::set_max("test.snap_m", 9);
-        histogram::observe("test.snap_h", 4);
-        histogram::observe("test.snap_h", 40);
-        let after = MetricsSnapshot::capture();
-        metrics::set_enabled(false);
-        let d = after.delta_since(&before);
-        assert_eq!(d.value("test.snap_c"), Some(5));
-        assert_eq!(d.value("test.snap_m"), Some(9), "maxes keep the later high water");
-        let h = d.hists.get("test.snap_h").expect("hist present");
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 44);
-        assert_eq!(h.buckets[3], 1); // 4
-        assert_eq!(h.buckets[6], 1); // 40
-        metrics::reset();
-        histogram::reset();
+    fn sample() -> MetricsSnapshot {
+        measure(|| {
+            metrics::add("test.snap_c", 2);
+            metrics::set_max("test.snap_m", 3);
+            histogram::observe("test.snap_h", 6);
+        })
+        .1
     }
 
     #[test]
     fn json_shape_groups_by_kind() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        metrics::reset();
-        histogram::reset();
-        metrics::set_enabled(true);
-        metrics::add("test.snap_json_c", 2);
-        metrics::set_max("test.snap_json_m", 3);
-        histogram::observe("test.snap_json_h", 1);
-        let snap = MetricsSnapshot::capture();
-        metrics::set_enabled(false);
-        let j = snap.to_json();
+        let j = sample().to_json();
         assert_eq!(
-            j.get("counters").and_then(|c| c.get("test.snap_json_c")).and_then(Json::as_u64),
+            j.get("counters").and_then(|c| c.get("test.snap_c")).and_then(Json::as_u64),
             Some(2)
         );
         assert_eq!(
-            j.get("maxes").and_then(|c| c.get("test.snap_json_m")).and_then(Json::as_u64),
+            j.get("maxes").and_then(|c| c.get("test.snap_m")).and_then(Json::as_u64),
             Some(3)
         );
-        let h = j.get("hists").and_then(|h| h.get("test.snap_json_h")).expect("hist");
+        let h = j.get("hists").and_then(|h| h.get("test.snap_h")).expect("hist");
         assert_eq!(h.get("count").and_then(Json::as_u64), Some(1));
-        metrics::reset();
-        histogram::reset();
     }
 
     #[test]
-    fn exporter_receives_emits_until_taken() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = take_exporter();
-        let seen = std::sync::Arc::new(Mutex::new(Vec::<String>::new()));
+    fn jsonl_and_tables_render() {
+        let snap = sample();
+        let jsonl = snap.to_jsonl();
+        assert!(jsonl.contains(r#"{"metric":"test.snap_c","kind":"counter","value":2}"#));
+        assert!(jsonl.contains(r#"{"metric":"test.snap_m","kind":"max","value":3}"#));
+        assert!(
+            jsonl.contains(r#"{"hist":"test.snap_h","count":1,"sum":6,"buckets":{"3":1}}"#),
+            "{jsonl}"
+        );
+        assert!(snap.render_metrics().contains("test.snap_c"));
+        assert!(snap.render_metrics().contains("(max)"));
+        assert!(snap.render_hists().contains("test.snap_h"));
+    }
+
+    #[test]
+    fn exporter_receives_emits_of_its_recorder_only() {
+        let seen = Arc::new(Mutex::new(Vec::<String>::new()));
         let sink = seen.clone();
-        set_exporter(Box::new(move |label, snap| {
-            sink.lock().unwrap().push(format!("{label}:{}", snap.metrics.len()));
-        }));
+        Recorder::new()
+            .with_exporter(Box::new(move |label, snap| {
+                sink.lock().unwrap().push(format!("{label}:{}", snap.metrics.len()));
+            }))
+            .install();
         assert!(exporter_installed());
-        emit("round-1", &MetricsSnapshot::default());
-        drop(take_exporter());
+        emit("round-1", &sample());
+        // Measured scopes share their parent's exporter.
+        let ((), _) = measure(|| emit("round-2", &MetricsSnapshot::default()));
+        drop(Recorder::uninstall());
         assert!(!exporter_installed());
-        emit("round-2", &MetricsSnapshot::default());
-        assert_eq!(seen.lock().unwrap().as_slice(), ["round-1:0"]);
+        emit("round-3", &MetricsSnapshot::default());
+        assert_eq!(seen.lock().unwrap().as_slice(), ["round-1:2", "round-2:0"]);
     }
 }

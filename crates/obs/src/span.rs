@@ -1,7 +1,7 @@
 //! Hierarchical wall-time spans, emitted as JSON lines.
 //!
 //! A [`Span`] is entered with [`span`] and exited on drop, writing one
-//! line to the installed trace writer:
+//! line to the trace writer of the calling thread's [`crate::Recorder`]:
 //!
 //! ```json
 //! {"type":"span","id":3,"parent":1,"name":"cover.sweep",
@@ -13,22 +13,21 @@
 //! microseconds since the first span/event of the process, making a
 //! trace self-contained and diffable.
 //!
-//! With no writer installed and profiling off (the default), [`span`]
-//! reads no clock, allocates nothing, and the guard's drop is a branch.
-//! When [`crate::profile`] is enabled, each span additionally folds its
-//! duration into the in-process profile tree — with or without a trace
-//! writer.
+//! With no recorder installed, or one that neither traces nor profiles,
+//! [`span`] reads no clock, allocates nothing, and the guard's drop is a
+//! branch. When the recorder profiles, each span additionally folds its
+//! duration into its [`crate::profile::Profile`] — with or without a
+//! trace writer.
 
 use crate::profile;
+use crate::recorder::with_current;
 use gogreen_util::{Json, Stopwatch};
 use std::cell::RefCell;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-static TRACING: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Option<Box<dyn Write + Send>>> = Mutex::new(None);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The process trace epoch: set by the first span or event.
@@ -42,29 +41,17 @@ thread_local! {
     static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Installs the JSONL trace writer and enables span emission.
-pub fn set_trace_writer(w: Box<dyn Write + Send>) {
-    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = Some(w);
-    TRACING.store(true, Ordering::Relaxed);
-}
-
-/// Disables tracing and returns the writer (dropping it flushes file
-/// sinks).
-pub fn take_trace_writer() -> Option<Box<dyn Write + Send>> {
-    TRACING.store(false, Ordering::Relaxed);
-    SINK.lock().unwrap_or_else(|e| e.into_inner()).take()
-}
-
-/// True while a trace writer is installed.
+/// True while the calling thread's recorder has a trace writer.
 #[inline]
 pub fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
+    with_current(|r| r.trace.is_some()).unwrap_or(false)
 }
 
 fn write_line(json: &Json) {
-    let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(w) = sink.as_mut() {
-        let _ = writeln!(w, "{json}");
+    // Clone the shared writer out first: the recorder slot must not stay
+    // borrowed while the line is written.
+    if let Some(Some(w)) = with_current(|r| r.trace.clone()) {
+        let _ = writeln!(w.lock().unwrap_or_else(|e| e.into_inner()), "{json}");
     }
 }
 
@@ -90,11 +77,13 @@ pub struct Span {
     fields: Vec<(&'static str, Json)>,
 }
 
-/// Enters a span named `name`. While tracing and profiling are both off
-/// this is free and the returned guard does nothing.
+/// Enters a span named `name`. While the calling thread's recorder
+/// neither traces nor profiles this is free and the returned guard does
+/// nothing.
 pub fn span(name: &'static str) -> Span {
-    let tracing = tracing_enabled();
-    let profiled = profile::enabled() && profile::on_enter(name);
+    let (tracing, profiling) =
+        with_current(|r| (r.trace.is_some(), r.profile.is_some())).unwrap_or_default();
+    let profiled = profiling && profile::on_enter(name);
     if !tracing && !profiled {
         return Span {
             id: 0,
@@ -173,7 +162,8 @@ impl Drop for Span {
 }
 
 /// Emits a point-in-time event line (`{"type":"event",...}`) into the
-/// trace stream. No-op while tracing is off.
+/// trace stream. No-op while the calling thread's recorder does not
+/// trace.
 pub fn event(name: &'static str, fields: impl IntoIterator<Item = (&'static str, Json)>) {
     if !tracing_enabled() {
         return;
@@ -207,13 +197,8 @@ mod tests {
         }
     }
 
-    /// Tracing state is process-global; serialize the tests touching it.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
-
     #[test]
     fn disabled_spans_emit_nothing() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = take_trace_writer();
         let mut sp = span("quiet");
         sp.field("x", 1u64);
         drop(sp);
@@ -224,18 +209,18 @@ mod tests {
 
     #[test]
     fn nested_spans_carry_parent_links_and_fields() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let buf = Arc::new(StdMutex::new(Vec::new()));
-        set_trace_writer(Box::new(Buf(buf.clone())));
+        crate::Recorder::new().with_trace(Box::new(Buf(buf.clone()))).install();
         {
             let mut outer = span("outer");
             outer.field("k", 7u64);
-            {
+            // Spans inside a measured scope reach the same writer.
+            let ((), _) = crate::measure(|| {
                 let _inner = span("inner");
                 event("tick", [("n", Json::from(1u64))]);
-            }
+            });
         }
-        drop(take_trace_writer());
+        drop(crate::Recorder::uninstall());
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "{text}");

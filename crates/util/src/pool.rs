@@ -7,8 +7,12 @@
 //! the kernels; the helpers here guarantee that results come back in input
 //! order, so callers can produce output *identical* to their serial path
 //! regardless of thread interleaving.
+//!
+//! Every helper spawns its workers through one routine, which hands each
+//! worker the [`Inherited`] context of the thread that forked it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// How many worker threads a kernel may use.
 ///
@@ -60,6 +64,67 @@ impl Default for Parallelism {
     }
 }
 
+/// What a pool worker inherits from the thread that forks it.
+///
+/// The context is type-erased so this crate stays below the layer that
+/// owns the inherited state (the observability crate's recorder), which
+/// registers how to capture it with [`set_fork_hook`].
+pub struct Inherited {
+    /// Runs first on each worker; returns what that worker runs last,
+    /// before it returns its results.
+    enter: Box<dyn Fn() -> Box<dyn FnOnce()> + Sync>,
+    /// Runs on the forking thread once every worker has returned.
+    join: Box<dyn FnOnce()>,
+}
+
+impl Inherited {
+    /// A context from its worker-side `enter` and forking-side `join`.
+    pub fn new(enter: Box<dyn Fn() -> Box<dyn FnOnce()> + Sync>, join: Box<dyn FnOnce()>) -> Self {
+        Inherited { enter, join }
+    }
+}
+
+static FORK_HOOK: OnceLock<fn() -> Option<Inherited>> = OnceLock::new();
+
+/// Registers the function that captures, on a forking thread, what its
+/// workers inherit. The first registration wins; later calls are no-ops.
+pub fn set_fork_hook(hook: fn() -> Option<Inherited>) {
+    let _ = FORK_HOOK.set(hook);
+}
+
+/// Runs `work(w)` for `w in 0..workers` on scoped threads and returns
+/// the results in worker order. The one place this module spawns: each
+/// worker enters the forking thread's [`Inherited`] context first and
+/// leaves it before returning.
+fn fork<R, F>(workers: usize, work: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let inherited = FORK_HOOK.get().and_then(|capture| capture());
+    let enter = inherited.as_ref().map(|i| &i.enter);
+    let out = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let work = &work;
+                scope.spawn(move || {
+                    let leave = enter.map(|enter| enter());
+                    let r = work(w);
+                    if let Some(leave) = leave {
+                        leave();
+                    }
+                    r
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
+    });
+    if let Some(inherited) = inherited {
+        (inherited.join)();
+    }
+    out
+}
+
 /// Maps `f` over `0..n`, returning results in index order.
 ///
 /// Work is handed out dynamically (an atomic cursor) so uneven item costs
@@ -72,33 +137,38 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    par_map_init(par, n, || (), |_, i| f(i))
+}
+
+/// [`par_map_indexed`] with per-worker state: `init()` builds one state
+/// per worker (one in total when serial), and `f(&mut state, i)` runs
+/// for every index that worker claims.
+pub fn par_map_init<S, R, I, F>(par: Parallelism, n: usize, init: I, f: F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
     let workers = par.for_items(n);
     if workers <= 1 {
-        return (0..n).map(f).collect();
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
     }
     let cursor = AtomicUsize::new(0);
+    let partials = fork(workers, |_| {
+        let mut state = init();
+        let mut local = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(&mut state, i)));
+        }
+        local
+    });
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    let mut partials: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local.push((i, f(i)));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("pool worker panicked"));
-        }
-    });
     for (i, r) in partials.into_iter().flatten() {
         out[i] = Some(r);
     }
@@ -122,19 +192,10 @@ where
         return vec![(0, f(0, items))];
     }
     let bounds = chunk_bounds(items.len(), workers);
-    let mut out = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for &(lo, hi) in bounds.iter().take(workers) {
-            let chunk = &items[lo..hi];
-            let f = &f;
-            handles.push(scope.spawn(move || (lo, f(lo, chunk))));
-        }
-        for h in handles {
-            out.push(h.join().expect("pool worker panicked"));
-        }
-    });
-    out
+    fork(workers, |w| {
+        let (lo, hi) = bounds[w];
+        (lo, f(lo, &items[lo..hi]))
+    })
 }
 
 /// Splits `0..n` into one contiguous index range per worker and maps `f`
@@ -156,18 +217,10 @@ where
         return vec![(0, f(0, 0..n))];
     }
     let bounds = chunk_bounds(n, workers);
-    let mut out = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for &(lo, hi) in bounds.iter().take(workers) {
-            let f = &f;
-            handles.push(scope.spawn(move || (lo, f(lo, lo..hi))));
-        }
-        for h in handles {
-            out.push(h.join().expect("pool worker panicked"));
-        }
-    });
-    out
+    fork(workers, |w| {
+        let (lo, hi) = bounds[w];
+        (lo, f(lo, lo..hi))
+    })
 }
 
 /// Contiguous `[lo, hi)` bounds splitting `n` items into `workers` chunks

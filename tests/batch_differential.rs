@@ -4,19 +4,13 @@
 //! raw and the MCP-compressed substrate, at any thread count — and the
 //! shared pass's thread-invariant counters (`mine.*`, `batch.*`) must be
 //! bit-identical at any `--threads N`.
-//!
-//! The metrics registry is process-global, so every test holds
-//! `TEST_LOCK` for its whole body.
 
 use gogreen::constraints::{Constraint, ConstraintSet};
 use gogreen::data::FnSink;
-use gogreen::obs::metrics;
+use gogreen::obs::measure;
 use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use std::sync::Mutex;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 const FAMILIES: [&str; 4] = ["hmine", "fp", "tp", "vt"];
 
@@ -101,7 +95,6 @@ fn batched_recycled(batch: &QueryBatch, cdb: &CompressedDb, algo: &str) -> Vec<S
 
 #[test]
 fn raw_batched_streams_match_solo_at_every_thread_count() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, _) = weather();
     for algo in FAMILIES {
         let batch = fleet(&db);
@@ -124,7 +117,6 @@ fn raw_batched_streams_match_solo_at_every_thread_count() {
 
 #[test]
 fn recycled_batched_streams_match_solo_at_every_thread_count() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, cdb) = weather();
     for algo in FAMILIES {
         let batch = fleet(&db);
@@ -149,7 +141,6 @@ fn recycled_batched_streams_match_solo_at_every_thread_count() {
 /// aside, both are normalized, so even order matches).
 #[test]
 fn raw_and_recycled_batches_agree() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, cdb) = weather();
     for algo in FAMILIES {
         let batch = fleet(&db);
@@ -166,27 +157,23 @@ fn batch_counters(
     cdb: &CompressedDb,
     threads: usize,
 ) -> Vec<(&'static str, u64)> {
-    metrics::reset();
-    metrics::set_enabled(true);
-    for algo in FAMILIES {
-        let batch = fleet(db).with_parallelism(Parallelism::threads(threads));
-        batch.run(db, algo).unwrap_or_else(|e| panic!("{algo}: {e}"));
-        let batch = fleet(db).with_parallelism(Parallelism::threads(threads));
-        batch.run_recycled(cdb, algo).unwrap_or_else(|e| panic!("{algo}: {e}"));
-    }
-    metrics::set_enabled(false);
-    let snap: Vec<(&'static str, u64)> = metrics::snapshot()
+    let ((), snap) = measure(|| {
+        for algo in FAMILIES {
+            let batch = fleet(db).with_parallelism(Parallelism::threads(threads));
+            batch.run(db, algo).unwrap_or_else(|e| panic!("{algo}: {e}"));
+            let batch = fleet(db).with_parallelism(Parallelism::threads(threads));
+            batch.run_recycled(cdb, algo).unwrap_or_else(|e| panic!("{algo}: {e}"));
+        }
+    });
+    snap.metrics
         .into_iter()
         .filter(|(name, _)| name.starts_with("mine.") || name.starts_with("batch."))
         .map(|(name, m)| (name, m.value))
-        .collect();
-    metrics::reset();
-    snap
+        .collect()
 }
 
 #[test]
 fn shared_pass_counters_bit_identical_across_thread_counts() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, cdb) = weather();
     let serial = batch_counters(&db, &cdb, 1);
     let threaded = batch_counters(&db, &cdb, 4);

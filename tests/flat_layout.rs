@@ -5,20 +5,14 @@
 //! `mine.*` / `alloc.*` counters must be bit-identical between thread
 //! counts. The spill codec's CSR group records must survive an
 //! encode/decode round-trip and fail loudly on corrupt bytes.
-//!
-//! The metrics registry is process-global, so metric tests hold
-//! `TEST_LOCK` for their whole body.
 
 use gogreen::data::FnSink;
 use gogreen::miners::{FpGrowth, HMine, TreeProjection};
-use gogreen::obs::metrics;
+use gogreen::obs::{measure, metrics};
 use gogreen::prelude::*;
 use gogreen::storage::codec::{ByteReader, DecodeError, SpillRecord};
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use std::sync::Mutex;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 const XI_NEW: MinSupport = MinSupport::Relative(0.02);
 
@@ -93,25 +87,22 @@ fn all_miners_identical_on_every_substrate() {
 /// `alloc.*` totals.
 fn counters(db: &TransactionDb, cdb: &CompressedDb, threads: usize) -> Vec<(&'static str, u64)> {
     let par = Parallelism::threads(threads);
-    metrics::reset();
-    metrics::set_enabled(true);
-    let mut sink = FnSink(|_: &[Item], _: u64| {});
-    for m in [&HMine as &dyn Miner, &FpGrowth, &TreeProjection] {
-        m.mine_into_par(db, XI_NEW, par, &mut sink);
-    }
-    let recyclers: [&dyn RecyclingMiner; 4] =
-        [&RecycleHm, &RecycleFp::default(), &RecycleTp, &RpMine::default()];
-    for m in recyclers {
-        m.mine_into_par(cdb, XI_NEW, par, &mut sink);
-    }
-    metrics::set_enabled(false);
-    let snap: Vec<(&'static str, u64)> = metrics::snapshot()
+    let ((), snap) = measure(|| {
+        let mut sink = FnSink(|_: &[Item], _: u64| {});
+        for m in [&HMine as &dyn Miner, &FpGrowth, &TreeProjection] {
+            m.mine_into_par(db, XI_NEW, par, &mut sink);
+        }
+        let recyclers: [&dyn RecyclingMiner; 4] =
+            [&RecycleHm, &RecycleFp::default(), &RecycleTp, &RpMine::default()];
+        for m in recyclers {
+            m.mine_into_par(cdb, XI_NEW, par, &mut sink);
+        }
+    });
+    snap.metrics
         .into_iter()
         .filter(|(name, _)| name.starts_with("mine.") || name.starts_with("alloc."))
         .map(|(name, m)| (name, m.value))
-        .collect();
-    metrics::reset();
-    snap
+        .collect()
 }
 
 /// The arena accounting counts *used* bytes per projection, so worker
@@ -119,7 +110,6 @@ fn counters(db: &TransactionDb, cdb: &CompressedDb, threads: usize) -> Vec<(&'st
 /// before the flat layout.
 #[test]
 fn alloc_and_mine_counters_thread_invariant() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, mcp, _) = substrates();
     let serial = counters(&db, &mcp, 1);
     let threaded = counters(&db, &mcp, 4);

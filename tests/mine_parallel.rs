@@ -7,20 +7,14 @@
 //! Covers all baseline miners on the raw weather analog and all
 //! recycling miners on both an uncompressed view and an MCP-compressed
 //! database.
-//!
-//! The metrics registry is process-global, so every test holds
-//! `TEST_LOCK` for its whole body.
 
 use gogreen::data::FnSink;
 use gogreen::miners::engine::vt::VtRepr;
 use gogreen::miners::{Eclat, FpGrowth, HMine, TreeProjection};
-use gogreen::obs::metrics;
+use gogreen::obs::measure;
 use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use std::sync::Mutex;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 const XI_NEW: MinSupport = MinSupport::Relative(0.02);
 
@@ -67,7 +61,6 @@ fn assert_streams_match(serial: &Stream, name: &str, mut run: impl FnMut(Paralle
 
 #[test]
 fn baseline_miner_streams_identical_across_thread_counts() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, _) = weather();
     let miners: Vec<Box<dyn Miner>> =
         vec![Box::new(HMine), Box::new(FpGrowth), Box::new(TreeProjection), Box::new(Eclat::new())];
@@ -82,7 +75,6 @@ fn baseline_miner_streams_identical_across_thread_counts() {
 
 #[test]
 fn recycling_miner_streams_identical_across_thread_counts() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, cdb) = weather();
     let raw = CompressedDb::uncompressed(&db);
     let miners: Vec<Box<dyn RecyclingMiner>> = vec![
@@ -109,7 +101,6 @@ fn recycling_miner_streams_identical_across_thread_counts() {
 /// every thread count.
 #[test]
 fn vt_repr_streams_identical_across_modes_and_threads() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (wdb, wcdb) = weather();
     for (db, cdb, xi) in [(wdb, wcdb, XI_NEW), pumsb()] {
         let mut raw_first: Option<Stream> = None;
@@ -149,31 +140,27 @@ fn mine_counters(
     threads: usize,
 ) -> Vec<(&'static str, u64)> {
     let par = Parallelism::threads(threads);
-    metrics::reset();
-    metrics::set_enabled(true);
-    let mut sink = FnSink(|_: &[Item], _: u64| {});
-    let eclat = Eclat::new();
-    for m in [&HMine as &dyn Miner, &FpGrowth, &TreeProjection, &eclat] {
-        m.mine_into_par(db, XI_NEW, par, &mut sink);
-    }
-    let (rvt, rfp, rp) = (RecycleVt::new(), RecycleFp::default(), RpMine::default());
-    let recyclers: [&dyn RecyclingMiner; 5] = [&RecycleHm, &rfp, &RecycleTp, &rvt, &rp];
-    for m in recyclers {
-        m.mine_into_par(cdb, XI_NEW, par, &mut sink);
-    }
-    metrics::set_enabled(false);
-    let snap: Vec<(&'static str, u64)> = metrics::snapshot()
+    let ((), snap) = measure(|| {
+        let mut sink = FnSink(|_: &[Item], _: u64| {});
+        let eclat = Eclat::new();
+        for m in [&HMine as &dyn Miner, &FpGrowth, &TreeProjection, &eclat] {
+            m.mine_into_par(db, XI_NEW, par, &mut sink);
+        }
+        let (rvt, rfp, rp) = (RecycleVt::new(), RecycleFp::default(), RpMine::default());
+        let recyclers: [&dyn RecyclingMiner; 5] = [&RecycleHm, &rfp, &RecycleTp, &rvt, &rp];
+        for m in recyclers {
+            m.mine_into_par(cdb, XI_NEW, par, &mut sink);
+        }
+    });
+    snap.metrics
         .into_iter()
         .filter(|(name, _)| name.starts_with("mine."))
         .map(|(name, m)| (name, m.value))
-        .collect();
-    metrics::reset();
-    snap
+        .collect()
 }
 
 #[test]
 fn mine_counters_bit_identical_across_thread_counts() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, cdb) = weather();
     let serial = mine_counters(&db, &cdb, 1);
     let threaded = mine_counters(&db, &cdb, 4);

@@ -11,21 +11,16 @@
 //! 4. Histogram bucket vectors — not just counts and sums — are
 //!    bit-identical at 1/2/4/8 threads on the weather and connect4
 //!    analogs, for every registry-invariant histogram.
-//!
-//! The registry and trace sink are process-global, so every test holds
-//! `TEST_LOCK` for its whole body.
 
 use gogreen::core::engine::engine_named;
 use gogreen::obs::histogram::{self, Histogram};
-use gogreen::obs::{metrics, set_trace_writer, take_trace_writer};
+use gogreen::obs::{measure, metrics, Recorder};
 use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use gogreen_util::{Json, Stopwatch};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn weather() -> (TransactionDb, PatternSet) {
     let preset = DatasetPreset::new(PresetKind::Weather, 0.005);
@@ -37,27 +32,23 @@ fn weather() -> (TransactionDb, PatternSet) {
 /// Runs one compress + recycle + session-relaxation round at `threads`
 /// and returns the thread-invariant counter totals.
 fn invariant_counters(db: &TransactionDb, threads: usize) -> Vec<(&'static str, u64)> {
-    metrics::reset();
-    metrics::set_enabled(true);
-    let mut session = gogreen::core::session::MiningSession::new(db.clone())
-        .with_engine(gogreen::core::session::Engine::FpTree)
-        .with_threads(threads);
-    session.run(gogreen_constraints::ConstraintSet::support_only(MinSupport::percent(5.0)));
-    // Relaxed: compresses with round 1's patterns and recycles them.
-    session.run(gogreen_constraints::ConstraintSet::support_only(MinSupport::percent(2.0)));
-    metrics::set_enabled(false);
-    let snap: Vec<(&'static str, u64)> = metrics::snapshot()
+    let ((), snap) = measure(|| {
+        let mut session = gogreen::core::session::MiningSession::new(db.clone())
+            .with_engine(gogreen::core::session::Engine::FpTree)
+            .with_threads(threads);
+        session.run(gogreen_constraints::ConstraintSet::support_only(MinSupport::percent(5.0)));
+        // Relaxed: compresses with round 1's patterns and recycles them.
+        session.run(gogreen_constraints::ConstraintSet::support_only(MinSupport::percent(2.0)));
+    });
+    snap.metrics
         .into_iter()
         .filter(|(name, _)| metrics::is_thread_invariant(name))
         .map(|(name, m)| (name, m.value))
-        .collect();
-    metrics::reset();
-    snap
+        .collect()
 }
 
 #[test]
 fn counter_totals_identical_across_thread_counts() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, _) = weather();
     let serial = invariant_counters(&db, 1);
     let threaded = invariant_counters(&db, 4);
@@ -86,13 +77,12 @@ impl Write for Buf {
 
 #[test]
 fn span_jsonl_round_trips_with_parent_links() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, fp) = weather();
     let buf = Arc::new(Mutex::new(Vec::new()));
-    set_trace_writer(Box::new(Buf(buf.clone())));
+    Recorder::new().with_trace(Box::new(Buf(buf.clone()))).install();
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let patterns = RecycleHm.mine(&cdb, MinSupport::percent(2.0));
-    drop(take_trace_writer());
+    drop(Recorder::uninstall());
     assert!(!patterns.is_empty());
 
     let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
@@ -128,9 +118,7 @@ fn span_jsonl_round_trips_with_parent_links() {
 
 #[test]
 fn disabled_instrumentation_is_nearly_free() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    metrics::set_enabled(false);
-    let _ = take_trace_writer();
+    assert!(!metrics::enabled(), "a test thread starts without a recorder");
     let (db, fp) = weather();
     let compressor = Compressor::new(Strategy::Mcp);
 
@@ -146,7 +134,7 @@ fn disabled_instrumentation_is_nearly_free() {
     }
     let overhead = watch.lap();
 
-    assert_eq!(metrics::get("obs.disabled_probe"), None, "disabled add must record nothing");
+    assert!(metrics::snapshot().is_empty(), "disabled add must record nothing");
     // < 2% of the run, with an absolute floor so scheduler noise on a
     // fast compress cannot flake the assertion.
     let budget = std::cmp::max(compress_time.mul_f64(0.02), std::time::Duration::from_millis(2));
@@ -159,7 +147,6 @@ fn disabled_instrumentation_is_nearly_free() {
     // mining run is full of disabled `histogram::observe` calls (tidset
     // word counts, projected sizes), and 10⁴ explicit disabled observes
     // must stay under the same 2% budget.
-    histogram::reset();
     let vt = engine_named("vt").expect("vt engine registered").raw();
     let mut sink = CountSink::new();
     vt.mine_into_par(&db, MinSupport::percent(5.0), Parallelism::serial(), &mut sink);
@@ -172,11 +159,7 @@ fn disabled_instrumentation_is_nearly_free() {
     }
     let hist_overhead = watch.lap();
     assert!(sink.count() > 0);
-    assert_eq!(
-        histogram::get("obs.disabled_probe_hist"),
-        None,
-        "disabled observe must record nothing"
-    );
+    assert!(Recorder::uninstall().is_none(), "disabled observe must install nothing");
     let budget = std::cmp::max(vt_time.mul_f64(0.02), std::time::Duration::from_millis(2));
     assert!(
         hist_overhead < budget,
@@ -192,30 +175,22 @@ fn invariant_histograms(
     xi_new: MinSupport,
     threads: usize,
 ) -> Vec<(&'static str, Histogram)> {
-    metrics::reset();
-    histogram::reset();
-    metrics::set_enabled(true);
     let par = Parallelism::threads(threads);
-    for key in ["hmine", "vt"] {
-        let engine = engine_named(key).expect("engine registered");
-        let mut sink = CountSink::new();
-        engine.raw().mine_into_par(db, xi_new, par, &mut sink);
-        let mut sink = CountSink::new();
-        engine.recycling(par).expect("recycling pair").mine_into_par(cdb, xi_new, par, &mut sink);
-    }
-    metrics::set_enabled(false);
-    let snap: Vec<(&'static str, Histogram)> = histogram::snapshot()
-        .into_iter()
-        .filter(|(name, _)| metrics::is_thread_invariant(name))
-        .collect();
-    metrics::reset();
-    histogram::reset();
-    snap
+    let ((), snap) = measure(|| {
+        for key in ["hmine", "vt"] {
+            let engine = engine_named(key).expect("engine registered");
+            let mut sink = CountSink::new();
+            engine.raw().mine_into_par(db, xi_new, par, &mut sink);
+            let mut sink = CountSink::new();
+            let recycling = engine.recycling(par).expect("recycling pair");
+            recycling.mine_into_par(cdb, xi_new, par, &mut sink);
+        }
+    });
+    snap.hists.into_iter().filter(|(name, _)| metrics::is_thread_invariant(name)).collect()
 }
 
 #[test]
 fn histogram_buckets_identical_across_thread_counts() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for kind in [PresetKind::Weather, PresetKind::Connect4] {
         let preset = DatasetPreset::new(kind, 0.005);
         let db = preset.generate();

@@ -3,22 +3,15 @@
 //! in-memory [`IncrementalMiner`] must emit **byte-identical** pattern
 //! files every round, at `--threads 1` and `--threads 4` alike, and its
 //! thread-invariant counters must be bit-identical across thread counts.
-//!
-//! The metrics registry is process-global; each integration-test file is
-//! its own process, and the counter-sensitive assertions hold
-//! `TEST_LOCK` for their whole body.
 
 use gogreen::core::incremental::IncrementalMiner;
-use gogreen::obs::{histogram, metrics};
+use gogreen::obs::{measure, metrics};
 use gogreen::storage::SegmentedIncrementalMiner;
 use gogreen_data::pattern_io::write_patterns_file;
 use gogreen_data::{MinSupport, PatternSet, Transaction, TransactionDb};
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use gogreen_util::pool::Parallelism;
 use std::path::PathBuf;
-use std::sync::Mutex;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gogreen-oocdiff-{tag}-{}", std::process::id()));
@@ -52,32 +45,30 @@ fn segmented_rounds(
     rounds: &[Vec<Vec<u32>>],
 ) -> (Vec<Vec<u8>>, Vec<(&'static str, u64)>) {
     let dir = temp_dir(&format!("t{threads}"));
-    metrics::reset();
-    histogram::reset();
-    metrics::set_enabled(true);
-    let mut miner = SegmentedIncrementalMiner::create(&dir, 2048)
-        .unwrap()
-        .with_parallelism(Parallelism::threads(threads));
-    let mut out = Vec::new();
-    for (round, batch) in rounds.iter().enumerate() {
-        miner.insert(batch.iter()).unwrap();
-        let patterns = miner.mine(MinSupport::percent(5.0)).unwrap();
-        out.push(pattern_bytes(&patterns, &format!("t{threads}-r{round}")));
-    }
-    metrics::set_enabled(false);
-    let snap: Vec<(&'static str, u64)> = metrics::snapshot()
+    let (out, snap) = measure(|| {
+        let mut miner = SegmentedIncrementalMiner::create(&dir, 2048)
+            .unwrap()
+            .with_parallelism(Parallelism::threads(threads));
+        let mut out = Vec::new();
+        for (round, batch) in rounds.iter().enumerate() {
+            miner.insert(batch.iter()).unwrap();
+            let patterns = miner.mine(MinSupport::percent(5.0)).unwrap();
+            out.push(pattern_bytes(&patterns, &format!("t{threads}-r{round}")));
+        }
+        out
+    });
+    let snap = snap
+        .metrics
         .into_iter()
         .filter(|(name, _)| metrics::is_thread_invariant(name))
         .map(|(name, m)| (name, m.value))
         .collect();
-    metrics::reset();
     std::fs::remove_dir_all(&dir).unwrap();
     (out, snap)
 }
 
 #[test]
 fn segmented_rounds_match_in_memory_rounds_byte_for_byte() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let rounds = update_rounds();
 
     // In-memory reference: same batches through the core incremental
