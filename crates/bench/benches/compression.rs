@@ -11,7 +11,7 @@ use gogreen_bench::BenchGroup;
 use gogreen_core::{Compressor, Strategy};
 use gogreen_data::MinSupport;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::mine_hmine;
+use gogreen_miners::{Family, Miner};
 use gogreen_util::ToJson;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     for kind in [PresetKind::Connect4, PresetKind::Weather] {
         let preset = DatasetPreset::new(kind, 0.01);
         let db = preset.generate();
-        let fp = mine_hmine(&db, preset.xi_old());
+        let fp = Family::Hm.mine(&db, preset.xi_old());
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             group.bench(strategy.suffix(), preset.name(), || {
                 Compressor::new(strategy).compress(&db, &fp)
@@ -42,7 +42,7 @@ fn main() {
         let preset = DatasetPreset::new(kind, 0.01);
         let db = preset.generate();
         for rel in supports {
-            let fp = mine_hmine(&db, MinSupport::Relative(rel));
+            let fp = Family::Hm.mine(&db, MinSupport::Relative(rel));
             let compressor = Compressor::new(Strategy::Mcp);
             let param = format!("{}/fp{}", preset.name(), fp.len());
             group.bench("linear", &param, || compressor.compress_reference(&db, &fp));

@@ -2,11 +2,10 @@
 //! miniature).
 
 use gogreen_bench::BenchGroup;
-use gogreen_core::recycle_fp::RecycleFp;
-use gogreen_core::{Compressor, RecyclingMiner, Strategy};
+use gogreen_core::{Compressor, Strategy};
 use gogreen_data::CountSink;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::{mine_hmine, FpGrowth, Miner};
+use gogreen_miners::{Family, Miner};
 
 fn main() {
     let mut group = BenchGroup::new("fpgrowth");
@@ -14,19 +13,19 @@ fn main() {
     for kind in [PresetKind::Connect4, PresetKind::Pumsb] {
         let preset = DatasetPreset::new(kind, 0.01);
         let db = preset.generate();
-        let fp = mine_hmine(&db, preset.xi_old());
+        let fp = Family::Hm.mine(&db, preset.xi_old());
         let xi_new = preset.sweep()[2];
         for (label, strategy) in [("FP-MCP", Strategy::Mcp), ("FP-MLP", Strategy::Mlp)] {
             let cdb = Compressor::new(strategy).compress(&db, &fp);
             group.bench(label, preset.name(), || {
                 let mut sink = CountSink::new();
-                RecycleFp::default().mine_into(&cdb, xi_new, &mut sink);
+                Family::Fp.mine_into(&cdb, xi_new, &mut sink);
                 sink.count()
             });
         }
         group.bench("FP-tree", preset.name(), || {
             let mut sink = CountSink::new();
-            FpGrowth.mine_into(&db, xi_new, &mut sink);
+            Family::Fp.mine_into(&db, xi_new, &mut sink);
             sink.count()
         });
     }

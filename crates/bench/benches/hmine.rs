@@ -3,11 +3,10 @@
 //! recycling variants on one dense and one sparse dataset.
 
 use gogreen_bench::BenchGroup;
-use gogreen_core::recycle_hm::RecycleHm;
-use gogreen_core::{Compressor, RecyclingMiner, Strategy};
+use gogreen_core::{Compressor, Strategy};
 use gogreen_data::CountSink;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::{mine_hmine, HMine, Miner};
+use gogreen_miners::{Family, Miner};
 
 fn main() {
     let mut group = BenchGroup::new("hmine");
@@ -15,23 +14,23 @@ fn main() {
     for kind in [PresetKind::Connect4, PresetKind::Weather] {
         let preset = DatasetPreset::new(kind, 0.01);
         let db = preset.generate();
-        let fp = mine_hmine(&db, preset.xi_old());
+        let fp = Family::Hm.mine(&db, preset.xi_old());
         let xi_new = preset.sweep()[2];
         let cdb_mcp = Compressor::new(Strategy::Mcp).compress(&db, &fp);
         let cdb_mlp = Compressor::new(Strategy::Mlp).compress(&db, &fp);
         group.bench("H-Mine", preset.name(), || {
             let mut sink = CountSink::new();
-            HMine.mine_into(&db, xi_new, &mut sink);
+            Family::Hm.mine_into(&db, xi_new, &mut sink);
             sink.count()
         });
         group.bench("HM-MCP", preset.name(), || {
             let mut sink = CountSink::new();
-            RecycleHm.mine_into(&cdb_mcp, xi_new, &mut sink);
+            Family::Hm.mine_into(&cdb_mcp, xi_new, &mut sink);
             sink.count()
         });
         group.bench("HM-MLP", preset.name(), || {
             let mut sink = CountSink::new();
-            RecycleHm.mine_into(&cdb_mlp, xi_new, &mut sink);
+            Family::Hm.mine_into(&cdb_mlp, xi_new, &mut sink);
             sink.count()
         });
     }

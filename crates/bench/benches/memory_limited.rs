@@ -6,7 +6,7 @@ use gogreen_bench::BenchGroup;
 use gogreen_core::{Compressor, Strategy};
 use gogreen_data::CountSink;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::mine_hmine;
+use gogreen_miners::{Family, Miner};
 use gogreen_storage::{LimitedHMine, LimitedRecycleHm, MemoryBudget};
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
     group.sample_size(10);
     let preset = DatasetPreset::new(PresetKind::Connect4, 0.01);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = Family::Hm.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let xi_new = preset.sweep()[2];
     for budget_kib in [64usize, 512] {

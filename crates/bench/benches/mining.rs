@@ -8,11 +8,10 @@
 //! the threaded rows measure the fan-out's buffering overhead, not a
 //! speedup — see EXPERIMENTS.md E6.
 
-use gogreen_bench::algo::AlgoFamily;
-use gogreen_bench::{batchwork, BenchGroup};
+use gogreen_bench::{batchwork, timed, BenchGroup};
 use gogreen_core::{Compressor, Strategy};
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::mine_hmine;
+use gogreen_miners::{Family, Miner};
 use gogreen_util::pool::Parallelism;
 use gogreen_util::ToJson;
 
@@ -25,7 +24,7 @@ fn main() {
     for kind in [PresetKind::Connect4, PresetKind::Weather, PresetKind::Pumsb] {
         let preset = DatasetPreset::new(kind, 0.01);
         let db = preset.generate();
-        let fp = mine_hmine(&db, preset.xi_old());
+        let fp = Family::Hm.mine(&db, preset.xi_old());
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
         let xi_new = *preset.sweep().last().expect("non-empty sweep");
         // A k=8 Zipf-skewed multi-query fleet over the preset's sweep:
@@ -34,12 +33,10 @@ fn main() {
         for threads in [1usize, 2, 4, 8] {
             let par = Parallelism::threads(threads);
             let param = format!("{}/t{}", preset.name(), threads);
-            for family in AlgoFamily::with_vertical() {
-                group.bench(family.baseline_name(), &param, || {
-                    family.run_baseline_par(&db, xi_new, par).patterns
-                });
+            for family in Family::ALL {
+                group.bench(family.name(), &param, || timed(family, &db, xi_new, par).patterns);
                 group.bench(&format!("{}-MCP", family.tag()), &param, || {
-                    family.run_recycled_par(&cdb, xi_new, par).patterns
+                    timed(family, &cdb, xi_new, par).patterns
                 });
                 group.bench(&format!("{}-Batch8", family.tag()), &param, || {
                     batchwork::run_batched(&db, family, &ladder, par)

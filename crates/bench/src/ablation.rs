@@ -13,19 +13,18 @@
 //!    round's patterns, against from-scratch re-mining.
 
 use gogreen_core::incremental::IncrementalMiner;
-use gogreen_core::recycle_vt::RecycleVt;
 use gogreen_core::rpmine::RpMine;
 use gogreen_core::twostep::TwoStepMiner;
-use gogreen_core::{Compressor, RecyclingMiner, Strategy};
+use gogreen_core::{Compressor, Strategy};
 use gogreen_data::{CountSink, MinSupport};
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use gogreen_miners::engine::vt::VtRepr;
-use gogreen_miners::{mine_hmine, Eclat, Miner};
+use gogreen_miners::{Family, Miner};
 use gogreen_util::pool::Parallelism;
 use gogreen_util::{Json, ToJson};
 use std::time::Instant;
 
-use crate::algo::AlgoFamily;
+use crate::algo::{timed, PAPER_FAMILIES};
 
 /// One strategy's outcome in the utility ablation.
 #[derive(Debug, Clone)]
@@ -55,13 +54,13 @@ impl ToJson for UtilityAblationRow {
 pub fn utility_ablation(dataset: PresetKind, scale: f64) -> Vec<UtilityAblationRow> {
     let preset = DatasetPreset::new(dataset, scale);
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = Family::Hm.mine(&db, preset.xi_old());
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     [Strategy::Mcp, Strategy::Mlp, Strategy::SupportOnly, Strategy::LengthOnly]
         .into_iter()
         .map(|strategy| {
             let (cdb, stats) = Compressor::new(strategy).compress_with_stats(&db, &fp_old);
-            let run = AlgoFamily::HMine.run_recycled(&cdb, xi_new);
+            let run = timed(Family::Hm, &cdb, xi_new, Parallelism::serial());
             UtilityAblationRow {
                 strategy: strategy.suffix(),
                 ratio: stats.ratio,
@@ -115,10 +114,10 @@ pub fn xi_old_sensitivity(dataset: PresetKind, scale: f64) -> Vec<XiOldRow> {
         .into_iter()
         .map(|xi_old| {
             let start = Instant::now();
-            let fp_old = mine_hmine(&db, xi_old);
+            let fp_old = Family::Hm.mine(&db, xi_old);
             let prep_s = start.elapsed().as_secs_f64();
             let (cdb, stats) = Compressor::new(Strategy::Mcp).compress_with_stats(&db, &fp_old);
-            let run = AlgoFamily::HMine.run_recycled(&cdb, xi_new);
+            let run = timed(Family::Hm, &cdb, xi_new, Parallelism::serial());
             XiOldRow {
                 xi_old_pct: match xi_old {
                     MinSupport::Relative(f) => f * 100.0,
@@ -159,7 +158,7 @@ impl ToJson for LemmaAblation {
 pub fn lemma_ablation(dataset: PresetKind, scale: f64) -> LemmaAblation {
     let preset = DatasetPreset::new(dataset, scale);
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = Family::Hm.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     let xi_new = preset.sweep()[preset.sweep().len() / 2];
 
@@ -302,7 +301,7 @@ pub fn incremental_experiment(dataset: PresetKind, scale: f64) -> Vec<Incrementa
         let recycled = inc.mine(xi);
         let recycled_s = start.elapsed().as_secs_f64();
         let start = Instant::now();
-        let scratch = mine_hmine(inc.db(), xi);
+        let scratch = Family::Hm.mine(inc.db(), xi);
         let scratch_s = start.elapsed().as_secs_f64();
         assert!(recycled.same_patterns_as(&scratch), "incremental mismatch");
         rows.push(IncrementalRow {
@@ -435,15 +434,10 @@ impl ToJson for CompressParRow {
 /// kernel at 1/2/4/8 threads, MCP, on one dataset analog. Every variant's
 /// `CompressedDb` is asserted equal to the linear reference.
 pub fn compress_kernel_experiment(dataset: PresetKind, scale: f64) -> Vec<CompressParRow> {
-    let name = match dataset {
-        PresetKind::Weather => "weather",
-        PresetKind::Forest => "forest",
-        PresetKind::Connect4 => "connect4",
-        PresetKind::Pumsb => "pumsb",
-    };
     let preset = DatasetPreset::new(dataset, scale);
+    let name = preset.name();
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = Family::Hm.mine(&db, preset.xi_old());
     let compressor = Compressor::new(Strategy::Mcp);
 
     // Best of three so one-shot jitter on small inputs doesn't decide
@@ -491,7 +485,7 @@ pub fn compress_kernel_experiment(dataset: PresetKind, scale: f64) -> Vec<Compre
 pub fn parallel_experiment(dataset: PresetKind, scale: f64) -> Vec<ParallelRow> {
     let preset = DatasetPreset::new(dataset, scale);
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = Family::Hm.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     let mut reference: Option<usize> = None;
@@ -499,7 +493,7 @@ pub fn parallel_experiment(dataset: PresetKind, scale: f64) -> Vec<ParallelRow> 
         .into_iter()
         .map(|threads| {
             let start = Instant::now();
-            let set = RpMine::default().mine_parallel(&cdb, xi_new, threads);
+            let set = RpMine::default().mine_par(&cdb, xi_new, Parallelism::threads(threads));
             let secs = start.elapsed().as_secs_f64();
             match reference {
                 None => reference = Some(set.len()),
@@ -546,24 +540,19 @@ impl ToJson for MineParRow {
 /// threshold. Pattern counts are asserted invariant across thread
 /// counts and across the fresh/recycled pair.
 pub fn mine_par_experiment(dataset: PresetKind, scale: f64) -> Vec<MineParRow> {
-    let name = match dataset {
-        PresetKind::Weather => "weather",
-        PresetKind::Forest => "forest",
-        PresetKind::Connect4 => "connect4",
-        PresetKind::Pumsb => "pumsb",
-    };
     let preset = DatasetPreset::new(dataset, scale);
+    let name = preset.name();
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = Family::Hm.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     let mut rows = Vec::new();
-    for family in AlgoFamily::all() {
+    for family in PAPER_FAMILIES {
         let mut reference: Option<u64> = None;
         for threads in [1usize, 2, 4, 8] {
             let par = Parallelism::threads(threads);
-            let fresh = family.run_baseline_par(&db, xi_new, par);
-            let rec = family.run_recycled_par(&cdb, xi_new, par);
+            let fresh = timed(family, &db, xi_new, par);
+            let rec = timed(family, &cdb, xi_new, par);
             assert_eq!(fresh.patterns, rec.patterns, "{family:?}: recycled count drift");
             match reference {
                 None => reference = Some(fresh.patterns),
@@ -571,7 +560,7 @@ pub fn mine_par_experiment(dataset: PresetKind, scale: f64) -> Vec<MineParRow> {
             }
             rows.push(MineParRow {
                 dataset: name,
-                engine: family.baseline_name().to_owned(),
+                engine: family.name().to_owned(),
                 threads,
                 secs: fresh.secs,
                 patterns: fresh.patterns,
@@ -596,26 +585,21 @@ pub fn mine_par_experiment(dataset: PresetKind, scale: f64) -> Vec<MineParRow> {
 /// same pattern count — cross-family, cross-substrate, cross-thread —
 /// and the experiment asserts exactly that before returning.
 pub fn mine_vertical_experiment(dataset: PresetKind, scale: f64) -> Vec<MineParRow> {
-    let name = match dataset {
-        PresetKind::Weather => "weather",
-        PresetKind::Forest => "forest",
-        PresetKind::Connect4 => "connect4",
-        PresetKind::Pumsb => "pumsb",
-    };
     let preset = DatasetPreset::new(dataset, scale);
+    let name = preset.name();
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = Family::Hm.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     let mut rows = Vec::new();
     let mut reference: Option<u64> = None;
-    for family in AlgoFamily::with_vertical() {
+    for family in Family::ALL {
         for threads in [1usize, 4] {
             let par = Parallelism::threads(threads);
-            let fresh = family.run_baseline_par(&db, xi_new, par);
-            let rec = family.run_recycled_par(&cdb, xi_new, par);
+            let fresh = timed(family, &db, xi_new, par);
+            let rec = timed(family, &cdb, xi_new, par);
             for (engine, run) in
-                [(family.baseline_name().to_owned(), fresh), (format!("{}-MCP", family.tag()), rec)]
+                [(family.name().to_owned(), fresh), (format!("{}-MCP", family.tag()), rec)]
             {
                 match reference {
                     None => reference = Some(run.patterns),
@@ -691,15 +675,10 @@ impl ToJson for VtReprRow {
 /// every mode and row — the representation is an encoding, never a
 /// semantic.
 pub fn vt_repr_ablation(dataset: PresetKind, scale: f64) -> Vec<VtReprRow> {
-    let name = match dataset {
-        PresetKind::Weather => "weather",
-        PresetKind::Forest => "forest",
-        PresetKind::Connect4 => "connect4",
-        PresetKind::Pumsb => "pumsb",
-    };
     let preset = DatasetPreset::new(dataset, scale);
+    let name = preset.name();
     let db = preset.generate();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = Family::Hm.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     let mut rows = Vec::new();
@@ -710,9 +689,9 @@ pub fn vt_repr_ablation(dataset: PresetKind, scale: f64) -> Vec<VtReprRow> {
             let start = Instant::now();
             let ((), snap) = gogreen_obs::measure(|| {
                 if substrate == "raw" {
-                    Eclat::with_repr(repr).mine_into(&db, xi_new, &mut sink);
+                    Family::Vt(repr).mine_into(&db, xi_new, &mut sink);
                 } else {
-                    RecycleVt::with_repr(repr).mine_into(&cdb, xi_new, &mut sink);
+                    Family::Vt(repr).mine_into(&cdb, xi_new, &mut sink);
                 }
             });
             let secs = start.elapsed().as_secs_f64();

@@ -1,31 +1,21 @@
-//! Algorithm registry: the three baseline/recycling pairs the paper
-//! evaluates, with uniform timed entry points.
+//! Timed mining for the bench harness, and the paper's family set.
 //!
 //! Timings use a [`CountSink`], excluding pattern-output cost as the
 //! paper does (§5.2), and return the pattern count as a cross-algorithm
-//! checksum: every pair member must report the same count for the same
-//! input.
+//! checksum: a family must report the same count raw and recycled for
+//! the same input.
 
-use gogreen_core::engine::{engine_named, MiningEngine};
-use gogreen_core::CompressedDb;
-use gogreen_data::{CountSink, MinSupport, TransactionDb};
+use gogreen_data::{CountSink, MinSupport};
+use gogreen_miners::{Family, Miner};
 use gogreen_util::pool::Parallelism;
 use gogreen_util::{Json, ToJson};
 use std::time::Instant;
 
-/// One baseline/recycling algorithm pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgoFamily {
-    /// H-Mine / HM-MCP / HM-MLP.
-    HMine,
-    /// FP-tree / FP-MCP / FP-MLP.
-    FpTree,
-    /// Tree Projection / TP-MCP / TP-MLP.
-    TreeProjection,
-    /// Vertical bitmap Eclat / VT-MCP / VT-MLP (not in the paper's
-    /// evaluation — the extension family, see `EXPERIMENTS.md` E8).
-    Eclat,
-}
+/// The three families of the paper's evaluation, in its presentation
+/// order. Paper-reproduction experiments iterate this set; the extension
+/// experiments take all of [`Family::ALL`] (vertical Eclat included, see
+/// `EXPERIMENTS.md` E8).
+pub const PAPER_FAMILIES: [Family; 3] = [Family::Hm, Family::Fp, Family::Tp];
 
 /// Wall time and emitted-pattern count of one run.
 #[derive(Debug, Clone, Copy)]
@@ -36,114 +26,30 @@ pub struct TimedRun {
     pub patterns: u64,
 }
 
-impl ToJson for AlgoFamily {
-    fn to_json(&self) -> Json {
-        Json::Str(format!("{self:?}"))
-    }
-}
-
 impl ToJson for TimedRun {
     fn to_json(&self) -> Json {
         Json::obj([("secs", self.secs.into()), ("patterns", self.patterns.into())])
     }
 }
 
-impl AlgoFamily {
-    /// Name of the non-recycling baseline.
-    pub fn baseline_name(self) -> &'static str {
-        match self {
-            AlgoFamily::HMine => "H-Mine",
-            AlgoFamily::FpTree => "FP-tree",
-            AlgoFamily::TreeProjection => "TreeProjection",
-            AlgoFamily::Eclat => "Eclat",
-        }
-    }
-
-    /// Short tag used in recycled-variant names ("HM-MCP" etc.).
-    pub fn tag(self) -> &'static str {
-        match self {
-            AlgoFamily::HMine => "HM",
-            AlgoFamily::FpTree => "FP",
-            AlgoFamily::TreeProjection => "TP",
-            AlgoFamily::Eclat => "VT",
-        }
-    }
-
-    /// Times the baseline miner.
-    pub fn run_baseline(self, db: &TransactionDb, ms: MinSupport) -> TimedRun {
-        self.run_baseline_par(db, ms, Parallelism::serial())
-    }
-
-    /// The engine-registry key ("hmine" | "fp" | "tp" | "vt") — what
-    /// front ends that dispatch by name (the CLI, [`QueryBatch`]) take.
-    ///
-    /// [`QueryBatch`]: gogreen_core::batch::QueryBatch
-    pub fn key(self) -> &'static str {
-        match self {
-            AlgoFamily::HMine => "hmine",
-            AlgoFamily::FpTree => "fp",
-            AlgoFamily::TreeProjection => "tp",
-            AlgoFamily::Eclat => "vt",
-        }
-    }
-
-    /// The engine-registry entry backing this family.
-    fn engine(self) -> &'static dyn MiningEngine {
-        engine_named(self.key()).expect("bench families are registered")
-    }
-
-    /// Times the baseline miner with its first-level projections fanned
-    /// out over `par`.
-    pub fn run_baseline_par(
-        self,
-        db: &TransactionDb,
-        ms: MinSupport,
-        par: Parallelism,
-    ) -> TimedRun {
-        let miner = self.engine().raw();
-        let mut sink = CountSink::new();
-        let start = Instant::now();
-        miner.mine_into_par(db, ms, par, &mut sink);
-        TimedRun { secs: start.elapsed().as_secs_f64(), patterns: sink.count() }
-    }
-
-    /// Times the recycling counterpart on a compressed database.
-    pub fn run_recycled(self, cdb: &CompressedDb, ms: MinSupport) -> TimedRun {
-        self.run_recycled_par(cdb, ms, Parallelism::serial())
-    }
-
-    /// Times the recycling counterpart with its first-level projections
-    /// fanned out over `par`.
-    pub fn run_recycled_par(
-        self,
-        cdb: &CompressedDb,
-        ms: MinSupport,
-        par: Parallelism,
-    ) -> TimedRun {
-        let miner = self.engine().recycling(par).expect("bench families have recycling pairs");
-        let mut sink = CountSink::new();
-        let start = Instant::now();
-        miner.mine_into_par(cdb, ms, par, &mut sink);
-        TimedRun { secs: start.elapsed().as_secs_f64(), patterns: sink.count() }
-    }
-
-    /// The three families of the paper's evaluation, in its presentation
-    /// order. Paper-reproduction experiments iterate this set.
-    pub fn all() -> [AlgoFamily; 3] {
-        [AlgoFamily::HMine, AlgoFamily::FpTree, AlgoFamily::TreeProjection]
-    }
-
-    /// The paper families plus the vertical Eclat extension — for the
-    /// extension experiments and benches that compare all four.
-    pub fn with_vertical() -> [AlgoFamily; 4] {
-        [AlgoFamily::HMine, AlgoFamily::FpTree, AlgoFamily::TreeProjection, AlgoFamily::Eclat]
-    }
+/// Times `family` mining `db` — a plain database (the baseline) or a
+/// compressed one (the recycled variant) — with its first-level
+/// projections fanned out over `par`.
+pub fn timed<D>(family: Family, db: &D, ms: MinSupport, par: Parallelism) -> TimedRun
+where
+    Family: Miner<D>,
+{
+    let mut sink = CountSink::new();
+    let start = Instant::now();
+    family.mine_into_par(db, ms, par, &mut sink);
+    TimedRun { secs: start.elapsed().as_secs_f64(), patterns: sink.count() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gogreen_core::{Compressor, Strategy};
+    use gogreen_data::TransactionDb;
     use gogreen_miners::mine_apriori;
 
     #[test]
@@ -151,9 +57,10 @@ mod tests {
         let db = TransactionDb::paper_example();
         let fp_old = mine_apriori(&db, MinSupport::Absolute(3));
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-        for family in AlgoFamily::with_vertical() {
-            let base = family.run_baseline(&db, MinSupport::Absolute(2));
-            let rec = family.run_recycled(&cdb, MinSupport::Absolute(2));
+        let serial = Parallelism::serial();
+        for family in Family::ALL {
+            let base = timed(family, &db, MinSupport::Absolute(2), serial);
+            let rec = timed(family, &cdb, MinSupport::Absolute(2), serial);
             assert_eq!(base.patterns, rec.patterns, "{family:?}");
             assert!(base.secs >= 0.0 && rec.secs >= 0.0);
         }
@@ -161,8 +68,9 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
-        let names: Vec<_> = AlgoFamily::with_vertical().iter().map(|f| f.baseline_name()).collect();
-        assert_eq!(names.len(), 4);
-        assert!(names.iter().collect::<std::collections::BTreeSet<_>>().len() == 4);
+        for id in [Family::name, Family::tag] {
+            let ids: std::collections::BTreeSet<_> = Family::ALL.map(id).into_iter().collect();
+            assert_eq!(ids.len(), 4);
+        }
     }
 }

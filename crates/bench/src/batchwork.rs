@@ -8,10 +8,10 @@
 //! queries per rung — and ξ_min lands on the sweep floor, the same
 //! ξ_new the solo bench rows mine at.
 
-use crate::AlgoFamily;
 use gogreen_constraints::ConstraintSet;
 use gogreen_core::batch::{BatchQuery, QueryBatch};
 use gogreen_data::{CountSink, MinSupport, PatternSink, TransactionDb};
+use gogreen_miners::Family;
 use gogreen_util::pool::Parallelism;
 
 /// Distributes `k` queries over `sweep`'s rungs with Zipf (1/r) weights
@@ -56,7 +56,7 @@ pub fn fleet(ladder: &[MinSupport]) -> QueryBatch {
 /// across members as the bench checksum.
 pub fn run_batched(
     db: &TransactionDb,
-    family: AlgoFamily,
+    family: Family,
     ladder: &[MinSupport],
     par: Parallelism,
 ) -> u64 {
@@ -65,7 +65,7 @@ pub fn run_batched(
     {
         let mut refs: Vec<&mut dyn PatternSink> =
             sinks.iter_mut().map(|s| s as &mut dyn PatternSink).collect();
-        batch.run_into(db, family.key(), &mut refs).expect("bench batch");
+        batch.run_into(db, family, &mut refs).expect("bench batch");
     }
     sinks.iter().map(CountSink::count).sum()
 }
@@ -102,7 +102,7 @@ mod tests {
         let db = TransactionDb::paper_example();
         let ladder = vec![MinSupport::Absolute(4), MinSupport::Absolute(2)];
         let solo: u64 = ladder.iter().map(|&xi| mine_apriori(&db, xi).len() as u64).sum();
-        for family in AlgoFamily::with_vertical() {
+        for family in Family::ALL {
             let got = run_batched(&db, family, &ladder, Parallelism::serial());
             assert_eq!(got, solo, "{family:?}");
         }

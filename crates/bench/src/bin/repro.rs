@@ -57,14 +57,13 @@ use gogreen_bench::figures::{run_figure, run_mem_figure, FigureResult, MemFigure
 use gogreen_bench::perfgate;
 use gogreen_bench::report::{fmt_secs, fmt_speedup, render_table, Reporter};
 use gogreen_bench::table3::run_table3;
-use gogreen_bench::AlgoFamily;
-use gogreen_bench::DEFAULT_SCALE;
-use gogreen_core::recycle_hm::RecycleHm;
-use gogreen_core::{Compressor, RecyclingMiner, Strategy};
+use gogreen_bench::{timed, DEFAULT_SCALE};
+use gogreen_core::{Compressor, Strategy};
 use gogreen_data::MinSupport;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::mine_hmine;
+use gogreen_miners::{Family, Miner};
 use gogreen_obs::Recorder;
+use gogreen_util::pool::Parallelism;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -219,9 +218,9 @@ const REQUIRED_COUNTERS: &[&str] = &[
 fn cmd_quick(scale: f64) {
     let preset = DatasetPreset::new(PresetKind::Weather, scale.min(0.02));
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = Family::Hm.mine(&db, preset.xi_old());
     let (cdb, stats) = Compressor::new(Strategy::Mcp).compress_with_stats(&db, &fp);
-    let patterns = RecycleHm.mine(&cdb, MinSupport::percent(2.0));
+    let patterns = Family::Hm.mine(&cdb, MinSupport::percent(2.0));
     println!(
         "quick: weather ×{} — {} tuples, {} recycled patterns, ratio {:.3}, {} patterns at 2% in {}",
         preset.scale,
@@ -242,7 +241,6 @@ fn cmd_quick(scale: f64) {
 /// threads.
 fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
     use gogreen_bench::batchwork;
-    use gogreen_util::pool::Parallelism;
     use std::time::Instant;
 
     println!(
@@ -270,7 +268,7 @@ fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
 
         // The batched run at 1 thread: one shared pass at ξ_min.
         let t0 = Instant::now();
-        let (out1, snap) = gogreen_obs::measure(|| batchwork::fleet(&ladder).run(&db, "hmine"));
+        let (out1, snap) = gogreen_obs::measure(|| batchwork::fleet(&ladder).run(&db, Family::Hm));
         let out1 = out1.unwrap_or_else(|e| die(&format!("batched run: {e}")));
         let secs_batched = t0.elapsed().as_secs_f64();
         let touches_batched = touches(snap);
@@ -282,7 +280,7 @@ fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
         // per-query streams.
         let out8 = batchwork::fleet(&ladder)
             .with_parallelism(Parallelism::threads(8))
-            .run(&db, "hmine")
+            .run(&db, Family::Hm)
             .unwrap_or_else(|e| die(&format!("batched run (t8): {e}")));
         for (i, (a, b)) in out1.results.iter().zip(&out8.results).enumerate() {
             if pattern_bytes(&format!("t1-q{i}"), a) != pattern_bytes(&format!("t8-q{i}"), b) {
@@ -295,13 +293,13 @@ fn cmd_ext_batch(scale: f64, reporter: &Reporter) {
         let t0 = Instant::now();
         let ((), snap) = gogreen_obs::measure(|| {
             for &xi in &ladder {
-                AlgoFamily::HMine.run_baseline(&db, xi);
+                timed(Family::Hm, &db, xi, Parallelism::serial());
             }
         });
         let secs_solo = t0.elapsed().as_secs_f64();
         let touches_solo = touches(snap);
         let (_, snap) = gogreen_obs::measure(|| {
-            AlgoFamily::HMine.run_baseline(&db, MinSupport::Absolute(xi_min))
+            timed(Family::Hm, &db, MinSupport::Absolute(xi_min), Parallelism::serial())
         });
         let touches_floor = touches(snap);
 
@@ -406,7 +404,7 @@ fn cmd_ext_ooc(scale: f64, reporter: &Reporter) {
     // In-memory reference stream (canonical sorted pattern file bytes).
     let db = preset.generate();
     let t0 = Instant::now();
-    let reference = mine_hmine(&db, xi_new);
+    let reference = Family::Hm.mine(&db, xi_new);
     let mem_s = t0.elapsed().as_secs_f64();
     let fp_file = |tag: &str, set: &gogreen_data::PatternSet| -> Vec<u8> {
         let p =
@@ -596,13 +594,14 @@ fn check_perf_mining(path: &str, drifts: &mut Vec<String>, compared: &mut usize)
         // preset at the same scale and ξ reproduces the same work.
         let preset = DatasetPreset::new(kind, 0.01);
         let db = preset.generate();
-        let fp = mine_hmine(&db, preset.xi_old());
+        let fp = Family::Hm.mine(&db, preset.xi_old());
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
         let xi_new = *preset.sweep().last().expect("non-empty sweep");
         let ladder = gogreen_bench::batchwork::zipf_ladder(&preset.sweep(), 8);
-        for family in AlgoFamily::with_vertical() {
-            let raw = perfgate::measure(|| family.run_baseline(&db, xi_new).patterns);
-            let rec = perfgate::measure(|| family.run_recycled(&cdb, xi_new).patterns);
+        let serial = Parallelism::serial();
+        for family in Family::ALL {
+            let raw = perfgate::measure(|| timed(family, &db, xi_new, serial).patterns);
+            let rec = perfgate::measure(|| timed(family, &cdb, xi_new, serial).patterns);
             let batched = perfgate::measure(|| {
                 gogreen_bench::batchwork::run_batched(
                     &db,
@@ -617,7 +616,7 @@ fn check_perf_mining(path: &str, drifts: &mut Vec<String>, compared: &mut usize)
                 if !row.param.starts_with(&prefix) {
                     continue;
                 }
-                let obs = if row.id == family.baseline_name() {
+                let obs = if row.id == family.name() {
                     &raw
                 } else if row.id == recycled_id {
                     &rec
@@ -648,7 +647,7 @@ fn check_perf_compression(path: &str, drifts: &mut Vec<String>, compared: &mut u
     for kind in [PresetKind::Connect4, PresetKind::Weather] {
         let preset = DatasetPreset::new(kind, 0.01);
         let db = preset.generate();
-        let fp = mine_hmine(&db, preset.xi_old());
+        let fp = Family::Hm.mine(&db, preset.xi_old());
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             let obs = perfgate::measure(|| Compressor::new(strategy).compress(&db, &fp));
             compare_rows(
@@ -669,7 +668,7 @@ fn check_perf_compression(path: &str, drifts: &mut Vec<String>, compared: &mut u
             _ => &[0.05, 0.02, 0.01],
         };
         for &rel in supports {
-            let fp = mine_hmine(&db, MinSupport::Relative(rel));
+            let fp = Family::Hm.mine(&db, MinSupport::Relative(rel));
             let compressor = Compressor::new(Strategy::Mcp);
             let param = format!("{}/fp{}", preset.name(), fp.len());
             let linear = perfgate::measure(|| compressor.compress_reference(&db, &fp));
@@ -699,17 +698,18 @@ fn cmd_obs_hist(scale: f64, reporter: &Reporter) {
     );
     let preset = DatasetPreset::new(PresetKind::Connect4, scale);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = Family::Hm.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let xi_new = *preset.sweep().last().expect("non-empty sweep");
     let mut table: Vec<Vec<String>> = Vec::new();
-    for family in AlgoFamily::with_vertical() {
+    let serial = Parallelism::serial();
+    for family in Family::ALL {
         for recycled in [false, true] {
             let ((engine, patterns), snap) = gogreen_obs::measure(|| {
                 if recycled {
-                    (format!("{}-MCP", family.tag()), family.run_recycled(&cdb, xi_new).patterns)
+                    (format!("{}-MCP", family.tag()), timed(family, &cdb, xi_new, serial).patterns)
                 } else {
-                    (family.baseline_name().to_owned(), family.run_baseline(&db, xi_new).patterns)
+                    (family.name().to_owned(), timed(family, &db, xi_new, serial).patterns)
                 }
             });
             let h = snap.hists.get("mine.projected_db_size").cloned().unwrap_or_default();
@@ -795,7 +795,7 @@ fn cmd_table3(scale: f64, reporter: &Reporter) {
 
 fn cmd_figure(id: u8, scale: f64, reporter: &Reporter) {
     let res: FigureResult = run_figure(id, scale);
-    let base = res.spec.family.baseline_name();
+    let base = res.spec.family.name();
     let tag = res.spec.family.tag();
     println!(
         "\n== Figure {id}: {base} vs {tag}-MCP vs {tag}-MLP on {} (scale {scale}{}) ==",

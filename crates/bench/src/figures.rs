@@ -7,12 +7,13 @@
 //!   8 MiB budgets (budgets scale with the dataset so the
 //!   structure-to-budget ratio matches the paper's setting).
 
-use crate::algo::AlgoFamily;
+use crate::algo::timed;
 use gogreen_core::{CompressionStats, Compressor, Strategy};
 use gogreen_data::{CountSink, MinSupport, PatternSet, TransactionDb};
 use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::mine_hmine;
+use gogreen_miners::{Family, Miner};
 use gogreen_storage::{LimitedHMine, LimitedRecycleHm, MemoryBudget};
+use gogreen_util::pool::Parallelism;
 use gogreen_util::{Json, ToJson};
 use std::time::Instant;
 
@@ -24,7 +25,7 @@ pub struct FigureSpec {
     /// Dataset analog.
     pub dataset: PresetKind,
     /// Algorithm family plotted.
-    pub family: AlgoFamily,
+    pub family: Family,
     /// Whether the paper plots this figure with a logarithmic y axis.
     pub log_y: bool,
 }
@@ -95,7 +96,7 @@ impl ToJson for FigureSpec {
         Json::obj([
             ("id", self.id.into()),
             ("dataset", Json::Str(format!("{:?}", self.dataset))),
-            ("family", self.family.to_json()),
+            ("family", archived_family_name(self.family).into()),
             ("log_y", self.log_y.into()),
         ])
     }
@@ -169,28 +170,38 @@ impl ToJson for MemFigureResult {
 /// matching the paper's captions.
 pub fn figure_spec(id: u8) -> Option<FigureSpec> {
     let (dataset, family, log_y) = match id {
-        9 => (PresetKind::Weather, AlgoFamily::HMine, false),
-        10 => (PresetKind::Weather, AlgoFamily::FpTree, false),
-        11 => (PresetKind::Weather, AlgoFamily::TreeProjection, false),
-        12 => (PresetKind::Forest, AlgoFamily::HMine, false),
-        13 => (PresetKind::Forest, AlgoFamily::FpTree, false),
-        14 => (PresetKind::Forest, AlgoFamily::TreeProjection, false),
-        15 => (PresetKind::Connect4, AlgoFamily::HMine, true),
-        16 => (PresetKind::Connect4, AlgoFamily::FpTree, false),
-        17 => (PresetKind::Connect4, AlgoFamily::TreeProjection, true),
-        18 => (PresetKind::Pumsb, AlgoFamily::HMine, true),
-        19 => (PresetKind::Pumsb, AlgoFamily::FpTree, false),
-        20 => (PresetKind::Pumsb, AlgoFamily::TreeProjection, true),
+        9 => (PresetKind::Weather, Family::Hm, false),
+        10 => (PresetKind::Weather, Family::Fp, false),
+        11 => (PresetKind::Weather, Family::Tp, false),
+        12 => (PresetKind::Forest, Family::Hm, false),
+        13 => (PresetKind::Forest, Family::Fp, false),
+        14 => (PresetKind::Forest, Family::Tp, false),
+        15 => (PresetKind::Connect4, Family::Hm, true),
+        16 => (PresetKind::Connect4, Family::Fp, false),
+        17 => (PresetKind::Connect4, Family::Tp, true),
+        18 => (PresetKind::Pumsb, Family::Hm, true),
+        19 => (PresetKind::Pumsb, Family::Fp, false),
+        20 => (PresetKind::Pumsb, Family::Tp, true),
         _ => return None,
     };
     Some(FigureSpec { id, dataset, family, log_y })
+}
+
+/// The family spelling the archived `results/fig*.jsonl` specs store.
+fn archived_family_name(family: Family) -> &'static str {
+    match family {
+        Family::Hm => "HMine",
+        Family::Fp => "FpTree",
+        Family::Tp => "TreeProjection",
+        Family::Vt(_) => "Eclat",
+    }
 }
 
 /// Mines the recycled pattern set at `ξ_old` (timed) — shared setup of
 /// every figure.
 pub fn prepare_recycled(db: &TransactionDb, xi_old: MinSupport) -> (PatternSet, f64) {
     let start = Instant::now();
-    let fp = mine_hmine(db, xi_old);
+    let fp = Family::Hm.mine(db, xi_old);
     (fp, start.elapsed().as_secs_f64())
 }
 
@@ -209,9 +220,10 @@ pub fn run_figure(id: u8, scale: f64) -> FigureResult {
     let (cdb_mlp, stats_mlp) = Compressor::new(Strategy::Mlp).compress_with_stats(&db, &fp_old);
     let mut rows = Vec::new();
     for ms in preset.sweep() {
-        let base = spec.family.run_baseline(&db, ms);
-        let mcp = spec.family.run_recycled(&cdb_mcp, ms);
-        let mlp = spec.family.run_recycled(&cdb_mlp, ms);
+        let serial = Parallelism::serial();
+        let base = timed(spec.family, &db, ms, serial);
+        let mcp = timed(spec.family, &cdb_mcp, ms, serial);
+        let mlp = timed(spec.family, &cdb_mlp, ms, serial);
         assert_eq!(base.patterns, mcp.patterns, "fig {id}: MCP count mismatch");
         assert_eq!(base.patterns, mlp.patterns, "fig {id}: MLP count mismatch");
         rows.push(FigureRow {
@@ -343,7 +355,9 @@ mod tests {
         assert_eq!(figure_spec(9).unwrap().dataset, PresetKind::Weather);
         assert_eq!(figure_spec(15).unwrap().dataset, PresetKind::Connect4);
         assert!(figure_spec(15).unwrap().log_y);
-        assert_eq!(figure_spec(20).unwrap().family, AlgoFamily::TreeProjection);
+        assert_eq!(figure_spec(20).unwrap().family, Family::Tp);
+        let spec = figure_spec(10).unwrap().to_json().to_string();
+        assert!(spec.contains(r#""family":"FpTree""#), "{spec}");
     }
 
     /// A miniature end-to-end figure run (tiny scale, real pipeline).

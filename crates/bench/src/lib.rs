@@ -28,7 +28,7 @@ pub mod perfgate;
 pub mod report;
 pub mod table3;
 
-pub use algo::AlgoFamily;
+pub use algo::{timed, PAPER_FAMILIES};
 pub use figures::{run_figure, run_mem_figure, FigureResult, MemFigureResult};
 pub use harness::{BenchGroup, BenchResult};
 pub use report::Reporter;

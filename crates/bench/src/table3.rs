@@ -12,7 +12,7 @@
 use gogreen_core::{Compressor, Strategy};
 use gogreen_data::{PatternSet, TransactionDb};
 use gogreen_datagen::{DatasetPreset, PaperRow};
-use gogreen_miners::mine_hmine;
+use gogreen_miners::{Family, Miner};
 use gogreen_util::{Json, ToJson};
 use std::io::Write;
 use std::time::Instant;
@@ -82,7 +82,7 @@ pub fn run_table3(scale: f64) -> Vec<Table3Row> {
 fn run_row(preset: DatasetPreset) -> Table3Row {
     let db = preset.generate();
     let stats = db.stats();
-    let fp_old = mine_hmine(&db, preset.xi_old());
+    let fp_old = Family::Hm.mine(&db, preset.xi_old());
     let paper: PaperRow = preset.paper_row();
 
     let (t_io_mcp, t_pipe_mcp, ratio_mcp) = compress_timings(&db, &fp_old, Strategy::Mcp);

@@ -3,14 +3,16 @@
 
 use crate::args::{parse_items, parse_support, Args};
 use crate::commands::{
-    load_db, measure_arena_bytes, measure_storage, parse_bytes, parse_engine_opts, parse_threads,
-    setup_obs, show_bytes, show_support,
+    load_db, measure_arena_bytes, measure_storage, parse_bytes, parse_family, parse_threads,
+    raw_miner, setup_obs, show_bytes, show_support,
 };
 use gogreen_constraints::{Constraint, ConstraintSet, ItemAttributes, Pushdown};
 use gogreen_core::batch::{BatchQuery, QueryBatch};
-use gogreen_core::engine::{engine_keys, engine_named, EngineOpts};
+use gogreen_core::oracle::NaiveProjection;
 use gogreen_data::{CollectSink, Item, MinSupport, PatternSet, TransactionDb};
-use gogreen_storage::{MemoryBudget, OocEngine, OocMiner, SegmentedDb};
+use gogreen_miners::engine::hm;
+use gogreen_miners::Family;
+use gogreen_storage::{MemoryBudget, OocMiner, SegmentedDb};
 use gogreen_util::pool::Parallelism;
 use gogreen_util::Json;
 use std::time::Instant;
@@ -33,7 +35,6 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
     let support = parse_support(args.required("support")?)?;
     let algo = args.opt("algo").unwrap_or("hmine");
     let par = parse_threads(args.opt("threads"))?;
-    let opts = parse_engine_opts(&args)?;
 
     // Pushable constraints.
     let mut cs = ConstraintSet::support_only(support);
@@ -54,13 +55,9 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
             // Out-of-core: one rank-encode pass per segment, identical
             // output to materializing the store. Pushed constraints are
             // applied as post-filters (same result set).
-            let engine = match OocEngine::from_key(algo) {
-                Some(OocEngine::Eclat(_)) => OocEngine::Eclat(opts.vt_repr),
-                Some(e) => e,
-                None => {
-                    return Err(format!("--db-dir supports --algo hmine|fp|tp|vt, not {algo:?}"))
-                }
-            };
+            let family = parse_family(algo, &args)?.ok_or_else(|| {
+                format!("--db-dir supports --algo {}, not {algo:?}", Family::keys())
+            })?;
             let mut seg = SegmentedDb::open(dir).map_err(|e| format!("opening {dir}: {e}"))?;
             if let Some(b) = args.opt("budget") {
                 seg = seg.with_budget(MemoryBudget::bytes(parse_bytes(b)?));
@@ -68,7 +65,7 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
             let (patterns, arena_bytes, traffic) = measure_storage(|| {
                 let mut sp = gogreen_obs::span("mine");
                 let patterns = OocMiner::new(&seg)
-                    .with_engine(engine)
+                    .with_engine(family)
                     .with_parallelism(par)
                     .mine(support)
                     .map_err(|e| format!("mining {dir}: {e}"))?;
@@ -88,7 +85,7 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
             let db = load_db(&path)?;
             let (patterns, arena_bytes) = measure_arena_bytes(|| {
                 let mut sp = gogreen_obs::span("mine");
-                let patterns = mine(&db, support, algo, par, opts, &pushdown, &attrs);
+                let patterns = mine(&db, support, algo, par, &args, &pushdown, &attrs);
                 if let Ok(p) = &patterns {
                     sp.field("algo", algo).field("patterns", p.len());
                 }
@@ -137,27 +134,28 @@ fn mine(
     support: MinSupport,
     algo: &str,
     par: Parallelism,
-    opts: EngineOpts,
+    args: &Args,
     pushdown: &Pushdown,
     attrs: &ItemAttributes,
 ) -> Result<PatternSet, String> {
-    // Every algorithm resolves through the engine registry. Constraint
-    // pushdown into the search is serial-only (and only some families
-    // provide it); otherwise mine unconstrained — fanning the
-    // first-level projections out over `par` threads — and post-filter
-    // the pushed constraints.
-    let engine =
-        engine_named(algo).ok_or_else(|| format!("unknown algo {algo:?} ({})", engine_keys()))?;
+    // Constraint pushdown into the search is serial-only, and only
+    // H-Mine and the naive oracle provide it; otherwise mine
+    // unconstrained — fanning the first-level projections out over
+    // `par` threads — and post-filter the pushed constraints.
     if par.is_serial() {
+        let prune = pushdown.search(attrs);
         let mut sink = CollectSink::new();
-        if engine.mine_raw_pruned(db, support, &pushdown.search(attrs), &mut sink) {
+        if parse_family(algo, args)? == Some(Family::Hm) {
+            hm::mine_db_pruned(db, support, &prune, &mut sink);
+            return Ok(sink.into_set());
+        }
+        if algo == "naive" {
+            NaiveProjection.mine_pruned(db, support, &prune, &mut sink);
             return Ok(sink.into_set());
         }
     }
-    Ok(engine
-        .raw_with(opts)
-        .mine_par(db, support, par)
-        .filter(|p| pushdown.prefix_ok(p.items(), attrs)))
+    let miner = raw_miner(algo, args)?;
+    Ok(miner.mine_par(db, support, par).filter(|p| pushdown.prefix_ok(p.items(), attrs)))
 }
 
 /// `gogreen mine <db.txt> --batch <spec.json>` — one shared pass answers
@@ -170,7 +168,8 @@ fn mine(
 fn run_batch(args: &Args, path: &str, spec_path: &str) -> Result<(), String> {
     let algo = args.opt("algo").unwrap_or("hmine");
     let par = parse_threads(args.opt("threads"))?;
-    let opts = parse_engine_opts(args)?;
+    let family = parse_family(algo, args)?
+        .ok_or_else(|| format!("--batch supports --algo {}, not {algo:?}", Family::keys()))?;
     for flag in ["support", "max-length", "items", "filter"] {
         if args.opt(flag).is_some() {
             return Err(format!("--{flag} belongs inside the --batch spec, not the command line"));
@@ -189,7 +188,7 @@ fn run_batch(args: &Args, path: &str, spec_path: &str) -> Result<(), String> {
         return Err(format!("{spec_path}: batch has no queries"));
     }
 
-    let mut batch = QueryBatch::new().with_parallelism(par).with_engine_opts(opts);
+    let mut batch = QueryBatch::new().with_parallelism(par);
     let mut labels = Vec::with_capacity(entries.len());
     for (i, entry) in entries.iter().enumerate() {
         let label = match entry.get("label") {
@@ -230,7 +229,7 @@ fn run_batch(args: &Args, path: &str, spec_path: &str) -> Result<(), String> {
 
     let db = load_db(path)?;
     let start = Instant::now();
-    let out = batch.run(&db, algo)?;
+    let out = batch.run(&db, family)?;
     let elapsed = start.elapsed();
     let plan = &out.report.plan;
     println!(

@@ -10,9 +10,11 @@ pub mod session;
 pub mod stats;
 
 use crate::args::Args;
-use gogreen_core::engine::{EngineOpts, VtRepr};
 use gogreen_core::utility::Strategy;
+use gogreen_core::{oracle, CompressedDb};
 use gogreen_data::{MinSupport, TransactionDb};
+use gogreen_miners::engine::vt::VtRepr;
+use gogreen_miners::{Family, Miner};
 use gogreen_util::pool::Parallelism;
 use std::io::Write;
 
@@ -41,15 +43,48 @@ pub fn parse_threads(opt: Option<&str>) -> Result<Parallelism, String> {
     }
 }
 
-/// Parses the per-engine options shared by `mine` and `recycle`:
-/// currently just `--vt-repr auto|bitmap|tidlist|diffset`.
-pub fn parse_engine_opts(args: &Args) -> Result<EngineOpts, String> {
-    let vt_repr = match args.opt("vt-repr") {
+/// Resolves `--algo` to one of the four families, the vt family pinned
+/// to `--vt-repr auto|bitmap|tidlist|diffset`. `Ok(None)` when `--algo`
+/// names no family (an oracle, or nothing known).
+pub fn parse_family(algo: &str, args: &Args) -> Result<Option<Family>, String> {
+    let repr = match args.opt("vt-repr") {
         None => VtRepr::Auto,
         Some(v) => VtRepr::parse(v)
             .ok_or_else(|| format!("unknown --vt-repr {v:?} (auto|bitmap|tidlist|diffset)"))?,
     };
-    Ok(EngineOpts { vt_repr })
+    Ok(Family::from_key(algo).map(|f| f.with_vt_repr(repr)))
+}
+
+/// The `mine --algo` spellings: the families' keys, then the oracles'.
+pub fn mine_algos() -> String {
+    format!("{}|{}", Family::keys(), oracle::KEYS.join("|"))
+}
+
+/// The `recycle --algo` spellings: the families' keys, then the oracles
+/// that have a recycling counterpart.
+pub fn recycle_algos() -> String {
+    let oracles: Vec<&str> =
+        oracle::KEYS.into_iter().filter(|k| oracle::recycling(k).is_some()).collect();
+    format!("{}|{}", Family::keys(), oracles.join("|"))
+}
+
+/// The from-scratch miner `mine --algo` names.
+pub fn raw_miner(algo: &str, args: &Args) -> Result<Box<dyn Miner>, String> {
+    match parse_family(algo, args)? {
+        Some(f) => Ok(Box::new(f)),
+        None => {
+            oracle::raw(algo).ok_or_else(|| format!("unknown algo {algo:?} ({})", mine_algos()))
+        }
+    }
+}
+
+/// The compressed-database miner `recycle --algo` names.
+pub fn recycling_miner(algo: &str, args: &Args) -> Result<Box<dyn Miner<CompressedDb>>, String> {
+    match parse_family(algo, args)? {
+        Some(f) => Ok(Box::new(f)),
+        None => oracle::recycling(algo)
+            .ok_or_else(|| format!("unknown recycling algo {algo:?} ({})", recycle_algos())),
+    }
 }
 
 /// Renders a support back for messages.
@@ -202,5 +237,32 @@ impl ObsGuard {
         rec.flush_trace().map_err(|e| format!("flushing trace: {e}"))?;
         // Dropping the recorder closes the trace and snapshot writers.
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `--algo` spelling earlier releases accepted still resolves,
+    /// and the families report under the archived bench ids
+    /// (`check-perf` matches `H-Mine`, `HM-MCP`, `VT-Batch8`, … by name).
+    #[test]
+    fn algo_spellings_and_bench_ids_are_pinned() {
+        let args = Args::parse(Vec::new()).unwrap();
+        for algo in ["hmine", "hm", "fp", "tp", "vt", "eclat", "naive", "apriori"] {
+            assert!(raw_miner(algo, &args).is_ok(), "mine --algo {algo}");
+        }
+        for algo in ["hm", "hmine", "fp", "tp", "vt", "eclat", "naive"] {
+            assert!(recycling_miner(algo, &args).is_ok(), "recycle --algo {algo}");
+        }
+        assert!(raw_miner("bogus", &args).is_err());
+        assert!(recycling_miner("apriori", &args).is_err());
+        assert_eq!(mine_algos(), "hmine|fp|tp|vt|naive|apriori");
+        assert_eq!(recycle_algos(), "hmine|fp|tp|vt|naive");
+        assert_eq!(Family::ALL.map(Family::name), ["H-Mine", "FP-tree", "TreeProjection", "Eclat"]);
+        assert_eq!(Family::ALL.map(Family::tag), ["HM", "FP", "TP", "VT"]);
+        let vt = Args::parse(vec!["--vt-repr".into(), "diffset".into()]).unwrap();
+        assert_eq!(parse_family("eclat", &vt).unwrap(), Some(Family::Vt(VtRepr::Diffset)));
     }
 }

@@ -3,11 +3,10 @@
 
 use crate::args::{parse_support, Args};
 use crate::commands::{
-    load_db, measure_arena_bytes, parse_engine_opts, parse_strategy, parse_threads, setup_obs,
+    load_db, measure_arena_bytes, parse_strategy, parse_threads, recycling_miner, setup_obs,
     show_bytes, show_support,
 };
-use gogreen_core::engine::{engine_keys, engine_named};
-use gogreen_core::{Compressor, RecyclingMiner};
+use gogreen_core::Compressor;
 use std::time::Instant;
 
 pub fn run(argv: Vec<String>) -> Result<(), String> {
@@ -22,11 +21,7 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
     let strategy = parse_strategy(args.opt("strategy"))?;
     let par = parse_threads(args.opt("threads"))?;
     let algo = args.opt("algo").unwrap_or("hm");
-    let opts = parse_engine_opts(&args)?;
-    let miner: Box<dyn RecyclingMiner> = engine_named(algo)
-        .ok_or_else(|| format!("unknown algo {algo:?} ({})", engine_keys()))?
-        .recycling_with(par, opts)
-        .ok_or_else(|| format!("algo {algo:?} has no recycling adaptation"))?;
+    let miner = recycling_miner(algo, &args)?;
 
     let start = Instant::now();
     let (cdb, stats) =

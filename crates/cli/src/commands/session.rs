@@ -9,15 +9,16 @@
 //! run                mine under the current constraints
 //! top [N]            show the N (default 10) best patterns of the last run
 //! save <file>        write the last result as `items : support` lines
-//! engine <name>      hmine | fp | tp | vt | naive
+//! engine <name>      hmine | fp | tp | vt
 //! quit               exit
 //! ```
 
 use crate::args::{parse_support, Args};
 use crate::commands::{load_db, parse_threads, setup_obs};
 use gogreen_constraints::{Constraint, ConstraintSet};
-use gogreen_core::session::{Engine, MiningSession};
+use gogreen_core::session::MiningSession;
 use gogreen_data::{MinSupport, PatternSet};
+use gogreen_miners::Family;
 use gogreen_util::pool::Parallelism;
 use std::io::BufRead;
 
@@ -69,10 +70,10 @@ pub fn drive_with(
             }
             "engine" => {
                 let name = arg.ok_or("engine expects a name")?;
-                let engine =
-                    Engine::from_key(name).ok_or_else(|| format!("unknown engine {name:?}"))?;
+                let family = Family::from_key(name)
+                    .ok_or_else(|| format!("unknown engine {name:?} ({})", Family::keys()))?;
                 session = MiningSession::new(session.db().clone())
-                    .with_engine(engine)
+                    .with_engine(family)
                     .with_parallelism(par);
                 println!("engine set (session reset)");
             }
@@ -144,7 +145,7 @@ mod tests {
 
     #[test]
     fn threaded_session_runs_and_survives_engine_reset() {
-        let script = "support 2\nrun\nengine fp\nrun\nengine vt\nrun\nengine naive\nrun\nquit\n";
+        let script = "support 2\nrun\nengine fp\nrun\nengine vt\nrun\nengine tp\nrun\nquit\n";
         drive_with(TransactionDb::paper_example(), Parallelism::threads(3), script.as_bytes())
             .unwrap();
     }

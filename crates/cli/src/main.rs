@@ -76,7 +76,7 @@ USAGE
   gogreen stats    <db.txt>
   gogreen generate <weather|forest|connect4|pumsb> [--scale S] -o <db.txt>
                    [--db-dir DIR] [--segment-bytes B]
-  gogreen mine     <db.txt> --support <ξ> [--algo hmine|fp|tp|vt|apriori|naive]
+  gogreen mine     <db.txt> --support <ξ> [--algo {mine_algos}]
                    [--max-length K] [--items 1,2,3] [--filter closed|maximal]
                    [--threads N] [-o patterns.txt]
   gogreen mine     <db.txt> --batch <spec.json> [--algo A] [--threads N]
@@ -85,7 +85,7 @@ USAGE
                    [--threads N]
   gogreen compact  <db-dir> [--segment-bytes B]
   gogreen recycle  <db.txt> --patterns <fp.txt> --support <ξ>
-                   [--algo hm|fp|tp|naive] [--strategy mcp|mlp] [--threads N]
+                   [--algo {recycle_algos}] [--strategy mcp|mlp] [--threads N]
                    [-o patterns.txt]
   gogreen diff     <new.txt> <old.txt> [--limit N]
   gogreen session  <db.txt> [--threads N]
@@ -128,6 +128,8 @@ OBSERVABILITY (mine | compress | recycle | session)
 
 The recycle command is the paper's two-phase pipeline: compress <db>
 with the recycled <fp.txt>, then mine the compressed database — exact,
-and usually much faster than mining from scratch."
+and usually much faster than mining from scratch.",
+        mine_algos = commands::mine_algos(),
+        recycle_algos = commands::recycle_algos(),
     );
 }

@@ -47,7 +47,6 @@
 //! [`PatternStore`] so every member's threshold (and any future query
 //! at ξ ≥ ξ_min) is answerable by filtering.
 
-use crate::engine::{engine_named, EngineOpts, MiningEngine};
 use crate::store::PatternStore;
 use crate::CompressedDb;
 use gogreen_constraints::{Constraint, ConstraintSet, ItemAttributes};
@@ -55,6 +54,7 @@ use gogreen_data::{
     CollectSink, CsrTuples, Item, MinSupport, PatternSet, PatternSink, TransactionDb,
 };
 use gogreen_miners::bound::candidate_bound;
+use gogreen_miners::{Family, Miner};
 use gogreen_obs::{histogram, metrics, span};
 use gogreen_util::pool::Parallelism;
 
@@ -145,11 +145,12 @@ pub struct BatchOutcome {
 /// use gogreen_core::batch::{BatchQuery, QueryBatch};
 /// use gogreen_constraints::ConstraintSet;
 /// use gogreen_data::{MinSupport, TransactionDb};
+/// use gogreen_miners::Family;
 ///
 /// let mut batch = QueryBatch::new();
 /// batch.push(BatchQuery::new("a", ConstraintSet::support_only(MinSupport::Absolute(3))));
 /// batch.push(BatchQuery::new("b", ConstraintSet::support_only(MinSupport::Absolute(2))));
-/// let out = batch.run(&TransactionDb::paper_example(), "hmine").unwrap();
+/// let out = batch.run(&TransactionDb::paper_example(), Family::Hm).unwrap();
 /// assert_eq!(out.results.len(), 2);
 /// assert_eq!(out.report.plan.xi_min, 2);
 /// ```
@@ -158,7 +159,6 @@ pub struct QueryBatch {
     queries: Vec<BatchQuery>,
     attrs: ItemAttributes,
     par: Parallelism,
-    opts: EngineOpts,
 }
 
 impl QueryBatch {
@@ -182,12 +182,6 @@ impl QueryBatch {
     /// `batch.*` metrics are identical for every setting.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
-        self
-    }
-
-    /// Per-invocation engine options (`--vt-repr` etc.).
-    pub fn with_engine_opts(mut self, opts: EngineOpts) -> Self {
-        self.opts = opts;
         self
     }
 
@@ -263,15 +257,15 @@ impl QueryBatch {
     pub fn run_into(
         &self,
         db: &TransactionDb,
-        algo: &str,
+        family: Family,
         sinks: &mut [&mut dyn PatternSink],
     ) -> Result<BatchReport, String> {
-        self.run_raw_impl(db, algo, sinks, None)
+        self.run_raw_impl(db, family, sinks, None)
     }
 
     /// Like [`Self::run_into`], collecting per-query [`PatternSet`]s.
-    pub fn run(&self, db: &TransactionDb, algo: &str) -> Result<BatchOutcome, String> {
-        self.collect(|sinks| self.run_raw_impl(db, algo, sinks, None))
+    pub fn run(&self, db: &TransactionDb, family: Family) -> Result<BatchOutcome, String> {
+        self.collect(|sinks| self.run_raw_impl(db, family, sinks, None))
     }
 
     /// Like [`Self::run`], additionally publishing the shared-pass
@@ -280,11 +274,11 @@ impl QueryBatch {
     pub fn run_with_store(
         &self,
         db: &TransactionDb,
-        algo: &str,
+        family: Family,
         store: &PatternStore,
         dataset: &str,
     ) -> Result<BatchOutcome, String> {
-        self.collect(|sinks| self.run_raw_impl(db, algo, sinks, Some((store, dataset))))
+        self.collect(|sinks| self.run_raw_impl(db, family, sinks, Some((store, dataset))))
     }
 
     /// Runs the batch on a compressed (recycled) substrate. No item
@@ -293,15 +287,15 @@ impl QueryBatch {
     pub fn run_recycled_into(
         &self,
         cdb: &CompressedDb,
-        algo: &str,
+        family: Family,
         sinks: &mut [&mut dyn PatternSink],
     ) -> Result<BatchReport, String> {
-        self.run_recycled_impl(cdb, algo, sinks, None)
+        self.run_recycled_impl(cdb, family, sinks, None)
     }
 
     /// Like [`Self::run_recycled_into`], collecting per-query sets.
-    pub fn run_recycled(&self, cdb: &CompressedDb, algo: &str) -> Result<BatchOutcome, String> {
-        self.collect(|sinks| self.run_recycled_impl(cdb, algo, sinks, None))
+    pub fn run_recycled(&self, cdb: &CompressedDb, family: Family) -> Result<BatchOutcome, String> {
+        self.collect(|sinks| self.run_recycled_impl(cdb, family, sinks, None))
     }
 
     /// Like [`Self::run_recycled`], publishing the ξ_min set into
@@ -309,11 +303,11 @@ impl QueryBatch {
     pub fn run_recycled_with_store(
         &self,
         cdb: &CompressedDb,
-        algo: &str,
+        family: Family,
         store: &PatternStore,
         dataset: &str,
     ) -> Result<BatchOutcome, String> {
-        self.collect(|sinks| self.run_recycled_impl(cdb, algo, sinks, Some((store, dataset))))
+        self.collect(|sinks| self.run_recycled_impl(cdb, family, sinks, Some((store, dataset))))
     }
 
     /// The solo reference: answers query `idx` alone — one pass at ξᵢ
@@ -323,19 +317,13 @@ impl QueryBatch {
         &self,
         idx: usize,
         db: &TransactionDb,
-        algo: &str,
+        family: Family,
         sink: &mut dyn PatternSink,
     ) -> Result<(), String> {
-        let engine = lookup(algo)?;
         let q = self.queries.get(idx).ok_or_else(|| format!("no query #{idx} in the batch"))?;
         let xi = q.constraints.min_support().to_absolute(db.len());
         let mut demux = self.demux_for(&[idx], &[xi], sink, None, false);
-        engine.raw_with(self.opts).mine_into_par(
-            db,
-            MinSupport::Absolute(xi),
-            self.par,
-            &mut demux,
-        );
+        family.mine_into_par(db, MinSupport::Absolute(xi), self.par, &mut demux);
         demux.flush();
         Ok(())
     }
@@ -345,17 +333,13 @@ impl QueryBatch {
         &self,
         idx: usize,
         cdb: &CompressedDb,
-        algo: &str,
+        family: Family,
         sink: &mut dyn PatternSink,
     ) -> Result<(), String> {
-        let engine = lookup(algo)?;
-        let rec = engine
-            .recycling_with(self.par, self.opts)
-            .ok_or_else(|| format!("engine '{algo}' has no recycling pair"))?;
         let q = self.queries.get(idx).ok_or_else(|| format!("no query #{idx} in the batch"))?;
         let xi = q.constraints.min_support().to_absolute(cdb.num_tuples());
         let mut demux = self.demux_for(&[idx], &[xi], sink, None, false);
-        rec.mine_into_par(cdb, MinSupport::Absolute(xi), self.par, &mut demux);
+        family.mine_into_par(cdb, MinSupport::Absolute(xi), self.par, &mut demux);
         demux.flush();
         Ok(())
     }
@@ -363,11 +347,11 @@ impl QueryBatch {
     fn run_raw_impl(
         &self,
         db: &TransactionDb,
-        algo: &str,
+        family: Family,
         sinks: &mut [&mut dyn PatternSink],
         store: Option<(&PatternStore, &str)>,
     ) -> Result<BatchReport, String> {
-        let engine = self.validate(algo, sinks.len())?;
+        self.validate(sinks.len())?;
         let counts = db.item_supports();
         let plan = self.plan(&counts, db.len(), true);
         let mut sp = span("batch");
@@ -376,14 +360,13 @@ impl QueryBatch {
         let mut tee = (store.is_some() && plan.envelope.is_none()).then(CollectSink::new);
         let shared_patterns = {
             let mut demux = self.demux_members(&plan, sinks, tee.as_mut());
-            let miner = engine.raw_with(self.opts);
             let xi = MinSupport::Absolute(plan.xi_min);
             match &plan.envelope {
                 Some(env) => {
                     let restricted = restrict_db(db, env);
-                    miner.mine_into_par(&restricted, xi, self.par, &mut demux);
+                    family.mine_into_par(&restricted, xi, self.par, &mut demux);
                 }
-                None => miner.mine_into_par(db, xi, self.par, &mut demux),
+                None => family.mine_into_par(db, xi, self.par, &mut demux),
             }
             demux.flush()
         };
@@ -393,12 +376,7 @@ impl QueryBatch {
         // the same filter machinery (and therefore identical streams).
         for &i in &plan.rejected {
             let mut demux = self.demux_for(&[i], &[plan.xi_abs[i]], &mut *sinks[i], None, false);
-            engine.raw_with(self.opts).mine_into_par(
-                db,
-                MinSupport::Absolute(plan.xi_abs[i]),
-                self.par,
-                &mut demux,
-            );
+            family.mine_into_par(db, MinSupport::Absolute(plan.xi_abs[i]), self.par, &mut demux);
             demux.flush();
         }
 
@@ -416,14 +394,11 @@ impl QueryBatch {
     fn run_recycled_impl(
         &self,
         cdb: &CompressedDb,
-        algo: &str,
+        family: Family,
         sinks: &mut [&mut dyn PatternSink],
         store: Option<(&PatternStore, &str)>,
     ) -> Result<BatchReport, String> {
-        let engine = self.validate(algo, sinks.len())?;
-        let rec = engine
-            .recycling_with(self.par, self.opts)
-            .ok_or_else(|| format!("engine '{algo}' has no recycling pair"))?;
+        self.validate(sinks.len())?;
         let counts = cdb.item_supports();
         let plan = self.plan(&counts, cdb.num_tuples(), false);
         let mut sp = span("batch");
@@ -432,14 +407,14 @@ impl QueryBatch {
         let mut tee = store.is_some().then(CollectSink::new);
         let shared_patterns = {
             let mut demux = self.demux_members(&plan, sinks, tee.as_mut());
-            rec.mine_into_par(cdb, MinSupport::Absolute(plan.xi_min), self.par, &mut demux);
+            family.mine_into_par(cdb, MinSupport::Absolute(plan.xi_min), self.par, &mut demux);
             demux.flush()
         };
         metrics::add("batch.demux_patterns", shared_patterns);
 
         for &i in &plan.rejected {
             let mut demux = self.demux_for(&[i], &[plan.xi_abs[i]], &mut *sinks[i], None, false);
-            rec.mine_into_par(cdb, MinSupport::Absolute(plan.xi_abs[i]), self.par, &mut demux);
+            family.mine_into_par(cdb, MinSupport::Absolute(plan.xi_abs[i]), self.par, &mut demux);
             demux.flush();
         }
 
@@ -454,7 +429,7 @@ impl QueryBatch {
         Ok(BatchReport { plan, shared_patterns, published_at })
     }
 
-    fn validate(&self, algo: &str, num_sinks: usize) -> Result<&'static dyn MiningEngine, String> {
+    fn validate(&self, num_sinks: usize) -> Result<(), String> {
         if self.queries.is_empty() {
             return Err("batch has no queries".into());
         }
@@ -465,7 +440,7 @@ impl QueryBatch {
                 num_sinks
             ));
         }
-        lookup(algo)
+        Ok(())
     }
 
     fn count_plan(&self, plan: &BatchPlan, sp: &mut gogreen_obs::Span) {
@@ -632,10 +607,6 @@ impl PatternSink for DemuxSink<'_, '_> {
     }
 }
 
-fn lookup(algo: &str) -> Result<&'static dyn MiningEngine, String> {
-    engine_named(algo).ok_or_else(|| format!("unknown engine '{algo}'"))
-}
-
 /// Prices one pass at (ξ, envelope): total level-1 touches of the
 /// surviving items plus the Kruskal–Katona bound on level-2 candidates.
 fn pass_cost(counts: &[u64], xi: u64, allowed: Option<&[Item]>) -> u64 {
@@ -704,7 +675,7 @@ mod tests {
         for (label, xi) in [("a", 4), ("b", 2), ("c", 3)] {
             batch.push(q(label, xi));
         }
-        let out = batch.run(&db, "hmine").unwrap();
+        let out = batch.run(&db, Family::Hm).unwrap();
         assert_eq!(out.report.plan.xi_min, 2);
         assert!(out.report.plan.rejected.is_empty());
         for (i, xi) in [4u64, 2, 3].into_iter().enumerate() {
@@ -722,7 +693,7 @@ mod tests {
             "b",
             ConstraintSet::support_only(MinSupport::Absolute(2)).with(Constraint::MaxLength(2)),
         ));
-        for algo in ["hmine", "fp", "tp", "vt", "naive"] {
+        for family in Family::ALL {
             let mut out0 = Vec::new();
             let mut out1 = Vec::new();
             {
@@ -731,12 +702,12 @@ mod tests {
                 let mut s1 =
                     FnSink(|items: &[Item], support: u64| out1.push((items.to_vec(), support)));
                 let mut sinks: [&mut dyn PatternSink; 2] = [&mut s0, &mut s1];
-                batch.run_into(&db, algo, &mut sinks).unwrap();
+                batch.run_into(&db, family, &mut sinks).unwrap();
             }
-            let solo0 = stream(|sink| batch.run_solo(0, &db, algo, sink).unwrap());
-            let solo1 = stream(|sink| batch.run_solo(1, &db, algo, sink).unwrap());
-            assert_eq!(out0, solo0, "{algo} query 0");
-            assert_eq!(out1, solo1, "{algo} query 1");
+            let solo0 = stream(|sink| batch.run_solo(0, &db, family, sink).unwrap());
+            let solo1 = stream(|sink| batch.run_solo(1, &db, family, sink).unwrap());
+            assert_eq!(out0, solo0, "{family:?} query 0");
+            assert_eq!(out1, solo1, "{family:?} query 1");
         }
     }
 
@@ -756,7 +727,7 @@ mod tests {
                 Item(4),
             ])),
         ));
-        let out = batch.run(&db, "fp").unwrap();
+        let out = batch.run(&db, Family::Fp).unwrap();
         assert!(out.results[0].iter().all(|p| p.len() == 1));
         assert!(out.results[1].iter().all(|p| p.items().iter().all(|it| [
             Item(0),
@@ -777,7 +748,7 @@ mod tests {
         let mut all_sub = QueryBatch::new();
         all_sub.push(BatchQuery::new("a", sub(vec![Item(0), Item(2)], 2)));
         all_sub.push(BatchQuery::new("b", sub(vec![Item(2), Item(4)], 3)));
-        let out = all_sub.run(&db, "hmine").unwrap();
+        let out = all_sub.run(&db, Family::Hm).unwrap();
         assert_eq!(out.report.plan.envelope.as_deref(), Some(&[Item(0), Item(2), Item(4)][..]));
         // Results under the pushed envelope are still exact per query.
         let attrs = ItemAttributes::new();
@@ -793,7 +764,7 @@ mod tests {
         let mut mixed = QueryBatch::new();
         mixed.push(BatchQuery::new("a", sub(vec![Item(0), Item(2)], 2)));
         mixed.push(q("plain", 3));
-        let out = mixed.run(&db, "hmine").unwrap();
+        let out = mixed.run(&db, Family::Hm).unwrap();
         assert!(out.report.plan.envelope.is_none());
     }
 
@@ -836,7 +807,7 @@ mod tests {
             ConstraintSet::support_only(MinSupport::Absolute(2))
                 .with(Constraint::SubsetOf(vec![Item(3), Item(5)])),
         ));
-        let out = batch.run(&db, "hmine").unwrap();
+        let out = batch.run(&db, Family::Hm).unwrap();
         let oracle4 = mine_apriori(&db, MinSupport::Absolute(4));
         assert!(out.results[0].same_patterns_as(&oracle4));
         let want = mine_apriori(&db, MinSupport::Absolute(2))
@@ -852,12 +823,11 @@ mod tests {
         let mut batch = QueryBatch::new();
         batch.push(q("a", 2));
         batch.push(q("b", 4));
-        let raw = batch.run(&db, "hmine").unwrap();
-        let rec = batch.run_recycled(&cdb, "hmine").unwrap();
+        let raw = batch.run(&db, Family::Hm).unwrap();
+        let rec = batch.run_recycled(&cdb, Family::Hm).unwrap();
         for idx in 0..2 {
             assert!(raw.results[idx].same_patterns_as(&rec.results[idx]), "query {idx}");
         }
-        assert!(batch.run_recycled(&cdb, "apriori").is_err());
     }
 
     #[test]
@@ -867,7 +837,7 @@ mod tests {
         let mut batch = QueryBatch::new();
         batch.push(q("a", 3));
         batch.push(q("b", 2));
-        let out = batch.run_with_store(&db, "hmine", &store, "paper").unwrap();
+        let out = batch.run_with_store(&db, Family::Hm, &store, "paper").unwrap();
         assert_eq!(out.report.published_at, Some(2));
         let published = store.get("paper", 2).expect("published at xi_min");
         assert!(published.same_patterns_as(&mine_apriori(&db, MinSupport::Absolute(2))));
@@ -878,13 +848,12 @@ mod tests {
     fn errors_are_reported_not_panicked() {
         let db = TransactionDb::paper_example();
         let empty = QueryBatch::new();
-        assert!(empty.run(&db, "hmine").is_err());
+        assert!(empty.run(&db, Family::Hm).is_err());
         let mut batch = QueryBatch::new();
         batch.push(q("a", 2));
-        assert!(batch.run(&db, "bogus").is_err());
         let mut one_sink = CollectSink::new();
         let mut sinks: [&mut dyn PatternSink; 1] = [&mut one_sink];
         batch.push(q("b", 3));
-        assert!(batch.run_into(&db, "hmine", &mut sinks).is_err());
+        assert!(batch.run_into(&db, Family::Hm, &mut sinks).is_err());
     }
 }

@@ -51,10 +51,10 @@ type Members = (Vec<Vec<Item>>, u32);
 /// ```
 /// use gogreen_core::{Compressor, Strategy};
 /// use gogreen_data::{MinSupport, TransactionDb};
-/// use gogreen_miners::mine_hmine;
+/// use gogreen_miners::{Family, Miner};
 ///
 /// let db = TransactionDb::paper_example();
-/// let fp = mine_hmine(&db, MinSupport::Absolute(3));
+/// let fp = Family::Hm.mine(&db, MinSupport::Absolute(3));
 /// let (cdb, stats) = Compressor::new(Strategy::Mcp).compress_with_stats(&db, &fp);
 /// // The paper's Table 2: groups fgc and ae cover all five tuples.
 /// assert_eq!(stats.num_groups, 2);

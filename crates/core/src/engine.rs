@@ -1,293 +1,77 @@
-//! Engine registry: one entry per algorithm family, pairing the raw
-//! miner with its recycling adaptation.
+//! Recycled mining through [`Family`]: the compressed substrate's
+//! [`Miner`] impl.
 //!
-//! The traversal of each family is written once, generically over
-//! [`gogreen_data::GroupedSource`], in `gogreen_miners::engine`; the raw
-//! miner instantiates it on the degenerate [`gogreen_data::PlainRanks`]
-//! substrate and the recycling miner on the real
-//! [`crate::cdb::CompressedRankDb`]. This registry is the single place
-//! that knows the pairing, so every front end — the CLI `mine` and
-//! `recycle` commands, the interactive session, the benchmark harness —
-//! dispatches by name through [`engine_named`] instead of hard-coding
-//! its own `match` over algorithm strings.
+//! Each family's traversal is written once, generically over
+//! [`gogreen_data::GroupedSource`], in `gogreen_miners::engine`; mining
+//! a plain database instantiates it on the degenerate
+//! [`gogreen_data::PlainRanks`] view, and mining a [`CompressedDb`]
+//! instantiates it here on the real [`crate::cdb::CompressedRankDb`]:
+//! the F-list is counted group-at-a-time from the compressed form, the
+//! database is rank-encoded once, and [`Family::mine_source`] runs the
+//! family's search on it.
 
-use crate::recycle_fp::RecycleFp;
-use crate::recycle_hm::RecycleHm;
-use crate::recycle_tp::RecycleTp;
-use crate::recycle_vt::RecycleVt;
-use crate::rpmine::RpMine;
-use crate::{CompressedDb, RecyclingMiner};
-use gogreen_data::{MinSupport, PatternSink, SearchPrune, TransactionDb};
-use gogreen_miners::{Apriori, Eclat, FpGrowth, HMine, Miner, NaiveProjection, TreeProjection};
+use crate::CompressedDb;
+use gogreen_data::{MinSupport, PatternSink};
+use gogreen_miners::{Family, Miner};
 use gogreen_util::pool::Parallelism;
 
-pub use gogreen_miners::engine::vt::VtRepr;
-
-/// Per-invocation engine options a front end may carry alongside the
-/// algorithm name. Families ignore what doesn't apply to them, so one
-/// options value can be parsed once and handed to any engine.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct EngineOpts {
-    /// Vertical representation mode (`--vt-repr`); only the vt family
-    /// reads it.
-    pub vt_repr: VtRepr,
-}
-
-/// One algorithm family: a raw miner plus (usually) a recycling
-/// counterpart sharing the same generic traversal.
-pub trait MiningEngine: Sync {
-    /// Canonical key, the primary `--algo` spelling (`"hmine"`, `"fp"`,
-    /// `"tp"`, `"vt"`, `"naive"`, `"apriori"`).
-    fn key(&self) -> &'static str;
-
-    /// Additional accepted spellings (`"hm"` for `"hmine"`, …).
-    fn aliases(&self) -> &'static [&'static str] {
-        &[]
+/// Recycled mining. The name is the family's tag, the prefix of the
+/// recycled bench ids (`"HM"` in `"HM-MCP"`).
+impl Miner<CompressedDb> for Family {
+    fn name(&self) -> &'static str {
+        self.tag()
     }
 
-    /// Human-readable family name for reports.
-    fn family(&self) -> &'static str;
-
-    /// The from-scratch miner over plain databases.
-    fn raw(&self) -> Box<dyn Miner>;
-
-    /// The recycling miner over compressed databases, or `None` when
-    /// the family has no recycling adaptation (Apriori, which exists as
-    /// the differential-testing oracle only).
-    fn recycling(&self, par: Parallelism) -> Option<Box<dyn RecyclingMiner>>;
-
-    /// Like [`MiningEngine::raw`], honouring `opts` where the family
-    /// has a matching knob (currently only the vt family's `vt_repr`).
-    fn raw_with(&self, opts: EngineOpts) -> Box<dyn Miner> {
-        let _ = opts;
-        self.raw()
+    fn mine_into(&self, cdb: &CompressedDb, min_support: MinSupport, sink: &mut dyn PatternSink) {
+        self.mine_into_par(cdb, min_support, Parallelism::serial(), sink);
     }
 
-    /// Like [`MiningEngine::recycling`], honouring `opts`.
-    fn recycling_with(
+    fn mine_into_par(
         &self,
+        cdb: &CompressedDb,
+        min_support: MinSupport,
         par: Parallelism,
-        opts: EngineOpts,
-    ) -> Option<Box<dyn RecyclingMiner>> {
-        let _ = opts;
-        self.recycling(par)
-    }
-
-    /// Serial constrained raw mining with the pushed predicates checked
-    /// *inside* the search. Returns `false` when the family has no
-    /// pushdown-capable driver — callers then mine unconstrained and
-    /// post-filter.
-    fn mine_raw_pruned(
-        &self,
-        db: &TransactionDb,
-        min_support: MinSupport,
-        prune: &dyn SearchPrune,
         sink: &mut dyn PatternSink,
-    ) -> bool {
-        let _ = (db, min_support, prune, sink);
-        false
+    ) {
+        let minsup = min_support.to_absolute(cdb.num_tuples());
+        let flist = cdb.flist_par(minsup, par);
+        if flist.is_empty() {
+            return;
+        }
+        self.mine_source(&cdb.to_ranks(&flist), &flist, minsup, par, sink);
     }
 }
 
-struct HMineEngine;
-
-impl MiningEngine for HMineEngine {
-    fn key(&self) -> &'static str {
-        "hmine"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["hm"]
-    }
-    fn family(&self) -> &'static str {
-        "H-Mine"
-    }
-    fn raw(&self) -> Box<dyn Miner> {
-        Box::new(HMine)
-    }
-    fn recycling(&self, _par: Parallelism) -> Option<Box<dyn RecyclingMiner>> {
-        Some(Box::new(RecycleHm))
-    }
-    fn mine_raw_pruned(
-        &self,
-        db: &TransactionDb,
-        min_support: MinSupport,
-        prune: &dyn SearchPrune,
-        sink: &mut dyn PatternSink,
-    ) -> bool {
-        HMine.mine_pruned(db, min_support, prune, sink);
-        true
-    }
+/// See `crate::RecyclingMiner`: `engine_named(key)?.raw()` and
+/// `.recycling(par)` for the frozen `perfbench/` harness.
+#[doc(hidden)]
+pub fn engine_named(key: &str) -> Option<NamedEngine> {
+    Family::from_key(key).map(NamedEngine)
 }
 
-struct FpEngine;
+/// See `engine_named`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct NamedEngine(Family);
 
-impl MiningEngine for FpEngine {
-    fn key(&self) -> &'static str {
-        "fp"
+impl NamedEngine {
+    /// The family, boxed as a plain-database miner.
+    pub fn raw(&self) -> Box<dyn Miner> {
+        Box::new(self.0)
     }
-    fn family(&self) -> &'static str {
-        "FP-growth"
-    }
-    fn raw(&self) -> Box<dyn Miner> {
-        Box::new(FpGrowth)
-    }
-    fn recycling(&self, par: Parallelism) -> Option<Box<dyn RecyclingMiner>> {
-        Some(Box::new(RecycleFp::default().with_parallelism(par)))
-    }
-}
 
-struct TpEngine;
-
-impl MiningEngine for TpEngine {
-    fn key(&self) -> &'static str {
-        "tp"
+    /// The family, boxed as a compressed-database miner.
+    pub fn recycling(&self, _par: Parallelism) -> Option<Box<dyn Miner<CompressedDb>>> {
+        Some(Box::new(self.0))
     }
-    fn family(&self) -> &'static str {
-        "TreeProjection"
-    }
-    fn raw(&self) -> Box<dyn Miner> {
-        Box::new(TreeProjection)
-    }
-    fn recycling(&self, _par: Parallelism) -> Option<Box<dyn RecyclingMiner>> {
-        Some(Box::new(RecycleTp))
-    }
-}
-
-struct VtEngine;
-
-impl MiningEngine for VtEngine {
-    fn key(&self) -> &'static str {
-        "vt"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["eclat"]
-    }
-    fn family(&self) -> &'static str {
-        "Eclat"
-    }
-    fn raw(&self) -> Box<dyn Miner> {
-        Box::new(Eclat::new())
-    }
-    fn recycling(&self, _par: Parallelism) -> Option<Box<dyn RecyclingMiner>> {
-        Some(Box::new(RecycleVt::new()))
-    }
-    fn raw_with(&self, opts: EngineOpts) -> Box<dyn Miner> {
-        Box::new(Eclat::with_repr(opts.vt_repr))
-    }
-    fn recycling_with(
-        &self,
-        _par: Parallelism,
-        opts: EngineOpts,
-    ) -> Option<Box<dyn RecyclingMiner>> {
-        Some(Box::new(RecycleVt::with_repr(opts.vt_repr)))
-    }
-}
-
-struct NaiveEngine;
-
-impl MiningEngine for NaiveEngine {
-    fn key(&self) -> &'static str {
-        "naive"
-    }
-    fn family(&self) -> &'static str {
-        "Naive projection"
-    }
-    fn raw(&self) -> Box<dyn Miner> {
-        Box::new(NaiveProjection)
-    }
-    fn recycling(&self, _par: Parallelism) -> Option<Box<dyn RecyclingMiner>> {
-        Some(Box::new(RpMine::default()))
-    }
-    fn mine_raw_pruned(
-        &self,
-        db: &TransactionDb,
-        min_support: MinSupport,
-        prune: &dyn SearchPrune,
-        sink: &mut dyn PatternSink,
-    ) -> bool {
-        NaiveProjection.mine_pruned(db, min_support, prune, sink);
-        true
-    }
-}
-
-struct AprioriEngine;
-
-impl MiningEngine for AprioriEngine {
-    fn key(&self) -> &'static str {
-        "apriori"
-    }
-    fn family(&self) -> &'static str {
-        "Apriori"
-    }
-    fn raw(&self) -> Box<dyn Miner> {
-        Box::new(Apriori)
-    }
-    fn recycling(&self, _par: Parallelism) -> Option<Box<dyn RecyclingMiner>> {
-        None
-    }
-}
-
-/// Constrained recycling on the naive engine (the only family with a
-/// pushdown-capable recycling driver). Returns `false` for every other
-/// key.
-pub fn mine_recycled_pruned(
-    key: &str,
-    cdb: &CompressedDb,
-    min_support: MinSupport,
-    prune: &dyn SearchPrune,
-    sink: &mut dyn PatternSink,
-) -> bool {
-    if key == "naive" {
-        RpMine::default().mine_pruned(cdb, min_support, prune, sink);
-        return true;
-    }
-    false
-}
-
-/// All registered engines, in presentation order.
-pub fn engines() -> &'static [&'static dyn MiningEngine] {
-    const ENGINES: [&dyn MiningEngine; 6] =
-        [&HMineEngine, &FpEngine, &TpEngine, &VtEngine, &NaiveEngine, &AprioriEngine];
-    &ENGINES
-}
-
-/// Looks an engine up by canonical key or alias.
-pub fn engine_named(name: &str) -> Option<&'static dyn MiningEngine> {
-    engines().iter().copied().find(|e| e.key() == name || e.aliases().contains(&name))
-}
-
-/// The `--algo` help string: every canonical key, `|`-separated.
-pub fn engine_keys() -> String {
-    let keys: Vec<&str> = engines().iter().map(|e| e.key()).collect();
-    keys.join("|")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gogreen_data::CollectSink;
+    use gogreen_data::TransactionDb;
+    use gogreen_miners::engine::vt::VtRepr;
     use gogreen_miners::mine_apriori;
-
-    #[test]
-    fn lookup_resolves_keys_and_aliases() {
-        for key in ["hmine", "fp", "tp", "vt", "naive", "apriori"] {
-            let e = engine_named(key).expect(key);
-            assert_eq!(e.key(), key);
-        }
-        assert_eq!(engine_named("hm").unwrap().key(), "hmine");
-        assert_eq!(engine_named("eclat").unwrap().key(), "vt");
-        assert!(engine_named("bogus").is_none());
-    }
-
-    #[test]
-    fn every_raw_engine_matches_the_oracle() {
-        let db = TransactionDb::paper_example();
-        let oracle = mine_apriori(&db, MinSupport::Absolute(2));
-        for e in engines() {
-            let got = e.raw().mine(&db, MinSupport::Absolute(2));
-            assert!(got.same_patterns_as(&oracle), "{}", e.family());
-        }
-    }
 
     #[test]
     fn recycling_pairs_are_exact() {
@@ -295,28 +79,11 @@ mod tests {
         let fp_old = mine_apriori(&db, MinSupport::Absolute(3));
         let cdb = crate::Compressor::new(crate::Strategy::Mcp).compress(&db, &fp_old);
         let oracle = mine_apriori(&db, MinSupport::Absolute(2));
-        for e in engines() {
-            let Some(rec) = e.recycling(Parallelism::serial()) else {
-                assert_eq!(e.key(), "apriori");
-                continue;
-            };
-            let got = rec.mine(&cdb, MinSupport::Absolute(2));
-            assert!(got.same_patterns_as(&oracle), "{}", e.family());
+        for f in Family::ALL.into_iter().chain(VtRepr::ALL.map(Family::Vt)) {
+            let got = f.mine(&cdb, MinSupport::Absolute(2));
+            assert!(got.same_patterns_as(&oracle), "{f:?}");
         }
-    }
-
-    #[test]
-    fn pruned_hooks_report_support_correctly() {
-        let db = TransactionDb::paper_example();
-        let prune = gogreen_data::NoPrune;
-        for e in engines() {
-            let mut sink = CollectSink::new();
-            let handled = e.mine_raw_pruned(&db, MinSupport::Absolute(2), &prune, &mut sink);
-            assert_eq!(handled, matches!(e.key(), "hmine" | "naive"), "{}", e.key());
-            if handled {
-                let oracle = mine_apriori(&db, MinSupport::Absolute(2));
-                assert!(sink.into_set().same_patterns_as(&oracle), "{}", e.key());
-            }
-        }
+        let rp = crate::oracle::recycling("naive").expect("RP-Mine");
+        assert!(rp.mine(&cdb, MinSupport::Absolute(2)).same_patterns_as(&oracle));
     }
 }

@@ -10,10 +10,9 @@
 //! module packages that workflow.
 
 use crate::compress::Compressor;
-use crate::recycle_hm::RecycleHm;
 use crate::utility::Strategy;
-use crate::RecyclingMiner;
 use gogreen_data::{MinSupport, PatternSet, Transaction, TransactionDb};
+use gogreen_miners::{Family, Miner};
 
 /// An evolving database whose mining rounds recycle earlier rounds'
 /// patterns across updates.
@@ -76,13 +75,13 @@ impl IncrementalMiner {
         let result = match &self.recycled {
             Some(old) if !old.is_empty() => {
                 let cdb = Compressor::new(self.strategy).compress(&self.db, old);
-                RecycleHm.mine(&cdb, min_support)
+                Family::Hm.mine(&cdb, min_support)
             }
             _ => {
                 // Nothing to recycle: mine the trivial compression (all
                 // plain), which is plain H-Mine-style mining.
                 let cdb = crate::cdb::CompressedDb::uncompressed(&self.db);
-                RecycleHm.mine(&cdb, min_support)
+                Family::Hm.mine(&cdb, min_support)
             }
         };
         self.recycled = Some(result.clone());

@@ -22,7 +22,8 @@ const BYTES_PER_TAIL: usize = 16;
 const BYTES_PER_GROUP: usize = 8 + 2 * std::mem::size_of::<Vec<u32>>();
 
 /// Estimated heap bytes of the RP-Struct that
-/// [`crate::recycle_hm::RecycleHm`] would build for `rdb`.
+/// recycled H-Mine ([`Family::Hm`](gogreen_miners::Family::Hm)) would
+/// build for `rdb`.
 pub fn estimate_rp_struct_bytes(rdb: &CompressedRankDb) -> usize {
     // The CSR sections make these whole-database sums O(1): row counts
     // and total element counts are offset-array lookups, no per-group
@@ -45,7 +46,7 @@ pub fn estimate_hmine_bytes(occurrences: usize, tuples: usize) -> usize {
 }
 
 /// Estimated heap bytes of the root tid-bitmap columns the vertical
-/// miner ([`crate::recycle_vt::RecycleVt`]) builds for `rdb`: one
+/// miner ([`Family::Vt`](gogreen_miners::Family::Vt)) builds for `rdb`: one
 /// `⌈n/64⌉`-word column per rank, `n` the expanded tuple count. The
 /// per-node tidset arenas below the root are bounded by the same figure
 /// (a child level never materializes more columns than the root holds),
@@ -209,12 +210,12 @@ mod tests {
     /// horizontal projection slabs.
     #[test]
     fn vt_arena_bytes_reach_the_alloc_counters() {
-        use crate::RecyclingMiner;
+        use gogreen_miners::engine::vt::VtRepr;
+        use gogreen_miners::{Family, Miner};
         let db = TransactionDb::paper_example();
         let cdb = CompressedDb::uncompressed(&db);
-        let (fp, snap) = gogreen_obs::measure(|| {
-            crate::recycle_vt::RecycleVt::new().mine(&cdb, MinSupport::Absolute(2))
-        });
+        let (fp, snap) =
+            gogreen_obs::measure(|| Family::Vt(VtRepr::Auto).mine(&cdb, MinSupport::Absolute(2)));
         let bytes = snap.value("alloc.projection_bytes").unwrap_or(0);
         assert!(!fp.is_empty());
         assert!(bytes > 0, "vertical arenas did not report projection bytes");

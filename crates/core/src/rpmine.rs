@@ -15,17 +15,16 @@
 //!   combinations of those items with the group's projected count — no
 //!   recursion needed.
 //!
-//! The smarter adaptations ([`crate::recycle_hm`], [`crate::recycle_fp`],
-//! [`crate::recycle_tp`]) implement the same semantics over cleverer data
+//! The four engine families, mined on compressed databases
+//! ([`crate::engine`]), implement the same semantics over cleverer data
 //! structures; RP-Mine doubles as their readable specification and as a
-//! differential-testing partner.
+//! differential-testing partner (see [`crate::oracle`]).
 
 use crate::cdb::{CompressedDb, CompressedRankDb};
-use crate::RecyclingMiner;
-use gogreen_data::{MinSupport, NoPrune, PatternSet, PatternSink, SearchPrune};
+use gogreen_data::{MinSupport, NoPrune, PatternSink, SearchPrune};
 use gogreen_miners::common::{for_each_subset, RankEmitter, ScratchCounts};
+use gogreen_miners::Miner;
 use gogreen_obs::metrics;
-use gogreen_util::pool::Parallelism;
 
 /// Per-rank contribution source, for the Lemma 3.1 check.
 const SRC_NONE: u32 = u32::MAX;
@@ -45,31 +44,21 @@ impl Default for RpMine {
     }
 }
 
-impl RecyclingMiner for RpMine {
+/// RP-Mine is the readable specification and differential-testing
+/// partner of the unified engines, so it stays deliberately serial (the
+/// default [`Miner::mine_into_par`]) — the engines own the parallel
+/// fan-out.
+impl Miner<CompressedDb> for RpMine {
     fn name(&self) -> &'static str {
         "RP-Mine"
     }
 
     fn mine_into(&self, cdb: &CompressedDb, min_support: MinSupport, sink: &mut dyn PatternSink) {
-        self.mine_into_par(cdb, min_support, Parallelism::serial(), sink);
-    }
-
-    fn mine_into_par(
-        &self,
-        cdb: &CompressedDb,
-        min_support: MinSupport,
-        par: Parallelism,
-        sink: &mut dyn PatternSink,
-    ) {
         let minsup = min_support.to_absolute(cdb.num_tuples());
         let flist = cdb.flist(minsup);
         if flist.is_empty() {
             return;
         }
-        // RP-Mine is the readable specification and differential-testing
-        // partner of the unified engines, so it stays deliberately
-        // serial — the engines own the parallel fan-out.
-        let _ = par;
         let view = cdb.to_ranks(&flist);
         let mut ctx = Ctx {
             scratch: ScratchCounts::new(flist.len()),
@@ -300,22 +289,6 @@ fn mine_rec(
             }
         }
         emitter.pop();
-    }
-}
-
-impl RpMine {
-    /// Compatibility wrapper over [`RecyclingMiner::mine_par`]. RP-Mine
-    /// itself runs serially regardless of `threads` (it is the readable
-    /// specification the parallel engines are differential-tested
-    /// against), so the result is trivially identical to the serial run.
-    pub fn mine_parallel(
-        &self,
-        cdb: &CompressedDb,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> PatternSet {
-        assert!(threads >= 1, "at least one thread");
-        self.mine_par(cdb, min_support, Parallelism::threads(threads))
     }
 }
 

@@ -14,7 +14,7 @@
 //! * **otherwise** → no stored set can contain the answer; *recycle* the
 //!   richest one ([`PatternStore::best_for`], the paper's §5 rule):
 //!   compress the database with it and mine the compressed database with
-//!   the configured recycling miner.
+//!   the configured [`Family`].
 //!
 //! Fleets of simultaneous queries go through [`MiningSession::run_batch`]
 //! (one shared coalesced pass, see [`crate::batch`]); the shared ξ_min
@@ -27,13 +27,11 @@
 
 use crate::batch::{BatchOutcome, BatchQuery, QueryBatch};
 use crate::compress::{CompressionStats, Compressor};
-use crate::engine::engine_named;
 use crate::store::PatternStore;
 use crate::utility::Strategy;
-use crate::RecyclingMiner;
 use gogreen_constraints::{ConstraintSet, ItemAttributes, Relation};
 use gogreen_data::{PatternSet, TransactionDb};
-use gogreen_miners::Miner;
+use gogreen_miners::{Family, Miner};
 use gogreen_obs::{metrics, snapshot, span};
 use gogreen_util::pool::Parallelism;
 use std::time::Duration;
@@ -42,59 +40,11 @@ use std::time::Duration;
 /// database, one dataset entry.
 const SESSION_DATASET: &str = "session";
 
-/// Which algorithm family the session uses for fresh and recycled mining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// H-Mine / Recycle-HM (the paper's primary pair).
-    #[default]
-    HMine,
-    /// FP-growth / FP-recycle.
-    FpTree,
-    /// Tree Projection / TP-recycle.
-    TreeProjection,
-    /// Vertical bitmap Eclat / VT-recycle.
-    Eclat,
-    /// Naive projected-database miner / RP-Mine.
-    Naive,
-}
-
-impl Engine {
-    /// The registry key of this family (see [`crate::engine`]).
-    pub fn key(self) -> &'static str {
-        match self {
-            Engine::HMine => "hmine",
-            Engine::FpTree => "fp",
-            Engine::TreeProjection => "tp",
-            Engine::Eclat => "vt",
-            Engine::Naive => "naive",
-        }
-    }
-
-    /// Resolves a registry key or alias (`"hmine"`, `"hm"`, `"fp"`, …)
-    /// to a session engine. `None` for unknown names and for families
-    /// without a recycling pair (Apriori).
-    pub fn from_key(name: &str) -> Option<Engine> {
-        match engine_named(name)?.key() {
-            "hmine" => Some(Engine::HMine),
-            "fp" => Some(Engine::FpTree),
-            "tp" => Some(Engine::TreeProjection),
-            "vt" => Some(Engine::Eclat),
-            "naive" => Some(Engine::Naive),
-            _ => None,
-        }
-    }
-
-    fn fresh(self) -> Box<dyn Miner> {
-        engine_named(self.key()).expect("session engines are registered").raw()
-    }
-
-    fn recycling(self, par: Parallelism) -> Box<dyn RecyclingMiner> {
-        engine_named(self.key())
-            .expect("session engines are registered")
-            .recycling(par)
-            .expect("session engines have recycling pairs")
-    }
-}
+/// See `crate::RecyclingMiner`: the session's engine is a [`Family`];
+/// this alias keeps `Engine::from_key` compiling in the frozen
+/// `perfbench/` harness.
+#[doc(hidden)]
+pub type Engine = Family;
 
 /// How a round was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,7 +119,7 @@ pub struct RoundReport {
 pub struct MiningSession {
     db: TransactionDb,
     attrs: ItemAttributes,
-    engine: Engine,
+    family: Family,
     strategy: Strategy,
     parallelism: Parallelism,
     /// Previous round: constraints, the *full* frequent set at that
@@ -192,7 +142,7 @@ impl MiningSession {
         MiningSession {
             db,
             attrs: ItemAttributes::new(),
-            engine: Engine::default(),
+            family: Family::Hm,
             strategy: Strategy::default(),
             parallelism: Parallelism::serial(),
             last: None,
@@ -201,9 +151,9 @@ impl MiningSession {
         }
     }
 
-    /// Selects the algorithm family.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+    /// Selects the algorithm family for fresh and recycled rounds.
+    pub fn with_engine(mut self, family: Family) -> Self {
+        self.family = family;
         self
     }
 
@@ -298,15 +248,10 @@ impl MiningSession {
             let (cdb, stats) = Compressor::new(self.strategy)
                 .with_parallelism(self.parallelism)
                 .compress_with_stats(&self.db, &fodder);
-            let full = self.engine.recycling(self.parallelism).mine_par(
-                &cdb,
-                constraints.min_support(),
-                self.parallelism,
-            );
+            let full = self.family.mine_par(&cdb, constraints.min_support(), self.parallelism);
             (RunMode::Recycled, full, Some(stats), Some(fodder.len()))
         } else {
-            let full =
-                self.engine.fresh().mine_par(&self.db, constraints.min_support(), self.parallelism);
+            let full = self.family.mine_par(&self.db, constraints.min_support(), self.parallelism);
             (RunMode::Fresh, full, None, None)
         };
         let answer = if constraints.others().is_empty() {
@@ -350,7 +295,7 @@ impl MiningSession {
         for q in queries {
             batch.push(q);
         }
-        batch.run_with_store(&self.db, self.engine.key(), &self.store, SESSION_DATASET)
+        batch.run_with_store(&self.db, self.family, &self.store, SESSION_DATASET)
     }
 
     /// Forgets all previous rounds (the next run mines fresh).
@@ -404,13 +349,11 @@ mod tests {
     fn all_engines_agree_across_a_session() {
         let db = TransactionDb::paper_example();
         let oracle2 = mine_apriori(&db, MinSupport::Absolute(2));
-        for engine in
-            [Engine::HMine, Engine::FpTree, Engine::TreeProjection, Engine::Eclat, Engine::Naive]
-        {
-            let mut s = MiningSession::new(db.clone()).with_engine(engine);
+        for family in Family::ALL {
+            let mut s = MiningSession::new(db.clone()).with_engine(family);
             s.run(cs(4));
             let relaxed = s.run(cs(2));
-            assert!(relaxed.same_patterns_as(&oracle2), "{engine:?}");
+            assert!(relaxed.same_patterns_as(&oracle2), "{family:?}");
         }
     }
 
@@ -497,16 +440,16 @@ mod tests {
     #[test]
     fn threaded_session_matches_serial() {
         let db = TransactionDb::paper_example();
-        for engine in [Engine::HMine, Engine::FpTree, Engine::Eclat, Engine::Naive] {
-            let mut serial = MiningSession::new(db.clone()).with_engine(engine);
-            let mut threaded = MiningSession::new(db.clone()).with_engine(engine).with_threads(4);
+        for family in Family::ALL {
+            let mut serial = MiningSession::new(db.clone()).with_engine(family);
+            let mut threaded = MiningSession::new(db.clone()).with_engine(family).with_threads(4);
             serial.run(cs(3));
             threaded.run(cs(3));
             let (a, ra) = serial.run_with_report(cs(2));
             let (b, rb) = threaded.run_with_report(cs(2));
             assert_eq!(ra.mode, RunMode::Recycled);
             assert_eq!(rb.mode, RunMode::Recycled);
-            assert!(a.same_patterns_as(&b), "{engine:?}");
+            assert!(a.same_patterns_as(&b), "{family:?}");
         }
     }
 

@@ -15,11 +15,9 @@
 //! `repro ablation` extension experiment).
 
 use crate::compress::{CompressionStats, Compressor};
-use crate::recycle_hm::RecycleHm;
 use crate::utility::Strategy;
-use crate::RecyclingMiner;
 use gogreen_data::{CollectSink, MinSupport, PatternSet, PatternSink, TransactionDb};
-use gogreen_miners::{mine_hmine, Miner};
+use gogreen_miners::{Family, Miner};
 use std::time::Duration;
 
 /// Phase timings of a two-step run.
@@ -50,11 +48,11 @@ impl TwoStepReport {
 /// ```
 /// use gogreen_core::twostep::TwoStepMiner;
 /// use gogreen_data::{MinSupport, TransactionDb};
-/// use gogreen_miners::mine_hmine;
+/// use gogreen_miners::{Family, Miner};
 ///
 /// let db = TransactionDb::paper_example();
 /// let (patterns, report) = TwoStepMiner::new().mine(&db, MinSupport::Absolute(2));
-/// assert!(patterns.same_patterns_as(&mine_hmine(&db, MinSupport::Absolute(2))));
+/// assert!(patterns.same_patterns_as(&Family::Hm.mine(&db, MinSupport::Absolute(2))));
 /// assert!(report.intermediate.to_absolute(db.len()) > 2);
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -111,11 +109,11 @@ impl TwoStepMiner {
     ) -> TwoStepReport {
         let intermediate = self.intermediate_for(target, db.len());
         let start = std::time::Instant::now();
-        let bootstrap = mine_hmine(db, intermediate);
+        let bootstrap = Family::Hm.mine(db, intermediate);
         let bootstrap_time = start.elapsed();
         let (cdb, compression) = Compressor::new(self.strategy).compress_with_stats(db, &bootstrap);
         let start = std::time::Instant::now();
-        RecycleHm.mine_into(&cdb, target, sink);
+        Family::Hm.mine_into(&cdb, target, sink);
         let mining_time = start.elapsed();
         TwoStepReport {
             intermediate,
@@ -137,7 +135,7 @@ impl TwoStepMiner {
     /// target).
     pub fn single_step(db: &TransactionDb, target: MinSupport) -> (PatternSet, Duration) {
         let start = std::time::Instant::now();
-        let fp = gogreen_miners::HMine.mine(db, target);
+        let fp = Family::Hm.mine(db, target);
         (fp, start.elapsed())
     }
 }

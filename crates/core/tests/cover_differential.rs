@@ -7,11 +7,10 @@
 //! in-repo PRNG; the case index in a failure message replays the input.
 
 use gogreen_core::compress::Compressor;
-use gogreen_core::recycle_fp::RecycleFp;
 use gogreen_core::utility::Strategy;
-use gogreen_core::RecyclingMiner;
 use gogreen_data::{MinSupport, Transaction, TransactionDb};
-use gogreen_miners::mine_apriori;
+use gogreen_miners::{mine_apriori, Family, Miner};
+use gogreen_util::pool::Parallelism;
 use gogreen_util::rng::{Rng, SmallRng};
 use std::collections::BTreeSet;
 
@@ -79,8 +78,8 @@ fn recycled_output_of_indexed_cover_mines_exactly() {
         let strategy = if rng.gen_bool(0.5) { Strategy::Mlp } else { Strategy::Mcp };
         let fp_old = mine_apriori(&db, MinSupport::Absolute(xi_old));
         let cdb = Compressor::new(strategy).with_threads(threads).compress(&db, &fp_old);
-        let got =
-            RecycleFp::default().with_threads(threads).mine(&cdb, MinSupport::Absolute(xi_new));
+        let par = Parallelism::threads(threads);
+        let got = Family::Fp.mine_par(&cdb, MinSupport::Absolute(xi_new), par);
         let want = mine_apriori(&db, MinSupport::Absolute(xi_new));
         assert!(
             got.same_patterns_as(&want),

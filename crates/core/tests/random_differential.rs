@@ -8,14 +8,11 @@
 //! replays the exact input.
 
 use gogreen_core::compress::Compressor;
-use gogreen_core::recycle_fp::RecycleFp;
-use gogreen_core::recycle_hm::RecycleHm;
-use gogreen_core::recycle_tp::RecycleTp;
 use gogreen_core::rpmine::RpMine;
 use gogreen_core::utility::Strategy;
-use gogreen_core::RecyclingMiner;
 use gogreen_data::{MinSupport, Transaction, TransactionDb};
-use gogreen_miners::mine_apriori;
+use gogreen_miners::{mine_apriori, Family, Miner};
+use gogreen_util::pool::Parallelism;
 use gogreen_util::rng::{Rng, SmallRng};
 use std::collections::BTreeSet;
 
@@ -71,17 +68,17 @@ fn rpmine_is_exact() {
 
 #[test]
 fn recycle_hm_is_exact() {
-    check_exact("recycle_hm", 0x48e1_0000, |cdb, ms| RecycleHm.mine(cdb, ms));
+    check_exact("recycle_hm", 0x48e1_0000, |cdb, ms| Family::Hm.mine(cdb, ms));
 }
 
 #[test]
 fn recycle_fp_is_exact() {
-    check_exact("recycle_fp", 0x48f9_0000, |cdb, ms| RecycleFp::default().mine(cdb, ms));
+    check_exact("recycle_fp", 0x48f9_0000, |cdb, ms| Family::Fp.mine(cdb, ms));
 }
 
 #[test]
 fn recycle_tp_is_exact() {
-    check_exact("recycle_tp", 0x4879_0000, |cdb, ms| RecycleTp.mine(cdb, ms));
+    check_exact("recycle_tp", 0x4879_0000, |cdb, ms| Family::Tp.mine(cdb, ms));
 }
 
 #[test]
@@ -110,7 +107,8 @@ fn parallel_rpmine_is_exact() {
         let threads = 1 + rng.gen_index(4);
         let fp_old = mine_apriori(&db, MinSupport::Absolute(xi_old));
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-        let got = RpMine::default().mine_parallel(&cdb, MinSupport::Absolute(xi_new), threads);
+        let par = Parallelism::threads(threads);
+        let got = RpMine::default().mine_par(&cdb, MinSupport::Absolute(xi_new), par);
         let want = mine_apriori(&db, MinSupport::Absolute(xi_new));
         assert!(
             got.same_patterns_as(&want),

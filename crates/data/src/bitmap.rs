@@ -213,7 +213,7 @@ fn gallop_count(s: &[u32], l: &[u32]) -> u64 {
 /// Cardinality of the intersection of two sorted tid lists — the
 /// tid-list representation's candidate test. Linear merge for
 /// comparably sized inputs, galloping over the longer side when the
-/// ratio exceeds [`GALLOP_RATIO`].
+/// ratio exceeds `GALLOP_RATIO`.
 pub fn intersect_count(a: &[u32], b: &[u32]) -> u64 {
     let (s, l) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if s.is_empty() {

@@ -41,7 +41,7 @@
 //! the tail, and the last locally frequent rank of a node is emitted
 //! without building its child, which anti-monotonicity proves empty.
 //! Beyond that, the group-free substrate dispatches each first-level
-//! unit to a *classic* H-Mine fast path ([`RawUnit`]): the unit's
+//! unit to a *classic* H-Mine fast path (`RawUnit`): the unit's
 //! suffixes are compacted into a private arena threaded by intrusive
 //! hyperlinks — one reusable link per entry, the original algorithm's
 //! trick — so queue hops write a single index and no per-node structures
@@ -51,8 +51,13 @@
 //! database, and keeps the degenerate instantiation at parity with a
 //! hand-written H-Mine.
 
-use crate::common::{fan_out_ordered, for_each_subset, RankEmitter, ScratchCounts};
-use gogreen_data::{FList, GroupedSource, Item, NoPrune, PatternSink, SearchPrune};
+use crate::common::{
+    encode_db_pruned, fan_out_ordered, for_each_subset, RankEmitter, ScratchCounts,
+};
+use gogreen_data::{
+    FList, GroupedSource, Item, MinSupport, NoPrune, PatternSink, PlainRanks, SearchPrune,
+    TransactionDb,
+};
 use gogreen_obs::{histogram, metrics};
 use gogreen_util::pool::Parallelism;
 
@@ -524,6 +529,27 @@ pub fn mine_source_pruned<S: GroupedSource, P: SearchPrune + ?Sized>(
         emitter.push_item(it);
     }
     mine_node(node, &mut ctx, prune, &mut emitter, sink);
+}
+
+/// Serial constrained H-Mine on a plain database: items the pushed
+/// predicates disallow are stripped before encoding, and `prune` checks
+/// the rest inside the search ([`mine_source_pruned`]).
+pub fn mine_db_pruned<P: SearchPrune + ?Sized>(
+    db: &TransactionDb,
+    min_support: MinSupport,
+    prune: &P,
+    sink: &mut dyn PatternSink,
+) {
+    let minsup = min_support.to_absolute(db.len());
+    let flist = FList::from_db(db, minsup);
+    if flist.is_empty() {
+        return;
+    }
+    let allowed: Vec<bool> =
+        (0..flist.len() as u32).map(|r| prune.item_allowed(flist.item(r))).collect();
+    let tuples = encode_db_pruned(db, &flist, &allowed);
+    let src = PlainRanks::from_csr(&tuples, flist.len());
+    mine_source_pruned(&src, &flist, &[], minsup, prune, sink);
 }
 
 /// Builds the root node's group views and plain member list over `s`.

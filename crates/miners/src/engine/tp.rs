@@ -16,7 +16,7 @@
 //!   containing it move, carrying the residual pattern.
 //!
 //! A node's member lists live in one flat CSR slab per search depth
-//! ([`ProjectionArena`]): a [`TpGroup`] is a row *range* of that slab
+//! ([`ProjectionArena`]): a `TpGroup` is a row *range* of that slab
 //! plus its residual pattern, and projection writes the child's rows
 //! into the next depth's arena — `reset()` between siblings — so
 //! steady-state descent performs no allocation and a node's counting

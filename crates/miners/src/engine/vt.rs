@@ -287,23 +287,11 @@ fn choose_repr(forced: VtRepr, parent: Repr, sup_a: u64, kc: u64, sum: u64, widt
     }
 }
 
-/// Mines `src` against `flist` at the absolute threshold `minsup` in
-/// the default [`VtRepr::Auto`] mode. See [`mine_source_par_repr`].
-pub fn mine_source_par<S: GroupedSource>(
-    src: &S,
-    flist: &FList,
-    minsup: u64,
-    par: Parallelism,
-    sink: &mut dyn PatternSink,
-) {
-    mine_source_par_repr(src, flist, minsup, par, VtRepr::Auto, sink);
-}
-
 /// Mines `src` against `flist` at the absolute threshold `minsup` under
 /// representation mode `repr`, the root extensions fanned out over
 /// `par` scoped threads. The emitted stream is byte-identical for any
 /// thread count and any `repr`.
-pub fn mine_source_par_repr<S: GroupedSource>(
+pub fn mine_source_par<S: GroupedSource>(
     src: &S,
     flist: &FList,
     minsup: u64,

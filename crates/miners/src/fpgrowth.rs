@@ -8,24 +8,16 @@
 //! path short-circuits into subset enumeration — the structural ancestor
 //! of the paper's Lemma 3.1.
 //!
-//! [`FpTree`] is public: the conditional-group engine
-//! ([`crate::engine::fp`]) uses it both as the per-group outlier store of
-//! a compressed database and, through the degenerate
-//! [`gogreen_data::PlainRanks`] substrate this type instantiates it with,
-//! as the classic global FP-tree.
+//! This module holds the [`FpTree`]; the search is
+//! [`Family::Fp`](crate::Family::Fp). The conditional-group engine
+//! ([`crate::engine::fp`]) uses the tree both as the per-group outlier
+//! store of a compressed database and, on the degenerate
+//! [`gogreen_data::PlainRanks`] substrate, as the classic global FP-tree.
 
-use crate::common::encode_db;
-use crate::Miner;
-use gogreen_data::{FList, MinSupport, PatternSink, PlainRanks, TransactionDb};
 use gogreen_obs::metrics;
-use gogreen_util::pool::Parallelism;
 
 /// Arena/link sentinel shared by all FP-tree fields.
 pub const FP_NIL: u32 = u32::MAX;
-
-/// The FP-growth algorithm.
-#[derive(Debug, Default, Clone)]
-pub struct FpGrowth;
 
 /// One header-table row of an [`FpTree`].
 #[derive(Debug, Clone, Copy)]
@@ -231,54 +223,22 @@ impl FpTreeBuilder {
     }
 }
 
-impl Miner for FpGrowth {
-    fn name(&self) -> &'static str {
-        "FP-growth"
-    }
-
-    fn mine_into(&self, db: &TransactionDb, min_support: MinSupport, sink: &mut dyn PatternSink) {
-        self.mine_into_par(db, min_support, Parallelism::serial(), sink);
-    }
-
-    fn mine_into_par(
-        &self,
-        db: &TransactionDb,
-        min_support: MinSupport,
-        par: Parallelism,
-        sink: &mut dyn PatternSink,
-    ) {
-        let minsup = min_support.to_absolute(db.len());
-        let flist = FList::from_db(db, minsup);
-        if flist.is_empty() {
-            return;
-        }
-        let tuples = encode_db(db, &flist);
-        let src = PlainRanks::from_csr(&tuples, flist.len());
-        crate::engine::fp::mine_source_par(&src, &flist, minsup, par, sink);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mine_apriori;
-    use gogreen_data::Item;
+    use crate::{cases, mine_apriori, Family, Miner};
+    use gogreen_data::{Item, MinSupport, TransactionDb};
 
     #[test]
     fn matches_oracle_on_paper_example_all_thresholds() {
-        let db = TransactionDb::paper_example();
-        for minsup in 1..=5 {
-            let fp = FpGrowth.mine(&db, MinSupport::Absolute(minsup));
-            let oracle = mine_apriori(&db, MinSupport::Absolute(minsup));
-            assert!(fp.same_patterns_as(&oracle), "minsup={minsup}");
-        }
+        cases::paper_example_all_thresholds(Family::Fp);
     }
 
     #[test]
     fn single_path_shortcut_is_exact() {
         // Identical tuples build a single-path tree at the root.
         let db = TransactionDb::from_rows(&[&[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3, 4]]);
-        let fp = FpGrowth.mine(&db, MinSupport::Absolute(2));
+        let fp = Family::Fp.mine(&db, MinSupport::Absolute(2));
         assert_eq!(fp.len(), 15);
         assert_eq!(fp.support_of(&[Item(1), Item(2), Item(3), Item(4)]), Some(3));
     }
@@ -288,7 +248,7 @@ mod tests {
         // Path counts decrease down the tree: subset supports must take
         // the minimum along the chosen elements.
         let db = TransactionDb::from_rows(&[&[1, 2, 3], &[1, 2, 3], &[1, 2], &[1]]);
-        let fp = FpGrowth.mine(&db, MinSupport::Absolute(1));
+        let fp = Family::Fp.mine(&db, MinSupport::Absolute(1));
         assert_eq!(fp.support_of(&[Item(1)]), Some(4));
         assert_eq!(fp.support_of(&[Item(1), Item(2)]), Some(3));
         assert_eq!(fp.support_of(&[Item(1), Item(2), Item(3)]), Some(2));
@@ -309,16 +269,12 @@ mod tests {
             &[1, 2, 3, 5],
             &[1, 2, 3],
         ]);
-        for minsup in 1..=5 {
-            let fp = FpGrowth.mine(&db, MinSupport::Absolute(minsup));
-            let oracle = mine_apriori(&db, MinSupport::Absolute(minsup));
-            assert!(fp.same_patterns_as(&oracle), "minsup={minsup}");
-        }
+        cases::assert_matches_oracle(Family::Fp, &db, 1..=5);
     }
 
     #[test]
     fn empty_db() {
-        assert!(FpGrowth.mine(&TransactionDb::new(), MinSupport::Absolute(1)).is_empty());
+        assert!(Family::Fp.mine(&TransactionDb::new(), MinSupport::Absolute(1)).is_empty());
     }
 
     #[test]

@@ -7,54 +7,19 @@
 //! extensions in one pass — producing every child node's extension set
 //! (two levels of the tree from one counting pass).
 //!
-//! The traversal lives in [`crate::engine::tp`], shared with the
-//! recycling Tree Projection in `gogreen-core`; this type instantiates it
-//! on the degenerate [`gogreen_data::PlainRanks`] substrate, where every
-//! transaction sits in the single pattern-free partition and the search
-//! is the classic depth-first algorithm. [`PairMatrix`] stays public
-//! here: it is the node counting structure both substrates share.
+//! The traversal is [`Family::Tp`](crate::Family::Tp), in
+//! [`crate::engine::tp`]; on the degenerate
+//! [`gogreen_data::PlainRanks`] substrate every transaction sits in the
+//! single pattern-free partition and the search is the classic
+//! depth-first algorithm. This module holds [`PairMatrix`], the node
+//! counting structure both substrates share.
 
-use crate::common::encode_db;
-use crate::Miner;
-use gogreen_data::{FList, MinSupport, PatternSink, PlainRanks, TransactionDb};
-use gogreen_util::pool::Parallelism;
 use gogreen_util::FxHashMap;
 
 /// Above this many extensions the pair matrix switches from a dense
 /// triangular array to a hash map (the dense form would need
 /// `k·(k−1)/2` counters).
 const DENSE_LIMIT: usize = 3000;
-
-/// The depth-first Tree Projection algorithm.
-#[derive(Debug, Default, Clone)]
-pub struct TreeProjection;
-
-impl Miner for TreeProjection {
-    fn name(&self) -> &'static str {
-        "TreeProjection"
-    }
-
-    fn mine_into(&self, db: &TransactionDb, min_support: MinSupport, sink: &mut dyn PatternSink) {
-        self.mine_into_par(db, min_support, Parallelism::serial(), sink);
-    }
-
-    fn mine_into_par(
-        &self,
-        db: &TransactionDb,
-        min_support: MinSupport,
-        par: Parallelism,
-        sink: &mut dyn PatternSink,
-    ) {
-        let minsup = min_support.to_absolute(db.len());
-        let flist = FList::from_db(db, minsup);
-        if flist.is_empty() {
-            return;
-        }
-        let tuples = encode_db(db, &flist);
-        let src = PlainRanks::from_csr(&tuples, flist.len());
-        crate::engine::tp::mine_source_par(&src, &flist, minsup, par, sink);
-    }
-}
 
 /// The pair-support matrix of one lexicographic-tree node: counts the
 /// support of every extension pair `(a, b)`, `a < b`, in one pass.
@@ -123,8 +88,8 @@ impl PairMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mine_apriori;
-    use gogreen_data::Item;
+    use crate::{cases, mine_apriori, Family, Miner};
+    use gogreen_data::{Item, MinSupport, TransactionDb};
 
     #[test]
     fn dense_index_is_a_bijection() {
@@ -156,19 +121,14 @@ mod tests {
 
     #[test]
     fn matches_oracle_on_paper_example_all_thresholds() {
-        let db = TransactionDb::paper_example();
-        for minsup in 1..=5 {
-            let tp = TreeProjection.mine(&db, MinSupport::Absolute(minsup));
-            let oracle = mine_apriori(&db, MinSupport::Absolute(minsup));
-            assert!(tp.same_patterns_as(&oracle), "minsup={minsup}");
-        }
+        cases::paper_example_all_thresholds(Family::Tp);
     }
 
     #[test]
     fn pairs_below_support_prune_children() {
         // 1 and 2 are each frequent but never co-occur.
         let db = TransactionDb::from_rows(&[&[1, 3], &[2, 3], &[1, 3], &[2, 3]]);
-        let fp = TreeProjection.mine(&db, MinSupport::Absolute(2));
+        let fp = Family::Tp.mine(&db, MinSupport::Absolute(2));
         assert_eq!(fp.support_of(&[Item(1), Item(2)]), None);
         assert_eq!(fp.support_of(&[Item(1), Item(3)]), Some(2));
         let oracle = mine_apriori(&db, MinSupport::Absolute(2));
@@ -177,9 +137,6 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        assert!(TreeProjection.mine(&TransactionDb::new(), MinSupport::Absolute(1)).is_empty());
-        let db = TransactionDb::from_rows(&[&[9]]);
-        let fp = TreeProjection.mine(&db, MinSupport::Absolute(1));
-        assert_eq!(fp.len(), 1);
+        cases::empty_and_singleton(Family::Tp);
     }
 }

@@ -4,9 +4,8 @@
 //! Cases come from a seeded in-repo PRNG for deterministic replay.
 
 use gogreen_data::{MinSupport, Transaction, TransactionDb};
-use gogreen_miners::{
-    mine_apriori, mine_eclat, mine_fpgrowth, mine_hmine, mine_treeproj, Miner, NaiveProjection,
-};
+use gogreen_miners::engine::vt::VtRepr;
+use gogreen_miners::{mine_apriori, Family, Miner, NaiveProjection};
 use gogreen_util::rng::{Rng, SmallRng};
 use std::collections::BTreeSet;
 
@@ -25,17 +24,13 @@ fn random_db(rng: &mut SmallRng) -> TransactionDb {
     TransactionDb::from_transactions(txs)
 }
 
-fn check_against_oracle(
-    name: &str,
-    seed_base: u64,
-    mine: impl Fn(&TransactionDb, MinSupport) -> gogreen_data::PatternSet,
-) {
+fn check_against_oracle(name: &str, seed_base: u64, miner: &dyn Miner) {
     for case in 0..64u64 {
         let mut rng = SmallRng::seed_from_u64(seed_base + case);
         let db = random_db(&mut rng);
         let minsup = 1 + rng.gen_below(7);
         let want = mine_apriori(&db, MinSupport::Absolute(minsup));
-        let got = mine(&db, MinSupport::Absolute(minsup));
+        let got = miner.mine(&db, MinSupport::Absolute(minsup));
         assert!(
             got.same_patterns_as(&want),
             "{name} case {case}: got {} want {}",
@@ -47,27 +42,27 @@ fn check_against_oracle(
 
 #[test]
 fn hmine_matches_oracle() {
-    check_against_oracle("hmine", 0x6a3e_0001, mine_hmine);
+    check_against_oracle("hmine", 0x6a3e_0001, &Family::Hm);
 }
 
 #[test]
 fn fpgrowth_matches_oracle() {
-    check_against_oracle("fpgrowth", 0x6a3e_0002, mine_fpgrowth);
+    check_against_oracle("fpgrowth", 0x6a3e_0002, &Family::Fp);
 }
 
 #[test]
 fn treeproj_matches_oracle() {
-    check_against_oracle("treeproj", 0x6a3e_0003, mine_treeproj);
+    check_against_oracle("treeproj", 0x6a3e_0003, &Family::Tp);
 }
 
 #[test]
 fn naive_matches_oracle() {
-    check_against_oracle("naive", 0x6a3e_0004, |db, ms| NaiveProjection.mine(db, ms));
+    check_against_oracle("naive", 0x6a3e_0004, &NaiveProjection);
 }
 
 #[test]
 fn eclat_matches_oracle() {
-    check_against_oracle("eclat", 0x6a3e_0005, mine_eclat);
+    check_against_oracle("eclat", 0x6a3e_0005, &Family::Vt(VtRepr::Auto));
 }
 
 /// Anti-monotonicity of the output itself: every subset-closed property
@@ -78,7 +73,7 @@ fn output_is_subset_closed() {
         let mut rng = SmallRng::seed_from_u64(0x5b5e_7c10 + case);
         let db = random_db(&mut rng);
         let minsup = 1 + rng.gen_below(5);
-        let got = mine_fpgrowth(&db, MinSupport::Absolute(minsup));
+        let got = Family::Fp.mine(&db, MinSupport::Absolute(minsup));
         for p in got.iter() {
             if p.len() >= 2 {
                 // Dropping any one item keeps it frequent with >= support.
@@ -104,8 +99,8 @@ fn relative_threshold_equivalence() {
         let pct = 1 + rng.gen_below(99);
         let rel = MinSupport::Relative(pct as f64 / 100.0);
         let abs = MinSupport::Absolute(rel.to_absolute(db.len()));
-        let a = mine_hmine(&db, rel);
-        let b = mine_hmine(&db, abs);
+        let a = Family::Hm.mine(&db, rel);
+        let b = Family::Hm.mine(&db, abs);
         assert!(a.same_patterns_as(&b), "case {case} pct={pct}");
     }
 }

@@ -20,7 +20,7 @@
 //!   installed (the default), every update is one thread-local load and
 //!   a branch.
 //! * [`metrics`] — named counters and max-gauges.
-//! * [`span`] — hierarchical wall-time spans (enter/exit, phase name,
+//! * [`mod@span`] — hierarchical wall-time spans (enter/exit, phase name,
 //!   `key=value` fields, parent links) emitted as JSON lines to the
 //!   recorder's trace writer. When it has none, entering a span reads
 //!   no clock and allocates nothing.

@@ -1,6 +1,6 @@
 //! In-process self-time profiles aggregated from the span stream.
 //!
-//! Raw span JSONL (see [`crate::span`]) is complete but post-hoc: you
+//! Raw span JSONL (see [`mod@crate::span`]) is complete but post-hoc: you
 //! need a second tool to learn *where time went*. When the installed
 //! [`crate::Recorder`] profiles, every span additionally folds into its
 //! [`Profile`] tree keyed by its **stack path** — the `;`-joined names

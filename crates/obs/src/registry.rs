@@ -20,7 +20,7 @@ pub enum DefKind {
     Max,
     /// A log₂-bucketed distribution ([`crate::histogram::observe`]).
     Hist,
-    /// A trace/profile span name ([`crate::span`]).
+    /// A trace/profile span name ([`mod@crate::span`]).
     Span,
 }
 

@@ -102,6 +102,13 @@ impl<'a> ByteReader<'a> {
         self.pos < self.data.len()
     }
 
+    /// A `Vec` for `n` records of at least `min_bytes` each, reserving
+    /// no more than the unread input could hold: a hostile count fails
+    /// on the first missing record, not in the allocator.
+    pub(crate) fn vec_for<T>(&self, n: usize, min_bytes: usize) -> Vec<T> {
+        Vec::with_capacity(n.min((self.data.len() - self.pos) / min_bytes))
+    }
+
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.data.len() - self.pos < n {
             return Err(DecodeError::Truncated { offset: self.pos, needed: n });

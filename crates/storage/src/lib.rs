@@ -39,7 +39,7 @@ pub mod version;
 pub use budget::MemoryBudget;
 pub use codec::SpillRecord;
 pub use limited::{LimitedHMine, LimitedRecycleHm, LimitedReport};
-pub use ooc::{OocEngine, OocMiner, SegmentedIncrementalMiner};
+pub use ooc::{OocMiner, SegmentedIncrementalMiner};
 pub use segment::{compact, CompactReport, SegmentWriter, SegmentedDb};
 pub use spill::SpillManager;
 pub use version::VersionStore;

@@ -17,12 +17,13 @@ use crate::codec::SpillRecord;
 use crate::spill::SpillManager;
 use gogreen_core::cdb::{CompressedDb, CompressedRankDb};
 use gogreen_core::memory::{estimate_hmine_bytes, estimate_rp_struct_bytes};
-use gogreen_core::recycle_hm::RecycleHm;
 use gogreen_data::{
-    CollectSink, CsrTuples, FList, Item, MinSupport, PatternSet, PatternSink, TransactionDb,
+    CollectSink, CsrTuples, FList, Item, MinSupport, PatternSet, PatternSink, PlainRanks,
+    TransactionDb,
 };
-use gogreen_miners::HMine;
+use gogreen_miners::engine::hm;
 use gogreen_obs::metrics;
+use gogreen_util::pool::Parallelism;
 use gogreen_util::FxHashMap;
 
 /// I/O metrics of one memory-limited run.
@@ -75,7 +76,8 @@ impl LimitedHMine {
         let est = estimate_hmine_bytes(occurrences, tuples.len());
         metrics::set_max("storage.budget_high_water", est as u64);
         if self.budget.fits(est) {
-            HMine.mine_encoded(tuples.as_slices(), &flist, &[], minsup, sink);
+            let src = PlainRanks::new(tuples.as_slices(), flist.len());
+            hm::mine_source_par(&src, &flist, &[], minsup, Parallelism::serial(), sink);
             return Ok(report);
         }
         // Parallel projection of the root (paper §3.3).
@@ -137,7 +139,8 @@ impl LimitedHMine {
                 }
             })?;
             report.loads += 1;
-            HMine.mine_encoded(tuples.as_slices(), flist, prefix, minsup, sink);
+            let src = PlainRanks::new(tuples.as_slices(), flist.len());
+            hm::mine_source_par(&src, flist, prefix, minsup, Parallelism::serial(), sink);
             return Ok(());
         }
         // Too big: respill one level deeper.
@@ -224,7 +227,7 @@ impl LimitedRecycleHm {
         let est = estimate_rp_struct_bytes(&rdb);
         metrics::set_max("storage.budget_high_water", est as u64);
         if self.budget.fits(est) {
-            RecycleHm.mine_rank_db(&rdb, &flist, &[], minsup, sink);
+            hm::mine_source_par(&rdb, &flist, &[], minsup, Parallelism::serial(), sink);
             return Ok(report);
         }
         report.spills += 1;
@@ -293,7 +296,7 @@ impl LimitedRecycleHm {
                 }
             })?;
             report.loads += 1;
-            RecycleHm.mine_rank_db(&rdb, flist, prefix, minsup, sink);
+            hm::mine_source_par(&rdb, flist, prefix, minsup, Parallelism::serial(), sink);
             return Ok(());
         }
         report.spills += 1;

@@ -1,6 +1,6 @@
 //! Out-of-core mining drivers over the segmented store.
 //!
-//! [`OocMiner`] runs the raw (non-recycling) engine family over a
+//! [`OocMiner`] runs a raw (non-recycling) engine [`Family`] over a
 //! [`SegmentedDb`] without ever holding the raw database in memory: the
 //! F-list comes from the summed per-segment sidecars, and the one full
 //! pass per segment rank-encodes each segment's rows — loaded one at a
@@ -31,65 +31,34 @@ use crate::budget::MemoryBudget;
 use crate::segment::{SegmentWriter, SegmentedDb};
 use crate::version::VersionStore;
 use gogreen_core::cdb::CompressedDb;
-use gogreen_core::recycle_hm::RecycleHm;
 use gogreen_core::store::PatternStore;
-use gogreen_core::{CompressionStats, Compressor, RecyclingMiner, Strategy};
+use gogreen_core::{CompressionStats, Compressor, Strategy};
 use gogreen_data::{
     CollectSink, CsrTuples, FList, MinSupport, PatternSet, PatternSink, PlainRanks,
 };
-use gogreen_miners::engine::vt::VtRepr;
-use gogreen_miners::engine::{fp, hm, tp, vt};
+use gogreen_miners::{Family, Miner};
 use gogreen_util::pool::Parallelism;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Which unified mining engine an [`OocMiner`] run drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OocEngine {
-    /// H-Mine hyper-structure traversal (the default).
-    #[default]
-    HMine,
-    /// FP-Growth conditional trees.
-    FpGrowth,
-    /// Tree Projection lexicographic matrices.
-    TreeProjection,
-    /// Vertical Eclat with density-adaptive representations.
-    Eclat(VtRepr),
-}
-
-impl OocEngine {
-    /// Parses a CLI engine key, accepting the same spellings as the
-    /// in-memory `--algo` registry (`hmine`/`hm`, `fp`, `tp`,
-    /// `vt`/`eclat`).
-    pub fn from_key(key: &str) -> Option<Self> {
-        match key {
-            "hmine" | "hm" => Some(OocEngine::HMine),
-            "fp" => Some(OocEngine::FpGrowth),
-            "tp" => Some(OocEngine::TreeProjection),
-            "vt" | "eclat" => Some(OocEngine::Eclat(VtRepr::Auto)),
-            _ => None,
-        }
-    }
-}
-
 /// Raw out-of-core mining over a segmented store.
 #[derive(Debug)]
 pub struct OocMiner<'a> {
     db: &'a SegmentedDb,
-    engine: OocEngine,
+    family: Family,
     parallelism: Parallelism,
 }
 
 impl<'a> OocMiner<'a> {
     /// A miner over `db` using H-Mine, single-threaded.
     pub fn new(db: &'a SegmentedDb) -> Self {
-        OocMiner { db, engine: OocEngine::default(), parallelism: Parallelism::serial() }
+        OocMiner { db, family: Family::Hm, parallelism: Parallelism::serial() }
     }
 
-    /// Selects the engine.
-    pub fn with_engine(mut self, engine: OocEngine) -> Self {
-        self.engine = engine;
+    /// Selects the engine family.
+    pub fn with_engine(mut self, family: Family) -> Self {
+        self.family = family;
         self
     }
 
@@ -123,15 +92,7 @@ impl<'a> OocMiner<'a> {
             Ok(())
         })?;
         let src = PlainRanks::new(tuples.as_slices(), flist.len());
-        let par = self.parallelism;
-        match self.engine {
-            OocEngine::HMine => hm::mine_source_par(&src, &flist, &[], minsup, par, sink),
-            OocEngine::FpGrowth => fp::mine_source_par(&src, &flist, minsup, par, sink),
-            OocEngine::TreeProjection => tp::mine_source_par(&src, &flist, minsup, par, sink),
-            OocEngine::Eclat(repr) => {
-                vt::mine_source_par_repr(&src, &flist, minsup, par, repr, sink)
-            }
-        }
+        self.family.mine_source(&src, &flist, minsup, self.parallelism, sink);
         Ok(())
     }
 
@@ -296,7 +257,7 @@ impl SegmentedIncrementalMiner {
                 CompressedDb::new(Vec::new(), plain, original_items)
             }
         };
-        let result = RecycleHm.mine_par(&cdb, min_support, self.parallelism);
+        let result = Family::Hm.mine_par(&cdb, min_support, self.parallelism);
         self.versions.push(&cdb)?;
         if let Some((store, dataset)) = &self.store {
             store.publish(dataset, min_support.to_absolute(db.total_rows()), result.clone());
@@ -310,7 +271,6 @@ impl SegmentedIncrementalMiner {
 mod tests {
     use super::*;
     use gogreen_data::TransactionDb;
-    use gogreen_miners::mine_hmine;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("gogreen-ooc-{tag}-{}", std::process::id()));
@@ -339,24 +299,19 @@ mod tests {
         let rows = synthetic_rows(300);
         fill(&dir, &rows, 256); // many segments
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let expected = mine_hmine(&TransactionDb::from_rows(&refs), MinSupport::Absolute(20));
+        let expected = Family::Hm.mine(&TransactionDb::from_rows(&refs), MinSupport::Absolute(20));
         let db = SegmentedDb::open(&dir).unwrap();
         assert!(db.num_segments() > 4);
-        for engine in [
-            OocEngine::HMine,
-            OocEngine::FpGrowth,
-            OocEngine::TreeProjection,
-            OocEngine::Eclat(VtRepr::Auto),
-        ] {
+        for family in Family::ALL {
             for threads in [1, 4] {
                 let got = OocMiner::new(&db)
-                    .with_engine(engine)
+                    .with_engine(family)
                     .with_parallelism(Parallelism::threads(threads))
                     .mine(MinSupport::Absolute(20))
                     .unwrap();
                 assert!(
                     got.same_patterns_as(&expected),
-                    "{engine:?} threads={threads} diverged from in-memory mining"
+                    "{family:?} threads={threads} diverged from in-memory mining"
                 );
             }
         }
@@ -376,7 +331,7 @@ mod tests {
         let db = db.with_budget(budget);
         let got = OocMiner::new(&db).mine(MinSupport::Absolute(30)).unwrap();
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let expected = mine_hmine(&TransactionDb::from_rows(&refs), MinSupport::Absolute(30));
+        let expected = Family::Hm.mine(&TransactionDb::from_rows(&refs), MinSupport::Absolute(30));
         assert!(got.same_patterns_as(&expected));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -388,7 +343,7 @@ mod tests {
         fill(&dir, &rows, 300);
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
         let mem_db = TransactionDb::from_rows(&refs);
-        let fp = mine_hmine(&mem_db, MinSupport::Absolute(25));
+        let fp = Family::Hm.mine(&mem_db, MinSupport::Absolute(25));
         let db = SegmentedDb::open(&dir).unwrap();
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             let expected = Compressor::new(strategy).compress(&mem_db, &fp);
@@ -416,7 +371,7 @@ mod tests {
         // And mining is exact: the recycled round equals a from-scratch run.
         let db = inc.db().unwrap();
         let flat = db.to_transaction_db().unwrap();
-        let expected = mine_hmine(&flat, MinSupport::Absolute(12));
+        let expected = Family::Hm.mine(&flat, MinSupport::Absolute(12));
         assert!(r2.same_patterns_as(&expected));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -442,7 +397,7 @@ mod tests {
         second.insert(rows.clone()).unwrap();
         let r = second.mine(MinSupport::Absolute(15)).unwrap();
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let expected = mine_hmine(&TransactionDb::from_rows(&refs), MinSupport::Absolute(15));
+        let expected = Family::Hm.mine(&TransactionDb::from_rows(&refs), MinSupport::Absolute(15));
         assert!(r.same_patterns_as(&expected));
         let cdb = second.current_version().unwrap();
         assert!(!cdb.groups().is_empty(), "seeded round should actually compress");

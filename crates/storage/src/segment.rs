@@ -100,7 +100,19 @@ fn read_header(path: &Path) -> io::Result<(SegmentMeta, u32)> {
         )));
     }
     let (rows, elems, sidecar_entries, crc) = (word(8), word(12), word(16), word(20));
-    let payload_bytes = (rows as usize + 1) * 4 + elems as usize * 4 + sidecar_entries as usize * 8;
+    let payload = (u64::from(rows) + 1) * 4 + u64::from(elems) * 4 + u64::from(sidecar_entries) * 8;
+    // The counts size later allocations: trust them only when they
+    // describe exactly this file.
+    let file_bytes = f.metadata()?.len();
+    let payload_bytes = match usize::try_from(payload) {
+        Ok(p) if HEADER_BYTES as u64 + payload == file_bytes => p,
+        _ => {
+            return Err(bad_data(format!(
+                "{}: header counts describe {payload} payload bytes, file has {file_bytes} in all",
+                path.display()
+            )))
+        }
+    };
     let meta = SegmentMeta { path: path.to_owned(), rows, elems, sidecar_entries, payload_bytes };
     Ok((meta, crc))
 }
@@ -474,6 +486,22 @@ mod tests {
             w.push_row(r).unwrap();
         }
         w.finish().unwrap()
+    }
+
+    #[test]
+    fn header_counts_must_match_the_file_length() {
+        let dir = temp_dir("hostile-header");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut header = MAGIC.to_vec();
+        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        for word in [u32::MAX, u32::MAX, u32::MAX, 0] {
+            header.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(header.len(), HEADER_BYTES);
+        std::fs::write(dir.join(segment_file_name(0)), &header).unwrap();
+        let err = SegmentedDb::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -102,6 +102,14 @@ fn put_group(buf: &mut Vec<u8>, g: &Group) {
     }
 }
 
+/// Smallest encodings: a group (empty pattern list, bare count, outlier
+/// count), a list (its length), an added group (position + group), and
+/// a plain op (tag + the shorter `Insert` body).
+const GROUP_MIN_BYTES: usize = 12;
+const LIST_MIN_BYTES: usize = 4;
+const ADDED_MIN_BYTES: usize = 4 + GROUP_MIN_BYTES;
+const OP_MIN_BYTES: usize = 1 + LIST_MIN_BYTES;
+
 fn get_group(r: &mut ByteReader<'_>) -> Result<Group, DecodeError> {
     let pattern = ids_to_items(&get_list(r)?);
     let bare = r.get_u32_le()?;
@@ -137,7 +145,7 @@ fn encode_full(cdb: &CompressedDb) -> Vec<u8> {
 fn decode_full(r: &mut ByteReader<'_>) -> Result<CompressedDb, DecodeError> {
     let original_items = r.get_u64_le()? as usize;
     let n_groups = r.get_u32_le()? as usize;
-    let mut groups = Vec::with_capacity(n_groups);
+    let mut groups = r.vec_for(n_groups, GROUP_MIN_BYTES);
     for _ in 0..n_groups {
         groups.push(get_group(r)?);
     }
@@ -185,18 +193,18 @@ fn encode_delta(d: &Delta) -> Vec<u8> {
 fn decode_delta(r: &mut ByteReader<'_>) -> Result<Delta, DecodeError> {
     let original_items = r.get_u64_le()?;
     let n_removed = r.get_u32_le()? as usize;
-    let mut removed = Vec::with_capacity(n_removed);
+    let mut removed = r.vec_for(n_removed, LIST_MIN_BYTES);
     for _ in 0..n_removed {
         removed.push(get_list(r)?);
     }
     let n_added = r.get_u32_le()? as usize;
-    let mut added = Vec::with_capacity(n_added);
+    let mut added = r.vec_for(n_added, ADDED_MIN_BYTES);
     for _ in 0..n_added {
         let pos = r.get_u32_le()?;
         added.push((pos, get_group(r)?));
     }
     let n_ops = r.get_u32_le()? as usize;
-    let mut plain_ops = Vec::with_capacity(n_ops);
+    let mut plain_ops = r.vec_for(n_ops, OP_MIN_BYTES);
     for _ in 0..n_ops {
         match r.get_u8()? {
             0 => {
@@ -434,7 +442,7 @@ mod tests {
     use super::*;
     use gogreen_core::{Compressor, Strategy};
     use gogreen_data::{MinSupport, TransactionDb};
-    use gogreen_miners::mine_hmine;
+    use gogreen_miners::{Family, Miner};
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -448,7 +456,7 @@ mod tests {
 
     fn paper_cdb(minsup: u64) -> CompressedDb {
         let db = TransactionDb::paper_example();
-        let fp = mine_hmine(&db, MinSupport::Absolute(minsup));
+        let fp = Family::Hm.mine(&db, MinSupport::Absolute(minsup));
         Compressor::new(Strategy::Mcp).compress(&db, &fp)
     }
 
@@ -489,7 +497,7 @@ mod tests {
         let rows: Vec<Vec<u32>> = (0..200u32).map(|k| vec![k % 5, 5 + k % 3, 10 + k]).collect();
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
         let db = TransactionDb::from_rows(&refs);
-        let fp = mine_hmine(&db, MinSupport::Absolute(30));
+        let fp = Family::Hm.mine(&db, MinSupport::Absolute(30));
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
         let mut store = VersionStore::open(&dir).unwrap();
         let full_bytes = store.push(&cdb).unwrap();
@@ -502,6 +510,22 @@ mod tests {
         let reopened = VersionStore::open(&dir).unwrap();
         assert_eq!(reopened.current(), Some(&cdb));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A count of `u32::MAX` over a few bytes of input must fail on the
+    /// missing records, without reserving room for four billion.
+    #[test]
+    fn hostile_counts_fail_without_preallocating() {
+        let u32s = |ws: &[u32]| -> Vec<u8> { ws.iter().flat_map(|w| w.to_le_bytes()).collect() };
+        let mut full = 7u64.to_le_bytes().to_vec();
+        full.extend(u32s(&[u32::MAX, 0, 0]));
+        assert!(decode_full(&mut ByteReader::new(&full)).is_err());
+        for counts in [&[u32::MAX][..], &[0, u32::MAX], &[0, 0, u32::MAX]] {
+            let mut delta = 7u64.to_le_bytes().to_vec();
+            delta.extend(u32s(counts));
+            delta.extend([1, 0, 0, 0, 0]);
+            assert!(decode_delta(&mut ByteReader::new(&delta)).is_err(), "{counts:?}");
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn main() {
     );
 
     // Verify exactness against a from-scratch run.
-    let scratch = mine_hmine(inc.db(), MinSupport::percent(0.5));
+    let scratch = Family::Hm.mine(inc.db(), MinSupport::percent(0.5));
     assert!(r3.same_patterns_as(&scratch));
     println!("\nexactness check vs from-scratch mining: ok ({} patterns)", scratch.len());
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example interactive_session
 //! ```
 
-use gogreen::core::session::{Engine, MiningSession};
+use gogreen::core::session::MiningSession;
 use gogreen::prelude::*;
 use gogreen_constraints::ConstraintSet;
 use gogreen_datagen::{DatasetPreset, PresetKind};
@@ -15,8 +15,7 @@ fn main() {
     let db = DatasetPreset::new(PresetKind::Pumsb, 0.02).generate();
     println!("dataset: {} tuples (pumsb-like)\n", db.len());
 
-    let mut session =
-        MiningSession::new(db).with_engine(Engine::HMine).with_strategy(Strategy::Mcp);
+    let mut session = MiningSession::new(db).with_engine(Family::Hm).with_strategy(Strategy::Mcp);
 
     // The user explores: start high, relax twice, jump back up, repeat a
     // query verbatim.

@@ -15,7 +15,7 @@ fn main() {
     let db = DatasetPreset::new(PresetKind::Connect4, 0.02).generate();
     let xi_old = MinSupport::percent(95.0);
     let xi_new = MinSupport::percent(88.0);
-    let fp_old = mine_hmine(&db, xi_old);
+    let fp_old = Family::Hm.mine(&db, xi_old);
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
     println!(
         "dataset: {} tuples; recycling {} patterns (ratio {:.3})\n",

@@ -16,7 +16,7 @@ fn main() {
     // Round 1: the user starts cautiously at 95% support.
     let xi_old = MinSupport::percent(95.0);
     let t = Instant::now();
-    let fp_old = mine_hmine(&db, xi_old);
+    let fp_old = Family::Hm.mine(&db, xi_old);
     println!("round 1 (ξ = 95%): {} patterns in {:.2?}", fp_old.len(), t.elapsed());
 
     // Round 2: too few patterns — relax to 85%. Instead of mining from
@@ -34,11 +34,11 @@ fn main() {
         stats.num_tuples,
         stats.ratio()
     );
-    let recycled = RecycleHm.mine(&compressed, xi_new);
+    let recycled = Family::Hm.mine(&compressed, xi_new);
     let recycled_time = t.elapsed();
 
     let t = Instant::now();
-    let scratch = mine_hmine(&db, xi_new);
+    let scratch = Family::Hm.mine(&db, xi_new);
     let scratch_time = t.elapsed();
 
     // Recycling is exact: identical pattern set, usually much faster.

@@ -25,7 +25,7 @@ fn main() {
         let store = Arc::clone(&store);
         handles.push(std::thread::spawn(move || {
             let ms = MinSupport::percent(pct);
-            let fp = mine_hmine(&db, ms);
+            let fp = Family::Hm.mine(&*db, ms);
             println!("analyst @ {pct}%: published {} patterns", fp.len());
             store.publish("connect4", ms.to_absolute(db.len()), fp);
         }));
@@ -45,11 +45,11 @@ fn main() {
 
     let t = Instant::now();
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &recycled);
-    let fast = RecycleHm.mine(&cdb, target);
+    let fast = Family::Hm.mine(&cdb, target);
     let recycled_time = t.elapsed();
 
     let t = Instant::now();
-    let scratch = mine_hmine(&db, target);
+    let scratch = Family::Hm.mine(&*db, target);
     let scratch_time = t.elapsed();
 
     assert!(fast.same_patterns_as(&scratch));

@@ -11,13 +11,15 @@
 //!
 //! * [`data`] — items, transactions, databases, F-lists, patterns.
 //! * [`datagen`] — synthetic dataset generators and paper-analog presets.
-//! * [`miners`] — baseline miners: Apriori, H-Mine, FP-growth,
-//!   Tree Projection, vertical bitmap Eclat.
+//! * [`miners`] — the four engine families as one [`miners::Family`]
+//!   (H-Mine, FP-growth, Tree Projection, vertical bitmap Eclat), plus
+//!   the Apriori and naive-projection oracles.
 //! * [`constraints`] — the constrained-mining framework (anti-monotone,
 //!   monotone, succinct, convertible constraint classes).
 //! * [`core`] — the paper's contribution: MCP/MLP compression, compressed
-//!   databases, RP-Mine, Recycle-HM, FP/TP recycling miners, and the
-//!   iterative [`core::session::MiningSession`].
+//!   databases, every family mining them (Recycle-HM and the FP/TP/VT
+//!   adaptations), RP-Mine, and the iterative
+//!   [`core::session::MiningSession`].
 //! * [`storage`] — memory budgets, disk spill, and memory-limited mining.
 //! * [`obs`] — tracing spans and mining counters (`--trace-out` /
 //!   `--metrics-out` in the CLI); the counters quantify the candidate
@@ -33,14 +35,14 @@
 //! let db = TransactionDb::paper_example();
 //!
 //! // Round 1: mine at a high support threshold.
-//! let old = mine_hmine(&db, MinSupport::Absolute(3));
+//! let old = Family::Hm.mine(&db, MinSupport::Absolute(3));
 //!
 //! // Round 2: the user relaxes the threshold; recycle round 1's patterns.
 //! let compressed = Compressor::new(Strategy::Mcp).compress(&db, &old);
-//! let fresh = RecycleHm::default().mine(&compressed, MinSupport::Absolute(2));
+//! let fresh = Family::Hm.mine(&compressed, MinSupport::Absolute(2));
 //!
 //! // Recycling is exact: same answer as mining from scratch.
-//! let scratch = mine_hmine(&db, MinSupport::Absolute(2));
+//! let scratch = Family::Hm.mine(&db, MinSupport::Absolute(2));
 //! assert!(fresh.same_patterns_as(&scratch));
 //! ```
 
@@ -58,20 +60,14 @@ pub mod prelude {
     pub use gogreen_core::batch::{BatchOutcome, BatchPlan, BatchQuery, BatchReport, QueryBatch};
     pub use gogreen_core::cdb::CompressedDb;
     pub use gogreen_core::compress::Compressor;
-    pub use gogreen_core::recycle_fp::RecycleFp;
-    pub use gogreen_core::recycle_hm::RecycleHm;
-    pub use gogreen_core::recycle_tp::RecycleTp;
-    pub use gogreen_core::recycle_vt::RecycleVt;
     pub use gogreen_core::rpmine::RpMine;
     pub use gogreen_core::session::MiningSession;
     pub use gogreen_core::store::PatternStore;
     pub use gogreen_core::utility::Strategy;
-    pub use gogreen_core::RecyclingMiner;
     pub use gogreen_data::{
         contains_all, CollectSink, CountSink, CsrTuples, FList, Item, ItemCatalog, MinSupport,
         Pattern, PatternSet, PatternSink, ProjectionArena, Transaction, TransactionDb, TupleSlices,
     };
-    pub use gogreen_miners::{
-        mine_apriori, mine_eclat, mine_fpgrowth, mine_hmine, mine_treeproj, Miner,
-    };
+    pub use gogreen_miners::engine::vt::VtRepr;
+    pub use gogreen_miners::{mine_apriori, Family, Miner};
 }

@@ -12,12 +12,12 @@ use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 
-const FAMILIES: [&str; 4] = ["hmine", "fp", "tp", "vt"];
+const FAMILIES: [Family; 4] = Family::ALL;
 
 fn weather() -> (TransactionDb, CompressedDb) {
     let preset = DatasetPreset::new(PresetKind::Weather, 0.005);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = Family::Hm.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     (db, cdb)
 }
@@ -58,7 +58,7 @@ fn stream_of(f: &mut dyn FnMut(&mut dyn PatternSink)) -> Stream {
 }
 
 /// Runs `batch` on the raw db and returns all member streams.
-fn batched_raw(batch: &QueryBatch, db: &TransactionDb, algo: &str) -> Vec<Stream> {
+fn batched_raw(batch: &QueryBatch, db: &TransactionDb, algo: Family) -> Vec<Stream> {
     let k = batch.len();
     let mut streams: Vec<Stream> = vec![Vec::new(); k];
     {
@@ -70,13 +70,13 @@ fn batched_raw(batch: &QueryBatch, db: &TransactionDb, algo: &str) -> Vec<Stream
         }
         let mut refs: Vec<&mut dyn PatternSink> =
             sinks.iter_mut().map(|s| s as &mut dyn PatternSink).collect();
-        batch.run_into(db, algo, &mut refs).unwrap_or_else(|e| panic!("{algo}: {e}"));
+        batch.run_into(db, algo, &mut refs).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
     }
     streams
 }
 
 /// Runs `batch` on the compressed substrate and returns member streams.
-fn batched_recycled(batch: &QueryBatch, cdb: &CompressedDb, algo: &str) -> Vec<Stream> {
+fn batched_recycled(batch: &QueryBatch, cdb: &CompressedDb, algo: Family) -> Vec<Stream> {
     let k = batch.len();
     let mut streams: Vec<Stream> = vec![Vec::new(); k];
     {
@@ -88,7 +88,7 @@ fn batched_recycled(batch: &QueryBatch, cdb: &CompressedDb, algo: &str) -> Vec<S
         }
         let mut refs: Vec<&mut dyn PatternSink> =
             sinks.iter_mut().map(|s| s as &mut dyn PatternSink).collect();
-        batch.run_recycled_into(cdb, algo, &mut refs).unwrap_or_else(|e| panic!("{algo}: {e}"));
+        batch.run_recycled_into(cdb, algo, &mut refs).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
     }
     streams
 }
@@ -101,14 +101,14 @@ fn raw_batched_streams_match_solo_at_every_thread_count() {
         let solo: Vec<Stream> = (0..batch.len())
             .map(|i| stream_of(&mut |sink| batch.run_solo(i, &db, algo, sink).unwrap()))
             .collect();
-        assert!(solo.iter().all(|s| !s.is_empty()), "{algo}: a solo run emitted nothing");
+        assert!(solo.iter().all(|s| !s.is_empty()), "{algo:?}: a solo run emitted nothing");
         for threads in [1usize, 4, 8] {
             let batch = fleet(&db).with_parallelism(Parallelism::threads(threads));
             let streams = batched_raw(&batch, &db, algo);
             for (i, (got, want)) in streams.iter().zip(&solo).enumerate() {
                 assert_eq!(
                     got, want,
-                    "{algo} raw query #{i} at {threads} threads diverged from solo"
+                    "{algo:?} raw query #{i} at {threads} threads diverged from solo"
                 );
             }
         }
@@ -123,14 +123,14 @@ fn recycled_batched_streams_match_solo_at_every_thread_count() {
         let solo: Vec<Stream> = (0..batch.len())
             .map(|i| stream_of(&mut |sink| batch.run_solo_recycled(i, &cdb, algo, sink).unwrap()))
             .collect();
-        assert!(solo.iter().all(|s| !s.is_empty()), "{algo}: a solo run emitted nothing");
+        assert!(solo.iter().all(|s| !s.is_empty()), "{algo:?}: a solo run emitted nothing");
         for threads in [1usize, 4, 8] {
             let batch = fleet(&db).with_parallelism(Parallelism::threads(threads));
             let streams = batched_recycled(&batch, &cdb, algo);
             for (i, (got, want)) in streams.iter().zip(&solo).enumerate() {
                 assert_eq!(
                     got, want,
-                    "{algo} MCP query #{i} at {threads} threads diverged from solo"
+                    "{algo:?} MCP query #{i} at {threads} threads diverged from solo"
                 );
             }
         }
@@ -146,7 +146,7 @@ fn raw_and_recycled_batches_agree() {
         let batch = fleet(&db);
         let raw = batched_raw(&batch, &db, algo);
         let rec = batched_recycled(&batch, &cdb, algo);
-        assert_eq!(raw, rec, "{algo}: raw and MCP batches disagree");
+        assert_eq!(raw, rec, "{algo:?}: raw and MCP batches disagree");
     }
 }
 
@@ -160,9 +160,9 @@ fn batch_counters(
     let ((), snap) = measure(|| {
         for algo in FAMILIES {
             let batch = fleet(db).with_parallelism(Parallelism::threads(threads));
-            batch.run(db, algo).unwrap_or_else(|e| panic!("{algo}: {e}"));
+            batch.run(db, algo).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
             let batch = fleet(db).with_parallelism(Parallelism::threads(threads));
-            batch.run_recycled(cdb, algo).unwrap_or_else(|e| panic!("{algo}: {e}"));
+            batch.run_recycled(cdb, algo).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
         }
     });
     snap.metrics

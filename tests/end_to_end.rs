@@ -13,12 +13,12 @@ fn check_preset(kind: PresetKind) {
     let xi_old = preset.xi_old();
     let xi_new = preset.sweep()[1];
 
-    let fp_old = mine_hmine(&db, xi_old);
+    let fp_old = Family::Hm.mine(&db, xi_old);
     assert!(!fp_old.is_empty(), "{}: nothing to recycle at ξ_old", preset.name());
 
-    let reference = mine_fpgrowth(&db, xi_new);
-    assert!(mine_hmine(&db, xi_new).same_patterns_as(&reference));
-    assert!(mine_treeproj(&db, xi_new).same_patterns_as(&reference));
+    let reference = Family::Fp.mine(&db, xi_new);
+    assert!(Family::Hm.mine(&db, xi_new).same_patterns_as(&reference));
+    assert!(Family::Tp.mine(&db, xi_new).same_patterns_as(&reference));
 
     for strategy in [Strategy::Mcp, Strategy::Mlp] {
         let cdb = Compressor::new(strategy).compress(&db, &fp_old);
@@ -27,9 +27,9 @@ fn check_preset(kind: PresetKind) {
         assert!(stats.ratio() <= 1.0);
         let recyclers: Vec<(&str, PatternSet)> = vec![
             ("RP-Mine", RpMine::default().mine(&cdb, xi_new)),
-            ("Recycle-HM", RecycleHm.mine(&cdb, xi_new)),
-            ("FP-recycle", RecycleFp::default().mine(&cdb, xi_new)),
-            ("TP-recycle", RecycleTp.mine(&cdb, xi_new)),
+            ("Recycle-HM", Family::Hm.mine(&cdb, xi_new)),
+            ("FP-recycle", Family::Fp.mine(&cdb, xi_new)),
+            ("TP-recycle", Family::Tp.mine(&cdb, xi_new)),
         ];
         for (name, got) in recyclers {
             assert!(
@@ -70,7 +70,7 @@ fn dense_presets_compress_meaningfully() {
     for kind in [PresetKind::Connect4, PresetKind::Pumsb] {
         let preset = DatasetPreset::new(kind, TINY);
         let db = preset.generate();
-        let fp_old = mine_hmine(&db, preset.xi_old());
+        let fp_old = Family::Hm.mine(&db, preset.xi_old());
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
         let stats = cdb.stats();
         assert!(
@@ -91,10 +91,10 @@ fn dense_presets_compress_meaningfully() {
 fn foreign_pattern_sets_are_safe() {
     let a = DatasetPreset::new(PresetKind::Connect4, TINY).generate();
     let b = DatasetPreset::new(PresetKind::Pumsb, TINY).generate();
-    let fp_from_b = mine_hmine(&b, MinSupport::percent(90.0));
+    let fp_from_b = Family::Hm.mine(&b, MinSupport::percent(90.0));
     let cdb = Compressor::new(Strategy::Mcp).compress(&a, &fp_from_b);
     let xi = MinSupport::percent(90.0);
-    let got = RecycleHm.mine(&cdb, xi);
-    let want = mine_hmine(&a, xi);
+    let got = Family::Hm.mine(&cdb, xi);
+    let want = Family::Hm.mine(&a, xi);
     assert!(got.same_patterns_as(&want));
 }

@@ -12,7 +12,7 @@
 //! 3. MCP- and MLP-compressed databases mine to the oracle set too,
 //!    serial and at 4 threads.
 
-use gogreen::core::engine::{engine_named, engines, EngineOpts, VtRepr};
+use gogreen::core::oracle;
 use gogreen::data::FnSink;
 use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
@@ -51,21 +51,27 @@ fn structured_db() -> TransactionDb {
     ])
 }
 
-/// Families with a recycling pair (everything except the Apriori
-/// oracle).
-fn paired_families() -> Vec<&'static str> {
-    engines()
-        .iter()
-        .filter(|e| e.recycling(Parallelism::serial()).is_some())
-        .map(|e| e.key())
-        .collect()
+/// A raw miner and its recycled counterpart.
+type Pair = (&'static str, Box<dyn Miner>, Box<dyn Miner<CompressedDb>>);
+
+/// Every raw/recycled pair: the four families, then the naive oracle
+/// pair (NaiveProjection / RP-Mine). Apriori has no recycled
+/// counterpart.
+fn pairs() -> Vec<Pair> {
+    let mut pairs: Vec<Pair> = Family::ALL
+        .into_iter()
+        .map(|f| (f.key(), Box::new(f) as Box<dyn Miner>, Box::new(f) as Box<dyn Miner<_>>))
+        .collect();
+    pairs.push(("naive", oracle::raw("naive").unwrap(), oracle::recycling("naive").unwrap()));
+    pairs
 }
 
 #[test]
 fn registry_pairs_every_family() {
-    let keys = paired_families();
+    let keys: Vec<&str> = pairs().iter().map(|p| p.0).collect();
     assert_eq!(keys, vec!["hmine", "fp", "tp", "vt", "naive"]);
-    assert!(engine_named("apriori").unwrap().recycling(Parallelism::serial()).is_none());
+    assert_eq!(Family::ALL.map(Family::aliases), [&["hm"][..], &[], &[], &["eclat"]]);
+    assert!(oracle::recycling("apriori").is_none());
 }
 
 /// A dense connect4-style analog: few distinct items, long tuples, heavy
@@ -94,13 +100,12 @@ fn dense_analog_is_exact_for_every_family() {
     use gogreen::core::Compressor;
     let db = dense_analog_db();
     let fp_old = mine_apriori(&db, MinSupport::Absolute(60));
-    for key in paired_families() {
-        let engine = engine_named(key).unwrap();
+    for (key, raw_miner, rec_miner) in pairs() {
         for minsup in [30u64, 50, 70] {
             let ms = MinSupport::Absolute(minsup);
             let oracle = mine_apriori(&db, ms);
             let raw = stream_of(&mut |sink| {
-                engine.raw().mine_into_par(&db, ms, Parallelism::serial(), sink)
+                raw_miner.mine_into_par(&db, ms, Parallelism::serial(), sink)
             });
             assert!(
                 as_set(&raw).same_patterns_as(&oracle),
@@ -112,9 +117,7 @@ fn dense_analog_is_exact_for_every_family() {
                 let cdb = Compressor::new(strategy).compress(&db, &fp_old);
                 for threads in [1usize, 4] {
                     let par = Parallelism::threads(threads);
-                    let got = stream_of(&mut |sink| {
-                        engine.recycling(par).unwrap().mine_into_par(&cdb, ms, par, sink)
-                    });
+                    let got = stream_of(&mut |sink| rec_miner.mine_into_par(&cdb, ms, par, sink));
                     assert!(
                         as_set(&got).same_patterns_as(&oracle),
                         "{key} {strategy:?} ξ={minsup} t={threads}"
@@ -156,7 +159,6 @@ fn sparse_pumsb_analog_db() -> TransactionDb {
 #[test]
 fn vt_repr_modes_emit_identical_streams() {
     use gogreen::core::Compressor;
-    let engine = engine_named("vt").unwrap();
     for (db, xi_old, minsup) in
         [(dense_analog_db(), 60u64, 40u64), (sparse_pumsb_analog_db(), 100, 20)]
     {
@@ -167,14 +169,11 @@ fn vt_repr_modes_emit_identical_streams() {
         let mut raw_auto: Option<Stream> = None;
         let mut rec_auto: Option<Stream> = None;
         for repr in VtRepr::ALL {
-            let opts = EngineOpts { vt_repr: repr };
+            let vt = Family::Vt(repr);
             for threads in [1usize, 4] {
                 let par = Parallelism::threads(threads);
-                let raw =
-                    stream_of(&mut |sink| engine.raw_with(opts).mine_into_par(&db, ms, par, sink));
-                let rec = stream_of(&mut |sink| {
-                    engine.recycling_with(par, opts).unwrap().mine_into_par(&cdb, ms, par, sink)
-                });
+                let raw = stream_of(&mut |sink| vt.mine_into_par(&db, ms, par, sink));
+                let rec = stream_of(&mut |sink| vt.mine_into_par(&cdb, ms, par, sink));
                 assert!(
                     as_set(&raw).same_patterns_as(&oracle),
                     "vt --vt-repr {repr} t={threads}: raw diverges from oracle"
@@ -198,16 +197,14 @@ fn vt_repr_modes_emit_identical_streams() {
 fn raw_and_degenerate_grouped_streams_are_identical() {
     for db in [TransactionDb::paper_example(), structured_db()] {
         let cdb = CompressedDb::uncompressed(&db);
-        for key in paired_families() {
-            let engine = engine_named(key).unwrap();
+        for (key, raw_miner, rec_miner) in pairs() {
             for minsup in [1, 2, 3] {
                 let ms = MinSupport::Absolute(minsup);
                 for threads in [1usize, 4] {
                     let par = Parallelism::threads(threads);
-                    let raw = stream_of(&mut |sink| engine.raw().mine_into_par(&db, ms, par, sink));
-                    let grouped = stream_of(&mut |sink| {
-                        engine.recycling(par).unwrap().mine_into_par(&cdb, ms, par, sink)
-                    });
+                    let raw = stream_of(&mut |sink| raw_miner.mine_into_par(&db, ms, par, sink));
+                    let grouped =
+                        stream_of(&mut |sink| rec_miner.mine_into_par(&cdb, ms, par, sink));
                     assert_eq!(
                         raw, grouped,
                         "{key} ξ={minsup} t={threads}: raw and degenerate streams differ"
@@ -231,16 +228,14 @@ fn compressed_mining_matches_oracle_for_both_strategies() {
             for xi_old in [3u64, 4] {
                 let fp_old = mine_apriori(&db, MinSupport::Absolute(xi_old));
                 let cdb = Compressor::new(strategy).compress(&db, &fp_old);
-                for key in paired_families() {
-                    let engine = engine_named(key).unwrap();
+                for (key, _, rec_miner) in pairs() {
                     for minsup in [1u64, 2, 3] {
                         let ms = MinSupport::Absolute(minsup);
                         let oracle = mine_apriori(&db, ms);
                         for threads in [1usize, 4] {
                             let par = Parallelism::threads(threads);
-                            let got = stream_of(&mut |sink| {
-                                engine.recycling(par).unwrap().mine_into_par(&cdb, ms, par, sink)
-                            });
+                            let got =
+                                stream_of(&mut |sink| rec_miner.mine_into_par(&cdb, ms, par, sink));
                             assert!(
                                 as_set(&got).same_patterns_as(&oracle),
                                 "{key} {strategy:?} ξ_old={xi_old} ξ={minsup} t={threads}: \
@@ -262,22 +257,13 @@ fn recycled_streams_are_thread_invariant() {
     let db = structured_db();
     let fp_old = mine_apriori(&db, MinSupport::Absolute(3));
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-    for key in paired_families() {
-        let engine = engine_named(key).unwrap();
+    for (key, _, rec_miner) in pairs() {
         let ms = MinSupport::Absolute(2);
-        let serial = stream_of(&mut |sink| {
-            engine.recycling(Parallelism::serial()).unwrap().mine_into_par(
-                &cdb,
-                ms,
-                Parallelism::serial(),
-                sink,
-            )
-        });
+        let serial =
+            stream_of(&mut |sink| rec_miner.mine_into_par(&cdb, ms, Parallelism::serial(), sink));
         for threads in [2usize, 4] {
             let par = Parallelism::threads(threads);
-            let threaded = stream_of(&mut |sink| {
-                engine.recycling(par).unwrap().mine_into_par(&cdb, ms, par, sink)
-            });
+            let threaded = stream_of(&mut |sink| rec_miner.mine_into_par(&cdb, ms, par, sink));
             assert_eq!(serial, threaded, "{key} t={threads}: stream not byte-identical");
         }
     }

@@ -7,7 +7,6 @@
 //! encode/decode round-trip and fail loudly on corrupt bytes.
 
 use gogreen::data::FnSink;
-use gogreen::miners::{FpGrowth, HMine, TreeProjection};
 use gogreen::obs::{measure, metrics};
 use gogreen::prelude::*;
 use gogreen::storage::codec::{ByteReader, DecodeError, SpillRecord};
@@ -20,7 +19,7 @@ const XI_NEW: MinSupport = MinSupport::Relative(0.02);
 fn substrates() -> (TransactionDb, CompressedDb, CompressedDb) {
     let preset = DatasetPreset::new(PresetKind::Weather, 0.005);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = Family::Hm.mine(&db, preset.xi_old());
     let mcp = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let mlp = Compressor::new(Strategy::Mlp).compress(&db, &fp);
     (db, mcp, mlp)
@@ -45,7 +44,7 @@ fn all_miners_identical_on_every_substrate() {
     let raw = CompressedDb::uncompressed(&db);
 
     let baselines: Vec<Box<dyn Miner>> =
-        vec![Box::new(HMine), Box::new(FpGrowth), Box::new(TreeProjection)];
+        vec![Box::new(Family::Hm), Box::new(Family::Fp), Box::new(Family::Tp)];
     for m in &baselines {
         let serial =
             stream_of(&mut |sink| m.mine_into_par(&db, XI_NEW, Parallelism::serial(), sink));
@@ -55,10 +54,10 @@ fn all_miners_identical_on_every_substrate() {
         assert!(serial == par, "{}: stream diverged at 4 threads", m.name());
     }
 
-    let recyclers: Vec<Box<dyn RecyclingMiner>> = vec![
-        Box::new(RecycleHm),
-        Box::new(RecycleFp::default()),
-        Box::new(RecycleTp),
+    let recyclers: Vec<Box<dyn Miner<CompressedDb>>> = vec![
+        Box::new(Family::Hm),
+        Box::new(Family::Fp),
+        Box::new(Family::Tp),
         Box::new(RpMine::default()),
     ];
     for m in &recyclers {
@@ -89,11 +88,11 @@ fn counters(db: &TransactionDb, cdb: &CompressedDb, threads: usize) -> Vec<(&'st
     let par = Parallelism::threads(threads);
     let ((), snap) = measure(|| {
         let mut sink = FnSink(|_: &[Item], _: u64| {});
-        for m in [&HMine as &dyn Miner, &FpGrowth, &TreeProjection] {
+        for m in [Family::Hm, Family::Fp, Family::Tp] {
             m.mine_into_par(db, XI_NEW, par, &mut sink);
         }
-        let recyclers: [&dyn RecyclingMiner; 4] =
-            [&RecycleHm, &RecycleFp::default(), &RecycleTp, &RpMine::default()];
+        let recyclers: [&dyn Miner<CompressedDb>; 4] =
+            [&Family::Hm, &Family::Fp, &Family::Tp, &RpMine::default()];
         for m in recyclers {
             m.mine_into_par(cdb, XI_NEW, par, &mut sink);
         }

@@ -9,8 +9,6 @@
 //! database.
 
 use gogreen::data::FnSink;
-use gogreen::miners::engine::vt::VtRepr;
-use gogreen::miners::{Eclat, FpGrowth, HMine, TreeProjection};
 use gogreen::obs::measure;
 use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
@@ -21,7 +19,7 @@ const XI_NEW: MinSupport = MinSupport::Relative(0.02);
 fn weather() -> (TransactionDb, CompressedDb) {
     let preset = DatasetPreset::new(PresetKind::Weather, 0.005);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = Family::Hm.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     (db, cdb)
 }
@@ -32,7 +30,7 @@ fn weather() -> (TransactionDb, CompressedDb) {
 fn pumsb() -> (TransactionDb, CompressedDb, MinSupport) {
     let preset = DatasetPreset::new(PresetKind::Pumsb, 0.005);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = Family::Hm.mine(&db, preset.xi_old());
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let xi_new = *preset.sweep().last().expect("pumsb sweep");
     (db, cdb, xi_new)
@@ -62,9 +60,7 @@ fn assert_streams_match(serial: &Stream, name: &str, mut run: impl FnMut(Paralle
 #[test]
 fn baseline_miner_streams_identical_across_thread_counts() {
     let (db, _) = weather();
-    let miners: Vec<Box<dyn Miner>> =
-        vec![Box::new(HMine), Box::new(FpGrowth), Box::new(TreeProjection), Box::new(Eclat::new())];
-    for m in &miners {
+    for m in Family::ALL {
         let serial =
             stream_of(&mut |sink| m.mine_into_par(&db, XI_NEW, Parallelism::serial(), sink));
         assert_streams_match(&serial, m.name(), |par| {
@@ -77,13 +73,9 @@ fn baseline_miner_streams_identical_across_thread_counts() {
 fn recycling_miner_streams_identical_across_thread_counts() {
     let (db, cdb) = weather();
     let raw = CompressedDb::uncompressed(&db);
-    let miners: Vec<Box<dyn RecyclingMiner>> = vec![
-        Box::new(RecycleHm),
-        Box::new(RecycleFp::default()),
-        Box::new(RecycleTp),
-        Box::new(RecycleVt::new()),
-        Box::new(RpMine::default()),
-    ];
+    let mut miners: Vec<Box<dyn Miner<CompressedDb>>> =
+        Family::ALL.map(|f| Box::new(f) as Box<dyn Miner<_>>).into();
+    miners.push(Box::new(RpMine::default()));
     for m in &miners {
         for (label, view) in [("uncompressed", &raw), ("MCP", &cdb)] {
             let serial =
@@ -106,7 +98,7 @@ fn vt_repr_streams_identical_across_modes_and_threads() {
         let mut raw_first: Option<Stream> = None;
         let mut rec_first: Option<Stream> = None;
         for repr in VtRepr::ALL {
-            let raw = Eclat::with_repr(repr);
+            let raw = Family::Vt(repr);
             let serial =
                 stream_of(&mut |sink| raw.mine_into_par(&db, xi, Parallelism::serial(), sink));
             assert_streams_match(&serial, &format!("Eclat --vt-repr {repr}"), |par| {
@@ -117,7 +109,7 @@ fn vt_repr_streams_identical_across_modes_and_threads() {
                 raw_first.get_or_insert_with(|| serial.clone()),
                 "Eclat --vt-repr {repr}: stream differs across modes"
             );
-            let rec = RecycleVt::with_repr(repr);
+            let rec = Family::Vt(repr);
             let serial =
                 stream_of(&mut |sink| rec.mine_into_par(&cdb, xi, Parallelism::serial(), sink));
             assert_streams_match(&serial, &format!("VT-recycle --vt-repr {repr}"), |par| {
@@ -142,15 +134,13 @@ fn mine_counters(
     let par = Parallelism::threads(threads);
     let ((), snap) = measure(|| {
         let mut sink = FnSink(|_: &[Item], _: u64| {});
-        let eclat = Eclat::new();
-        for m in [&HMine as &dyn Miner, &FpGrowth, &TreeProjection, &eclat] {
+        for m in Family::ALL {
             m.mine_into_par(db, XI_NEW, par, &mut sink);
         }
-        let (rvt, rfp, rp) = (RecycleVt::new(), RecycleFp::default(), RpMine::default());
-        let recyclers: [&dyn RecyclingMiner; 5] = [&RecycleHm, &rfp, &RecycleTp, &rvt, &rp];
-        for m in recyclers {
+        for m in Family::ALL {
             m.mine_into_par(cdb, XI_NEW, par, &mut sink);
         }
+        RpMine::default().mine_into_par(cdb, XI_NEW, par, &mut sink);
     });
     snap.metrics
         .into_iter()

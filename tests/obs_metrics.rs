@@ -12,7 +12,6 @@
 //!    bit-identical at 1/2/4/8 threads on the weather and connect4
 //!    analogs, for every registry-invariant histogram.
 
-use gogreen::core::engine::engine_named;
 use gogreen::obs::histogram::{self, Histogram};
 use gogreen::obs::{measure, metrics, Recorder};
 use gogreen::prelude::*;
@@ -25,7 +24,7 @@ use std::sync::{Arc, Mutex};
 fn weather() -> (TransactionDb, PatternSet) {
     let preset = DatasetPreset::new(PresetKind::Weather, 0.005);
     let db = preset.generate();
-    let fp = mine_hmine(&db, preset.xi_old());
+    let fp = Family::Hm.mine(&db, preset.xi_old());
     (db, fp)
 }
 
@@ -34,7 +33,7 @@ fn weather() -> (TransactionDb, PatternSet) {
 fn invariant_counters(db: &TransactionDb, threads: usize) -> Vec<(&'static str, u64)> {
     let ((), snap) = measure(|| {
         let mut session = gogreen::core::session::MiningSession::new(db.clone())
-            .with_engine(gogreen::core::session::Engine::FpTree)
+            .with_engine(Family::Fp)
             .with_threads(threads);
         session.run(gogreen_constraints::ConstraintSet::support_only(MinSupport::percent(5.0)));
         // Relaxed: compresses with round 1's patterns and recycles them.
@@ -81,7 +80,7 @@ fn span_jsonl_round_trips_with_parent_links() {
     let buf = Arc::new(Mutex::new(Vec::new()));
     Recorder::new().with_trace(Box::new(Buf(buf.clone()))).install();
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
-    let patterns = RecycleHm.mine(&cdb, MinSupport::percent(2.0));
+    let patterns = Family::Hm.mine(&cdb, MinSupport::percent(2.0));
     drop(Recorder::uninstall());
     assert!(!patterns.is_empty());
 
@@ -147,7 +146,7 @@ fn disabled_instrumentation_is_nearly_free() {
     // mining run is full of disabled `histogram::observe` calls (tidset
     // word counts, projected sizes), and 10⁴ explicit disabled observes
     // must stay under the same 2% budget.
-    let vt = engine_named("vt").expect("vt engine registered").raw();
+    let vt = Family::Vt(VtRepr::Auto);
     let mut sink = CountSink::new();
     vt.mine_into_par(&db, MinSupport::percent(5.0), Parallelism::serial(), &mut sink);
     let mut watch = Stopwatch::started();
@@ -177,13 +176,11 @@ fn invariant_histograms(
 ) -> Vec<(&'static str, Histogram)> {
     let par = Parallelism::threads(threads);
     let ((), snap) = measure(|| {
-        for key in ["hmine", "vt"] {
-            let engine = engine_named(key).expect("engine registered");
+        for family in [Family::Hm, Family::Vt(VtRepr::Auto)] {
             let mut sink = CountSink::new();
-            engine.raw().mine_into_par(db, xi_new, par, &mut sink);
+            family.mine_into_par(db, xi_new, par, &mut sink);
             let mut sink = CountSink::new();
-            let recycling = engine.recycling(par).expect("recycling pair");
-            recycling.mine_into_par(cdb, xi_new, par, &mut sink);
+            family.mine_into_par(cdb, xi_new, par, &mut sink);
         }
     });
     snap.hists.into_iter().filter(|(name, _)| metrics::is_thread_invariant(name)).collect()
@@ -194,7 +191,7 @@ fn histogram_buckets_identical_across_thread_counts() {
     for kind in [PresetKind::Weather, PresetKind::Connect4] {
         let preset = DatasetPreset::new(kind, 0.005);
         let db = preset.generate();
-        let fp = mine_hmine(&db, preset.xi_old());
+        let fp = Family::Hm.mine(&db, preset.xi_old());
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
         let xi_new = *preset.sweep().last().expect("non-empty sweep");
         let serial = invariant_histograms(&db, &cdb, xi_new, 1);

@@ -26,10 +26,10 @@ fn weather_db() -> TransactionDb {
 #[test]
 fn measured_scope_reports_only_its_own_activity() {
     let db = weather_db();
-    let fp = mine_hmine(&db, MinSupport::percent(5.0));
+    let fp = Family::Hm.mine(&db, MinSupport::percent(5.0));
     let workload = || {
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
-        std::hint::black_box(RecycleHm.mine(&cdb, MinSupport::percent(2.0)));
+        std::hint::black_box(Family::Hm.mine(&cdb, MinSupport::percent(2.0)));
     };
     let ((), reference) = measure(workload);
 
@@ -68,7 +68,7 @@ fn session_rounds(
         }))
         .install();
     let mut session = gogreen::core::session::MiningSession::new(db.clone())
-        .with_engine(gogreen::core::session::Engine::FpTree)
+        .with_engine(Family::Fp)
         .with_threads(threads);
     for &pct in supports {
         session.run(ConstraintSet::support_only(MinSupport::percent(pct)));
@@ -126,10 +126,10 @@ fn filtered_round_reports_no_earlier_rounds_max_gauges() {
 #[test]
 fn profile_self_times_telescope_to_root_total() {
     let db = weather_db();
-    let fp = mine_hmine(&db, MinSupport::percent(5.0));
+    let fp = Family::Hm.mine(&db, MinSupport::percent(5.0));
     Recorder::new().with_profile().install();
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
-    std::hint::black_box(RecycleHm.mine(&cdb, MinSupport::percent(2.0)));
+    std::hint::black_box(Family::Hm.mine(&cdb, MinSupport::percent(2.0)));
     let rec = Recorder::uninstall().expect("installed above");
     let profile = rec.profile().expect("profiling recorder");
 

@@ -6,7 +6,7 @@
 //! hermetic builds); every failure message carries the case seed so a
 //! failure replays deterministically.
 
-use gogreen::core::session::{Engine, MiningSession};
+use gogreen::core::session::MiningSession;
 use gogreen::core::utility::Strategy;
 use gogreen::prelude::*;
 use gogreen::storage::{LimitedHMine, LimitedRecycleHm, MemoryBudget};
@@ -38,8 +38,7 @@ fn sessions_are_exact() {
     for case in 0..48u64 {
         let mut rng = SmallRng::seed_from_u64(0x5e55_0000 + case);
         let db = random_db(&mut rng);
-        let engine = [Engine::HMine, Engine::FpTree, Engine::TreeProjection, Engine::Naive]
-            [rng.gen_index(4)];
+        let engine = Family::ALL[rng.gen_index(4)];
         let script_len = 1 + rng.gen_index(4);
         let mut session = MiningSession::new(db.clone()).with_engine(engine);
         for _ in 0..script_len {
@@ -88,10 +87,10 @@ fn chained_recycling_stays_exact() {
         let mut previous: Option<PatternSet> = None;
         for minsup in thresholds {
             let got = match &previous {
-                None => mine_hmine(&db, MinSupport::Absolute(minsup)),
+                None => Family::Hm.mine(&db, MinSupport::Absolute(minsup)),
                 Some(fp) => {
                     let cdb = Compressor::new(Strategy::Mcp).compress(&db, fp);
-                    RecycleHm.mine(&cdb, MinSupport::Absolute(minsup))
+                    Family::Hm.mine(&cdb, MinSupport::Absolute(minsup))
                 }
             };
             let want = mine_apriori(&db, MinSupport::Absolute(minsup));

@@ -8,8 +8,9 @@ use gogreen::core::utility::Strategy;
 use gogreen::prelude::*;
 use gogreen::util::rng::{Rng, SmallRng};
 use gogreen_constraints::{Constraint, ConstraintSet, ItemAttributes, Pushdown};
-use gogreen_data::CollectSink;
-use gogreen_miners::{mine_apriori, HMine, NaiveProjection};
+use gogreen_data::{CollectSink, SearchPrune};
+use gogreen_miners::engine::hm;
+use gogreen_miners::{mine_apriori, NaiveProjection};
 use std::collections::BTreeSet;
 
 /// Random database: 1..26 tuples of 1..8 distinct items over 0..12.
@@ -59,6 +60,14 @@ fn price_attr() -> gogreen_constraints::AttrId {
     gogreen_constraints::AttrId(0)
 }
 
+/// The H-Mine pushdown search `gogreen mine` runs for a serial
+/// constrained query.
+fn hmine_pruned(db: &TransactionDb, support: MinSupport, prune: &impl SearchPrune) -> PatternSet {
+    let mut sink = CollectSink::new();
+    hm::mine_db_pruned(db, support, prune, &mut sink);
+    sink.into_set()
+}
+
 /// The expected result: oracle output filtered by the pushed predicates.
 fn expected(db: &TransactionDb, cs: &ConstraintSet, attrs: &ItemAttributes) -> PatternSet {
     let pd = Pushdown::from_constraints(cs, attrs);
@@ -89,9 +98,7 @@ fn hmine_pushdown_is_exact() {
         let cs = random_cs(&mut rng);
         let attrs = attrs();
         let pd = Pushdown::from_constraints(&cs, &attrs);
-        let mut sink = CollectSink::new();
-        HMine.mine_pruned(&db, cs.min_support(), &pd.search(&attrs), &mut sink);
-        let got = sink.into_set();
+        let got = hmine_pruned(&db, cs.min_support(), &pd.search(&attrs));
         let want = expected(&db, &cs, &attrs);
         assert!(got.same_patterns_as(&want), "case {case}: got {} want {}", got.len(), want.len());
     }
@@ -126,9 +133,7 @@ fn concrete_pushdown_example() {
         .with(Constraint::MaxLength(2))
         .with(Constraint::SubsetOf(vec![Item(2), Item(3), Item(5), Item(6)]));
     let pd = Pushdown::from_constraints(&cs, &attrs);
-    let mut sink = CollectSink::new();
-    HMine.mine_pruned(&db, cs.min_support(), &pd.search(&attrs), &mut sink);
-    let got = sink.into_set();
+    let got = hmine_pruned(&db, cs.min_support(), &pd.search(&attrs));
     // Allowed items: c(2), d(3), f(5), g(6); patterns of length ≤ 2 with
     // support ≥ 2: c, d, f, g, cd, cf, cg, df, dg, fg.
     assert_eq!(got.len(), 10);

@@ -3,7 +3,7 @@
 //! tightening/relaxing, the shared store, and incremental updates.
 
 use gogreen::core::incremental::IncrementalMiner;
-use gogreen::core::session::{Engine, MiningSession, RunMode};
+use gogreen::core::session::{MiningSession, RunMode};
 use gogreen::core::store::PatternStore;
 use gogreen::prelude::*;
 use gogreen_constraints::{Constraint, ConstraintSet};
@@ -28,7 +28,7 @@ fn long_session_matches_oracle_on_every_engine() {
     let db = small_db();
     // A realistic meandering session: relax, relax, tighten, revisit.
     let script = [8.0, 5.0, 3.0, 6.0, 3.0, 2.0];
-    for engine in [Engine::HMine, Engine::FpTree, Engine::TreeProjection, Engine::Naive] {
+    for engine in Family::ALL {
         let mut session = MiningSession::new(db.clone()).with_engine(engine);
         for pct in script {
             let got = session.run(ConstraintSet::support_only(MinSupport::percent(pct)));
@@ -83,17 +83,17 @@ fn store_backed_recycling_across_users() {
     let store = PatternStore::new();
     // User 1 mines and publishes.
     let xi1 = MinSupport::percent(92.0).to_absolute(db.len());
-    store.publish("c4", xi1, mine_hmine(&db, MinSupport::Absolute(xi1)));
+    store.publish("c4", xi1, Family::Hm.mine(&db, MinSupport::Absolute(xi1)));
     // User 2 publishes a richer set.
     let xi2 = MinSupport::percent(88.0).to_absolute(db.len());
-    store.publish("c4", xi2, mine_hmine(&db, MinSupport::Absolute(xi2)));
+    store.publish("c4", xi2, Family::Hm.mine(&db, MinSupport::Absolute(xi2)));
     // User 3 recycles the best available set for a lower threshold.
     let (best_xi, patterns) = store.best_for("c4").expect("two sets published");
     assert_eq!(best_xi, xi2);
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &patterns);
     let target = MinSupport::percent(84.0);
-    let got = RecycleHm.mine(&cdb, target);
-    assert!(got.same_patterns_as(&mine_hmine(&db, target)));
+    let got = Family::Hm.mine(&cdb, target);
+    assert!(got.same_patterns_as(&Family::Hm.mine(&db, target)));
 }
 
 #[test]
