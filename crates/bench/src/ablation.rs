@@ -404,7 +404,7 @@ pub struct CompressParRow {
     /// Dataset analog name.
     pub dataset: &'static str,
     /// `"linear"` (the original full-FP scan) or `"indexed"` (the
-    /// anchor-bucket cover index).
+    /// `CoverIndex` vertical sweep).
     pub kernel: &'static str,
     /// Worker threads (the linear reference is always serial).
     pub threads: usize,

@@ -14,6 +14,13 @@
 //! worker threads (one sweep per chunk) and the partial per-pattern
 //! member lists are merged in chunk order, so the output is *identical*
 //! to the serial pass for any thread count.
+//!
+//! Whole-database, streaming ([`Compressor::stream`]) and reference
+//! compression record their results through one accumulator: each
+//! group's outlying items go straight into that pattern's CSR member
+//! buffer, which becomes the [`Group`]'s storage as is. Streaming is
+//! the whole-database pass fed in chunks — the index, and the AND-chains
+//! it compiles, live for the whole stream.
 
 use crate::cdb::{CompressedDb, Group};
 use crate::cover::CoverIndex;
@@ -21,7 +28,7 @@ use crate::utility::{order_by_utility, Strategy};
 use gogreen_data::{
     difference_into, CsrTuples, Item, Pattern, PatternSet, TransactionDb, TupleSlices,
 };
-use gogreen_obs::{histogram, metrics, span};
+use gogreen_obs::{histogram, metrics, span, Span};
 use gogreen_util::pool::{par_ranges, Parallelism};
 use gogreen_util::{FxHashMap, Stopwatch};
 use std::time::{Duration, Instant};
@@ -41,10 +48,6 @@ pub struct CompressionStats {
     /// Total tuples.
     pub num_tuples: usize,
 }
-
-/// Per-pattern accumulation: members' outlying items plus the count of
-/// members that *are* the pattern.
-type Members = (Vec<Vec<Item>>, u32);
 
 /// Compresses databases with recycled patterns (paper Figure 1).
 ///
@@ -122,84 +125,16 @@ impl Compressor {
             CoverIndex::new(db, fp, self.strategy)
         };
         let build = watch.lap();
-
-        // Each worker runs the vertical sweep on one contiguous row range
-        // of the database's CSR storage (`par_ranges` is a single inline
-        // range when serial) — a chunk is a borrowed window, so splitting
-        // costs two offsets. Merging the partial maps in chunk order
-        // concatenates every pattern's member list exactly as one serial
-        // pass over the whole database would have, so the CDB is
-        // identical for any thread count.
-        let mut cover_sp = span("cover");
-        cover_sp.field("tuples", db.len()).field("patterns", fp.len());
-        let tuples = db.tuples();
-        let parts = par_ranges(self.parallelism, db.len(), |_, range| {
-            let chunk = tuples.range(range.start, range.end);
-            let assign = index.cover_all(chunk);
-            let mut by_pattern: FxHashMap<u32, Members> = FxHashMap::default();
-            let mut plain: CsrTuples<Item> = CsrTuples::new();
-            let mut items = 0usize;
-            let mut rest: Vec<Item> = Vec::new();
-            for (t, covered_by) in chunk.iter().zip(assign) {
-                items += t.len();
-                match covered_by {
-                    Some(pidx) => {
-                        rest.clear();
-                        difference_into(t, index.pattern(pidx).items(), &mut rest);
-                        let slot = by_pattern.entry(pidx).or_insert_with(|| (Vec::new(), 0));
-                        if rest.is_empty() {
-                            slot.1 += 1;
-                        } else {
-                            slot.0.push(rest.clone());
-                        }
-                    }
-                    None => plain.push_row(t),
-                }
-            }
-            (by_pattern, plain, items)
-        });
-        drop(cover_sp);
-        let mut by_pattern: FxHashMap<u32, Members> = FxHashMap::default();
-        let mut plain: CsrTuples<Item> = CsrTuples::new();
-        let mut original_items = 0usize;
-        for (_, (part, part_plain, items)) in parts {
-            original_items += items;
-            for t in part_plain.iter() {
-                plain.push_row(t);
-            }
-            for (pidx, (outliers, bare)) in part {
-                let slot = by_pattern.entry(pidx).or_insert_with(|| (Vec::new(), 0));
-                slot.0.extend(outliers);
-                slot.1 += bare;
-            }
+        let mut acc = Accumulator::default();
+        {
+            let mut cover_sp = span("cover");
+            cover_sp.field("tuples", db.len()).field("patterns", fp.len());
+            acc.feed(&index, db.tuples(), self.parallelism);
         }
-
-        let groups = emit_groups(
-            by_pattern,
-            |pidx| index.rank_of(pidx),
-            |pidx| index.pattern(pidx).items().to_vec(),
-        );
-        let cdb = CompressedDb::new(groups, plain, original_items);
+        sp.field("strategy", self.name()).field("patterns", fp.len());
+        let (cdb, stats) = acc.finish(&index, start, &mut sp);
         let sweep = watch.lap();
-        let s = cdb.stats();
-        let stats = CompressionStats {
-            duration: start.elapsed(),
-            ratio: s.ratio(),
-            num_groups: s.num_groups,
-            covered_tuples: s.covered_tuples,
-            num_tuples: s.num_tuples,
-        };
-        metrics::add("compress.runs", 1);
-        metrics::add("compress.tuples_total", stats.num_tuples as u64);
-        metrics::add("compress.tuples_covered", stats.covered_tuples as u64);
-        metrics::add("compress.groups_emitted", stats.num_groups as u64);
-        sp.field("strategy", self.name())
-            .field("patterns", fp.len())
-            .field("tuples", stats.num_tuples)
-            .field("covered", stats.covered_tuples)
-            .field("groups", stats.num_groups)
-            .field("build_us", build.as_micros() as u64)
-            .field("sweep_us", sweep.as_micros() as u64);
+        sp.field("build_us", build.as_micros() as u64).field("sweep_us", sweep.as_micros() as u64);
         (cdb, stats)
     }
 
@@ -227,10 +162,7 @@ impl Compressor {
             index,
             strategy: self.strategy,
             parallelism: self.parallelism,
-            by_pattern: FxHashMap::default(),
-            plain: CsrTuples::new(),
-            original_items: 0,
-            num_tuples: 0,
+            acc: Accumulator::default(),
             started: Instant::now(),
         }
     }
@@ -251,11 +183,9 @@ impl Compressor {
             db.iter().filter_map(|t| t.last()).map(|it| it.index()).max().map_or(0, |m| m + 1);
         let mut present = vec![false; max_item];
 
-        let mut by_pattern: FxHashMap<u32, Members> = FxHashMap::default();
-        let mut plain: CsrTuples<Item> = CsrTuples::new();
-        let mut original_items = 0usize;
+        let mut acc = Accumulator::default();
+        let mut rest = Vec::new();
         for t in db.iter() {
-            original_items += t.len();
             for it in t {
                 present[it.index()] = true;
             }
@@ -276,27 +206,9 @@ impl Compressor {
             for it in t {
                 present[it.index()] = false;
             }
-            match chosen {
-                Some(pidx) => {
-                    let mut rest = Vec::new();
-                    difference_into(t, patterns[pidx as usize].items(), &mut rest);
-                    let slot = by_pattern.entry(pidx).or_insert_with(|| (Vec::new(), 0));
-                    if rest.is_empty() {
-                        slot.1 += 1;
-                    } else {
-                        slot.0.push(rest);
-                    }
-                }
-                None => plain.push_row(t),
-            }
+            acc.record(t, chosen.map(|pidx| (pidx, patterns[pidx as usize].items())), &mut rest);
         }
-
-        let groups = emit_groups(
-            by_pattern,
-            |pidx| rank[pidx as usize],
-            |pidx| patterns[pidx as usize].items().to_vec(),
-        );
-        CompressedDb::new(groups, plain, original_items)
+        acc.into_cdb(|pidx| rank[pidx as usize], |pidx| patterns[pidx as usize].items())
     }
 }
 
@@ -310,10 +222,7 @@ pub struct StreamCompressor<'a> {
     index: CoverIndex<'a>,
     strategy: Strategy,
     parallelism: Parallelism,
-    by_pattern: FxHashMap<u32, Members>,
-    plain: CsrTuples<Item>,
-    original_items: usize,
-    num_tuples: usize,
+    acc: Accumulator,
     started: Instant,
 }
 
@@ -324,59 +233,138 @@ impl StreamCompressor<'_> {
     pub fn feed(&mut self, tuples: TupleSlices<'_, Item>) {
         let mut cover_sp = span("cover");
         cover_sp.field("tuples", tuples.len());
-        let index = &self.index;
-        let parts = par_ranges(self.parallelism, tuples.len(), |_, range| {
-            let chunk = tuples.range(range.start, range.end);
-            let assign = index.cover_all(chunk);
-            let mut by_pattern: FxHashMap<u32, Members> = FxHashMap::default();
-            let mut plain: CsrTuples<Item> = CsrTuples::new();
-            let mut items = 0usize;
-            let mut rest: Vec<Item> = Vec::new();
-            for (t, covered_by) in chunk.iter().zip(assign) {
-                items += t.len();
-                match covered_by {
-                    Some(pidx) => {
-                        rest.clear();
-                        difference_into(t, index.pattern(pidx).items(), &mut rest);
-                        let slot = by_pattern.entry(pidx).or_insert_with(|| (Vec::new(), 0));
-                        if rest.is_empty() {
-                            slot.1 += 1;
-                        } else {
-                            slot.0.push(rest.clone());
-                        }
-                    }
-                    None => plain.push_row(t),
-                }
-            }
-            (by_pattern, plain, items)
-        });
-        self.num_tuples += tuples.len();
-        for (_, (part, part_plain, items)) in parts {
-            self.original_items += items;
-            for t in part_plain.iter() {
-                self.plain.push_row(t);
-            }
-            for (pidx, (outliers, bare)) in part {
-                let slot = self.by_pattern.entry(pidx).or_insert_with(|| (Vec::new(), 0));
-                slot.0.extend(outliers);
-                slot.1 += bare;
-            }
-        }
+        self.acc.feed(&self.index, tuples, self.parallelism);
     }
 
     /// Seals the stream into a compressed database plus stats, emitting
     /// the same `compress.*` counters as a whole-database run.
     pub fn finish(self) -> (CompressedDb, CompressionStats) {
         let mut sp = span("compress");
-        let groups = emit_groups(
-            self.by_pattern,
-            |pidx| self.index.rank_of(pidx),
-            |pidx| self.index.pattern(pidx).items().to_vec(),
-        );
-        let cdb = CompressedDb::new(groups, self.plain, self.original_items);
+        sp.field("strategy", self.strategy.suffix());
+        self.acc.finish(&self.index, self.started, &mut sp)
+    }
+}
+
+/// One pattern's members: the outlying items of those that have any,
+/// in tuple order, plus the count of those that *are* the pattern.
+#[derive(Debug, Default)]
+struct Members {
+    outliers: CsrTuples<Item>,
+    bare: u32,
+}
+
+/// Cover results accumulated in tuple order — the one accumulate path
+/// behind whole-database, streaming and reference compression.
+#[derive(Debug, Default)]
+struct Accumulator {
+    by_pattern: FxHashMap<u32, Members>,
+    plain: CsrTuples<Item>,
+    original_items: usize,
+}
+
+impl Accumulator {
+    /// Covers `tuples` with `index` and appends the result; a serial
+    /// pass records straight into `self`. With a non-serial `par` each
+    /// worker sweeps one contiguous row range (a borrowed window of the
+    /// CSR storage, so splitting costs two offsets) into its own
+    /// accumulator, and the parts merge in range order — concatenating
+    /// every pattern's members exactly as one serial pass would, so the
+    /// result is identical for any thread count.
+    fn feed(&mut self, index: &CoverIndex<'_>, tuples: TupleSlices<'_, Item>, par: Parallelism) {
+        if par.for_items(tuples.len()) <= 1 {
+            self.cover(index, tuples);
+            return;
+        }
+        let parts = par_ranges(par, tuples.len(), |_, range| {
+            let mut part = Accumulator::default();
+            part.cover(index, tuples.range(range.start, range.end));
+            part
+        });
+        for (_, part) in parts {
+            self.merge(part);
+        }
+    }
+
+    /// Sweeps `tuples` with `index` and records every tuple in order.
+    fn cover(&mut self, index: &CoverIndex<'_>, tuples: TupleSlices<'_, Item>) {
+        let assign = index.cover_all(tuples);
+        let mut rest = Vec::new();
+        for (t, covered_by) in tuples.iter().zip(assign) {
+            self.record(t, covered_by.map(|pidx| (pidx, index.pattern(pidx).items())), &mut rest);
+        }
+    }
+
+    /// Records tuple `t`: a member of `covered_by`'s group — `(pattern
+    /// index, pattern items)` — or, when `None`, a plain row. `rest` is
+    /// scratch for the outlying items.
+    fn record(&mut self, t: &[Item], covered_by: Option<(u32, &[Item])>, rest: &mut Vec<Item>) {
+        self.original_items += t.len();
+        let Some((pidx, pattern)) = covered_by else {
+            self.plain.push_row(t);
+            return;
+        };
+        rest.clear();
+        difference_into(t, pattern, rest);
+        let members = self.by_pattern.entry(pidx).or_default();
+        if rest.is_empty() {
+            members.bare += 1;
+        } else {
+            members.outliers.push_row(rest);
+        }
+    }
+
+    /// Appends `part`, which covered the tuples following this one's.
+    fn merge(&mut self, part: Accumulator) {
+        if self.plain.is_empty() && self.by_pattern.is_empty() {
+            *self = part;
+            return;
+        }
+        self.original_items += part.original_items;
+        for t in part.plain.iter() {
+            self.plain.push_row(t);
+        }
+        for (pidx, part_members) in part.by_pattern {
+            let members = self.by_pattern.entry(pidx).or_default();
+            for o in part_members.outliers.iter() {
+                members.outliers.push_row(o);
+            }
+            members.bare += part_members.bare;
+        }
+    }
+
+    /// Emits the groups in utility order. Only the patterns actually
+    /// used are sorted — the seed walked the *entire* order doing a
+    /// hash remove per pattern, which costs O(|FP|) even when a handful
+    /// of groups exist.
+    fn into_cdb<'p>(
+        self,
+        rank_of: impl Fn(u32) -> u32,
+        items_of: impl Fn(u32) -> &'p [Item],
+    ) -> CompressedDb {
+        let mut used: Vec<(u32, Members)> = self.by_pattern.into_iter().collect();
+        used.sort_unstable_by_key(|&(pidx, _)| rank_of(pidx));
+        let groups = used
+            .into_iter()
+            .map(|(pidx, m)| {
+                histogram::observe("compress.group_size", m.outliers.len() as u64 + m.bare as u64);
+                Group::from_csr(items_of(pidx).to_vec(), m.outliers, m.bare)
+            })
+            .collect();
+        CompressedDb::new(groups, self.plain, self.original_items)
+    }
+
+    /// Seals a compression run: emits the groups, records its
+    /// `compress.*` counters and its outcome fields on `sp`.
+    fn finish(
+        self,
+        index: &CoverIndex<'_>,
+        started: Instant,
+        sp: &mut Span,
+    ) -> (CompressedDb, CompressionStats) {
+        let cdb = self.into_cdb(|pidx| index.rank_of(pidx), |pidx| index.pattern(pidx).items());
         let s = cdb.stats();
         let stats = CompressionStats {
-            duration: self.started.elapsed(),
+            duration: started.elapsed(),
             ratio: s.ratio(),
             num_groups: s.num_groups,
             covered_tuples: s.covered_tuples,
@@ -386,31 +374,11 @@ impl StreamCompressor<'_> {
         metrics::add("compress.tuples_total", stats.num_tuples as u64);
         metrics::add("compress.tuples_covered", stats.covered_tuples as u64);
         metrics::add("compress.groups_emitted", stats.num_groups as u64);
-        sp.field("strategy", self.strategy.suffix())
-            .field("tuples", stats.num_tuples)
+        sp.field("tuples", stats.num_tuples)
             .field("covered", stats.covered_tuples)
             .field("groups", stats.num_groups);
         (cdb, stats)
     }
-}
-
-/// Emits groups in utility order. Only the patterns actually used are
-/// sorted — the seed walked the *entire* order doing a hash remove per
-/// pattern, which costs O(|FP|) even when a handful of groups exist.
-fn emit_groups(
-    mut by_pattern: FxHashMap<u32, Members>,
-    rank_of: impl Fn(u32) -> u32,
-    items_of: impl Fn(u32) -> Vec<Item>,
-) -> Vec<Group> {
-    let mut used: Vec<u32> = by_pattern.keys().copied().collect();
-    used.sort_unstable_by_key(|&pidx| rank_of(pidx));
-    used.into_iter()
-        .map(|pidx| {
-            let (outliers, bare) = by_pattern.remove(&pidx).expect("used key vanished");
-            histogram::observe("compress.group_size", outliers.len() as u64 + bare as u64);
-            Group::new(items_of(pidx), outliers, bare)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -10,60 +10,63 @@
 //! pattern item — so that on easy inputs (where the seed scan already
 //! finds a cover within the first couple of candidates) the kernel costs
 //! no more than the scan, while on hard inputs it wins by orders of
-//! magnitude. Everything per-pattern is computed lazily, only for
-//! patterns a query actually visits.
+//! magnitude.
 //!
-//! # Two traversals, one index
+//! # One sweep, chains compiled once per index
 //!
-//! [`CoverIndex::cover_all`] — what whole-database compression uses —
-//! is a **vertical sweep**: tuples become bits of per-item column
-//! bitmaps (one column per distinct pattern item), and patterns are
-//! visited in ascending utility-rank order, each claiming every
-//! still-uncovered tuple that contains all its items with a short
-//! AND-chain over its items' columns, rarest item first, aborting on the
-//! first empty intersection. The sweep stops the moment every tuple is
-//! claimed — on dense databases that is typically after a handful of
-//! patterns, so the per-pattern work (ordering its items by rarity) is
-//! paid only for those few. The assignment is identical to the seed
-//! scan's: "tuple `t` gets the minimum-rank pattern containing it" and
-//! "patterns in rank order claim all unclaimed tuples containing them"
-//! describe the same greedy.
+//! [`CoverIndex::cover_all`] is a **vertical sweep**: tuples become bits
+//! of per-item column bitmaps (one column per distinct pattern item),
+//! and patterns are visited in ascending utility-rank order, each
+//! claiming every still-uncovered tuple that contains all its items with
+//! a short AND-chain over its items' columns, rarest item first,
+//! aborting on the first empty intersection. The sweep stops the moment
+//! every tuple is claimed — on dense databases that is typically after a
+//! handful of patterns.
 //!
-//! [`CoverIndex::cover`] answers a *point query* — one tuple at a time —
-//! for incremental callers. It lazily builds (once, on first use) an
-//! **anchor-bucket** table: every pattern is assigned an anchor, its
-//! rarest item under the database's item supports, and `buckets[item]`
-//! lists the ranks anchored at that item, ascending. Covering a tuple
-//! visits only the buckets of items the tuple contains, lazily merged in
-//! ascending rank order through a small binary heap, testing containment
-//! candidate by candidate (against a presence bitmap, non-anchor items
-//! rarest first) and exiting on the first hit.
+//! A pattern's AND-chain (its items' column slots, rarest first) depends
+//! only on the index, never on the tuples swept, so it is compiled once
+//! per index, not once per sweep: the first sweep to reach a block of
+//! 256 consecutive ranks (`CHAIN_BLOCK`) compiles the whole block into
+//! one flat table, and every later sweep — the next chunk of a parallel
+//! pass, or the next segment of a streaming compression — walks the
+//! compiled chains with no sorting and no per-pattern allocation. A
+//! sweep that drains after a handful of patterns compiles one block, not
+//! the whole pattern set. Covering therefore costs in proportion to the
+//! tuples fed, however many chunks they arrive in.
 //!
-//! **Equivalence to the linear scan.** Ranks are distinct and both
-//! traversals consider candidates in strictly ascending rank. Any
-//! pattern contained in tuple `t` has all its items (in particular its
-//! anchor) in `t`, so the point query meets it in exactly one visited
-//! bucket and the sweep's AND-chain keeps `t` in the claim set;
-//! candidates not contained in `t` are rejected by the containment probe
-//! / drop `t` during the AND-chain. The first accepted candidate is
-//! therefore the minimum-rank pattern contained in `t` — precisely what
-//! the seed scan (first hit in utility order) returns. The differential
-//! test `cover_differential.rs` enforces this on random databases for
-//! both strategies and any thread count.
+//! **Equivalence to the linear scan.** Ranks are distinct and the sweep
+//! considers candidates in strictly ascending rank. Any pattern
+//! contained in tuple `t` has all its items in `t`, so its AND-chain
+//! keeps `t` in the claim set unless a lower-rank pattern claimed `t`
+//! first; a pattern not contained in `t` drops `t` somewhere along its
+//! chain. Each tuple is therefore claimed by the minimum-rank pattern it
+//! contains — precisely what the seed scan (first hit in utility order)
+//! returns, and "tuple `t` gets the minimum-rank pattern containing it"
+//! and "patterns in rank order claim all unclaimed tuples containing
+//! them" describe the same greedy. Because the assignment is
+//! tuple-local, covering a database chunk by chunk assigns every tuple
+//! exactly as one whole-database sweep does. The differential test
+//! `cover_differential.rs` enforces this on random databases for both
+//! strategies, any thread count and any chunking.
 
 use crate::utility::{order_by_utility, Strategy};
 use gogreen_data::bitmap;
 use gogreen_data::{Item, Pattern, PatternSet, TransactionDb, TupleSlices};
 use gogreen_obs::{histogram, metrics};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::sync::OnceLock;
+
+/// Utility ranks per lazily compiled block of AND-chains. Small enough
+/// that a sweep draining after a few patterns compiles little, large
+/// enough that the per-block lookup is negligible next to the chains.
+const CHAIN_BLOCK: usize = 256;
 
 /// A per-run index over a recycled pattern set, answering "which is the
 /// highest-utility pattern contained in this tuple?" without scanning
 /// patterns the tuple cannot contain.
 ///
 /// Borrows the pattern list — the index is a per-run view, so callers
-/// keep ownership and nothing is cloned.
+/// keep ownership and nothing is cloned. It is `Sync`: the workers of a
+/// parallel pass share one index and its compiled chains.
 #[derive(Debug)]
 pub struct CoverIndex<'a> {
     patterns: &'a [Pattern],
@@ -71,46 +74,40 @@ pub struct CoverIndex<'a> {
     order: Vec<u32>,
     /// `rank[pattern index]` = position in `order`.
     rank: Vec<u32>,
-    /// Per-item database supports; index = item id.
-    supports: Vec<u64>,
     /// `rarity[item index]` = F-list position (ascending support, ties by
     /// id) — rarest items first, so rarity comparisons are plain `u32`s.
+    /// One entry per item id occurring in the database.
     rarity: Vec<u32>,
-    /// Bitmap size: one slot per item id occurring in the database.
-    num_items: usize,
     /// `slot_of_item[item index]` = column slot in the vertical sweep,
     /// [`SLOT_NONE`] for items no pattern uses (they never need a
     /// column).
     slot_of_item: Vec<u32>,
     /// Number of assigned column slots.
     num_slots: usize,
-    /// Anchor-bucket tables for the per-tuple [`Self::cover`] path, built
-    /// lazily on first use — whole-database compression goes through
-    /// [`Self::cover_all`] and never pays for them.
-    tables: std::sync::OnceLock<PointTables>,
+    /// `chains[b]` = the compiled AND-chains of ranks
+    /// `b * CHAIN_BLOCK..(b + 1) * CHAIN_BLOCK`, compiled by the first
+    /// sweep that reaches rank `b * CHAIN_BLOCK`.
+    chains: Vec<OnceLock<ChainBlock>>,
 }
 
 /// Sentinel: "no column slot".
 const SLOT_NONE: u32 = u32::MAX;
 
-/// The per-pattern structures only [`CoverIndex::cover`] needs.
+/// The compiled AND-chains of one block of consecutive utility ranks:
+/// each rank's column slots, rarest item first, stored flat;
+/// `start[j]..start[j + 1]` is the chain of the block's `j`-th rank. An
+/// empty chain marks a pattern that can cover nothing — the empty
+/// pattern, or one with an item the database never contains.
 #[derive(Debug)]
-struct PointTables {
-    /// Non-anchor items of every pattern, rarest first, stored flat in
-    /// rank order; `probe_start[rank]..probe_start[rank + 1]` slices out
-    /// one pattern's probes (no per-pattern allocation).
-    probe_items: Vec<Item>,
-    probe_start: Vec<u32>,
-    /// `lens[rank]` = pattern length (skip probes longer than the tuple).
-    lens: Vec<u32>,
-    /// `buckets[item index]` = ranks anchored at that item, ascending.
-    buckets: Vec<Vec<u32>>,
+struct ChainBlock {
+    slots: Vec<u32>,
+    start: Vec<u32>,
 }
 
-impl PointTables {
-    /// The non-anchor items of the rank-`k` pattern, rarest first.
-    fn probes(&self, k: usize) -> &[Item] {
-        &self.probe_items[self.probe_start[k] as usize..self.probe_start[k + 1] as usize]
+impl ChainBlock {
+    /// The block's chains in rank order.
+    fn chains(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.start.windows(2).map(|w| &self.slots[w[0] as usize..w[1] as usize])
     }
 }
 
@@ -145,8 +142,8 @@ impl<'a> CoverIndex<'a> {
         for (k, &pidx) in order.iter().enumerate() {
             rank[pidx as usize] = k as u32;
         }
-        // Rarity ranks, computed once so anchor selection and item
-        // ordering are plain u32 comparisons with no allocation.
+        // Rarity ranks, computed once so chain ordering is plain u32
+        // comparisons with no allocation.
         let mut by_support: Vec<u32> = (0..num_items as u32).collect();
         by_support.sort_unstable_by_key(|&i| (supports[i as usize], i));
         let mut rarity = vec![0u32; num_items];
@@ -154,8 +151,8 @@ impl<'a> CoverIndex<'a> {
             rarity[i as usize] = r as u32;
         }
         // Column slots: one per distinct in-database pattern item, in
-        // first-seen order. A single linear pass — everything else about
-        // a pattern is computed lazily, only if a query visits it.
+        // first-seen order. A single linear pass — each pattern's chain
+        // is compiled lazily, only if a sweep reaches its block.
         let mut slot_of_item = vec![SLOT_NONE; num_items];
         let mut num_slots = 0usize;
         for p in patterns {
@@ -168,65 +165,39 @@ impl<'a> CoverIndex<'a> {
                 }
             }
         }
-        CoverIndex {
-            patterns,
-            order,
-            rank,
-            supports,
-            rarity,
-            num_items,
-            slot_of_item,
-            num_slots,
-            tables: std::sync::OnceLock::new(),
-        }
+        let chains = (0..order.len().div_ceil(CHAIN_BLOCK)).map(|_| OnceLock::new()).collect();
+        CoverIndex { patterns, order, rank, rarity, slot_of_item, num_slots, chains }
     }
 
-    /// The anchor-bucket tables, built on the first per-tuple cover.
-    fn tables(&self) -> &PointTables {
-        self.tables.get_or_init(|| {
-            let rarity_of = |it: Item| {
-                if it.index() < self.num_items && self.supports[it.index()] > 0 {
-                    Some(self.rarity[it.index()])
-                } else {
-                    None // never occurs in the database
-                }
-            };
-            let mut probe_items: Vec<Item> = Vec::new();
-            let mut probe_start = Vec::with_capacity(self.order.len() + 1);
-            probe_start.push(0u32);
-            let mut lens = Vec::with_capacity(self.order.len());
-            let mut buckets = vec![Vec::new(); self.num_items];
-            for (k, &pidx) in self.order.iter().enumerate() {
-                let p = &self.patterns[pidx as usize];
-                lens.push(p.len() as u32);
-                let anchor = p.items().iter().copied().try_fold(None, |best, it| {
-                    let r = rarity_of(it)?; // a zero-support item disqualifies
-                    Some(match best {
-                        Some((br, _)) if br <= r => best,
-                        _ => Some((r, it)),
-                    })
-                });
-                let Some(Some((_, anchor))) = anchor else {
-                    // Some pattern item never occurs in the database (or
-                    // the pattern is empty): it can cover nothing, so it
-                    // gets no bucket — the seed scan rejects it on every
-                    // tuple too.
-                    probe_start.push(probe_items.len() as u32);
-                    continue;
-                };
-                // Ranks arrive in ascending order by construction.
-                buckets[anchor.index()].push(k as u32);
-                // Probe items rarest first so failing probes die early.
-                let lo = probe_items.len();
-                probe_items.extend(p.items().iter().copied().filter(|&it| it != anchor));
-                probe_items[lo..].sort_unstable_by_key(|&it| self.rarity[it.index()]);
-                probe_start.push(probe_items.len() as u32);
+    /// Compiles block `b`'s AND-chains.
+    fn compile_block(&self, b: usize) -> ChainBlock {
+        let ranks = &self.order[b * CHAIN_BLOCK..self.order.len().min((b + 1) * CHAIN_BLOCK)];
+        let mut slots = Vec::new();
+        let mut start = Vec::with_capacity(ranks.len() + 1);
+        start.push(0u32);
+        // Scratch for one pattern's (rarity, slot) pairs.
+        let mut chain: Vec<(u32, u32)> = Vec::new();
+        for &pidx in ranks {
+            let items = self.patterns[pidx as usize].items();
+            // An item never occurring in the database (out of range here)
+            // disqualifies the pattern: it keeps an empty chain. Every
+            // in-range pattern item was assigned a slot at build time; a
+            // zero-support item's column is all-zero, so its AND-chain
+            // rejects the pattern naturally.
+            if items.iter().all(|it| it.index() < self.rarity.len()) {
+                chain.clear();
+                chain.extend(
+                    items.iter().map(|it| (self.rarity[it.index()], self.slot_of_item[it.index()])),
+                );
+                chain.sort_unstable();
+                slots.extend(chain.iter().map(|&(_, slot)| slot));
             }
-            PointTables { probe_items, probe_start, lens, buckets }
-        })
+            start.push(slots.len() as u32);
+        }
+        ChainBlock { slots, start }
     }
 
-    /// The indexed patterns (indexable by the ids `cover` returns).
+    /// The indexed patterns (indexable by the ids `cover_all` returns).
     pub fn pattern(&self, pidx: u32) -> &'a Pattern {
         &self.patterns[pidx as usize]
     }
@@ -251,68 +222,18 @@ impl<'a> CoverIndex<'a> {
         self.rank[pidx as usize]
     }
 
-    /// The highest-utility pattern contained in `t`, or `None`.
-    ///
-    /// Exactly equivalent to scanning `order()` and returning the first
-    /// pattern whose items are all in `t` (see the module docs for the
-    /// argument). `scratch` carries the presence bitmap and merge heap so
-    /// per-tuple work allocates nothing.
-    pub fn cover(&self, t: &[Item], scratch: &mut CoverScratch) -> Option<u32> {
-        let tables = self.tables();
-        let items = t;
-        for &it in items {
-            if it.index() < self.num_items {
-                scratch.present[it.index()] = true;
-            }
-        }
-        // Seed the lazy merge with each non-empty bucket's best rank.
-        for &it in items {
-            let Some(bucket) = tables.buckets.get(it.index()) else { continue };
-            if let Some(&first) = bucket.first() {
-                let slot = scratch.cursors.len() as u32;
-                scratch.cursors.push(Cursor { item: it.id(), pos: 1 });
-                scratch.heap.push(Reverse((first, slot)));
-            }
-        }
-        let tuple_len = items.len() as u32;
-        let mut found = None;
-        while let Some(Reverse((rank, slot))) = scratch.heap.pop() {
-            if tables.lens[rank as usize] <= tuple_len
-                && tables.probes(rank as usize).iter().all(|it| scratch.present[it.index()])
-            {
-                found = Some(self.order[rank as usize]);
-                break;
-            }
-            let cursor = &mut scratch.cursors[slot as usize];
-            let bucket = &tables.buckets[cursor.item as usize];
-            if let Some(&next) = bucket.get(cursor.pos as usize) {
-                cursor.pos += 1;
-                scratch.heap.push(Reverse((next, slot)));
-            }
-        }
-        for &it in items {
-            if it.index() < self.num_items {
-                scratch.present[it.index()] = false;
-            }
-        }
-        scratch.heap.clear();
-        scratch.cursors.clear();
-        found
-    }
-
     /// Covers every tuple of `tuples` in one vertical sweep, returning
-    /// `out[i]` = the pattern index covering `tuples[i]` (or `None`).
+    /// `out[i]` = the pattern index covering `tuples[i]` (or `None`):
+    /// the highest-utility pattern contained in the tuple.
     ///
-    /// Exactly equivalent to calling [`Self::cover`] per tuple: patterns
-    /// are visited in ascending rank order and each claims every
-    /// still-unclaimed tuple containing it, which assigns each tuple its
-    /// minimum-rank containing pattern. Tuples are bits of per-item
-    /// column bitmaps, so a pattern's claim is an AND-chain over its
-    /// items' columns — rarest item first — restricted to the
-    /// still-uncovered set, and the sweep exits as soon as that set
-    /// drains. Per-pattern work (ordering its items by rarity) happens
-    /// here, lazily, so a sweep that drains after a handful of patterns
-    /// pays for just those.
+    /// Exactly equivalent to scanning `order()` per tuple and taking the
+    /// first pattern whose items are all in it (see the module docs):
+    /// patterns are visited in ascending rank order and each claims
+    /// every still-unclaimed tuple containing it. Tuples are bits of
+    /// per-item column bitmaps, so a pattern's claim is its compiled
+    /// AND-chain over its items' columns — rarest item first —
+    /// restricted to the still-uncovered set, and the sweep exits as
+    /// soon as that set drains.
     pub fn cover_all(&self, tuples: TupleSlices<'_, Item>) -> Vec<Option<u32>> {
         let n = tuples.len();
         let mut out = vec![None; n];
@@ -340,85 +261,45 @@ impl<'a> CoverIndex<'a> {
         // lives under the thread-*variant* `cover.*` prefix (see
         // `gogreen_obs::metrics::is_thread_invariant`).
         let mut words_scanned = 0u64;
-        // Scratch for one pattern's (rarity, slot) pairs, rarest first.
-        let mut chain: Vec<(u32, u32)> = Vec::new();
-        'patterns: for k in 0..self.order.len() {
-            let p = &self.patterns[self.order[k] as usize];
-            if p.is_empty() {
-                continue; // an empty pattern covers nothing
-            }
-            chain.clear();
-            for &it in p.items() {
-                if it.index() >= self.num_items {
-                    continue 'patterns; // item never occurs in the database
-                }
-                // Every in-range pattern item was assigned a slot at
-                // build time; a zero-support item's column is all-zero,
-                // so the AND-chain rejects the pattern naturally.
-                chain.push((self.rarity[it.index()], self.slot_of_item[it.index()]));
-            }
-            chain.sort_unstable();
-            // The AND-chain runs on the shared bitmap kernels (the same
-            // SIMD/unrolled code the vertical miner counts with), each
-            // returning the OR of the result for the early-exit test.
-            let col = &bits[chain[0].1 as usize * words..][..words];
-            words_scanned += words as u64;
-            if bitmap::select_and(&mut acc, &uncovered, col) == 0 {
-                continue;
-            }
-            for &(_, slot) in &chain[1..] {
-                let col = &bits[slot as usize * words..][..words];
+        'blocks: for (b, block) in self.chains.iter().enumerate() {
+            let block = block.get_or_init(|| self.compile_block(b));
+            'patterns: for (j, chain) in block.chains().enumerate() {
+                let Some((&first, rest)) = chain.split_first() else { continue };
+                // The AND-chain runs on the shared bitmap kernels (the
+                // same SIMD/unrolled code the vertical miner counts
+                // with), each returning the OR of the result for the
+                // early-exit test.
+                let col = &bits[first as usize * words..][..words];
                 words_scanned += words as u64;
-                if bitmap::and_into(&mut acc, col) == 0 {
-                    continue 'patterns;
+                if bitmap::select_and(&mut acc, &uncovered, col) == 0 {
+                    continue;
                 }
-            }
-            let pidx = self.order[k];
-            let before = remaining;
-            for w in 0..words {
-                let mut claimed = acc[w];
-                uncovered[w] &= !claimed;
-                while claimed != 0 {
-                    out[w * 64 + claimed.trailing_zeros() as usize] = Some(pidx);
-                    claimed &= claimed - 1;
-                    remaining -= 1;
+                for &slot in rest {
+                    let col = &bits[slot as usize * words..][..words];
+                    words_scanned += words as u64;
+                    if bitmap::and_into(&mut acc, col) == 0 {
+                        continue 'patterns;
+                    }
                 }
-            }
-            histogram::observe("cover.run_len", (before - remaining) as u64);
-            if remaining == 0 {
-                break;
+                let pidx = self.order[b * CHAIN_BLOCK + j];
+                let before = remaining;
+                for w in 0..words {
+                    let mut claimed = acc[w];
+                    uncovered[w] &= !claimed;
+                    while claimed != 0 {
+                        out[w * 64 + claimed.trailing_zeros() as usize] = Some(pidx);
+                        claimed &= claimed - 1;
+                        remaining -= 1;
+                    }
+                }
+                histogram::observe("cover.run_len", (before - remaining) as u64);
+                if remaining == 0 {
+                    break 'blocks;
+                }
             }
         }
         metrics::add("cover.words_scanned", words_scanned);
         out
-    }
-}
-
-/// One bucket's position in the lazy merge.
-#[derive(Debug)]
-struct Cursor {
-    item: u32,
-    pos: u32,
-}
-
-/// Reusable per-worker state for [`CoverIndex::cover`]: the tuple
-/// presence bitmap plus the rank-merge heap. Each thread of a parallel
-/// covering pass owns one.
-#[derive(Debug)]
-pub struct CoverScratch {
-    present: Vec<bool>,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    cursors: Vec<Cursor>,
-}
-
-impl CoverScratch {
-    /// Scratch sized for `index`.
-    pub fn for_index(index: &CoverIndex) -> Self {
-        CoverScratch {
-            present: vec![false; index.num_items],
-            heap: BinaryHeap::new(),
-            cursors: Vec::new(),
-        }
     }
 }
 
@@ -428,7 +309,7 @@ mod tests {
     use gogreen_data::MinSupport;
     use gogreen_miners::mine_apriori;
 
-    /// The seed behaviour `cover` must replicate: first pattern in
+    /// The seed behaviour `cover_all` must replicate: first pattern in
     /// utility order contained in the tuple.
     fn linear_cover(index: &CoverIndex, t: &[Item]) -> Option<u32> {
         index.order().iter().copied().find(|&pidx| {
@@ -437,16 +318,21 @@ mod tests {
         })
     }
 
+    /// Asserts the sweep over all of `db` picks what the linear scan picks.
+    fn assert_sweep_matches_linear_scan(index: &CoverIndex, db: &TransactionDb, what: &str) {
+        let swept = index.cover_all(db.tuples());
+        for (i, (t, got)) in db.iter().zip(swept).enumerate() {
+            assert_eq!(got, linear_cover(index, t), "{what} tuple {i}");
+        }
+    }
+
     #[test]
     fn matches_linear_scan_on_paper_example() {
         let db = TransactionDb::paper_example();
         let fp = mine_apriori(&db, MinSupport::Absolute(3));
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             let index = CoverIndex::new(&db, &fp, strategy);
-            let mut scratch = CoverScratch::for_index(&index);
-            for t in db.iter() {
-                assert_eq!(index.cover(t, &mut scratch), linear_cover(&index, t));
-            }
+            assert_sweep_matches_linear_scan(&index, &db, &format!("{strategy:?}"));
         }
     }
 
@@ -455,11 +341,11 @@ mod tests {
         let db = TransactionDb::paper_example();
         let fp = mine_apriori(&db, MinSupport::Absolute(3));
         let index = CoverIndex::new(&db, &fp, Strategy::Mcp);
-        let mut scratch = CoverScratch::for_index(&index);
         // Tuples 100–300 go to fgc = {2,5,6}; 400–500 to ae = {0,4}.
-        let picks: Vec<&[Item]> = db
+        let picks: Vec<&[Item]> = index
+            .cover_all(db.tuples())
             .iter()
-            .map(|t| index.pattern(index.cover(t, &mut scratch).unwrap()).items())
+            .map(|c| index.pattern(c.unwrap()).items())
             .collect();
         assert_eq!(picks[0], &[Item(2), Item(5), Item(6)]);
         assert_eq!(picks[1], &[Item(2), Item(5), Item(6)]);
@@ -474,8 +360,7 @@ mod tests {
         let mut fp = PatternSet::new();
         fp.insert(Pattern::from_ids([1, 2, 500], 1));
         let index = CoverIndex::new(&db, &fp, Strategy::Mcp);
-        let mut scratch = CoverScratch::for_index(&index);
-        assert_eq!(index.cover(db.tuple(0), &mut scratch), None);
+        assert_eq!(linear_cover(&index, db.tuple(0)), None);
         assert_eq!(index.cover_all(db.tuples()), vec![None]);
     }
 
@@ -485,22 +370,21 @@ mod tests {
         let fp = PatternSet::new();
         let index = CoverIndex::new(&db, &fp, Strategy::Mcp);
         assert!(index.is_empty());
-        let mut scratch = CoverScratch::for_index(&index);
-        for t in db.iter() {
-            assert_eq!(index.cover(t, &mut scratch), None);
-        }
+        assert_eq!(index.cover_all(db.tuples()), vec![None; db.len()]);
     }
 
     #[test]
     fn batch_sweep_matches_per_tuple_cover() {
+        // Every single-tuple sweep agrees with the whole-database sweep
+        // and with the linear scan.
         let db = TransactionDb::paper_example();
         let fp = mine_apriori(&db, MinSupport::Absolute(2));
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             let index = CoverIndex::new(&db, &fp, strategy);
-            let mut scratch = CoverScratch::for_index(&index);
             let batch = index.cover_all(db.tuples());
-            for (t, got) in db.iter().zip(batch) {
-                assert_eq!(got, index.cover(t, &mut scratch), "{strategy:?}");
+            for (i, (t, got)) in db.iter().zip(batch).enumerate() {
+                assert_eq!(got, linear_cover(&index, t), "{strategy:?}");
+                assert_eq!(vec![got], index.cover_all(db.tuples().range(i, i + 1)), "{strategy:?}");
             }
         }
     }
@@ -517,11 +401,7 @@ mod tests {
         fp.insert(Pattern::from_ids([1, 3, 100], 10));
         fp.insert(Pattern::from_ids([100], 150));
         let index = CoverIndex::new(&db, &fp, Strategy::Mcp);
-        let mut scratch = CoverScratch::for_index(&index);
-        let batch = index.cover_all(db.tuples());
-        for (t, got) in db.iter().zip(batch) {
-            assert_eq!(got, index.cover(t, &mut scratch));
-        }
+        assert_sweep_matches_linear_scan(&index, &db, "150 tuples");
     }
 
     /// Regression for the shared-kernel refactor: the sweep (now running
@@ -550,10 +430,7 @@ mod tests {
         fp.insert(Pattern::from_ids([50], 200));
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             let index = CoverIndex::new(&db, &fp, strategy);
-            let batch = index.cover_all(db.tuples());
-            for (t, got) in db.iter().zip(batch) {
-                assert_eq!(got, linear_cover(&index, t), "{strategy:?}");
-            }
+            assert_sweep_matches_linear_scan(&index, &db, &format!("{strategy:?}"));
         }
     }
 
@@ -570,17 +447,58 @@ mod tests {
 
     #[test]
     fn scratch_reuse_does_not_leak_state() {
-        // Cover a wide tuple, then a disjoint one: stale presence bits or
-        // heap entries would surface immediately.
+        // Sweep a wide tuple, then a disjoint one, through the same
+        // index: stale bits from the first sweep would surface at once.
         let db = TransactionDb::from_rows(&[&[1, 2, 3, 4, 5], &[8, 9]]);
         let mut fp = PatternSet::new();
         fp.insert(Pattern::from_ids([1, 2, 3], 1));
         fp.insert(Pattern::from_ids([8, 9], 1));
         let index = CoverIndex::new(&db, &fp, Strategy::Mcp);
-        let mut scratch = CoverScratch::for_index(&index);
-        let a = index.cover(db.tuple(0), &mut scratch).unwrap();
-        let b = index.cover(db.tuple(1), &mut scratch).unwrap();
+        let a = index.cover_all(db.tuples().range(0, 1))[0].unwrap();
+        let b = index.cover_all(db.tuples().range(1, 2))[0].unwrap();
         assert_eq!(index.pattern(a).items(), &[Item(1), Item(2), Item(3)]);
         assert_eq!(index.pattern(b).items(), &[Item(8), Item(9)]);
+    }
+
+    /// More patterns than one chain block, most never contained, so a
+    /// sweep walks several compiled blocks — and one that drains early
+    /// compiles only the first.
+    #[test]
+    fn chains_compile_lazily_one_block_at_a_time() {
+        // Items 0..40; rows hold a run of consecutive items.
+        let rows: Vec<Vec<u32>> =
+            (0..90u32).map(|i| (i % 30..i % 30 + 1 + i % 9).collect()).collect();
+        let row_refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let db = TransactionDb::from_rows(&row_refs);
+        let mut fp = PatternSet::new();
+        for a in 0..40u32 {
+            for b in a + 1..40 {
+                fp.insert(Pattern::from_ids([a, b], 1 + u64::from((a * 7 + b) % 11)));
+            }
+        }
+        fp.insert(Pattern::from_ids([0, 1, 77], 500)); // item 77 never occurs
+        assert!(fp.len() > 3 * CHAIN_BLOCK);
+        for strategy in [Strategy::Mcp, Strategy::Mlp] {
+            let index = CoverIndex::new(&db, &fp, strategy);
+            assert!(index.chains.iter().all(|c| c.get().is_none()), "nothing compiled eagerly");
+            assert_sweep_matches_linear_scan(&index, &db, &format!("{strategy:?}"));
+            assert!(index.chains.iter().filter(|c| c.get().is_some()).count() > 1);
+            // A second sweep over a chunk reuses the compiled chains.
+            assert_eq!(
+                index.cover_all(db.tuples().range(10, 40)),
+                index.cover_all(db.tuples())[10..40].to_vec()
+            );
+        }
+        // The rank-0 pattern covers every tuple: the sweep drains at
+        // once and compiles block 0 only.
+        let mut top = fp.clone();
+        top.insert(Pattern::from_ids([40], 90));
+        let rows: Vec<Vec<u32>> = rows.iter().map(|r| [r.as_slice(), &[40]].concat()).collect();
+        let row_refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let db = TransactionDb::from_rows(&row_refs);
+        let index = CoverIndex::new(&db, &top, Strategy::Mcp);
+        assert_sweep_matches_linear_scan(&index, &db, "draining");
+        assert!(index.chains[0].get().is_some());
+        assert!(index.chains[1..].iter().all(|c| c.get().is_none()));
     }
 }

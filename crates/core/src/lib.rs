@@ -53,7 +53,7 @@ pub mod utility;
 pub use batch::{BatchOutcome, BatchPlan, BatchQuery, BatchReport, QueryBatch};
 pub use cdb::CompressedDb;
 pub use compress::{CompressionStats, Compressor};
-pub use cover::{CoverIndex, CoverScratch};
+pub use cover::CoverIndex;
 pub use utility::Strategy;
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //! databases and recycled pattern sets, the `CoverIndex` compressor —
 //! serial *and* multi-threaded — must produce a `CompressedDb` identical
 //! group-for-group (same groups, same order, same outliers, same plain
-//! residue) to the seed's linear-scan cover, for both strategies; and the
-//! recycled output must still mine exactly. Cases come from a seeded
+//! residue) to the seed's linear-scan cover, for both strategies, whether
+//! the database arrives whole or streamed in chunks; and the recycled
+//! output must still mine exactly. Cases come from a seeded
 //! in-repo PRNG; the case index in a failure message replays the input.
 
 use gogreen_core::compress::Compressor;
@@ -15,7 +16,7 @@ use gogreen_util::rng::{Rng, SmallRng};
 use std::collections::BTreeSet;
 
 /// A random database: up to 30 tuples over up to 14 items. Skewed item
-/// draws make some items rare so anchor buckets differ in size.
+/// draws make some items rare so rarest-first chains differ in order.
 fn random_db(rng: &mut SmallRng) -> TransactionDb {
     let rows = 1 + rng.gen_index(29);
     let mut txs = Vec::with_capacity(rows);
@@ -60,6 +61,50 @@ fn parallel_cover_is_identical_for_any_thread_count() {
             let reference = Compressor::new(strategy).compress_reference(&db, &fp);
             let parallel = Compressor::new(strategy).with_threads(threads).compress(&db, &fp);
             assert_eq!(reference, parallel, "case {case} {strategy:?} threads={threads}");
+        }
+    }
+}
+
+/// Streaming compression is whole-database compression fed in chunks:
+/// at random split points — including empty and one-row chunks — the
+/// streamed result must equal both the whole-database kernel and the
+/// linear-scan reference, serial and threaded.
+#[test]
+fn streamed_chunks_match_whole_database_and_reference() {
+    for case in 0..96u64 {
+        let mut rng = SmallRng::seed_from_u64(0xc0fe_4000 + case);
+        let db = random_db(&mut rng);
+        let xi_old = 1 + rng.gen_below(5);
+        let fp = mine_apriori(&db, MinSupport::Absolute(xi_old));
+        let patterns = fp.as_slice();
+        // Chunk lengths: mostly 0 or 1 rows, now and then a longer run.
+        let mut bounds = vec![0];
+        while *bounds.last().unwrap() < db.len() {
+            let step = match rng.gen_index(4) {
+                0 => 0,
+                1 | 2 => 1,
+                _ => 1 + rng.gen_index(db.len()),
+            };
+            bounds.push((bounds.last().unwrap() + step).min(db.len()));
+        }
+        bounds.push(db.len()); // a trailing empty chunk
+        for strategy in [Strategy::Mcp, Strategy::Mlp] {
+            let reference = Compressor::new(strategy).compress_reference(&db, &fp);
+            for threads in [1, 3] {
+                let c = Compressor::new(strategy).with_threads(threads);
+                let (whole, whole_stats) = c.compress_with_stats(&db, &fp);
+                let mut stream = c.stream(patterns, db.item_supports(), db.len());
+                for w in bounds.windows(2) {
+                    stream.feed(db.tuples().range(w[0], w[1]));
+                }
+                let (streamed, stats) = stream.finish();
+                let what = format!("case {case} {strategy:?} threads={threads} chunks {bounds:?}");
+                assert_eq!(streamed, whole, "{what}");
+                assert_eq!(streamed, reference, "{what}");
+                assert_eq!(stats.num_groups, whole_stats.num_groups, "{what}");
+                assert_eq!(stats.covered_tuples, whole_stats.covered_tuples, "{what}");
+                assert_eq!(stats.num_tuples, db.len(), "{what}");
+            }
         }
     }
 }

@@ -353,6 +353,42 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The finest chunking a store can have: every row its own segment,
+    /// so every feed of the streaming compressor is a single tuple.
+    #[test]
+    fn one_row_per_segment_compresses_like_the_whole_database() {
+        let dir = temp_dir("one-row");
+        let rows = synthetic_rows(90);
+        fill(&dir, &rows, 1); // any row overflows one byte: one per segment
+        let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let mem_db = TransactionDb::from_rows(&refs);
+        let fp = Family::Hm.mine(&mem_db, MinSupport::Absolute(9));
+        assert!(fp.len() > 10);
+        let db = SegmentedDb::open(&dir).unwrap();
+        assert_eq!(db.num_segments(), rows.len());
+        for strategy in [Strategy::Mcp, Strategy::Mlp] {
+            let (want, want_stats) = Compressor::new(strategy).compress_with_stats(&mem_db, &fp);
+            for threads in [1, 3] {
+                let (got, stats) = OocMiner::new(&db)
+                    .with_parallelism(Parallelism::threads(threads))
+                    .compress(&fp, strategy)
+                    .unwrap();
+                assert_eq!(got, want, "{strategy:?} threads={threads}");
+                assert_eq!(
+                    (stats.ratio, stats.num_groups, stats.covered_tuples, stats.num_tuples),
+                    (
+                        want_stats.ratio,
+                        want_stats.num_groups,
+                        want_stats.covered_tuples,
+                        want_stats.num_tuples
+                    ),
+                    "{strategy:?} threads={threads}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn incremental_rounds_persist_versions_and_reopen() {
         let dir = temp_dir("inc");

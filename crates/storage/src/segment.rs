@@ -83,7 +83,9 @@ struct SegmentMeta {
     payload_bytes: usize,
 }
 
-fn read_header(path: &Path) -> io::Result<(SegmentMeta, u32)> {
+/// Opens a segment and validates its header, returning the header, the
+/// stored payload CRC and the file positioned at the payload.
+fn read_header(path: &Path) -> io::Result<(SegmentMeta, u32, File)> {
     let mut f = File::open(path)?;
     let mut header = [0u8; HEADER_BYTES];
     f.read_exact(&mut header)
@@ -114,7 +116,7 @@ fn read_header(path: &Path) -> io::Result<(SegmentMeta, u32)> {
         }
     };
     let meta = SegmentMeta { path: path.to_owned(), rows, elems, sidecar_entries, payload_bytes };
-    Ok((meta, crc))
+    Ok((meta, crc, f))
 }
 
 /// Builds rows into sealed, immutable segment files under a directory.
@@ -278,7 +280,7 @@ impl SegmentedDb {
         let dir = dir.as_ref();
         let mut segments = Vec::new();
         for id in scan_segment_ids(dir)? {
-            let (meta, _) = read_header(&dir.join(segment_file_name(id)))?;
+            let (meta, _, _) = read_header(&dir.join(segment_file_name(id)))?;
             segments.push(meta);
         }
         Ok(SegmentedDb { segments, budget: MemoryBudget::unlimited() })
@@ -356,9 +358,7 @@ impl SegmentedDb {
                 self.budget.limit()
             )));
         }
-        let (_, stored_crc) = read_header(&seg.path)?;
-        let mut f = File::open(&seg.path)?;
-        f.seek(SeekFrom::Start(HEADER_BYTES as u64))?;
+        let (_, stored_crc, mut f) = read_header(&seg.path)?;
         let mut payload = vec![0u8; seg.payload_bytes];
         f.read_exact(&mut payload)
             .map_err(|_| bad_data(format!("{}: truncated payload", seg.path.display())))?;
