@@ -32,6 +32,13 @@ impl From<u32> for Item {
     }
 }
 
+impl From<Item> for u32 {
+    #[inline]
+    fn from(item: Item) -> Self {
+        item.0
+    }
+}
+
 impl fmt::Display for Item {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "i{}", self.0)

@@ -178,7 +178,6 @@ pub const ALL: &[MetricDef] = defs![
     ("session.rounds_fresh", Counter, true, "rounds mined from scratch"),
     ("session.rounds_recycled", Counter, true, "rounds mined on a recycled compressed database"),
     ("storage.budget_high_water", Max, true, "peak bytes resident under a storage memory budget"),
-    ("storage.delta_bytes", Counter, true, "bytes written as delta-encoded CDB version files"),
     ("storage.resident_peak", Max, true, "largest segment payload resident at once"),
     ("storage.segment_bytes", Hist, true, "on-disk size of each sealed segment file"),
     ("storage.segments_read", Counter, true, "full segment payload loads (one per pass)"),

@@ -1,10 +1,12 @@
-//! Binary encoding of spilled records.
+//! Binary record encoding of spilled partitions and saved compressed
+//! databases.
 //!
-//! A partition file is a sequence of records. Two record kinds exist,
+//! A partition file is a sequence of records; so is the body of the
+//! compressed-state file ([`crate::version`]). Two record kinds exist,
 //! mirroring the two populations of a compressed database:
 //!
-//! * **Plain** — a rank list (an uncovered tuple, or a member whose
-//!   residual pattern emptied out).
+//! * **Plain** — a rank (or item-id) list: an uncovered tuple, or a
+//!   member whose residual pattern emptied out.
 //! * **Group** — a residual pattern, a bare-member count, and the
 //!   outlier lists of members that still have outlying items. Writing
 //!   one group record per (partition, group) preserves the compression
@@ -13,26 +15,27 @@
 //! Encoding is little-endian `u32`s with `u32` length prefixes — dense,
 //! alignment-free, and trivially seekable record by record. Every record
 //! ends with the CRC-32 of its own body, so a flipped bit anywhere in a
-//! spill file is caught at the record that carries it. Buffers are
-//! plain `Vec<u8>`; [`ByteReader`] is the matching decode cursor.
-//! Decoding is fallible: truncation, unknown tags and checksum
-//! mismatches surface as [`DecodeError`] rather than tearing down the
-//! process.
+//! file is caught at the record that carries it. [`put_plain`] and
+//! [`put_group`] encode straight from borrowed slices — ranks or
+//! [`gogreen_data::Item`]s — into a plain `Vec<u8>`; [`ByteReader`] is
+//! the matching decode cursor. Decoding is fallible: truncation, unknown
+//! tags and checksum mismatches surface as [`DecodeError`] rather than
+//! tearing down the process.
 //!
 //! In memory a group's outlier lists live in one [`CsrTuples`] slab —
 //! decode writes straight into it (no per-member `Vec`), and encode
-//! walks its rows. The wire format is unchanged.
+//! walks its rows.
 
 use crate::crc::crc32;
 use gogreen_data::CsrTuples;
 
-/// Why an encoded spill buffer failed to decode.
+/// Why an encoded record buffer failed to decode.
 ///
-/// Spill files are private to the process, so either variant indicates
-/// a bug or on-disk corruption — but the reader surfaces it as a
-/// structured error (propagated as `io::ErrorKind::InvalidData` by the
-/// spill layer) instead of tearing the process down, so a driver can
-/// fail the one partition and report which byte went bad.
+/// Every variant indicates a bug or on-disk corruption — but the
+/// reader surfaces it as a structured error (propagated as
+/// `io::ErrorKind::InvalidData` by the spill layer and the state file)
+/// instead of tearing the process down, so a caller can fail the one
+/// file and report which byte went bad.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// The buffer ended mid-record: `needed` more bytes at `offset`.
@@ -66,15 +69,15 @@ impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DecodeError::Truncated { offset, needed } => {
-                write!(f, "spill record truncated at byte {offset} (needed {needed} more bytes)")
+                write!(f, "record truncated at byte {offset} (needed {needed} more bytes)")
             }
             DecodeError::BadTag { offset, tag } => {
-                write!(f, "corrupt spill record tag {tag} at byte {offset}")
+                write!(f, "corrupt record tag {tag} at byte {offset}")
             }
             DecodeError::BadChecksum { offset, stored, computed } => {
                 write!(
                     f,
-                    "spill record at byte {offset} failed its checksum \
+                    "record at byte {offset} failed its checksum \
                      (stored {stored:#010x}, computed {computed:#010x})"
                 )
             }
@@ -176,27 +179,14 @@ impl SpillRecord {
         }
     }
 
-    /// Serializes into `buf`: the record body followed by the CRC-32 of
-    /// the body bytes.
+    /// Serializes into `buf` through [`put_plain`] / [`put_group`].
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        let body_start = buf.len();
         match self {
-            SpillRecord::Plain(items) => {
-                buf.push(0);
-                put_list(buf, items);
-            }
+            SpillRecord::Plain(items) => put_plain(buf, items),
             SpillRecord::Group { pattern, bare, outliers } => {
-                buf.push(1);
-                put_list(buf, pattern);
-                buf.extend_from_slice(&bare.to_le_bytes());
-                buf.extend_from_slice(&(outliers.len() as u32).to_le_bytes());
-                for o in outliers.iter() {
-                    put_list(buf, o);
-                }
+                put_group(buf, pattern, *bare, outliers.iter())
             }
         }
-        let crc = crc32(&buf[body_start..]);
-        buf.extend_from_slice(&crc.to_le_bytes());
     }
 
     /// Deserializes one record from the front of `buf`; `Ok(None)` when
@@ -235,14 +225,48 @@ impl SpillRecord {
     }
 }
 
-pub(crate) fn put_list(buf: &mut Vec<u8>, items: &[u32]) {
+/// Appends one Plain record for `items` (ranks or item ids): the
+/// record body followed by the CRC-32 of the body bytes.
+pub fn put_plain<T: Copy + Into<u32>>(buf: &mut Vec<u8>, items: &[T]) {
+    let body_start = buf.len();
+    buf.push(0);
+    put_list(buf, items);
+    seal_record(buf, body_start);
+}
+
+/// Appends one Group record — `pattern`, the bare-member count and one
+/// outlier list per member row — followed by the CRC-32 of its body.
+/// Everything is borrowed, so encoding allocates nothing per group.
+pub fn put_group<'a, T: Copy + Into<u32> + 'a>(
+    buf: &mut Vec<u8>,
+    pattern: &[T],
+    bare: u64,
+    outliers: impl ExactSizeIterator<Item = &'a [T]>,
+) {
+    let body_start = buf.len();
+    buf.push(1);
+    put_list(buf, pattern);
+    buf.extend_from_slice(&bare.to_le_bytes());
+    buf.extend_from_slice(&(outliers.len() as u32).to_le_bytes());
+    for o in outliers {
+        put_list(buf, o);
+    }
+    seal_record(buf, body_start);
+}
+
+fn seal_record(buf: &mut Vec<u8>, body_start: usize) {
+    let crc = crc32(&buf[body_start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+}
+
+fn put_list<T: Copy + Into<u32>>(buf: &mut Vec<u8>, items: &[T]) {
     buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
     for &x in items {
-        buf.extend_from_slice(&x.to_le_bytes());
+        buf.extend_from_slice(&x.into().to_le_bytes());
     }
 }
 
-pub(crate) fn get_list(buf: &mut ByteReader<'_>) -> Result<Vec<u32>, DecodeError> {
+fn get_list(buf: &mut ByteReader<'_>) -> Result<Vec<u32>, DecodeError> {
     let n = buf.get_u32_le()? as usize;
     (0..n).map(|_| buf.get_u32_le()).collect()
 }

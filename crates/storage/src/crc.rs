@@ -1,5 +1,6 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the checksum
-//! guarding every spill record and segment payload.
+//! guarding every codec record (spill partitions, the compressed-state
+//! file) and every segment payload.
 //!
 //! Hand-rolled slicing-by-8 implementation: the workspace takes no
 //! external dependencies, and the checksum is on a hot path — every

@@ -22,8 +22,9 @@
 //! * [`crc`] — the CRC-32 every on-disk record and file carries.
 //! * [`segment`] — immutable on-disk CSR segments with item-support
 //!   sidecars: the out-of-core database substrate.
-//! * [`version`] — delta-encoded persistence of compressed-database
-//!   versions across incremental rounds.
+//! * [`version`] — the one crash-safe compressed-state file an
+//!   incremental store keeps: the newest round's compressed database in
+//!   [`codec`]'s record framing, replaced by tmp → rename.
 //! * [`ooc`] — out-of-core mining drivers: raw engines and the
 //!   segmented incremental miner over the two layers above.
 
@@ -42,4 +43,3 @@ pub use limited::{LimitedHMine, LimitedRecycleHm, LimitedReport};
 pub use ooc::{OocMiner, SegmentedIncrementalMiner};
 pub use segment::{compact, CompactReport, SegmentWriter, SegmentedDb};
 pub use spill::SpillManager;
-pub use version::VersionStore;

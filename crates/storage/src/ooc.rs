@@ -23,13 +23,13 @@
 //! segment-at-a-time with the previous round's patterns
 //! ([`gogreen_core::Compressor::stream`]) and mines the compressed
 //! database with the recycling H-Mine, and every round's compressed
-//! database persists into a [`VersionStore`] as a delta against its
-//! predecessor. Round for round it returns exactly what the in-memory
-//! incremental miner returns on the same update sequence.
+//! database replaces the store's one compressed-state file
+//! ([`crate::version::save`]). Round for round it returns exactly what
+//! the in-memory incremental miner returns on the same update sequence.
 
 use crate::budget::MemoryBudget;
 use crate::segment::{SegmentWriter, SegmentedDb};
-use crate::version::VersionStore;
+use crate::version;
 use gogreen_core::cdb::CompressedDb;
 use gogreen_core::store::PatternStore;
 use gogreen_core::{CompressionStats, Compressor, Strategy};
@@ -41,6 +41,10 @@ use gogreen_util::pool::Parallelism;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// The compressed-state file a [`SegmentedIncrementalMiner`] keeps
+/// beside its segments.
+const STATE_FILE: &str = "cdb.ggd";
 
 /// Raw out-of-core mining over a segmented store.
 #[derive(Debug)]
@@ -124,16 +128,16 @@ impl<'a> OocMiner<'a> {
     }
 }
 
-/// Out-of-core incremental mining with versioned compressed databases.
+/// Out-of-core incremental mining with a persisted compressed database.
 ///
 /// The round-for-round behavior mirrors
 /// [`gogreen_core::incremental::IncrementalMiner::mine`] exactly: the
 /// first round (or any round with an empty recycled set) mines the
 /// trivial all-plain compression; later rounds compress with the
-/// previous round's patterns first. Each round's compressed database is
-/// pushed into the version chain under `<dir>/versions`, so reopening
-/// the miner later finds both the data (segments) and the newest
-/// compressed form (versions) on disk.
+/// previous round's patterns first. Each round saves its compressed
+/// database over `<dir>/cdb.ggd` and keeps none of it in memory, so the
+/// store directory holds its segments plus one state file, and a
+/// reopened miner finds both the data and the newest compressed form.
 #[derive(Debug)]
 pub struct SegmentedIncrementalMiner {
     dir: PathBuf,
@@ -141,7 +145,6 @@ pub struct SegmentedIncrementalMiner {
     budget: MemoryBudget,
     strategy: Strategy,
     parallelism: Parallelism,
-    versions: VersionStore,
     recycled: Option<PatternSet>,
     store: Option<(Arc<PatternStore>, String)>,
 }
@@ -152,14 +155,12 @@ impl SegmentedIncrementalMiner {
     pub fn create(dir: impl AsRef<Path>, segment_bytes: usize) -> io::Result<Self> {
         let dir = dir.as_ref().to_owned();
         std::fs::create_dir_all(&dir)?;
-        let versions = VersionStore::open(dir.join("versions"))?;
         Ok(SegmentedIncrementalMiner {
             dir,
             segment_bytes,
             budget: MemoryBudget::unlimited(),
             strategy: Strategy::Mcp,
             parallelism: Parallelism::serial(),
-            versions,
             recycled: None,
             store: None,
         })
@@ -209,19 +210,19 @@ impl SegmentedIncrementalMiner {
         Ok(SegmentedDb::open(&self.dir)?.with_budget(self.budget))
     }
 
-    /// Number of persisted compressed-database versions.
-    pub fn version_count(&self) -> usize {
-        self.versions.version_count()
+    /// Loads the latest persisted compressed database; `None` until a
+    /// round has run on this store.
+    pub fn current_version(&self) -> io::Result<Option<CompressedDb>> {
+        version::load(&self.state_path())
     }
 
-    /// The latest persisted compressed database, if any round ran.
-    pub fn current_version(&self) -> Option<&CompressedDb> {
-        self.versions.current()
+    fn state_path(&self) -> PathBuf {
+        self.dir.join(STATE_FILE)
     }
 
     /// Mines the current store at `min_support`, recycling the previous
-    /// round's patterns, and persists the round's compressed database
-    /// as a new version. Returns exactly what
+    /// round's patterns, and saves the round's compressed database as
+    /// the store's state. Returns exactly what
     /// [`gogreen_core::incremental::IncrementalMiner::mine`] returns on
     /// the same database and update sequence.
     pub fn mine(&mut self, min_support: MinSupport) -> io::Result<PatternSet> {
@@ -258,7 +259,7 @@ impl SegmentedIncrementalMiner {
             }
         };
         let result = Family::Hm.mine_par(&cdb, min_support, self.parallelism);
-        self.versions.push(&cdb)?;
+        version::save(&self.state_path(), &cdb)?;
         if let Some((store, dataset)) = &self.store {
             store.publish(dataset, min_support.to_absolute(db.total_rows()), result.clone());
         }
@@ -393,22 +394,36 @@ mod tests {
     fn incremental_rounds_persist_versions_and_reopen() {
         let dir = temp_dir("inc");
         let mut inc = SegmentedIncrementalMiner::create(&dir, 512).unwrap();
-        inc.insert(synthetic_rows(120)).unwrap();
-        let r1 = inc.mine(MinSupport::Absolute(12)).unwrap();
-        assert!(!r1.is_empty());
-        assert_eq!(inc.version_count(), 1);
-        inc.insert(synthetic_rows(60)).unwrap();
-        let r2 = inc.mine(MinSupport::Absolute(12)).unwrap();
-        assert_eq!(inc.version_count(), 2);
-        // The persisted version chain replays to the round's CDB.
+        assert_eq!(inc.current_version().unwrap(), None);
+        let mut prev: Option<PatternSet> = None;
+        let mut last = None;
+        for round in 0..4 {
+            inc.insert(synthetic_rows(60 + 30 * round)).unwrap();
+            let got = inc.mine(MinSupport::Absolute(12)).unwrap();
+            assert!(!got.is_empty());
+            // Mining is exact: the recycled round equals a from-scratch run.
+            let flat = inc.db().unwrap().to_transaction_db().unwrap();
+            assert!(got.same_patterns_as(&Family::Hm.mine(&flat, MinSupport::Absolute(12))));
+            // The saved state is the round's CDB: the whole-database
+            // compression with the previous round's patterns.
+            let want = match &prev {
+                Some(p) => Compressor::new(Strategy::Mcp).compress(&flat, p),
+                None => CompressedDb::uncompressed(&flat),
+            };
+            assert_eq!(inc.current_version().unwrap().as_ref(), Some(&want), "round {round}");
+            prev = Some(got);
+            last = Some(want);
+        }
+        // Segments plus exactly one state file, however many rounds ran.
+        let (segments, others): (Vec<String>, Vec<String>) = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .partition(|name| name.ends_with(".ggs"));
+        assert_eq!(segments.len(), inc.db().unwrap().num_segments());
+        assert!(segments.len() > 1);
+        assert_eq!(others, [STATE_FILE]);
         let reopened = SegmentedIncrementalMiner::create(&dir, 512).unwrap();
-        assert_eq!(reopened.version_count(), 2);
-        assert_eq!(reopened.current_version(), inc.current_version());
-        // And mining is exact: the recycled round equals a from-scratch run.
-        let db = inc.db().unwrap();
-        let flat = db.to_transaction_db().unwrap();
-        let expected = Family::Hm.mine(&flat, MinSupport::Absolute(12));
-        assert!(r2.same_patterns_as(&expected));
+        assert_eq!(reopened.current_version().unwrap(), last);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -435,7 +450,7 @@ mod tests {
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
         let expected = Family::Hm.mine(&TransactionDb::from_rows(&refs), MinSupport::Absolute(15));
         assert!(r.same_patterns_as(&expected));
-        let cdb = second.current_version().unwrap();
+        let cdb = second.current_version().unwrap().unwrap();
         assert!(!cdb.groups().is_empty(), "seeded round should actually compress");
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();

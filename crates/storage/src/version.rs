@@ -1,440 +1,173 @@
-//! Delta-encoded compressed-database versions.
+//! The persisted compressed database: one crash-safe state file.
 //!
-//! Each compress/recycle round produces a new [`CompressedDb`]; an
-//! incremental workflow produces a *chain* of them over a database that
-//! changes a little between rounds. Persisting every round in full
-//! would store the nearly-identical plain residue and group bodies over
-//! and over, so the version store writes **version 0 in full** and each
-//! later version as a **delta** against its predecessor:
+//! An incremental workflow needs no carried state for correctness
+//! (paper §2, incremental case (1)), so a store keeps exactly one
+//! compressed database on disk — the newest — rather than a history.
+//! [`save`] writes a [`CompressedDb`] to one file; [`load`] reads it
+//! back bit for bit.
 //!
-//! * **groups** — identified by their (unique) pattern: patterns present
-//!   before but not after are *removed*; groups that are new or whose
-//!   members changed are *added* in full, each carrying its position in
-//!   the new group list so utility order is reproduced exactly;
-//! * **plain residue** — an edit script of `Copy { start, len }` ranges
-//!   from the previous residue interleaved with `Insert` rows, replayed
-//!   in order, so unchanged runs cost 9 bytes regardless of length.
+//! The file is a 28-byte header followed by [`crate::codec`] records in
+//! item space (the id space every round shares; rank encodings change
+//! with the F-list):
 //!
-//! A delta is *verified at write time*: it is applied to the in-memory
-//! predecessor and the result compared against the new database; if
-//! reproduction fails (e.g. a pure reorder the group keying cannot
-//! express) or the delta would be larger than a full encoding, a full
-//! version is written instead. Either way `VersionStore::push` is exact
-//! by construction — [`VersionStore::current`] equals the pushed
-//! database bit for bit, whichever encoding landed on disk.
+//! ```text
+//! 0..4    magic "GGDV"
+//! 4..8    format version (2)
+//! 8..16   original_items (u64)
+//! 16..20  group records (u32)
+//! 20..24  plain records (u32)
+//! 24..28  CRC-32 of bytes 0..24
+//! 28..    one Group record per group, in utility order,
+//!         then one Plain record per residue row
+//! ```
 //!
-//! Files are `v-NNNN.ggd` under the store directory: a 16-byte header
-//! (magic `"GGDV"`, format version, kind, payload CRC-32) followed by
-//! the payload. Deltas are in *item* space (not rank space): the F-list
-//! changes between rounds, so rank encodings of different versions are
-//! not comparable, while item space is stable.
+//! Each record carries its own CRC-32, and the header's counts make a
+//! file cut at a record boundary as detectable as one cut mid-record.
+//! Saving writes `<file>.tmp` and renames it over `<file>`, so a crash
+//! leaves the previous state or the new one, never a torn file; a stale
+//! `.tmp` is simply overwritten by the next save.
+//!
+//! Loading trusts nothing it reads: a bad header, checksum, count or
+//! trailing byte, and a record that breaks a [`Group`] invariant (an
+//! empty or unsorted pattern; an empty, unsorted or pattern-overlapping
+//! outlier row; a bare count beyond `u32`) or an unsorted plain row, is
+//! `InvalidData` — never a panic, never a silently invalid database.
 
-use crate::codec::{get_list, put_list, ByteReader, DecodeError};
+use crate::codec::{put_group, put_plain, ByteReader, SpillRecord};
 use crate::crc::crc32;
 use gogreen_core::cdb::{CompressedDb, Group};
 use gogreen_data::{CsrTuples, Item};
-use gogreen_obs::metrics;
-use gogreen_util::FxHashMap;
-use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"GGDV";
-const FORMAT_VERSION: u32 = 1;
-const KIND_FULL: u32 = 0;
-const KIND_DELTA: u32 = 1;
-const HEADER_BYTES: usize = 16;
+const FORMAT_VERSION: u32 = 2;
+const HEADER_BYTES: usize = 28;
+/// Smallest encoded Group record: tag, empty pattern, bare count,
+/// outlier count, CRC.
+const GROUP_MIN_BYTES: usize = 1 + 4 + 8 + 4 + 4;
 
-fn bad_data(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
+fn invalid(msg: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-fn decode_err(path: &Path, e: DecodeError) -> io::Error {
-    bad_data(format!("{}: {e}", path.display()))
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
 }
 
-fn version_file_name(v: usize) -> String {
-    format!("v-{v:04}.ggd")
+fn put_header(buf: &mut Vec<u8>, original_items: u64, groups: usize, plain: usize) {
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    buf.extend_from_slice(&original_items.to_le_bytes());
+    buf.extend_from_slice(&(groups as u32).to_le_bytes());
+    buf.extend_from_slice(&(plain as u32).to_le_bytes());
+    let crc = crc32(buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-fn parse_version_id(name: &str) -> Option<usize> {
-    name.strip_prefix("v-")?.strip_suffix(".ggd")?.parse().ok()
-}
-
-/// One plain-residue edit operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PlainOp {
-    /// Copy `len` rows of the previous residue starting at `start`.
-    Copy { start: u32, len: u32 },
-    /// Insert one row (item ids, ascending).
-    Insert(Vec<u32>),
-}
-
-/// A decoded delta payload.
-#[derive(Debug, Default)]
-struct Delta {
-    original_items: u64,
-    /// Patterns (item ids) of groups to drop from the predecessor.
-    removed: Vec<Vec<u32>>,
-    /// Groups to insert, with their index in the new group list.
-    added: Vec<(u32, Group)>,
-    /// Edit script rebuilding the new plain residue.
-    plain_ops: Vec<PlainOp>,
-}
-
-fn items_to_ids(items: &[Item]) -> Vec<u32> {
-    items.iter().map(|it| it.id()).collect()
-}
-
-fn ids_to_items(ids: &[u32]) -> Vec<Item> {
-    ids.iter().map(|&id| Item(id)).collect()
-}
-
-fn put_group(buf: &mut Vec<u8>, g: &Group) {
-    put_list(buf, &items_to_ids(g.pattern()));
-    buf.extend_from_slice(&g.bare().to_le_bytes());
-    buf.extend_from_slice(&(g.outliers().len() as u32).to_le_bytes());
-    let mut ids = Vec::new();
-    for o in g.outliers().iter() {
-        ids.clear();
-        ids.extend(o.iter().map(|it| it.id()));
-        put_list(buf, &ids);
-    }
-}
-
-/// Smallest encodings: a group (empty pattern list, bare count, outlier
-/// count), a list (its length), an added group (position + group), and
-/// a plain op (tag + the shorter `Insert` body).
-const GROUP_MIN_BYTES: usize = 12;
-const LIST_MIN_BYTES: usize = 4;
-const ADDED_MIN_BYTES: usize = 4 + GROUP_MIN_BYTES;
-const OP_MIN_BYTES: usize = 1 + LIST_MIN_BYTES;
-
-fn get_group(r: &mut ByteReader<'_>) -> Result<Group, DecodeError> {
-    let pattern = ids_to_items(&get_list(r)?);
-    let bare = r.get_u32_le()?;
-    let n = r.get_u32_le()? as usize;
-    let mut outliers: CsrTuples<Item> = CsrTuples::new();
-    for _ in 0..n {
-        let m = r.get_u32_le()? as usize;
-        for _ in 0..m {
-            outliers.push_elem(Item(r.get_u32_le()?));
-        }
-        outliers.commit_row();
-    }
-    Ok(Group::from_csr(pattern, outliers, bare))
-}
-
-fn encode_full(cdb: &CompressedDb) -> Vec<u8> {
+/// Writes `cdb` to `path` through `<path>.tmp` and a rename, replacing
+/// any previous state atomically. Returns the bytes written.
+pub fn save(path: &Path, cdb: &CompressedDb) -> io::Result<u64> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(&(cdb.stats().original_size as u64).to_le_bytes());
-    buf.extend_from_slice(&(cdb.groups().len() as u32).to_le_bytes());
+    put_header(&mut buf, cdb.stats().original_size as u64, cdb.groups().len(), cdb.plain().len());
     for g in cdb.groups() {
-        put_group(&mut buf, g);
+        put_group(&mut buf, g.pattern(), g.bare().into(), g.outliers().iter());
     }
-    buf.extend_from_slice(&(cdb.plain().len() as u32).to_le_bytes());
-    let mut ids = Vec::new();
     for row in cdb.plain().iter() {
-        ids.clear();
-        ids.extend(row.iter().map(|it| it.id()));
-        put_list(&mut buf, &ids);
+        put_plain(&mut buf, row);
     }
-    buf
+    let tmp = tmp_path(path);
+    std::fs::write(&tmp, &buf)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(buf.len() as u64)
 }
 
-fn decode_full(r: &mut ByteReader<'_>) -> Result<CompressedDb, DecodeError> {
-    let original_items = r.get_u64_le()? as usize;
-    let n_groups = r.get_u32_le()? as usize;
+/// Reads the state saved at `path`; `Ok(None)` when nothing was ever
+/// saved there.
+pub fn load(path: &Path) -> io::Result<Option<CompressedDb>> {
+    let bytes = match std::fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        read => read?,
+    };
+    decode(&bytes).map(Some).map_err(|e| invalid(format!("{}: {e}", path.display())))
+}
+
+fn strictly_ascending(ids: &[u32]) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1])
+}
+
+fn to_items(ids: Vec<u32>) -> Vec<Item> {
+    ids.into_iter().map(Item).collect()
+}
+
+/// A decoded Group record as a [`Group`], once its invariants hold.
+fn to_group(pattern: Vec<u32>, bare: u64, outliers: CsrTuples<u32>) -> io::Result<Group> {
+    if pattern.is_empty() || !strictly_ascending(&pattern) {
+        return Err(invalid("group pattern is empty or not strictly ascending"));
+    }
+    for o in outliers.iter() {
+        if o.is_empty()
+            || !strictly_ascending(o)
+            || o.iter().any(|x| pattern.binary_search(x).is_ok())
+        {
+            return Err(invalid(
+                "outlier row is empty, not strictly ascending or overlaps its pattern",
+            ));
+        }
+    }
+    let bare =
+        u32::try_from(bare).map_err(|_| invalid(format!("bare count {bare} exceeds u32")))?;
+    let (data, offsets) = outliers.into_raw_parts();
+    Ok(Group::from_csr(to_items(pattern), CsrTuples::from_raw_parts(to_items(data), offsets), bare))
+}
+
+fn decode(bytes: &[u8]) -> io::Result<CompressedDb> {
+    let header = bytes
+        .get(..HEADER_BYTES)
+        .filter(|h| h[..4] == MAGIC)
+        .ok_or_else(|| invalid("not a compressed-state file"))?;
+    let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().unwrap());
+    if word(4) != FORMAT_VERSION {
+        return Err(invalid(format!("unsupported state-file format {}", word(4))));
+    }
+    let (stored, computed) = (word(24), crc32(&header[..24]));
+    if stored != computed {
+        return Err(invalid(format!(
+            "header checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
+        )));
+    }
+    let original_items = u64::from_le_bytes(header[8..16].try_into().unwrap());
+    let (n_groups, n_plain) = (word(16) as usize, word(20) as usize);
+
+    let mut r = ByteReader { data: bytes, pos: HEADER_BYTES };
     let mut groups = r.vec_for(n_groups, GROUP_MIN_BYTES);
     for _ in 0..n_groups {
-        groups.push(get_group(r)?);
+        match SpillRecord::decode(&mut r).map_err(invalid)? {
+            Some(SpillRecord::Group { pattern, bare, outliers }) => {
+                groups.push(to_group(pattern, bare, outliers)?)
+            }
+            _ => return Err(invalid(format!("expected {n_groups} group records"))),
+        }
     }
-    let n_plain = r.get_u32_le()? as usize;
     let mut plain: CsrTuples<Item> = CsrTuples::new();
     for _ in 0..n_plain {
-        let m = r.get_u32_le()? as usize;
-        for _ in 0..m {
-            plain.push_elem(Item(r.get_u32_le()?));
-        }
-        plain.commit_row();
-    }
-    Ok(CompressedDb::new(groups, plain, original_items))
-}
-
-fn encode_delta(d: &Delta) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&d.original_items.to_le_bytes());
-    buf.extend_from_slice(&(d.removed.len() as u32).to_le_bytes());
-    for p in &d.removed {
-        put_list(&mut buf, p);
-    }
-    buf.extend_from_slice(&(d.added.len() as u32).to_le_bytes());
-    for (pos, g) in &d.added {
-        buf.extend_from_slice(&pos.to_le_bytes());
-        put_group(&mut buf, g);
-    }
-    buf.extend_from_slice(&(d.plain_ops.len() as u32).to_le_bytes());
-    for op in &d.plain_ops {
-        match op {
-            PlainOp::Copy { start, len } => {
-                buf.push(0);
-                buf.extend_from_slice(&start.to_le_bytes());
-                buf.extend_from_slice(&len.to_le_bytes());
-            }
-            PlainOp::Insert(row) => {
-                buf.push(1);
-                put_list(&mut buf, row);
-            }
-        }
-    }
-    buf
-}
-
-fn decode_delta(r: &mut ByteReader<'_>) -> Result<Delta, DecodeError> {
-    let original_items = r.get_u64_le()?;
-    let n_removed = r.get_u32_le()? as usize;
-    let mut removed = r.vec_for(n_removed, LIST_MIN_BYTES);
-    for _ in 0..n_removed {
-        removed.push(get_list(r)?);
-    }
-    let n_added = r.get_u32_le()? as usize;
-    let mut added = r.vec_for(n_added, ADDED_MIN_BYTES);
-    for _ in 0..n_added {
-        let pos = r.get_u32_le()?;
-        added.push((pos, get_group(r)?));
-    }
-    let n_ops = r.get_u32_le()? as usize;
-    let mut plain_ops = r.vec_for(n_ops, OP_MIN_BYTES);
-    for _ in 0..n_ops {
-        match r.get_u8()? {
-            0 => {
-                let start = r.get_u32_le()?;
-                let len = r.get_u32_le()?;
-                plain_ops.push(PlainOp::Copy { start, len });
-            }
-            1 => plain_ops.push(PlainOp::Insert(get_list(r)?)),
-            tag => return Err(DecodeError::BadTag { offset: r.pos - 1, tag }),
-        }
-    }
-    Ok(Delta { original_items, removed, added, plain_ops })
-}
-
-/// Computes the delta turning `prev` into `next`.
-fn diff(prev: &CompressedDb, next: &CompressedDb) -> Delta {
-    // Groups, keyed by pattern (unique within a CDB).
-    let next_by_pattern: FxHashMap<&[Item], &Group> =
-        next.groups().iter().map(|g| (g.pattern(), g)).collect();
-    let prev_by_pattern: FxHashMap<&[Item], &Group> =
-        prev.groups().iter().map(|g| (g.pattern(), g)).collect();
-    let mut removed = Vec::new();
-    for g in prev.groups() {
-        match next_by_pattern.get(g.pattern()) {
-            Some(ng) if *ng == g => {}
-            _ => removed.push(items_to_ids(g.pattern())),
-        }
-    }
-    let mut added = Vec::new();
-    for (pos, g) in next.groups().iter().enumerate() {
-        match prev_by_pattern.get(g.pattern()) {
-            Some(pg) if *pg == g => {}
-            _ => added.push((pos as u32, g.clone())),
-        }
-    }
-    // Plain residue: greedy monotone matching against the previous
-    // rows. A match extends the open Copy run when contiguous;
-    // unmatched rows become Inserts.
-    let mut old_at: FxHashMap<&[Item], Vec<u32>> = FxHashMap::default();
-    for (i, row) in prev.plain().iter().enumerate() {
-        old_at.entry(row).or_default().push(i as u32);
-    }
-    let mut plain_ops: Vec<PlainOp> = Vec::new();
-    let mut cursor = 0u32; // next unmatched previous row
-    for row in next.plain().iter() {
-        let matched = old_at
-            .get(row)
-            .and_then(|ix| ix[ix.partition_point(|&i| i < cursor)..].first().copied());
-        match matched {
-            Some(i) => {
-                cursor = i + 1;
-                match plain_ops.last_mut() {
-                    Some(PlainOp::Copy { start, len }) if *start + *len == i => *len += 1,
-                    _ => plain_ops.push(PlainOp::Copy { start: i, len: 1 }),
-                }
-            }
-            None => plain_ops.push(PlainOp::Insert(row.iter().map(|it| it.id()).collect())),
-        }
-    }
-    Delta { original_items: next.stats().original_size as u64, removed, added, plain_ops }
-}
-
-/// Applies `delta` to `prev`; `None` when the delta cannot be replayed
-/// (out-of-range copy or insert position — a corrupt or inapplicable
-/// delta).
-fn apply(prev: &CompressedDb, delta: &Delta) -> Option<CompressedDb> {
-    let removed: std::collections::HashSet<Vec<u32>> = delta.removed.iter().cloned().collect();
-    let mut groups: Vec<Group> = prev
-        .groups()
-        .iter()
-        .filter(|g| !removed.contains(&items_to_ids(g.pattern())))
-        .cloned()
-        .collect();
-    let mut added = delta.added.clone();
-    added.sort_by_key(|(pos, _)| *pos);
-    for (pos, g) in added {
-        if pos as usize > groups.len() {
-            return None;
-        }
-        groups.insert(pos as usize, g);
-    }
-    let prev_plain = prev.plain();
-    let mut plain: CsrTuples<Item> = CsrTuples::new();
-    for op in &delta.plain_ops {
-        match op {
-            PlainOp::Copy { start, len } => {
-                let (start, len) = (*start as usize, *len as usize);
-                if start + len > prev_plain.len() {
-                    return None;
-                }
-                for i in start..start + len {
-                    plain.push_row(prev_plain.row(i));
-                }
-            }
-            PlainOp::Insert(row) => {
-                for &id in row {
-                    plain.push_elem(Item(id));
-                }
+        match SpillRecord::decode(&mut r).map_err(invalid)? {
+            Some(SpillRecord::Plain(row)) if strictly_ascending(&row) => {
+                row.into_iter().for_each(|id| plain.push_elem(Item(id)));
                 plain.commit_row();
             }
+            Some(SpillRecord::Plain(_)) => {
+                return Err(invalid("plain row is not strictly ascending"))
+            }
+            _ => return Err(invalid(format!("expected {n_plain} plain records"))),
         }
     }
-    Some(CompressedDb::new(groups, plain, delta.original_items as usize))
-}
-
-fn write_version_file(path: &Path, kind: u32, payload: &[u8]) -> io::Result<u64> {
-    let mut header = Vec::with_capacity(HEADER_BYTES);
-    header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    header.extend_from_slice(&kind.to_le_bytes());
-    header.extend_from_slice(&crc32(payload).to_le_bytes());
-    let mut f = File::create(path)?;
-    f.write_all(&header)?;
-    f.write_all(payload)?;
-    f.flush()?;
-    Ok((header.len() + payload.len()) as u64)
-}
-
-fn read_version_file(path: &Path) -> io::Result<(u32, Vec<u8>)> {
-    let mut f = File::open(path)?;
-    let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes)?;
-    if bytes.len() < HEADER_BYTES || bytes[0..4] != MAGIC {
-        return Err(bad_data(format!("{}: not a version file", path.display())));
+    if r.has_remaining() {
+        return Err(invalid(format!("trailing bytes after the last record at byte {}", r.pos)));
     }
-    let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
-    if word(4) != FORMAT_VERSION {
-        return Err(bad_data(format!(
-            "{}: unsupported version-file format {}",
-            path.display(),
-            word(4)
-        )));
-    }
-    let kind = word(8);
-    let stored = word(12);
-    let payload = bytes.split_off(HEADER_BYTES);
-    let computed = crc32(&payload);
-    if stored != computed {
-        return Err(bad_data(format!(
-            "{}: payload checksum mismatch (stored {stored:#010x}, computed {computed:#010x})",
-            path.display()
-        )));
-    }
-    Ok((kind, payload))
-}
-
-/// A chain of compressed-database versions on disk, the latest
-/// materialized in memory.
-#[derive(Debug)]
-pub struct VersionStore {
-    dir: PathBuf,
-    versions: usize,
-    current: Option<CompressedDb>,
-}
-
-impl VersionStore {
-    /// Opens (or creates) the version chain under `dir`, replaying any
-    /// existing versions to materialize the latest.
-    pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
-        let dir = dir.as_ref().to_owned();
-        std::fs::create_dir_all(&dir)?;
-        let mut ids: Vec<usize> = std::fs::read_dir(&dir)?
-            .filter_map(|e| e.ok()?.file_name().to_str().and_then(parse_version_id))
-            .collect();
-        ids.sort_unstable();
-        let mut current: Option<CompressedDb> = None;
-        for (expect, &v) in ids.iter().enumerate() {
-            let path = dir.join(version_file_name(v));
-            if v != expect {
-                return Err(bad_data(format!(
-                    "{}: version chain has a gap (expected v-{expect:04})",
-                    path.display()
-                )));
-            }
-            let (kind, payload) = read_version_file(&path)?;
-            let mut r = ByteReader::new(&payload);
-            current = Some(match kind {
-                KIND_FULL => decode_full(&mut r).map_err(|e| decode_err(&path, e))?,
-                KIND_DELTA => {
-                    let delta = decode_delta(&mut r).map_err(|e| decode_err(&path, e))?;
-                    let prev = current.ok_or_else(|| {
-                        bad_data(format!("{}: delta with no predecessor", path.display()))
-                    })?;
-                    apply(&prev, &delta).ok_or_else(|| {
-                        bad_data(format!("{}: delta does not apply", path.display()))
-                    })?
-                }
-                k => return Err(bad_data(format!("{}: unknown kind {k}", path.display()))),
-            });
-        }
-        Ok(VersionStore { dir, versions: ids.len(), current })
-    }
-
-    /// Number of persisted versions.
-    pub fn version_count(&self) -> usize {
-        self.versions
-    }
-
-    /// The latest materialized version, if any.
-    pub fn current(&self) -> Option<&CompressedDb> {
-        self.current.as_ref()
-    }
-
-    /// Persists `cdb` as the next version — a verified delta against
-    /// the predecessor when one exists and the delta both reproduces
-    /// `cdb` exactly and is smaller than a full encoding; a full
-    /// version otherwise. Returns the bytes written; delta bytes also
-    /// accumulate into the `storage.delta_bytes` counter.
-    pub fn push(&mut self, cdb: &CompressedDb) -> io::Result<u64> {
-        let full = encode_full(cdb);
-        let path = self.dir.join(version_file_name(self.versions));
-        let written = match &self.current {
-            Some(prev) => {
-                let delta = diff(prev, cdb);
-                let payload = encode_delta(&delta);
-                let reproduces = apply(prev, &delta).is_some_and(|got| got == *cdb);
-                if reproduces && payload.len() < full.len() {
-                    let bytes = write_version_file(&path, KIND_DELTA, &payload)?;
-                    metrics::add("storage.delta_bytes", bytes);
-                    bytes
-                } else {
-                    write_version_file(&path, KIND_FULL, &full)?
-                }
-            }
-            None => write_version_file(&path, KIND_FULL, &full)?,
-        };
-        self.versions += 1;
-        self.current = Some(cdb.clone());
-        Ok(written)
-    }
+    Ok(CompressedDb::new(groups, plain, original_items as usize))
 }
 
 #[cfg(test)]
@@ -443,7 +176,6 @@ mod tests {
     use gogreen_core::{Compressor, Strategy};
     use gogreen_data::{MinSupport, TransactionDb};
     use gogreen_miners::{Family, Miner};
-    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -451,6 +183,7 @@ mod tests {
         if dir.exists() {
             std::fs::remove_dir_all(&dir).unwrap();
         }
+        std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
@@ -460,86 +193,200 @@ mod tests {
         Compressor::new(Strategy::Mcp).compress(&db, &fp)
     }
 
+    /// One group with a bare member and two outlier rows, plus two
+    /// plain rows: every part of the format in a few hundred bytes.
+    fn small_cdb() -> CompressedDb {
+        let db = TransactionDb::from_rows(&[&[1, 2, 3], &[1, 2, 4], &[1, 2], &[5, 6], &[7]]);
+        let fp = Family::Hm.mine(&db, MinSupport::Absolute(3));
+        Compressor::new(Strategy::Mcp).compress(&db, &fp)
+    }
+
+    fn file_count(dir: &Path) -> usize {
+        std::fs::read_dir(dir).unwrap().count()
+    }
+
     #[test]
     fn full_round_trip_through_reopen() {
         let dir = temp_dir("full");
-        let cdb = paper_cdb(3);
-        let mut store = VersionStore::open(&dir).unwrap();
-        assert_eq!(store.version_count(), 0);
-        assert!(store.current().is_none());
-        store.push(&cdb).unwrap();
-        let reopened = VersionStore::open(&dir).unwrap();
-        assert_eq!(reopened.version_count(), 1);
-        assert_eq!(reopened.current(), Some(&cdb));
+        let path = dir.join("state.ggd");
+        assert!(load(&path).unwrap().is_none(), "nothing saved yet");
+        let cdb = small_cdb();
+        assert_eq!((cdb.groups().len(), cdb.groups()[0].bare(), cdb.plain().len()), (1, 1, 2));
+        let written = save(&path, &cdb).unwrap();
+        assert_eq!(written, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(load(&path).unwrap(), Some(cdb));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Last save wins on reopen: each save replaces the state whole,
+    /// and the directory never holds more than the one file.
     #[test]
     fn chain_of_versions_replays_to_the_latest() {
         let dir = temp_dir("chain");
-        let mut store = VersionStore::open(&dir).unwrap();
-        let v0 = paper_cdb(4);
-        let v1 = paper_cdb(3);
-        let v2 = paper_cdb(2);
-        store.push(&v0).unwrap();
-        store.push(&v1).unwrap();
-        store.push(&v2).unwrap();
-        assert_eq!(store.current(), Some(&v2));
-        let reopened = VersionStore::open(&dir).unwrap();
-        assert_eq!(reopened.version_count(), 3);
-        assert_eq!(reopened.current(), Some(&v2));
+        let path = dir.join("state.ggd");
+        for minsup in [4, 3, 2] {
+            save(&path, &paper_cdb(minsup)).unwrap();
+            assert_eq!(file_count(&dir), 1);
+        }
+        assert_eq!(load(&path).unwrap(), Some(paper_cdb(2)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Re-saving leaves one file no larger than one encoding.
     #[test]
     fn near_identical_versions_store_small_deltas() {
         let dir = temp_dir("delta");
+        let path = dir.join("state.ggd");
         let rows: Vec<Vec<u32>> = (0..200u32).map(|k| vec![k % 5, 5 + k % 3, 10 + k]).collect();
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
         let db = TransactionDb::from_rows(&refs);
         let fp = Family::Hm.mine(&db, MinSupport::Absolute(30));
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
-        let mut store = VersionStore::open(&dir).unwrap();
-        let full_bytes = store.push(&cdb).unwrap();
-        // Same CDB again: the delta is a header plus one Copy op.
-        let delta_bytes = store.push(&cdb).unwrap();
-        assert!(
-            delta_bytes * 4 < full_bytes,
-            "delta {delta_bytes} B not small vs full {full_bytes} B"
-        );
-        let reopened = VersionStore::open(&dir).unwrap();
-        assert_eq!(reopened.current(), Some(&cdb));
+        let first = save(&path, &cdb).unwrap();
+        let second = save(&path, &cdb).unwrap();
+        assert_eq!(first, second);
+        assert_eq!(file_count(&dir), 1);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), first);
+        assert_eq!(load(&path).unwrap(), Some(cdb));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A group record's fields: pattern, bare count, outlier rows.
+    type ForgedGroup<'a> = (&'a [u32], u64, &'a [&'a [u32]]);
+
+    /// Header plus hand-built records, for payloads `save` never writes.
+    fn forged(groups: &[ForgedGroup<'_>], plain: &[&[u32]]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_header(&mut buf, 7, groups.len(), plain.len());
+        for &(pattern, bare, outliers) in groups {
+            put_group(&mut buf, pattern, bare, outliers.iter().copied());
+        }
+        for row in plain {
+            put_plain(&mut buf, row);
+        }
+        buf
+    }
+
+    fn assert_rejected(bytes: &[u8], why: &str) {
+        let err = decode(bytes).expect_err(why);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}: {err}");
+    }
+
+    /// CRC-valid records that break a `Group` or row invariant are
+    /// `InvalidData`, one case per invariant; the same bytes must not
+    /// reach `Group::from_csr`, whose checks are debug-only.
+    #[test]
+    fn invariant_violations_are_invalid_data() {
+        let ok = forged(&[(&[1, 4], u64::from(u32::MAX), &[&[0, 9], &[5]])], &[&[], &[2, 3]]);
+        let cdb = decode(&ok).unwrap();
+        assert_eq!((cdb.groups()[0].count(), cdb.plain().len()), (u64::from(u32::MAX) + 2, 2));
+        let over = u64::from(u32::MAX) + 1;
+        for (why, bytes) in [
+            ("empty pattern", forged(&[(&[], 1, &[])], &[])),
+            ("descending pattern", forged(&[(&[4, 1], 1, &[])], &[])),
+            ("repeated pattern item", forged(&[(&[1, 1], 1, &[])], &[])),
+            ("empty outlier row", forged(&[(&[1], 0, &[&[2], &[]])], &[])),
+            ("descending outlier row", forged(&[(&[1], 0, &[&[5, 2]])], &[])),
+            ("outlier item in the pattern", forged(&[(&[1, 3], 0, &[&[2, 3]])], &[])),
+            ("repeated plain item", forged(&[], &[&[1, 2], &[3, 3]])),
+            ("descending plain row", forged(&[], &[&[9, 2]])),
+            ("bare count beyond u32", forged(&[(&[1], over, &[])], &[])),
+        ] {
+            assert_rejected(&bytes, why);
+        }
+    }
+
+    #[test]
+    fn records_out_of_order_or_trailing_are_rejected() {
+        let mut plain_first = Vec::new();
+        put_header(&mut plain_first, 7, 1, 0);
+        put_plain(&mut plain_first, &[1u32]);
+        assert_rejected(&plain_first, "plain record where a group belongs");
+        let mut trailing = forged(&[], &[&[1]]);
+        trailing.push(0);
+        assert_rejected(&trailing, "trailing byte");
     }
 
     /// A count of `u32::MAX` over a few bytes of input must fail on the
     /// missing records, without reserving room for four billion.
     #[test]
     fn hostile_counts_fail_without_preallocating() {
-        let u32s = |ws: &[u32]| -> Vec<u8> { ws.iter().flat_map(|w| w.to_le_bytes()).collect() };
-        let mut full = 7u64.to_le_bytes().to_vec();
-        full.extend(u32s(&[u32::MAX, 0, 0]));
-        assert!(decode_full(&mut ByteReader::new(&full)).is_err());
-        for counts in [&[u32::MAX][..], &[0, u32::MAX], &[0, 0, u32::MAX]] {
-            let mut delta = 7u64.to_le_bytes().to_vec();
-            delta.extend(u32s(counts));
-            delta.extend([1, 0, 0, 0, 0]);
-            assert!(decode_delta(&mut ByteReader::new(&delta)).is_err(), "{counts:?}");
+        for (groups, plain) in [(u32::MAX, 0), (0, u32::MAX), (u32::MAX, u32::MAX)] {
+            let mut bytes = Vec::new();
+            put_header(&mut bytes, 7, groups as usize, plain as usize);
+            bytes.extend([1, 0, 0, 0, 0]);
+            assert_rejected(&bytes, &format!("counts {groups}/{plain}"));
         }
+        // A list length of u32::MAX inside an otherwise plausible record.
+        let mut bytes = Vec::new();
+        put_header(&mut bytes, 7, 0, 1);
+        bytes.push(0);
+        bytes.extend(u32::MAX.to_le_bytes());
+        bytes.extend([0; 8]);
+        assert_rejected(&bytes, "list length u32::MAX");
     }
 
     #[test]
     fn corrupt_version_payload_is_rejected() {
         let dir = temp_dir("corrupt");
-        let mut store = VersionStore::open(&dir).unwrap();
-        store.push(&paper_cdb(3)).unwrap();
-        let path = dir.join(version_file_name(0));
+        let path = dir.join("state.ggd");
+        save(&path, &paper_cdb(3)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let err = VersionStore::open(&dir).unwrap_err();
+        let err = load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "{err}");
+        // A format-1 file is refused by version, not misread.
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(load(&path).unwrap_err().to_string().contains("format 1"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every single-bit flip and every truncation of a saved state makes
+    /// `load` fail — never panic, never return a different database.
+    #[test]
+    fn every_bit_flip_and_truncation_fails_to_load() {
+        let dir = temp_dir("sweep");
+        let path = dir.join("state.ggd");
+        let cdb = small_cdb();
+        save(&path, &cdb).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        for byte in 0..good.len() {
+            for bit in 0..8 {
+                let mut bytes = good.clone();
+                bytes[byte] ^= 1 << bit;
+                std::fs::write(&path, &bytes).unwrap();
+                assert!(load(&path).is_err(), "byte {byte} bit {bit} loaded");
+            }
+        }
+        for cut in 0..good.len() {
+            std::fs::write(&path, &good[..cut]).unwrap();
+            assert!(load(&path).is_err(), "truncation to {cut} bytes loaded");
+        }
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(load(&path).unwrap(), Some(cdb));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash mid-save leaves garbage in `<file>.tmp` beside the good
+    /// state: loading still returns the good state, and the next save
+    /// replaces both.
+    #[test]
+    fn stale_tmp_file_neither_blocks_load_nor_save() {
+        let dir = temp_dir("tmp");
+        let path = dir.join("state.ggd");
+        let old = paper_cdb(3);
+        save(&path, &old).unwrap();
+        std::fs::write(tmp_path(&path), b"GGDV torn write").unwrap();
+        assert_eq!(load(&path).unwrap(), Some(old));
+        let new = paper_cdb(2);
+        save(&path, &new).unwrap();
+        assert_eq!(load(&path).unwrap(), Some(new));
+        assert!(!tmp_path(&path).exists());
+        assert_eq!(file_count(&dir), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,13 +1,14 @@
 //! Metric-level contract of the out-of-core datapath: mining a
 //! segmented store makes exactly one full payload pass per segment per
-//! round, the resident peak is bounded by the largest segment, and
-//! writes/deltas land in their declared counters. Each measured run
-//! reports its own counters and its own peak.
+//! round, the resident peak is bounded by the largest segment, writes
+//! land in their declared counters, and saving the compressed state
+//! touches no segment. Each measured run reports its own counters and
+//! its own peak.
 
 use gogreen_core::Strategy;
 use gogreen_data::MinSupport;
 use gogreen_obs::measure;
-use gogreen_storage::{MemoryBudget, OocMiner, SegmentWriter, SegmentedDb, VersionStore};
+use gogreen_storage::{version, MemoryBudget, OocMiner, SegmentWriter, SegmentedDb};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -65,14 +66,18 @@ fn one_pass_per_segment_bounded_residency_and_declared_counters() {
     assert!(peak <= db.max_segment_bytes() as u64);
     assert!(peak as usize <= budget);
 
-    // Version persistence: the second push of a near-identical CDB is a
-    // delta and accounts its bytes.
-    let vdir = temp_dir("versions");
-    let mut versions = VersionStore::open(&vdir).unwrap();
-    let (_, first) = measure(|| versions.push(&cdb).unwrap());
-    assert_eq!(first.value("storage.delta_bytes"), None, "first version is a full write");
-    let (_, second) = measure(|| versions.push(&cdb).unwrap());
-    assert!(second.value("storage.delta_bytes").is_some_and(|d| d > 0));
+    // State persistence: saving the CDB reads and writes no segment,
+    // and saving it again replaces the one file with the same bytes.
+    let vdir = temp_dir("state");
+    std::fs::create_dir_all(&vdir).unwrap();
+    let state = vdir.join("cdb.ggd");
+    let (first, saved) = measure(|| version::save(&state, &cdb).unwrap());
+    assert_eq!(saved.value("storage.segments_read"), None);
+    assert_eq!(saved.value("storage.segments_written"), None);
+    assert_eq!(version::save(&state, &cdb).unwrap(), first);
+    assert_eq!(std::fs::read_dir(&vdir).unwrap().count(), 1);
+    assert_eq!(std::fs::metadata(&state).unwrap().len(), first);
+    assert_eq!(version::load(&state).unwrap(), Some(cdb));
 
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&vdir).unwrap();
