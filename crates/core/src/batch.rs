@@ -22,6 +22,16 @@
 //! member could want, and the filter keeps exactly support ≥ ξᵢ plus
 //! the member's residual constraints.
 //!
+//! The demultiplexer stores each pattern of the shared pass once,
+//! whatever the fleet size: its items are sorted a single time into one
+//! CSR arena, next to its support and a flat accept bitset of
+//! `k.div_ceil(64)` words (bit `m` set iff member `m` accepts it).
+//! Patterns no member accepts are not kept. At flush, one index
+//! permutation of the arena is sorted into canonical order, and each
+//! member's stream is the subsequence of that permutation its bit
+//! selects — no per-member copies, no per-member sorts. A solo run is
+//! the same machinery with one member.
+//!
 //! Three design rules keep the pass exact and deterministic:
 //!
 //! * **Pushdown split.** Only the batch-common anti-monotone envelope is
@@ -320,12 +330,7 @@ impl QueryBatch {
         family: Family,
         sink: &mut dyn PatternSink,
     ) -> Result<(), String> {
-        let q = self.queries.get(idx).ok_or_else(|| format!("no query #{idx} in the batch"))?;
-        let xi = q.constraints.min_support().to_absolute(db.len());
-        let mut demux = self.demux_for(&[idx], &[xi], sink, None, false);
-        family.mine_into_par(db, MinSupport::Absolute(xi), self.par, &mut demux);
-        demux.flush();
-        Ok(())
+        self.solo(idx, db, db.len(), family, sink)
     }
 
     /// [`Self::run_solo`] on the compressed substrate.
@@ -336,12 +341,7 @@ impl QueryBatch {
         family: Family,
         sink: &mut dyn PatternSink,
     ) -> Result<(), String> {
-        let q = self.queries.get(idx).ok_or_else(|| format!("no query #{idx} in the batch"))?;
-        let xi = q.constraints.min_support().to_absolute(cdb.num_tuples());
-        let mut demux = self.demux_for(&[idx], &[xi], sink, None, false);
-        family.mine_into_par(cdb, MinSupport::Absolute(xi), self.par, &mut demux);
-        demux.flush();
-        Ok(())
+        self.solo(idx, cdb, cdb.num_tuples(), family, sink)
     }
 
     fn run_raw_impl(
@@ -352,8 +352,37 @@ impl QueryBatch {
         store: Option<(&PatternStore, &str)>,
     ) -> Result<BatchReport, String> {
         self.validate(sinks.len())?;
-        let counts = db.item_supports();
-        let plan = self.plan(&counts, db.len(), true);
+        let plan = self.plan(&db.item_supports(), db.len(), true);
+        self.run_shared(db, plan, Some(restrict_db), family, sinks, store)
+    }
+
+    fn run_recycled_impl(
+        &self,
+        cdb: &CompressedDb,
+        family: Family,
+        sinks: &mut [&mut dyn PatternSink],
+        store: Option<(&PatternStore, &str)>,
+    ) -> Result<BatchReport, String> {
+        self.validate(sinks.len())?;
+        let plan = self.plan(&cdb.item_supports(), cdb.num_tuples(), false);
+        self.run_shared(cdb, plan, None, family, sinks, store)
+    }
+
+    /// The one batch body, for any substrate a [`Family`] mines:
+    /// executes `plan`. `restrict` materializes a pushed item envelope;
+    /// substrates without one pass `None` and plan no envelope.
+    fn run_shared<D>(
+        &self,
+        db: &D,
+        plan: BatchPlan,
+        restrict: Option<fn(&D, &[Item]) -> D>,
+        family: Family,
+        sinks: &mut [&mut dyn PatternSink],
+        store: Option<(&PatternStore, &str)>,
+    ) -> Result<BatchReport, String>
+    where
+        Family: Miner<D>,
+    {
         let mut sp = span("batch");
         self.count_plan(&plan, &mut sp);
 
@@ -361,12 +390,11 @@ impl QueryBatch {
         let shared_patterns = {
             let mut demux = self.demux_members(&plan, sinks, tee.as_mut());
             let xi = MinSupport::Absolute(plan.xi_min);
-            match &plan.envelope {
-                Some(env) => {
-                    let restricted = restrict_db(db, env);
-                    family.mine_into_par(&restricted, xi, self.par, &mut demux);
+            match (&plan.envelope, restrict) {
+                (Some(env), Some(restrict)) => {
+                    family.mine_into_par(&restrict(db, env), xi, self.par, &mut demux)
                 }
-                None => family.mine_into_par(db, xi, self.par, &mut demux),
+                _ => family.mine_into_par(db, xi, self.par, &mut demux),
             }
             demux.flush()
         };
@@ -375,9 +403,7 @@ impl QueryBatch {
         // Queries priced out of the shared pass are answered solo, with
         // the same filter machinery (and therefore identical streams).
         for &i in &plan.rejected {
-            let mut demux = self.demux_for(&[i], &[plan.xi_abs[i]], &mut *sinks[i], None, false);
-            family.mine_into_par(db, MinSupport::Absolute(plan.xi_abs[i]), self.par, &mut demux);
-            demux.flush();
+            self.solo_pass(i, plan.xi_abs[i], db, family, &mut *sinks[i]);
         }
 
         let published_at = match (store, tee) {
@@ -391,42 +417,40 @@ impl QueryBatch {
         Ok(BatchReport { plan, shared_patterns, published_at })
     }
 
-    fn run_recycled_impl(
+    fn solo<D>(
         &self,
-        cdb: &CompressedDb,
+        idx: usize,
+        db: &D,
+        db_len: usize,
         family: Family,
-        sinks: &mut [&mut dyn PatternSink],
-        store: Option<(&PatternStore, &str)>,
-    ) -> Result<BatchReport, String> {
-        self.validate(sinks.len())?;
-        let counts = cdb.item_supports();
-        let plan = self.plan(&counts, cdb.num_tuples(), false);
-        let mut sp = span("batch");
-        self.count_plan(&plan, &mut sp);
+        sink: &mut dyn PatternSink,
+    ) -> Result<(), String>
+    where
+        Family: Miner<D>,
+    {
+        let q = self.queries.get(idx).ok_or_else(|| format!("no query #{idx} in the batch"))?;
+        let xi = q.constraints.min_support().to_absolute(db_len);
+        self.solo_pass(idx, xi, db, family, sink);
+        Ok(())
+    }
 
-        let mut tee = store.is_some().then(CollectSink::new);
-        let shared_patterns = {
-            let mut demux = self.demux_members(&plan, sinks, tee.as_mut());
-            family.mine_into_par(cdb, MinSupport::Absolute(plan.xi_min), self.par, &mut demux);
-            demux.flush()
-        };
-        metrics::add("batch.demux_patterns", shared_patterns);
-
-        for &i in &plan.rejected {
-            let mut demux = self.demux_for(&[i], &[plan.xi_abs[i]], &mut *sinks[i], None, false);
-            family.mine_into_par(cdb, MinSupport::Absolute(plan.xi_abs[i]), self.par, &mut demux);
-            demux.flush();
-        }
-
-        let published_at = match (store, tee) {
-            (Some((store, dataset)), Some(t)) => {
-                store.publish(dataset, plan.xi_min, t.into_set());
-                Some(plan.xi_min)
-            }
-            _ => None,
-        };
-        sp.field("shared_patterns", shared_patterns);
-        Ok(BatchReport { plan, shared_patterns, published_at })
+    /// One pass at `xi` answering query `idx` alone through a
+    /// one-member demultiplexer.
+    fn solo_pass<D>(
+        &self,
+        idx: usize,
+        xi: u64,
+        db: &D,
+        family: Family,
+        mut sink: &mut dyn PatternSink,
+    ) where
+        Family: Miner<D>,
+    {
+        let sinks = std::slice::from_mut(&mut sink);
+        let mut demux =
+            DemuxSink::new(vec![self.member(idx, xi, 0)], sinks, &self.attrs, None, false);
+        family.mine_into_par(db, MinSupport::Absolute(xi), self.par, &mut demux);
+        demux.flush();
     }
 
     fn validate(&self, num_sinks: usize) -> Result<(), String> {
@@ -453,60 +477,18 @@ impl QueryBatch {
             .field("xi_min", plan.xi_min);
     }
 
+    fn member(&self, idx: usize, xi: u64, sink_idx: usize) -> MemberFilter {
+        MemberFilter { sink_idx, xi, residual: self.queries[idx].constraints.others().to_vec() }
+    }
+
     fn demux_members<'a, 'b>(
         &'a self,
         plan: &BatchPlan,
         sinks: &'a mut [&'b mut dyn PatternSink],
         tee: Option<&'a mut CollectSink>,
     ) -> DemuxSink<'a, 'b> {
-        let members = plan
-            .admitted
-            .iter()
-            .map(|&i| MemberFilter {
-                sink_idx: i,
-                xi: plan.xi_abs[i],
-                residual: self.queries[i].constraints.others().to_vec(),
-                buffer: Vec::new(),
-            })
-            .collect();
-        DemuxSink {
-            members,
-            sinks: Fan::Many(sinks),
-            attrs: &self.attrs,
-            scratch: Vec::new(),
-            tee,
-            record: true,
-            emitted: 0,
-        }
-    }
-
-    fn demux_for<'a, 'b>(
-        &'a self,
-        indices: &[usize],
-        xis: &[u64],
-        sink: &'a mut (dyn PatternSink + 'b),
-        tee: Option<&'a mut CollectSink>,
-        record: bool,
-    ) -> DemuxSink<'a, 'b> {
-        let members = indices
-            .iter()
-            .zip(xis)
-            .map(|(&i, &xi)| MemberFilter {
-                sink_idx: 0,
-                xi,
-                residual: self.queries[i].constraints.others().to_vec(),
-                buffer: Vec::new(),
-            })
-            .collect();
-        DemuxSink {
-            members,
-            sinks: Fan::One(sink),
-            attrs: &self.attrs,
-            scratch: Vec::new(),
-            tee,
-            record,
-            emitted: 0,
-        }
+        let members = plan.admitted.iter().map(|&i| self.member(i, plan.xi_abs[i], i)).collect();
+        DemuxSink::new(members, sinks, &self.attrs, tee, true)
     }
 
     fn collect(
@@ -524,57 +506,77 @@ impl QueryBatch {
     }
 }
 
-/// One admitted query's demux filter plus its accepted-pattern buffer
-/// (delivered in canonical order at flush time).
+/// One admitted query's demux filter: the sink it feeds, its threshold
+/// and its residual constraints.
 struct MemberFilter {
     sink_idx: usize,
     xi: u64,
     residual: Vec<Constraint>,
-    buffer: Vec<(Vec<Item>, u64)>,
-}
-
-/// The demux target: the full per-query sink array for a shared pass,
-/// or a single sink for solo passes.
-enum Fan<'a, 'b> {
-    Many(&'a mut [&'b mut dyn PatternSink]),
-    One(&'a mut (dyn PatternSink + 'b)),
-}
-
-impl Fan<'_, '_> {
-    fn get(&mut self, idx: usize) -> &mut dyn PatternSink {
-        match self {
-            Fan::Many(sinks) => &mut *sinks[idx],
-            Fan::One(sink) => &mut **sink,
-        }
-    }
 }
 
 /// Replays the (rank-ordered, thread-invariant) shared stream through
-/// every member filter, buffering accepts; [`DemuxSink::flush`] then
-/// delivers each member's patterns in canonical (lexicographic item)
-/// order. Runs single-threaded after `fan_out_ordered` replay, so all
-/// `batch.*` observations are thread-invariant.
+/// every member filter and stores each pattern some member accepts
+/// once: its items sorted into one CSR arena, its support, and a row of
+/// `words` accept bits (bit `m` set iff member `m` accepts it).
+/// [`DemuxSink::flush`] sorts one permutation of the arena into
+/// canonical (lexicographic item) order and delivers each member's
+/// stream as the accepted subsequence of it. Runs single-threaded after
+/// `fan_out_ordered` replay, so all `batch.*` observations are
+/// thread-invariant.
 struct DemuxSink<'a, 'b> {
     members: Vec<MemberFilter>,
-    sinks: Fan<'a, 'b>,
+    /// The per-query sink array of a shared pass, or a solo pass's one
+    /// sink.
+    sinks: &'a mut [&'b mut dyn PatternSink],
     attrs: &'a ItemAttributes,
-    /// Filters and buffers need sorted items; miners emit DFS push
-    /// order. Sorted once per emission.
-    scratch: Vec<Item>,
+    /// Accepted patterns' items, sorted, one row per pattern.
+    arena: CsrTuples<Item>,
+    /// Support per arena row.
+    supports: Vec<u64>,
+    /// `words` accept words per arena row.
+    accepts: Vec<u64>,
+    words: usize,
     tee: Option<&'a mut CollectSink>,
     record: bool,
     emitted: u64,
 }
 
-impl DemuxSink<'_, '_> {
-    /// Delivers every member's buffered patterns in canonical order and
+impl<'a, 'b> DemuxSink<'a, 'b> {
+    fn new(
+        members: Vec<MemberFilter>,
+        sinks: &'a mut [&'b mut dyn PatternSink],
+        attrs: &'a ItemAttributes,
+        tee: Option<&'a mut CollectSink>,
+        record: bool,
+    ) -> Self {
+        let words = members.len().div_ceil(64);
+        DemuxSink {
+            members,
+            sinks,
+            attrs,
+            arena: CsrTuples::new(),
+            supports: Vec::new(),
+            accepts: Vec::new(),
+            words,
+            tee,
+            record,
+            emitted: 0,
+        }
+    }
+
+    /// Delivers every member's accepted patterns in canonical order and
     /// returns the shared-stream emission count.
-    fn flush(mut self) -> u64 {
-        for m in &mut self.members {
-            m.buffer.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            let sink = self.sinks.get(m.sink_idx);
-            for (items, support) in &m.buffer {
-                sink.emit(items, *support);
+    fn flush(self) -> u64 {
+        let arena = &self.arena;
+        let mut order: Vec<usize> = (0..arena.len()).collect();
+        order.sort_unstable_by(|&a, &b| arena.row(a).cmp(arena.row(b)));
+        for (m, member) in self.members.iter().enumerate() {
+            let (word, bit) = (m / 64, 1u64 << (m % 64));
+            let sink = &mut *self.sinks[member.sink_idx];
+            for &p in &order {
+                if self.accepts[p * self.words + word] & bit != 0 {
+                    sink.emit(arena.row(p), self.supports[p]);
+                }
             }
         }
         self.emitted
@@ -584,22 +586,33 @@ impl DemuxSink<'_, '_> {
 impl PatternSink for DemuxSink<'_, '_> {
     fn emit(&mut self, items: &[Item], support: u64) {
         self.emitted += 1;
-        if let Some(tee) = self.tee.as_deref_mut() {
-            tee.emit(items, support);
+        // Miners emit DFS push order; filters and delivery need sorted
+        // items. Sorted once, in place, as the arena's open row.
+        for &it in items {
+            self.arena.push_elem(it);
         }
-        self.scratch.clear();
-        self.scratch.extend_from_slice(items);
-        self.scratch.sort_unstable();
+        self.arena.open_row_mut().sort_unstable();
+        let sorted = self.arena.open_row();
+        if let Some(tee) = self.tee.as_deref_mut() {
+            tee.emit(sorted, support);
+        }
+        let row = self.accepts.len();
+        self.accepts.resize(row + self.words, 0);
         let mut accepted = 0u64;
-        for m in &mut self.members {
-            if support < m.xi {
-                continue;
+        for (m, member) in self.members.iter().enumerate() {
+            if support >= member.xi
+                && member.residual.iter().all(|c| c.satisfied(sorted, self.attrs))
+            {
+                self.accepts[row + m / 64] |= 1 << (m % 64);
+                accepted += 1;
             }
-            if !m.residual.iter().all(|c| c.satisfied(&self.scratch, self.attrs)) {
-                continue;
-            }
-            m.buffer.push((self.scratch.clone(), support));
-            accepted += 1;
+        }
+        if accepted == 0 {
+            self.accepts.truncate(row);
+            self.arena.discard_row();
+        } else {
+            self.arena.commit_row();
+            self.supports.push(support);
         }
         if self.record {
             histogram::observe("batch.fanout", accepted);

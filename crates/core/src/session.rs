@@ -34,6 +34,7 @@ use gogreen_data::{PatternSet, TransactionDb};
 use gogreen_miners::{Family, Miner};
 use gogreen_obs::{metrics, snapshot, span};
 use gogreen_util::pool::Parallelism;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The session's internal [`PatternStore`] key: one session, one
@@ -122,9 +123,9 @@ pub struct MiningSession {
     family: Family,
     strategy: Strategy,
     parallelism: Parallelism,
-    /// Previous round: constraints, the *full* frequent set at that
-    /// round's support, and the constraint-filtered answer.
-    last: Option<(ConstraintSet, PatternSet, PatternSet)>,
+    /// Previous round: constraints and the constraint-filtered answer
+    /// (for support-only rounds, the same `Arc` the store holds).
+    last: Option<(ConstraintSet, Arc<PatternSet>)>,
     /// Every round's full frequent set, keyed by absolute threshold:
     /// [`PatternStore::best_at_most`] serves filter rounds, and
     /// [`PatternStore::best_for`] the recycling fodder.
@@ -216,7 +217,7 @@ impl MiningSession {
         let xi = constraints.min_support().to_absolute(db_len);
         let mut sp = span("session.round");
         let started = std::time::Instant::now();
-        if let Some((prev_cs, _, prev_answer)) = &self.last {
+        if let Some((prev_cs, prev_answer)) = &self.last {
             if constraints.relation_to(prev_cs, db_len) == Relation::Equal {
                 metrics::add("session.rounds", 1);
                 metrics::add(RunMode::Cached.counter(), 1);
@@ -230,7 +231,7 @@ impl MiningSession {
                     num_patterns: prev_answer.len(),
                     fodder_patterns: None,
                 };
-                return (prev_answer.clone(), report);
+                return (PatternSet::clone(prev_answer), report);
             }
         }
         let (mode, full, compression, fodder_patterns) = if let Some((_, superset)) =
@@ -254,10 +255,17 @@ impl MiningSession {
             let full = self.family.mine_par(&self.db, constraints.min_support(), self.parallelism);
             (RunMode::Fresh, full, None, None)
         };
+        // Publish the full set so later rounds can filter from (or
+        // recycle) it — Filtered rounds included: their result is the
+        // complete set at ξ, a closer superset for future lookups. A
+        // support-only round's answer is the full set itself: store and
+        // cache share it, and the caller gets the round's one copy.
+        let full = Arc::new(full);
+        self.store.publish(SESSION_DATASET, xi, Arc::clone(&full));
         let answer = if constraints.others().is_empty() {
-            full.clone()
+            Arc::clone(&full)
         } else {
-            full.filter(|p| constraints.satisfied_by(p, db_len, &self.attrs))
+            Arc::new(full.filter(|p| constraints.satisfied_by(p, db_len, &self.attrs)))
         };
         let report = RoundReport {
             mode,
@@ -275,12 +283,9 @@ impl MiningSession {
         if let Some(n) = fodder_patterns {
             sp.field("fodder_patterns", n);
         }
-        // Publish the full set so later rounds can filter from (or
-        // recycle) it — Filtered rounds included: their result is the
-        // complete set at ξ, a closer superset for future lookups.
-        self.store.publish(SESSION_DATASET, xi, full.clone());
-        self.last = Some((constraints, full, answer.clone()));
-        (answer, report)
+        let out = PatternSet::clone(&answer);
+        self.last = Some((constraints, answer));
+        (out, report)
     }
 
     /// Runs a fleet of queries as one batched round: a single coalesced

@@ -44,11 +44,12 @@ impl PatternStore {
 
     /// Publishes a pattern set mined on `dataset` at the absolute
     /// threshold `abs_support`. Re-publishing at the same threshold
-    /// replaces the previous entry.
-    pub fn publish(&self, dataset: &str, abs_support: u64, patterns: PatternSet) {
+    /// replaces the previous entry. Takes an owned set or a shared
+    /// `Arc`, so a caller that keeps the set too shares it, not a copy.
+    pub fn publish(&self, dataset: &str, abs_support: u64, patterns: impl Into<Arc<PatternSet>>) {
+        let patterns = patterns.into();
         let mut map = self.inner.write().expect("store lock poisoned");
         let entries = map.entry(dataset.to_owned()).or_default();
-        let patterns = Arc::new(patterns);
         match entries.iter_mut().find(|e| e.abs_support == abs_support) {
             Some(e) => e.patterns = patterns,
             None => {

@@ -1,8 +1,11 @@
 //! Patterns (frequent itemsets) and pattern collections.
 
 use crate::item::Item;
+#[cfg(debug_assertions)]
+use gogreen_util::FxHashSet;
 use gogreen_util::{FxHashMap, HeapSize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A pattern (itemset) together with its support — one element of the
 /// paper's `FP` set.
@@ -105,10 +108,22 @@ pub fn is_subset(small: &[Item], big: &[Item]) -> bool {
 ///
 /// Lookup by itemset is O(1); iteration order is insertion order. Use
 /// [`PatternSet::sorted`] for a canonical ordering when comparing runs.
+///
+/// The itemset index behind lookups is lazy: it is built on the first
+/// [`support_of`](Self::support_of), [`contains`](Self::contains) or
+/// [`insert`](Self::insert) and maintained from then on. Sets filled by
+/// [`CollectSink`](crate::CollectSink) or [`filter`](Self::filter) —
+/// whose inputs are distinct by construction — append without hashing or
+/// copying a key, so a mining result nobody looks up never pays for an
+/// index. Cloning a set whose index was never built does not build it.
 #[derive(Debug, Clone, Default)]
 pub struct PatternSet {
     patterns: Vec<Pattern>,
-    index: FxHashMap<Box<[Item]>, usize>,
+    index: OnceLock<FxHashMap<Box<[Item]>, usize>>,
+    /// Every itemset held, so debug builds can catch an append that
+    /// would break the distinctness the unindexed path relies on.
+    #[cfg(debug_assertions)]
+    held: FxHashSet<Box<[Item]>>,
 }
 
 impl PatternSet {
@@ -120,27 +135,44 @@ impl PatternSet {
     /// Inserts a pattern. Re-inserting the same itemset replaces its
     /// support (last write wins) and returns `false`.
     pub fn insert(&mut self, p: Pattern) -> bool {
-        match self.index.get(p.items()) {
+        match self.index().get(p.items()) {
             Some(&at) => {
                 self.patterns[at] = p;
                 false
             }
             None => {
-                self.index.insert(p.items.clone(), self.patterns.len());
-                self.patterns.push(p);
+                self.push_distinct(p);
                 true
             }
         }
     }
 
+    /// Appends a pattern whose itemset the set does not hold yet. Hashes
+    /// and copies the key only when the index has already been built.
+    pub(crate) fn push_distinct(&mut self, p: Pattern) {
+        #[cfg(debug_assertions)]
+        assert!(self.held.insert(p.items.clone()), "PatternSet append of a held itemset: {p}");
+        if let Some(index) = self.index.get_mut() {
+            index.insert(p.items.clone(), self.patterns.len());
+        }
+        self.patterns.push(p);
+    }
+
+    /// The itemset index, built on first use.
+    fn index(&self) -> &FxHashMap<Box<[Item]>, usize> {
+        self.index.get_or_init(|| {
+            self.patterns.iter().enumerate().map(|(at, p)| (p.items.clone(), at)).collect()
+        })
+    }
+
     /// The support of `items` (sorted ascending), if present.
     pub fn support_of(&self, items: &[Item]) -> Option<u64> {
-        self.index.get(items).map(|&at| self.patterns[at].support)
+        self.index().get(items).map(|&at| self.patterns[at].support)
     }
 
     /// True when the itemset is present.
     pub fn contains(&self, items: &[Item]) -> bool {
-        self.index.contains_key(items)
+        self.index().contains_key(items)
     }
 
     /// Number of patterns.
@@ -183,7 +215,7 @@ impl PatternSet {
         let mut out = PatternSet::new();
         for p in &self.patterns {
             if keep(p) {
-                out.insert(p.clone());
+                out.push_distinct(p.clone());
             }
         }
         out
@@ -249,9 +281,12 @@ impl<'a> IntoIterator for &'a PatternSet {
 
 impl HeapSize for PatternSet {
     fn heap_size(&self) -> usize {
-        // Index keys share no storage with the patterns; count both.
-        self.patterns.heap_size()
-            + self.index.keys().map(|k| k.len() * std::mem::size_of::<Item>()).sum::<usize>()
+        // Index keys share no storage with the patterns; count both
+        // once the index exists.
+        let keys = self.index.get().map_or(0, |index| {
+            index.keys().map(|k| k.len() * std::mem::size_of::<Item>()).sum::<usize>()
+        });
+        self.patterns.heap_size() + keys
     }
 }
 
@@ -386,6 +421,80 @@ mod tests {
         assert_eq!(max.len(), 2);
         assert!(max.contains(&[Item(1), Item(2)]));
         assert!(max.contains(&[Item(3)]));
+    }
+
+    /// A set filled the way miners fill one: through `CollectSink`,
+    /// unsorted items, no index built.
+    fn collected(patterns: &[(&[u32], u64)]) -> PatternSet {
+        use crate::sink::{CollectSink, PatternSink};
+        let mut sink = CollectSink::new();
+        for &(ids, sup) in patterns {
+            let items: Vec<Item> = ids.iter().rev().map(|&i| Item(i)).collect();
+            sink.emit(&items, sup);
+        }
+        sink.into_set()
+    }
+
+    const FILL: &[(&[u32], u64)] = &[(&[1], 5), (&[2], 3), (&[1, 2], 3), (&[3, 1], 2)];
+
+    #[test]
+    fn collected_set_answers_lookups_before_and_after_clone() {
+        let reference: PatternSet = FILL.iter().map(|&(ids, sup)| p(ids, sup)).collect();
+        let fresh = collected(FILL);
+        let copy = fresh.clone();
+        for s in [&fresh, &copy] {
+            assert_eq!(s.len(), 4);
+            assert_eq!(s.support_of(&[Item(1), Item(2)]), Some(3));
+            assert_eq!(s.support_of(&[Item(1), Item(3)]), Some(2));
+            assert!(s.contains(&[Item(2)]));
+            assert!(!s.contains(&[Item(2), Item(3)]));
+            assert!(s.same_patterns_as(&reference) && reference.same_patterns_as(s));
+        }
+        // A clone taken after the index was built answers the same.
+        let late = fresh.clone();
+        assert_eq!(late.support_of(&[Item(1)]), Some(5));
+        assert!(late.same_patterns_as(&copy));
+    }
+
+    #[test]
+    fn insert_after_append_only_fill_replaces_support() {
+        let mut s = collected(FILL);
+        assert!(!s.insert(p(&[1, 2], 9)));
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.support_of(&[Item(1), Item(2)]), Some(9));
+        assert!(s.insert(p(&[4], 1)));
+        assert_eq!(s.support_of(&[Item(4)]), Some(1));
+        // Appends after the index exists keep it current.
+        s.push_distinct(p(&[5, 4], 1));
+        assert_eq!(s.support_of(&[Item(4), Item(5)]), Some(1));
+    }
+
+    #[test]
+    fn filter_output_answers_lookups() {
+        let hi = collected(FILL).filter(|q| q.support() >= 3);
+        assert_eq!(hi.len(), 3);
+        assert_eq!(hi.support_of(&[Item(1), Item(2)]), Some(3));
+        assert!(!hi.contains(&[Item(1), Item(3)]));
+    }
+
+    #[test]
+    fn heap_size_counts_index_keys_once_built() {
+        let s = collected(FILL);
+        let unindexed = s.heap_size();
+        assert_eq!(unindexed, s.patterns.heap_size());
+        // Cloning an unindexed set does not build an index.
+        assert_eq!(s.clone().heap_size(), unindexed);
+        let key_bytes = 6 * std::mem::size_of::<Item>();
+        assert!(s.contains(&[Item(1)]));
+        assert_eq!(s.heap_size(), unindexed + key_bytes);
+        assert_eq!(s.clone().heap_size(), unindexed + key_bytes);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "append of a held itemset")]
+    fn appending_a_held_itemset_panics_in_debug_builds() {
+        collected(&[(&[1, 2], 3), (&[2, 1], 3)]);
     }
 
     #[test]

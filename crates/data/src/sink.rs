@@ -42,7 +42,8 @@ impl CollectSink {
 
 impl PatternSink for CollectSink {
     fn emit(&mut self, items: &[Item], support: u64) {
-        self.set.insert(Pattern::new(items.to_vec(), support));
+        // Distinct by the `PatternSink` contract: append, no lookup.
+        self.set.push_distinct(Pattern::new(items.to_vec(), support));
     }
 }
 

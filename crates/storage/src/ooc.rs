@@ -145,7 +145,7 @@ pub struct SegmentedIncrementalMiner {
     budget: MemoryBudget,
     strategy: Strategy,
     parallelism: Parallelism,
-    recycled: Option<PatternSet>,
+    recycled: Option<Arc<PatternSet>>,
     store: Option<(Arc<PatternStore>, String)>,
 }
 
@@ -230,7 +230,7 @@ impl SegmentedIncrementalMiner {
         if self.recycled.is_none() {
             if let Some((store, dataset)) = &self.store {
                 if let Some((_, seeded)) = store.best_for(dataset) {
-                    self.recycled = Some((*seeded).clone());
+                    self.recycled = Some(seeded);
                 }
             }
         }
@@ -258,13 +258,14 @@ impl SegmentedIncrementalMiner {
                 CompressedDb::new(Vec::new(), plain, original_items)
             }
         };
-        let result = Family::Hm.mine_par(&cdb, min_support, self.parallelism);
+        let result = Arc::new(Family::Hm.mine_par(&cdb, min_support, self.parallelism));
         version::save(&self.state_path(), &cdb)?;
         if let Some((store, dataset)) = &self.store {
-            store.publish(dataset, min_support.to_absolute(db.total_rows()), result.clone());
+            store.publish(dataset, min_support.to_absolute(db.total_rows()), Arc::clone(&result));
         }
-        self.recycled = Some(result.clone());
-        Ok(result)
+        let answer = PatternSet::clone(&result);
+        self.recycled = Some(result);
+        Ok(answer)
     }
 }
 

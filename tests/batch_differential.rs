@@ -191,3 +191,84 @@ fn shared_pass_counters_bit_identical_across_thread_counts() {
     }
     assert_eq!(serial, threaded);
 }
+
+/// A 70-member fleet: more members than one accept-bitset word holds.
+/// Each block of ten shares a threshold and opens with a pure-support
+/// member, so the block's constrained members join the shared pass at
+/// no marginal cost; the rest carry `MaxLength` and `SubsetOf`
+/// residuals, alone or together.
+fn wide_fleet(db: &TransactionDb) -> QueryBatch {
+    let counts = db.item_supports();
+    let mut by_support: Vec<usize> = (0..counts.len()).collect();
+    by_support.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
+    let dense = |n: usize| {
+        let mut items: Vec<Item> =
+            by_support[..n.min(by_support.len())].iter().map(|&i| Item(i as u32)).collect();
+        items.sort_unstable();
+        items
+    };
+    let mut batch = QueryBatch::new();
+    for i in 0..70usize {
+        let xi = ConstraintSet::support_only(MinSupport::Relative(0.02 + 0.005 * (i / 10) as f64));
+        let constraints = match i % 5 {
+            0 | 3 => xi,
+            1 => xi.with(Constraint::MaxLength(1 + i % 3)),
+            2 => xi.with(Constraint::SubsetOf(dense(8 + i % 7))),
+            _ => xi.with(Constraint::MaxLength(2)).with(Constraint::SubsetOf(dense(10))),
+        };
+        batch.push(BatchQuery::new(format!("w{i}"), constraints));
+    }
+    batch
+}
+
+#[test]
+fn wide_constrained_fleet_matches_solo_on_both_substrates() {
+    let (db, cdb) = weather();
+    let batch = wide_fleet(&db);
+    for plan in [
+        batch.plan(&db.item_supports(), db.len(), true),
+        batch.plan(&cdb.item_supports(), cdb.num_tuples(), false),
+    ] {
+        assert!(plan.admitted.len() > 64, "only {} members share the pass", plan.admitted.len());
+    }
+    for algo in FAMILIES {
+        let solo_raw: Vec<Stream> = (0..batch.len())
+            .map(|i| stream_of(&mut |sink| batch.run_solo(i, &db, algo, sink).unwrap()))
+            .collect();
+        let solo_mcp: Vec<Stream> = (0..batch.len())
+            .map(|i| stream_of(&mut |sink| batch.run_solo_recycled(i, &cdb, algo, sink).unwrap()))
+            .collect();
+        assert!(solo_raw.iter().all(|s| !s.is_empty()), "{algo:?}: a solo run emitted nothing");
+        for threads in [1usize, 4] {
+            let batch = wide_fleet(&db).with_parallelism(Parallelism::threads(threads));
+            let raw = batched_raw(&batch, &db, algo);
+            let mcp = batched_recycled(&batch, &cdb, algo);
+            for i in 0..batch.len() {
+                assert_eq!(raw[i], solo_raw[i], "{algo:?} raw member #{i} at {threads} threads");
+                assert_eq!(mcp[i], solo_mcp[i], "{algo:?} MCP member #{i} at {threads} threads");
+            }
+        }
+    }
+}
+
+#[test]
+fn wide_fleet_counters_bit_identical_across_thread_counts() {
+    let (db, cdb) = weather();
+    let counters = |threads: usize| {
+        let ((), snap) = measure(|| {
+            for algo in FAMILIES {
+                let batch = wide_fleet(&db).with_parallelism(Parallelism::threads(threads));
+                batch.run(&db, algo).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+                batch.run_recycled(&cdb, algo).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+            }
+        });
+        snap.metrics
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("mine.") || name.starts_with("batch."))
+            .map(|(name, m)| (name, m.value))
+            .collect::<Vec<_>>()
+    };
+    let serial = counters(1);
+    assert!(serial.iter().any(|&(n, v)| n == "batch.demux_patterns" && v > 0), "{serial:?}");
+    assert_eq!(serial, counters(4));
+}
