@@ -45,45 +45,6 @@ pub fn estimate_hmine_bytes(occurrences: usize, tuples: usize) -> usize {
     (occurrences + tuples) * 8
 }
 
-/// Estimated heap bytes of the root tid-bitmap columns the vertical
-/// miner ([`Family::Vt`](gogreen_miners::Family::Vt)) builds for `rdb`: one
-/// `⌈n/64⌉`-word column per rank, `n` the expanded tuple count. The
-/// per-node tidset arenas below the root are bounded by the same figure
-/// (a child level never materializes more columns than the root holds),
-/// so doubling this estimate budgets the whole vertical run; the arenas
-/// report their actual usage under `alloc.projection_bytes`.
-pub fn estimate_vt_bitmap_bytes(rdb: &CompressedRankDb) -> usize {
-    let mut n = rdb.plain().len();
-    for g in 0..rdb.num_groups() {
-        n += rdb.group_count(g) as usize;
-    }
-    rdb.num_ranks() * gogreen_data::bitmap::words_for(n) * 8
-}
-
-/// Estimated heap bytes of the root sparse tid-list columns for `rdb`:
-/// 4 bytes per rank occurrence. A group contributes its full expanded
-/// run per pattern item (`count × |pattern|`), outliers and plain tuples
-/// one entry per rank. Unlike the bitmap figure this scales with data
-/// density, not rank count × width, so on sparse databases it is the
-/// smaller of the two.
-pub fn estimate_vt_tidlist_bytes(rdb: &CompressedRankDb) -> usize {
-    let mut occurrences = rdb.group_outlier_items() + rdb.plain().flat().len();
-    for g in 0..rdb.num_groups() {
-        occurrences += rdb.group_count(g) as usize * rdb.group_pattern(g).len();
-    }
-    occurrences * 4
-}
-
-/// Estimated heap bytes of the root vertical columns under the
-/// density-adaptive default ([`VtRepr::Auto`]): the cheaper of the
-/// bitmap and tid-list layouts, which is exactly the choice the engine
-/// makes at the root.
-///
-/// [`VtRepr::Auto`]: gogreen_miners::engine::vt::VtRepr::Auto
-pub fn estimate_vt_root_bytes(rdb: &CompressedRankDb) -> usize {
-    estimate_vt_bitmap_bytes(rdb).min(estimate_vt_tidlist_bytes(rdb))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,61 +109,6 @@ mod tests {
     fn hmine_estimate_formula() {
         assert_eq!(estimate_hmine_bytes(22, 5), 27 * 8);
         assert_eq!(estimate_hmine_bytes(0, 0), 0);
-    }
-
-    #[test]
-    fn vt_bitmap_estimate_formula() {
-        // Paper example, uncompressed: 5 tuples -> one 64-bit word per
-        // rank; at ξ = 1 all 9 items are ranks.
-        let db = TransactionDb::paper_example();
-        let cdb = CompressedDb::uncompressed(&db);
-        let flist = cdb.flist(1);
-        let rdb = cdb.to_ranks(&flist);
-        assert_eq!(estimate_vt_bitmap_bytes(&rdb), 9 * 8);
-        // Compressed view of the same database: group members re-expand,
-        // so the tuple count — and the estimate at equal rank count —
-        // is unchanged.
-        let rdb2 = rdb_for(&db, 3, 1);
-        assert_eq!(estimate_vt_bitmap_bytes(&rdb2), 9 * 8);
-    }
-
-    #[test]
-    fn vt_tidlist_estimate_counts_occurrences() {
-        // Paper example, uncompressed: 22 frequent-item occurrences at
-        // ξ = 1, 4 bytes each.
-        let db = TransactionDb::paper_example();
-        let cdb = CompressedDb::uncompressed(&db);
-        let flist = cdb.flist(1);
-        let rdb = cdb.to_ranks(&flist);
-        assert_eq!(estimate_vt_tidlist_bytes(&rdb), 22 * 4);
-        // The compressed view re-expands group members, so the
-        // occurrence total is preserved (groups store each pattern item
-        // once but weight it by the member count).
-        let rdb2 = rdb_for(&db, 3, 1);
-        assert_eq!(estimate_vt_tidlist_bytes(&rdb2), 22 * 4);
-        // Auto takes the cheaper layout; here the 9-rank bitmap (72 B)
-        // wins over the 88 B of lists.
-        assert_eq!(estimate_vt_root_bytes(&rdb), 9 * 8);
-    }
-
-    #[test]
-    fn vt_root_estimate_prefers_lists_when_sparse() {
-        // 200 single-item tuples over 64 items: bitmaps need
-        // 64 ranks × 4 words × 8 = 2048 B, lists only 200 × 4 = 800 B.
-        let mut rows: Vec<Vec<u32>> = Vec::new();
-        for k in 0..200u32 {
-            rows.push(vec![k % 64]);
-        }
-        let db = TransactionDb::from_transactions(
-            rows.into_iter().map(gogreen_data::Transaction::from_ids).collect(),
-        );
-        let cdb = CompressedDb::uncompressed(&db);
-        let flist = cdb.flist(1);
-        let rdb = cdb.to_ranks(&flist);
-        let bm = estimate_vt_bitmap_bytes(&rdb);
-        let tl = estimate_vt_tidlist_bytes(&rdb);
-        assert!(tl < bm, "lists {tl} must beat bitmaps {bm} here");
-        assert_eq!(estimate_vt_root_bytes(&rdb), tl);
     }
 
     /// The vertical miner's tidset arenas report under the same

@@ -152,14 +152,6 @@ pub enum SpillRecord {
 }
 
 impl SpillRecord {
-    /// Number of member tuples this record represents.
-    pub fn tuple_count(&self) -> u64 {
-        match self {
-            SpillRecord::Plain(_) => 1,
-            SpillRecord::Group { bare, outliers, .. } => bare + outliers.len() as u64,
-        }
-    }
-
     /// Estimated bytes of the in-memory RP-Struct share this record
     /// expands to (used for load-vs-respill decisions).
     pub fn estimated_memory(&self) -> usize {
@@ -327,9 +319,18 @@ mod tests {
 
     #[test]
     fn tuple_counts() {
-        assert_eq!(SpillRecord::Plain(vec![1]).tuple_count(), 1);
-        let g = SpillRecord::Group { pattern: vec![1], bare: 2, outliers: csr(&[&[2]]) };
-        assert_eq!(g.tuple_count(), 3);
+        // A group stands for its bare members plus one member per
+        // outlier row; both survive the round trip, so a decoded
+        // partition re-expands to exactly the tuples that were spilled.
+        let mut buf = Vec::new();
+        SpillRecord::Group { pattern: vec![1], bare: 2, outliers: csr(&[&[2], &[3, 4]]) }
+            .encode(&mut buf);
+        match SpillRecord::decode(&mut ByteReader::new(&buf)) {
+            Ok(Some(SpillRecord::Group { bare, outliers, .. })) => {
+                assert_eq!(bare + outliers.len() as u64, 4)
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

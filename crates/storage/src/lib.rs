@@ -12,13 +12,15 @@
 //! * [`codec`] — compact binary encoding of spilled records (plain
 //!   tuples and compressed groups).
 //! * [`spill`] — partition files under a private temp directory, with
-//!   in-memory size accounting so the drivers can decide load-vs-respill
+//!   in-memory size accounting so the driver can decide load-vs-respill
 //!   *before* touching a partition.
 //! * [`budget`] — the memory budget (the paper enforces 4 MiB / 8 MiB).
-//! * [`limited`] — memory-limited drivers for the H-Mine pair
-//!   (the paper's §5.3 compares exactly H-Mine vs HM-MCP because
-//!   H-Mine-style structures are the ones whose memory is reliably
-//!   estimable).
+//! * [`limited`] — one Figure 3 spill recursion over a compressed rank
+//!   database behind two entry points, one per member of the H-Mine
+//!   pair: a raw database enters as its all-plain compressed form, a
+//!   compressed one as itself (the paper's §5.3 compares exactly
+//!   H-Mine vs HM-MCP because H-Mine-style structures are the ones
+//!   whose memory is reliably estimable).
 //! * [`crc`] — the CRC-32 every on-disk record and file carries.
 //! * [`segment`] — immutable on-disk CSR segments with item-support
 //!   sidecars: the out-of-core database substrate.

@@ -1,16 +1,25 @@
 //! Memory-limited mining drivers (paper Figure 3 + §5.3).
 //!
-//! Both drivers implement Algorithm *Recycling*'s outer loop: estimate
-//! the in-memory structure (`EM(D)`), mine in memory when it fits the
-//! budget, otherwise *parallel-project* the database onto its frequent
-//! items on disk and recurse per partition. The paper's §5.3 compares
-//! H-Mine against HM-MCP under 4 MiB and 8 MiB budgets; these drivers
-//! are that pair:
+//! One private driver runs Algorithm *Recycling*'s outer loop over a
+//! [`CompressedRankDb`]: estimate the in-memory structure (`EM(D)`), mine
+//! in memory when it fits the budget, otherwise *parallel-project* the
+//! database onto its frequent items on disk and recurse per partition.
+//! The root and every partition pass through the same level: budget
+//! check, load (partitions only), streaming count, keep-filter,
+//! re-projection and emit-and-descend. The paper's §5.3 compares
+//! H-Mine against HM-MCP under 4 MiB and 8 MiB budgets; the two entry
+//! points are that pair and differ only in what enters the driver:
 //!
-//! * [`LimitedHMine`] — plain databases, H-Mine in memory.
-//! * [`LimitedRecycleHm`] — compressed databases, Recycle-HM in memory.
-//!   Spilled partitions keep their group structure (one group record per
-//!   partition), so the recycling savings survive the disk round-trip.
+//! * [`LimitedHMine`] — a plain database enters as its all-plain
+//!   compressed form (a compressed database with no groups, the paper's
+//!   own identity), priced by the H-Mine hyper-structure estimate.
+//! * [`LimitedRecycleHm`] — a compressed database enters as its rank
+//!   form, priced by the RP-Struct estimate. Spilled partitions keep
+//!   their group structure (one group record per partition), so the
+//!   recycling savings survive the disk round-trip.
+//!
+//! A level without groups is mined through a [`PlainRanks`] view, so
+//! H-Mine takes its classic group-free fast path there.
 
 use crate::budget::MemoryBudget;
 use crate::codec::SpillRecord;
@@ -19,12 +28,13 @@ use gogreen_core::cdb::{CompressedDb, CompressedRankDb};
 use gogreen_core::memory::{estimate_hmine_bytes, estimate_rp_struct_bytes};
 use gogreen_data::{
     CollectSink, CsrTuples, FList, Item, MinSupport, PatternSet, PatternSink, PlainRanks,
-    TransactionDb,
+    TransactionDb, TupleSlices,
 };
 use gogreen_miners::engine::hm;
 use gogreen_obs::metrics;
 use gogreen_util::pool::Parallelism;
 use gogreen_util::FxHashMap;
+use std::io;
 
 /// I/O metrics of one memory-limited run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,49 +68,18 @@ impl LimitedHMine {
         db: &TransactionDb,
         min_support: MinSupport,
         sink: &mut dyn PatternSink,
-    ) -> std::io::Result<LimitedReport> {
+    ) -> io::Result<LimitedReport> {
         let minsup = min_support.to_absolute(db.len());
         let flist = FList::from_db(db, minsup);
-        let mut report = LimitedReport::default();
-        if flist.is_empty() {
-            return Ok(report);
-        }
-        let mut tuples: CsrTuples<u32> = CsrTuples::with_capacity(db.len(), 0);
+        let mut rdb = CompressedRankDb::empty(flist.len());
         for t in db.iter() {
             let enc = flist.encode(t);
             if !enc.is_empty() {
-                tuples.push_row(&enc);
+                rdb.push_plain(&enc);
             }
         }
-        let occurrences = tuples.total_elems();
-        let est = estimate_hmine_bytes(occurrences, tuples.len());
-        metrics::set_max("storage.budget_high_water", est as u64);
-        if self.budget.fits(est) {
-            let src = PlainRanks::new(tuples.as_slices(), flist.len());
-            hm::mine_source_par(&src, &flist, &[], minsup, Parallelism::serial(), sink);
-            return Ok(report);
-        }
-        // Parallel projection of the root (paper §3.3).
-        report.spills += 1;
-        report.max_depth = 1;
-        let mut mgr = SpillManager::new(flist.len())?;
-        for t in tuples.iter() {
-            for (i, &r) in t.iter().enumerate() {
-                if i + 1 < t.len() {
-                    mgr.append(r, &SpillRecord::Plain(t[i + 1..].to_vec()))?;
-                }
-            }
-        }
-        mgr.finish()?;
-        report.disk_bytes += mgr.total_bytes();
-        let mut prefix = Vec::with_capacity(8);
-        for r in 0..flist.len() as u32 {
-            sink.emit(&[flist.item(r)], flist.support(r));
-            prefix.push(flist.item(r));
-            self.mine_partition(&mgr, r, &mut prefix, &flist, minsup, sink, &mut report, 1)?;
-            prefix.pop();
-        }
-        Ok(report)
+        let est = estimate_hmine_bytes(rdb.plain().total_elems(), rdb.plain().len());
+        Recycling { budget: self.budget, flist: &flist, minsup }.run(&rdb, est, sink)
     }
 
     /// Collects into a [`PatternSet`] alongside the report.
@@ -108,93 +87,10 @@ impl LimitedHMine {
         &self,
         db: &TransactionDb,
         min_support: MinSupport,
-    ) -> std::io::Result<(PatternSet, LimitedReport)> {
+    ) -> io::Result<(PatternSet, LimitedReport)> {
         let mut sink = CollectSink::new();
         let report = self.mine_into(db, min_support, &mut sink)?;
         Ok((sink.into_set(), report))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mine_partition(
-        &self,
-        mgr: &SpillManager,
-        r: u32,
-        prefix: &mut Vec<Item>,
-        flist: &FList,
-        minsup: u64,
-        sink: &mut dyn PatternSink,
-        report: &mut LimitedReport,
-        depth: usize,
-    ) -> std::io::Result<()> {
-        if mgr.partition_records(r) == 0 {
-            return Ok(());
-        }
-        metrics::set_max("storage.budget_high_water", mgr.estimated_memory(r) as u64);
-        if self.budget.fits(mgr.estimated_memory(r)) {
-            let mut tuples: CsrTuples<u32> =
-                CsrTuples::with_capacity(mgr.partition_records(r) as usize, 0);
-            mgr.for_each_record(r, |rec| {
-                if let SpillRecord::Plain(v) = rec {
-                    tuples.push_row(&v);
-                }
-            })?;
-            report.loads += 1;
-            let src = PlainRanks::new(tuples.as_slices(), flist.len());
-            hm::mine_source_par(&src, flist, prefix, minsup, Parallelism::serial(), sink);
-            return Ok(());
-        }
-        // Too big: respill one level deeper.
-        report.spills += 1;
-        report.max_depth = report.max_depth.max(depth + 1);
-        let mut counts = vec![0u64; flist.len()];
-        mgr.for_each_record(r, |rec| {
-            if let SpillRecord::Plain(v) = rec {
-                for &x in &v {
-                    counts[x as usize] += 1;
-                }
-            }
-        })?;
-        let frequent: Vec<(u32, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c >= minsup)
-            .map(|(x, &c)| (x as u32, c))
-            .collect();
-        if frequent.is_empty() {
-            return Ok(());
-        }
-        let keep: Vec<bool> = counts.iter().map(|&c| c >= minsup).collect();
-        let mut sub = SpillManager::new(flist.len())?;
-        let mut filtered: Vec<u32> = Vec::new();
-        let mut io_err: Option<std::io::Error> = None;
-        mgr.for_each_record(r, |rec| {
-            if io_err.is_some() {
-                return;
-            }
-            if let SpillRecord::Plain(v) = rec {
-                filtered.clear();
-                filtered.extend(v.iter().filter(|&&x| keep[x as usize]));
-                for i in 0..filtered.len().saturating_sub(1) {
-                    let x = filtered[i];
-                    if let Err(e) = sub.append(x, &SpillRecord::Plain(filtered[i + 1..].to_vec())) {
-                        io_err = Some(e);
-                        return;
-                    }
-                }
-            }
-        })?;
-        if let Some(e) = io_err {
-            return Err(e);
-        }
-        sub.finish()?;
-        report.disk_bytes += sub.total_bytes();
-        for (x, c) in frequent {
-            prefix.push(flist.item(x));
-            sink.emit(prefix, c);
-            self.mine_partition(&sub, x, prefix, flist, minsup, sink, report, depth + 1)?;
-            prefix.pop();
-        }
-        Ok(())
     }
 }
 
@@ -216,48 +112,12 @@ impl LimitedRecycleHm {
         cdb: &CompressedDb,
         min_support: MinSupport,
         sink: &mut dyn PatternSink,
-    ) -> std::io::Result<LimitedReport> {
+    ) -> io::Result<LimitedReport> {
         let minsup = min_support.to_absolute(cdb.num_tuples());
         let flist = cdb.flist(minsup);
-        let mut report = LimitedReport::default();
-        if flist.is_empty() {
-            return Ok(report);
-        }
         let rdb = cdb.to_ranks(&flist);
         let est = estimate_rp_struct_bytes(&rdb);
-        metrics::set_max("storage.budget_high_water", est as u64);
-        if self.budget.fits(est) {
-            hm::mine_source_par(&rdb, &flist, &[], minsup, Parallelism::serial(), sink);
-            return Ok(report);
-        }
-        report.spills += 1;
-        report.max_depth = 1;
-        let mut mgr = SpillManager::new(flist.len())?;
-        for g in 0..rdb.num_groups() {
-            let mut outliers = CsrTuples::new();
-            for o in rdb.group_outliers(g) {
-                outliers.push_row(o);
-            }
-            let rec = SpillRecord::Group {
-                pattern: rdb.group_pattern(g).to_vec(),
-                bare: rdb.group_bare(g),
-                outliers,
-            };
-            project_record(&rec, None, &mut mgr)?;
-        }
-        for t in rdb.plain() {
-            project_record(&SpillRecord::Plain(t.to_vec()), None, &mut mgr)?;
-        }
-        mgr.finish()?;
-        report.disk_bytes += mgr.total_bytes();
-        let mut prefix = Vec::with_capacity(8);
-        for r in 0..flist.len() as u32 {
-            sink.emit(&[flist.item(r)], flist.support(r));
-            prefix.push(flist.item(r));
-            self.mine_partition(&mgr, r, &mut prefix, &flist, minsup, sink, &mut report, 1)?;
-            prefix.pop();
-        }
-        Ok(report)
+        Recycling { budget: self.budget, flist: &flist, minsup }.run(&rdb, est, sink)
     }
 
     /// Collects into a [`PatternSet`] alongside the report.
@@ -265,88 +125,157 @@ impl LimitedRecycleHm {
         &self,
         cdb: &CompressedDb,
         min_support: MinSupport,
-    ) -> std::io::Result<(PatternSet, LimitedReport)> {
+    ) -> io::Result<(PatternSet, LimitedReport)> {
         let mut sink = CollectSink::new();
         let report = self.mine_into(cdb, min_support, &mut sink)?;
         Ok((sink.into_set(), report))
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn mine_partition(
+/// Figure 3 under one budget, over a database rank-encoded against
+/// `flist` at absolute support `minsup`.
+struct Recycling<'a> {
+    budget: MemoryBudget,
+    flist: &'a FList,
+    minsup: u64,
+}
+
+/// One database of the recursion: the in-memory root with its estimated
+/// structure size, or one partition of a spill level.
+#[derive(Clone, Copy)]
+enum Level<'a> {
+    Root(&'a CompressedRankDb, usize),
+    Partition(&'a SpillManager, u32),
+}
+
+/// A record of a level, borrowed from the root's CSR sections or from
+/// one decoded spill record.
+enum Rec<'a> {
+    Plain(&'a [u32]),
+    Group { pattern: &'a [u32], bare: u64, outliers: TupleSlices<'a> },
+}
+
+impl Level<'_> {
+    /// Feeds every record of the level to `f`, stopping at its first
+    /// error: the root's groups then its plain rows, or a partition's
+    /// records in file order.
+    fn for_each(self, mut f: impl FnMut(Rec<'_>) -> io::Result<()>) -> io::Result<()> {
+        match self {
+            Level::Root(rdb, _) => {
+                for g in 0..rdb.num_groups() {
+                    let (pattern, bare) = (rdb.group_pattern(g), rdb.group_bare(g));
+                    f(Rec::Group { pattern, bare, outliers: rdb.group_outliers(g) })?;
+                }
+                rdb.plain().iter().try_for_each(|t| f(Rec::Plain(t)))
+            }
+            Level::Partition(mgr, r) => {
+                let mut res = Ok(());
+                mgr.for_each_record(r, |rec| {
+                    if res.is_ok() {
+                        res = f(match &rec {
+                            SpillRecord::Plain(v) => Rec::Plain(v),
+                            SpillRecord::Group { pattern, bare, outliers } => {
+                                Rec::Group { pattern, bare: *bare, outliers: outliers.as_slices() }
+                            }
+                        });
+                    }
+                })?;
+                res
+            }
+        }
+    }
+}
+
+impl Recycling<'_> {
+    fn run(
         &self,
-        mgr: &SpillManager,
-        r: u32,
+        rdb: &CompressedRankDb,
+        est: usize,
+        sink: &mut dyn PatternSink,
+    ) -> io::Result<LimitedReport> {
+        let mut report = LimitedReport::default();
+        if !self.flist.is_empty() {
+            let mut prefix = Vec::with_capacity(8);
+            self.mine_level(Level::Root(rdb, est), 0, &mut prefix, sink, &mut report)?;
+        }
+        Ok(report)
+    }
+
+    /// Mines `level`'s database, every pattern extending `prefix`: in
+    /// memory when its estimate fits the budget, otherwise by projecting
+    /// it onto its locally frequent ranks one spill level deeper.
+    fn mine_level(
+        &self,
+        level: Level<'_>,
+        depth: usize,
         prefix: &mut Vec<Item>,
-        flist: &FList,
-        minsup: u64,
         sink: &mut dyn PatternSink,
         report: &mut LimitedReport,
-        depth: usize,
-    ) -> std::io::Result<()> {
-        if mgr.partition_records(r) == 0 {
-            return Ok(());
-        }
-        metrics::set_max("storage.budget_high_water", mgr.estimated_memory(r) as u64);
-        if self.budget.fits(mgr.estimated_memory(r)) {
-            let mut rdb = CompressedRankDb::empty(flist.len());
-            mgr.for_each_record(r, |rec| match rec {
-                SpillRecord::Plain(v) => rdb.push_plain(&v),
-                SpillRecord::Group { pattern, bare, outliers } => {
-                    rdb.push_group(&pattern, outliers.iter(), bare)
+    ) -> io::Result<()> {
+        let est = match level {
+            Level::Root(_, est) => est,
+            Level::Partition(mgr, r) if mgr.partition_records(r) > 0 => mgr.estimated_memory(r),
+            Level::Partition(..) => return Ok(()),
+        };
+        metrics::set_max("storage.budget_high_water", est as u64);
+        let n = self.flist.len();
+        if self.budget.fits(est) {
+            let loaded;
+            let rdb = match level {
+                Level::Root(rdb, _) => rdb,
+                Level::Partition(..) => {
+                    let mut rdb = CompressedRankDb::empty(n);
+                    level.for_each(|rec| {
+                        match rec {
+                            Rec::Plain(v) => rdb.push_plain(v),
+                            Rec::Group { pattern, bare, outliers } => {
+                                rdb.push_group(pattern, outliers, bare)
+                            }
+                        }
+                        Ok(())
+                    })?;
+                    report.loads += 1;
+                    loaded = rdb;
+                    &loaded
                 }
-            })?;
-            report.loads += 1;
-            hm::mine_source_par(&rdb, flist, prefix, minsup, Parallelism::serial(), sink);
+            };
+            let (flist, minsup, serial) = (self.flist, self.minsup, Parallelism::serial());
+            if rdb.num_groups() == 0 {
+                let src = PlainRanks::new(rdb.plain(), n);
+                hm::mine_source_par(&src, flist, prefix, minsup, serial, sink);
+            } else {
+                hm::mine_source_par(rdb, flist, prefix, minsup, serial, sink);
+            }
             return Ok(());
         }
+        // Too big: parallel projection one level deeper (paper §3.3).
         report.spills += 1;
         report.max_depth = report.max_depth.max(depth + 1);
-        // Streaming support count of the partition.
-        let mut counts = vec![0u64; flist.len()];
-        mgr.for_each_record(r, |rec| match rec {
-            SpillRecord::Plain(v) => {
-                for &x in &v {
-                    counts[x as usize] += 1;
+        let mut counts = vec![0u64; n];
+        level.for_each(|rec| {
+            match rec {
+                Rec::Plain(v) => v.iter().for_each(|&x| counts[x as usize] += 1),
+                Rec::Group { pattern, bare, outliers } => {
+                    let c = bare + outliers.len() as u64;
+                    pattern.iter().for_each(|&x| counts[x as usize] += c);
+                    outliers.flat().iter().for_each(|&x| counts[x as usize] += 1);
                 }
             }
-            SpillRecord::Group { pattern, bare, outliers } => {
-                let c = bare + outliers.len() as u64;
-                for &x in &pattern {
-                    counts[x as usize] += c;
-                }
-                for &x in outliers.flat() {
-                    counts[x as usize] += 1;
-                }
-            }
+            Ok(())
         })?;
-        let frequent: Vec<(u32, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c >= minsup)
-            .map(|(x, &c)| (x as u32, c))
-            .collect();
-        if frequent.is_empty() {
+        let keep: Vec<bool> = counts.iter().map(|&c| c >= self.minsup).collect();
+        if !keep.contains(&true) {
             return Ok(());
         }
-        let keep: Vec<bool> = counts.iter().map(|&c| c >= minsup).collect();
-        let mut sub = SpillManager::new(flist.len())?;
-        let mut io_err: Option<std::io::Error> = None;
-        mgr.for_each_record(r, |rec| {
-            if io_err.is_none() {
-                if let Err(e) = project_record(&rec, Some(&keep), &mut sub) {
-                    io_err = Some(e);
-                }
-            }
-        })?;
-        if let Some(e) = io_err {
-            return Err(e);
-        }
+        let mut sub = SpillManager::new(n)?;
+        let mut filtered = Vec::new();
+        level.for_each(|rec| project(rec, &keep, &mut filtered, &mut sub))?;
         sub.finish()?;
         report.disk_bytes += sub.total_bytes();
-        for (x, c) in frequent {
-            prefix.push(flist.item(x));
+        for (x, &c) in counts.iter().enumerate().filter(|&(x, _)| keep[x]) {
+            prefix.push(self.flist.item(x as u32));
             sink.emit(prefix, c);
-            self.mine_partition(&sub, x, prefix, flist, minsup, sink, report, depth + 1)?;
+            self.mine_level(Level::Partition(&sub, x as u32), depth + 1, prefix, sink, report)?;
             prefix.pop();
         }
         Ok(())
@@ -354,28 +283,31 @@ impl LimitedRecycleHm {
 }
 
 /// Parallel projection of one record: writes the record's projection
-/// onto *every* rank it contains into `mgr`, optionally filtering items
-/// through `keep` (locally frequent ranks) first.
-fn project_record(
-    rec: &SpillRecord,
-    keep: Option<&[bool]>,
+/// onto *every* rank it contains into `mgr`, after dropping the ranks
+/// `keep` rejects (the level's locally infrequent ones). `filtered` is
+/// scratch reused across a level's plain records.
+fn project(
+    rec: Rec<'_>,
+    keep: &[bool],
+    filtered: &mut Vec<u32>,
     mgr: &mut SpillManager,
-) -> std::io::Result<()> {
-    let keeps = |x: u32| keep.is_none_or(|k| k[x as usize]);
+) -> io::Result<()> {
+    let keeps = |x: u32| keep[x as usize];
     match rec {
-        SpillRecord::Plain(v) => {
-            let filtered: Vec<u32> = v.iter().copied().filter(|&x| keeps(x)).collect();
+        Rec::Plain(v) => {
+            filtered.clear();
+            filtered.extend(v.iter().copied().filter(|&x| keeps(x)));
             for i in 0..filtered.len().saturating_sub(1) {
                 mgr.append(filtered[i], &SpillRecord::Plain(filtered[i + 1..].to_vec()))?;
             }
         }
-        SpillRecord::Group { pattern, bare, outliers } => {
+        Rec::Group { pattern, bare, outliers } => {
             let pattern_f: Vec<u32> = pattern.iter().copied().filter(|&x| keeps(x)).collect();
             // Filter each member's outliers into one CSR slab; members
             // whose lists empty out fold straight into the bare count
             // (every surviving row is non-empty by construction).
             let mut outliers_f: CsrTuples<u32> = CsrTuples::new();
-            let mut base_bare = *bare;
+            let mut base_bare = bare;
             for o in outliers.iter() {
                 for &x in o {
                     if keeps(x) {
@@ -390,34 +322,17 @@ fn project_record(
             }
             // Projections on pattern items: the whole group follows.
             for (k, &p) in pattern_f.iter().enumerate() {
-                let residual = pattern_f[k + 1..].to_vec();
-                if residual.is_empty() {
-                    for o in outliers_f.iter() {
-                        let cut = o.partition_point(|&x| x <= p);
-                        if cut < o.len() {
-                            mgr.append(p, &SpillRecord::Plain(o[cut..].to_vec()))?;
-                        }
+                let mut g_bare = base_bare;
+                let mut g_outliers: CsrTuples<u32> = CsrTuples::new();
+                for o in outliers_f.iter() {
+                    let cut = o.partition_point(|&x| x <= p);
+                    if cut < o.len() {
+                        g_outliers.push_row(&o[cut..]);
+                    } else {
+                        g_bare += 1;
                     }
-                } else {
-                    let mut g_bare = base_bare;
-                    let mut g_outliers: CsrTuples<u32> = CsrTuples::new();
-                    for o in outliers_f.iter() {
-                        let cut = o.partition_point(|&x| x <= p);
-                        if cut < o.len() {
-                            g_outliers.push_row(&o[cut..]);
-                        } else {
-                            g_bare += 1;
-                        }
-                    }
-                    mgr.append(
-                        p,
-                        &SpillRecord::Group {
-                            pattern: residual,
-                            bare: g_bare,
-                            outliers: g_outliers,
-                        },
-                    )?;
                 }
+                append_group(mgr, p, &pattern_f[k + 1..], g_bare, g_outliers)?;
             }
             // Projections on outlier items: only the members holding the
             // item follow, carrying the residual pattern. Members of the
@@ -441,21 +356,28 @@ fn project_record(
             for x in ranks {
                 let (bare, members) = by_rank.remove(&x).expect("collected above");
                 let cut = pattern_f.partition_point(|&p| p <= x);
-                let residual = pattern_f[cut..].to_vec();
-                if residual.is_empty() {
-                    for rest in members.iter() {
-                        mgr.append(x, &SpillRecord::Plain(rest.to_vec()))?;
-                    }
-                } else {
-                    mgr.append(
-                        x,
-                        &SpillRecord::Group { pattern: residual, bare, outliers: members },
-                    )?;
-                }
+                append_group(mgr, x, &pattern_f[cut..], bare, members)?;
             }
         }
     }
     Ok(())
+}
+
+/// Appends a (partial) group projected onto `rank`: one group record,
+/// or, once its residual `pattern` is empty, each member with outlying
+/// items left as a plain record (bare members then carry nothing).
+fn append_group(
+    mgr: &mut SpillManager,
+    rank: u32,
+    pattern: &[u32],
+    bare: u64,
+    outliers: CsrTuples<u32>,
+) -> io::Result<()> {
+    if pattern.is_empty() {
+        outliers.iter().try_for_each(|o| mgr.append(rank, &SpillRecord::Plain(o.to_vec())))
+    } else {
+        mgr.append(rank, &SpillRecord::Group { pattern: pattern.to_vec(), bare, outliers })
+    }
 }
 
 #[cfg(test)]
@@ -553,6 +475,123 @@ mod tests {
                 assert!(got.same_patterns_as(&want), "budget {budget:?} minsup {minsup}");
             }
         }
+    }
+
+    /// The six-row database of `spilled_groups_preserve_structure`,
+    /// whose MCP compression spills group records.
+    fn grouped_db() -> TransactionDb {
+        TransactionDb::from_rows(&[
+            &[1, 2, 3, 4],
+            &[1, 2, 3, 5],
+            &[1, 2, 3],
+            &[1, 2, 3, 4, 5],
+            &[4, 5],
+            &[2, 4, 5],
+        ])
+    }
+
+    /// One line per `driver database budget minsup`: the report's
+    /// `spills loads disk_bytes max_depth`, then the run's
+    /// `storage.budget_high_water`, `storage.spill_bytes` and
+    /// `storage.spill_partitions`. These pin the spill decisions and disk
+    /// traffic behind Figs. 21–24: change them only with a change meant
+    /// to move those figures.
+    const GOLDEN: [&str; 56] = [
+        "hm paper unlimited 1: 0 0 0 0 216 0 0",
+        "mcp paper unlimited 1: 0 0 0 0 288 0 0",
+        "hm paper unlimited 2: 0 0 0 0 192 0 0",
+        "mcp paper unlimited 2: 0 0 0 0 252 0 0",
+        "hm paper unlimited 3: 0 0 0 0 176 0 0",
+        "mcp paper unlimited 3: 0 0 0 0 220 0 0",
+        "hm paper unlimited 4: 0 0 0 0 104 0 0",
+        "mcp paper unlimited 4: 0 0 0 0 204 0 0",
+        "hm paper 400 1: 0 0 0 0 216 0 0",
+        "mcp paper 400 1: 0 0 0 0 288 0 0",
+        "hm paper 400 2: 0 0 0 0 192 0 0",
+        "mcp paper 400 2: 0 0 0 0 252 0 0",
+        "hm paper 400 3: 0 0 0 0 176 0 0",
+        "mcp paper 400 3: 0 0 0 0 220 0 0",
+        "hm paper 400 4: 0 0 0 0 104 0 0",
+        "mcp paper 400 4: 0 0 0 0 204 0 0",
+        "hm paper 120 1: 6 14 608 3 216 608 19",
+        "mcp paper 120 1: 7 13 714 3 288 714 19",
+        "hm paper 120 2: 6 7 461 3 192 461 12",
+        "mcp paper 120 2: 7 6 467 3 252 467 12",
+        "hm paper 120 3: 4 2 239 2 176 239 5",
+        "mcp paper 120 3: 5 1 236 2 220 236 5",
+        "hm paper 120 4: 0 0 0 0 104 0 0",
+        "mcp paper 120 4: 2 0 51 2 204 51 1",
+        "hm paper 64 1: 16 14 779 4 216 779 29",
+        "mcp paper 64 1: 28 18 1312 5 288 1312 45",
+        "hm paper 64 2: 14 0 487 4 192 487 13",
+        "mcp paper 64 2: 12 2 492 4 252 492 13",
+        "hm paper 64 3: 6 0 239 3 176 239 5",
+        "mcp paper 64 3: 5 1 236 2 220 236 5",
+        "hm paper 64 4: 2 0 39 2 108 39 1",
+        "mcp paper 64 4: 2 0 51 2 204 51 1",
+        "hm grouped unlimited 1: 0 0 0 0 216 0 0",
+        "mcp grouped unlimited 1: 0 0 0 0 312 0 0",
+        "hm grouped unlimited 2: 0 0 0 0 216 0 0",
+        "mcp grouped unlimited 2: 0 0 0 0 312 0 0",
+        "hm grouped unlimited 3: 0 0 0 0 216 0 0",
+        "mcp grouped unlimited 3: 0 0 0 0 312 0 0",
+        "hm grouped 400 1: 0 0 0 0 216 0 0",
+        "mcp grouped 400 1: 0 0 0 0 312 0 0",
+        "hm grouped 400 2: 0 0 0 0 216 0 0",
+        "mcp grouped 400 2: 0 0 0 0 312 0 0",
+        "hm grouped 400 3: 0 0 0 0 216 0 0",
+        "mcp grouped 400 3: 0 0 0 0 312 0 0",
+        "hm grouped 120 1: 5 8 513 3 240 513 12",
+        "mcp grouped 120 1: 7 6 528 3 312 528 12",
+        "hm grouped 120 2: 5 8 513 3 240 513 12",
+        "mcp grouped 120 2: 7 6 528 3 312 528 12",
+        "hm grouped 120 3: 5 2 329 3 240 329 6",
+        "mcp grouped 120 3: 6 1 326 3 312 326 6",
+        "hm grouped 64 1: 13 3 552 4 240 552 15",
+        "mcp grouped 64 1: 10 6 603 4 312 603 15",
+        "hm grouped 64 2: 13 0 513 4 240 513 12",
+        "mcp grouped 64 2: 10 3 528 4 312 528 12",
+        "hm grouped 64 3: 7 0 329 3 240 329 6",
+        "mcp grouped 64 3: 6 1 326 3 312 326 6",
+    ];
+
+    #[test]
+    fn drivers_match_golden_reports_and_spill_counters() {
+        let budgets = [
+            ("unlimited", MemoryBudget::unlimited()),
+            ("400", MemoryBudget::bytes(400)),
+            ("120", MemoryBudget::bytes(120)),
+            ("64", MemoryBudget::bytes(64)),
+        ];
+        let mut lines = Vec::new();
+        for (name, db, max_minsup) in
+            [("paper", TransactionDb::paper_example(), 4), ("grouped", grouped_db(), 3)]
+        {
+            let fp_old = mine_apriori(&db, MinSupport::Absolute(3));
+            let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
+            for (label, budget) in budgets {
+                for minsup in 1..=max_minsup {
+                    let ms = MinSupport::Absolute(minsup);
+                    for driver in ["hm", "mcp"] {
+                        let (report, snap) = gogreen_obs::measure(|| match driver {
+                            "hm" => LimitedHMine::new(budget).mine(&db, ms),
+                            _ => LimitedRecycleHm::new(budget).mine(&cdb, ms),
+                        });
+                        let LimitedReport { spills, loads, disk_bytes, max_depth } =
+                            report.unwrap().1;
+                        let v = |m| snap.value(m).unwrap_or(0);
+                        lines.push(format!(
+                            "{driver} {name} {label} {minsup}: {spills} {loads} {disk_bytes} \
+                             {max_depth} {} {} {}",
+                            v("storage.budget_high_water"),
+                            v("storage.spill_bytes"),
+                            v("storage.spill_partitions"),
+                        ));
+                    }
+                }
+            }
+        }
+        assert_eq!(lines, GOLDEN);
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! A [`SpillManager`] owns one temporary directory holding one file per
 //! frequent item (rank). Writers buffer per partition and flush in large
-//! appends; readers stream records through a bounded buffer so loading a
-//! partition for inspection never materializes more than one record
-//! beyond the decode buffer. Everything is deleted on drop.
+//! appends; a partition's first flush truncates its file, so a stale file
+//! left in a reused directory by a killed process is never read back.
+//! Readers read a partition file whole and decode it record by record,
+//! so reading a partition costs its full encoded size in memory — a
+//! partition re-spilled because it exceeds the budget is read whole once
+//! for counting and once for re-projection. Everything is deleted on
+//! drop.
 
 use crate::codec::{ByteReader, SpillRecord};
 use gogreen_obs::{histogram, metrics};
@@ -23,7 +27,6 @@ struct Partition {
     created: bool,
     bytes: u64,
     records: u64,
-    tuples: u64,
     est_memory: usize,
 }
 
@@ -47,16 +50,10 @@ impl SpillManager {
                 created: false,
                 bytes: 0,
                 records: 0,
-                tuples: 0,
                 est_memory: 0,
             })
             .collect();
         Ok(SpillManager { dir, partitions })
-    }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
     }
 
     /// Appends a record to partition `rank`.
@@ -66,7 +63,6 @@ impl SpillManager {
         record.encode(&mut p.buf);
         histogram::observe("storage.spill_record_bytes", (p.buf.len() - before) as u64);
         p.records += 1;
-        p.tuples += record.tuple_count();
         p.est_memory += record.estimated_memory();
         if p.buf.len() >= FLUSH_BYTES {
             Self::flush_partition(&self.dir, rank, p)?;
@@ -87,7 +83,13 @@ impl SpillManager {
 
     fn flush_partition(dir: &std::path::Path, rank: u32, p: &mut Partition) -> std::io::Result<()> {
         let path = dir.join(format!("part-{rank}.bin"));
-        let mut f = OpenOptions::new().create(true).append(true).open(path)?;
+        // The first flush truncates: the directory name can repeat across
+        // processes, and a stale file must not prefix this partition.
+        let mut f = if p.created {
+            OpenOptions::new().append(true).open(path)?
+        } else {
+            File::create(path)?
+        };
         f.write_all(&p.buf)?;
         metrics::add("storage.spill_bytes", p.buf.len() as u64);
         if !p.created {
@@ -107,11 +109,6 @@ impl SpillManager {
     /// Records written to partition `rank`.
     pub fn partition_records(&self, rank: u32) -> u64 {
         self.partitions[rank as usize].records
-    }
-
-    /// Tuples represented in partition `rank`.
-    pub fn partition_tuples(&self, rank: u32) -> u64 {
-        self.partitions[rank as usize].tuples
     }
 
     /// Estimated in-memory structure bytes if partition `rank` were
@@ -189,7 +186,6 @@ mod tests {
         mgr.for_each_record(2, |r| got2.push(r)).unwrap();
         assert_eq!(got2.len(), 1);
         assert_eq!(mgr.partition_records(0), 2);
-        assert_eq!(mgr.partition_tuples(2), 1);
     }
 
     #[test]
@@ -231,6 +227,21 @@ mod tests {
         assert!(err.to_string().contains("tag 9"), "{err}");
         // The valid prefix decoded before the corruption surfaced.
         assert_eq!(seen, vec![SpillRecord::Plain(vec![1, 2])]);
+    }
+
+    #[test]
+    fn stale_partition_file_is_overwritten_not_read_back() {
+        let mut mgr = SpillManager::new(1).unwrap();
+        // A killed process with the same pid and sequence number left a
+        // CRC-valid record behind in the reused directory.
+        let mut stale = Vec::new();
+        SpillRecord::Plain(vec![7, 8, 9]).encode(&mut stale);
+        std::fs::write(mgr.dir.join("part-0.bin"), stale).unwrap();
+        mgr.append(0, &SpillRecord::Plain(vec![1, 2])).unwrap();
+        mgr.finish().unwrap();
+        let mut got = Vec::new();
+        mgr.for_each_record(0, |r| got.push(r)).unwrap();
+        assert_eq!(got, vec![SpillRecord::Plain(vec![1, 2])]);
     }
 
     #[test]
