@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--scale S] [--results DIR] [--metrics-out F] [--quiet-metrics] <command>
+//! repro [--scale S] [--results DIR] [--report F] <command>
 //!
 //! commands:
 //!   all          Table 3 + Figures 9–24 + ablations
@@ -38,8 +38,8 @@
 //!   quick        CI smoke: one mine→compress→recycle round on the
 //!                weather analog at a tiny scale
 //!   check-metrics <file>
-//!                validate a --metrics-out JSONL file (parses, every
-//!                name is declared in the obs registry, and the core
+//!                validate a --report run record (parses, every name
+//!                is declared in the obs registry, and the core
 //!                mining/compression counters are present)
 //!   check-perf [mining.json] [compression.json]
 //!                deterministic perf gate: replay each committed
@@ -49,8 +49,8 @@
 //! ```
 //!
 //! `--scale` multiplies the paper's tuple counts (default 0.05).
-//! `--metrics-out` installs a `gogreen_obs` recorder for the whole run
-//! and writes its final snapshot as JSON lines.
+//! `--report F` records the whole run and writes its run record (see
+//! `gogreen_obs::report`) to `F`.
 
 use gogreen_bench::ablation;
 use gogreen_bench::figures::{run_figure, run_mem_figure, FigureResult, MemFigureResult};
@@ -62,6 +62,7 @@ use gogreen_core::{Compressor, Strategy};
 use gogreen_data::MinSupport;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use gogreen_miners::{Family, Miner};
+use gogreen_obs::report::Report;
 use gogreen_obs::Recorder;
 use gogreen_util::pool::Parallelism;
 
@@ -69,8 +70,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = DEFAULT_SCALE;
     let mut results_dir = "results".to_owned();
-    let mut metrics_out: Option<String> = None;
-    let mut profile_out: Option<String> = None;
+    let mut report: Option<String> = None;
     let mut rest: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -84,18 +84,15 @@ fn main() {
             "--results" => {
                 results_dir = it.next().unwrap_or_else(|| die("--results expects a directory"));
             }
-            "--metrics-out" => {
-                metrics_out =
-                    Some(it.next().unwrap_or_else(|| die("--metrics-out expects a file")));
+            "--report" => {
+                report = Some(it.next().unwrap_or_else(|| die("--report expects a file")))
             }
-            "--profile-out" => {
-                profile_out =
-                    Some(it.next().unwrap_or_else(|| die("--profile-out expects a file")));
-            }
-            "--quiet-metrics" => gogreen_obs::set_quiet(true),
             "--help" | "-h" => {
                 print_usage();
                 return;
+            }
+            other if other.starts_with("--") && other != "--quick" => {
+                die(&format!("unknown option {other} (try --help)"))
             }
             other => rest.push(other.to_owned()),
         }
@@ -103,11 +100,8 @@ fn main() {
     if scale <= 0.0 {
         die("--scale must be positive");
     }
-    if profile_out.is_some() {
-        Recorder::new().with_profile().install();
-    } else if metrics_out.is_some() {
-        Recorder::new().install();
-    }
+    let report =
+        report.map(|path| Report::start(std::env::args().collect(), path, Recorder::new()));
     let reporter = Reporter::new(&results_dir);
     let command = rest.first().map(String::as_str).unwrap_or("all");
     match command {
@@ -169,21 +163,8 @@ fn main() {
         }
         other => die(&format!("unknown command {other:?} (try --help)")),
     }
-    let Some(rec) = Recorder::uninstall() else { return };
-    if let Some(path) = metrics_out {
-        let snap = rec.snapshot();
-        std::fs::write(&path, snap.to_jsonl())
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        if !gogreen_obs::quiet() {
-            eprintln!("metrics ({path}):\n{}", snap.render_metrics());
-        }
-    }
-    if let (Some(path), Some(profile)) = (profile_out, rec.profile()) {
-        std::fs::write(&path, profile.to_collapsed())
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        if !gogreen_obs::quiet() {
-            eprintln!("profile ({path}):\n{}", profile.render_table());
-        }
+    if let Some(report) = report {
+        report.finish().unwrap_or_else(|e| die(&e));
     }
 }
 
@@ -194,24 +175,13 @@ fn die(msg: &str) -> ! {
 
 fn print_usage() {
     println!(
-        "repro [--scale S] [--results DIR] [--metrics-out F] [--profile-out F] [--quiet-metrics] \
+        "repro [--scale S] [--results DIR] [--report F] \
          <all|table3|figs|memfigs|fig N|ablation|ext-compress-par|ext-mine-par|ext-mine-vertical|\n\
          ext-obs-hist|ext-batch|ext-ooc|quick|check-metrics F|check-perf [F F]>\n\
          Regenerates the paper's Table 3 and Figures 9-24, plus ablations and\n\
          extension experiments (scale {DEFAULT_SCALE} by default)."
     );
 }
-
-/// Counters every recycled run must touch; `check-metrics` requires
-/// them, CI runs `quick --metrics-out` and then `check-metrics`.
-const REQUIRED_COUNTERS: &[&str] = &[
-    "compress.runs",
-    "compress.tuples_total",
-    "compress.groups_emitted",
-    "mine.candidate_tests",
-    "mine.group_hits",
-    "mine.projected_dbs",
-];
 
 /// One mine→compress→recycle round on the weather analog, small enough
 /// for a CI smoke job but touching every instrumented phase.
@@ -485,52 +455,12 @@ fn cmd_ext_ooc(scale: f64, reporter: &Reporter) {
     );
 }
 
-/// Validates a `--metrics-out` file: every line parses as a JSON object
-/// — a counter line with `metric`/`kind`/`value` or a histogram line
-/// with `hist`/`count`/`sum` — every name (`mine.*`, `storage.*`, …) is
-/// declared in the obs registry, and the core counters are present.
+/// Validates a `--report` run record with [`perfgate::check_record`].
 fn cmd_check_metrics(path: &str) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("reading {path}: {e}")));
-    let mut seen: Vec<String> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let json = gogreen_util::Json::parse(line)
-            .unwrap_or_else(|e| die(&format!("{path}:{}: invalid JSON: {e}", lineno + 1)));
-        if let Some(hist) = json.get("hist").and_then(|j| j.as_str()) {
-            for field in ["count", "sum"] {
-                if json.get(field).and_then(|j| j.as_u64()).is_none() {
-                    die(&format!(
-                        "{path}:{}: hist {hist:?} missing numeric \"{field}\"",
-                        lineno + 1
-                    ));
-                }
-            }
-            if gogreen_obs::registry::lookup(hist).is_none() {
-                die(&format!("{path}:{}: hist {hist:?} not in the metric registry", lineno + 1));
-            }
-            continue;
-        }
-        let metric = json
-            .get("metric")
-            .and_then(|j| j.as_str())
-            .unwrap_or_else(|| die(&format!("{path}:{}: missing \"metric\"", lineno + 1)));
-        if gogreen_obs::registry::lookup(metric).is_none() {
-            die(&format!("{path}:{}: metric {metric:?} not in the metric registry", lineno + 1));
-        }
-        if json.get("value").and_then(|j| j.as_u64()).is_none() {
-            die(&format!("{path}:{}: missing numeric \"value\"", lineno + 1));
-        }
-        if json.get("kind").and_then(|j| j.as_str()).is_none() {
-            die(&format!("{path}:{}: missing \"kind\"", lineno + 1));
-        }
-        seen.push(metric.to_owned());
-    }
-    for required in REQUIRED_COUNTERS {
-        if !seen.iter().any(|s| s == required) {
-            die(&format!("{path}: required counter {required:?} missing"));
-        }
-    }
-    println!("check-metrics: {path} ok ({} metrics, all required counters present)", seen.len());
+    let n = perfgate::check_record(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    println!("check-metrics: {path} ok ({n} metrics, all required counters present)");
 }
 
 /// Deterministic perf gate: replays every committed `BENCH_*.json`

@@ -34,7 +34,7 @@ pub struct BenchResult {
     /// Per-run histogram totals as `(name, count, sum)`, averaged
     /// the same way. Bucket vectors stay out of the archive: count+sum
     /// already pin the distribution for the perf gate, and the full
-    /// vectors are available live via `--metrics-out`.
+    /// vectors are available live in a `--report` run record.
     pub hists: Vec<(&'static str, u64, u64)>,
 }
 

@@ -18,6 +18,10 @@
 //! names (`cover.*`) are skipped on both sides; everything else must
 //! match in both directions — a counter that drifted, vanished, or
 //! newly appeared is a failure naming the exact metric and values.
+//!
+//! [`check_record`] (`repro check-metrics`) is the structural half: a
+//! run record written by `--report F` names only registered metrics and
+//! carries the counters every recycled run must touch.
 
 use gogreen_obs::metrics::{self, Kind};
 use gogreen_util::Json;
@@ -158,6 +162,76 @@ pub fn compare(row: &BaselineRow, observed: &Observed) -> Vec<String> {
     drifts
 }
 
+/// Counters every recycled run touches: CI runs `repro --quick --report
+/// F` and then `repro check-metrics F`, which requires them.
+pub const REQUIRED_COUNTERS: &[&str] = &[
+    "compress.runs",
+    "compress.tuples_total",
+    "compress.groups_emitted",
+    "mine.candidate_tests",
+    "mine.group_hits",
+    "mine.projected_dbs",
+];
+
+/// Validates a run record (see `gogreen_obs::report`): it is a record of
+/// the current version; in the run's totals and in each `rounds` entry
+/// every counter, max-gauge and histogram name is declared in the obs
+/// registry, and values and each histogram's `count` and `sum` are
+/// numeric; and the totals hold every [`REQUIRED_COUNTERS`] name. Only
+/// the totals must hold those: a round may skip part of the pipeline (a
+/// filtered session round mines nothing). Returns how many counters and
+/// max-gauges the totals hold.
+pub fn check_record(text: &str) -> Result<usize, String> {
+    let json = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let version = gogreen_obs::report::VERSION;
+    if json.get("version").and_then(Json::as_u64) != Some(version) {
+        return Err(format!("not a version-{version} run record"));
+    }
+    let rounds = json.get("rounds").and_then(Json::as_arr).ok_or("missing \"rounds\" array")?;
+    for (i, round) in rounds.iter().enumerate() {
+        let label = round.get("label").and_then(Json::as_str).unwrap_or("?");
+        check_snapshot(round).map_err(|e| format!("rounds[{i}] ({label}): {e}"))?;
+    }
+    let names = check_snapshot(&json)?;
+    let counters = json.get("counters");
+    if let Some(missing) =
+        REQUIRED_COUNTERS.iter().find(|n| counters.and_then(|c| c.get(n)).is_none())
+    {
+        return Err(format!("required counter {missing:?} missing"));
+    }
+    Ok(names)
+}
+
+/// Checks one snapshot in `MetricsSnapshot::to_json`'s shape and returns
+/// how many counters and max-gauges it holds.
+fn check_snapshot(snap: &Json) -> Result<usize, String> {
+    let section = |key: &str| match snap.get(key) {
+        Some(Json::Obj(fields)) => Ok(fields),
+        _ => Err(format!("missing {key:?} object")),
+    };
+    let registered = |name: &str| match gogreen_obs::registry::lookup(name) {
+        Some(_) => Ok(()),
+        None => Err(format!("{name:?} not in the metric registry")),
+    };
+    let mut names = 0;
+    for key in ["counters", "maxes"] {
+        for (name, value) in section(key)? {
+            registered(name)?;
+            value.as_u64().ok_or_else(|| format!("{name:?}: value is not numeric"))?;
+            names += 1;
+        }
+    }
+    for (name, hist) in section("hists")? {
+        registered(name)?;
+        for field in ["count", "sum"] {
+            if hist.get(field).and_then(Json::as_u64).is_none() {
+                return Err(format!("hist {name:?}: missing numeric {field:?}"));
+            }
+        }
+    }
+    Ok(names)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,5 +308,56 @@ mod tests {
         });
         assert_eq!(obs.counters, [("mine.candidate_tests".to_owned(), 5)]);
         assert_eq!(obs.hists, [("mine.projected_db_size".to_owned(), 1, 8)]);
+    }
+
+    /// A record in the shape `gogreen_obs::report` writes: the required
+    /// counters, a gauge and a histogram in the totals, and one round.
+    fn record() -> String {
+        let counters: Vec<String> =
+            REQUIRED_COUNTERS.iter().map(|n| format!(r#""{n}":1"#)).collect();
+        let snap = format!(
+            r#""counters":{{{}}},"maxes":{{"mine.max_depth":3}},"hists":{{"mine.projected_db_size":{{"count":2,"sum":9,"buckets":{{"3":2}}}}}}"#,
+            counters.join(",")
+        );
+        format!(
+            r#"{{"version":{},"argv":["repro"],{snap},"profile":{{}},"rounds":[{{"label":"r1",{snap}}}]}}"#,
+            gogreen_obs::report::VERSION
+        )
+    }
+
+    #[test]
+    fn check_record_accepts_a_good_record() {
+        assert_eq!(check_record(&record()), Ok(REQUIRED_COUNTERS.len() + 1));
+    }
+
+    #[test]
+    fn check_record_rejects_unregistered_names() {
+        let bad = record().replacen("mine.max_depth", "test.unregistered", 1);
+        assert!(check_record(&bad).unwrap_err().contains("not in the metric registry"));
+        // The same check runs on every round.
+        let at = record().rfind("mine.max_depth").unwrap();
+        let mut bad = record();
+        bad.replace_range(at..at + "mine.max_depth".len(), "test.unregistered");
+        let err = check_record(&bad).unwrap_err();
+        assert!(err.starts_with("rounds[0] (r1)") && err.contains("not in the metric registry"));
+    }
+
+    #[test]
+    fn check_record_rejects_non_numeric_values() {
+        let bad = record().replacen(r#""mine.max_depth":3"#, r#""mine.max_depth":"3""#, 1);
+        assert!(check_record(&bad).unwrap_err().contains("not numeric"));
+        let bad = record().replacen(r#""sum":9"#, r#""sum":-1"#, 1);
+        assert!(check_record(&bad).unwrap_err().contains("missing numeric \"sum\""));
+    }
+
+    #[test]
+    fn check_record_rejects_a_missing_required_counter() {
+        let bad = record().replacen(r#""compress.runs":1,"#, "", 1);
+        assert_eq!(check_record(&bad), Err(r#"required counter "compress.runs" missing"#.into()));
+        // Rounds need not hold them.
+        let at = record().rfind(r#""compress.runs":1,"#).unwrap();
+        let mut ok = record();
+        ok.replace_range(at..at + r#""compress.runs":1,"#.len(), "");
+        assert!(check_record(&ok).is_ok());
     }
 }

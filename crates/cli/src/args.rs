@@ -1,32 +1,31 @@
-//! Minimal argument parsing: positionals, `--flag value` options, and a
-//! small fixed set of valueless boolean switches.
+//! Minimal argument parsing: positionals and `--flag value` options.
 
 use gogreen_data::MinSupport;
-
-/// Options that take no value (boolean switches). Everything else after
-/// `--` consumes the next token as its value.
-const SWITCHES: &[&str] = &["quiet-metrics"];
 
 /// Parsed command line: positionals in order, options by name.
 #[derive(Debug, Default)]
 pub struct Args {
     positional: Vec<String>,
     options: Vec<(String, String)>,
-    switches: Vec<String>,
 }
 
 impl Args {
-    /// Splits `argv` into positionals, `--name value` / `-o value`
-    /// options, and the known valueless switches ([`SWITCHES`]). A
-    /// value-taking `--name` at the end of the line is an error.
-    pub fn parse(argv: Vec<String>) -> Result<Self, String> {
+    /// Splits `argv` into positionals and `--name value` / `-o value`
+    /// options. An option whose name is not in `accepted` is an error
+    /// listing the accepted names, and so is a `--name` at the end of
+    /// the line.
+    pub fn parse(argv: Vec<String>, accepted: &[&str]) -> Result<Self, String> {
         let mut out = Args::default();
         let mut it = argv.into_iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) {
-                if SWITCHES.contains(&name) {
-                    out.switches.push(name.to_owned());
-                    continue;
+                if !accepted.contains(&name) {
+                    let names: Vec<String> = accepted
+                        .iter()
+                        .map(|n| if n.len() == 1 { format!("-{n}") } else { format!("--{n}") })
+                        .collect();
+                    let names = if names.is_empty() { "none".into() } else { names.join(" ") };
+                    return Err(format!("unknown option {a} (accepted: {names})"));
                 }
                 let value = it.next().ok_or_else(|| format!("option --{name} expects a value"))?;
                 out.options.push((name.to_owned(), value));
@@ -50,11 +49,6 @@ impl Args {
     /// A required `--name` value.
     pub fn required(&self, name: &str) -> Result<&str, String> {
         self.opt(name).ok_or_else(|| format!("missing required option --{name}"))
-    }
-
-    /// True when the boolean switch `--name` was given.
-    pub fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
     }
 }
 
@@ -89,34 +83,44 @@ mod tests {
 
     #[test]
     fn positionals_and_options_mix() {
-        let a = Args::parse(argv(&["db.txt", "--support", "5%", "-o", "out.txt"])).unwrap();
+        let accepted = ["support", "o", "algo"];
+        let a =
+            Args::parse(argv(&["db.txt", "--support", "5%", "-o", "out.txt"]), &accepted).unwrap();
         assert_eq!(a.positional(0, "db").unwrap(), "db.txt");
         assert_eq!(a.opt("support"), Some("5%"));
         assert_eq!(a.opt("o"), Some("out.txt"));
-        assert_eq!(a.opt("missing"), None);
+        assert_eq!(a.opt("algo"), None);
         assert!(a.positional(1, "x").is_err());
         assert!(a.required("algo").is_err());
     }
 
     #[test]
     fn dangling_option_is_an_error() {
-        assert!(Args::parse(argv(&["db.txt", "--support"])).is_err());
+        assert!(Args::parse(argv(&["db.txt", "--support"]), &["support"]).is_err());
     }
 
     #[test]
+    fn unknown_options_are_errors_listing_the_accepted_names() {
+        let err = Args::parse(argv(&["db.txt", "--thread", "4"]), &["threads", "o"]).unwrap_err();
+        assert_eq!(err, "unknown option --thread (accepted: --threads -o)");
+        assert!(Args::parse(argv(&["db.txt"]), &[]).is_ok(), "positionals need no names");
+        let err = Args::parse(argv(&["--o", "x"]), &[]).unwrap_err();
+        assert_eq!(err, "unknown option --o (accepted: none)");
+    }
+
+    /// There is no valueless switch kind: a bare flag is an unknown
+    /// option like any other, wherever it stands on the line.
+    #[test]
     fn switches_consume_no_value() {
-        let a = Args::parse(argv(&["db.txt", "--quiet-metrics", "--algo", "fp"])).unwrap();
-        assert!(a.switch("quiet-metrics"));
-        assert!(!a.switch("algo"));
-        assert_eq!(a.opt("algo"), Some("fp"));
-        assert_eq!(a.positional(0, "db").unwrap(), "db.txt");
-        // A switch at the end of the line is fine.
-        assert!(Args::parse(argv(&["--quiet-metrics"])).unwrap().switch("quiet-metrics"));
+        for line in [&["--verbose"][..], &["db.txt", "--verbose", "--algo", "fp"]] {
+            let err = Args::parse(argv(line), &["algo"]).unwrap_err();
+            assert!(err.starts_with("unknown option --verbose"), "{err}");
+        }
     }
 
     #[test]
     fn later_options_win() {
-        let a = Args::parse(argv(&["--algo", "fp", "--algo", "tp"])).unwrap();
+        let a = Args::parse(argv(&["--algo", "fp", "--algo", "tp"]), &["algo"]).unwrap();
         assert_eq!(a.opt("algo"), Some("tp"));
     }
 

@@ -7,7 +7,7 @@ use crate::commands::parse_bytes;
 use gogreen_storage::SegmentWriter;
 
 pub fn run(argv: Vec<String>) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &["segment-bytes"])?;
     let dir = args.positional(0, "segment store directory")?;
     let segment_bytes = match args.opt("segment-bytes") {
         Some(v) => parse_bytes(v)?,

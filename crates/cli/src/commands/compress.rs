@@ -1,16 +1,17 @@
 //! `gogreen compress <db.txt> --patterns <fp.txt>` — compress and report
 //! the paper's Table 3 statistics for one database/pattern-set pair.
 
-use crate::args::Args;
 use crate::commands::{
     load_db, measure_storage, parse_bytes, parse_strategy, parse_threads, setup_obs, show_bytes,
 };
 use gogreen_core::Compressor;
 use gogreen_storage::{MemoryBudget, OocMiner, SegmentedDb};
 
+/// The options `compress` accepts.
+const OPTIONS: &[&str] = &["db-dir", "patterns", "strategy", "threads", "budget"];
+
 pub fn run(argv: Vec<String>) -> Result<(), String> {
-    let args = Args::parse(argv)?;
-    let obs = setup_obs(&args)?;
+    let (args, obs) = setup_obs(argv, OPTIONS)?;
     let db_dir = args.opt("db-dir").map(str::to_owned);
     let path = match &db_dir {
         Some(dir) => dir.clone(),

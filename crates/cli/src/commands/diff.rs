@@ -5,7 +5,7 @@ use crate::args::Args;
 use gogreen_data::pattern_io::read_patterns_file;
 
 pub fn run(argv: Vec<String>) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &["limit"])?;
     let new_path = args.positional(0, "new pattern file")?;
     let old_path = args.positional(1, "old pattern file")?;
     let new = read_patterns_file(new_path).map_err(|e| format!("reading {new_path}: {e}"))?;

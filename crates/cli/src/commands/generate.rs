@@ -8,7 +8,7 @@ use gogreen_datagen::{DatasetPreset, PresetKind};
 use gogreen_storage::SegmentWriter;
 
 pub fn run(argv: Vec<String>) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &["scale", "o", "db-dir", "segment-bytes"])?;
     let name = args.positional(0, "preset name (weather|forest|connect4|pumsb)")?;
     let kind = match name {
         "weather" => PresetKind::Weather,

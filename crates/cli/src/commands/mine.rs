@@ -17,9 +17,23 @@ use gogreen_util::pool::Parallelism;
 use gogreen_util::Json;
 use std::time::Instant;
 
+/// The options `mine` accepts.
+const OPTIONS: &[&str] = &[
+    "db-dir",
+    "batch",
+    "support",
+    "algo",
+    "vt-repr",
+    "threads",
+    "max-length",
+    "items",
+    "budget",
+    "filter",
+    "o",
+];
+
 pub fn run(argv: Vec<String>) -> Result<(), String> {
-    let args = Args::parse(argv)?;
-    let obs = setup_obs(&args)?;
+    let (args, obs) = setup_obs(argv, OPTIONS)?;
     let db_dir = args.opt("db-dir").map(str::to_owned);
     let path = match &db_dir {
         Some(dir) => dir.clone(),
@@ -141,8 +155,10 @@ fn mine(
     // Constraint pushdown into the search is serial-only, and only
     // H-Mine and the naive oracle provide it; otherwise mine
     // unconstrained — fanning the first-level projections out over
-    // `par` threads — and post-filter the pushed constraints.
-    if par.is_serial() {
+    // `par` threads — and post-filter the pushed constraints. With
+    // nothing pushed, the pruned path would only cost H-Mine its Lemma
+    // 3.1 shortcut and raw fast path (and change its counters).
+    if par.is_serial() && !pushdown.is_empty() {
         let prune = pushdown.search(attrs);
         let mut sink = CollectSink::new();
         if parse_family(algo, args)? == Some(Family::Hm) {

@@ -15,8 +15,8 @@ use gogreen_core::{oracle, CompressedDb};
 use gogreen_data::{MinSupport, TransactionDb};
 use gogreen_miners::engine::vt::VtRepr;
 use gogreen_miners::{Family, Miner};
+use gogreen_obs::report::Report;
 use gogreen_util::pool::Parallelism;
-use std::io::Write;
 
 /// Loads a transaction database with a friendly error.
 pub fn load_db(path: &str) -> Result<TransactionDb, String> {
@@ -96,7 +96,7 @@ pub fn show_support(ms: MinSupport, db_len: usize) -> String {
 /// [`gogreen_obs::measure`] scope and returns its
 /// `alloc.projection_bytes` — the bytes every engine family's slab
 /// arenas (horizontal projection slabs and vertical column arenas
-/// alike) report on flush. The scope merges into any `--metrics-out`
+/// alike) report on flush. The scope merges into any `--report`
 /// recorder, so that accounting is unaffected.
 pub fn measure_arena_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let (out, snap) = gogreen_obs::measure(f);
@@ -157,86 +157,44 @@ pub fn show_bytes(bytes: u64) -> String {
 }
 
 /// Observability wiring shared by the mining subcommands: honours
-/// `--trace-out <file>`, `--metrics-out <file>`, `--profile-out <file>`,
-/// `--snapshot-out <file>` and `--quiet-metrics`. Build one right after
-/// [`Args::parse`] and call [`ObsGuard::finish`] once the command's work
-/// is done.
-pub struct ObsGuard {
-    metrics_out: Option<String>,
-    profile_out: Option<String>,
-}
+/// `--report <file>` (the run record, see [`gogreen_obs::report`]) and
+/// `--trace-out <file>` (span JSON lines). Call [`ObsGuard::finish`]
+/// once the command's work is done.
+pub struct ObsGuard(Option<Report>);
 
-/// Installs a [`gogreen_obs::Recorder`] for the command when any output
-/// flag is given — tracing, profiling and exporting snapshots as
-/// requested — and records where to write each output on
-/// [`ObsGuard::finish`].
-pub fn setup_obs(args: &Args) -> Result<ObsGuard, String> {
-    gogreen_obs::set_quiet(args.switch("quiet-metrics"));
-    let create = |path: &str| {
-        std::fs::File::create(path)
-            .map(std::io::BufWriter::new)
-            .map_err(|e| format!("creating {path}: {e}"))
-    };
-    let metrics_out = args.opt("metrics-out").map(str::to_owned);
-    let profile_out = args.opt("profile-out").map(str::to_owned);
-    let outputs = ["metrics-out", "profile-out", "trace-out", "snapshot-out"];
-    if outputs.iter().all(|flag| args.opt(flag).is_none()) {
-        return Ok(ObsGuard { metrics_out, profile_out });
-    }
+/// Parses a mining subcommand's line, which accepts its own `options`
+/// and the two observability options, and installs a
+/// [`gogreen_obs::Recorder`] for the command when either is given.
+pub fn setup_obs(argv: Vec<String>, options: &[&str]) -> Result<(Args, ObsGuard), String> {
+    let args = Args::parse(argv, &[options, &["report", "trace-out"]].concat())?;
     let mut rec = gogreen_obs::Recorder::new();
-    if let Some(path) = args.opt("trace-out") {
-        rec = rec.with_trace(Box::new(create(path)?));
+    let trace = args.opt("trace-out");
+    if let Some(path) = trace {
+        let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+        rec = rec.with_trace(Box::new(std::io::BufWriter::new(file)));
     }
-    if profile_out.is_some() {
-        rec = rec.with_profile();
-    }
-    if let Some(path) = args.opt("snapshot-out") {
-        // Each emitted snapshot (e.g. one per session round) becomes one
-        // JSON line: {"snapshot":label,"counters":{..},..}.
-        let mut w = create(path)?;
-        rec = rec.with_exporter(Box::new(move |label, snap| {
-            let mut line = vec![("snapshot", gogreen_util::Json::from(label))];
-            if let gogreen_util::Json::Obj(fields) = snap.to_json() {
-                line.extend(fields.into_iter().map(|(k, v)| match k.as_str() {
-                    "counters" => ("counters", v),
-                    "maxes" => ("maxes", v),
-                    _ => ("hists", v),
-                }));
+    let report = match args.opt("report") {
+        Some(path) => Some(Report::start(std::env::args().collect(), path.into(), rec)),
+        None => {
+            if trace.is_some() {
+                rec.install();
             }
-            let _ = writeln!(w, "{}", gogreen_util::Json::obj(line).dump());
-        }));
-    }
-    rec.install();
-    Ok(ObsGuard { metrics_out, profile_out })
+            None
+        }
+    };
+    Ok((args, ObsGuard(report)))
 }
 
 impl ObsGuard {
-    /// Writes the metric snapshot as JSONL (counters + histograms),
-    /// writes the collapsed-stack profile, prints the human-readable
-    /// tables to stderr (unless `--quiet-metrics`), and flushes/closes
-    /// the trace and snapshot writers.
+    /// Writes the run record and prints its tables, and flushes the
+    /// trace writer.
     pub fn finish(self) -> Result<(), String> {
-        let Some(rec) = gogreen_obs::Recorder::uninstall() else { return Ok(()) };
-        if let Some(path) = &self.metrics_out {
-            let snap = rec.snapshot();
-            std::fs::write(path, snap.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
-            if !gogreen_obs::quiet() {
-                eprintln!("metrics ({path}):\n{}", snap.render_metrics());
-                if !snap.hists.is_empty() {
-                    eprintln!("histograms ({path}):\n{}", snap.render_hists());
-                }
-            }
+        match self.0 {
+            Some(report) => report.finish(),
+            None => gogreen_obs::Recorder::uninstall()
+                .map_or(Ok(()), |rec| rec.flush_trace())
+                .map_err(|e| format!("flushing trace: {e}")),
         }
-        if let (Some(path), Some(profile)) = (&self.profile_out, rec.profile()) {
-            std::fs::write(path, profile.to_collapsed())
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            if !gogreen_obs::quiet() {
-                eprintln!("profile ({path}):\n{}", profile.render_table());
-            }
-        }
-        rec.flush_trace().map_err(|e| format!("flushing trace: {e}"))?;
-        // Dropping the recorder closes the trace and snapshot writers.
-        Ok(())
     }
 }
 
@@ -249,7 +207,7 @@ mod tests {
     /// (`check-perf` matches `H-Mine`, `HM-MCP`, `VT-Batch8`, … by name).
     #[test]
     fn algo_spellings_and_bench_ids_are_pinned() {
-        let args = Args::parse(Vec::new()).unwrap();
+        let args = Args::parse(Vec::new(), &[]).unwrap();
         for algo in ["hmine", "hm", "fp", "tp", "vt", "eclat", "naive", "apriori"] {
             assert!(raw_miner(algo, &args).is_ok(), "mine --algo {algo}");
         }
@@ -262,7 +220,7 @@ mod tests {
         assert_eq!(recycle_algos(), "hmine|fp|tp|vt|naive");
         assert_eq!(Family::ALL.map(Family::name), ["H-Mine", "FP-tree", "TreeProjection", "Eclat"]);
         assert_eq!(Family::ALL.map(Family::tag), ["HM", "FP", "TP", "VT"]);
-        let vt = Args::parse(vec!["--vt-repr".into(), "diffset".into()]).unwrap();
+        let vt = Args::parse(vec!["--vt-repr".into(), "diffset".into()], &["vt-repr"]).unwrap();
         assert_eq!(parse_family("eclat", &vt).unwrap(), Some(Family::Vt(VtRepr::Diffset)));
     }
 }

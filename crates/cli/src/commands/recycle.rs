@@ -1,7 +1,7 @@
 //! `gogreen recycle <db.txt> --patterns <fp.txt> --support <ξ>` — the
 //! paper's two-phase pipeline from the command line.
 
-use crate::args::{parse_support, Args};
+use crate::args::parse_support;
 use crate::commands::{
     load_db, measure_arena_bytes, parse_strategy, parse_threads, recycling_miner, setup_obs,
     show_bytes, show_support,
@@ -9,9 +9,11 @@ use crate::commands::{
 use gogreen_core::Compressor;
 use std::time::Instant;
 
+/// The options `recycle` accepts.
+const OPTIONS: &[&str] = &["patterns", "support", "strategy", "threads", "algo", "vt-repr", "o"];
+
 pub fn run(argv: Vec<String>) -> Result<(), String> {
-    let args = Args::parse(argv)?;
-    let obs = setup_obs(&args)?;
+    let (args, obs) = setup_obs(argv, OPTIONS)?;
     let path = args.positional(0, "database path")?;
     let db = load_db(path)?;
     let fp_path = args.required("patterns")?;

@@ -13,7 +13,7 @@
 //! quit               exit
 //! ```
 
-use crate::args::{parse_support, Args};
+use crate::args::parse_support;
 use crate::commands::{load_db, parse_threads, setup_obs};
 use gogreen_constraints::{Constraint, ConstraintSet};
 use gogreen_core::session::MiningSession;
@@ -23,8 +23,7 @@ use gogreen_util::pool::Parallelism;
 use std::io::BufRead;
 
 pub fn run(argv: Vec<String>) -> Result<(), String> {
-    let args = Args::parse(argv)?;
-    let obs = setup_obs(&args)?;
+    let (args, obs) = setup_obs(argv, &["threads"])?;
     let path = args.positional(0, "database path")?;
     let db = load_db(path)?;
     let par = parse_threads(args.opt("threads"))?;

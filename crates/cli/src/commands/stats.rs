@@ -4,7 +4,7 @@ use crate::args::Args;
 use crate::commands::load_db;
 
 pub fn run(argv: Vec<String>) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &[])?;
     let path = args.positional(0, "database path")?;
     let db = load_db(path)?;
     let s = db.stats();

@@ -116,15 +116,12 @@ FORMATS
              output is identical at any thread count)
 
 OBSERVABILITY (mine | compress | recycle | session)
-  --metrics-out <file>   write mining counters and histograms as JSON
-                         lines and print summary tables (names outside
-                         `cover.*` are bit-identical at any --threads)
-  --trace-out <file>     write hierarchical phase spans as JSON lines
-  --profile-out <file>   write a collapsed-stack self-time profile
-                         (flamegraph-compatible) and print the tree
-  --snapshot-out <file>  write one metric-snapshot delta per session
-                         round as JSON lines (session command)
-  --quiet-metrics        suppress the summary tables and progress lines
+  --report <file>     write the run record, one JSON object: argv,
+                      counters, maxes and histograms (names outside
+                      `cover.*` are bit-identical at any --threads), the
+                      self-time profile per stack path and one snapshot
+                      per session round; print its tables to stderr
+  --trace-out <file>  write hierarchical phase spans as JSON lines
 
 The recycle command is the paper's two-phase pipeline: compress <db>
 with the recycled <fp.txt>, then mine the compressed database — exact,

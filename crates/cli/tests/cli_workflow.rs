@@ -1,8 +1,9 @@
 //! Black-box test of the `gogreen` binary: the full generate → mine →
 //! compress → recycle → verify workflow through the real CLI surface.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use gogreen_util::Json;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_gogreen")
@@ -30,6 +31,11 @@ fn run_ok(args: &[&str]) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).unwrap()
+}
+
+/// Reads a `--report` run record.
+fn read_record(path: &Path) -> Json {
+    Json::parse(&std::fs::read_to_string(path).unwrap()).expect("the record is one JSON object")
 }
 
 #[test]
@@ -166,5 +172,95 @@ fn diff_and_condensed_filters() {
     let full_n = std::fs::read_to_string(&lo).unwrap().lines().count();
     let max_n = std::fs::read_to_string(&maximal).unwrap().lines().count();
     assert!(max_n > 0 && max_n < full_n, "maximal {max_n} vs full {full_n}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_options_exit_2() {
+    let dir = tmpdir();
+    let db = dir.join("db.txt");
+    let dbs = db.to_str().unwrap();
+    run_ok(&["generate", "connect4", "--scale", "0.01", "-o", dbs]);
+    for retired in [&["--metrics-out", "x"][..], &["--thread", "4"]] {
+        let out = run(&[&["mine", dbs, "--support", "90%"][..], retired].concat());
+        assert_eq!(out.status.code(), Some(2), "{retired:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option {}", retired[0])), "{err}");
+        assert!(err.contains("--report"), "the error lists the accepted names: {err}");
+    }
+    assert!(!dir.join("x").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Serial and threaded `mine` runs do the same logical work: every
+/// counter and gauge the registry classes as thread-invariant matches.
+#[test]
+fn mine_report_counters_match_across_thread_counts() {
+    let dir = tmpdir();
+    let db = dir.join("db.txt");
+    let dbs = db.to_str().unwrap();
+    run_ok(&["generate", "connect4", "--scale", "0.01", "-o", dbs]);
+    let records: Vec<Json> = ["1", "2"]
+        .iter()
+        .map(|threads| {
+            let report = dir.join(format!("t{threads}.json"));
+            let rs = report.to_str().unwrap();
+            run_ok(&["mine", dbs, "--support", "88%", "--threads", threads, "--report", rs]);
+            read_record(&report)
+        })
+        .collect();
+    let invariant = |rec: &Json, key: &str| -> Vec<(String, Json)> {
+        let Some(Json::Obj(fields)) = rec.get(key) else { panic!("record lacks {key:?}") };
+        let names = fields.iter().filter(|(n, _)| gogreen_obs::metrics::is_thread_invariant(n));
+        names.cloned().collect()
+    };
+    for key in ["counters", "maxes"] {
+        assert_eq!(invariant(&records[0], key), invariant(&records[1], key), "{key}");
+    }
+    let arena = records[0].get("counters").and_then(|c| c.get("alloc.projection_bytes"));
+    assert!(arena.is_some(), "serial H-Mine runs on its projection arenas");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mine_report_has_a_profile_and_no_rounds() {
+    let dir = tmpdir();
+    let db = dir.join("db.txt");
+    let report = dir.join("report.json");
+    let dbs = db.to_str().unwrap();
+    run_ok(&["generate", "connect4", "--scale", "0.01", "-o", dbs]);
+    run_ok(&["mine", dbs, "--support", "90%", "--report", report.to_str().unwrap()]);
+    let rec = read_record(&report);
+    assert_eq!(rec.get("rounds").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
+    let Some(Json::Obj(profile)) = rec.get("profile") else { panic!("no profile object") };
+    let (_, node) = profile.iter().find(|(p, _)| p == "mine").expect("a `mine` span");
+    assert_eq!(node.get("calls").and_then(Json::as_u64), Some(1));
+    assert!(rec.get("counters").and_then(|c| c.get("mine.projected_dbs")).is_some());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn session_report_records_one_entry_per_round() {
+    let dir = tmpdir();
+    let db = dir.join("db.txt");
+    let report = dir.join("report.json");
+    std::fs::write(&db, "1 2 3\n1 2\n2 3\n1 3 4\n1 2 3 4\n").unwrap();
+    let mut child = Command::new(bin())
+        .args(["session", db.to_str().unwrap(), "--report", report.to_str().unwrap()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    use std::io::Write;
+    child.stdin.as_mut().unwrap().write_all(b"support 3\nrun\nsupport 2\nrun\nquit\n").unwrap();
+    assert!(child.wait().unwrap().success());
+    let rec = read_record(&report);
+    let rounds = rec.get("rounds").and_then(Json::as_arr).expect("rounds array");
+    let labels: Vec<&str> = rounds.iter().filter_map(|r| r.get("label")?.as_str()).collect();
+    assert_eq!(labels, ["session.round/1", "session.round/2"]);
+    for round in rounds {
+        assert!(round.get("counters").is_some() && round.get("hists").is_some(), "{round}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

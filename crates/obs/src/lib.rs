@@ -35,14 +35,16 @@
 //!   collapsed-stack format for flamegraph tooling.
 //! * [`snapshot`] — captures of all metric state and the exporter hook
 //!   (the interface a long-running server polls).
+//! * [`report`] — the run record: totals, profile and per-round
+//!   snapshots of one command as one versioned JSON object.
 //! * [`registry`] — the central declaration of every observable name
 //!   with its thread-invariance class, linted against the source tree.
 //!
 //! Nothing is recorded until a recorder is installed, so library users
 //! and the test suite pay (nearly) nothing, and concurrent runs — tests
 //! on the harness's threads, members of a batch — never see each
-//! other's counts. The CLI's `--trace-out` / `--metrics-out` /
-//! `--profile-out` / `--snapshot-out` flags install one per command.
+//! other's counts. The front ends' `--report` flag installs one per
+//! command through [`report`], the CLI's `--trace-out` another.
 //!
 //! The crate depends only on `gogreen-util` (for [`gogreen_util::Json`]
 //! and the hasher), so every other workspace crate can depend on it
@@ -53,6 +55,7 @@ pub mod metrics;
 pub mod profile;
 pub mod recorder;
 pub mod registry;
+pub mod report;
 pub mod snapshot;
 pub mod span;
 
@@ -60,33 +63,8 @@ pub use recorder::{measure, Recorder};
 pub use snapshot::MetricsSnapshot;
 pub use span::{event, span, tracing_enabled, Span};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static QUIET: AtomicBool = AtomicBool::new(false);
-
-/// Suppresses progress/summary output routed through [`progress`]
-/// (the CLI's `--quiet-metrics`). Errors still print.
-pub fn set_quiet(quiet: bool) {
-    QUIET.store(quiet, Ordering::Relaxed);
-}
-
-/// True when [`set_quiet`] suppressed progress output.
-pub fn quiet() -> bool {
-    QUIET.load(Ordering::Relaxed)
-}
-
-/// A progress line: stderr unless quieted, plus a trace event when a
-/// trace writer is installed. Replaces ad-hoc `eprintln!` progress so
-/// one flag silences everything uniformly.
-pub fn progress(msg: &str) {
-    if !quiet() {
-        eprintln!("{msg}");
-    }
-    event("progress", [("msg", gogreen_util::Json::from(msg))]);
-}
-
-/// An error line: always printed to stderr (quiet does not apply), and
-/// mirrored into the trace stream when one is active.
+/// An error line: printed to stderr and mirrored into the trace stream
+/// when one is active.
 pub fn error(msg: &str) {
     eprintln!("{msg}");
     event("error", [("msg", gogreen_util::Json::from(msg))]);

@@ -14,10 +14,10 @@
 //! reproduces the root's total exactly (in integer microseconds — the
 //! only slack is the clock reads between a child's measurement and the
 //! parent's, which the acceptance tests bound by span-clock resolution).
-//! That identity is what makes the collapsed-stack export
-//! ([`Profile::to_collapsed`]) directly feedable to standard flamegraph
-//! tooling: `path self_us` per line, weights summing to the run's root
-//! total.
+//! That identity is what makes the run record's profile (see
+//! [`crate::report`]) directly feedable to standard flamegraph tooling
+//! as collapsed stacks: `path self_us` per node, weights summing to the
+//! run's root total.
 //!
 //! Profiling is independent of tracing — either, both, or neither may be
 //! on. The stack of open frames belongs to the thread, not the
@@ -157,15 +157,6 @@ impl Profile {
         out.pop();
         out
     }
-
-    /// Renders the profile in collapsed-stack format — one `path self_us`
-    /// line per node, `;`-separated frames — the input format of standard
-    /// flamegraph tooling. Nodes whose self time rounded to zero are
-    /// kept: dropping them would hide call counts, and zero weights are
-    /// harmless.
-    pub fn to_collapsed(&self) -> String {
-        self.iter().map(|(path, node)| format!("{path} {}\n", node.self_us)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +220,8 @@ mod tests {
         let mut prof = Profile::default();
         prof.record("a".into(), 1, 10, 4);
         prof.record("a;b".into(), 2, 6, 6);
-        assert_eq!(prof.to_collapsed(), "a 4\na;b 6\n");
+        let stacks: Vec<(&str, u64)> = prof.iter().map(|(p, n)| (p, n.self_us)).collect();
+        assert_eq!(stacks, [("a", 4), ("a;b", 6)], "collapsed stacks in path order");
         let table = prof.render_table();
         assert!(table.contains("a\n"), "{table}");
         assert!(table.contains("  b"), "child indented: {table}");

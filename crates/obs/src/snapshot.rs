@@ -2,15 +2,17 @@
 //!
 //! A [`MetricsSnapshot`] is every counter, max-gauge and histogram a
 //! [`crate::Recorder`] holds at one instant — what [`crate::measure`]
-//! returns for a scope and what the CLI's `--metrics-out` dumps for a
-//! whole run. Because the underlying counters are bit-identical at any
-//! thread count for registry-invariant names, so are the snapshots of a
-//! measured scope — the property `tests/obs_snapshot.rs` pins.
+//! returns for a scope and what a run record (`--report F`, see
+//! [`crate::report`]) holds for a whole run. Because the underlying
+//! counters are bit-identical at any thread count for registry-invariant
+//! names, so are the snapshots of a measured scope — the property
+//! `tests/obs_snapshot.rs` pins.
 //!
 //! The exporter hook is the polling interface a long-running process
 //! needs: build the recorder [`crate::Recorder::with_exporter`] and
 //! every [`emit`] call delivers a labelled snapshot. `MiningSession`
-//! emits one per round today, each measured in its own scope.
+//! emits one per round, each measured in its own scope; a run record
+//! collects them as its `rounds`.
 
 use crate::histogram::{bucket_range, Histogram};
 use crate::metrics::{Kind, Metric};
@@ -41,6 +43,12 @@ impl MetricsSnapshot {
     /// Serializes as one JSON object:
     /// `{"counters":{..},"maxes":{..},"hists":{name:{count,sum,buckets}}}`.
     pub fn to_json(&self) -> Json {
+        Json::obj(self.json_fields())
+    }
+
+    /// [`MetricsSnapshot::to_json`]'s fields, for records that embed
+    /// them beside fields of their own.
+    pub(crate) fn json_fields(&self) -> [(&'static str, Json); 3] {
         let mut counters = Vec::new();
         let mut maxes = Vec::new();
         for (&name, &m) in &self.metrics {
@@ -52,45 +60,11 @@ impl MetricsSnapshot {
         }
         let hists =
             self.hists.iter().map(|(&n, h)| (n.to_string(), h.to_json())).collect::<Vec<_>>();
-        Json::obj([
+        [
             ("counters", Json::Obj(counters)),
             ("maxes", Json::Obj(maxes)),
             ("hists", Json::Obj(hists)),
-        ])
-    }
-
-    /// Renders as JSON lines, one metric per line
-    /// (`{"metric":"mine.candidate_tests","kind":"counter","value":123}`)
-    /// followed by one histogram per line
-    /// (`{"hist":"mine.projected_db_size","count":..,"sum":..,"buckets":{..}}`).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (&name, m) in &self.metrics {
-            let kind = match m.kind {
-                Kind::Counter => "counter",
-                Kind::Max => "max",
-            };
-            let line = Json::obj([
-                ("metric", Json::from(name)),
-                ("kind", Json::from(kind)),
-                ("value", Json::from(m.value)),
-            ]);
-            out.push_str(&line.dump());
-            out.push('\n');
-        }
-        for (&name, h) in &self.hists {
-            let mut line = vec![("hist", Json::from(name))];
-            if let Json::Obj(fields) = h.to_json() {
-                line.extend(fields.into_iter().map(|(k, v)| match k.as_str() {
-                    "count" => ("count", v),
-                    "sum" => ("sum", v),
-                    _ => ("buckets", v),
-                }));
-            }
-            out.push_str(&Json::obj(line).dump());
-            out.push('\n');
-        }
-        out
+        ]
     }
 
     /// Renders the counters and gauges as an aligned, `gogreen
@@ -192,13 +166,11 @@ mod tests {
     #[test]
     fn jsonl_and_tables_render() {
         let snap = sample();
-        let jsonl = snap.to_jsonl();
-        assert!(jsonl.contains(r#"{"metric":"test.snap_c","kind":"counter","value":2}"#));
-        assert!(jsonl.contains(r#"{"metric":"test.snap_m","kind":"max","value":3}"#));
-        assert!(
-            jsonl.contains(r#"{"hist":"test.snap_h","count":1,"sum":6,"buckets":{"3":1}}"#),
-            "{jsonl}"
-        );
+        let line = snap.to_json().dump();
+        assert!(!line.contains('\n'), "one JSON line: {line}");
+        assert!(line.contains(r#""counters":{"test.snap_c":2}"#), "{line}");
+        assert!(line.contains(r#""maxes":{"test.snap_m":3}"#), "{line}");
+        assert!(line.contains(r#""test.snap_h":{"count":1,"sum":6,"buckets":{"3":1}}"#), "{line}");
         assert!(snap.render_metrics().contains("test.snap_c"));
         assert!(snap.render_metrics().contains("(max)"));
         assert!(snap.render_hists().contains("test.snap_h"));

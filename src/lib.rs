@@ -21,9 +21,9 @@
 //!   adaptations), RP-Mine, and the iterative
 //!   [`core::session::MiningSession`].
 //! * [`storage`] — memory budgets, disk spill, and memory-limited mining.
-//! * [`obs`] — tracing spans and mining counters (`--trace-out` /
-//!   `--metrics-out` in the CLI); the counters quantify the candidate
-//!   tests and projections recycling saves.
+//! * [`obs`] — tracing spans, mining counters and the run record
+//!   (`--report` / `--trace-out` in the CLI); the counters quantify the
+//!   candidate tests and projections recycling saves.
 //! * [`util`] — hashing/timing/memory-accounting support.
 //!
 //! ## Quickstart

@@ -10,11 +10,14 @@
 //!    at `--threads 1` and `--threads 8` (histogram bucket vectors
 //!    included).
 //! 3. The self-time profile telescopes: summing `self_us` over a root's
-//!    subtree reproduces the root's `total_us` exactly, and the
-//!    collapsed-stack export carries the same numbers.
+//!    subtree reproduces the root's `total_us` exactly, and so do the
+//!    run record's `profile` entries, the collapsed stacks flamegraph
+//!    tools read.
 
+use gogreen::obs::report::Report;
 use gogreen::obs::{measure, metrics, MetricsSnapshot, Recorder};
 use gogreen::prelude::*;
+use gogreen::util::Json;
 use gogreen_constraints::ConstraintSet;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 use std::sync::{Arc, Mutex};
@@ -123,13 +126,23 @@ fn filtered_round_reports_no_earlier_rounds_max_gauges() {
     assert_eq!(filtered.value("mine.max_depth"), None, "{filtered:?}");
 }
 
+/// Compresses with the ξ = 5% patterns and mines the result at 2%.
+fn recycle_round(db: &TransactionDb, fp: &PatternSet) {
+    let cdb = Compressor::new(Strategy::Mcp).compress(db, fp);
+    std::hint::black_box(Family::Hm.mine(&cdb, MinSupport::percent(2.0)));
+}
+
+/// True when `path` is `root` or lies in its subtree.
+fn in_subtree(path: &str, root: &str) -> bool {
+    path == root || path.strip_prefix(root).is_some_and(|rest| rest.starts_with(';'))
+}
+
 #[test]
 fn profile_self_times_telescope_to_root_total() {
     let db = weather_db();
     let fp = Family::Hm.mine(&db, MinSupport::percent(5.0));
     Recorder::new().with_profile().install();
-    let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
-    std::hint::black_box(Family::Hm.mine(&cdb, MinSupport::percent(2.0)));
+    recycle_round(&db, &fp);
     let rec = Recorder::uninstall().expect("installed above");
     let profile = rec.profile().expect("profiling recorder");
 
@@ -143,22 +156,22 @@ fn profile_self_times_telescope_to_root_total() {
         assert_eq!(profile.subtree_self_us(root), total, "root {root}");
     }
 
-    // The collapsed export carries the same self-times: re-summing the
-    // "path self_us" lines per root reproduces the totals again.
-    let collapsed = profile.to_collapsed();
-    for root in &roots {
-        let sum: u64 = collapsed
-            .lines()
-            .map(|line| {
-                let (path, self_us) = line.rsplit_once(' ').expect("collapsed line shape");
-                let self_us: u64 = self_us.parse().expect("numeric self time");
-                (path, self_us)
-            })
-            .filter(|(p, _)| {
-                *p == *root || p.strip_prefix(root).is_some_and(|r| r.starts_with(';'))
-            })
-            .map(|(_, s)| s)
-            .sum();
-        assert_eq!(sum, profile.get(root).unwrap().total_us, "collapsed root {root}");
+    // The run record carries self-times that telescope the same way:
+    // re-summing its `profile` entries per root reproduces the totals.
+    let path =
+        std::env::temp_dir().join(format!("gogreen-obs-profile-{}.json", std::process::id()));
+    let report = Report::start(Vec::new(), path.display().to_string(), Recorder::new());
+    recycle_round(&db, &fp);
+    report.finish().expect("record written");
+    let record = Json::parse(&std::fs::read_to_string(&path).unwrap()).expect("one JSON object");
+    std::fs::remove_file(&path).ok();
+    let Some(Json::Obj(nodes)) = record.get("profile") else { panic!("record lacks a profile") };
+    let us = |node: &Json, key: &str| node.get(key).and_then(Json::as_u64).expect("numeric");
+    let roots: Vec<&(String, Json)> = nodes.iter().filter(|(p, _)| !p.contains(';')).collect();
+    assert!(roots.iter().any(|(p, _)| p == "compress"), "record roots: {roots:?}");
+    for (root, node) in roots {
+        let sum: u64 =
+            nodes.iter().filter(|(p, _)| in_subtree(p, root)).map(|(_, n)| us(n, "self_us")).sum();
+        assert_eq!(sum, us(node, "total_us"), "record root {root}");
     }
 }
