@@ -455,7 +455,7 @@ pub fn compress_kernel_experiment(dataset: PresetKind, scale: f64) -> Vec<Compre
         kernel: "linear",
         threads: 1,
         secs: linear_s,
-        groups: reference.groups().len(),
+        groups: reference.num_groups(),
         recycled_patterns: fp_old.len(),
     }];
     for threads in [1usize, 2, 4, 8] {
@@ -473,7 +473,7 @@ pub fn compress_kernel_experiment(dataset: PresetKind, scale: f64) -> Vec<Compre
             kernel: "indexed",
             threads,
             secs,
-            groups: cdb.groups().len(),
+            groups: cdb.num_groups(),
             recycled_patterns: fp_old.len(),
         });
     }

@@ -145,14 +145,14 @@ fn write_cdb(cdb: &gogreen_core::CompressedDb, path: &std::path::Path) {
     for g in cdb.groups() {
         line.clear();
         line.push_str("G ");
-        for it in g.pattern() {
+        for it in g.pattern {
             line.push_str(&it.id().to_string());
             line.push(' ');
         }
-        line.push_str(&format!("| bare={} members={}", g.bare(), g.outliers().len()));
+        line.push_str(&format!("| bare={} members={}", g.bare, g.outliers.len()));
         line.push('\n');
         w.write_all(line.as_bytes()).expect("write group");
-        for o in g.outliers() {
+        for o in g.outliers {
             line.clear();
             line.push_str("  O ");
             for it in o.iter() {

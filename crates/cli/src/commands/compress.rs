@@ -65,10 +65,10 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
         println!("  storage         {row}");
     }
     // Top groups by member count.
-    let mut groups: Vec<_> = cdb.groups().iter().collect();
+    let mut groups: Vec<_> = cdb.groups().collect();
     groups.sort_by_key(|g| std::cmp::Reverse(g.count()));
     for g in groups.iter().take(8) {
-        let ids: Vec<String> = g.pattern().iter().map(|i| i.id().to_string()).collect();
+        let ids: Vec<String> = g.pattern.iter().map(|i| i.id().to_string()).collect();
         println!("  group {{{}}} × {}", ids.join(" "), g.count());
     }
     if groups.len() > 8 {

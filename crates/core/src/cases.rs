@@ -161,7 +161,7 @@ pub fn bare_members_count_through_group_heads(f: Family) {
     let db =
         TransactionDb::from_rows(&[&[1, 2, 3], &[1, 2, 3], &[1, 2, 3], &[1, 2, 3, 4], &[4, 5]]);
     let cdb = compressed(&db, 3, Strategy::Mcp);
-    assert!(cdb.groups().iter().any(|g| g.bare() > 0));
+    assert!(cdb.groups().any(|g| g.bare > 0));
     assert_exact(f, &db, &cdb, 2..=2);
 }
 

@@ -1,83 +1,86 @@
 //! The compressed database (paper §3.1, Table 2).
 //!
-//! A [`CompressedDb`] partitions the tuples of the original database into
-//! *groups* — tuples covered by the same recycled pattern, stored as the
-//! pattern (once) plus each member's *outlying items* — and a residue of
-//! *plain* tuples no pattern covered. Compression is lossless:
+//! A compressed database partitions the tuples of the original database
+//! into *groups* — tuples covered by the same recycled pattern, stored as
+//! the pattern (once) plus each member's *outlying items* — and a residue
+//! of *plain* tuples no pattern covered. Compression is lossless:
 //! [`CompressedDb::reconstruct`] returns the original tuple multiset.
 //!
-//! For mining, the item-space structure is re-encoded against an F-list
-//! into a [`CompressedRankDb`], mirroring how plain databases become
-//! [`gogreen_data::projected::RankDb`]s. Both representations keep their
-//! tuple lists in flat CSR storage ([`CsrTuples`]): the rank database is
-//! three CSR sections — group pattern heads, outlier member rows
-//! (concatenated group by group, delimited by `outlier_start`), and the
-//! plain residue — so engines receive `&[u32]` row slices of shared
-//! buffers and whole-database counting sweeps one allocation per section.
+//! One layout, [`CdbLayout`], holds both id spaces: [`CompressedDb`] is
+//! its [`Item`] instantiation, and [`CompressedRankDb`] — re-encoded
+//! against an F-list for mining, as plain databases become
+//! [`gogreen_data::projected::RankDb`]s — its `u32` rank one. Storage is
+//! three flat CSR sections ([`CsrTuples`]) plus two per-group scalars:
+//!
+//! ```text
+//! patterns      row g                = group g's pattern head (ascending)
+//! outliers      rows [s_g, s_{g+1})  where s = outlier_start
+//!                                    = group g's outlier member rows
+//! bare[g]                            = members with no outlying items
+//! plain         rows                 = tuples covered by no group
+//! ```
+//!
+//! Engines receive `&[u32]` row slices of shared buffers, and a
+//! whole-database count sweeps one allocation per section. A group reads
+//! out as a borrowed [`GroupView`] — pattern slice, outlier rows, `bare` —
+//! which is also what the storage codec encodes and decodes. A view with
+//! an empty pattern stands for its outlier rows as plain tuples: the
+//! paper's identity that a plain tuple is a member of a group with an
+//! empty head.
 
 use gogreen_data::{CsrTuples, FList, Item, Transaction, TransactionDb, TupleSlices};
 use gogreen_util::pool::{par_chunks, Parallelism};
 use gogreen_util::HeapSize;
 
-/// One compression group: a pattern and its member tuples' outlying items.
+/// The compressed-database layout over ids of type `T` (see the module
+/// docs): [`CompressedDb`] in item space, [`CompressedRankDb`] in rank
+/// space.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Group {
-    /// The covering pattern, sorted ascending by item id. Never empty.
-    pattern: Box<[Item]>,
-    /// Outlying items (sorted ascending) of members that have any.
-    outliers: CsrTuples<Item>,
-    /// Members whose tuple *is* the pattern (no outlying items).
-    bare: u32,
-}
-
-impl Group {
-    /// Creates a group. `pattern` and each outlier list must be sorted
-    /// ascending; outlier lists must be non-empty and disjoint from the
-    /// pattern.
-    pub fn new(pattern: Vec<Item>, outliers: Vec<Vec<Item>>, bare: u32) -> Self {
-        let outliers: CsrTuples<Item> = outliers.into_iter().collect::<CsrTuples<Item>>();
-        Self::from_csr(pattern, outliers, bare)
-    }
-
-    /// [`Group::new`] from outlier rows already in CSR form.
-    pub fn from_csr(pattern: Vec<Item>, outliers: CsrTuples<Item>, bare: u32) -> Self {
-        debug_assert!(!pattern.is_empty());
-        debug_assert!(pattern.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(outliers.iter().all(|o| {
-            !o.is_empty()
-                && o.windows(2).all(|w| w[0] < w[1])
-                && o.iter().all(|it| pattern.binary_search(it).is_err())
-        }));
-        Group { pattern: pattern.into_boxed_slice(), outliers, bare }
-    }
-
-    /// The group pattern.
-    pub fn pattern(&self) -> &[Item] {
-        &self.pattern
-    }
-
-    /// Outlying-item rows of members that have any, as a CSR view.
-    pub fn outliers(&self) -> TupleSlices<'_, Item> {
-        self.outliers.as_slices()
-    }
-
-    /// Number of member tuples (the group count the miners exploit).
-    pub fn count(&self) -> u64 {
-        self.outliers.len() as u64 + u64::from(self.bare)
-    }
-
-    /// Members without outlying items.
-    pub fn bare(&self) -> u32 {
-        self.bare
-    }
+pub struct CdbLayout<T> {
+    /// Group pattern heads, one non-empty ascending row per group.
+    pub(crate) patterns: CsrTuples<T>,
+    /// All groups' outlier member rows (each non-empty, ascending,
+    /// disjoint from its pattern), concatenated in group order.
+    pub(crate) outliers: CsrTuples<T>,
+    /// Group `g` owns outlier rows `outlier_start[g] .. outlier_start[g +
+    /// 1]`. Length = groups + 1.
+    pub(crate) outlier_start: Vec<u32>,
+    /// Per-group count of members with no outlying items.
+    pub(crate) bare: Vec<u64>,
+    /// Tuples covered by no group (ascending; non-empty in rank space).
+    pub(crate) plain: CsrTuples<T>,
+    /// Item occurrences of the original database (item space, for the
+    /// compression ratio) or the F-list length (rank space).
+    extent: usize,
 }
 
 /// A database compressed with recycled frequent patterns.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CompressedDb {
-    groups: Vec<Group>,
-    plain: CsrTuples<Item>,
-    original_items: usize,
+pub type CompressedDb = CdbLayout<Item>;
+
+/// A compressed database in rank space — the input of every recycling
+/// miner. Everything engines read comes out as `&[u32]` slices of its
+/// sections (see [`gogreen_data::GroupedSource`]).
+pub type CompressedRankDb = CdbLayout<u32>;
+
+/// One group, borrowed from a [`CdbLayout`] or a decoded record: its
+/// pattern, the outlying items of members that have any, and the count
+/// of members that *are* the pattern. An empty `pattern` means the
+/// `outliers` rows are plain tuples (and `bare` members carry nothing).
+#[derive(Debug, Clone, Copy)]
+pub struct GroupView<'a, T = u32> {
+    /// The covering pattern, ascending.
+    pub pattern: &'a [T],
+    /// Outlying-item rows, one per member that has any.
+    pub outliers: TupleSlices<'a, T>,
+    /// Members without outlying items.
+    pub bare: u64,
+}
+
+impl<T> GroupView<'_, T> {
+    /// Number of member tuples (the group count the miners exploit).
+    pub fn count(&self) -> u64 {
+        self.outliers.len() as u64 + self.bare
+    }
 }
 
 /// Size/ratio summary of a compressed database.
@@ -113,23 +116,179 @@ impl CdbStats {
     }
 }
 
-impl CompressedDb {
-    /// Assembles a compressed database from parts. `original_items` is
-    /// the item-occurrence count of the uncompressed database (for the
-    /// compression ratio).
-    pub fn new(groups: Vec<Group>, plain: CsrTuples<Item>, original_items: usize) -> Self {
-        CompressedDb { groups, plain, original_items }
+impl<T: Copy + Ord> Default for CdbLayout<T> {
+    fn default() -> Self {
+        Self::empty(0)
+    }
+}
+
+fn ascending<T: Ord>(row: &[T]) -> bool {
+    row.windows(2).all(|w| w[0] < w[1])
+}
+
+impl<T: Copy + Ord> CdbLayout<T> {
+    /// An empty database: `extent` is the original item-occurrence count
+    /// in item space, the F-list length in rank space.
+    pub fn empty(extent: usize) -> Self {
+        CdbLayout {
+            patterns: CsrTuples::new(),
+            outliers: CsrTuples::new(),
+            outlier_start: vec![0],
+            bare: Vec::new(),
+            plain: CsrTuples::new(),
+            extent,
+        }
     }
 
-    /// [`CompressedDb::new`] with the plain residue given as owned
-    /// transactions.
-    pub fn from_parts(groups: Vec<Group>, plain: Vec<Transaction>, original_items: usize) -> Self {
-        let mut csr =
-            CsrTuples::with_capacity(plain.len(), plain.iter().map(Transaction::len).sum());
-        for t in &plain {
-            csr.push_row(t.items());
+    /// Appends a group: a non-empty ascending `pattern`, and one
+    /// non-empty ascending outlier row per member that has any.
+    pub fn push_group<'a>(
+        &mut self,
+        pattern: &[T],
+        outliers: impl IntoIterator<Item = &'a [T]>,
+        bare: u64,
+    ) where
+        T: 'a,
+    {
+        debug_assert!(!pattern.is_empty() && ascending(pattern));
+        self.patterns.push_row(pattern);
+        for o in outliers {
+            debug_assert!(!o.is_empty() && ascending(o));
+            self.outliers.push_row(o);
         }
-        CompressedDb { groups, plain: csr, original_items }
+        self.close_group(bare);
+    }
+
+    /// Appends a plain tuple (ascending ids).
+    pub fn push_plain(&mut self, row: &[T]) {
+        debug_assert!(ascending(row));
+        self.plain.push_row(row);
+    }
+
+    /// Appends `view` as is: a group, or its rows as plain tuples when
+    /// its pattern is empty.
+    pub fn push_view(&mut self, view: GroupView<'_, T>) {
+        if view.pattern.is_empty() {
+            view.outliers.iter().for_each(|row| self.push_plain(row));
+        } else {
+            self.push_group(view.pattern, view.outliers, view.bare);
+        }
+    }
+
+    /// Seals the group whose pattern row and outlier rows were just
+    /// pushed: records the outlier partition boundary and the bare count.
+    pub(crate) fn close_group(&mut self, bare: u64) {
+        self.outlier_start.push(self.outliers.len() as u32);
+        self.bare.push(bare);
+    }
+
+    /// Number of groups.
+    pub fn num_groups(&self) -> usize {
+        self.patterns.len()
+    }
+
+    /// The pattern head of group `g`.
+    pub fn group_pattern(&self, g: usize) -> &[T] {
+        self.patterns.row(g)
+    }
+
+    /// The outlier member rows of group `g`, as a CSR window.
+    pub fn group_outliers(&self, g: usize) -> TupleSlices<'_, T> {
+        self.outliers
+            .as_slices()
+            .range(self.outlier_start[g] as usize, self.outlier_start[g + 1] as usize)
+    }
+
+    /// Members of group `g` with no outlying items.
+    pub fn group_bare(&self, g: usize) -> u64 {
+        self.bare[g]
+    }
+
+    /// Member count of group `g`.
+    pub fn group_count(&self, g: usize) -> u64 {
+        self.group(g).count()
+    }
+
+    /// Group `g`, borrowed.
+    pub fn group(&self, g: usize) -> GroupView<'_, T> {
+        GroupView {
+            pattern: self.group_pattern(g),
+            outliers: self.group_outliers(g),
+            bare: self.bare[g],
+        }
+    }
+
+    /// The groups in storage (utility) order.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = GroupView<'_, T>> + '_ {
+        (0..self.num_groups()).map(|g| self.group(g))
+    }
+
+    /// The uncovered tuples, as a CSR view.
+    pub fn plain(&self) -> TupleSlices<'_, T> {
+        self.plain.as_slices()
+    }
+
+    /// Total number of tuples represented (= original `|DB|`).
+    pub fn num_tuples(&self) -> usize {
+        self.outliers.len() + self.bare.iter().sum::<u64>() as usize + self.plain.len()
+    }
+
+    /// Total outlier member rows across all groups.
+    pub fn group_outlier_rows(&self) -> usize {
+        self.outliers.len()
+    }
+
+    /// Total outlier item occurrences across all groups.
+    pub fn group_outlier_items(&self) -> usize {
+        self.outliers.total_elems()
+    }
+
+    /// Total pattern-head item occurrences across all groups.
+    pub fn pattern_items(&self) -> usize {
+        self.patterns.total_elems()
+    }
+
+    /// The one row rewrite behind [`CompressedDb::to_ranks`] and
+    /// [`CompressedRankDb::retain_ranks`]: copies every row into `out`
+    /// through `push`, which appends the row's rewritten ids to the open
+    /// row of its destination and returns the open row's length. A group
+    /// whose pattern empties becomes plain rows; a member whose outliers
+    /// empty becomes bare; a plain row that empties is dropped.
+    fn rewrite<U: Copy + Ord>(
+        &self,
+        mut out: CdbLayout<U>,
+        push: impl Fn(&[T], &mut CsrTuples<U>) -> usize,
+    ) -> CdbLayout<U> {
+        let kept = |row: &[T], dst: &mut CsrTuples<U>| {
+            let kept = push(row, dst) > 0;
+            if kept {
+                dst.commit_row();
+            } else {
+                dst.discard_row();
+            }
+            kept
+        };
+        for g in self.groups() {
+            if !kept(g.pattern, &mut out.patterns) {
+                g.outliers.iter().for_each(|o| {
+                    kept(o, &mut out.plain);
+                });
+                continue;
+            }
+            let emptied = g.outliers.iter().filter(|o| !kept(o, &mut out.outliers)).count();
+            out.close_group(g.bare + emptied as u64);
+        }
+        self.plain.iter().for_each(|t| {
+            kept(t, &mut out.plain);
+        });
+        out
+    }
+}
+
+impl CompressedDb {
+    /// A database with no groups: every row of `plain` is a plain tuple.
+    pub fn from_plain(plain: CsrTuples<Item>) -> Self {
+        CompressedDb { extent: plain.total_elems(), plain, ..Self::empty(0) }
     }
 
     /// Wraps a plain database with no compression at all (every tuple in
@@ -138,39 +297,20 @@ impl CompressedDb {
     /// used as a correctness bridge in tests. The CSR tuple storage is
     /// cloned wholesale; no per-tuple work.
     pub fn uncompressed(db: &TransactionDb) -> Self {
-        let plain = db.csr().clone();
-        let original_items = plain.total_elems();
-        CompressedDb { groups: Vec::new(), plain, original_items }
-    }
-
-    /// The groups.
-    pub fn groups(&self) -> &[Group] {
-        &self.groups
-    }
-
-    /// The uncovered tuples, as a CSR view.
-    pub fn plain(&self) -> TupleSlices<'_, Item> {
-        self.plain.as_slices()
-    }
-
-    /// Total number of tuples represented (= original `|DB|`).
-    pub fn num_tuples(&self) -> usize {
-        self.groups.iter().map(|g| g.count() as usize).sum::<usize>() + self.plain.len()
+        Self::from_plain(db.csr().clone())
     }
 
     /// Size/ratio summary.
     pub fn stats(&self) -> CdbStats {
-        let covered: usize = self.groups.iter().map(|g| g.count() as usize).sum();
-        let compressed_size: usize =
-            self.groups.iter().map(|g| g.pattern.len() + g.outliers.total_elems()).sum::<usize>()
-                + self.plain.total_elems();
-        let num_tuples = covered + self.plain.len();
+        let num_tuples = self.num_tuples();
         CdbStats {
             num_tuples,
-            num_groups: self.groups.len(),
-            covered_tuples: covered,
-            compressed_size,
-            original_size: self.original_items,
+            num_groups: self.num_groups(),
+            covered_tuples: num_tuples - self.plain.len(),
+            compressed_size: self.patterns.total_elems()
+                + self.outliers.total_elems()
+                + self.plain.total_elems(),
+            original_size: self.extent,
             bytes_per_tuple: if num_tuples == 0 {
                 0.0
             } else {
@@ -186,52 +326,33 @@ impl CompressedDb {
         self.item_supports_par(Parallelism::serial())
     }
 
-    /// [`Self::item_supports`] with the counting pass chunked across
-    /// worker threads. Summing per-chunk `u64` count vectors is exact
-    /// and order-independent, so the result is identical to the serial
-    /// pass for any thread count. The plain residue is chunked over the
-    /// flat item buffer directly — occurrence counting ignores row
-    /// boundaries, so the split needs no offset arithmetic at all.
+    /// [`Self::item_supports`] with the per-occurrence counting chunked
+    /// across worker threads. Summing per-chunk `u64` count vectors is
+    /// exact and order-independent, so the result is identical to the
+    /// serial pass for any thread count. Outlying and plain items are
+    /// chunked over their flat item buffers directly — occurrence
+    /// counting ignores row boundaries, so the split needs no offset
+    /// arithmetic at all.
     pub fn item_supports_par(&self, par: Parallelism) -> Vec<u64> {
-        let mut max_id: Option<u32> = None;
-        let mut consider = |id: Option<u32>| {
-            if let Some(last) = id {
-                max_id = Some(max_id.map_or(last, |m| m.max(last)));
-            }
-        };
-        for g in &self.groups {
-            consider(g.pattern.last().map(|it| it.id()));
-            consider(g.outliers.flat().iter().map(|it| it.id()).max());
-        }
-        consider(self.plain.flat().iter().map(|it| it.id()).max());
-        let slots = max_id.map_or(0, |m| m as usize + 1);
+        let sections = [&self.patterns, &self.outliers, &self.plain];
+        let max_index = |s: &&CsrTuples<Item>| s.flat().iter().map(|it| it.index()).max();
+        let slots = sections.iter().filter_map(max_index).max().map_or(0, |m| m + 1);
         let mut counts = vec![0u64; slots];
-        if par.for_items(self.groups.len().max(self.plain.len())) <= 1 {
-            for g in &self.groups {
-                count_group(g, &mut counts);
-            }
-            for &it in self.plain.flat() {
-                counts[it.index()] += 1;
-            }
-            return counts;
+        for g in self.groups() {
+            let c = g.count();
+            g.pattern.iter().for_each(|it| counts[it.index()] += c);
         }
-        let group_parts = par_chunks(par, &self.groups, |_, chunk| {
-            let mut local = vec![0u64; slots];
-            for g in chunk {
-                count_group(g, &mut local);
+        for flat in [self.outliers.flat(), self.plain.flat()] {
+            if par.for_items(flat.len()) <= 1 {
+                flat.iter().for_each(|it| counts[it.index()] += 1);
+                continue;
             }
-            local
-        });
-        let plain_parts = par_chunks(par, self.plain.flat(), |_, chunk| {
-            let mut local = vec![0u64; slots];
-            for &it in chunk {
-                local[it.index()] += 1;
-            }
-            local
-        });
-        for (_, local) in group_parts.into_iter().chain(plain_parts) {
-            for (slot, c) in counts.iter_mut().zip(local) {
-                *slot += c;
+            for (_, local) in par_chunks(par, flat, |_, chunk| {
+                let mut local = vec![0u64; slots];
+                chunk.iter().for_each(|it| local[it.index()] += 1);
+                local
+            }) {
+                counts.iter_mut().zip(local).for_each(|(slot, c)| *slot += c);
             }
         }
         counts
@@ -253,281 +374,45 @@ impl CompressedDb {
     /// assert `reconstruct()` equals the source database as a multiset.
     pub fn reconstruct(&self) -> TransactionDb {
         let mut out = Vec::with_capacity(self.num_tuples());
-        for g in &self.groups {
+        for g in self.groups() {
             for o in g.outliers.iter() {
-                let mut items = Vec::with_capacity(g.pattern.len() + o.len());
-                items.extend_from_slice(&g.pattern);
-                items.extend_from_slice(o);
-                out.push(Transaction::new(items));
+                out.push(Transaction::new([g.pattern, o].concat()));
             }
-            for _ in 0..g.bare {
-                out.push(Transaction::new(g.pattern.to_vec()));
-            }
+            out.extend((0..g.bare).map(|_| Transaction::new(g.pattern.to_vec())));
         }
         out.extend(self.plain.iter().map(|t| Transaction::from_sorted_unchecked(t.to_vec())));
         TransactionDb::from_transactions(out)
     }
 
     /// Re-encodes into rank space against `flist` for mining — one pass,
-    /// straight into the rank database's CSR sections. Each pattern /
-    /// outlier / plain tuple is rank-encoded into an open CSR row and
-    /// committed or discarded in place; no intermediate per-tuple `Vec`
-    /// is ever allocated.
+    /// straight into the rank database's CSR sections: each row is
+    /// rank-encoded into an open CSR row and committed or discarded in
+    /// place, so no per-tuple `Vec` is ever allocated.
     pub fn to_ranks(&self, flist: &FList) -> CompressedRankDb {
-        let mut out = CompressedRankDb::empty(flist.len());
-        for g in &self.groups {
-            if flist.encode_push(&g.pattern, &mut out.patterns) == 0 {
-                // Every pattern item infrequent: members degrade to plain
-                // tuples of their frequent outliers.
-                out.patterns.discard_row();
-                for o in g.outliers.iter() {
-                    if flist.encode_push(o, &mut out.plain) == 0 {
-                        out.plain.discard_row();
-                    } else {
-                        out.plain.commit_row();
-                    }
-                }
-                continue;
-            }
-            out.patterns.commit_row();
-            let mut bare = u64::from(g.bare);
-            for o in g.outliers.iter() {
-                if flist.encode_push(o, &mut out.outliers) == 0 {
-                    out.outliers.discard_row();
-                    bare += 1;
-                } else {
-                    out.outliers.commit_row();
-                }
-            }
-            out.close_group(bare);
-        }
-        for t in self.plain.iter() {
-            if flist.encode_push(t, &mut out.plain) == 0 {
-                out.plain.discard_row();
-            } else {
-                out.plain.commit_row();
-            }
-        }
-        out
-    }
-}
-
-/// Counts one group into `counts`: pattern items once with the group
-/// count, outlying items per occurrence.
-fn count_group(g: &Group, counts: &mut [u64]) {
-    let c = g.count();
-    for it in g.pattern.iter() {
-        counts[it.index()] += c;
-    }
-    for &it in g.outliers.flat() {
-        counts[it.index()] += 1;
-    }
-}
-
-impl HeapSize for CompressedDb {
-    fn heap_size(&self) -> usize {
-        let groups: usize = self
-            .groups
-            .iter()
-            .map(|g| g.pattern.len() * std::mem::size_of::<Item>() + g.outliers.heap_size())
-            .sum();
-        groups + self.plain.heap_size() + self.groups.capacity() * std::mem::size_of::<Group>()
-    }
-}
-
-/// A compressed database in rank space — the input of every recycling
-/// miner.
-///
-/// Storage is three flat CSR sections plus two per-group scalars:
-///
-/// ```text
-/// patterns      row g            = group g's pattern head (ranks, asc)
-/// outliers      rows [s_g, s_{g+1})  where s = outlier_start
-///                                = group g's outlier member rows
-/// bare[g]                        = members with no frequent outliers
-/// plain         rows             = tuples covered by no group
-/// ```
-///
-/// Everything engines read comes out as `&[u32]` slices of these three
-/// buffers (see [`gogreen_data::GroupedSource`]); a whole-section scan —
-/// F-list counting, H-Mine struct sizing — walks one allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompressedRankDb {
-    /// Group pattern heads, one row per group. Rows never empty.
-    pub(crate) patterns: CsrTuples<u32>,
-    /// All groups' outlier member rows, concatenated in group order.
-    pub(crate) outliers: CsrTuples<u32>,
-    /// Row partition of `outliers` by group: group `g` owns rows
-    /// `outlier_start[g] .. outlier_start[g + 1]`. Length = groups + 1.
-    pub(crate) outlier_start: Vec<u32>,
-    /// Per-group count of members with no frequent outlying items.
-    pub(crate) bare: Vec<u64>,
-    /// Plain tuples (rank lists, ascending, non-empty).
-    pub(crate) plain: CsrTuples<u32>,
-    /// Rank-space size (F-list length).
-    pub(crate) num_ranks: usize,
-}
-
-impl Default for CompressedRankDb {
-    fn default() -> Self {
-        Self::empty(0)
+        self.rewrite(CompressedRankDb::empty(flist.len()), |row, dst| flist.encode_push(row, dst))
     }
 }
 
 impl CompressedRankDb {
-    /// An empty rank database over `num_ranks` rank slots.
-    pub fn empty(num_ranks: usize) -> Self {
-        CompressedRankDb {
-            patterns: CsrTuples::new(),
-            outliers: CsrTuples::new(),
-            outlier_start: vec![0],
-            bare: Vec::new(),
-            plain: CsrTuples::new(),
-            num_ranks,
-        }
-    }
-
-    /// Appends a group. `pattern` must be non-empty ascending ranks; each
-    /// outlier row non-empty ascending ranks disjoint in meaning (the
-    /// member's extra items). This is the public construction path for
-    /// callers outside the crate (e.g. rebuilding from spilled records).
-    pub fn push_group<'a>(
-        &mut self,
-        pattern: &[u32],
-        outliers: impl IntoIterator<Item = &'a [u32]>,
-        bare: u64,
-    ) {
-        debug_assert!(!pattern.is_empty() && pattern.windows(2).all(|w| w[0] < w[1]));
-        self.patterns.push_row(pattern);
-        for o in outliers {
-            debug_assert!(!o.is_empty() && o.windows(2).all(|w| w[0] < w[1]));
-            self.outliers.push_row(o);
-        }
-        self.close_group(bare);
-    }
-
-    /// Appends a plain tuple (non-empty ascending ranks).
-    pub fn push_plain(&mut self, ranks: &[u32]) {
-        debug_assert!(!ranks.is_empty() && ranks.windows(2).all(|w| w[0] < w[1]));
-        self.plain.push_row(ranks);
-    }
-
-    /// Seals the group whose pattern row and outlier rows were just
-    /// pushed: records the outlier partition boundary and the bare count.
-    pub(crate) fn close_group(&mut self, bare: u64) {
-        self.outlier_start.push(self.outliers.len() as u32);
-        self.bare.push(bare);
-    }
-
-    /// Number of groups.
-    pub fn num_groups(&self) -> usize {
-        self.patterns.len()
-    }
-
     /// Rank-space size (F-list length at encoding time).
     pub fn num_ranks(&self) -> usize {
-        self.num_ranks
-    }
-
-    /// The pattern head of group `g`.
-    pub fn group_pattern(&self, g: usize) -> &[u32] {
-        self.patterns.row(g)
-    }
-
-    /// The outlier member rows of group `g`, as a CSR window.
-    pub fn group_outliers(&self, g: usize) -> TupleSlices<'_> {
-        self.outliers
-            .as_slices()
-            .range(self.outlier_start[g] as usize, self.outlier_start[g + 1] as usize)
-    }
-
-    /// Members of group `g` with no frequent outlying items.
-    pub fn group_bare(&self, g: usize) -> u64 {
-        self.bare[g]
-    }
-
-    /// Member count of group `g`.
-    pub fn group_count(&self, g: usize) -> u64 {
-        (self.outlier_start[g + 1] - self.outlier_start[g]) as u64 + self.bare[g]
-    }
-
-    /// The plain residue, as a CSR window.
-    pub fn plain(&self) -> TupleSlices<'_> {
-        self.plain.as_slices()
+        self.extent
     }
 
     /// Returns a copy keeping only ranks accepted by `keep` — the
     /// succinct-constraint pushdown over a compressed database. Groups
     /// whose pattern empties out degrade to plain tuples; supports of
     /// surviving ranks are unchanged (tuples are never removed, only
-    /// shortened). One pass: filtered rows are built in place in the
-    /// output CSR sections and committed or discarded.
+    /// shortened).
     pub fn retain_ranks(&self, keep: impl Fn(u32) -> bool) -> CompressedRankDb {
-        let filter_push = |src: &[u32], dst: &mut CsrTuples<u32>| -> usize {
-            for &r in src {
-                if keep(r) {
-                    dst.push_elem(r);
-                }
-            }
+        self.rewrite(CompressedRankDb::empty(self.extent), |row, dst| {
+            row.iter().filter(|&&r| keep(r)).for_each(|&r| dst.push_elem(r));
             dst.open_len()
-        };
-        let mut out = CompressedRankDb::empty(self.num_ranks);
-        for g in 0..self.num_groups() {
-            if filter_push(self.group_pattern(g), &mut out.patterns) == 0 {
-                out.patterns.discard_row();
-                for o in self.group_outliers(g).iter() {
-                    if filter_push(o, &mut out.plain) == 0 {
-                        out.plain.discard_row();
-                    } else {
-                        out.plain.commit_row();
-                    }
-                }
-                continue;
-            }
-            out.patterns.commit_row();
-            let mut bare = self.bare[g];
-            for o in self.group_outliers(g).iter() {
-                if filter_push(o, &mut out.outliers) == 0 {
-                    out.outliers.discard_row();
-                    bare += 1;
-                } else {
-                    out.outliers.commit_row();
-                }
-            }
-            out.close_group(bare);
-        }
-        for t in self.plain.iter() {
-            if filter_push(t, &mut out.plain) == 0 {
-                out.plain.discard_row();
-            } else {
-                out.plain.commit_row();
-            }
-        }
-        out
-    }
-
-    /// Total item occurrences stored (patterns once + outliers + plain).
-    pub fn stored_occurrences(&self) -> usize {
-        self.patterns.total_elems() + self.outliers.total_elems() + self.plain.total_elems()
-    }
-
-    /// Total outlier member rows across all groups.
-    pub fn group_outlier_rows(&self) -> usize {
-        self.outliers.len()
-    }
-
-    /// Total outlier item occurrences across all groups.
-    pub fn group_outlier_items(&self) -> usize {
-        self.outliers.total_elems()
-    }
-
-    /// Total pattern-head item occurrences across all groups.
-    pub fn pattern_items(&self) -> usize {
-        self.patterns.total_elems()
+        })
     }
 }
 
-impl HeapSize for CompressedRankDb {
+impl<T> HeapSize for CdbLayout<T> {
     fn heap_size(&self) -> usize {
         self.patterns.heap_size()
             + self.outliers.heap_size()
@@ -545,31 +430,31 @@ impl gogreen_data::GroupedSource for CompressedRankDb {
     const GROUPED: bool = true;
 
     fn num_ranks(&self) -> usize {
-        self.num_ranks
+        self.extent
     }
 
     fn num_groups(&self) -> usize {
-        CompressedRankDb::num_groups(self)
+        CdbLayout::num_groups(self)
     }
 
     fn group_pattern(&self, g: usize) -> &[u32] {
-        CompressedRankDb::group_pattern(self, g)
+        CdbLayout::group_pattern(self, g)
     }
 
     fn group_outliers(&self, g: usize) -> TupleSlices<'_> {
-        CompressedRankDb::group_outliers(self, g)
+        CdbLayout::group_outliers(self, g)
     }
 
     fn group_bare(&self, g: usize) -> u64 {
-        CompressedRankDb::group_bare(self, g)
+        self.bare[g]
     }
 
     fn plain(&self) -> TupleSlices<'_> {
-        CompressedRankDb::plain(self)
+        CdbLayout::plain(self)
     }
 
     fn group_count(&self, g: usize) -> u64 {
-        CompressedRankDb::group_count(self, g)
+        CdbLayout::group_count(self, g)
     }
 }
 
@@ -587,22 +472,29 @@ mod tests {
     fn paper_cdb() -> CompressedDb {
         // fgc = {2,5,6}; outliers 100: a,d,e = {0,3,4}; 200: b,d = {1,3};
         // 300: e = {4}.
-        let g1 =
-            Group::new(items(&[2, 5, 6]), vec![items(&[0, 3, 4]), items(&[1, 3]), items(&[4])], 0);
+        let mut cdb = CompressedDb::empty(22);
+        cdb.push_group(
+            &items(&[2, 5, 6]),
+            [&items(&[0, 3, 4])[..], &items(&[1, 3]), &items(&[4])],
+            0,
+        );
         // ae = {0,4}; outliers 400: c,i = {2,8}; 500: h = {7}.
-        let g2 = Group::new(items(&[0, 4]), vec![items(&[2, 8]), items(&[7])], 0);
-        CompressedDb::new(vec![g1, g2], CsrTuples::new(), 22)
+        cdb.push_group(&items(&[0, 4]), [&items(&[2, 8])[..], &items(&[7])], 0);
+        cdb
     }
 
-    fn rows(v: TupleSlices<'_>) -> Vec<Vec<u32>> {
+    fn rows_of(v: TupleSlices<'_>) -> Vec<Vec<u32>> {
         v.iter().map(|r| r.to_vec()).collect()
     }
 
     #[test]
     fn group_count_includes_bare() {
-        let g = Group::new(items(&[1, 2]), vec![items(&[3])], 2);
+        let mut cdb = CompressedDb::empty(4);
+        cdb.push_group(&items(&[1, 2]), [&items(&[3])[..]], 2);
+        let g = cdb.group(0);
         assert_eq!(g.count(), 3);
-        assert_eq!(g.bare(), 2);
+        assert_eq!(g.bare, 2);
+        assert_eq!(cdb.num_tuples(), 3);
     }
 
     #[test]
@@ -654,7 +546,7 @@ mod tests {
     fn uncompressed_has_no_groups_and_ratio_one() {
         let db = TransactionDb::paper_example();
         let cdb = CompressedDb::uncompressed(&db);
-        assert!(cdb.groups().is_empty());
+        assert_eq!(cdb.num_groups(), 0);
         assert_eq!(cdb.num_tuples(), 5);
         assert_eq!(cdb.stats().ratio(), 1.0);
         assert_eq!(cdb.item_supports(), db.item_supports());
@@ -673,17 +565,17 @@ mod tests {
         assert_eq!(r.group_pattern(0), &[2, 3, 4]);
         // Outliers: 100: d,a,e -> {0,1,5}; 200: d (b infrequent) -> {0};
         // 300: e -> {5}.
-        assert_eq!(rows(r.group_outliers(0)), vec![vec![0, 1, 5], vec![0], vec![5]]);
+        assert_eq!(rows_of(r.group_outliers(0)), vec![vec![0, 1, 5], vec![0], vec![5]]);
         assert_eq!(r.group_bare(0), 0);
         // Group ae -> {1,5}; outliers 400: c -> {4}; 500: h infrequent ->
         // bare.
         assert_eq!(r.group_pattern(1), &[1, 5]);
-        assert_eq!(rows(r.group_outliers(1)), vec![vec![4]]);
+        assert_eq!(rows_of(r.group_outliers(1)), vec![vec![4]]);
         assert_eq!(r.group_bare(1), 1);
         assert_eq!(r.group_count(1), 2);
         assert!(r.plain().is_empty());
         // fgc(3) + outliers(3+1+1) + ae(2) + outlier(1) = 11.
-        assert_eq!(r.stored_occurrences(), 11);
+        assert_eq!(r.pattern_items() + r.group_outlier_items() + r.plain().total_elems(), 11);
     }
 
     #[test]
@@ -697,10 +589,10 @@ mod tests {
         let f = rdb.retain_ranks(|r| r != 0);
         assert_eq!(f.num_groups(), 1);
         assert_eq!(f.group_pattern(0), &[1, 3]);
-        assert_eq!(rows(f.group_outliers(0)), vec![vec![2], vec![2]]);
+        assert_eq!(rows_of(f.group_outliers(0)), vec![vec![2], vec![2]]);
         assert_eq!(f.group_bare(0), 1);
         // Second group's pattern emptied: its member became plain.
-        let plain = rows(f.plain());
+        let plain = rows_of(f.plain());
         assert!(plain.contains(&vec![2, 3]));
         // Plain tuple [0,2] -> [2]; [1] survives.
         assert!(plain.contains(&vec![2]));
@@ -733,8 +625,8 @@ mod tests {
     fn to_ranks_degrades_infrequent_patterns_to_plain() {
         // A group whose pattern is entirely infrequent at the new
         // threshold: members must survive as plain tuples.
-        let g = Group::new(items(&[9]), vec![items(&[1, 2]), items(&[1])], 1);
-        let cdb = CompressedDb::new(vec![g], CsrTuples::new(), 7);
+        let mut cdb = CompressedDb::empty(7);
+        cdb.push_group(&items(&[9]), [&items(&[1, 2])[..], &items(&[1])], 1);
         // Supports: 9 -> 3, 1 -> 2, 2 -> 1. At minsup 2: only item 1... and 9.
         let fl = cdb.flist(2);
         assert!(fl.is_frequent(Item(9)));

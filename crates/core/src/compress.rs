@@ -17,12 +17,13 @@
 //!
 //! Whole-database, streaming ([`Compressor::stream`]) and reference
 //! compression record their results through one accumulator: each
-//! group's outlying items go straight into that pattern's CSR member
-//! buffer, which becomes the [`Group`]'s storage as is. Streaming is
-//! the whole-database pass fed in chunks — the index, and the AND-chains
-//! it compiles, live for the whole stream.
+//! member's outlying items go straight into its pattern's CSR member
+//! buffer, and the used patterns' buffers are appended to the
+//! [`CompressedDb`]'s sections in utility order. Streaming is the
+//! whole-database pass fed in chunks — the index, and the AND-chains it
+//! compiles, live for the whole stream.
 
-use crate::cdb::{CompressedDb, Group};
+use crate::cdb::CompressedDb;
 use crate::cover::CoverIndex;
 use crate::utility::{order_by_utility, Strategy};
 use gogreen_data::{
@@ -250,7 +251,7 @@ impl StreamCompressor<'_> {
 #[derive(Debug, Default)]
 struct Members {
     outliers: CsrTuples<Item>,
-    bare: u32,
+    bare: u64,
 }
 
 /// Cover results accumulated in tuple order — the one accumulate path
@@ -332,10 +333,10 @@ impl Accumulator {
         }
     }
 
-    /// Emits the groups in utility order. Only the patterns actually
-    /// used are sorted — the seed walked the *entire* order doing a
-    /// hash remove per pattern, which costs O(|FP|) even when a handful
-    /// of groups exist.
+    /// Appends each used pattern's members to the output sections in
+    /// utility order. Only the patterns actually used are sorted — the
+    /// seed walked the *entire* order doing a hash remove per pattern,
+    /// which costs O(|FP|) even when a handful of groups exist.
     fn into_cdb<'p>(
         self,
         rank_of: impl Fn(u32) -> u32,
@@ -343,14 +344,17 @@ impl Accumulator {
     ) -> CompressedDb {
         let mut used: Vec<(u32, Members)> = self.by_pattern.into_iter().collect();
         used.sort_unstable_by_key(|&(pidx, _)| rank_of(pidx));
-        let groups = used
-            .into_iter()
-            .map(|(pidx, m)| {
-                histogram::observe("compress.group_size", m.outliers.len() as u64 + m.bare as u64);
-                Group::from_csr(items_of(pidx).to_vec(), m.outliers, m.bare)
-            })
-            .collect();
-        CompressedDb::new(groups, self.plain, self.original_items)
+        let mut cdb = CompressedDb::empty(self.original_items);
+        cdb.plain = self.plain;
+        // Sized once: every member row is copied exactly once.
+        let rows = used.iter().map(|(_, m)| m.outliers.len()).sum();
+        let elems = used.iter().map(|(_, m)| m.outliers.total_elems()).sum();
+        cdb.outliers = CsrTuples::with_capacity(rows, elems);
+        for (pidx, m) in used {
+            histogram::observe("compress.group_size", m.outliers.len() as u64 + m.bare);
+            cdb.push_group(items_of(pidx), m.outliers.iter(), m.bare);
+        }
+        cdb
     }
 
     /// Seals a compression run: emits the groups, records its
@@ -396,16 +400,16 @@ mod tests {
         let db = TransactionDb::paper_example();
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &paper_fp());
         // Two groups: fgc covering 100/200/300 and ae covering 400/500.
-        assert_eq!(cdb.groups().len(), 2);
-        let g_fgc = &cdb.groups()[0];
-        assert_eq!(g_fgc.pattern(), &[Item(2), Item(5), Item(6)]);
+        assert_eq!(cdb.num_groups(), 2);
+        let g_fgc = cdb.group(0);
+        assert_eq!(g_fgc.pattern, &[Item(2), Item(5), Item(6)]);
         assert_eq!(g_fgc.count(), 3);
-        let g_ae = &cdb.groups()[1];
-        assert_eq!(g_ae.pattern(), &[Item(0), Item(4)]);
+        let g_ae = cdb.group(1);
+        assert_eq!(g_ae.pattern, &[Item(0), Item(4)]);
         assert_eq!(g_ae.count(), 2);
         assert!(cdb.plain().is_empty());
         // Outliers of tuple 100 are a,d,e; of 200 b,d; of 300 e.
-        let o: Vec<&[Item]> = g_fgc.outliers().iter().collect();
+        let o: Vec<&[Item]> = g_fgc.outliers.iter().collect();
         assert!(o.contains(&&[Item(0), Item(3), Item(4)][..]));
         assert!(o.contains(&&[Item(1), Item(3)][..]));
         assert!(o.contains(&&[Item(4)][..]));
@@ -429,7 +433,7 @@ mod tests {
     fn empty_pattern_set_leaves_everything_plain() {
         let db = TransactionDb::paper_example();
         let cdb = Compressor::default().compress(&db, &PatternSet::new());
-        assert!(cdb.groups().is_empty());
+        assert_eq!(cdb.num_groups(), 0);
         assert_eq!(cdb.plain().len(), 5);
         assert_eq!(cdb.stats().ratio(), 1.0);
     }
@@ -440,9 +444,9 @@ mod tests {
         let mut fp = PatternSet::new();
         fp.insert(Pattern::from_ids([1, 2], 2));
         let cdb = Compressor::default().compress(&db, &fp);
-        assert_eq!(cdb.groups().len(), 1);
-        assert_eq!(cdb.groups()[0].count(), 2);
-        assert_eq!(cdb.groups()[0].bare(), 1); // tuple [1,2] exactly
+        assert_eq!(cdb.num_groups(), 1);
+        assert_eq!(cdb.group(0).count(), 2);
+        assert_eq!(cdb.group(0).bare, 1); // tuple [1,2] exactly
         assert_eq!(cdb.plain().len(), 1); // [3,4]
     }
 
@@ -465,10 +469,10 @@ mod tests {
         fp.insert(Pattern::from_ids([1, 2], 3));
         fp.insert(Pattern::from_ids([1, 2, 3], 1));
         let mlp = Compressor::new(Strategy::Mlp).compress(&db, &fp);
-        assert!(mlp.groups().iter().any(|g| g.pattern().len() == 3));
+        assert!(mlp.groups().any(|g| g.pattern.len() == 3));
         let mcp = Compressor::new(Strategy::Mcp).compress(&db, &fp);
-        assert_eq!(mcp.groups().len(), 1);
-        assert_eq!(mcp.groups()[0].pattern().len(), 2);
+        assert_eq!(mcp.num_groups(), 1);
+        assert_eq!(mcp.group(0).pattern.len(), 2);
         // (The paper's "MLP compresses better" claim is empirical, not
         // universal: each group stores its pattern once, so splitting
         // tuples across more groups can cost more than it saves. The
@@ -481,7 +485,7 @@ mod tests {
         let mut fp = PatternSet::new();
         fp.insert(Pattern::from_ids([1, 2, 500], 1));
         let cdb = Compressor::default().compress(&db, &fp);
-        assert!(cdb.groups().is_empty());
+        assert_eq!(cdb.num_groups(), 0);
         assert_eq!(cdb.plain().len(), 1);
     }
 

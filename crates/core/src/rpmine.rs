@@ -363,8 +363,8 @@ mod tests {
         let db = TransactionDb::from_rows(&[&[1, 2, 3], &[1, 2, 3], &[1, 2, 3], &[1, 2, 3]]);
         let fp_old = mine_apriori(&db, MinSupport::Absolute(4));
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-        assert_eq!(cdb.groups().len(), 1);
-        assert_eq!(cdb.groups()[0].bare(), 4);
+        assert_eq!(cdb.num_groups(), 1);
+        assert_eq!(cdb.group(0).bare, 4);
         let fp = RpMine::default().mine(&cdb, MinSupport::Absolute(2));
         assert_eq!(fp.len(), 7);
         assert_eq!(fp.support_of(&[Item(1), Item(2), Item(3)]), Some(4));

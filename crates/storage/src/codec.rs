@@ -7,27 +7,32 @@
 //!
 //! * **Plain** — a rank (or item-id) list: an uncovered tuple, or a
 //!   member whose residual pattern emptied out.
-//! * **Group** — a residual pattern, a bare-member count, and the
-//!   outlier lists of members that still have outlying items. Writing
+//! * **Group** — a non-empty residual pattern, a bare-member count, and
+//!   the outlier lists of members that still have outlying items. Writing
 //!   one group record per (partition, group) preserves the compression
 //!   saving across the spill: the pattern is stored once.
 //!
 //! Encoding is little-endian `u32`s with `u32` length prefixes — dense,
 //! alignment-free, and trivially seekable record by record. Every record
 //! ends with the CRC-32 of its own body, so a flipped bit anywhere in a
-//! file is caught at the record that carries it. [`put_plain`] and
-//! [`put_group`] encode straight from borrowed slices — ranks or
-//! [`gogreen_data::Item`]s — into a plain `Vec<u8>`; [`ByteReader`] is
-//! the matching decode cursor. Decoding is fallible: truncation, unknown
-//! tags and checksum mismatches surface as [`DecodeError`] rather than
-//! tearing down the process.
+//! file is caught at the record that carries it.
 //!
-//! In memory a group's outlier lists live in one [`CsrTuples`] slab —
-//! decode writes straight into it (no per-member `Vec`), and encode
-//! walks its rows.
+//! Both directions speak [`GroupView`], the compressed database's own
+//! borrowed group: [`put_group`] encodes one and [`put_plain`] one row,
+//! straight from borrowed slices — ranks or [`gogreen_data::Item`]s — into
+//! a plain `Vec<u8>`. [`for_each_view`] decodes a buffer and hands each
+//! record to a callback as a view over scratch reused across records (a
+//! Plain record is a view with an empty pattern and its row as the one
+//! outlier row), so decoding allocates nothing per record. Decoding is
+//! fallible: truncation, unknown tags, checksum mismatches and a Group
+//! record without a pattern surface as [`DecodeError`] rather than tearing
+//! down the process, and [`check_view`] holds a decoded view to the
+//! layout's invariants before anything builds on it.
 
 use crate::crc::crc32;
+use gogreen_core::cdb::GroupView;
 use gogreen_data::CsrTuples;
+use std::io;
 
 /// Why an encoded record buffer failed to decode.
 ///
@@ -63,6 +68,13 @@ pub enum DecodeError {
         /// The checksum recomputed over the decoded body bytes.
         computed: u32,
     },
+    /// A checksum-valid Group record at `offset` with an empty pattern,
+    /// which no writer produces: a view with an empty pattern is plain
+    /// rows.
+    EmptyPattern {
+        /// Byte offset of the record.
+        offset: usize,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -81,11 +93,20 @@ impl std::fmt::Display for DecodeError {
                      (stored {stored:#010x}, computed {computed:#010x})"
                 )
             }
+            DecodeError::EmptyPattern { offset } => {
+                write!(f, "group record at byte {offset} has an empty pattern")
+            }
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
+
+impl From<DecodeError> for io::Error {
+    fn from(e: DecodeError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
 
 /// A forward-only cursor over an encoded byte buffer.
 #[derive(Debug, Clone)]
@@ -103,13 +124,6 @@ impl<'a> ByteReader<'a> {
     /// True while bytes remain.
     pub fn has_remaining(&self) -> bool {
         self.pos < self.data.len()
-    }
-
-    /// A `Vec` for `n` records of at least `min_bytes` each, reserving
-    /// no more than the unread input could hold: a hostile count fails
-    /// on the first missing record, not in the allocator.
-    pub(crate) fn vec_for<T>(&self, n: usize, min_bytes: usize) -> Vec<T> {
-        Vec::with_capacity(n.min((self.data.len() - self.pos) / min_bytes))
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
@@ -134,113 +148,38 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// One spilled record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpillRecord {
-    /// An uncovered tuple (ascending ranks, non-empty).
-    Plain(Vec<u32>),
-    /// A (possibly partial) group.
-    Group {
-        /// Residual pattern ranks (ascending, non-empty).
-        pattern: Vec<u32>,
-        /// Members with no relevant outlying items.
-        bare: u64,
-        /// Outlier lists of the remaining members (each non-empty),
-        /// one CSR row per member.
-        outliers: CsrTuples<u32>,
-    },
+/// Estimated bytes of the in-memory RP-Struct share one Plain record of
+/// `len` ranks expands to (used for load-vs-respill decisions).
+pub(crate) fn plain_memory(len: usize) -> usize {
+    (len + 1) * 12 + 12
 }
 
-impl SpillRecord {
-    /// Estimated bytes of the in-memory RP-Struct share this record
-    /// expands to (used for load-vs-respill decisions).
-    pub fn estimated_memory(&self) -> usize {
-        const PER_ENTRY: usize = 12;
-        const PER_TAIL: usize = 12;
-        const PER_GROUP: usize = 60;
-        match self {
-            SpillRecord::Plain(items) => (items.len() + 1) * PER_ENTRY + PER_TAIL,
-            SpillRecord::Group { pattern, outliers, .. } => {
-                PER_GROUP
-                    + pattern.len() * 4
-                    + outliers
-                        .iter()
-                        .map(|o| (o.len() + 1) * PER_ENTRY + PER_TAIL + 4)
-                        .sum::<usize>()
-            }
-        }
-    }
-
-    /// Serializes into `buf` through [`put_plain`] / [`put_group`].
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            SpillRecord::Plain(items) => put_plain(buf, items),
-            SpillRecord::Group { pattern, bare, outliers } => {
-                put_group(buf, pattern, *bare, outliers.iter())
-            }
-        }
-    }
-
-    /// Deserializes one record from the front of `buf`; `Ok(None)` when
-    /// the buffer is exhausted, [`DecodeError`] on a truncated or
-    /// corrupt buffer.
-    pub fn decode(buf: &mut ByteReader<'_>) -> Result<Option<SpillRecord>, DecodeError> {
-        if !buf.has_remaining() {
-            return Ok(None);
-        }
-        let tag_offset = buf.pos;
-        let record = match buf.get_u8()? {
-            0 => SpillRecord::Plain(get_list(buf)?),
-            1 => {
-                let pattern = get_list(buf)?;
-                let bare = buf.get_u64_le()?;
-                let n = buf.get_u32_le()? as usize;
-                let mut outliers = CsrTuples::new();
-                for _ in 0..n {
-                    let m = buf.get_u32_le()? as usize;
-                    for _ in 0..m {
-                        outliers.push_elem(buf.get_u32_le()?);
-                    }
-                    outliers.commit_row();
-                }
-                SpillRecord::Group { pattern, bare, outliers }
-            }
-            tag => return Err(DecodeError::BadTag { offset: tag_offset, tag }),
-        };
-        let body_end = buf.pos;
-        let stored = buf.get_u32_le()?;
-        let computed = crc32(&buf.data[tag_offset..body_end]);
-        if stored != computed {
-            return Err(DecodeError::BadChecksum { offset: tag_offset, stored, computed });
-        }
-        Ok(Some(record))
-    }
+/// [`plain_memory`] for one Group record: a fixed group cost, the pattern,
+/// and per member row its tail plus a group link.
+pub(crate) fn group_memory(g: &GroupView<'_>) -> usize {
+    60 + g.pattern.len() * 4 + g.outliers.iter().map(|o| plain_memory(o.len()) + 4).sum::<usize>()
 }
 
-/// Appends one Plain record for `items` (ranks or item ids): the
-/// record body followed by the CRC-32 of the body bytes.
-pub fn put_plain<T: Copy + Into<u32>>(buf: &mut Vec<u8>, items: &[T]) {
+/// Appends one Plain record for `row` (ranks or item ids): the record
+/// body followed by the CRC-32 of the body bytes.
+pub fn put_plain<T: Copy + Into<u32>>(buf: &mut Vec<u8>, row: &[T]) {
     let body_start = buf.len();
     buf.push(0);
-    put_list(buf, items);
+    put_list(buf, row);
     seal_record(buf, body_start);
 }
 
-/// Appends one Group record — `pattern`, the bare-member count and one
+/// Appends one Group record — the pattern, the bare-member count and one
 /// outlier list per member row — followed by the CRC-32 of its body.
-/// Everything is borrowed, so encoding allocates nothing per group.
-pub fn put_group<'a, T: Copy + Into<u32> + 'a>(
-    buf: &mut Vec<u8>,
-    pattern: &[T],
-    bare: u64,
-    outliers: impl ExactSizeIterator<Item = &'a [T]>,
-) {
+/// Everything is borrowed, so encoding allocates nothing. The pattern
+/// must be non-empty: decoding rejects a Group record without one.
+pub fn put_group<T: Copy + Into<u32>>(buf: &mut Vec<u8>, g: GroupView<'_, T>) {
     let body_start = buf.len();
     buf.push(1);
-    put_list(buf, pattern);
-    buf.extend_from_slice(&bare.to_le_bytes());
-    buf.extend_from_slice(&(outliers.len() as u32).to_le_bytes());
-    for o in outliers {
+    put_list(buf, g.pattern);
+    buf.extend_from_slice(&g.bare.to_le_bytes());
+    buf.extend_from_slice(&(g.outliers.len() as u32).to_le_bytes());
+    for o in g.outliers {
         put_list(buf, o);
     }
     seal_record(buf, body_start);
@@ -258,63 +197,171 @@ fn put_list<T: Copy + Into<u32>>(buf: &mut Vec<u8>, items: &[T]) {
     }
 }
 
-fn get_list(buf: &mut ByteReader<'_>) -> Result<Vec<u32>, DecodeError> {
-    let n = buf.get_u32_le()? as usize;
-    (0..n).map(|_| buf.get_u32_le()).collect()
+/// Decodes the records of `r` up to its end, handing each to `f` as a
+/// [`GroupView`] over scratch reused across records: a Group record as
+/// itself, a Plain record as a view with an empty pattern and its row as
+/// the one outlier row. Stops at the first decoding error or error of
+/// `f`; a view is handed over only once its record's checksum holds.
+pub fn for_each_view<T, E>(
+    r: &mut ByteReader<'_>,
+    mut f: impl FnMut(GroupView<'_, T>) -> Result<(), E>,
+) -> Result<(), E>
+where
+    T: Copy + From<u32>,
+    E: From<DecodeError>,
+{
+    let (mut pattern, mut rows) = (CsrTuples::new(), CsrTuples::new());
+    while r.has_remaining() {
+        let offset = r.pos;
+        pattern.clear();
+        rows.clear();
+        let tag = r.get_u8()?;
+        let bare = match tag {
+            0 => {
+                get_row(r, &mut rows)?;
+                0
+            }
+            1 => {
+                get_row(r, &mut pattern)?;
+                let bare = r.get_u64_le()?;
+                for _ in 0..r.get_u32_le()? {
+                    get_row(r, &mut rows)?;
+                }
+                bare
+            }
+            tag => return Err(DecodeError::BadTag { offset, tag }.into()),
+        };
+        let body_end = r.pos;
+        let stored = r.get_u32_le()?;
+        let computed = crc32(&r.data[offset..body_end]);
+        if stored != computed {
+            return Err(DecodeError::BadChecksum { offset, stored, computed }.into());
+        }
+        if tag == 1 && pattern.flat().is_empty() {
+            return Err(DecodeError::EmptyPattern { offset }.into());
+        }
+        f(GroupView { pattern: pattern.flat(), outliers: rows.as_slices(), bare })?;
+    }
+    Ok(())
+}
+
+/// Decodes one length-prefixed list as a new row of `rows`.
+fn get_row<T: Copy + From<u32>>(
+    r: &mut ByteReader<'_>,
+    rows: &mut CsrTuples<T>,
+) -> Result<(), DecodeError> {
+    for _ in 0..r.get_u32_le()? {
+        rows.push_elem(T::from(r.get_u32_le()?));
+    }
+    rows.commit_row();
+    Ok(())
+}
+
+/// Holds a decoded view to the compressed layout's invariants, as
+/// `InvalidData`: an ascending pattern; outlier rows non-empty, ascending
+/// and disjoint from the pattern; a bare count within `u32`; ascending
+/// plain rows. In rank space (`num_ranks` given) every id is also below
+/// `num_ranks` and plain rows are non-empty, as the rank database
+/// requires; item space keeps the empty rows empty transactions become.
+pub fn check_view<T: Copy + Ord + Into<u32>>(
+    g: &GroupView<'_, T>,
+    num_ranks: Option<usize>,
+) -> io::Result<()> {
+    let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+    let ascending = |row: &[T]| row.windows(2).all(|w| w[0] < w[1]);
+    let grouped = !g.pattern.is_empty();
+    if !ascending(g.pattern) {
+        return invalid("group pattern is not strictly ascending".into());
+    }
+    for o in g.outliers {
+        let empty = o.is_empty() && (grouped || num_ranks.is_some());
+        if empty || !ascending(o) || o.iter().any(|x| g.pattern.binary_search(x).is_ok()) {
+            return invalid(if grouped {
+                "outlier row is empty, not strictly ascending or overlaps its pattern".into()
+            } else {
+                "plain row is empty or not strictly ascending".into()
+            });
+        }
+    }
+    if g.bare > u64::from(u32::MAX) {
+        return invalid(format!("bare count {} exceeds u32", g.bare));
+    }
+    if let Some(n) = num_ranks {
+        let mut ids = g.pattern.iter().chain(g.outliers.flat()).map(|&x| x.into());
+        if let Some(x) = ids.find(|&x| x as usize >= n) {
+            return invalid(format!("rank {x} out of range for {n} ranks"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn csr(rows: &[&[u32]]) -> CsrTuples<u32> {
-        let mut c = CsrTuples::new();
-        for r in rows {
-            c.push_row(r);
-        }
-        c
+    /// A decoded record, owned: pattern (empty for Plain), bare count,
+    /// outlier rows.
+    type Owned = (Vec<u32>, u64, Vec<Vec<u32>>);
+
+    fn plain(row: &[u32]) -> Owned {
+        (Vec::new(), 0, vec![row.to_vec()])
     }
 
-    fn round_trip(records: &[SpillRecord]) {
+    fn group(pattern: &[u32], bare: u64, rows: &[&[u32]]) -> Owned {
+        (pattern.to_vec(), bare, rows.iter().map(|r| r.to_vec()).collect())
+    }
+
+    /// Encodes `records` through [`put_plain`] / [`put_group`].
+    fn encode(records: &[Owned]) -> Vec<u8> {
         let mut buf = Vec::new();
-        for r in records {
-            r.encode(&mut buf);
+        for (pattern, bare, rows) in records {
+            if pattern.is_empty() {
+                put_plain(&mut buf, &rows[0]);
+            } else {
+                let rows: CsrTuples<u32> = rows.iter().cloned().collect();
+                let g = GroupView { pattern, outliers: rows.as_slices(), bare: *bare };
+                put_group(&mut buf, g);
+            }
         }
-        let mut reader = ByteReader::new(&buf);
+        buf
+    }
+
+    /// Decodes `buf` through [`for_each_view`] into owned records.
+    fn decode(buf: &[u8]) -> Result<Vec<Owned>, DecodeError> {
         let mut back = Vec::new();
-        while let Some(r) = SpillRecord::decode(&mut reader).unwrap() {
-            back.push(r);
-        }
-        assert_eq!(back, records);
+        for_each_view(&mut ByteReader::new(buf), |g: GroupView<'_, u32>| {
+            back.push((
+                g.pattern.to_vec(),
+                g.bare,
+                g.outliers.iter().map(<[u32]>::to_vec).collect(),
+            ));
+            Ok::<(), DecodeError>(())
+        })?;
+        Ok(back)
+    }
+
+    fn round_trip(records: &[Owned]) {
+        assert_eq!(decode(&encode(records)).unwrap(), records);
     }
 
     #[test]
     fn plain_round_trip() {
-        round_trip(&[SpillRecord::Plain(vec![1, 5, 9]), SpillRecord::Plain(vec![0])]);
+        round_trip(&[plain(&[1, 5, 9]), plain(&[0])]);
     }
 
     #[test]
     fn group_round_trip() {
-        round_trip(&[SpillRecord::Group {
-            pattern: vec![2, 3],
-            bare: 7,
-            outliers: csr(&[&[4], &[5, 6]]),
-        }]);
+        round_trip(&[group(&[2, 3], 7, &[&[4], &[5, 6]])]);
     }
 
     #[test]
     fn mixed_stream_round_trip() {
-        round_trip(&[
-            SpillRecord::Plain(vec![1]),
-            SpillRecord::Group { pattern: vec![0], bare: 0, outliers: csr(&[&[9]]) },
-            SpillRecord::Plain(vec![2, 3]),
-        ]);
+        round_trip(&[plain(&[1]), group(&[0], 0, &[&[9]]), plain(&[2, 3])]);
     }
 
     #[test]
     fn decode_empty_is_none() {
-        let mut b = ByteReader::new(&[]);
-        assert_eq!(SpillRecord::decode(&mut b), Ok(None));
+        assert_eq!(decode(&[]), Ok(Vec::new()));
     }
 
     #[test]
@@ -322,44 +369,31 @@ mod tests {
         // A group stands for its bare members plus one member per
         // outlier row; both survive the round trip, so a decoded
         // partition re-expands to exactly the tuples that were spilled.
-        let mut buf = Vec::new();
-        SpillRecord::Group { pattern: vec![1], bare: 2, outliers: csr(&[&[2], &[3, 4]]) }
-            .encode(&mut buf);
-        match SpillRecord::decode(&mut ByteReader::new(&buf)) {
-            Ok(Some(SpillRecord::Group { bare, outliers, .. })) => {
-                assert_eq!(bare + outliers.len() as u64, 4)
-            }
-            other => panic!("{other:?}"),
-        }
+        let buf = encode(&[group(&[1], 2, &[&[2], &[3, 4]])]);
+        let mut counts = Vec::new();
+        for_each_view(&mut ByteReader::new(&buf), |g: GroupView<'_, u32>| {
+            counts.push(g.count());
+            Ok::<(), DecodeError>(())
+        })
+        .unwrap();
+        assert_eq!(counts, [4]);
     }
 
     #[test]
     fn corrupt_tag_is_an_error() {
-        let raw = [7u8, 0, 0, 0, 0];
-        let mut b = ByteReader::new(&raw);
-        assert_eq!(SpillRecord::decode(&mut b), Err(DecodeError::BadTag { offset: 0, tag: 7 }));
+        assert_eq!(decode(&[7u8, 0, 0, 0, 0]), Err(DecodeError::BadTag { offset: 0, tag: 7 }));
     }
 
     #[test]
     fn truncated_record_is_an_error() {
         // A Plain record whose length prefix promises more u32s than
-        // the buffer holds.
-        let mut buf = Vec::new();
-        SpillRecord::Plain(vec![1, 2, 3]).encode(&mut buf);
-        for cut in 1..buf.len() {
-            let mut b = ByteReader::new(&buf[..cut]);
-            let got = SpillRecord::decode(&mut b);
-            assert!(matches!(got, Err(DecodeError::Truncated { .. })), "cut={cut}: {got:?}");
-        }
-        // A Group record cut at every interior byte — exercises the CSR
-        // decode path at each list boundary.
-        let mut gbuf = Vec::new();
-        SpillRecord::Group { pattern: vec![2], bare: 1, outliers: csr(&[&[4, 5], &[6]]) }
-            .encode(&mut gbuf);
-        for cut in 1..gbuf.len() {
-            let mut b = ByteReader::new(&gbuf[..cut]);
-            let got = SpillRecord::decode(&mut b);
-            assert!(matches!(got, Err(DecodeError::Truncated { .. })), "cut={cut}: {got:?}");
+        // the buffer holds, then a Group record cut at every interior
+        // byte — exercises the CSR decode path at each list boundary.
+        for buf in [encode(&[plain(&[1, 2, 3])]), encode(&[group(&[2], 1, &[&[4, 5], &[6]])])] {
+            for cut in 1..buf.len() {
+                let got = decode(&buf[..cut]);
+                assert!(matches!(got, Err(DecodeError::Truncated { .. })), "cut={cut}: {got:?}");
+            }
         }
     }
 
@@ -369,52 +403,46 @@ mod tests {
         // DecodeError — usually BadChecksum, but flips inside a length
         // prefix or tag may fail structurally first. What must never
         // happen is a silent wrong decode.
-        let records = [
-            SpillRecord::Plain(vec![1, 5, 9]),
-            SpillRecord::Group { pattern: vec![2, 3], bare: 7, outliers: csr(&[&[4], &[5, 6]]) },
-        ];
-        let mut buf = Vec::new();
-        for r in &records {
-            r.encode(&mut buf);
-        }
+        let buf = encode(&[plain(&[1, 5, 9]), group(&[2, 3], 7, &[&[4], &[5, 6]])]);
         for byte in 0..buf.len() {
             for bit in 0..8 {
                 let mut corrupt = buf.clone();
                 corrupt[byte] ^= 1 << bit;
-                let mut reader = ByteReader::new(&corrupt);
-                let mut outcome = Ok(());
-                loop {
-                    match SpillRecord::decode(&mut reader) {
-                        Ok(Some(_)) => continue,
-                        Ok(None) => break,
-                        Err(e) => {
-                            outcome = Err(e);
-                            break;
-                        }
-                    }
-                }
-                assert!(outcome.is_err(), "byte {byte} bit {bit} decoded cleanly");
+                assert!(decode(&corrupt).is_err(), "byte {byte} bit {bit} decoded cleanly");
             }
         }
     }
 
     #[test]
     fn checksum_mismatch_reports_record_offset() {
-        let mut buf = Vec::new();
-        SpillRecord::Plain(vec![1]).encode(&mut buf);
-        let second_start = buf.len();
-        SpillRecord::Plain(vec![2, 3]).encode(&mut buf);
+        let first = encode(&[plain(&[1])]);
+        let mut buf = encode(&[plain(&[1]), plain(&[2, 3])]);
         // Flip a payload bit inside the second record's item data.
-        buf[second_start + 5] ^= 0x10;
-        let mut reader = ByteReader::new(&buf);
-        assert!(SpillRecord::decode(&mut reader).unwrap().is_some());
-        match SpillRecord::decode(&mut reader) {
+        buf[first.len() + 5] ^= 0x10;
+        let mut seen = 0;
+        let got = for_each_view(&mut ByteReader::new(&buf), |_: GroupView<'_, u32>| {
+            seen += 1;
+            Ok(())
+        });
+        assert_eq!(seen, 1, "the first record decodes before the corrupt one");
+        match got {
             Err(DecodeError::BadChecksum { offset, stored, computed }) => {
-                assert_eq!(offset, second_start);
+                assert_eq!(offset, first.len());
                 assert_ne!(stored, computed);
             }
             other => panic!("expected BadChecksum, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn empty_pattern_group_record_is_an_error() {
+        // Checksum-valid, but a Group record without a pattern has no
+        // view: tag 1, empty pattern, bare 0, no rows.
+        let mut forged = vec![1u8];
+        forged.extend([0u8; 4 + 8 + 4]);
+        let crc = crc32(&forged);
+        forged.extend(crc.to_le_bytes());
+        assert_eq!(decode(&forged), Err(DecodeError::EmptyPattern { offset: 0 }));
     }
 
     #[test]
@@ -425,13 +453,14 @@ mod tests {
         assert!(msg.contains("byte 3"), "{msg}");
         let msg = DecodeError::BadChecksum { offset: 4, stored: 1, computed: 2 }.to_string();
         assert!(msg.contains("byte 4") && msg.contains("checksum"), "{msg}");
+        let msg = DecodeError::EmptyPattern { offset: 5 }.to_string();
+        assert!(msg.contains("byte 5") && msg.contains("empty pattern"), "{msg}");
     }
 
     #[test]
     fn memory_estimate_grows_with_content() {
-        let small = SpillRecord::Plain(vec![1]);
-        let big =
-            SpillRecord::Group { pattern: vec![1, 2, 3], bare: 0, outliers: csr(&[&[4, 5], &[6]]) };
-        assert!(big.estimated_memory() > small.estimated_memory());
+        let rows = CsrTuples::from_iter([vec![4u32, 5], vec![6]]);
+        let big = GroupView { pattern: &[1u32, 2, 3], outliers: rows.as_slices(), bare: 0 };
+        assert!(group_memory(&big) > plain_memory(1));
     }
 }

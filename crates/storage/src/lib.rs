@@ -40,7 +40,6 @@ pub mod spill;
 pub mod version;
 
 pub use budget::MemoryBudget;
-pub use codec::SpillRecord;
 pub use limited::{LimitedHMine, LimitedRecycleHm, LimitedReport};
 pub use ooc::{OocMiner, SegmentedIncrementalMiner};
 pub use segment::{compact, CompactReport, SegmentWriter, SegmentedDb};

@@ -18,17 +18,21 @@
 //!   their group structure (one group record per partition), so the
 //!   recycling savings survive the disk round-trip.
 //!
-//! A level without groups is mined through a [`PlainRanks`] view, so
-//! H-Mine takes its classic group-free fast path there.
+//! Every level is read as a stream of [`GroupView`]s: the root's groups
+//! and then its whole plain residue as one view with an empty pattern,
+//! or a partition's decoded records, which the spill reader has already
+//! held to the rank database's invariants. Counting, re-projection and
+//! loading each have one body for both. A level without groups is mined
+//! through a [`PlainRanks`] view, so H-Mine takes its classic group-free
+//! fast path there.
 
 use crate::budget::MemoryBudget;
-use crate::codec::SpillRecord;
 use crate::spill::SpillManager;
-use gogreen_core::cdb::{CompressedDb, CompressedRankDb};
+use gogreen_core::cdb::{CompressedDb, CompressedRankDb, GroupView};
 use gogreen_core::memory::{estimate_hmine_bytes, estimate_rp_struct_bytes};
 use gogreen_data::{
     CollectSink, CsrTuples, FList, Item, MinSupport, PatternSet, PatternSink, PlainRanks,
-    TransactionDb, TupleSlices,
+    TransactionDb,
 };
 use gogreen_miners::engine::hm;
 use gogreen_obs::metrics;
@@ -148,40 +152,17 @@ enum Level<'a> {
     Partition(&'a SpillManager, u32),
 }
 
-/// A record of a level, borrowed from the root's CSR sections or from
-/// one decoded spill record.
-enum Rec<'a> {
-    Plain(&'a [u32]),
-    Group { pattern: &'a [u32], bare: u64, outliers: TupleSlices<'a> },
-}
-
 impl Level<'_> {
-    /// Feeds every record of the level to `f`, stopping at its first
-    /// error: the root's groups then its plain rows, or a partition's
-    /// records in file order.
-    fn for_each(self, mut f: impl FnMut(Rec<'_>) -> io::Result<()>) -> io::Result<()> {
+    /// Feeds the level to `f` as views, stopping at the first error: the
+    /// root's groups then its plain residue as one view with an empty
+    /// pattern, or a partition's records in file order.
+    fn for_each(self, mut f: impl FnMut(GroupView<'_>) -> io::Result<()>) -> io::Result<()> {
         match self {
             Level::Root(rdb, _) => {
-                for g in 0..rdb.num_groups() {
-                    let (pattern, bare) = (rdb.group_pattern(g), rdb.group_bare(g));
-                    f(Rec::Group { pattern, bare, outliers: rdb.group_outliers(g) })?;
-                }
-                rdb.plain().iter().try_for_each(|t| f(Rec::Plain(t)))
+                rdb.groups().try_for_each(&mut f)?;
+                f(GroupView { pattern: &[], outliers: rdb.plain(), bare: 0 })
             }
-            Level::Partition(mgr, r) => {
-                let mut res = Ok(());
-                mgr.for_each_record(r, |rec| {
-                    if res.is_ok() {
-                        res = f(match &rec {
-                            SpillRecord::Plain(v) => Rec::Plain(v),
-                            SpillRecord::Group { pattern, bare, outliers } => {
-                                Rec::Group { pattern, bare: *bare, outliers: outliers.as_slices() }
-                            }
-                        });
-                    }
-                })?;
-                res
-            }
+            Level::Partition(mgr, r) => mgr.for_each_record(r, f),
         }
     }
 }
@@ -225,13 +206,8 @@ impl Recycling<'_> {
                 Level::Root(rdb, _) => rdb,
                 Level::Partition(..) => {
                     let mut rdb = CompressedRankDb::empty(n);
-                    level.for_each(|rec| {
-                        match rec {
-                            Rec::Plain(v) => rdb.push_plain(v),
-                            Rec::Group { pattern, bare, outliers } => {
-                                rdb.push_group(pattern, outliers, bare)
-                            }
-                        }
+                    level.for_each(|g| {
+                        rdb.push_view(g);
                         Ok(())
                     })?;
                     report.loads += 1;
@@ -252,15 +228,9 @@ impl Recycling<'_> {
         report.spills += 1;
         report.max_depth = report.max_depth.max(depth + 1);
         let mut counts = vec![0u64; n];
-        level.for_each(|rec| {
-            match rec {
-                Rec::Plain(v) => v.iter().for_each(|&x| counts[x as usize] += 1),
-                Rec::Group { pattern, bare, outliers } => {
-                    let c = bare + outliers.len() as u64;
-                    pattern.iter().for_each(|&x| counts[x as usize] += c);
-                    outliers.flat().iter().for_each(|&x| counts[x as usize] += 1);
-                }
-            }
+        level.for_each(|g| {
+            g.pattern.iter().for_each(|&x| counts[x as usize] += g.count());
+            g.outliers.flat().iter().for_each(|&x| counts[x as usize] += 1);
             Ok(())
         })?;
         let keep: Vec<bool> = counts.iter().map(|&c| c >= self.minsup).collect();
@@ -269,7 +239,7 @@ impl Recycling<'_> {
         }
         let mut sub = SpillManager::new(n)?;
         let mut filtered = Vec::new();
-        level.for_each(|rec| project(rec, &keep, &mut filtered, &mut sub))?;
+        level.for_each(|g| project(g, &keep, &mut filtered, &mut sub))?;
         sub.finish()?;
         report.disk_bytes += sub.total_bytes();
         for (x, &c) in counts.iter().enumerate().filter(|&(x, _)| keep[x]) {
@@ -282,102 +252,88 @@ impl Recycling<'_> {
     }
 }
 
-/// Parallel projection of one record: writes the record's projection
-/// onto *every* rank it contains into `mgr`, after dropping the ranks
-/// `keep` rejects (the level's locally infrequent ones). `filtered` is
-/// scratch reused across a level's plain records.
+/// Parallel projection of one view: writes its projection onto *every*
+/// rank it contains into `mgr`, after dropping the ranks `keep` rejects
+/// (the level's locally infrequent ones). `filtered` is scratch reused
+/// across a level's plain rows.
 fn project(
-    rec: Rec<'_>,
+    g: GroupView<'_>,
     keep: &[bool],
     filtered: &mut Vec<u32>,
     mgr: &mut SpillManager,
 ) -> io::Result<()> {
     let keeps = |x: u32| keep[x as usize];
-    match rec {
-        Rec::Plain(v) => {
+    let GroupView { pattern, outliers, bare } = g;
+    if pattern.is_empty() {
+        for v in outliers {
             filtered.clear();
             filtered.extend(v.iter().copied().filter(|&x| keeps(x)));
             for i in 0..filtered.len().saturating_sub(1) {
-                mgr.append(filtered[i], &SpillRecord::Plain(filtered[i + 1..].to_vec()))?;
+                mgr.append_plain(filtered[i], &filtered[i + 1..])?;
             }
         }
-        Rec::Group { pattern, bare, outliers } => {
-            let pattern_f: Vec<u32> = pattern.iter().copied().filter(|&x| keeps(x)).collect();
-            // Filter each member's outliers into one CSR slab; members
-            // whose lists empty out fold straight into the bare count
-            // (every surviving row is non-empty by construction).
-            let mut outliers_f: CsrTuples<u32> = CsrTuples::new();
-            let mut base_bare = bare;
-            for o in outliers.iter() {
-                for &x in o {
-                    if keeps(x) {
-                        outliers_f.push_elem(x);
-                    }
-                }
-                if outliers_f.open_len() > 0 {
-                    outliers_f.commit_row();
-                } else {
-                    base_bare += 1;
-                }
-            }
-            // Projections on pattern items: the whole group follows.
-            for (k, &p) in pattern_f.iter().enumerate() {
-                let mut g_bare = base_bare;
-                let mut g_outliers: CsrTuples<u32> = CsrTuples::new();
-                for o in outliers_f.iter() {
-                    let cut = o.partition_point(|&x| x <= p);
-                    if cut < o.len() {
-                        g_outliers.push_row(&o[cut..]);
-                    } else {
-                        g_bare += 1;
-                    }
-                }
-                append_group(mgr, p, &pattern_f[k + 1..], g_bare, g_outliers)?;
-            }
-            // Projections on outlier items: only the members holding the
-            // item follow, carrying the residual pattern. Members of the
-            // same group are aggregated into ONE record per partition so
-            // the pattern is written once per (partition, group) — not
-            // once per member occurrence, which would balloon the spill.
-            let mut by_rank: FxHashMap<u32, (u64, CsrTuples<u32>)> = FxHashMap::default();
-            for o in outliers_f.iter() {
-                for (j, &x) in o.iter().enumerate() {
-                    let slot = by_rank.entry(x).or_default();
-                    let rest = &o[j + 1..];
-                    if rest.is_empty() {
-                        slot.0 += 1;
-                    } else {
-                        slot.1.push_row(rest);
-                    }
-                }
-            }
-            let mut ranks: Vec<u32> = by_rank.keys().copied().collect();
-            ranks.sort_unstable();
-            for x in ranks {
-                let (bare, members) = by_rank.remove(&x).expect("collected above");
-                let cut = pattern_f.partition_point(|&p| p <= x);
-                append_group(mgr, x, &pattern_f[cut..], bare, members)?;
+        return Ok(());
+    }
+    let pattern_f: Vec<u32> = pattern.iter().copied().filter(|&x| keeps(x)).collect();
+    // Filter each member's outliers into one CSR slab; members whose
+    // lists empty out fold straight into the bare count (every surviving
+    // row is non-empty by construction).
+    let mut outliers_f: CsrTuples<u32> = CsrTuples::new();
+    let mut base_bare = bare;
+    for o in outliers.iter() {
+        for &x in o {
+            if keeps(x) {
+                outliers_f.push_elem(x);
             }
         }
+        if outliers_f.open_len() > 0 {
+            outliers_f.commit_row();
+        } else {
+            base_bare += 1;
+        }
+    }
+    // Projections on pattern items: the whole group follows.
+    for (k, &p) in pattern_f.iter().enumerate() {
+        let mut g_bare = base_bare;
+        let mut g_outliers: CsrTuples<u32> = CsrTuples::new();
+        for o in outliers_f.iter() {
+            let cut = o.partition_point(|&x| x <= p);
+            if cut < o.len() {
+                g_outliers.push_row(&o[cut..]);
+            } else {
+                g_bare += 1;
+            }
+        }
+        let outliers = g_outliers.as_slices();
+        mgr.append(p, GroupView { pattern: &pattern_f[k + 1..], outliers, bare: g_bare })?;
+    }
+    // Projections on outlier items: only the members holding the item
+    // follow, carrying the residual pattern (a residual that empties
+    // spills the members as plain rows). Members of the same group are
+    // aggregated into ONE record per partition so the pattern is written
+    // once per (partition, group) — not once per member occurrence,
+    // which would balloon the spill.
+    let mut by_rank: FxHashMap<u32, (u64, CsrTuples<u32>)> = FxHashMap::default();
+    for o in outliers_f.iter() {
+        for (j, &x) in o.iter().enumerate() {
+            let slot = by_rank.entry(x).or_default();
+            let rest = &o[j + 1..];
+            if rest.is_empty() {
+                slot.0 += 1;
+            } else {
+                slot.1.push_row(rest);
+            }
+        }
+    }
+    let mut ranks: Vec<u32> = by_rank.keys().copied().collect();
+    ranks.sort_unstable();
+    for x in ranks {
+        let (bare, members) = by_rank.remove(&x).expect("collected above");
+        let cut = pattern_f.partition_point(|&p| p <= x);
+        let outliers = members.as_slices();
+        mgr.append(x, GroupView { pattern: &pattern_f[cut..], outliers, bare })?;
     }
     Ok(())
-}
-
-/// Appends a (partial) group projected onto `rank`: one group record,
-/// or, once its residual `pattern` is empty, each member with outlying
-/// items left as a plain record (bare members then carry nothing).
-fn append_group(
-    mgr: &mut SpillManager,
-    rank: u32,
-    pattern: &[u32],
-    bare: u64,
-    outliers: CsrTuples<u32>,
-) -> io::Result<()> {
-    if pattern.is_empty() {
-        outliers.iter().try_for_each(|o| mgr.append(rank, &SpillRecord::Plain(o.to_vec())))
-    } else {
-        mgr.append(rank, &SpillRecord::Group { pattern: pattern.to_vec(), bare, outliers })
-    }
 }
 
 #[cfg(test)]
@@ -466,7 +422,7 @@ mod tests {
         ]);
         let fp_old = mine_apriori(&db, MinSupport::Absolute(3));
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-        assert!(!cdb.groups().is_empty());
+        assert!(cdb.num_groups() > 0);
         for budget in [MemoryBudget::bytes(300), MemoryBudget::bytes(100)] {
             for minsup in 1..=3 {
                 let (got, _) =

@@ -254,8 +254,7 @@ impl SegmentedIncrementalMiner {
                     }
                     Ok(())
                 })?;
-                let original_items = plain.total_elems();
-                CompressedDb::new(Vec::new(), plain, original_items)
+                CompressedDb::from_plain(plain)
             }
         };
         let result = Arc::new(Family::Hm.mine_par(&cdb, min_support, self.parallelism));
@@ -452,7 +451,7 @@ mod tests {
         let expected = Family::Hm.mine(&TransactionDb::from_rows(&refs), MinSupport::Absolute(15));
         assert!(r.same_patterns_as(&expected));
         let cdb = second.current_version().unwrap().unwrap();
-        assert!(!cdb.groups().is_empty(), "seeded round should actually compress");
+        assert!(cdb.num_groups() > 0, "seeded round should actually compress");
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
     }

@@ -7,10 +7,15 @@
 //! Readers read a partition file whole and decode it record by record,
 //! so reading a partition costs its full encoded size in memory — a
 //! partition re-spilled because it exceeds the budget is read whole once
-//! for counting and once for re-projection. Everything is deleted on
-//! drop.
+//! for counting and once for re-projection. Every decoded record is held
+//! to the rank database's invariants, ranks below the manager's rank
+//! count included, so a corrupt partition is `InvalidData`, never a
+//! panic. Everything is deleted on drop.
 
-use crate::codec::{ByteReader, SpillRecord};
+use crate::codec::{
+    check_view, for_each_view, group_memory, plain_memory, put_group, put_plain, ByteReader,
+};
+use gogreen_core::cdb::GroupView;
 use gogreen_obs::{histogram, metrics};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -56,14 +61,34 @@ impl SpillManager {
         Ok(SpillManager { dir, partitions })
     }
 
-    /// Appends a record to partition `rank`.
-    pub fn append(&mut self, rank: u32, record: &SpillRecord) -> std::io::Result<()> {
+    /// Appends `g` to partition `rank`: one Group record, or, when its
+    /// pattern is empty, one Plain record per outlier row (its bare
+    /// members carry nothing).
+    pub fn append(&mut self, rank: u32, g: GroupView<'_>) -> std::io::Result<()> {
+        if g.pattern.is_empty() {
+            return g.outliers.iter().try_for_each(|row| self.append_plain(rank, row));
+        }
+        self.push(rank, group_memory(&g), |buf| put_group(buf, g))
+    }
+
+    /// Appends one Plain record (non-empty ascending ranks) to partition
+    /// `rank`.
+    pub fn append_plain(&mut self, rank: u32, row: &[u32]) -> std::io::Result<()> {
+        self.push(rank, plain_memory(row.len()), |buf| put_plain(buf, row))
+    }
+
+    fn push(
+        &mut self,
+        rank: u32,
+        est_memory: usize,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> std::io::Result<()> {
         let p = &mut self.partitions[rank as usize];
         let before = p.buf.len();
-        record.encode(&mut p.buf);
+        encode(&mut p.buf);
         histogram::observe("storage.spill_record_bytes", (p.buf.len() - before) as u64);
         p.records += 1;
-        p.est_memory += record.estimated_memory();
+        p.est_memory += est_memory;
         if p.buf.len() >= FLUSH_BYTES {
             Self::flush_partition(&self.dir, rank, p)?;
         }
@@ -123,12 +148,12 @@ impl SpillManager {
         (0..self.partitions.len() as u32).map(|r| self.partition_bytes(r)).sum()
     }
 
-    /// Streams every record of partition `rank` through `f`. Call
-    /// [`SpillManager::finish`] first.
+    /// Streams every record of partition `rank` through `f` as a view,
+    /// stopping at the first error. Call [`SpillManager::finish`] first.
     pub fn for_each_record(
         &self,
         rank: u32,
-        mut f: impl FnMut(SpillRecord),
+        mut f: impl FnMut(GroupView<'_>) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
         let p = &self.partitions[rank as usize];
         assert!(p.buf.is_empty(), "finish() must run before reading");
@@ -141,16 +166,14 @@ impl SpillManager {
         // flushing always writes whole encoded records.)
         let mut raw = Vec::with_capacity(p.bytes as usize);
         File::open(path)?.read_to_end(&mut raw)?;
-        let mut reader = ByteReader::new(&raw);
-        // A decode failure means the partition file is corrupt; surface
-        // it as InvalidData so the caller can fail this one partition
-        // instead of the whole process.
-        while let Some(rec) = SpillRecord::decode(&mut reader)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-        {
-            f(rec);
-        }
-        Ok(())
+        // A decode or invariant failure means the partition file is
+        // corrupt; it surfaces as InvalidData so the caller can fail this
+        // one partition instead of the whole process.
+        let num_ranks = self.partitions.len();
+        for_each_view(&mut ByteReader::new(&raw), |g| {
+            check_view(&g, Some(num_ranks))?;
+            f(g)
+        })
     }
 }
 
@@ -164,27 +187,39 @@ impl Drop for SpillManager {
 mod tests {
     use super::*;
 
+    /// A decoded record, owned: pattern (empty for Plain), bare count,
+    /// outlier rows.
+    type Owned = (Vec<u32>, u64, Vec<Vec<u32>>);
+
+    fn plain(row: &[u32]) -> Owned {
+        (Vec::new(), 0, vec![row.to_vec()])
+    }
+
+    fn read(mgr: &SpillManager, rank: u32, seen: &mut Vec<Owned>) -> std::io::Result<()> {
+        mgr.for_each_record(rank, |g| {
+            seen.push((
+                g.pattern.to_vec(),
+                g.bare,
+                g.outliers.iter().map(<[u32]>::to_vec).collect(),
+            ));
+            Ok(())
+        })
+    }
+
     #[test]
     fn write_finish_read_round_trip() {
-        let mut mgr = SpillManager::new(3).unwrap();
-        mgr.append(0, &SpillRecord::Plain(vec![1, 2])).unwrap();
-        mgr.append(0, &SpillRecord::Plain(vec![3])).unwrap();
-        mgr.append(
-            2,
-            &SpillRecord::Group {
-                pattern: vec![4],
-                bare: 1,
-                outliers: gogreen_data::CsrTuples::new(),
-            },
-        )
-        .unwrap();
+        let mut mgr = SpillManager::new(5).unwrap();
+        mgr.append_plain(0, &[1, 2]).unwrap();
+        mgr.append_plain(0, &[3]).unwrap();
+        let g = GroupView { pattern: &[4], outliers: gogreen_data::TupleSlices::empty(), bare: 1 };
+        mgr.append(2, g).unwrap();
         mgr.finish().unwrap();
         let mut got = Vec::new();
-        mgr.for_each_record(0, |r| got.push(r)).unwrap();
-        assert_eq!(got, vec![SpillRecord::Plain(vec![1, 2]), SpillRecord::Plain(vec![3])]);
+        read(&mgr, 0, &mut got).unwrap();
+        assert_eq!(got, vec![plain(&[1, 2]), plain(&[3])]);
         let mut got2 = Vec::new();
-        mgr.for_each_record(2, |r| got2.push(r)).unwrap();
-        assert_eq!(got2.len(), 1);
+        read(&mgr, 2, &mut got2).unwrap();
+        assert_eq!(got2, vec![(vec![4], 1, Vec::new())]);
         assert_eq!(mgr.partition_records(0), 2);
     }
 
@@ -193,7 +228,11 @@ mod tests {
         let mut mgr = SpillManager::new(2).unwrap();
         mgr.finish().unwrap();
         let mut n = 0;
-        mgr.for_each_record(1, |_| n += 1).unwrap();
+        mgr.for_each_record(1, |_| {
+            n += 1;
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(n, 0);
         assert_eq!(mgr.partition_bytes(1), 0);
     }
@@ -202,7 +241,7 @@ mod tests {
     fn accounting_accumulates() {
         let mut mgr = SpillManager::new(1).unwrap();
         for k in 0..100u32 {
-            mgr.append(0, &SpillRecord::Plain(vec![k, k + 1])).unwrap();
+            mgr.append_plain(0, &[k, k + 1]).unwrap();
         }
         assert_eq!(mgr.partition_records(0), 100);
         assert!(mgr.estimated_memory(0) > 0);
@@ -213,8 +252,8 @@ mod tests {
 
     #[test]
     fn corrupted_partition_file_reads_as_invalid_data() {
-        let mut mgr = SpillManager::new(1).unwrap();
-        mgr.append(0, &SpillRecord::Plain(vec![1, 2])).unwrap();
+        let mut mgr = SpillManager::new(3).unwrap();
+        mgr.append_plain(0, &[1, 2]).unwrap();
         mgr.finish().unwrap();
         // Append a record with an unknown tag behind the valid one.
         let path = mgr.dir.join("part-0.bin");
@@ -222,34 +261,58 @@ mod tests {
         f.write_all(&[9u8, 0, 0, 0, 0]).unwrap();
         drop(f);
         let mut seen = Vec::new();
-        let err = mgr.for_each_record(0, |r| seen.push(r)).unwrap_err();
+        let err = read(&mgr, 0, &mut seen).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("tag 9"), "{err}");
         // The valid prefix decoded before the corruption surfaced.
-        assert_eq!(seen, vec![SpillRecord::Plain(vec![1, 2])]);
+        assert_eq!(seen, vec![plain(&[1, 2])]);
+    }
+
+    /// A checksum-valid record whose rank is beyond the manager's rank
+    /// count is `InvalidData` — it would otherwise index past a count
+    /// array in the driver and the engine.
+    #[test]
+    fn decoded_rank_beyond_partition_count_is_invalid_data() {
+        let mut mgr = SpillManager::new(4).unwrap();
+        mgr.append_plain(1, &[2, 3]).unwrap();
+        mgr.finish().unwrap();
+        let mut forged = Vec::new();
+        put_plain(&mut forged, &[9u32]);
+        std::fs::write(mgr.dir.join("part-1.bin"), forged).unwrap();
+        let err = read(&mgr, 1, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("rank 9"), "{err}");
+        // Unsorted and empty rows break the rank database's invariants too.
+        for row in [&[3u32, 2][..], &[]] {
+            let mut forged = Vec::new();
+            put_plain(&mut forged, row);
+            std::fs::write(mgr.dir.join("part-1.bin"), forged).unwrap();
+            let err = read(&mgr, 1, &mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{row:?}");
+        }
     }
 
     #[test]
     fn stale_partition_file_is_overwritten_not_read_back() {
-        let mut mgr = SpillManager::new(1).unwrap();
+        let mut mgr = SpillManager::new(10).unwrap();
         // A killed process with the same pid and sequence number left a
         // CRC-valid record behind in the reused directory.
         let mut stale = Vec::new();
-        SpillRecord::Plain(vec![7, 8, 9]).encode(&mut stale);
+        put_plain(&mut stale, &[7u32, 8, 9]);
         std::fs::write(mgr.dir.join("part-0.bin"), stale).unwrap();
-        mgr.append(0, &SpillRecord::Plain(vec![1, 2])).unwrap();
+        mgr.append_plain(0, &[1, 2]).unwrap();
         mgr.finish().unwrap();
         let mut got = Vec::new();
-        mgr.for_each_record(0, |r| got.push(r)).unwrap();
-        assert_eq!(got, vec![SpillRecord::Plain(vec![1, 2])]);
+        read(&mgr, 0, &mut got).unwrap();
+        assert_eq!(got, vec![plain(&[1, 2])]);
     }
 
     #[test]
     fn temp_dir_removed_on_drop() {
         let dir;
         {
-            let mut mgr = SpillManager::new(1).unwrap();
-            mgr.append(0, &SpillRecord::Plain(vec![1])).unwrap();
+            let mut mgr = SpillManager::new(2).unwrap();
+            mgr.append_plain(0, &[1]).unwrap();
             mgr.finish().unwrap();
             dir = mgr.dir.clone();
             assert!(dir.exists());
@@ -259,18 +322,15 @@ mod tests {
 
     #[test]
     fn large_volume_triggers_intermediate_flushes() {
-        let mut mgr = SpillManager::new(1).unwrap();
+        let mut mgr = SpillManager::new(2001).unwrap();
         let fat: Vec<u32> = (0..2000).collect();
         for _ in 0..100 {
-            mgr.append(0, &SpillRecord::Plain(fat.clone())).unwrap();
+            mgr.append_plain(0, &fat).unwrap();
         }
         mgr.finish().unwrap();
-        let mut n = 0;
-        mgr.for_each_record(0, |r| {
-            assert_eq!(r, SpillRecord::Plain(fat.clone()));
-            n += 1;
-        })
-        .unwrap();
-        assert_eq!(n, 100);
+        let mut got = Vec::new();
+        read(&mgr, 0, &mut got).unwrap();
+        assert_eq!(got.len(), 100);
+        assert!(got.iter().all(|r| *r == plain(&fat)));
     }
 }

@@ -28,24 +28,24 @@
 //! `.tmp` is simply overwritten by the next save.
 //!
 //! Loading trusts nothing it reads: a bad header, checksum, count or
-//! trailing byte, and a record that breaks a [`Group`] invariant (an
-//! empty or unsorted pattern; an empty, unsorted or pattern-overlapping
-//! outlier row; a bare count beyond `u32`) or an unsorted plain row, is
-//! `InvalidData` — never a panic, never a silently invalid database.
+//! trailing byte, a record of the wrong kind for its place, and a record
+//! that breaks a layout invariant ([`check_view`]: an empty or unsorted
+//! pattern; an empty, unsorted or pattern-overlapping outlier row; a bare
+//! count beyond `u32`; an unsorted plain row) is `InvalidData` — never a
+//! panic, never a silently invalid database. Records decode through the
+//! same [`for_each_view`] as spilled partitions, straight into the
+//! database's sections.
 
-use crate::codec::{put_group, put_plain, ByteReader, SpillRecord};
+use crate::codec::{check_view, for_each_view, put_group, put_plain, ByteReader};
 use crate::crc::crc32;
-use gogreen_core::cdb::{CompressedDb, Group};
-use gogreen_data::{CsrTuples, Item};
+use gogreen_core::cdb::CompressedDb;
+use gogreen_data::Item;
 use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"GGDV";
 const FORMAT_VERSION: u32 = 2;
 const HEADER_BYTES: usize = 28;
-/// Smallest encoded Group record: tag, empty pattern, bare count,
-/// outlier count, CRC.
-const GROUP_MIN_BYTES: usize = 1 + 4 + 8 + 4 + 4;
 
 fn invalid(msg: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
@@ -71,9 +71,9 @@ fn put_header(buf: &mut Vec<u8>, original_items: u64, groups: usize, plain: usiz
 /// any previous state atomically. Returns the bytes written.
 pub fn save(path: &Path, cdb: &CompressedDb) -> io::Result<u64> {
     let mut buf = Vec::new();
-    put_header(&mut buf, cdb.stats().original_size as u64, cdb.groups().len(), cdb.plain().len());
+    put_header(&mut buf, cdb.stats().original_size as u64, cdb.num_groups(), cdb.plain().len());
     for g in cdb.groups() {
-        put_group(&mut buf, g.pattern(), g.bare().into(), g.outliers().iter());
+        put_group(&mut buf, g);
     }
     for row in cdb.plain().iter() {
         put_plain(&mut buf, row);
@@ -94,35 +94,6 @@ pub fn load(path: &Path) -> io::Result<Option<CompressedDb>> {
     decode(&bytes).map(Some).map_err(|e| invalid(format!("{}: {e}", path.display())))
 }
 
-fn strictly_ascending(ids: &[u32]) -> bool {
-    ids.windows(2).all(|w| w[0] < w[1])
-}
-
-fn to_items(ids: Vec<u32>) -> Vec<Item> {
-    ids.into_iter().map(Item).collect()
-}
-
-/// A decoded Group record as a [`Group`], once its invariants hold.
-fn to_group(pattern: Vec<u32>, bare: u64, outliers: CsrTuples<u32>) -> io::Result<Group> {
-    if pattern.is_empty() || !strictly_ascending(&pattern) {
-        return Err(invalid("group pattern is empty or not strictly ascending"));
-    }
-    for o in outliers.iter() {
-        if o.is_empty()
-            || !strictly_ascending(o)
-            || o.iter().any(|x| pattern.binary_search(x).is_ok())
-        {
-            return Err(invalid(
-                "outlier row is empty, not strictly ascending or overlaps its pattern",
-            ));
-        }
-    }
-    let bare =
-        u32::try_from(bare).map_err(|_| invalid(format!("bare count {bare} exceeds u32")))?;
-    let (data, offsets) = outliers.into_raw_parts();
-    Ok(Group::from_csr(to_items(pattern), CsrTuples::from_raw_parts(to_items(data), offsets), bare))
-}
-
 fn decode(bytes: &[u8]) -> io::Result<CompressedDb> {
     let header = bytes
         .get(..HEADER_BYTES)
@@ -141,40 +112,31 @@ fn decode(bytes: &[u8]) -> io::Result<CompressedDb> {
     let original_items = u64::from_le_bytes(header[8..16].try_into().unwrap());
     let (n_groups, n_plain) = (word(16) as usize, word(20) as usize);
 
-    let mut r = ByteReader { data: bytes, pos: HEADER_BYTES };
-    let mut groups = r.vec_for(n_groups, GROUP_MIN_BYTES);
-    for _ in 0..n_groups {
-        match SpillRecord::decode(&mut r).map_err(invalid)? {
-            Some(SpillRecord::Group { pattern, bare, outliers }) => {
-                groups.push(to_group(pattern, bare, outliers)?)
-            }
-            _ => return Err(invalid(format!("expected {n_groups} group records"))),
+    // Groups come first, then plain rows; a Plain record decodes as a
+    // view with an empty pattern, and a Group record never does.
+    let mut cdb = CompressedDb::empty(original_items as usize);
+    let mut seen = 0;
+    for_each_view(&mut ByteReader { data: bytes, pos: HEADER_BYTES }, |g| {
+        check_view::<Item>(&g, None)?;
+        if seen == n_groups + n_plain || g.pattern.is_empty() != (seen >= n_groups) {
+            return Err(invalid(format!("expected {n_groups} group then {n_plain} plain records")));
         }
+        seen += 1;
+        cdb.push_view(g);
+        Ok(())
+    })?;
+    if seen < n_groups + n_plain {
+        return Err(invalid(format!("expected {} records, found {seen}", n_groups + n_plain)));
     }
-    let mut plain: CsrTuples<Item> = CsrTuples::new();
-    for _ in 0..n_plain {
-        match SpillRecord::decode(&mut r).map_err(invalid)? {
-            Some(SpillRecord::Plain(row)) if strictly_ascending(&row) => {
-                row.into_iter().for_each(|id| plain.push_elem(Item(id)));
-                plain.commit_row();
-            }
-            Some(SpillRecord::Plain(_)) => {
-                return Err(invalid("plain row is not strictly ascending"))
-            }
-            _ => return Err(invalid(format!("expected {n_plain} plain records"))),
-        }
-    }
-    if r.has_remaining() {
-        return Err(invalid(format!("trailing bytes after the last record at byte {}", r.pos)));
-    }
-    Ok(CompressedDb::new(groups, plain, original_items as usize))
+    Ok(cdb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gogreen_core::cdb::GroupView;
     use gogreen_core::{Compressor, Strategy};
-    use gogreen_data::{MinSupport, TransactionDb};
+    use gogreen_data::{CsrTuples, MinSupport, TransactionDb};
     use gogreen_miners::{Family, Miner};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -211,7 +173,7 @@ mod tests {
         let path = dir.join("state.ggd");
         assert!(load(&path).unwrap().is_none(), "nothing saved yet");
         let cdb = small_cdb();
-        assert_eq!((cdb.groups().len(), cdb.groups()[0].bare(), cdb.plain().len()), (1, 1, 2));
+        assert_eq!((cdb.num_groups(), cdb.group(0).bare, cdb.plain().len()), (1, 1, 2));
         let written = save(&path, &cdb).unwrap();
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
         assert_eq!(load(&path).unwrap(), Some(cdb));
@@ -259,7 +221,8 @@ mod tests {
         let mut buf = Vec::new();
         put_header(&mut buf, 7, groups.len(), plain.len());
         for &(pattern, bare, outliers) in groups {
-            put_group(&mut buf, pattern, bare, outliers.iter().copied());
+            let outliers: CsrTuples<u32> = outliers.iter().map(|o| o.to_vec()).collect();
+            put_group(&mut buf, GroupView { pattern, outliers: outliers.as_slices(), bare });
         }
         for row in plain {
             put_plain(&mut buf, row);
@@ -272,14 +235,14 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}: {err}");
     }
 
-    /// CRC-valid records that break a `Group` or row invariant are
+    /// CRC-valid records that break a group or row invariant are
     /// `InvalidData`, one case per invariant; the same bytes must not
-    /// reach `Group::from_csr`, whose checks are debug-only.
+    /// reach `CompressedDb::push_view`, whose checks are debug-only.
     #[test]
     fn invariant_violations_are_invalid_data() {
         let ok = forged(&[(&[1, 4], u64::from(u32::MAX), &[&[0, 9], &[5]])], &[&[], &[2, 3]]);
         let cdb = decode(&ok).unwrap();
-        assert_eq!((cdb.groups()[0].count(), cdb.plain().len()), (u64::from(u32::MAX) + 2, 2));
+        assert_eq!((cdb.group(0).count(), cdb.plain().len()), (u64::from(u32::MAX) + 2, 2));
         let over = u64::from(u32::MAX) + 1;
         for (why, bytes) in [
             ("empty pattern", forged(&[(&[], 1, &[])], &[])),
@@ -387,6 +350,44 @@ mod tests {
         assert_eq!(load(&path).unwrap(), Some(new));
         assert!(!tmp_path(&path).exists());
         assert_eq!(file_count(&dir), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// 240 rows: every fifth is exactly the pattern {0, 4} (bare members),
+    /// every thirteenth holds only infrequent items (the plain residue).
+    fn synthetic_cdb() -> CompressedDb {
+        let rows: Vec<Vec<u32>> = (0..240u32)
+            .map(|k| match k {
+                _ if k % 13 == 0 => vec![100 + k, 101 + k],
+                _ if k % 5 == 0 => vec![0, 4],
+                _ if k % 11 == 0 => vec![k % 4, 4 + k % 3, 8 + k % 7, 400 + k],
+                _ => vec![k % 4, 4 + k % 3, 8 + k % 7],
+            })
+            .collect();
+        let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let db = TransactionDb::from_rows(&refs);
+        let fp = Family::Hm.mine(&db, MinSupport::Absolute(8));
+        Compressor::new(Strategy::Mcp).compress(&db, &fp)
+    }
+
+    /// The file bytes are format 2 as written before the compressed
+    /// layout became one CSR layout: length and CRC-32 of the whole file
+    /// for the paper example (MCP, ξ_old = 3) and for a database with
+    /// bare members and a plain residue.
+    #[test]
+    fn saved_bytes_match_golden_length_and_crc() {
+        let dir = temp_dir("golden");
+        let synthetic = synthetic_cdb();
+        let bare: u64 = synthetic.groups().map(|g| g.bare).sum();
+        assert_eq!((synthetic.num_groups(), bare, synthetic.plain().len()), (5, 44, 19));
+        for (name, cdb, len, crc) in
+            [("paper", paper_cdb(3), 146, 0x334d_2615), ("synthetic", synthetic, 2608, 0xa61b_09c6)]
+        {
+            let path = dir.join(format!("{name}.ggd"));
+            assert_eq!(save(&path, &cdb).unwrap(), len, "{name}");
+            assert_eq!(crc32(&std::fs::read(&path).unwrap()), crc, "{name}");
+            assert_eq!(load(&path).unwrap(), Some(cdb), "{name}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -44,14 +44,14 @@ fn group_invariants() {
         assert_eq!(stats.covered_tuples + cdb.plain().len(), db.len(), "case {case}");
         assert!(stats.ratio() <= 1.0 + 1e-12, "case {case}");
         for g in cdb.groups() {
-            assert!(!g.pattern().is_empty(), "case {case}");
-            assert!(g.pattern().windows(2).all(|w| w[0] < w[1]), "case {case}");
+            assert!(!g.pattern.is_empty(), "case {case}");
+            assert!(g.pattern.windows(2).all(|w| w[0] < w[1]), "case {case}");
             assert!(g.count() > 0, "case {case}");
-            for o in g.outliers() {
+            for o in g.outliers {
                 assert!(!o.is_empty(), "case {case}");
                 assert!(o.windows(2).all(|w| w[0] < w[1]), "case {case}");
                 for it in o.iter() {
-                    assert!(g.pattern().binary_search(it).is_err(), "case {case}");
+                    assert!(g.pattern.binary_search(it).is_err(), "case {case}");
                 }
             }
         }
@@ -126,16 +126,16 @@ fn mcp_picks_max_utility() {
         let fp = mine_apriori(&db, MinSupport::Absolute(xi_old));
         let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
         for g in cdb.groups() {
-            let pattern_sup = fp.support_of(g.pattern()).expect("group pattern from FP");
-            let g_utility = Strategy::Mcp.utility(g.pattern().len(), pattern_sup, db.len());
+            let pattern_sup = fp.support_of(g.pattern).expect("group pattern from FP");
+            let g_utility = Strategy::Mcp.utility(g.pattern.len(), pattern_sup, db.len());
             // Reconstruct one member and check no better pattern matched.
-            let member = match g.outliers().iter().next() {
+            let member = match g.outliers.iter().next() {
                 Some(o) => {
-                    let mut items = g.pattern().to_vec();
+                    let mut items = g.pattern.to_vec();
                     items.extend_from_slice(o);
                     Transaction::new(items)
                 }
-                None => Transaction::new(g.pattern().to_vec()),
+                None => Transaction::new(g.pattern.to_vec()),
             };
             for p in fp.iter() {
                 if member.contains_all(p.items()) {
@@ -143,7 +143,7 @@ fn mcp_picks_max_utility() {
                     assert!(
                         u <= g_utility,
                         "case {case}: pattern {p} (U={u}) beats group {:?} (U={g_utility})",
-                        g.pattern()
+                        g.pattern
                     );
                 }
             }

@@ -6,10 +6,11 @@
 //! counts. The spill codec's CSR group records must survive an
 //! encode/decode round-trip and fail loudly on corrupt bytes.
 
+use gogreen::core::cdb::GroupView;
 use gogreen::data::FnSink;
 use gogreen::obs::{measure, metrics};
 use gogreen::prelude::*;
-use gogreen::storage::codec::{ByteReader, DecodeError, SpillRecord};
+use gogreen::storage::codec::{for_each_view, put_group, put_plain, ByteReader, DecodeError};
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 
@@ -137,34 +138,43 @@ fn csr_storage_round_trips_tuples() {
     assert_eq!(view.flat().len(), rows.iter().map(Vec::len).sum::<usize>());
 }
 
-fn csr(rows: &[&[u32]]) -> CsrTuples<u32> {
-    let mut c = CsrTuples::new();
-    for r in rows {
-        c.push_row(r);
+/// A spill record, owned: pattern (empty for a Plain record), bare
+/// count, outlier rows.
+type Record = (Vec<u32>, u64, Vec<Vec<u32>>);
+
+fn encode(buf: &mut Vec<u8>, (pattern, bare, rows): &Record) {
+    if pattern.is_empty() {
+        put_plain(buf, &rows[0]);
+    } else {
+        let rows: CsrTuples<u32> = rows.iter().cloned().collect();
+        put_group(buf, GroupView { pattern, outliers: rows.as_slices(), bare: *bare });
     }
-    c
+}
+
+fn decode(buf: &[u8]) -> Result<Vec<Record>, DecodeError> {
+    let mut back = Vec::new();
+    for_each_view(&mut ByteReader::new(buf), |g: GroupView<'_, u32>| {
+        back.push((g.pattern.to_vec(), g.bare, g.outliers.iter().map(<[u32]>::to_vec).collect()));
+        Ok::<(), DecodeError>(())
+    })?;
+    Ok(back)
 }
 
 /// Spill records with CSR outlier slabs survive an encode/decode
 /// round-trip in a mixed stream.
 #[test]
 fn spill_codec_round_trips_csr_groups() {
-    let records = vec![
-        SpillRecord::Plain(vec![1, 4, 9]),
-        SpillRecord::Group { pattern: vec![2, 5], bare: 3, outliers: csr(&[&[6], &[7, 8]]) },
-        SpillRecord::Group { pattern: vec![0], bare: 0, outliers: CsrTuples::new() },
-        SpillRecord::Plain(vec![0]),
+    let records: Vec<Record> = vec![
+        (vec![], 0, vec![vec![1, 4, 9]]),
+        (vec![2, 5], 3, vec![vec![6], vec![7, 8]]),
+        (vec![0], 0, vec![]),
+        (vec![], 0, vec![vec![0]]),
     ];
     let mut buf = Vec::new();
     for r in &records {
-        r.encode(&mut buf);
+        encode(&mut buf, r);
     }
-    let mut reader = ByteReader::new(&buf);
-    let mut back = Vec::new();
-    while let Some(r) = SpillRecord::decode(&mut reader).expect("clean buffer decodes") {
-        back.push(r);
-    }
-    assert_eq!(back, records);
+    assert_eq!(decode(&buf).expect("clean buffer decodes"), records);
 }
 
 /// Corruption surfaces as a structured error, never a panic or a
@@ -172,17 +182,14 @@ fn spill_codec_round_trips_csr_groups() {
 #[test]
 fn spill_codec_rejects_corruption() {
     let mut buf = Vec::new();
-    SpillRecord::Group { pattern: vec![3], bare: 2, outliers: csr(&[&[5, 6], &[7]]) }
-        .encode(&mut buf);
+    encode(&mut buf, &(vec![3], 2, vec![vec![5, 6], vec![7]]));
     // Every proper prefix is a truncation error.
     for cut in 1..buf.len() {
-        let mut b = ByteReader::new(&buf[..cut]);
-        let got = SpillRecord::decode(&mut b);
+        let got = decode(&buf[..cut]);
         assert!(matches!(got, Err(DecodeError::Truncated { .. })), "cut={cut}: {got:?}");
     }
     // A flipped tag byte is a BadTag at its offset.
     let mut bad = buf.clone();
     bad[0] = 0xEE;
-    let mut b = ByteReader::new(&bad);
-    assert_eq!(SpillRecord::decode(&mut b), Err(DecodeError::BadTag { offset: 0, tag: 0xEE }));
+    assert_eq!(decode(&bad), Err(DecodeError::BadTag { offset: 0, tag: 0xEE }));
 }
