@@ -325,8 +325,9 @@ pub fn incremental_experiment(dataset: PresetKind, scale: f64) -> Vec<Incrementa
 pub struct TwoStepRow {
     /// Target `ξ` as a percentage.
     pub target_pct: f64,
-    /// Intermediate threshold picked by the miner (absolute tuples).
-    pub intermediate_abs: u64,
+    /// Intermediate threshold the planner picked (absolute tuples);
+    /// `None` when it declined and the run was single-step.
+    pub intermediate_abs: Option<u64>,
     /// Single-step H-Mine seconds.
     pub single_s: f64,
     /// Two-step total seconds (pre-pass + compression + mining).
@@ -341,7 +342,7 @@ impl ToJson for TwoStepRow {
     fn to_json(&self) -> Json {
         Json::obj([
             ("target_pct", self.target_pct.into()),
-            ("intermediate_abs", self.intermediate_abs.into()),
+            ("intermediate_abs", self.intermediate_abs.map_or(Json::Null, Json::from)),
             ("single_s", self.single_s.into()),
             ("two_step_s", self.two_step_s.into()),
             ("two_step_mine_s", self.two_step_mine_s.into()),
@@ -367,7 +368,7 @@ pub fn two_step_experiment(dataset: PresetKind, scale: f64) -> Vec<TwoStepRow> {
                     MinSupport::Relative(f) => (f * 100.0 * 1e6).round() / 1e6,
                     MinSupport::Absolute(n) => n as f64,
                 },
-                intermediate_abs: report.intermediate.to_absolute(db.len()),
+                intermediate_abs: report.intermediate.map(|m| m.to_absolute(db.len())),
                 single_s: single_t.as_secs_f64(),
                 two_step_s: report.total().as_secs_f64(),
                 two_step_mine_s: report.mining_time.as_secs_f64(),

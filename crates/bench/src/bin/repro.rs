@@ -883,7 +883,7 @@ fn cmd_ablation(scale: f64, reporter: &Reporter) {
         .map(|r| {
             vec![
                 format!("{}%", r.target_pct),
-                r.intermediate_abs.to_string(),
+                r.intermediate_abs.map_or("—".into(), |m| m.to_string()),
                 r.patterns.to_string(),
                 fmt_secs(r.single_s),
                 fmt_secs(r.two_step_s),

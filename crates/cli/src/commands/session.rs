@@ -6,7 +6,8 @@
 //! ```text
 //! support <ξ>        set the minimum support (e.g. `support 2%`)
 //! maxlen <K>         limit pattern length (0 clears)
-//! run                mine under the current constraints
+//! run                mine under the current constraints; a cold run
+//!                    the planner splits in two prints `split at ξ_mid=…`
 //! top [N]            show the N (default 10) best patterns of the last run
 //! save <file>        write the last result as `items : support` lines
 //! engine <name>      hmine | fp | tp | vt
@@ -82,8 +83,10 @@ pub fn drive_with(
                     cs = cs.with(Constraint::MaxLength(maxlen));
                 }
                 let (result, report) = session.run_with_report(cs);
+                let split =
+                    report.xi_mid.map(|m| format!(" split at ξ_mid={m}")).unwrap_or_default();
                 println!(
-                    "{} patterns in {:.2?} [{:?}]",
+                    "{} patterns in {:.2?} [{:?}]{split}",
                     result.len(),
                     report.mining_time,
                     report.mode
@@ -91,7 +94,10 @@ pub fn drive_with(
                 last = Some(result);
             }
             "top" => {
-                let n: usize = arg.map(|a| a.parse().unwrap_or(10)).unwrap_or(10);
+                let n: usize = match arg {
+                    None => 10,
+                    Some(a) => a.parse().map_err(|_| format!("invalid top count {a:?}"))?,
+                };
                 match &last {
                     None => println!("nothing mined yet (use `run`)"),
                     Some(set) => {
@@ -147,6 +153,15 @@ mod tests {
         let script = "support 2\nrun\nengine fp\nrun\nengine vt\nrun\nengine tp\nrun\nquit\n";
         drive_with(TransactionDb::paper_example(), Parallelism::threads(3), script.as_bytes())
             .unwrap();
+    }
+
+    #[test]
+    fn bad_top_count_is_an_error() {
+        let script = "support 3\nrun\ntop ten\n";
+        let err =
+            drive_with(TransactionDb::paper_example(), Parallelism::serial(), script.as_bytes())
+                .unwrap_err();
+        assert!(err.contains("invalid top count"), "{err}");
     }
 
     #[test]

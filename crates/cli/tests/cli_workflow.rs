@@ -131,6 +131,8 @@ fn session_script_drives_repl() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("[Fresh]"), "{text}");
+    // The cold 92% round on dense data is split by the two-step planner.
+    assert!(text.contains("[Fresh] split at ξ_mid="), "{text}");
     assert!(text.contains("[Recycled]"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -169,6 +169,9 @@ pub struct QueryBatch {
     queries: Vec<BatchQuery>,
     attrs: ItemAttributes,
     par: Parallelism,
+    /// The two-step pre-mine threshold that built the compressed
+    /// substrate, recorded on the `batch` span.
+    xi_mid: Option<u64>,
 }
 
 impl QueryBatch {
@@ -192,6 +195,13 @@ impl QueryBatch {
     /// `batch.*` metrics are identical for every setting.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
+        self
+    }
+
+    /// Records that the substrate is a two-step split's compressed
+    /// database, pre-mined at `xi_mid` ([`crate::twostep`]).
+    pub(crate) fn with_xi_mid(mut self, xi_mid: u64) -> Self {
+        self.xi_mid = Some(xi_mid);
         self
     }
 
@@ -475,6 +485,9 @@ impl QueryBatch {
             .field("admitted", plan.admitted.len())
             .field("rejected", plan.rejected.len())
             .field("xi_min", plan.xi_min);
+        if let Some(mid) = self.xi_mid {
+            sp.field("xi_mid", mid);
+        }
     }
 
     fn member(&self, idx: usize, xi: u64, sink_idx: usize) -> MemberFilter {

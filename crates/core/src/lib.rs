@@ -28,8 +28,9 @@
 //! automatic filter-vs-recycle dispatch), [`store::PatternStore`]
 //! (multi-user pattern sharing), [`incremental`] (the §2 extension to
 //! changed databases), and [`twostep`] (the paper's stated future work:
-//! bootstrap a single low-support request through its own high-support
-//! pre-pass).
+//! a planner that bootstraps a cold low-support request through its own
+//! high-support pre-pass when the data is dense enough to pay; the
+//! session's cold rounds and batches use it).
 //!
 //! All recycling miners are *exact*: on any database, any recycled
 //! pattern set, and any new threshold, they produce the identical pattern

@@ -14,12 +14,20 @@
 //! * **otherwise** → no stored set can contain the answer; *recycle* the
 //!   richest one ([`PatternStore::best_for`], the paper's §5 rule):
 //!   compress the database with it and mine the compressed database with
-//!   the configured [`Family`].
+//!   the configured [`Family`];
+//! * **an empty store** → a *fresh* round. It is cold: nothing can be
+//!   recycled, so [`twostep::plan`] decides whether to make its own
+//!   fodder (§5.2, observation 1). When the plan splits, the round
+//!   pre-mines at ξ_mid, compresses with that set, drops it, and mines
+//!   the compressed database at ξ.
 //!
 //! Fleets of simultaneous queries go through [`MiningSession::run_batch`]
-//! (one shared coalesced pass, see [`crate::batch`]); the shared ξ_min
-//! result lands in the same store, so follow-up rounds filter instead of
-//! mining.
+//! (one shared coalesced pass, see [`crate::batch`]). A batch is cold
+//! too, and splits by the same plan when no item envelope is pushed;
+//! the shared ξ_min result lands in the same store, so follow-up rounds
+//! filter instead of mining. A split never publishes its ξ_mid set, so
+//! the store — and every later dispatch — is the same whether a cold
+//! round split or not.
 //!
 //! Non-support constraints are applied as post-filters on the full
 //! frequent set (with anti-monotone parts available for pushdown through
@@ -28,7 +36,9 @@
 use crate::batch::{BatchOutcome, BatchQuery, QueryBatch};
 use crate::compress::{CompressionStats, Compressor};
 use crate::store::PatternStore;
+use crate::twostep;
 use crate::utility::Strategy;
+use crate::CompressedDb;
 use gogreen_constraints::{ConstraintSet, ItemAttributes, Relation};
 use gogreen_data::{PatternSet, TransactionDb};
 use gogreen_miners::{Family, Miner};
@@ -89,7 +99,8 @@ pub struct RoundReport {
     pub mode: RunMode,
     /// Wall time of the mining (or filtering) step.
     pub mining_time: Duration,
-    /// Compression metrics when `mode == Recycled`.
+    /// Compression metrics when `mode == Recycled`, and for a `Fresh`
+    /// round the planner split (compression with its ξ_mid set).
     pub compression: Option<CompressionStats>,
     /// Patterns returned after all constraints.
     pub num_patterns: usize,
@@ -98,6 +109,10 @@ pub struct RoundReport {
     /// the recycled fodder (`Recycled`, the *richest* published set —
     /// paper §5: lower `ξ_old` recycles better).
     pub fodder_patterns: Option<usize>,
+    /// The pre-mine threshold of a `Fresh` round that
+    /// [`twostep::plan`] split in two; `None` when it mined straight
+    /// at ξ.
+    pub xi_mid: Option<u64>,
 }
 
 /// An iterative constrained-mining session over one database.
@@ -191,6 +206,12 @@ impl MiningSession {
         &self.db
     }
 
+    /// The absolute thresholds whose full frequent sets the session has
+    /// published, ascending: the sets later rounds filter or recycle.
+    pub fn published_thresholds(&self) -> Vec<u64> {
+        self.store.thresholds(SESSION_DATASET)
+    }
+
     /// Runs one round under `constraints`, returning the result set.
     pub fn run(&mut self, constraints: ConstraintSet) -> PatternSet {
         self.run_with_report(constraints).0
@@ -202,14 +223,37 @@ impl MiningSession {
     /// round's own activity, maxes included — is emitted as
     /// `session.round/<n>`.
     pub fn run_with_report(&mut self, constraints: ConstraintSet) -> (PatternSet, RoundReport) {
+        self.measured(|s| s.run_round(constraints))
+    }
+
+    /// Counts one round and, with a snapshot exporter installed, runs
+    /// it in its own measure scope and emits its snapshot.
+    fn measured<R>(&mut self, round: impl FnOnce(&mut Self) -> R) -> R {
         self.rounds_run += 1;
         if !snapshot::exporter_installed() {
-            return self.run_round(constraints);
+            return round(self);
         }
-        let round = self.rounds_run;
-        let (out, snap) = gogreen_obs::measure(|| self.run_round(constraints));
-        snapshot::emit(&format!("session.round/{round}"), &snap);
+        let n = self.rounds_run;
+        let (out, snap) = gogreen_obs::measure(|| round(self));
+        snapshot::emit(&format!("session.round/{n}"), &snap);
         out
+    }
+
+    /// The two-step split of a cold pass at `target_abs`, when
+    /// [`twostep::plan`] makes one: pre-mines at ξ_mid with the
+    /// session's family, compresses with the session's strategy and
+    /// parallelism, and returns ξ_mid, the compressed database and the
+    /// compression metrics. The ξ_mid set is dropped, never published.
+    fn cold_split(
+        &self,
+        supports: &[u64],
+        target_abs: u64,
+    ) -> Option<(u64, CompressedDb, Option<CompressionStats>)> {
+        let xi_mid = twostep::plan(self.family, supports, self.db.len(), target_abs)?;
+        metrics::add("session.cold_splits", 1);
+        let compressor = Compressor::new(self.strategy).with_parallelism(self.parallelism);
+        let (cdb, report) = twostep::split(&self.db, self.family, xi_mid, &compressor);
+        Some((xi_mid, cdb, report.compression))
     }
 
     fn run_round(&mut self, constraints: ConstraintSet) -> (PatternSet, RoundReport) {
@@ -230,10 +274,12 @@ impl MiningSession {
                     compression: None,
                     num_patterns: prev_answer.len(),
                     fodder_patterns: None,
+                    xi_mid: None,
                 };
                 return (PatternSet::clone(prev_answer), report);
             }
         }
+        let mut xi_mid = None;
         let (mode, full, compression, fodder_patterns) = if let Some((_, superset)) =
             self.store.best_at_most(SESSION_DATASET, xi)
         {
@@ -251,6 +297,10 @@ impl MiningSession {
                 .compress_with_stats(&self.db, &fodder);
             let full = self.family.mine_par(&cdb, constraints.min_support(), self.parallelism);
             (RunMode::Recycled, full, Some(stats), Some(fodder.len()))
+        } else if let Some((mid, cdb, stats)) = self.cold_split(&self.db.item_supports(), xi) {
+            xi_mid = Some(mid);
+            let full = self.family.mine_par(&cdb, constraints.min_support(), self.parallelism);
+            (RunMode::Fresh, full, stats, None)
         } else {
             let full = self.family.mine_par(&self.db, constraints.min_support(), self.parallelism);
             (RunMode::Fresh, full, None, None)
@@ -273,6 +323,7 @@ impl MiningSession {
             compression,
             num_patterns: answer.len(),
             fodder_patterns,
+            xi_mid,
         };
         metrics::add("session.rounds", 1);
         metrics::add(mode.counter(), 1);
@@ -283,6 +334,9 @@ impl MiningSession {
         if let Some(n) = fodder_patterns {
             sp.field("fodder_patterns", n);
         }
+        if let Some(mid) = xi_mid {
+            sp.field("xi_mid", mid);
+        }
         let out = PatternSet::clone(&answer);
         self.last = Some((constraints, answer));
         (out, report)
@@ -292,15 +346,44 @@ impl MiningSession {
     /// pass at the fleet's ξ_min answers every admitted query (see
     /// [`crate::batch`]), and the shared result is published into the
     /// session's store, so follow-up [`Self::run_with_report`] rounds at
-    /// ξ ≥ ξ_min dispatch as `Filtered`.
+    /// ξ ≥ ξ_min dispatch as `Filtered`. When the raw plan pushes no
+    /// item envelope, the pass splits in two by [`twostep::plan`] at
+    /// ξ_min, like a fresh round. The batch counts as a session round
+    /// and is measured like one.
     pub fn run_batch(&mut self, queries: Vec<BatchQuery>) -> Result<BatchOutcome, String> {
+        self.measured(|s| s.batch_round(queries))
+    }
+
+    fn batch_round(&mut self, queries: Vec<BatchQuery>) -> Result<BatchOutcome, String> {
+        let mut sp = span("session.round");
+        metrics::add("session.rounds", 1);
         let mut batch = QueryBatch::new()
             .with_attributes(self.attrs.clone())
             .with_parallelism(self.parallelism);
         for q in queries {
             batch.push(q);
         }
-        batch.run_with_store(&self.db, self.family, &self.store, SESSION_DATASET)
+        sp.field("queries", batch.len());
+        let supports = self.db.item_supports();
+        let split = if batch.is_empty() {
+            None
+        } else {
+            let plan = batch.plan(&supports, self.db.len(), true);
+            sp.field("xi", plan.xi_min);
+            plan.envelope.is_none().then(|| self.cold_split(&supports, plan.xi_min)).flatten()
+        };
+        match split {
+            Some((xi_mid, cdb, _)) => {
+                sp.field("xi_mid", xi_mid);
+                batch.with_xi_mid(xi_mid).run_recycled_with_store(
+                    &cdb,
+                    self.family,
+                    &self.store,
+                    SESSION_DATASET,
+                )
+            }
+            None => batch.run_with_store(&self.db, self.family, &self.store, SESSION_DATASET),
+        }
     }
 
     /// Forgets all previous rounds (the next run mines fresh).

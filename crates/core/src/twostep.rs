@@ -7,43 +7,118 @@
 //! > the strategy MCP and mine the compressed database with the actual
 //! > low minimum support. We plan to explore this issue further."
 //!
-//! [`TwoStepMiner`] is that exploration: a *single* low-support mining
-//! request, no prior patterns available, answered by bootstrapping its
-//! own recycling fodder. Worth it whenever the high-support pre-pass +
-//! compression costs less than the baseline's slowdown at the low
-//! threshold — which the dense analogs satisfy comfortably (see the
-//! `repro ablation` extension experiment).
+//! [`plan`] decides whether a *cold* query — no prior patterns to
+//! recycle — pays for that split, and at which intermediate threshold
+//! ξ_mid; [`split`] performs steps (a) and the compression of (b). The
+//! result is exact whatever ξ_mid is, because any exact compressed
+//! database mines exactly: the plan only decides speed.
+//! [`crate::session::MiningSession`] runs every cold round and cold
+//! batch through them; [`TwoStepMiner`] is the single-query form the
+//! `repro ablation` experiment times.
 
 use crate::compress::{CompressionStats, Compressor};
 use crate::utility::Strategy;
+use crate::CompressedDb;
 use gogreen_data::{CollectSink, MinSupport, PatternSet, PatternSink, TransactionDb};
 use gogreen_miners::{Family, Miner};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Plans the two-step split of a cold query at `target_abs` on a
+/// database of `db_len` tuples with per-item supports `item_supports`.
+/// Returns the pre-mine threshold ξ_mid, or `None` when mining straight
+/// at the target is the better plan.
+///
+/// The rule splits iff all three hold:
+///
+/// * **family:** H-Mine or TreeProjection. Their cost grows with the
+///   projected databases a dense item set produces, and a compressed
+///   group stands for many of those rows at once. FP-tree already
+///   shares prefixes and Eclat already shares tid-sets, so neither
+///   recovers a pre-mine plus a compression on the dense analogs.
+/// * **density:** the median support among the items frequent at the
+///   target is at least `|DB| / 2`. Only then do the patterns above
+///   the median cover most rows; on sparse data a pre-mine finds
+///   little to group, and every family lost at every ξ_mid measured.
+/// * **threshold:** ξ_mid is that median item's support (the lower
+///   of the two middle ones for an even count, which pre-mines more
+///   patterns and measured faster), and it must exceed the target, so
+///   the pre-mine is strictly cheaper than the query it serves.
+///
+/// ```
+/// use gogreen_core::twostep::plan;
+/// use gogreen_miners::Family;
+///
+/// // Six dense items on a 100-row database: the median frequent item
+/// // has support 96.
+/// let supports = [99, 98, 97, 96, 90, 85];
+/// assert_eq!(plan(Family::Hm, &supports, 100, 80), Some(96));
+/// assert_eq!(plan(Family::Fp, &supports, 100, 80), None);
+/// ```
+pub fn plan(family: Family, item_supports: &[u64], db_len: usize, target_abs: u64) -> Option<u64> {
+    if !matches!(family, Family::Hm | Family::Tp) {
+        return None;
+    }
+    let mut frequent: Vec<u64> =
+        item_supports.iter().copied().filter(|&s| s >= target_abs).collect();
+    if frequent.is_empty() {
+        return None;
+    }
+    let mid = (frequent.len() - 1) / 2;
+    let median = *frequent.select_nth_unstable(mid).1;
+    (2 * median >= db_len as u64 && median > target_abs).then_some(median)
+}
+
+/// Steps (a) and the compression of (b): pre-mines `db` with `family`
+/// at `xi_mid`, compresses `db` with the pre-mined set (which is then
+/// dropped) and returns the compressed database. The pre-mine runs at
+/// the compressor's parallelism. The report's `mining_time` is zero:
+/// the caller mines the compressed database.
+pub fn split(
+    db: &TransactionDb,
+    family: Family,
+    xi_mid: u64,
+    compressor: &Compressor,
+) -> (CompressedDb, TwoStepReport) {
+    let start = Instant::now();
+    let bootstrap = family.mine_par(db, MinSupport::Absolute(xi_mid), compressor.parallelism());
+    let bootstrap_time = start.elapsed();
+    let (cdb, compression) = compressor.compress_with_stats(db, &bootstrap);
+    let report = TwoStepReport {
+        intermediate: Some(MinSupport::Absolute(xi_mid)),
+        bootstrap_patterns: bootstrap.len(),
+        bootstrap_time,
+        compression: Some(compression),
+        mining_time: Duration::ZERO,
+    };
+    (cdb, report)
+}
 
 /// Phase timings of a two-step run.
 #[derive(Debug, Clone)]
 pub struct TwoStepReport {
-    /// The intermediate (high) threshold used for the pre-pass.
-    pub intermediate: MinSupport,
+    /// The intermediate (high) threshold of the pre-pass; `None` when
+    /// [`plan`] declined and the run was single-step.
+    pub intermediate: Option<MinSupport>,
     /// Patterns the pre-pass produced for recycling.
     pub bootstrap_patterns: usize,
     /// Pre-pass mining time.
     pub bootstrap_time: Duration,
-    /// Compression metrics.
-    pub compression: CompressionStats,
-    /// Final (compressed) mining time.
+    /// Compression metrics; `None` for a single-step run.
+    pub compression: Option<CompressionStats>,
+    /// Final mining time (on the compressed database when split).
     pub mining_time: Duration,
 }
 
 impl TwoStepReport {
     /// Total wall time of all phases.
     pub fn total(&self) -> Duration {
-        self.bootstrap_time + self.compression.duration + self.mining_time
+        let compression = self.compression.as_ref().map_or(Duration::ZERO, |c| c.duration);
+        self.bootstrap_time + compression + self.mining_time
     }
 }
 
-/// Answers one low-support mining request via a self-bootstrapped
-/// recycle: mine high, compress, mine low on the compressed database.
+/// Answers one low-support H-Mine request, in two steps when [`plan`]
+/// splits it: mine high, compress, mine low on the compressed database.
 ///
 /// ```
 /// use gogreen_core::twostep::TwoStepMiner;
@@ -53,24 +128,17 @@ impl TwoStepReport {
 /// let db = TransactionDb::paper_example();
 /// let (patterns, report) = TwoStepMiner::new().mine(&db, MinSupport::Absolute(2));
 /// assert!(patterns.same_patterns_as(&Family::Hm.mine(&db, MinSupport::Absolute(2))));
-/// assert!(report.intermediate.to_absolute(db.len()) > 2);
+/// if let Some(mid) = report.intermediate {
+///     assert!(mid.to_absolute(db.len()) > 2);
+/// }
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TwoStepMiner {
     strategy: Strategy,
-    /// The intermediate threshold is `target × factor` (relative targets)
-    /// — high enough to be cheap, low enough to yield useful patterns.
-    factor: f64,
-}
-
-impl Default for TwoStepMiner {
-    fn default() -> Self {
-        TwoStepMiner { strategy: Strategy::Mcp, factor: 4.0 }
-    }
 }
 
 impl TwoStepMiner {
-    /// A two-step miner with the default MCP strategy and 4× factor.
+    /// A two-step miner with the default MCP strategy.
     pub fn new() -> Self {
         Self::default()
     }
@@ -81,47 +149,31 @@ impl TwoStepMiner {
         self
     }
 
-    /// Sets the intermediate-threshold factor (> 1).
-    pub fn with_factor(mut self, factor: f64) -> Self {
-        assert!(factor > 1.0, "intermediate factor must exceed 1");
-        self.factor = factor;
-        self
-    }
-
-    /// The intermediate threshold for a given target on a given database:
-    /// `target_abs × factor`, but never beyond halfway between the target
-    /// and `|DB|` — on dense data the interesting thresholds sit near
-    /// `|DB|`, where a multiplicative step would shoot past every
-    /// pattern's support and leave nothing to recycle.
-    pub fn intermediate_for(&self, target: MinSupport, db_len: usize) -> MinSupport {
-        let abs = target.to_absolute(db_len);
-        let scaled = (abs as f64 * self.factor) as u64;
-        let halfway = abs + (db_len as u64).saturating_sub(abs) / 2;
-        MinSupport::Absolute(scaled.min(halfway).max(abs + 1))
-    }
-
-    /// Mines `db` at `target` in two steps, emitting into `sink`.
+    /// Mines `db` at `target`, in two steps when [`plan`] splits it,
+    /// emitting into `sink`.
     pub fn mine_into(
         &self,
         db: &TransactionDb,
         target: MinSupport,
         sink: &mut dyn PatternSink,
     ) -> TwoStepReport {
-        let intermediate = self.intermediate_for(target, db.len());
-        let start = std::time::Instant::now();
-        let bootstrap = Family::Hm.mine(db, intermediate);
-        let bootstrap_time = start.elapsed();
-        let (cdb, compression) = Compressor::new(self.strategy).compress_with_stats(db, &bootstrap);
-        let start = std::time::Instant::now();
+        let target_abs = target.to_absolute(db.len());
+        let Some(xi_mid) = plan(Family::Hm, &db.item_supports(), db.len(), target_abs) else {
+            let start = Instant::now();
+            Family::Hm.mine_into(db, target, sink);
+            return TwoStepReport {
+                intermediate: None,
+                bootstrap_patterns: 0,
+                bootstrap_time: Duration::ZERO,
+                compression: None,
+                mining_time: start.elapsed(),
+            };
+        };
+        let (cdb, mut report) = split(db, Family::Hm, xi_mid, &Compressor::new(self.strategy));
+        let start = Instant::now();
         Family::Hm.mine_into(&cdb, target, sink);
-        let mining_time = start.elapsed();
-        TwoStepReport {
-            intermediate,
-            bootstrap_patterns: bootstrap.len(),
-            bootstrap_time,
-            compression,
-            mining_time,
-        }
+        report.mining_time = start.elapsed();
+        report
     }
 
     /// Collects into a [`PatternSet`] alongside the report.
@@ -134,7 +186,7 @@ impl TwoStepMiner {
     /// Single-step baseline for comparison (H-Mine straight at the
     /// target).
     pub fn single_step(db: &TransactionDb, target: MinSupport) -> (PatternSet, Duration) {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let fp = Family::Hm.mine(db, target);
         (fp, start.elapsed())
     }
@@ -143,6 +195,8 @@ impl TwoStepMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gogreen_datagen::{DatasetPreset, PresetKind};
+    use gogreen_miners::engine::vt::VtRepr;
     use gogreen_miners::mine_apriori;
 
     #[test]
@@ -157,23 +211,56 @@ mod tests {
                 got.len(),
                 want.len()
             );
-            assert!(report.intermediate.to_absolute(db.len()) > target);
+            if let Some(mid) = report.intermediate {
+                assert!(mid.to_absolute(db.len()) > target);
+            }
         }
     }
 
     #[test]
-    fn intermediate_respects_bounds() {
-        let m = TwoStepMiner::new().with_factor(8.0);
-        // 8× 10 = 80 on a 100-tuple db, but halfway(10, 100) = 55 caps it.
-        assert_eq!(m.intermediate_for(MinSupport::Absolute(10), 100), MinSupport::Absolute(55));
-        // Dense-style target near |DB|: halfway keeps headroom.
-        assert_eq!(m.intermediate_for(MinSupport::Absolute(80), 100), MinSupport::Absolute(90));
-        // Always strictly above the target.
-        let m = TwoStepMiner::new().with_factor(1.01);
-        assert_eq!(m.intermediate_for(MinSupport::Absolute(3), 100), MinSupport::Absolute(4));
-        // Small multiplicative steps are kept when below halfway.
-        let m = TwoStepMiner::new().with_factor(2.0);
-        assert_eq!(m.intermediate_for(MinSupport::Absolute(10), 100), MinSupport::Absolute(20));
+    fn plan_splits_dense_data_above_the_target_and_within_the_db() {
+        let db = DatasetPreset::new(PresetKind::Connect4, 0.015).generate();
+        let (supports, n) = (db.item_supports(), db.len());
+        let target = MinSupport::percent(80.0).to_absolute(n);
+        for family in [Family::Hm, Family::Tp] {
+            let mid = plan(family, &supports, n, target).expect("dense data splits");
+            assert!(target < mid && mid <= n as u64, "{family:?}: {target} < {mid} <= {n}");
+        }
+        // An exact compressed database mines exactly at the planned ξ_mid.
+        let mid = plan(Family::Hm, &supports, n, target).expect("dense data splits");
+        let (got, report) = TwoStepMiner::new().mine(&db, MinSupport::Absolute(target));
+        assert_eq!(report.intermediate, Some(MinSupport::Absolute(mid)));
+        assert!(got.same_patterns_as(&Family::Fp.mine(&db, MinSupport::Absolute(target))));
+    }
+
+    #[test]
+    fn plan_declines_fp_and_vt() {
+        let db = DatasetPreset::new(PresetKind::Connect4, 0.015).generate();
+        let target = MinSupport::percent(80.0).to_absolute(db.len());
+        for family in [Family::Fp, Family::Vt(VtRepr::Auto)] {
+            assert_eq!(plan(family, &db.item_supports(), db.len(), target), None, "{family:?}");
+        }
+    }
+
+    #[test]
+    fn plan_declines_sparse_data_for_every_family() {
+        let db = DatasetPreset::new(PresetKind::Weather, 0.01).generate();
+        let target = MinSupport::percent(1.0).to_absolute(db.len());
+        for family in Family::ALL {
+            assert_eq!(plan(family, &db.item_supports(), db.len(), target), None, "{family:?}");
+        }
+    }
+
+    #[test]
+    fn plan_declines_a_target_at_the_median_support() {
+        // At ξ = 96 the frequent supports are 96, 96 and 100: the
+        // median is the target itself, so a pre-mine would cost as
+        // much as the query.
+        let supports = [100, 96, 96, 90];
+        assert_eq!(plan(Family::Hm, &supports, 100, 90), Some(96));
+        assert_eq!(plan(Family::Hm, &supports, 100, 96), None);
+        // Nothing frequent: nothing to plan.
+        assert_eq!(plan(Family::Tp, &supports, 100, 101), None);
     }
 
     #[test]
@@ -182,17 +269,13 @@ mod tests {
         // bootstrap patterns: the compressed DB is all-plain and the
         // result must still be exact.
         let db = TransactionDb::from_rows(&[&[1], &[2], &[3], &[4]]);
-        let m = TwoStepMiner::new().with_factor(50.0);
-        let (got, report) = m.mine(&db, MinSupport::Absolute(1));
+        let compressor = Compressor::new(Strategy::Mcp);
+        let (cdb, report) = split(&db, Family::Hm, db.len() as u64 + 1, &compressor);
         assert_eq!(report.bootstrap_patterns, 0);
         let want = mine_apriori(&db, MinSupport::Absolute(1));
-        assert!(got.same_patterns_as(&want));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed 1")]
-    fn factor_must_exceed_one() {
-        TwoStepMiner::new().with_factor(1.0);
+        for family in Family::ALL {
+            assert!(family.mine(&cdb, MinSupport::Absolute(1)).same_patterns_as(&want));
+        }
     }
 
     #[test]

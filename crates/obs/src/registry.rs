@@ -171,11 +171,23 @@ pub const ALL: &[MetricDef] = defs![
         "tuple touches per counting pass (the distribution behind mine.tuple_touches)"
     ),
     ("mine.tuple_touches", Counter, true, "tuple visits during support counting"),
-    ("session.round", Span, false, "one MiningSession round (any dispatch mode)"),
-    ("session.rounds", Counter, true, "session rounds executed"),
+    (
+        "session.cold_splits",
+        Counter,
+        true,
+        "cold session rounds and batches the two-step planner split into a pre-mine at xi_mid, \
+         a compression and a mine of the compressed database"
+    ),
+    (
+        "session.round",
+        Span,
+        false,
+        "one MiningSession round (any dispatch mode, or one batch); carries xi_mid when split"
+    ),
+    ("session.rounds", Counter, true, "session rounds executed, batches included"),
     ("session.rounds_cached", Counter, true, "rounds answered verbatim from the previous result"),
     ("session.rounds_filtered", Counter, true, "rounds answered by filtering the previous result"),
-    ("session.rounds_fresh", Counter, true, "rounds mined from scratch"),
+    ("session.rounds_fresh", Counter, true, "cold rounds with an empty store (mined raw or split)"),
     ("session.rounds_recycled", Counter, true, "rounds mined on a recycled compressed database"),
     ("storage.budget_high_water", Max, true, "peak bytes resident under a storage memory budget"),
     ("storage.resident_peak", Max, true, "largest segment payload resident at once"),

@@ -114,6 +114,39 @@ fn session_emits_one_snapshot_per_round_identical_across_threads() {
     }
 }
 
+/// A batch is a session round: a split batch's pre-mine, compression and
+/// recycled shared pass all land in its own `session.round/<n>` snapshot,
+/// and the filtered round after it carries none of them.
+#[test]
+fn split_batch_is_measured_as_its_own_round() {
+    let db = DatasetPreset::new(PresetKind::Connect4, 0.015).generate();
+    let collected: Arc<Mutex<Vec<(String, MetricsSnapshot)>>> = Arc::default();
+    let sink = collected.clone();
+    Recorder::new()
+        .with_exporter(Box::new(move |label, snap| {
+            sink.lock().unwrap().push((label.to_owned(), snap.clone()));
+        }))
+        .install();
+    let cs = |p: f64| ConstraintSet::support_only(MinSupport::percent(p));
+    let mut session = gogreen::core::session::MiningSession::new(db).with_engine(Family::Hm);
+    session
+        .run_batch(vec![BatchQuery::new("a", cs(85.0)), BatchQuery::new("b", cs(80.0))])
+        .expect("batch runs");
+    session.run(cs(90.0));
+    drop(Recorder::uninstall());
+    let rounds = Arc::try_unwrap(collected).expect("exporter dropped").into_inner().unwrap();
+    let labels: Vec<&str> = rounds.iter().map(|(l, _)| l.as_str()).collect();
+    assert_eq!(labels, ["session.round/1", "session.round/2"]);
+    let (batch, filtered) = (&rounds[0].1, &rounds[1].1);
+    for name in ["session.rounds", "session.cold_splits", "compress.runs", "batch.shared_passes"] {
+        assert_eq!(batch.value(name), Some(1), "{name}");
+    }
+    assert_eq!(filtered.value("session.rounds_filtered"), Some(1));
+    for name in ["session.cold_splits", "compress.runs", "batch.shared_passes"] {
+        assert_eq!(filtered.value(name), None, "{name}");
+    }
+}
+
 /// A round answered by filtering a published superset mines nothing, so
 /// its snapshot carries no mining gauge — not the high-water mark a
 /// previous round left behind.
