@@ -24,9 +24,16 @@
 //!   live at the bottom of every branch (trees are built in descending
 //!   rank order). Only projection through an *outlier* item pays for
 //!   conditional-pattern-base extraction, exactly as in FP-growth.
+//!
+//! Root trees keep every rank of their group. Every conditional tree
+//! below the root is thresholded at the child node it feeds, as classic
+//! FP-growth thresholds its conditional trees: a projection first counts
+//! the whole child across all groups (residual patterns, kept trees,
+//! extracted bases), then builds each new tree over the child-frequent
+//! ranks only and drops the rest from every residual pattern.
 
 use crate::common::{fan_out_ordered, for_each_subset, RankEmitter, ScratchCounts};
-use crate::fpgrowth::{FpTree, FpTreeBuilder, FP_NIL};
+use crate::fpgrowth::{FpHeader, FpTree, FpTreeBuilder, FP_NIL};
 use gogreen_data::{FList, GroupedSource, PatternSink, ProjectionArena, TupleSlices};
 use gogreen_obs::{histogram, metrics};
 use gogreen_util::pool::{par_chunks, Parallelism};
@@ -37,8 +44,9 @@ const SRC_MIXED: u32 = u32::MAX - 1;
 
 /// One group in the current projection.
 struct CondGroup {
-    /// Residual pattern ranks (ascending). Empty for the plain partition.
-    pattern: Vec<u32>,
+    /// Residual pattern ranks (ascending): `pats[pat.0..pat.1]` of the
+    /// group's [`Forest`]. Empty for the plain partition.
+    pat: (u32, u32),
     /// Members in this projection.
     count: u64,
     /// Outlier store; `None` when no member has relevant outliers.
@@ -46,18 +54,72 @@ struct CondGroup {
     tree: Option<Arc<FpTree>>,
     /// Ranks ≤ `bound` in the tree are projected away (they sit below
     /// every relevant prefix, so climbs never see them; header rows with
-    /// rank ≤ bound are skipped).
+    /// rank ≤ bound are skipped). `-1` marks a tree built for this very
+    /// node — at the root, or by the outlier projection that made the
+    /// node — whose ranks are all frequent here.
     bound: i64,
 }
 
+/// One node of the search: its conditional groups and the one slab
+/// their residual patterns live in.
+#[derive(Default)]
+struct Forest {
+    cgs: Vec<CondGroup>,
+    pats: Vec<u32>,
+}
+
+impl Forest {
+    fn pattern(&self, cg: &CondGroup) -> &[u32] {
+        &self.pats[cg.pat.0 as usize..cg.pat.1 as usize]
+    }
+
+    /// Appends a group, unless it carries nothing: an empty pattern and
+    /// no tree.
+    fn push(
+        &mut self,
+        pattern: impl IntoIterator<Item = u32>,
+        count: u64,
+        tree: Option<Arc<FpTree>>,
+        bound: i64,
+    ) {
+        let from = self.pats.len();
+        self.pats.extend(pattern);
+        if self.pats.len() > from || tree.is_some() {
+            let pat = (from as u32, self.pats.len() as u32);
+            self.cgs.push(CondGroup { pat, count, tree, bound });
+        }
+    }
+}
+
+/// A child group recorded by [`project`]'s first pass and built by its
+/// second, once the child node's frequent ranks are known.
+struct Pending {
+    /// Index of the parent group.
+    cg: usize,
+    /// Start of the residual pattern within the parent's pattern.
+    from: usize,
+    /// Members in the child.
+    count: u64,
+    /// Conditional-base rows `lo..hi` in the context arena for an outlier
+    /// projection; `None` for a pattern-item projection, which keeps the
+    /// parent's tree with a raised bound.
+    base: Option<(usize, usize)>,
+}
+
 struct Ctx {
+    /// Node counts; between [`project`]'s passes, the child's counts.
     scratch: ScratchCounts,
+    /// Header counts of the conditional tree being built.
+    counts: ScratchCounts,
     src: Vec<u32>,
-    /// Conditional-base slab. Every extraction resets it, fills it with
-    /// the climbed prefix paths (one weighted row each), and fully
-    /// consumes it building the child tree *before* recursing — so one
-    /// arena per context suffices and steady-state DFS allocates nothing.
+    /// Conditional-base slab. Every projection resets it, fills it with
+    /// the climbed prefix paths (one weighted row each, one row range per
+    /// group), and fully consumes it building the child trees *before*
+    /// recursing — so one arena per context suffices and steady-state DFS
+    /// allocates nothing.
     arena: ProjectionArena,
+    /// [`project`]'s child groups between its two passes.
+    pending: Vec<Pending>,
     minsup: u64,
 }
 
@@ -65,8 +127,10 @@ impl Ctx {
     fn new(num_ranks: usize, minsup: u64) -> Self {
         Ctx {
             scratch: ScratchCounts::new(num_ranks),
+            counts: ScratchCounts::new(num_ranks),
             src: vec![SRC_NONE; num_ranks],
             arena: ProjectionArena::new(),
+            pending: Vec::new(),
             minsup,
         }
     }
@@ -88,8 +152,8 @@ pub fn mine_source_par<S: GroupedSource + Sync>(
     sink: &mut dyn PatternSink,
 ) {
     let mut scratch = ScratchCounts::new(flist.len());
-    let cgs = build_root(src, &mut scratch, par);
-    mine_root(&cgs, !S::GROUPED, flist, minsup, par, sink);
+    let root = build_root(src, &mut scratch, par);
+    mine_root(&root, !S::GROUPED, flist, minsup, par, sink);
 }
 
 /// Root dispatch: the single-path shortcut, the count, and the Lemma 3.1
@@ -107,24 +171,24 @@ pub fn mine_source_par<S: GroupedSource + Sync>(
 /// pass — the degenerate substrate promises the group machinery
 /// vanishes, not merely that it tolerates empty groups.
 fn mine_root(
-    cgs: &[CondGroup],
+    root: &Forest,
     raw: bool,
     flist: &FList,
     minsup: u64,
     par: Parallelism,
     sink: &mut dyn PatternSink,
 ) {
-    if cgs.is_empty() {
+    if root.cgs.is_empty() {
         return;
     }
     {
         let mut emitter = RankEmitter::new(flist);
-        if try_single_path(cgs, minsup, &mut emitter, sink) {
+        if try_single_path(root, minsup, &mut emitter, sink) {
             return;
         }
     }
     let mut root_ctx = Ctx::new(flist.len(), minsup);
-    let (frequent, single_group) = count_cgs(cgs, &mut root_ctx);
+    let (frequent, single_group) = count_cgs(root, &mut root_ctx);
     if frequent.is_empty() {
         return;
     }
@@ -135,7 +199,7 @@ fn mine_root(
     }
     metrics::set_max("mine.max_depth", 1);
     let frequent = &frequent;
-    let sole_tree = if raw { cgs.first().and_then(|cg| cg.tree.as_deref()) } else { None };
+    let sole_tree = if raw { root.cgs.first().and_then(|cg| cg.tree.as_deref()) } else { None };
     fan_out_ordered(
         par,
         frequent.len(),
@@ -151,11 +215,11 @@ fn mine_root(
             let (r, c) = frequent[k];
             emitter.push(r);
             emitter.emit(sink, c);
-            let children = project(cgs, r, frequent, ctx, climb);
-            if !children.is_empty() {
+            let child = project(root, r, frequent, ctx, climb);
+            if !child.cgs.is_empty() {
                 metrics::add("mine.projected_dbs", 1);
-                histogram::observe("mine.projected_db_size", children.len() as u64);
-                mine_node(&children, ctx, emitter, sink);
+                histogram::observe("mine.projected_db_size", child.cgs.len() as u64);
+                mine_node(&child, ctx, emitter, sink);
             }
             emitter.pop();
         },
@@ -254,13 +318,13 @@ fn mine_sole_row(
 /// (path counts are non-increasing root-downward, so any subset touching
 /// a filtered element is infrequent too). Returns whether it fired.
 fn try_single_path(
-    cgs: &[CondGroup],
+    node: &Forest,
     minsup: u64,
     emitter: &mut RankEmitter<'_>,
     sink: &mut dyn PatternSink,
 ) -> bool {
-    let [cg] = cgs else { return false };
-    if !cg.pattern.is_empty() {
+    let [cg] = &node.cgs[..] else { return false };
+    if !node.pattern(cg).is_empty() {
         return false;
     }
     let Some(tree) = &cg.tree else { return false };
@@ -274,14 +338,14 @@ fn try_single_path(
     true
 }
 
-/// Builds one group's outlier FP-tree (`None` when there is nothing to
-/// store). Insertion order is the tuple order, so the tree shape is
-/// deterministic wherever this runs. `min` is the header threshold: the
-/// root of a degenerate (plain-only) source keeps only globally frequent
-/// ranks — classic FP-growth — while grouped sources keep every rank
-/// (an outlier that is locally rare may still combine with pattern items
-/// into a frequent extension).
-fn build_tree(tuples: TupleSlices<'_>, scratch: &mut ScratchCounts, min: u64) -> Option<FpTree> {
+/// Builds one root group's outlier FP-tree (`None` when there is nothing
+/// to store). Insertion order is the tuple order, so the tree shape is
+/// deterministic wherever this runs. Every rank is kept: on a degenerate
+/// (plain-only) source every rank survived global F-list encoding, and
+/// in a grouped source an outlier that is rare at the root may still
+/// combine with pattern items into a frequent extension. Below the root,
+/// [`project`] thresholds each conditional tree at the child it feeds.
+fn build_tree(tuples: TupleSlices<'_>, scratch: &mut ScratchCounts) -> Option<FpTree> {
     if tuples.is_empty() {
         return None;
     }
@@ -289,25 +353,13 @@ fn build_tree(tuples: TupleSlices<'_>, scratch: &mut ScratchCounts, min: u64) ->
     for &x in tuples.flat() {
         scratch.add(x, 1);
     }
-    let freq = scratch.drain_frequent(min);
+    let freq = scratch.drain_frequent(1);
     if freq.is_empty() {
         return None;
     }
     let mut b = FpTreeBuilder::new(&freq);
-    if min > 1 {
-        let mut filtered: Vec<u32> = Vec::new();
-        for t in tuples {
-            filtered.clear();
-            filtered
-                .extend(t.iter().filter(|&&x| freq.binary_search_by_key(&x, |&(f, _)| f).is_ok()));
-            if !filtered.is_empty() {
-                b.insert_desc(filtered.iter().rev().copied(), 1);
-            }
-        }
-    } else {
-        for t in tuples {
-            b.insert_desc(t.iter().rev().copied(), 1);
-        }
+    for t in tuples {
+        b.insert_desc(t.iter().rev().copied(), 1);
     }
     Some(b.finish())
 }
@@ -320,19 +372,14 @@ fn build_root<S: GroupedSource + Sync>(
     src: &S,
     scratch: &mut ScratchCounts,
     par: Parallelism,
-) -> Vec<CondGroup> {
+) -> Forest {
     let num_groups = src.num_groups();
-    let mut cgs = Vec::with_capacity(num_groups + 1);
+    let mut root = Forest { cgs: Vec::with_capacity(num_groups + 1), pats: Vec::new() };
     if S::GROUPED {
         if par.for_items(num_groups) <= 1 {
             for g in 0..num_groups {
-                let tree = build_tree(src.group_outliers(g), scratch, 1).map(Arc::new);
-                cgs.push(CondGroup {
-                    pattern: src.group_pattern(g).to_vec(),
-                    count: src.group_count(g),
-                    tree,
-                    bound: -1,
-                });
+                let tree = build_tree(src.group_outliers(g), scratch).map(Arc::new);
+                root.push(src.group_pattern(g).iter().copied(), src.group_count(g), tree, -1);
             }
         } else {
             let gs: Vec<u32> = (0..num_groups as u32).collect();
@@ -340,33 +387,22 @@ fn build_root<S: GroupedSource + Sync>(
                 let mut scratch = ScratchCounts::new(src.num_ranks());
                 chunk
                     .iter()
-                    .map(|&g| build_tree(src.group_outliers(g as usize), &mut scratch, 1))
+                    .map(|&g| build_tree(src.group_outliers(g as usize), &mut scratch))
                     .collect::<Vec<_>>()
             });
             for (lo, trees) in parts {
                 for (g, tree) in (lo..num_groups).zip(trees) {
-                    cgs.push(CondGroup {
-                        pattern: src.group_pattern(g).to_vec(),
-                        count: src.group_count(g),
-                        tree: tree.map(Arc::new),
-                        bound: -1,
-                    });
+                    let pattern = src.group_pattern(g).iter().copied();
+                    root.push(pattern, src.group_count(g), tree.map(Arc::new), -1);
                 }
             }
         }
     }
     if !src.plain().is_empty() {
-        // Every rank survived global F-list encoding, so threshold 1 and
-        // the real threshold build the identical root tree here.
-        let tree = build_tree(src.plain(), scratch, 1).map(Arc::new);
-        cgs.push(CondGroup {
-            pattern: Vec::new(),
-            count: src.plain().len() as u64,
-            tree,
-            bound: -1,
-        });
+        let tree = build_tree(src.plain(), scratch).map(Arc::new);
+        root.push([], src.plain().len() as u64, tree, -1);
     }
-    cgs
+    root
 }
 
 /// Counts one node's conditional groups: pattern items via group counts,
@@ -374,10 +410,10 @@ fn build_root<S: GroupedSource + Sync>(
 /// weighted add stands in for a whole group (or header row) of member
 /// tuples. Returns the locally frequent `(rank, count)` pairs (ascending)
 /// and the single source group if Lemma 3.1 applies.
-fn count_cgs(cgs: &[CondGroup], ctx: &mut Ctx) -> (Vec<(u32, u64)>, Option<u32>) {
+fn count_cgs(node: &Forest, ctx: &mut Ctx) -> (Vec<(u32, u64)>, Option<u32>) {
     let mut group_hits = 0u64;
-    for (ci, cg) in cgs.iter().enumerate() {
-        for &x in &cg.pattern {
+    for (ci, cg) in node.cgs.iter().enumerate() {
+        for &x in node.pattern(cg) {
             ctx.scratch.add(x, cg.count);
             group_hits += 1;
             let s = &mut ctx.src[x as usize];
@@ -425,16 +461,16 @@ fn count_cgs(cgs: &[CondGroup], ctx: &mut Ctx) -> (Vec<(u32, u64)>, Option<u32>)
 /// Mines one node of the search: single-path and Lemma 3.1 shortcuts if
 /// they fire, otherwise extend by every locally frequent rank.
 fn mine_node(
-    cgs: &[CondGroup],
+    node: &Forest,
     ctx: &mut Ctx,
     emitter: &mut RankEmitter<'_>,
     sink: &mut dyn PatternSink,
 ) {
     metrics::set_max("mine.max_depth", emitter.depth() as u64);
-    if try_single_path(cgs, ctx.minsup, emitter, sink) {
+    if try_single_path(node, ctx.minsup, emitter, sink) {
         return;
     }
-    let (frequent, single_group) = count_cgs(cgs, ctx);
+    let (frequent, single_group) = count_cgs(node, ctx);
     if frequent.is_empty() {
         return;
     }
@@ -446,56 +482,67 @@ fn mine_node(
     for &(r, c) in &frequent {
         emitter.push(r);
         emitter.emit(sink, c);
-        let children = project(cgs, r, &frequent, ctx, &mut climb);
-        if !children.is_empty() {
+        let child = project(node, r, &frequent, ctx, &mut climb);
+        if !child.cgs.is_empty() {
             metrics::add("mine.projected_dbs", 1);
-            histogram::observe("mine.projected_db_size", children.len() as u64);
-            mine_node(&children, ctx, emitter, sink);
+            histogram::observe("mine.projected_db_size", child.cgs.len() as u64);
+            mine_node(&child, ctx, emitter, sink);
         }
         emitter.pop();
     }
 }
 
-/// Projects every conditional group on rank `r`. `node_frequent` (sorted)
-/// pre-filters conditional bases: ranks infrequent at this node cannot
-/// become frequent deeper (anti-monotonicity).
+/// Projects every conditional group on rank `r`, in two passes, so that
+/// each new conditional tree is thresholded at the child node it feeds.
+///
+/// No single group can see the child's counts, so pass 1 counts the
+/// whole child first: a pattern-item projection contributes its residual
+/// pattern × group count and its kept tree's header rows above `r`; an
+/// outlier projection extracts its conditional base into the context
+/// arena (one row range per group) and contributes its residual pattern
+/// × `r`'s header count plus every base path × its weight. Pass 2 then
+/// builds each outlier projection's tree over the child-frequent ranks
+/// only, drops child-infrequent ranks from every residual pattern, and
+/// drops groups left with neither. On a sole pattern-free group this is
+/// classic FP-growth's `minsup`-thresholded conditional tree.
+///
+/// `node_frequent` (sorted) pre-filters the bases climbed from kept
+/// trees: ranks infrequent at this node cannot become frequent deeper
+/// (anti-monotonicity).
 fn project(
-    cgs: &[CondGroup],
+    node: &Forest,
     r: u32,
     node_frequent: &[(u32, u64)],
     ctx: &mut Ctx,
     climb: &mut Vec<u32>,
-) -> Vec<CondGroup> {
+) -> Forest {
     let is_node_frequent = |x: u32| node_frequent.binary_search_by_key(&x, |&(fr, _)| fr).is_ok();
-    // A sole pattern-free group is classic FP-growth: its conditional
-    // tree can be thresholded at `minsup` outright (nothing outside the
-    // tree can ever lift a rare rank), which keeps child trees minimal
-    // and the single-path shortcut firing exactly as in the baseline.
-    let sole = matches!(cgs, [cg] if cg.pattern.is_empty());
-    let tree_min = if sole { ctx.minsup } else { 1 };
-    let mut out = Vec::new();
+    let Ctx { scratch, counts, arena, pending, minsup, .. } = ctx;
+    // The bases live in the arena only until pass 2 has built the child
+    // trees — one generation per projection, no per-path allocation.
+    arena.reset();
+    pending.clear();
     // Per-path work of conditional-base extraction (the part compression
-    // does NOT save — pattern-item projections above are O(1)).
+    // does NOT save — pattern-item projections are O(1)).
     let mut touches = 0u64;
-    for cg in cgs {
-        match cg.pattern.binary_search(&r) {
+    for (ci, cg) in node.cgs.iter().enumerate() {
+        let pattern = node.pattern(cg);
+        match pattern.binary_search(&r) {
             Ok(pos) => {
-                // Pattern item: O(1) projection — every member follows,
-                // the shared tree is kept with a raised bound.
-                let pattern = cg.pattern[pos + 1..].to_vec();
-                let tree_relevant = cg
-                    .tree
-                    .as_ref()
-                    .is_some_and(|t| t.headers().last().is_some_and(|h| h.rank > r));
-                if pattern.is_empty() && !tree_relevant {
+                // Pattern item: every member follows, the shared tree is
+                // kept with a raised bound.
+                let pattern = &pattern[pos + 1..];
+                let above_r = cg.tree.as_deref().map_or(&[][..], |t| headers_above(t, r));
+                if pattern.is_empty() && above_r.is_empty() {
                     continue;
                 }
-                out.push(CondGroup {
-                    pattern,
-                    count: cg.count,
-                    tree: if tree_relevant { cg.tree.clone() } else { None },
-                    bound: r as i64,
-                });
+                for &x in pattern {
+                    scratch.add(x, cg.count);
+                }
+                for h in above_r {
+                    scratch.add(h.rank, h.count);
+                }
+                pending.push(Pending { cg: ci, from: pos + 1, count: cg.count, base: None });
             }
             Err(ppos) => {
                 // Outlier item: extract r's conditional pattern base.
@@ -504,59 +551,140 @@ fn project(
                     continue;
                 }
                 let Some(hdr) = tree.header_for(r) else { continue };
-                let hdr = *hdr;
-                let pattern = cg.pattern[ppos..].to_vec();
-                // The base lives in the context arena only until the
-                // child tree below is built — one generation per
-                // extraction, no per-path allocation.
-                ctx.arena.reset();
+                let lo = arena.rows().len();
                 let mut node = hdr.head;
                 while node != FP_NIL {
                     let w = tree.count_of(node);
                     tree.climb_into(node, climb);
-                    climb.retain(|&x| is_node_frequent(x));
+                    // A tree built for this node holds only ranks frequent
+                    // here; only a kept tree can hold ranks that are not.
+                    if cg.bound >= 0 {
+                        climb.retain(|&x| is_node_frequent(x));
+                    }
                     if !climb.is_empty() {
                         for &x in climb.iter() {
-                            ctx.scratch.add(x, w);
+                            scratch.add(x, w);
                         }
                         touches += climb.len() as u64;
-                        ctx.arena.push_weighted(climb, w);
+                        arena.push_weighted(climb, w);
                     }
                     node = tree.next_same_rank(node);
                 }
-                let freq = ctx.scratch.drain_frequent(tree_min);
-                let new_tree =
-                    if freq.is_empty() {
-                        None
-                    } else {
-                        let mut b = FpTreeBuilder::new(&freq);
-                        let base = ctx.arena.rows().iter().zip(ctx.arena.weights());
-                        if tree_min > 1 {
-                            let mut filtered: Vec<u32> = Vec::new();
-                            for (ranks, &w) in base {
-                                filtered.clear();
-                                filtered.extend(ranks.iter().filter(|&&x| {
-                                    freq.binary_search_by_key(&x, |&(f, _)| f).is_ok()
-                                }));
-                                if !filtered.is_empty() {
-                                    b.insert_desc(filtered.iter().rev().copied(), w);
-                                }
-                            }
-                        } else {
-                            for (ranks, &w) in base {
-                                b.insert_desc(ranks.iter().rev().copied(), w);
-                            }
-                        }
-                        Some(Arc::new(b.finish()))
-                    };
-                if pattern.is_empty() && new_tree.is_none() {
+                let hi = arena.rows().len();
+                let pattern = &pattern[ppos..];
+                if pattern.is_empty() && lo == hi {
                     continue;
                 }
-                out.push(CondGroup { pattern, count: hdr.count, tree: new_tree, bound: -1 });
+                for &x in pattern {
+                    scratch.add(x, hdr.count);
+                }
+                pending.push(Pending {
+                    cg: ci,
+                    from: ppos,
+                    count: hdr.count,
+                    base: Some((lo, hi)),
+                });
             }
         }
     }
     metrics::add("mine.tuple_touches", touches);
     histogram::observe("mine.touches_per_projection", touches);
+    let minsup = *minsup;
+    let keep = |x: u32| scratch.get(x) >= minsup;
+    let mut out = Forest { cgs: Vec::with_capacity(pending.len()), pats: Vec::new() };
+    for p in pending.iter() {
+        let cg = &node.cgs[p.cg];
+        let (tree, bound) = match p.base {
+            None => {
+                let kept =
+                    cg.tree.as_ref().filter(|t| headers_above(t, r).iter().any(|h| keep(h.rank)));
+                (kept.cloned(), r as i64)
+            }
+            Some((lo, hi)) => (build_base_tree(arena, lo, hi, keep, counts).map(Arc::new), -1),
+        };
+        let pattern = node.pattern(cg)[p.from..].iter().copied().filter(|&x| keep(x));
+        out.push(pattern, p.count, tree, bound);
+    }
+    scratch.clear();
     out
+}
+
+/// The header rows of `tree` with rank above `r` — the ones a projection
+/// on `r` keeps.
+fn headers_above(tree: &FpTree, r: u32) -> &[FpHeader] {
+    let h = tree.headers();
+    &h[h.partition_point(|h| h.rank <= r)..]
+}
+
+/// Builds one outlier projection's conditional tree from its base, rows
+/// `lo..hi` of `arena`, over the ranks `keep` admits (`None` when none
+/// is left). `counts` tallies the tree's header rows.
+fn build_base_tree(
+    arena: &ProjectionArena,
+    lo: usize,
+    hi: usize,
+    keep: impl Fn(u32) -> bool,
+    counts: &mut ScratchCounts,
+) -> Option<FpTree> {
+    let rows = arena.rows().as_slices().range(lo, hi);
+    let weights = &arena.weights()[lo..hi];
+    for (ranks, &w) in rows.iter().zip(weights) {
+        for &x in ranks {
+            if keep(x) {
+                counts.add(x, w);
+            }
+        }
+    }
+    let freq = counts.drain_frequent(1);
+    if freq.is_empty() {
+        return None;
+    }
+    let mut b = FpTreeBuilder::new(&freq);
+    for (ranks, &w) in rows.iter().zip(weights) {
+        b.insert_desc(ranks.iter().rev().copied().filter(|&x| keep(x)), w);
+    }
+    Some(b.finish())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gogreen_data::CsrTuples;
+
+    fn tree(rows: &[&[u32]]) -> Option<Arc<FpTree>> {
+        let rows: CsrTuples<u32> = rows.iter().map(|r| r.to_vec()).collect();
+        build_tree(rows.as_slices(), &mut ScratchCounts::new(8)).map(Arc::new)
+    }
+
+    /// The rank-space form of `tests/fp_recycle.rs`'s fixture: projecting
+    /// on rank 0 drops rank 5 from a residual pattern and ranks 1 and 2
+    /// from a conditional base — all frequent at the root, none under 0.
+    #[test]
+    fn projection_keeps_only_child_frequent_ranks() {
+        let mut root = Forest::default();
+        for (pattern, count, tree) in [
+            (&[0, 3, 4, 5][..], 2, None),
+            (&[5], 8, None),
+            (&[4], 3, tree(&[&[0, 1, 2], &[0, 2], &[0, 3]])),
+            (
+                &[],
+                5,
+                tree(&[&[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3]]),
+            ),
+        ] {
+            root.push(pattern.iter().copied(), count, tree, -1);
+        }
+        let mut ctx = Ctx::new(6, 3);
+        let (frequent, _) = count_cgs(&root, &mut ctx);
+        assert_eq!(frequent, [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9), (5, 10)]);
+        let child = project(&root, 0, &frequent, &mut ctx, &mut Vec::new());
+        let patterns: Vec<&[u32]> = child.cgs.iter().map(|cg| child.pattern(cg)).collect();
+        assert_eq!(patterns, [&[3, 4][..], &[4]]);
+        assert_eq!(child.cgs.iter().map(|cg| cg.count).collect::<Vec<_>>(), [2, 3]);
+        assert!(child.cgs[0].tree.is_none());
+        // The base rows [1, 2], [2], [3] shrink to the one row [3].
+        let t = child.cgs[1].tree.as_deref().expect("rank 3 survives");
+        assert_eq!(t.headers().iter().map(|h| (h.rank, h.count)).collect::<Vec<_>>(), [(3, 1)]);
+        assert_eq!(t.num_nodes(), 2);
+    }
 }

@@ -128,7 +128,7 @@ pub const ALL: &[MetricDef] = defs![
         true,
         "u32 diffset entries produced or read by the vertical engine's dEclat kernels"
     ),
-    ("mine.fp_nodes", Counter, true, "FP-tree nodes allocated by the legacy fpgrowth miner"),
+    ("mine.fp_nodes", Counter, true, "FP-tree nodes allocated, root and conditional trees alike"),
     ("mine.group_hits", Counter, true, "compressed groups consulted during counting"),
     ("mine.max_depth", Max, true, "deepest projection recursion reached"),
     (
