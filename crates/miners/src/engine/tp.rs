@@ -23,6 +23,18 @@
 //! siblings — so steady-state descent performs no allocation and a
 //! node's counting pass is a linear walk of one buffer.
 //!
+//! A node's children come from one forward sweep. The node keeps a
+//! cursor per residual pattern and per member row (a `Sweep`, held in
+//! its depth's scratch slot), each at the first local index `≥` the
+//! extension being projected. Extensions are projected in ascending
+//! order, so the cursors only move forward: containment and the cut
+//! position are read at the cursor, with no search, and the node's
+//! projections together walk each row about once. A group's residual
+//! pattern is written only once something follows it — a member row or,
+//! for a whole group, a bare member. Each root fan-out worker sweeps the
+//! shared root with its own cursors, rewound whenever its next unit is
+//! not above its last one.
+//!
 //! On the degenerate [`gogreen_data::PlainRanks`] substrate every tuple
 //! lands in the single pattern-free root partition, the group-at-a-time
 //! arms never execute, and the search is exactly the classic depth-first
@@ -86,6 +98,33 @@ struct TpLevel {
     plain: CsrTuples<u32>,
     exts: Vec<(u32, u64)>,
     remap: Vec<u32>,
+    /// Cursors into the node being projected (the parent of the child
+    /// held above).
+    sweep: Sweep,
+}
+
+/// The forward cursors of one node's projection sweep: per group, then
+/// per member row, the position in that list of the first local index
+/// `≥` the extension last projected. One vector holds both, so a node's
+/// cursors are one allocation.
+#[derive(Default)]
+struct Sweep {
+    cur: Vec<u32>,
+    /// One past the last extension asked for (0 = none yet).
+    next: u32,
+}
+
+impl Sweep {
+    /// Announces extension `i`. An `i` not above the last one starts a
+    /// new sweep — the first extension of the next node at this depth,
+    /// or a root fan-out worker's unit that is not above its previous
+    /// one — and [`project`] then rewinds every cursor.
+    fn start(&mut self, i: u32) {
+        if i < self.next {
+            self.cur.clear();
+        }
+        self.next = i + 1;
+    }
 }
 
 /// Per-worker mining state: one [`TpLevel`] per depth below the root.
@@ -302,6 +341,7 @@ fn tp_extend(
     // Borrow this depth's scratch; the recursion below only uses deeper
     // slots, so taking it out of the context is conflict-free.
     let mut lvl = std::mem::take(&mut ctx.levels[depth]);
+    lvl.sweep.start(i);
     lvl.exts.clear();
     for j in (i + 1)..k as u32 {
         let c = matrix.get(i, j);
@@ -362,11 +402,27 @@ fn commit_nonempty(csr: &mut CsrTuples<u32>) -> bool {
     }
 }
 
+/// Moves `cur` to the first position of `list` holding a local index
+/// `≥ i` and returns that position plus whether it holds `i` itself.
+#[inline]
+fn seek(list: &[u32], cur: &mut u32, i: u32) -> (usize, bool) {
+    let mut c = *cur as usize;
+    while c < list.len() && list[c] < i {
+        c += 1;
+    }
+    *cur = c as u32;
+    (c, c < list.len() && list[c] == i)
+}
+
 /// Projects the node's groups on local extension `i` into `lvl`,
 /// remapping surviving indices through `lvl.remap`. Residual patterns go
-/// straight into `lvl.patterns` and child member rows into `lvl.members`
-/// (grouped rows first, then — via the `plain` buffer — the rows of
-/// dissolved groups as one final pattern-free partition).
+/// into `lvl.patterns` and child member rows into `lvl.members` (grouped
+/// rows first, then — via the `plain` buffer — the rows of dissolved
+/// groups as one final pattern-free partition).
+///
+/// Containment and cut positions come from `lvl.sweep`'s forward
+/// cursors, so successive calls must ask for ascending `i` within one
+/// node (see [`Sweep::start`]).
 fn project(node: Node<'_>, i: u32, lvl: &mut TpLevel) {
     let TpLevel {
         groups: out_groups,
@@ -374,57 +430,55 @@ fn project(node: Node<'_>, i: u32, lvl: &mut TpLevel) {
         members: out_members,
         plain,
         remap,
+        sweep,
         ..
     } = lvl;
     out_groups.clear();
     out_patterns.clear();
     out_members.reset();
     plain.clear();
-    for (g, pattern) in node.groups.iter().zip(node.patterns) {
-        let rows = node.members.range(g.lo as usize, g.hi as usize);
+    let remap: &[u32] = remap;
+    if sweep.cur.is_empty() {
+        sweep.cur.resize(node.groups.len() + node.members.len(), 0);
+    }
+    let (pat_cur, row_cur) = sweep.cur.split_at_mut(node.groups.len());
+    let survives = |residual: &[u32]| residual.iter().any(|&j| remap[j as usize] != u32::MAX);
+    for ((g, pattern), pcur) in node.groups.iter().zip(node.patterns).zip(pat_cur) {
         // Whole group follows on a pattern item; only the members
         // containing i follow on an outlier item.
-        let (residual, whole) = match pattern.binary_search(&i) {
-            Ok(pos) => (&pattern[pos + 1..], true),
-            Err(ppos) => (&pattern[ppos..], false),
-        };
-        map_push(residual, remap, out_patterns);
-        // Each member's tail past i, or `None` when it does not follow.
-        let tail = |m: &'_ [u32]| -> Option<usize> {
-            if whole {
-                Some(m.partition_point(|&x| x <= i))
-            } else {
-                m.binary_search(&i).ok().map(|opos| opos + 1)
+        let (ppos, whole) = seek(pattern, pcur, i);
+        let residual = &pattern[ppos + whole as usize..];
+        // Whether the residual pattern keeps an extension: decided at
+        // the first thing that follows, since it is moot otherwise.
+        let mut keeps = None;
+        let mut bare = if whole { g.bare } else { 0 };
+        let lo = out_members.rows().len() as u32;
+        let rows = node.members.range(g.lo as usize, g.hi as usize);
+        let curs = &mut row_cur[g.lo as usize..g.hi as usize];
+        for (m, mcur) in rows.into_iter().zip(curs) {
+            let (mpos, hit) = seek(m, mcur, i);
+            if !(whole || hit) {
+                continue;
             }
-        };
-        if out_patterns.open_len() == 0 {
-            // Dissolved: surviving member rows become plain tuples; bare
-            // members carry nothing and vanish.
-            for m in rows {
-                if let Some(cut) = tail(m) {
-                    map_push(&m[cut..], remap, plain);
-                    commit_nonempty(plain);
+            let tail = &m[mpos + hit as usize..];
+            if *keeps.get_or_insert_with(|| survives(residual)) {
+                let csr = out_members.rows_mut();
+                map_push(tail, remap, csr);
+                if !commit_nonempty(csr) {
+                    bare += 1;
                 }
-            }
-        } else {
-            let mut bare = if whole { g.bare } else { 0 };
-            let lo = out_members.rows().len() as u32;
-            for m in rows {
-                if let Some(cut) = tail(m) {
-                    let csr = out_members.rows_mut();
-                    map_push(&m[cut..], remap, csr);
-                    if !commit_nonempty(csr) {
-                        bare += 1;
-                    }
-                }
-            }
-            let hi = out_members.rows().len() as u32;
-            if bare > 0 || hi > lo {
-                out_patterns.commit_row();
-                out_groups.push(TpGroup { lo, hi, bare });
             } else {
-                out_patterns.discard_row();
+                // Dissolved: surviving member rows become plain tuples;
+                // bare members carry nothing and vanish.
+                map_push(tail, remap, plain);
+                commit_nonempty(plain);
             }
+        }
+        let hi = out_members.rows().len() as u32;
+        if (bare > 0 || hi > lo) && *keeps.get_or_insert_with(|| survives(residual)) {
+            map_push(residual, remap, out_patterns);
+            out_patterns.commit_row();
+            out_groups.push(TpGroup { lo, hi, bare });
         }
     }
     if !plain.is_empty() {
@@ -435,5 +489,156 @@ fn project(node: Node<'_>, i: u32, lvl: &mut TpLevel) {
         let hi = out_members.rows().len() as u32;
         out_patterns.push_row(&[]);
         out_groups.push(TpGroup { lo, hi, bare: 0 });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-extension scan the sweep replaced, kept as the reference:
+    /// a binary search per group and member row for every extension.
+    fn reference_project(node: Node<'_>, i: u32, lvl: &mut TpLevel) {
+        let TpLevel {
+            groups: out_groups,
+            patterns: out_patterns,
+            members: out_members,
+            plain,
+            remap,
+            ..
+        } = lvl;
+        out_groups.clear();
+        out_patterns.clear();
+        out_members.reset();
+        plain.clear();
+        for (g, pattern) in node.groups.iter().zip(node.patterns) {
+            let rows = node.members.range(g.lo as usize, g.hi as usize);
+            // Whole group follows on a pattern item; only the members
+            // containing i follow on an outlier item.
+            let (residual, whole) = match pattern.binary_search(&i) {
+                Ok(pos) => (&pattern[pos + 1..], true),
+                Err(ppos) => (&pattern[ppos..], false),
+            };
+            map_push(residual, remap, out_patterns);
+            // Each member's tail past i, or `None` when it does not follow.
+            let tail = |m: &'_ [u32]| -> Option<usize> {
+                if whole {
+                    Some(m.partition_point(|&x| x <= i))
+                } else {
+                    m.binary_search(&i).ok().map(|opos| opos + 1)
+                }
+            };
+            if out_patterns.open_len() == 0 {
+                // Dissolved: surviving member rows become plain tuples; bare
+                // members carry nothing and vanish.
+                for m in rows {
+                    if let Some(cut) = tail(m) {
+                        map_push(&m[cut..], remap, plain);
+                        commit_nonempty(plain);
+                    }
+                }
+            } else {
+                let mut bare = if whole { g.bare } else { 0 };
+                let lo = out_members.rows().len() as u32;
+                for m in rows {
+                    if let Some(cut) = tail(m) {
+                        let csr = out_members.rows_mut();
+                        map_push(&m[cut..], remap, csr);
+                        if !commit_nonempty(csr) {
+                            bare += 1;
+                        }
+                    }
+                }
+                let hi = out_members.rows().len() as u32;
+                if bare > 0 || hi > lo {
+                    out_patterns.commit_row();
+                    out_groups.push(TpGroup { lo, hi, bare });
+                } else {
+                    out_patterns.discard_row();
+                }
+            }
+        }
+        if !plain.is_empty() {
+            let lo = out_members.rows().len() as u32;
+            for m in plain.iter() {
+                out_members.rows_mut().push_row(m);
+            }
+            let hi = out_members.rows().len() as u32;
+            out_patterns.push_row(&[]);
+            out_groups.push(TpGroup { lo, hi, bare: 0 });
+        }
+    }
+
+    type Child = (Vec<(u32, u32, u64)>, Vec<Vec<u32>>, Vec<Vec<u32>>);
+
+    fn child(lvl: &TpLevel) -> Child {
+        (
+            lvl.groups.iter().map(|g| (g.lo, g.hi, g.bare)).collect(),
+            lvl.patterns.iter().map(<[u32]>::to_vec).collect(),
+            lvl.members.rows().iter().map(<[u32]>::to_vec).collect(),
+        )
+    }
+
+    /// Local indices above `i` that survive into the child, renumbered
+    /// densely; `drop` filters some out, as infrequent pairs would be.
+    fn remap(k: u32, i: u32, drop: impl Fn(u32) -> bool) -> Vec<u32> {
+        let mut remap = vec![u32::MAX; k as usize];
+        let mut next = 0;
+        for j in i + 1..k {
+            if !drop(j) {
+                remap[j as usize] = next;
+                next += 1;
+            }
+        }
+        remap
+    }
+
+    #[test]
+    fn sweep_projects_every_child_like_the_reference_scan() {
+        const K: u32 = 8;
+        let mut root = RootNode {
+            groups: Vec::new(),
+            patterns: CsrTuples::new(),
+            members: CsrTuples::new(),
+            exts: (0..K).map(|j| (j, 0)).collect(),
+        };
+        let rows = |rs: &[&[u32]]| -> CsrTuples<u32> { rs.iter().map(|r| r.to_vec()).collect() };
+        // Whole on 1, 3 and 5; partial elsewhere.
+        root.push(&[1, 3, 5], rows(&[&[0, 2], &[4, 6], &[2, 7]]).as_slices(), 2);
+        // Partial off its pattern: only the members holding the
+        // extension follow (on 1, 3, 4, 5 and 7 some do).
+        root.push(&[2, 6], rows(&[&[1, 4], &[3], &[1, 5, 7]]).as_slices(), 1);
+        // Whole on 4 with an empty residual: dissolves into plain rows.
+        root.push(&[4], rows(&[&[2, 5], &[3, 6, 7], &[5], &[0, 5]]).as_slices(), 3);
+        // Bare members only.
+        root.push(&[0, 2, 7], rows(&[]).as_slices(), 5);
+        // The plain partition.
+        root.push(&[], rows(&[&[0, 1, 2], &[1, 3], &[5, 6, 7], &[0, 7], &[6]]).as_slices(), 0);
+        let node = Node {
+            groups: &root.groups,
+            patterns: root.patterns.as_slices(),
+            members: root.members.as_slices(),
+            exts: &root.exts,
+        };
+
+        let mut lvl = TpLevel::default();
+        let mut reference = TpLevel::default();
+        let drops: [&dyn Fn(u32, u32) -> bool; 3] =
+            [&|_, _| false, &|i, j| (i + j) % 4 == 0, &|_, j| j % 2 == 1];
+        // Every extension, then every other one (cursors skip the gaps),
+        // under each remap; each pass restarts at 0, rewinding the sweep.
+        for drop in drops {
+            for step in [1, 2] {
+                for i in (0..K).step_by(step) {
+                    let map = remap(K, i, |j| drop(i, j));
+                    lvl.remap.clone_from(&map);
+                    reference.remap = map;
+                    lvl.sweep.start(i);
+                    project(node, i, &mut lvl);
+                    reference_project(node, i, &mut reference);
+                    assert_eq!(child(&lvl), child(&reference), "extension {i}, step {step}");
+                }
+            }
+        }
     }
 }

@@ -132,6 +132,8 @@ pub struct SegmentWriter {
     next_id: u32,
     rows: CsrTuples<u32>,
     counts: Vec<u32>,
+    /// Items with a nonzero count in `counts`: the open sidecar's entries.
+    distinct: usize,
     sealed: usize,
 }
 
@@ -153,6 +155,7 @@ impl SegmentWriter {
             next_id,
             rows: CsrTuples::new(),
             counts: Vec::new(),
+            distinct: 0,
             sealed: 0,
         })
     }
@@ -169,7 +172,9 @@ impl SegmentWriter {
             if it as usize >= self.counts.len() {
                 self.counts.resize(it as usize + 1, 0);
             }
-            self.counts[it as usize] += 1;
+            let c = &mut self.counts[it as usize];
+            self.distinct += (*c == 0) as usize;
+            *c += 1;
         }
         self.rows.push_row(items);
         Ok(())
@@ -177,8 +182,7 @@ impl SegmentWriter {
 
     /// Payload bytes the open (unsealed) buffer would serialize to.
     fn open_payload_bytes(&self) -> usize {
-        let sidecar = self.counts.iter().filter(|&&c| c > 0).count();
-        (self.rows.len() + 1) * 4 + self.rows.total_elems() * 4 + sidecar * 8
+        (self.rows.len() + 1) * 4 + self.rows.total_elems() * 4 + self.distinct * 8
     }
 
     /// Rows currently buffered in the open segment.
@@ -193,6 +197,7 @@ impl SegmentWriter {
         }
         let rows = std::mem::take(&mut self.rows);
         let counts = std::mem::take(&mut self.counts);
+        self.distinct = 0;
         let path = self.dir.join(segment_file_name(self.next_id));
         let bytes = write_segment(&path, &rows, &counts)?;
         self.next_id += 1;
@@ -501,6 +506,47 @@ mod tests {
         std::fs::write(dir.join(segment_file_name(0)), &header).unwrap();
         let err = SegmentedDb::open(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rollover_matches_a_recount_of_the_sidecar() {
+        // Rows alternate between reusing a few items and introducing
+        // fresh ones, so the sidecar grows unevenly from row to row.
+        let rows: Vec<Vec<u32>> = (0..300u32)
+            .map(|r| match r % 4 {
+                0 => vec![1, 2, 3],
+                1 => vec![2, 100 + r, 101 + r],
+                2 => (0..r % 9).map(|k| 1000 + 7 * r + k).collect(),
+                _ => vec![],
+            })
+            .collect();
+        let segment_bytes = 700;
+        // The rollover rule, recounting the open segment's distinct items
+        // from scratch before every row.
+        let mut expected = Vec::new();
+        let mut open: Vec<&[u32]> = Vec::new();
+        for row in &rows {
+            let mut items: Vec<u32> = open.iter().flat_map(|r| r.iter().copied()).collect();
+            items.sort_unstable();
+            items.dedup();
+            let elems: usize = open.iter().map(|r| r.len()).sum();
+            let payload = (open.len() + 1) * 4 + elems * 4 + items.len() * 8;
+            if !open.is_empty() && payload + (row.len() + 1) * 4 > segment_bytes {
+                expected.push(open.len());
+                open.clear();
+            }
+            open.push(row);
+        }
+        expected.push(open.len());
+        assert!(expected.len() > 3, "the rows must span several segments");
+
+        let dir = temp_dir("uneven-sidecar");
+        let refs: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
+        assert_eq!(fill(&dir, &refs, segment_bytes), expected.len());
+        let db = SegmentedDb::open(&dir).unwrap();
+        let got: Vec<usize> = (0..db.num_segments()).map(|i| db.load(i).unwrap().len()).collect();
+        assert_eq!(got, expected);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
