@@ -32,6 +32,7 @@ use gogreen_data::{
 use gogreen_obs::{histogram, metrics, span, Span};
 use gogreen_util::pool::{par_ranges, Parallelism};
 use gogreen_util::{FxHashMap, Stopwatch};
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 /// Outcome metrics of one compression run (paper Table 3 columns).
@@ -209,7 +210,10 @@ impl Compressor {
             }
             acc.record(t, chosen.map(|pidx| (pidx, patterns[pidx as usize].items())), &mut rest);
         }
-        acc.into_cdb(|pidx| rank[pidx as usize], |pidx| patterns[pidx as usize].items())
+        acc.into_cdb(
+            |a, b| rank[a as usize].cmp(&rank[b as usize]),
+            |pidx| patterns[pidx as usize].items(),
+        )
     }
 }
 
@@ -337,13 +341,14 @@ impl Accumulator {
     /// utility order. Only the patterns actually used are sorted — the
     /// seed walked the *entire* order doing a hash remove per pattern,
     /// which costs O(|FP|) even when a handful of groups exist.
+    /// `by_rank` compares two pattern indices in utility order.
     fn into_cdb<'p>(
         self,
-        rank_of: impl Fn(u32) -> u32,
+        by_rank: impl Fn(u32, u32) -> Ordering,
         items_of: impl Fn(u32) -> &'p [Item],
     ) -> CompressedDb {
         let mut used: Vec<(u32, Members)> = self.by_pattern.into_iter().collect();
-        used.sort_unstable_by_key(|&(pidx, _)| rank_of(pidx));
+        used.sort_unstable_by(|a, b| by_rank(a.0, b.0));
         let mut cdb = CompressedDb::empty(self.original_items);
         cdb.plain = self.plain;
         // Sized once: every member row is copied exactly once.
@@ -365,7 +370,7 @@ impl Accumulator {
         started: Instant,
         sp: &mut Span,
     ) -> (CompressedDb, CompressionStats) {
-        let cdb = self.into_cdb(|pidx| index.rank_of(pidx), |pidx| index.pattern(pidx).items());
+        let cdb = self.into_cdb(|a, b| index.cmp_utility(a, b), |pidx| index.pattern(pidx).items());
         let s = cdb.stats();
         let stats = CompressionStats {
             duration: started.elapsed(),

@@ -12,6 +12,14 @@
 //! no more than the scan, while on hard inputs it wins by orders of
 //! magnitude.
 //!
+//! The utility order itself is built only as far as sweeps read it. The
+//! build *selects* the `CHAIN_BLOCK` best ranks (one linear
+//! `select_nth_unstable_by`) and sorts just those; the rest of the
+//! pattern set is sorted by the first sweep that reaches rank
+//! `CHAIN_BLOCK`. A sweep that drains inside block 0 — the common case
+//! on dense data — never pays for sorting the whole recycled set, and
+//! one that does not costs one linear selection more than a full sort.
+//!
 //! # One sweep, chains compiled once per index
 //!
 //! [`CoverIndex::cover_all`] is a **vertical sweep**: tuples become bits
@@ -49,10 +57,11 @@
 //! `cover_differential.rs` enforces this on random databases for both
 //! strategies, any thread count and any chunking.
 
-use crate::utility::{order_by_utility, Strategy};
+use crate::utility::{cmp_utility, utility_keys, Strategy};
 use gogreen_data::bitmap;
 use gogreen_data::{Item, Pattern, PatternSet, TransactionDb, TupleSlices};
 use gogreen_obs::{histogram, metrics};
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 /// Utility ranks per lazily compiled block of AND-chains. Small enough
@@ -70,10 +79,14 @@ const CHAIN_BLOCK: usize = 256;
 #[derive(Debug)]
 pub struct CoverIndex<'a> {
     patterns: &'a [Pattern],
-    /// `order[rank]` = pattern index (descending utility).
+    /// `keys[pattern index]` = its utility, the sort key of the order.
+    keys: Vec<u128>,
+    /// Every pattern index. `order[..CHAIN_BLOCK]` (block 0) holds the
+    /// best ranks in utility order; the rest follow in selection order.
     order: Vec<u32>,
-    /// `rank[pattern index]` = position in `order`.
-    rank: Vec<u32>,
+    /// `order[CHAIN_BLOCK..]` in utility order (blocks 1 and on), sorted
+    /// by the first sweep that reaches block 1.
+    rest: OnceLock<Vec<u32>>,
     /// `rarity[item index]` = F-list position (ascending support, ties by
     /// id) — rarest items first, so rarity comparisons are plain `u32`s.
     /// One entry per item id occurring in the database.
@@ -137,11 +150,16 @@ impl<'a> CoverIndex<'a> {
         db_len: usize,
     ) -> Self {
         let num_items = supports.len();
-        let order = order_by_utility(patterns, strategy, db_len);
-        let mut rank = vec![0u32; patterns.len()];
-        for (k, &pidx) in order.iter().enumerate() {
-            rank[pidx as usize] = k as u32;
+        // Block 0's ranks by one linear selection, then sorted; the rest
+        // waits for a sweep that needs it (see the module docs).
+        let keys = utility_keys(patterns, strategy, db_len);
+        let by_utility = |a: &u32, b: &u32| cmp_utility(&keys, patterns, *a, *b);
+        let mut order: Vec<u32> = (0..patterns.len() as u32).collect();
+        if order.len() > CHAIN_BLOCK {
+            order.select_nth_unstable_by(CHAIN_BLOCK - 1, by_utility);
         }
+        let head = order.len().min(CHAIN_BLOCK);
+        order[..head].sort_unstable_by(by_utility);
         // Rarity ranks, computed once so chain ordering is plain u32
         // comparisons with no allocation.
         let mut by_support: Vec<u32> = (0..num_items as u32).collect();
@@ -166,12 +184,44 @@ impl<'a> CoverIndex<'a> {
             }
         }
         let chains = (0..order.len().div_ceil(CHAIN_BLOCK)).map(|_| OnceLock::new()).collect();
-        CoverIndex { patterns, order, rank, rarity, slot_of_item, num_slots, chains }
+        CoverIndex {
+            patterns,
+            keys,
+            order,
+            rest: OnceLock::new(),
+            rarity,
+            slot_of_item,
+            num_slots,
+            chains,
+        }
+    }
+
+    /// The pattern indices of block `b`'s ranks, in utility order. Block
+    /// 1 and later sort the remainder of the order on first use.
+    fn block_ranks(&self, b: usize) -> &[u32] {
+        let (ranks, from) = if b == 0 {
+            (&self.order[..], 0)
+        } else {
+            let rest = self.rest.get_or_init(|| {
+                let mut rest = self.order[CHAIN_BLOCK..].to_vec();
+                rest.sort_unstable_by(|&a, &b| self.cmp_utility(a, b));
+                rest
+            });
+            (&rest[..], (b - 1) * CHAIN_BLOCK)
+        };
+        &ranks[from..ranks.len().min(from + CHAIN_BLOCK)]
+    }
+
+    /// Compares two pattern indices in utility order (`Less` = the
+    /// better rank), the order [`crate::utility::order_by_utility`]
+    /// sorts by.
+    pub(crate) fn cmp_utility(&self, a: u32, b: u32) -> Ordering {
+        cmp_utility(&self.keys, self.patterns, a, b)
     }
 
     /// Compiles block `b`'s AND-chains.
     fn compile_block(&self, b: usize) -> ChainBlock {
-        let ranks = &self.order[b * CHAIN_BLOCK..self.order.len().min((b + 1) * CHAIN_BLOCK)];
+        let ranks = self.block_ranks(b);
         let mut slots = Vec::new();
         let mut start = Vec::with_capacity(ranks.len() + 1);
         start.push(0u32);
@@ -212,22 +262,12 @@ impl<'a> CoverIndex<'a> {
         self.patterns.is_empty()
     }
 
-    /// Pattern indices in descending utility order.
-    pub fn order(&self) -> &[u32] {
-        &self.order
-    }
-
-    /// The utility rank of pattern `pidx` (0 = best).
-    pub fn rank_of(&self, pidx: u32) -> u32 {
-        self.rank[pidx as usize]
-    }
-
     /// Covers every tuple of `tuples` in one vertical sweep, returning
     /// `out[i]` = the pattern index covering `tuples[i]` (or `None`):
     /// the highest-utility pattern contained in the tuple.
     ///
-    /// Exactly equivalent to scanning `order()` per tuple and taking the
-    /// first pattern whose items are all in it (see the module docs):
+    /// Exactly equivalent to scanning the utility order per tuple and
+    /// taking the first pattern whose items are all in it (see the module docs):
     /// patterns are visited in ascending rank order and each claims
     /// every still-unclaimed tuple containing it. Tuples are bits of
     /// per-item column bitmaps, so a pattern's claim is its compiled
@@ -263,6 +303,7 @@ impl<'a> CoverIndex<'a> {
         let mut words_scanned = 0u64;
         'blocks: for (b, block) in self.chains.iter().enumerate() {
             let block = block.get_or_init(|| self.compile_block(b));
+            let ranks = self.block_ranks(b);
             'patterns: for (j, chain) in block.chains().enumerate() {
                 let Some((&first, rest)) = chain.split_first() else { continue };
                 // The AND-chain runs on the shared bitmap kernels (the
@@ -281,7 +322,7 @@ impl<'a> CoverIndex<'a> {
                         continue 'patterns;
                     }
                 }
-                let pidx = self.order[b * CHAIN_BLOCK + j];
+                let pidx = ranks[j];
                 let before = remaining;
                 for w in 0..words {
                     let mut claimed = acc[w];
@@ -306,23 +347,30 @@ impl<'a> CoverIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::utility::order_by_utility;
     use gogreen_data::MinSupport;
     use gogreen_miners::mine_apriori;
 
     /// The seed behaviour `cover_all` must replicate: first pattern in
-    /// utility order contained in the tuple.
-    fn linear_cover(index: &CoverIndex, t: &[Item]) -> Option<u32> {
-        index.order().iter().copied().find(|&pidx| {
-            let p = index.pattern(pidx);
+    /// the reference utility order contained in the tuple.
+    fn linear_cover(patterns: &[Pattern], order: &[u32], t: &[Item]) -> Option<u32> {
+        order.iter().copied().find(|&pidx| {
+            let p = &patterns[pidx as usize];
             p.len() <= t.len() && p.items().iter().all(|it| t.binary_search(it).is_ok())
         })
     }
 
     /// Asserts the sweep over all of `db` picks what the linear scan picks.
-    fn assert_sweep_matches_linear_scan(index: &CoverIndex, db: &TransactionDb, what: &str) {
+    fn assert_sweep_matches_linear_scan(
+        index: &CoverIndex,
+        db: &TransactionDb,
+        strategy: Strategy,
+        what: &str,
+    ) {
+        let order = order_by_utility(index.patterns, strategy, db.len());
         let swept = index.cover_all(db.tuples());
         for (i, (t, got)) in db.iter().zip(swept).enumerate() {
-            assert_eq!(got, linear_cover(index, t), "{what} tuple {i}");
+            assert_eq!(got, linear_cover(index.patterns, &order, t), "{what} tuple {i}");
         }
     }
 
@@ -332,7 +380,7 @@ mod tests {
         let fp = mine_apriori(&db, MinSupport::Absolute(3));
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             let index = CoverIndex::new(&db, &fp, strategy);
-            assert_sweep_matches_linear_scan(&index, &db, &format!("{strategy:?}"));
+            assert_sweep_matches_linear_scan(&index, &db, strategy, &format!("{strategy:?}"));
         }
     }
 
@@ -360,7 +408,7 @@ mod tests {
         let mut fp = PatternSet::new();
         fp.insert(Pattern::from_ids([1, 2, 500], 1));
         let index = CoverIndex::new(&db, &fp, Strategy::Mcp);
-        assert_eq!(linear_cover(&index, db.tuple(0)), None);
+        assert_eq!(linear_cover(fp.as_slice(), &[0], db.tuple(0)), None);
         assert_eq!(index.cover_all(db.tuples()), vec![None]);
     }
 
@@ -381,9 +429,10 @@ mod tests {
         let fp = mine_apriori(&db, MinSupport::Absolute(2));
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             let index = CoverIndex::new(&db, &fp, strategy);
+            let order = order_by_utility(fp.as_slice(), strategy, db.len());
             let batch = index.cover_all(db.tuples());
             for (i, (t, got)) in db.iter().zip(batch).enumerate() {
-                assert_eq!(got, linear_cover(&index, t), "{strategy:?}");
+                assert_eq!(got, linear_cover(fp.as_slice(), &order, t), "{strategy:?}");
                 assert_eq!(vec![got], index.cover_all(db.tuples().range(i, i + 1)), "{strategy:?}");
             }
         }
@@ -401,7 +450,7 @@ mod tests {
         fp.insert(Pattern::from_ids([1, 3, 100], 10));
         fp.insert(Pattern::from_ids([100], 150));
         let index = CoverIndex::new(&db, &fp, Strategy::Mcp);
-        assert_sweep_matches_linear_scan(&index, &db, "150 tuples");
+        assert_sweep_matches_linear_scan(&index, &db, Strategy::Mcp, "150 tuples");
     }
 
     /// Regression for the shared-kernel refactor: the sweep (now running
@@ -430,7 +479,7 @@ mod tests {
         fp.insert(Pattern::from_ids([50], 200));
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             let index = CoverIndex::new(&db, &fp, strategy);
-            assert_sweep_matches_linear_scan(&index, &db, &format!("{strategy:?}"));
+            assert_sweep_matches_linear_scan(&index, &db, strategy, &format!("{strategy:?}"));
         }
     }
 
@@ -481,7 +530,7 @@ mod tests {
         for strategy in [Strategy::Mcp, Strategy::Mlp] {
             let index = CoverIndex::new(&db, &fp, strategy);
             assert!(index.chains.iter().all(|c| c.get().is_none()), "nothing compiled eagerly");
-            assert_sweep_matches_linear_scan(&index, &db, &format!("{strategy:?}"));
+            assert_sweep_matches_linear_scan(&index, &db, strategy, &format!("{strategy:?}"));
             assert!(index.chains.iter().filter(|c| c.get().is_some()).count() > 1);
             // A second sweep over a chunk reuses the compiled chains.
             assert_eq!(
@@ -497,8 +546,61 @@ mod tests {
         let row_refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
         let db = TransactionDb::from_rows(&row_refs);
         let index = CoverIndex::new(&db, &top, Strategy::Mcp);
-        assert_sweep_matches_linear_scan(&index, &db, "draining");
+        assert_sweep_matches_linear_scan(&index, &db, Strategy::Mcp, "draining");
         assert!(index.chains[0].get().is_some());
+        assert!(index.chains[1..].iter().all(|c| c.get().is_none()));
+    }
+
+    /// Block 0's selected-then-sorted ranks and the lazily sorted rest
+    /// reproduce the full sort exactly, for every strategy, on a set with
+    /// many utility ties (broken by itemset); a sweep that drains in
+    /// block 0 never sorts the rest.
+    #[test]
+    fn lazy_utility_order_matches_the_full_sort() {
+        // 3 supports × lengths 1–3 over 30 items: every utility value is
+        // shared by many patterns, under all four strategies.
+        let mut fp = PatternSet::new();
+        for a in 0..30u32 {
+            fp.insert(Pattern::from_ids([a], 5 + u64::from(a % 3)));
+            for b in a + 1..30 {
+                fp.insert(Pattern::from_ids([a, b], 5 + u64::from((a + b) % 3)));
+                if (a + b) % 4 == 0 {
+                    fp.insert(Pattern::from_ids([a, b, 30], 5 + u64::from(b % 3)));
+                }
+            }
+        }
+        assert!(fp.len() > 2 * CHAIN_BLOCK);
+        let rows: Vec<Vec<u32>> = (0..40u32).map(|i| vec![i % 30, 30]).collect();
+        let row_refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let db = TransactionDb::from_rows(&row_refs);
+        for strategy in [Strategy::Mcp, Strategy::Mlp, Strategy::SupportOnly, Strategy::LengthOnly]
+        {
+            let full = order_by_utility(fp.as_slice(), strategy, db.len());
+            let index = CoverIndex::new(&db, &fp, strategy);
+            assert_eq!(index.block_ranks(0), &full[..CHAIN_BLOCK], "{strategy:?} block 0");
+            assert!(index.rest.get().is_none(), "{strategy:?}: rest sorted eagerly");
+            let lazy: Vec<u32> =
+                (0..index.chains.len()).flat_map(|b| index.block_ranks(b).to_vec()).collect();
+            assert_eq!(lazy, full, "{strategy:?} whole order");
+        }
+        // Single-item rows: only singletons cover, and each row's item
+        // ranks low under MCP, so the sweep cannot drain in block 0 and
+        // must sort the rest.
+        let singles: Vec<Vec<u32>> = (0..30u32).map(|i| vec![i]).collect();
+        let single_refs: Vec<&[u32]> = singles.iter().map(|r| r.as_slice()).collect();
+        let sparse = TransactionDb::from_rows(&single_refs);
+        let index = CoverIndex::new(&sparse, &fp, Strategy::Mcp);
+        assert_sweep_matches_linear_scan(&index, &sparse, Strategy::Mcp, "sparse");
+        assert!(index.rest.get().is_some(), "a sweep past block 0 sorts the rest");
+        // Every row holds the rank-0 pattern's items under MLP (a
+        // 3-pattern with item 30): the sweep drains in block 0 and the
+        // rest stays unsorted.
+        let dense: Vec<Vec<u32>> = (0..40u32).map(|_| (0..31).collect()).collect();
+        let dense_refs: Vec<&[u32]> = dense.iter().map(|r| r.as_slice()).collect();
+        let dense = TransactionDb::from_rows(&dense_refs);
+        let index = CoverIndex::new(&dense, &fp, Strategy::Mlp);
+        assert_sweep_matches_linear_scan(&index, &dense, Strategy::Mlp, "draining");
+        assert!(index.rest.get().is_none(), "a draining sweep sorted the rest");
         assert!(index.chains[1..].iter().all(|c| c.get().is_none()));
     }
 }

@@ -19,6 +19,13 @@ const BYTES_PER_ENTRY: usize = 4;
 const BYTES_PER_TAIL: usize = 16;
 /// Fixed bytes per group: count (8) plus the two `Vec` headers for
 /// pattern and tails.
+///
+/// This and the owning-group word of [`BYTES_PER_TAIL`] price the retired
+/// RP-Struct layout. The arena now keeps each group's pattern and tails
+/// as offsets into flat sections (two `u32`s per group), and a tail's
+/// group is implied by its id. The constants stay because the spill
+/// counts of Figs. 21–24 are computed from them and gated; moving `EM(D)`
+/// to one formula over the flat sections is ROADMAP item 8.
 const BYTES_PER_GROUP: usize = 8 + 2 * std::mem::size_of::<Vec<u32>>();
 
 /// Estimated heap bytes of the RP-Struct that

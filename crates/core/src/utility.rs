@@ -5,6 +5,7 @@
 //! exponential term exact for any pattern length the miners can emit.
 
 use gogreen_data::Pattern;
+use std::cmp::Ordering;
 
 /// The compression strategy (paper §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -67,21 +68,32 @@ impl Strategy {
     }
 }
 
+/// The utility order's sort keys, `U(X)` per pattern. Utilities are
+/// precomputed once — recomputing them inside a comparator costs
+/// O(n log n) u128 multiplications on pattern sets that reach tens of
+/// thousands.
+pub(crate) fn utility_keys(patterns: &[Pattern], strategy: Strategy, db_len: usize) -> Vec<u128> {
+    patterns.iter().map(|p| strategy.utility_of(p, db_len)).collect()
+}
+
+/// Compares pattern indices `a` and `b` in utility order: descending
+/// utility (`keys` from [`utility_keys`]), ties broken by the itemsets
+/// ascending. A total order — the itemsets are distinct — so an
+/// unstable sort or selection under it is deterministic.
+pub(crate) fn cmp_utility(keys: &[u128], patterns: &[Pattern], a: u32, b: u32) -> Ordering {
+    keys[b as usize]
+        .cmp(&keys[a as usize])
+        .then_with(|| patterns[a as usize].items().cmp(patterns[b as usize].items()))
+}
+
 /// Sorts pattern indices by descending utility; ties broken by the
-/// pattern itemsets so compression is deterministic across runs.
+/// pattern itemsets so compression is deterministic across runs. The
+/// reference order: [`crate::cover::CoverIndex`] sorts only the ranks
+/// its sweeps reach, under the same comparator.
 pub fn order_by_utility(patterns: &[Pattern], strategy: Strategy, db_len: usize) -> Vec<u32> {
-    // Utilities are precomputed once — recomputing them inside the
-    // comparator costs O(n log n) u128 multiplications on pattern sets
-    // that reach tens of thousands. The comparator is a total order
-    // (ties fully broken by the distinct itemsets), so the unstable sort
-    // is deterministic.
-    let keys: Vec<u128> = patterns.iter().map(|p| strategy.utility_of(p, db_len)).collect();
+    let keys = utility_keys(patterns, strategy, db_len);
     let mut order: Vec<u32> = (0..patterns.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        keys[b as usize]
-            .cmp(&keys[a as usize])
-            .then_with(|| patterns[a as usize].items().cmp(patterns[b as usize].items()))
-    });
+    order.sort_unstable_by(|&a, &b| cmp_utility(&keys, patterns, a, b));
     order
 }
 

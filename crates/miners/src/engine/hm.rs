@@ -16,24 +16,29 @@
 //! header tables individually (one link hop per remaining pattern item
 //! per member) degenerates to per-member × per-pattern-item work and is
 //! measurably slower than plain H-Mine on dense data. Instead, each
-//! search node holds its groups as **projected group views**: the source
-//! group id, an offset into its pattern, the surviving members as
-//! `(tail, entry position)` pairs, and a bare-member count. Projection
-//! through a pattern item advances the offset and keeps the member list
+//! search node holds its groups as **projected groups**: the source
+//! group id, an offset into its pattern, a bare-member count, and a
+//! range of the node's **member slab** — one vector of `(tail, entry
+//! position)` references shared by all the node's groups. Projection
+//! through a pattern item advances the offset and carries the members
 //! (the whole group follows — the paper's group-link move); projection
 //! through an outlying item collects the members holding that entry (the
-//! paper's item-link move). Item data is never copied; only member
-//! reference lists are.
+//! paper's item-link move). Item data is never copied, and neither is
+//! any per-group structure: the RP-Struct's sections are flat arrays
+//! with offsets, and a node is three vectors (groups, member slab, plain
+//! members) held in a per-depth buffer that every child of the node at
+//! that depth is cleared and refilled into, so after warm-up the search
+//! allocates nothing per node.
 //!
 //! On the degenerate [`gogreen_data::PlainRanks`] substrate there are no
-//! groups at all: every tuple is a plain tail, the group-view machinery
-//! is never entered, and the search is exactly classic H-Mine (per-rank
-//! queues realized as buckets, queue relinks as bucket hops). Savings on
-//! the real substrate (paper §3.1): counting touches each group view
-//! once per pattern item — weight = member count — instead of once per
-//! member tuple; projecting on a pattern item moves the whole view in
-//! one step; and Lemma 3.1 (single-group pattern generation) prunes
-//! entire subtrees into subset enumeration.
+//! groups at all: every tuple is a plain tail, the projected-group
+//! machinery is never entered, and the search is exactly classic H-Mine
+//! (per-rank queues realized as buckets, queue relinks as bucket hops).
+//! Savings on the real substrate (paper §3.1): counting touches each
+//! projected group once per pattern item — weight = member count —
+//! instead of once per member tuple; projecting on a pattern item moves
+//! the whole group in one step; and Lemma 3.1 (single-group pattern
+//! generation) prunes entire subtrees into subset enumeration.
 //!
 //! The classic H-Mine economies survive the genericity. In the generic
 //! search, queued members are anchored *at* the entry of their queue
@@ -63,13 +68,17 @@ use gogreen_util::pool::Parallelism;
 
 /// Entry item marking the end of a tail.
 const SENT: u32 = u32::MAX;
-/// `tail_group` value for plain (uncovered) tuples.
-const GNONE: u32 = u32::MAX;
 
 const SRC_NONE: u32 = u32::MAX;
 const SRC_MIXED: u32 = u32::MAX - 1;
 
 /// The RP-Struct arenas: all tuple data, loaded once, never copied.
+///
+/// Every section is flat. Group `g`'s pattern is
+/// `gpat[gpat_start[g]..gpat_start[g + 1]]`, and because a group's tails
+/// are loaded consecutively (groups first, in group order, then the
+/// plain tuples), group `g` owns tails `gtail_start[g]..gtail_start[g +
+/// 1]` — no per-group heap vector at all.
 ///
 /// Public so the memory estimator in `gogreen-core` can budget against
 /// [`RpStruct::arena_bytes`]; mining code never needs it directly.
@@ -79,21 +88,22 @@ pub struct RpStruct {
     eitem: Vec<u32>,
     /// First entry of each tail.
     tail_first: Vec<u32>,
-    /// Owning group of each tail (`GNONE` for plain tuples).
-    tail_group: Vec<u32>,
-    /// Group patterns (ranks ascending).
-    gpat: Vec<Vec<u32>>,
+    /// Group patterns (ranks ascending within each), concatenated.
+    gpat: Vec<u32>,
+    /// Pattern offsets: one per group plus a final end offset.
+    gpat_start: Vec<u32>,
     /// Group member counts (including bare members).
     gcount: Vec<u64>,
-    /// Tails of each group (members with outlying items).
-    gtails: Vec<Vec<u32>>,
+    /// Tail offsets: one per group plus a final end offset, which is
+    /// also the first plain tail.
+    gtail_start: Vec<u32>,
 }
 
 impl RpStruct {
     /// Loads `src` into the arena. On a group-free substrate this is a
     /// plain H-Mine hyper-structure: one tail per tuple, no group rows.
     pub fn build<S: GroupedSource>(src: &S) -> Self {
-        let num_groups = src.num_groups();
+        let num_groups = if S::GROUPED { src.num_groups() } else { 0 };
         let total_entries: usize = (0..num_groups)
             .flat_map(|g| src.group_outliers(g))
             .chain(src.plain())
@@ -101,46 +111,63 @@ impl RpStruct {
             .sum();
         let num_tails: usize =
             (0..num_groups).map(|g| src.group_outliers(g).len()).sum::<usize>() + src.plain().len();
+        let pattern_items: usize = (0..num_groups).map(|g| src.group_pattern(g).len()).sum();
         let mut s = RpStruct {
             eitem: Vec::with_capacity(total_entries),
             tail_first: Vec::with_capacity(num_tails),
-            tail_group: Vec::with_capacity(num_tails),
-            gpat: Vec::with_capacity(num_groups),
+            gpat: Vec::with_capacity(pattern_items),
+            gpat_start: Vec::with_capacity(num_groups + 1),
             gcount: Vec::with_capacity(num_groups),
-            gtails: Vec::with_capacity(num_groups),
+            gtail_start: Vec::with_capacity(num_groups + 1),
         };
-        fn push_tail(s: &mut RpStruct, items: &[u32], group: u32) -> u32 {
-            let t = s.tail_first.len() as u32;
+        fn push_tail(s: &mut RpStruct, items: &[u32]) {
             s.tail_first.push(s.eitem.len() as u32);
-            s.tail_group.push(group);
             s.eitem.extend_from_slice(items);
             s.eitem.push(SENT);
-            t
         }
-        if S::GROUPED {
-            for g in 0..num_groups {
-                let gid = s.gpat.len() as u32;
-                s.gpat.push(src.group_pattern(g).to_vec());
-                s.gcount.push(src.group_count(g));
-                let tails: Vec<u32> =
-                    src.group_outliers(g).into_iter().map(|o| push_tail(&mut s, o, gid)).collect();
-                s.gtails.push(tails);
+        for g in 0..num_groups {
+            s.gpat_start.push(s.gpat.len() as u32);
+            s.gpat.extend_from_slice(src.group_pattern(g));
+            s.gcount.push(src.group_count(g));
+            s.gtail_start.push(s.tail_first.len() as u32);
+            for o in src.group_outliers(g) {
+                push_tail(&mut s, o);
             }
         }
+        s.gpat_start.push(s.gpat.len() as u32);
+        s.gtail_start.push(s.tail_first.len() as u32);
         for t in src.plain() {
-            push_tail(&mut s, t, GNONE);
+            push_tail(&mut s, t);
         }
         s
+    }
+
+    /// Number of groups.
+    fn num_groups(&self) -> usize {
+        self.gcount.len()
+    }
+
+    /// Group `g`'s pattern (ranks ascending).
+    #[inline]
+    fn pattern(&self, g: u32) -> &[u32] {
+        &self.gpat[self.gpat_start[g as usize] as usize..self.gpat_start[g as usize + 1] as usize]
+    }
+
+    /// The tail ids group `g` owns.
+    fn tails(&self, g: u32) -> std::ops::Range<u32> {
+        self.gtail_start[g as usize]..self.gtail_start[g as usize + 1]
     }
 
     /// Arena bytes — the base quantity the paper's memory estimator
     /// (§3.3) budgets against.
     pub fn arena_bytes(&self) -> usize {
-        self.eitem.capacity() * 4
-            + (self.tail_first.capacity() + self.tail_group.capacity()) * 4
+        (self.eitem.capacity()
+            + self.tail_first.capacity()
+            + self.gpat.capacity()
+            + self.gpat_start.capacity()
+            + self.gtail_start.capacity())
+            * 4
             + self.gcount.capacity() * 8
-            + self.gpat.iter().map(|p| p.capacity() * 4).sum::<usize>()
-            + self.gtails.iter().map(|t| t.capacity() * 4).sum::<usize>()
     }
 }
 
@@ -152,53 +179,81 @@ type Member = (u32, u32);
 /// Marks a bucketed member as belonging to the plain partition.
 const VNONE: u32 = u32::MAX;
 
-/// One group's presence in the current projection.
-struct GroupView {
+/// One group's presence in a node's projection: a window onto its
+/// source group's pattern and a range of the node's member slab.
+struct ProjGroup {
     /// Source group.
     gid: u32,
-    /// Residual pattern = `gpat[gid][pat_from..]` (every rank greater
+    /// Residual pattern = `pattern(gid)[pat_from..]` (every rank greater
     /// than the node's projection bound, maintained by construction).
     pat_from: u32,
-    /// Members with (possibly) relevant outlying items.
-    members: Vec<Member>,
+    /// Members with (possibly) relevant outlying items:
+    /// `node.members[mem_from..mem_to]`.
+    mem_from: u32,
+    mem_to: u32,
     /// Members known to have no relevant outliers (counted only).
     bare: u64,
-    /// The locally frequent pattern rank this view currently queues at
+    /// The locally frequent pattern rank this group currently queues at
     /// (its group-link position); `u32::MAX` once the residual pattern
     /// has no locally frequent item left.
     cur: u32,
 }
 
-impl GroupView {
+impl ProjGroup {
     fn count(&self) -> u64 {
-        self.members.len() as u64 + self.bare
+        (self.mem_to - self.mem_from) as u64 + self.bare
     }
 }
 
 /// One node of the depth-first search: the paper's RP-Header scope.
+/// Three flat vectors, so a node buffer is refilled in place: each
+/// group's members are a range of the one `members` slab.
+#[derive(Default)]
 struct Node {
-    views: Vec<GroupView>,
+    groups: Vec<ProjGroup>,
+    members: Vec<Member>,
     plain: Vec<Member>,
 }
 
-/// One header row's queues: the RP-Header's group-link (whole views) and
-/// item-link (individual members; `VNONE` view = plain tuple) chains.
+impl Node {
+    /// The member references of `g`, one of this node's groups.
+    #[inline]
+    fn members_of(&self, g: &ProjGroup) -> &[Member] {
+        &self.members[g.mem_from as usize..g.mem_to as usize]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.groups.is_empty() && self.plain.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.groups.clear();
+        self.members.clear();
+        self.plain.clear();
+    }
+}
+
+/// One header row's queues: the RP-Header's group-link (whole groups,
+/// each with the position of the row's rank in its pattern) and
+/// item-link (individual members; `VNONE` group = plain tuple) chains.
 #[derive(Default)]
 struct Bucket {
-    views: Vec<u32>,
+    groups: Vec<(u32, u32)>,
     members: Vec<(u32, Member)>,
 }
 
 /// Reusable per-depth scratch of the DFS: the bucket array of one node,
-/// the member grouping buffer, and the bucket currently being processed.
-/// Kept in a depth-indexed arena on [`Ctx`] so sibling nodes at the same
-/// depth recycle each other's allocations instead of growing fresh
-/// `Vec<Bucket>`s per node.
+/// the member grouping buffer, the bucket currently being processed, and
+/// the buffer every child of the node is projected into. Kept in a
+/// depth-indexed arena on [`Ctx`] so sibling nodes at the same depth
+/// recycle each other's allocations: after warm-up the search allocates
+/// nothing per node.
 #[derive(Default)]
 struct LevelScratch {
     buckets: Vec<Bucket>,
     member_run: Vec<(u32, Member)>,
     cur: Bucket,
+    child: Node,
 }
 
 impl LevelScratch {
@@ -206,13 +261,13 @@ impl LevelScratch {
     /// every inner capacity.
     fn reset(&mut self, n: usize) {
         for b in &mut self.buckets {
-            b.views.clear();
+            b.groups.clear();
             b.members.clear();
         }
         if self.buckets.len() < n {
             self.buckets.resize_with(n, Bucket::default);
         }
-        self.cur.views.clear();
+        self.cur.groups.clear();
         self.cur.members.clear();
         self.member_run.clear();
     }
@@ -330,21 +385,21 @@ impl<'s> Ctx<'s> {
         }
     }
 
-    /// First locally frequent residual pattern rank of `view` strictly
-    /// greater than `after`.
+    /// First locally frequent rank of group `gid`'s pattern at or after
+    /// position `from`, with its position.
     #[inline]
-    fn first_lf_pattern(&self, view: &GroupView, after: i64) -> Option<u32> {
-        self.s.gpat[view.gid as usize][view.pat_from as usize..]
-            .iter()
-            .copied()
-            .find(|&x| (x as i64) > after && self.lf_tag[x as usize] == self.lf_gen)
+    fn first_lf_pattern(&self, gid: u32, from: u32) -> Option<(u32, u32)> {
+        let pattern = self.s.pattern(gid);
+        (from..pattern.len() as u32)
+            .map(|k| (pattern[k as usize], k))
+            .find(|&(x, _)| self.lf_tag[x as usize] == self.lf_gen)
     }
 
     /// Adds +1 for each remaining outlier rank of `member` (anchors
     /// guarantee every remaining entry is in scope); returns the number
     /// of entries touched. `track_src` marks each rank as multi-source
     /// for the Lemma 3.1 test — pointless (and skipped) on nodes with no
-    /// group views, where the lemma can never fire.
+    /// projected groups, where the lemma can never fire.
     #[inline]
     fn count_member(&mut self, (_, pos): Member, track_src: bool) -> u64 {
         let mut e = pos as usize;
@@ -363,11 +418,11 @@ impl<'s> Ctx<'s> {
         }
     }
 
-    fn merge_src(&mut self, x: u32, view_idx: u32) {
+    fn merge_src(&mut self, x: u32, group_idx: u32) {
         let s = &mut self.src[x as usize];
         *s = match *s {
-            SRC_NONE => view_idx,
-            cur if cur == view_idx => cur,
+            SRC_NONE => group_idx,
+            cur if cur == group_idx => cur,
             _ => SRC_MIXED,
         };
     }
@@ -396,13 +451,13 @@ impl<'s> Ctx<'s> {
 /// frequent rank then becomes an independent unit. The serial search
 /// discovers a rank's root bucket incrementally (H-Mine queue relinks),
 /// but the bucket contents at rank `r`'s processing time are a pure
-/// function of the node: a view is queued at `r` iff `r` is in its
+/// function of the node: a group is queued at `r` iff `r` is in its
 /// locally frequent residual pattern, and a member is queued at `r` iff
 /// `r` is one of its locally frequent outliers (relinks walk each tuple
 /// through exactly those positions in rank order, and the `cur` coverage
 /// rule only defers a queueing, never cancels it). One sweep therefore
 /// precomputes every unit's bucket, and workers share the read-only
-/// RP-Struct and root views.
+/// RP-Struct and root node.
 pub fn mine_source_par<S: GroupedSource>(
     src: &S,
     flist: &FList,
@@ -412,7 +467,7 @@ pub fn mine_source_par<S: GroupedSource>(
     sink: &mut dyn PatternSink,
 ) {
     let s = RpStruct::build(src);
-    let node = root_views(&s);
+    let node = root_node(&s);
     let num_ranks = flist.len();
     metrics::set_max("mine.max_depth", prefix_items.len() as u64);
     let mut root_ctx = Ctx::new(&s, num_ranks, minsup, true);
@@ -430,19 +485,21 @@ pub fn mine_source_par<S: GroupedSource>(
     }
     let frequent = counted.frequent;
     root_ctx.tag_lf(&frequent);
-    // Root plan sweep (see above): bucket every view at each locally
+    // Root plan sweep (see above): bucket every group at each locally
     // frequent residual pattern rank, every member at each locally
     // frequent outlier rank — anchored at that rank's own entry, so the
     // unit's projection resumes in O(1) instead of rescanning the tail.
     let mut plan: Vec<Bucket> = (0..frequent.len()).map(|_| Bucket::default()).collect();
-    for (vi, v) in node.views.iter().enumerate() {
-        for &x in &s.gpat[v.gid as usize][v.pat_from as usize..] {
+    for (gi, g) in node.groups.iter().enumerate() {
+        let pattern = s.pattern(g.gid);
+        for k in g.pat_from..pattern.len() as u32 {
+            let x = pattern[k as usize];
             if root_ctx.lf_tag[x as usize] == root_ctx.lf_gen {
-                plan[root_ctx.lf_pos[x as usize] as usize].views.push(vi as u32);
+                plan[root_ctx.lf_pos[x as usize] as usize].groups.push((gi as u32, k));
             }
         }
-        for &m in &v.members {
-            push_lf_outliers(&root_ctx, vi as u32, m, &mut plan);
+        for &m in node.members_of(g) {
+            push_lf_outliers(&root_ctx, gi as u32, m, &mut plan);
         }
     }
     for &m in &node.plain {
@@ -460,7 +517,11 @@ pub fn mine_source_par<S: GroupedSource>(
                 emitter.push_item(it);
             }
             let state = if S::GROUPED {
-                UnitState::Grouped { ctx: Ctx::new(s, num_ranks, minsup, true), run: Vec::new() }
+                UnitState::Grouped {
+                    ctx: Ctx::new(s, num_ranks, minsup, true),
+                    run: Vec::new(),
+                    child: Node::default(),
+                }
             } else {
                 UnitState::Raw(RawUnit::new(num_ranks))
             };
@@ -475,13 +536,13 @@ pub fn mine_source_par<S: GroupedSource>(
             // emission.
             if li + 1 < frequent.len() {
                 match state {
-                    UnitState::Grouped { ctx, run } => {
-                        let child = build_child(&node.views, &plan[li], r, run, ctx);
-                        if !child.views.is_empty() || !child.plain.is_empty() {
+                    UnitState::Grouped { ctx, run, child } => {
+                        build_child(node, &plan[li], r, run, ctx, child);
+                        if !child.is_empty() {
                             metrics::add("mine.projected_dbs", 1);
                             histogram::observe(
                                 "mine.projected_db_size",
-                                (child.views.len() + child.plain.len()) as u64,
+                                (child.groups.len() + child.plain.len()) as u64,
                             );
                             mine_node(child, ctx, &NoPrune, emitter, sink);
                         }
@@ -499,8 +560,9 @@ pub fn mine_source_par<S: GroupedSource>(
 /// Per-worker state of one first-level fan-out unit. The substrate picks
 /// the variant statically, so each monomorphization constructs only one.
 enum UnitState<'s> {
-    /// The generic engine over group views.
-    Grouped { ctx: Ctx<'s>, run: Vec<(u32, Member)> },
+    /// The generic engine over projected groups, with the worker's
+    /// grouping scratch and the buffer its units' children fill.
+    Grouped { ctx: Ctx<'s>, run: Vec<(u32, Member)>, child: Node },
     /// The classic H-Mine fast path of the group-free substrate.
     Raw(RawUnit),
 }
@@ -521,14 +583,14 @@ pub fn mine_source_pruned<S: GroupedSource, P: SearchPrune + ?Sized>(
     sink: &mut dyn PatternSink,
 ) {
     let s = RpStruct::build(src);
-    let node = root_views(&s);
+    let mut node = root_node(&s);
     metrics::set_max("mine.max_depth", prefix_items.len() as u64);
     let mut ctx = Ctx::new(&s, flist.len(), minsup, false);
     let mut emitter = RankEmitter::new(flist);
     for &it in prefix_items {
         emitter.push_item(it);
     }
-    mine_node(node, &mut ctx, prune, &mut emitter, sink);
+    mine_node(&mut node, &mut ctx, prune, &mut emitter, sink);
 }
 
 /// Serial constrained H-Mine on a plain database: items the pushed
@@ -552,30 +614,36 @@ pub fn mine_db_pruned<P: SearchPrune + ?Sized>(
     mine_source_pruned(&src, &flist, &[], minsup, prune, sink);
 }
 
-/// Builds the root node's group views and plain member list over `s`.
-fn root_views(s: &RpStruct) -> Node {
-    let mut views = Vec::with_capacity(s.gpat.len());
-    let mut plain = Vec::new();
-    let mut group_tail_count = 0usize;
-    for gid in 0..s.gpat.len() as u32 {
-        let members: Vec<Member> =
-            s.gtails[gid as usize].iter().map(|&t| (t, s.tail_first[t as usize])).collect();
-        let bare = s.gcount[gid as usize] - members.len() as u64;
-        group_tail_count += members.len();
-        views.push(GroupView { gid, pat_from: 0, members, bare, cur: u32::MAX });
-    }
-    for t in group_tail_count as u32..s.tail_first.len() as u32 {
-        debug_assert_eq!(s.tail_group[t as usize], GNONE);
-        plain.push((t, s.tail_first[t as usize]));
-    }
-    Node { views, plain }
+/// Builds the root node over `s`: one projected group per source group,
+/// whose members are its tails, and every plain tail. Group tails come
+/// first in the arena, so the member slab is the arena's tails in order.
+fn root_node(s: &RpStruct) -> Node {
+    let group_tails = s.gtail_start[s.num_groups()];
+    let anchored = |t: u32| (t, s.tail_first[t as usize]);
+    let groups = (0..s.num_groups() as u32)
+        .map(|gid| {
+            let tails = s.tails(gid);
+            let bare = s.gcount[gid as usize] - tails.len() as u64;
+            ProjGroup {
+                gid,
+                pat_from: 0,
+                mem_from: tails.start,
+                mem_to: tails.end,
+                bare,
+                cur: u32::MAX,
+            }
+        })
+        .collect();
+    let members = (0..group_tails).map(anchored).collect();
+    let plain = (group_tails..s.tail_first.len() as u32).map(anchored).collect();
+    Node { groups, members, plain }
 }
 
-/// Queues `m` (of view `vi`, or plain when `VNONE`) at every locally
+/// Queues `m` (of group `gi`, or plain when `VNONE`) at every locally
 /// frequent outlier rank — the root plan sweep's member rule. The queued
 /// anchor is the matching entry itself, so the consuming unit's
 /// projection finds it without rescanning.
-fn push_lf_outliers(ctx: &Ctx<'_>, vi: u32, m: Member, plan: &mut [Bucket]) {
+fn push_lf_outliers(ctx: &Ctx<'_>, gi: u32, m: Member, plan: &mut [Bucket]) {
     let mut e = m.1 as usize;
     loop {
         let x = ctx.s.eitem[e];
@@ -583,7 +651,7 @@ fn push_lf_outliers(ctx: &Ctx<'_>, vi: u32, m: Member, plan: &mut [Bucket]) {
             return;
         }
         if ctx.lf_tag[x as usize] == ctx.lf_gen {
-            plan[ctx.lf_pos[x as usize] as usize].members.push((vi, (m.0, e as u32)));
+            plan[ctx.lf_pos[x as usize] as usize].members.push((gi, (m.0, e as u32)));
         }
         e += 1;
     }
@@ -593,26 +661,26 @@ fn push_lf_outliers(ctx: &Ctx<'_>, vi: u32, m: Member, plan: &mut [Bucket]) {
 struct Counted {
     frequent: Vec<(u32, u64)>,
     /// Lemma 3.1: every occurrence of every frequent rank lies in a
-    /// single group view's pattern.
+    /// single projected group's pattern.
     single_group: bool,
 }
 
 /// Counts candidate extensions of the node: residual pattern items once
-/// per view (weight = member count), outliers and plain tuples per
+/// per group (weight = member count), outliers and plain tuples per
 /// occurrence.
 fn count_node(node: &Node, ctx: &mut Ctx<'_>) -> Counted {
-    let track_src = !node.views.is_empty();
+    let track_src = !node.groups.is_empty();
     let mut group_hits = 0u64;
     let mut touches = 0u64;
-    for (vi, v) in node.views.iter().enumerate() {
-        let c = v.count();
-        for k in v.pat_from as usize..ctx.s.gpat[v.gid as usize].len() {
-            let x = ctx.s.gpat[v.gid as usize][k];
+    for (gi, g) in node.groups.iter().enumerate() {
+        let c = g.count();
+        let s = ctx.s;
+        for &x in &s.pattern(g.gid)[g.pat_from as usize..] {
             ctx.scratch.add(x, c);
-            ctx.merge_src(x, vi as u32);
+            ctx.merge_src(x, gi as u32);
             group_hits += 1;
         }
-        for &m in &v.members {
+        for &m in node.members_of(g) {
             touches += ctx.count_member(m, true);
         }
     }
@@ -650,57 +718,65 @@ fn count_node(node: &Node, ctx: &mut Ctx<'_>) -> Counted {
     Counted { frequent, single_group }
 }
 
-/// Queues a view on its first locally frequent pattern rank after
-/// `after` (its group-link position), and queues its members whose first
-/// locally frequent outlier precedes that rank on their item-links. A
-/// view with no frequent pattern rank left dissolves: its members carry
-/// on individually.
-fn bucket_view(
-    views: &mut [GroupView],
-    vi: u32,
+/// Queues group `gi` on its first locally frequent pattern rank at or
+/// after pattern position `from` (its group-link position; every rank
+/// there is greater than `after`), and queues its members whose first
+/// locally frequent outlier after `after` precedes that rank on their
+/// item-links. A group with no frequent pattern rank left dissolves: its
+/// members carry on individually.
+///
+/// Relinks only move forward, so the members' anchors in the node's slab
+/// advance past every entry up to `after` as they are scanned: a member
+/// riding with its group is not rescanned from its original anchor at
+/// every hop. Entries above `after` stay in reach, so later projections
+/// of the group see exactly what they did.
+fn bucket_group(
+    node: &mut Node,
+    gi: u32,
+    from: u32,
     after: i64,
     buckets: &mut [Bucket],
     ctx: &Ctx<'_>,
 ) {
-    let v = &views[vi as usize];
-    match ctx.first_lf_pattern(v, after) {
-        Some(p) => {
-            buckets[ctx.lf_pos[p as usize] as usize].views.push(vi);
-            for &m in &v.members {
-                if let Some((f, e)) = ctx.first_lf_outlier(m, after) {
-                    if f < p {
-                        buckets[ctx.lf_pos[f as usize] as usize].members.push((vi, (m.0, e)));
-                    }
-                }
-            }
-            views[vi as usize].cur = p;
+    let Node { groups, members, .. } = node;
+    let g = &mut groups[gi as usize];
+    let cur = ctx.first_lf_pattern(g.gid, from);
+    // A dissolved group covers no rank: every member queues on its own.
+    let covered_from = cur.map_or(u32::MAX, |(p, _)| p);
+    if let Some((p, pos)) = cur {
+        buckets[ctx.lf_pos[p as usize] as usize].groups.push((gi, pos));
+    }
+    g.cur = covered_from;
+    for m in &mut members[g.mem_from as usize..g.mem_to as usize] {
+        let mut e = m.1 as usize;
+        // `SENT` exceeds every rank, so the skip stops at the tail's end.
+        while i64::from(ctx.s.eitem[e]) <= after {
+            e += 1;
         }
-        None => {
-            for &m in &v.members {
-                if let Some((f, e)) = ctx.first_lf_outlier(m, after) {
-                    buckets[ctx.lf_pos[f as usize] as usize].members.push((vi, (m.0, e)));
-                }
+        m.1 = e as u32;
+        if let Some((f, e)) = ctx.first_lf_from(e) {
+            if f < covered_from {
+                buckets[ctx.lf_pos[f as usize] as usize].members.push((gi, (m.0, e)));
             }
-            views[vi as usize].cur = u32::MAX;
         }
     }
 }
 
-/// Queues an individual member (of view `vi`, or plain when `VNONE`) on
+/// Queues an individual member (of group `gi`, or plain when `VNONE`) on
 /// its first locally frequent outlier after `after` — unless that rank
-/// is already covered by the owning view's queue position.
+/// is already covered by the owning group's queue position.
 fn bucket_member(
-    views: &[GroupView],
-    vi: u32,
+    groups: &[ProjGroup],
+    gi: u32,
     m: Member,
     after: i64,
     buckets: &mut [Bucket],
     ctx: &Ctx<'_>,
 ) {
     if let Some((f, e)) = ctx.first_lf_outlier(m, after) {
-        let covered_from = if vi == VNONE { u32::MAX } else { views[vi as usize].cur };
+        let covered_from = if gi == VNONE { u32::MAX } else { groups[gi as usize].cur };
         if f < covered_from || covered_from == u32::MAX {
-            buckets[ctx.lf_pos[f as usize] as usize].members.push((vi, (m.0, e)));
+            buckets[ctx.lf_pos[f as usize] as usize].members.push((gi, (m.0, e)));
         }
     }
 }
@@ -711,14 +787,14 @@ fn bucket_member(
 /// its own projection. `prune` gates emission and descent; the queues
 /// always relink so later ranks still see every tuple.
 fn mine_node<P: SearchPrune + ?Sized>(
-    mut node: Node,
+    node: &mut Node,
     ctx: &mut Ctx<'_>,
     prune: &P,
     emitter: &mut RankEmitter<'_>,
     sink: &mut dyn PatternSink,
 ) {
     metrics::set_max("mine.max_depth", emitter.depth() as u64);
-    let counted = count_node(&node, ctx);
+    let counted = count_node(node, ctx);
     if counted.frequent.is_empty() {
         return;
     }
@@ -751,7 +827,7 @@ fn mine_node<P: SearchPrune + ?Sized>(
     let mut lvl = std::mem::take(&mut ctx.levels[depth]);
     lvl.reset(frequent.len());
     ctx.depth = depth + 1;
-    if node.views.is_empty() {
+    if node.groups.is_empty() {
         // Plain-only node: no group coverage to consult, and anchors are
         // exact, so queue each member straight from its anchor.
         for &m in &node.plain {
@@ -760,15 +836,14 @@ fn mine_node<P: SearchPrune + ?Sized>(
             }
         }
     } else {
-        for vi in 0..node.views.len() as u32 {
-            bucket_view(&mut node.views, vi, -1, &mut lvl.buckets, ctx);
+        for gi in 0..node.groups.len() as u32 {
+            let from = node.groups[gi as usize].pat_from;
+            bucket_group(node, gi, from, -1, &mut lvl.buckets, ctx);
         }
         for &m in &node.plain {
-            bucket_member(&node.views, VNONE, m, -1, &mut lvl.buckets, ctx);
+            bucket_member(&node.groups, VNONE, m, -1, &mut lvl.buckets, ctx);
         }
     }
-    // Plain members live only in buckets from here on.
-    node.plain.clear();
 
     for li in 0..frequent.len() {
         let (r, c) = frequent[li];
@@ -790,12 +865,13 @@ fn mine_node<P: SearchPrune + ?Sized>(
         std::mem::swap(&mut lvl.cur, &mut lvl.buckets[li]);
 
         if prefix_ok && prune.may_extend(emitter.depth()) {
-            let child = build_child(&node.views, &lvl.cur, r, &mut lvl.member_run, ctx);
-            if !child.views.is_empty() || !child.plain.is_empty() {
+            let LevelScratch { cur, member_run, child, .. } = &mut lvl;
+            build_child(node, cur, r, member_run, ctx, child);
+            if !child.is_empty() {
                 metrics::add("mine.projected_dbs", 1);
                 histogram::observe(
                     "mine.projected_db_size",
-                    (child.views.len() + child.plain.len()) as u64,
+                    (child.groups.len() + child.plain.len()) as u64,
                 );
                 mine_node(child, ctx, prune, emitter, sink);
                 // The recursion reused the tag arrays; restore this node's.
@@ -805,7 +881,7 @@ fn mine_node<P: SearchPrune + ?Sized>(
 
         // Relink forward (Fill-RPHeader on the items after r): everything
         // queued at r hops to its next locally frequent rank.
-        if node.views.is_empty() {
+        if node.groups.is_empty() {
             // Exact anchors sit *at* the `r` entry, so the hop resumes
             // one entry later with no rank comparison needed.
             for &(_, m) in &lvl.cur.members {
@@ -814,14 +890,14 @@ fn mine_node<P: SearchPrune + ?Sized>(
                 }
             }
         } else {
-            for &vi in &lvl.cur.views {
-                bucket_view(&mut node.views, vi, r as i64, &mut lvl.buckets, ctx);
+            for &(gi, pos) in &lvl.cur.groups {
+                bucket_group(node, gi, pos + 1, r as i64, &mut lvl.buckets, ctx);
             }
-            for &(vi, m) in &lvl.cur.members {
-                bucket_member(&node.views, vi, m, r as i64, &mut lvl.buckets, ctx);
+            for &(gi, m) in &lvl.cur.members {
+                bucket_member(&node.groups, gi, m, r as i64, &mut lvl.buckets, ctx);
             }
         }
-        lvl.cur.views.clear();
+        lvl.cur.groups.clear();
         lvl.cur.members.clear();
         emitter.pop();
     }
@@ -829,108 +905,95 @@ fn mine_node<P: SearchPrune + ?Sized>(
     ctx.levels[depth] = lvl;
 }
 
-/// Builds the `r`-projection from one bucket: whole views advance past
-/// `r` (the paper's group-link move), individual members are grouped by
-/// owning view and projected through their `r` entry (the item-link
-/// move). `member_run` is caller-provided grouping scratch. Shared by
-/// the serial loop of [`mine_node`] and the root fan-out units.
+/// Projects `node` through `r` from its bucket at `r` into `child`
+/// (cleared first): whole groups advance past `r` (the paper's
+/// group-link move), individual members are grouped by owning group and
+/// projected through their `r` entry (the item-link move). Each child
+/// group's members are appended to the child's one member slab; a group
+/// whose residual pattern empties hands its members to the plain
+/// partition instead. `member_run` is caller-provided grouping scratch.
+/// Shared by the serial loop of [`mine_node`] and the root fan-out units.
 fn build_child(
-    views: &[GroupView],
+    node: &Node,
     bucket: &Bucket,
     r: u32,
     member_run: &mut Vec<(u32, Member)>,
     ctx: &Ctx<'_>,
-) -> Node {
-    let mut child_views: Vec<GroupView> = Vec::new();
-    let mut child_plain: Vec<Member> = Vec::new();
-    // Degenerate fast path: with no views at all (the raw substrate)
+    child: &mut Node,
+) {
+    child.clear();
+    // Degenerate fast path: with no groups at all (the raw substrate)
     // every bucketed member is plain and anchored *at* its `r` entry, so
     // projection is one bounds-checked lookahead per member — no
     // grouping, no sort.
-    if views.is_empty() {
-        child_plain.reserve(bucket.members.len());
+    if node.groups.is_empty() {
         for &(_, m) in &bucket.members {
             debug_assert_eq!(ctx.s.eitem[m.1 as usize], r);
             if ctx.s.eitem[m.1 as usize + 1] != SENT {
-                child_plain.push((m.0, m.1 + 1));
+                child.plain.push((m.0, m.1 + 1));
             }
         }
-        return Node { views: child_views, plain: child_plain };
+        return;
     }
-    for &vi in &bucket.views {
-        let v = &views[vi as usize];
-        let gpat = &ctx.s.gpat[v.gid as usize];
-        // r is in the residual pattern (it is v's queue rank).
-        let off = gpat[v.pat_from as usize..]
-            .binary_search(&r)
-            .expect("queued view contains its queue rank");
-        let pat_from = v.pat_from + off as u32 + 1;
-        let mut bare = v.bare;
-        let mut members = Vec::with_capacity(v.members.len());
-        for &m in &v.members {
+    let Node { groups, members, plain } = child;
+    for &(gi, pos) in &bucket.groups {
+        let g = &node.groups[gi as usize];
+        let pattern = ctx.s.pattern(g.gid);
+        // r is g's queue rank, queued with its pattern position.
+        debug_assert_eq!(pattern[pos as usize], r);
+        let pat_from = pos + 1;
+        let keep_pattern = (pat_from as usize) < pattern.len();
+        let out = if keep_pattern { &mut *members } else { &mut *plain };
+        let mem_from = out.len() as u32;
+        let mut bare = g.bare;
+        for &m in node.members_of(g) {
             match ctx.advance_past(m, r) {
-                Some(e) => members.push((m.0, e)),
+                Some(e) => out.push((m.0, e)),
                 None => bare += 1,
             }
         }
-        if (pat_from as usize) < gpat.len() {
-            child_views.push(GroupView { gid: v.gid, pat_from, members, bare, cur: u32::MAX });
-        } else {
-            child_plain.extend(members);
+        if keep_pattern {
+            let mem_to = members.len() as u32;
+            groups.push(ProjGroup { gid: g.gid, pat_from, mem_from, mem_to, bare, cur: u32::MAX });
         }
     }
-    // Individual members: group by owning view to rebuild views.
+    // Individual members: group by owning group to rebuild groups.
     member_run.clear();
     member_run.extend(bucket.members.iter().copied());
-    member_run.sort_unstable_by_key(|&(vi, _)| vi);
-    let mut k = 0;
-    while k < member_run.len() {
-        let vi = member_run[k].0;
-        let mut end = k + 1;
-        while end < member_run.len() && member_run[end].0 == vi {
-            end += 1;
-        }
-        if vi == VNONE {
-            for &(_, m) in &member_run[k..end] {
+    member_run.sort_unstable_by_key(|&(gi, _)| gi);
+    for run in member_run.chunk_by(|a, b| a.0 == b.0) {
+        let gi = run[0].0;
+        if gi == VNONE {
+            for &(_, m) in run {
                 if let Some(e) = ctx.find_entry(m, r) {
                     if ctx.s.eitem[e as usize + 1] != SENT {
-                        child_plain.push((m.0, e + 1));
+                        plain.push((m.0, e + 1));
                     }
                 }
             }
-        } else {
-            let v = &views[vi as usize];
-            let gpat = &ctx.s.gpat[v.gid as usize];
-            let off = gpat[v.pat_from as usize..].partition_point(|&x| x <= r);
-            let pat_from = v.pat_from + off as u32;
-            let keep_pattern = (pat_from as usize) < gpat.len();
-            let mut members = Vec::new();
-            let mut bare = 0u64;
-            for &(_, m) in &member_run[k..end] {
-                let e = ctx.find_entry(m, r).expect("queued member contains its rank");
-                if ctx.s.eitem[e as usize + 1] == SENT {
-                    bare += 1;
-                } else {
-                    members.push((m.0, e + 1));
-                }
-            }
-            if keep_pattern {
-                if bare > 0 || !members.is_empty() {
-                    child_views.push(GroupView {
-                        gid: v.gid,
-                        pat_from,
-                        members,
-                        bare,
-                        cur: u32::MAX,
-                    });
-                }
+            continue;
+        }
+        let g = &node.groups[gi as usize];
+        let pattern = ctx.s.pattern(g.gid);
+        let pat_from =
+            g.pat_from + pattern[g.pat_from as usize..].partition_point(|&x| x <= r) as u32;
+        let keep_pattern = (pat_from as usize) < pattern.len();
+        let out = if keep_pattern { &mut *members } else { &mut *plain };
+        let mem_from = out.len() as u32;
+        let mut bare = 0u64;
+        for &(_, m) in run {
+            let e = ctx.find_entry(m, r).expect("queued member contains its rank");
+            if ctx.s.eitem[e as usize + 1] == SENT {
+                bare += 1;
             } else {
-                child_plain.extend(members);
+                out.push((m.0, e + 1));
             }
         }
-        k = end;
+        let mem_to = out.len() as u32;
+        if keep_pattern && (bare > 0 || mem_to > mem_from) {
+            groups.push(ProjGroup { gid: g.gid, pat_from, mem_from, mem_to, bare, cur: u32::MAX });
+        }
     }
-    Node { views: child_views, plain: child_plain }
 }
 
 /// Queue-link sentinel of the classic fast path.
@@ -1187,5 +1250,255 @@ fn mine_level_raw(
             e = succ;
         }
         emitter.pop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mine_apriori;
+    use gogreen_data::{CollectSink, CsrTuples, TupleSlices};
+
+    /// A hand-built grouped rank database: `(pattern, outlier rows,
+    /// bare)` per group, then the plain rows.
+    struct Groups {
+        groups: Vec<(Vec<u32>, CsrTuples<u32>, u64)>,
+        plain: CsrTuples<u32>,
+    }
+
+    impl GroupedSource for Groups {
+        const GROUPED: bool = true;
+        fn num_ranks(&self) -> usize {
+            K as usize
+        }
+        fn num_groups(&self) -> usize {
+            self.groups.len()
+        }
+        fn group_pattern(&self, g: usize) -> &[u32] {
+            &self.groups[g].0
+        }
+        fn group_outliers(&self, g: usize) -> TupleSlices<'_> {
+            self.groups[g].1.as_slices()
+        }
+        fn group_bare(&self, g: usize) -> u64 {
+            self.groups[g].2
+        }
+        fn plain(&self) -> TupleSlices<'_> {
+            self.plain.as_slices()
+        }
+    }
+
+    const K: u32 = 8;
+
+    fn rows(rs: &[&[u32]]) -> CsrTuples<u32> {
+        rs.iter().map(|r| r.to_vec()).collect()
+    }
+
+    /// Whole groups on 1, 3, 5 and on 2, 6; partial groups elsewhere; a
+    /// group whose residual empties on 4 (its members turn plain); a
+    /// bare-only group; and plain rows.
+    fn source() -> Groups {
+        Groups {
+            groups: vec![
+                (vec![1, 3, 5], rows(&[&[0, 2], &[4, 6], &[2, 7]]), 2),
+                (vec![2, 6], rows(&[&[1, 4], &[3], &[1, 5, 7]]), 1),
+                (vec![4], rows(&[&[2, 5], &[3, 6, 7], &[5], &[0, 5]]), 3),
+                (vec![0, 2, 7], rows(&[]), 5),
+            ],
+            plain: rows(&[&[0, 1, 2], &[1, 3], &[4, 6], &[5, 6, 7], &[0, 7], &[6]]),
+        }
+    }
+
+    /// A node spelt out: `(gid, residual pattern, member rows, bare)`
+    /// per group (sorted by gid, member rows sorted), and the sorted
+    /// plain rows.
+    type Spelt = (Vec<(u32, Vec<u32>, Vec<Vec<u32>>, u64)>, Vec<Vec<u32>>);
+
+    /// The arena entries from `m`'s anchor to its sentinel.
+    fn rest(s: &RpStruct, m: Member) -> Vec<u32> {
+        s.eitem[m.1 as usize..].iter().copied().take_while(|&x| x != SENT).collect()
+    }
+
+    fn spell(s: &RpStruct, node: &Node) -> Spelt {
+        let mut groups: Vec<_> = node
+            .groups
+            .iter()
+            .map(|g| {
+                let mut members: Vec<Vec<u32>> =
+                    node.members_of(g).iter().map(|&m| rest(s, m)).collect();
+                members.sort();
+                (g.gid, s.pattern(g.gid)[g.pat_from as usize..].to_vec(), members, g.bare)
+            })
+            .collect();
+        groups.sort();
+        let mut plain: Vec<Vec<u32>> = node.plain.iter().map(|&m| rest(s, m)).collect();
+        plain.sort();
+        (groups, plain)
+    }
+
+    /// RP-Mine's projection of a spelt node through `r` (paper Figure 3,
+    /// Example 3): a group holding `r` in its pattern follows whole,
+    /// otherwise only its members holding `r` follow, carrying the
+    /// residual pattern; a group whose residual empties dissolves into
+    /// plain rows; rows empty past `r` are bare in a group and vanish
+    /// outside one.
+    fn rp_project((groups, plain): &Spelt, r: u32) -> Spelt {
+        let past = |t: &[u32]| -> Vec<u32> { t.iter().copied().filter(|&x| x > r).collect() };
+        let mut out_groups = Vec::new();
+        let mut out_plain: Vec<Vec<u32>> = Vec::new();
+        for (gid, pattern, members, bare) in groups {
+            let whole = pattern.contains(&r);
+            let residual = past(pattern);
+            let mut child_bare = if whole { *bare } else { 0 };
+            let mut child_members = Vec::new();
+            for m in members.iter().filter(|m| whole || m.contains(&r)) {
+                let tail = past(m);
+                if tail.is_empty() {
+                    child_bare += 1;
+                } else {
+                    child_members.push(tail);
+                }
+            }
+            if residual.is_empty() {
+                out_plain.extend(child_members);
+            } else if child_bare > 0 || !child_members.is_empty() {
+                child_members.sort();
+                out_groups.push((*gid, residual, child_members, child_bare));
+            }
+        }
+        for t in plain.iter().filter(|t| t.contains(&r)) {
+            let tail = past(t);
+            if !tail.is_empty() {
+                out_plain.push(tail);
+            }
+        }
+        out_groups.sort();
+        out_plain.sort();
+        (out_groups, out_plain)
+    }
+
+    /// `node`'s bucket at `r` as a header table holds it when `r` is
+    /// processed: every group with `r` in its residual pattern, and every
+    /// other member or plain row holding `r`, anchored at that entry.
+    fn bucket_at(s: &RpStruct, node: &Node, r: u32) -> Bucket {
+        let mut bucket = Bucket::default();
+        let mut queue = |gi: u32, m: Member| {
+            let e = (m.1..).find(|&e| s.eitem[e as usize] >= r).unwrap();
+            if s.eitem[e as usize] == r {
+                bucket.members.push((gi, (m.0, e)));
+            }
+        };
+        for (gi, g) in node.groups.iter().enumerate() {
+            let pattern = s.pattern(g.gid);
+            if let Some(pos) =
+                (g.pat_from..pattern.len() as u32).find(|&k| pattern[k as usize] == r)
+            {
+                bucket.groups.push((gi as u32, pos));
+            } else {
+                node.members_of(g).iter().for_each(|&m| queue(gi as u32, m));
+            }
+        }
+        node.plain.iter().for_each(|&m| queue(VNONE, m));
+        // Header tables queue members in relink order, not node order.
+        bucket.members.reverse();
+        bucket
+    }
+
+    /// Every child of the hand-built root, and every child of those
+    /// children, equals RP-Mine's projection of the same data — the
+    /// buckets mix whole groups, members of several groups, a group
+    /// whose residual empties, a bare-only group and plain rows.
+    #[test]
+    fn slab_children_equal_rp_mine_projections() {
+        let src = source();
+        let s = RpStruct::build(&src);
+        let root = root_node(&s);
+        let ctx = Ctx::new(&s, K as usize, 1, true);
+        let (mut run, mut child, mut grandchild) = (Vec::new(), Node::default(), Node::default());
+        let mut mixed = 0;
+        for r in 0..K {
+            let bucket = bucket_at(&s, &root, r);
+            let dissolving = bucket.groups.iter().any(|&(gi, _)| {
+                let g = &root.groups[gi as usize];
+                s.pattern(g.gid).last() == Some(&r) && g.mem_to > g.mem_from
+            });
+            if !bucket.groups.is_empty() && bucket.members.len() > 1 {
+                mixed += 1;
+            }
+            build_child(&root, &bucket, r, &mut run, &ctx, &mut child);
+            let want = rp_project(&spell(&s, &root), r);
+            assert_eq!(spell(&s, &child), want, "child {r}");
+            if dissolving {
+                assert!(!want.1.is_empty(), "child {r}: a dissolved group leaves plain rows");
+            }
+            for r2 in r + 1..K {
+                let bucket = bucket_at(&s, &child, r2);
+                build_child(&child, &bucket, r2, &mut run, &ctx, &mut grandchild);
+                assert_eq!(spell(&s, &grandchild), rp_project(&want, r2), "child {r}, {r2}");
+            }
+        }
+        assert!(mixed >= 2, "buckets must mix whole groups and members");
+        // And the whole search finds exactly the frequent itemsets of
+        // the expanded tuples, serial or fanned out.
+        let flist = FList::from_counts(&[1; K as usize], 1);
+        let mut tuples: Vec<Vec<u32>> = src.plain.iter().map(<[u32]>::to_vec).collect();
+        for (pattern, outliers, bare) in &src.groups {
+            for o in outliers.iter() {
+                let mut t = [pattern.as_slice(), o].concat();
+                t.sort_unstable();
+                tuples.push(t);
+            }
+            tuples.extend((0..*bare).map(|_| pattern.clone()));
+        }
+        let items: Vec<Vec<u32>> = tuples
+            .iter()
+            .map(|t| {
+                let mut ids: Vec<u32> = t.iter().map(|&r| flist.item(r).id()).collect();
+                ids.sort_unstable();
+                ids
+            })
+            .collect();
+        let refs: Vec<&[u32]> = items.iter().map(Vec::as_slice).collect();
+        for minsup in [1, 2, 3, 5] {
+            let oracle =
+                mine_apriori(&TransactionDb::from_rows(&refs), MinSupport::Absolute(minsup));
+            let mut serial = CollectSink::new();
+            mine_source_pruned(&src, &flist, &[], minsup, &NoPrune, &mut serial);
+            assert!(serial.into_set().same_patterns_as(&oracle), "serial, minsup {minsup}");
+            for threads in [1, 3] {
+                let mut par = CollectSink::new();
+                let p = Parallelism::threads(threads);
+                mine_source_par(&src, &flist, &[], minsup, p, &mut par);
+                assert!(par.into_set().same_patterns_as(&oracle), "{threads} threads, {minsup}");
+            }
+        }
+    }
+
+    /// The flat RP-Struct: each group owns the consecutive tail ids
+    /// right after the previous group's, and they hold its outlier rows
+    /// in order; the pattern offsets spell each group's pattern; the
+    /// plain tails follow the last group's.
+    #[test]
+    fn rp_struct_sections_are_flat_and_owned() {
+        let src = source();
+        let s = RpStruct::build(&src);
+        assert_eq!(s.num_groups(), src.groups.len());
+        let mut next_tail = 0;
+        for (g, (pattern, outliers, bare)) in src.groups.iter().enumerate() {
+            let g32 = g as u32;
+            assert_eq!(s.pattern(g32), pattern.as_slice(), "group {g} pattern");
+            let tails = s.tails(g32);
+            assert_eq!(tails, next_tail..next_tail + outliers.len() as u32, "group {g} tails");
+            next_tail = tails.end;
+            for (t, row) in tails.zip(outliers.iter()) {
+                assert_eq!(rest(&s, (t, s.tail_first[t as usize])), row, "tail {t}");
+            }
+            assert_eq!(s.gcount[g], outliers.len() as u64 + bare);
+        }
+        assert_eq!(*s.gpat_start.last().unwrap() as usize, s.gpat.len());
+        let plain: Vec<Vec<u32>> = (next_tail..s.tail_first.len() as u32)
+            .map(|t| rest(&s, (t, s.tail_first[t as usize])))
+            .collect();
+        assert_eq!(plain, src.plain.iter().map(<[u32]>::to_vec).collect::<Vec<_>>());
     }
 }

@@ -119,6 +119,25 @@ fn read_header(path: &Path) -> io::Result<(SegmentMeta, u32, File)> {
     Ok((meta, crc, f))
 }
 
+/// Adds the sidecar of the segment `meta` describes to `supports`,
+/// reading it through `f`, the segment opened by [`read_header`].
+fn add_sidecar(meta: &SegmentMeta, f: &mut File, supports: &mut Vec<u64>) -> io::Result<()> {
+    let sidecar_start = HEADER_BYTES as u64 + (meta.rows as u64 + 1) * 4 + meta.elems as u64 * 4;
+    f.seek(SeekFrom::Start(sidecar_start))?;
+    let mut buf = vec![0u8; meta.sidecar_entries as usize * 8];
+    f.read_exact(&mut buf)
+        .map_err(|_| bad_data(format!("{}: truncated sidecar", meta.path.display())))?;
+    for pair in buf.chunks_exact(8) {
+        let item = u32::from_le_bytes(pair[0..4].try_into().unwrap()) as usize;
+        let count = u32::from_le_bytes(pair[4..8].try_into().unwrap()) as u64;
+        if item >= supports.len() {
+            supports.resize(item + 1, 0);
+        }
+        supports[item] += count;
+    }
+    Ok(())
+}
+
 /// Builds rows into sealed, immutable segment files under a directory.
 ///
 /// Rows accumulate in an in-memory CSR buffer; when the buffer's
@@ -267,14 +286,17 @@ fn scan_segment_ids(dir: &Path) -> io::Result<Vec<u32>> {
 
 /// A read view over a directory of sealed segments.
 ///
-/// Opening reads only headers — row/element counts and payload sizes —
-/// so the database's shape (`total_rows`, `total_elems`) is known
-/// without touching any payload. Payloads are loaded one segment at a
-/// time through [`SegmentedDb::load`] under the configured resident
-/// budget; summed item supports come from the sidecars alone.
+/// Opening reads each segment's header and sidecar in one file open —
+/// row/element counts, payload sizes and item counts — so the
+/// database's shape (`total_rows`, `total_elems`) and its summed item
+/// supports are known without touching any row payload. Payloads are
+/// loaded one segment at a time through [`SegmentedDb::load`] under the
+/// configured resident budget.
 #[derive(Debug)]
 pub struct SegmentedDb {
     segments: Vec<SegmentMeta>,
+    /// Whole-database item supports: the sum of every sidecar.
+    supports: Vec<u64>,
     budget: MemoryBudget,
 }
 
@@ -284,11 +306,13 @@ impl SegmentedDb {
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref();
         let mut segments = Vec::new();
+        let mut supports: Vec<u64> = Vec::new();
         for id in scan_segment_ids(dir)? {
-            let (meta, _, _) = read_header(&dir.join(segment_file_name(id)))?;
+            let (meta, _, mut f) = read_header(&dir.join(segment_file_name(id)))?;
+            add_sidecar(&meta, &mut f, &mut supports)?;
             segments.push(meta);
         }
-        Ok(SegmentedDb { segments, budget: MemoryBudget::unlimited() })
+        Ok(SegmentedDb { segments, supports, budget: MemoryBudget::unlimited() })
     }
 
     /// Sets the resident budget: [`SegmentedDb::load`] refuses any
@@ -325,28 +349,11 @@ impl SegmentedDb {
     }
 
     /// Whole-database per-item supports, summed from the per-segment
-    /// sidecars. Reads headers and sidecar tails only — **not** counted
-    /// as a segment pass.
+    /// sidecars when the store was opened — **not** counted as a
+    /// segment pass. Infallible since then; the `Result` keeps the
+    /// signature of a read.
     pub fn item_supports(&self) -> io::Result<Vec<u64>> {
-        let mut counts: Vec<u64> = Vec::new();
-        for seg in &self.segments {
-            let mut f = File::open(&seg.path)?;
-            let sidecar_start =
-                HEADER_BYTES as u64 + (seg.rows as u64 + 1) * 4 + seg.elems as u64 * 4;
-            f.seek(SeekFrom::Start(sidecar_start))?;
-            let mut buf = vec![0u8; seg.sidecar_entries as usize * 8];
-            f.read_exact(&mut buf)
-                .map_err(|_| bad_data(format!("{}: truncated sidecar", seg.path.display())))?;
-            for pair in buf.chunks_exact(8) {
-                let item = u32::from_le_bytes(pair[0..4].try_into().unwrap()) as usize;
-                let count = u32::from_le_bytes(pair[4..8].try_into().unwrap()) as u64;
-                if item >= counts.len() {
-                    counts.resize(item + 1, 0);
-                }
-                counts[item] += count;
-            }
-        }
-        Ok(counts)
+        Ok(self.supports.clone())
     }
 
     /// Loads segment `i` fully: verifies the payload checksum, bumps
@@ -589,6 +596,27 @@ mod tests {
         let from_sidecars = db.item_supports().unwrap();
         let from_scan = TransactionDb::from_rows(&refs).item_supports();
         assert_eq!(from_sidecars, from_scan);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Supports are summed at open, in the same file read as the header:
+    /// no segment pass is counted, and a segment cut short inside its
+    /// sidecar fails the open with `InvalidData`.
+    #[test]
+    fn open_reads_sidecars_without_a_segment_pass() {
+        let dir = temp_dir("sidecar-open");
+        let rows: Vec<Vec<u32>> = (0..40u32).map(|k| vec![k % 5, 10 + k % 7]).collect();
+        let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+        assert!(fill(&dir, &refs, 128) > 2);
+        let (supports, snap) =
+            gogreen_obs::measure(|| SegmentedDb::open(&dir).unwrap().item_supports().unwrap());
+        assert_eq!(supports, TransactionDb::from_rows(&refs).item_supports());
+        assert_eq!(snap.value("storage.segments_read"), None);
+        let path = dir.join(segment_file_name(1));
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+        let err = SegmentedDb::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
