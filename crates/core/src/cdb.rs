@@ -249,25 +249,18 @@ impl<T: Copy + Ord> CdbLayout<T> {
     }
 
     /// The one row rewrite behind [`CompressedDb::to_ranks`] and
-    /// [`CompressedRankDb::retain_ranks`]: copies every row into `out`
-    /// through `push`, which appends the row's rewritten ids to the open
-    /// row of its destination and returns the open row's length. A group
-    /// whose pattern empties becomes plain rows; a member whose outliers
-    /// empty becomes bare; a plain row that empties is dropped.
+    /// [`CompressedRankDb::retain_ranks`]: rewrites every row into a
+    /// layout of `extent` through `kept`, which writes the row's new ids
+    /// as a row of its destination section, commits it when non-empty
+    /// and returns whether it did. A group whose pattern empties becomes
+    /// plain rows; a member whose outliers empty becomes bare; a plain
+    /// row that empties is dropped.
     fn rewrite<U: Copy + Ord>(
         &self,
-        mut out: CdbLayout<U>,
-        push: impl Fn(&[T], &mut CsrTuples<U>) -> usize,
+        extent: usize,
+        kept: impl Fn(&[T], &mut CsrTuples<U>) -> bool,
     ) -> CdbLayout<U> {
-        let kept = |row: &[T], dst: &mut CsrTuples<U>| {
-            let kept = push(row, dst) > 0;
-            if kept {
-                dst.commit_row();
-            } else {
-                dst.discard_row();
-            }
-            kept
-        };
+        let mut out = CdbLayout::empty(extent);
         for g in self.groups() {
             if !kept(g.pattern, &mut out.patterns) {
                 g.outliers.iter().for_each(|o| {
@@ -385,11 +378,11 @@ impl CompressedDb {
     }
 
     /// Re-encodes into rank space against `flist` for mining — one pass,
-    /// straight into the rank database's CSR sections: each row is
-    /// rank-encoded into an open CSR row and committed or discarded in
-    /// place, so no per-tuple `Vec` is ever allocated.
+    /// straight into the rank database's CSR sections: each row goes
+    /// through [`FList::encode_row`], so no per-tuple `Vec` is ever
+    /// allocated.
     pub fn to_ranks(&self, flist: &FList) -> CompressedRankDb {
-        self.rewrite(CompressedRankDb::empty(flist.len()), |row, dst| flist.encode_push(row, dst))
+        self.rewrite(flist.len(), |row, dst| flist.encode_row(row, dst))
     }
 }
 
@@ -405,9 +398,9 @@ impl CompressedRankDb {
     /// surviving ranks are unchanged (tuples are never removed, only
     /// shortened).
     pub fn retain_ranks(&self, keep: impl Fn(u32) -> bool) -> CompressedRankDb {
-        self.rewrite(CompressedRankDb::empty(self.extent), |row, dst| {
+        self.rewrite(self.extent, |row, dst| {
             row.iter().filter(|&&r| keep(r)).for_each(|&r| dst.push_elem(r));
-            dst.open_len()
+            dst.commit_nonempty()
         })
     }
 }

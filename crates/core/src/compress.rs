@@ -16,10 +16,15 @@
 //! to the serial pass for any thread count.
 //!
 //! Whole-database, streaming ([`Compressor::stream`]) and reference
-//! compression record their results through one accumulator: each
-//! member's outlying items go straight into its pattern's CSR member
-//! buffer, and the used patterns' buffers are appended to the
-//! [`CompressedDb`]'s sections in utility order. Streaming is the
+//! compression record their results through one accumulator. A covered
+//! member's outlying items are computed by the branch-free
+//! [`difference_into`] straight into one staging CSR, as a row tagged
+//! with its pattern index; a member with no outlying item only bumps its
+//! pattern's slot in a dense bare-count vector. Parallel parts merge by
+//! concatenation. Sealing sorts the used patterns into utility order and
+//! counting-sorts the staged rows by group into the [`CompressedDb`]'s
+//! outlier section, so each member row is copied once after it is
+//! staged and a group's members keep their tuple order. Streaming is the
 //! whole-database pass fed in chunks — the index, and the AND-chains it
 //! compiles, live for the whole stream.
 
@@ -31,7 +36,7 @@ use gogreen_data::{
 };
 use gogreen_obs::{histogram, metrics, span, Span};
 use gogreen_util::pool::{par_ranges, Parallelism};
-use gogreen_util::{FxHashMap, Stopwatch};
+use gogreen_util::Stopwatch;
 use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
@@ -127,7 +132,7 @@ impl Compressor {
             CoverIndex::new(db, fp, self.strategy)
         };
         let build = watch.lap();
-        let mut acc = Accumulator::default();
+        let mut acc = Accumulator::new(index.len());
         {
             let mut cover_sp = span("cover");
             cover_sp.field("tuples", db.len()).field("patterns", fp.len());
@@ -161,10 +166,10 @@ impl Compressor {
             CoverIndex::from_supports(patterns, self.strategy, supports, db_len)
         };
         StreamCompressor {
+            acc: Accumulator::new(patterns.len()),
             index,
             strategy: self.strategy,
             parallelism: self.parallelism,
-            acc: Accumulator::default(),
             started: Instant::now(),
         }
     }
@@ -185,8 +190,7 @@ impl Compressor {
             db.iter().filter_map(|t| t.last()).map(|it| it.index()).max().map_or(0, |m| m + 1);
         let mut present = vec![false; max_item];
 
-        let mut acc = Accumulator::default();
-        let mut rest = Vec::new();
+        let mut acc = Accumulator::new(patterns.len());
         for t in db.iter() {
             for it in t {
                 present[it.index()] = true;
@@ -208,7 +212,7 @@ impl Compressor {
             for it in t {
                 present[it.index()] = false;
             }
-            acc.record(t, chosen.map(|pidx| (pidx, patterns[pidx as usize].items())), &mut rest);
+            acc.record(t, chosen.map(|pidx| (pidx, patterns[pidx as usize].items())));
         }
         acc.into_cdb(
             |a, b| rank[a as usize].cmp(&rank[b as usize]),
@@ -250,38 +254,47 @@ impl StreamCompressor<'_> {
     }
 }
 
-/// One pattern's members: the outlying items of those that have any,
-/// in tuple order, plus the count of those that *are* the pattern.
-#[derive(Debug, Default)]
-struct Members {
-    outliers: CsrTuples<Item>,
-    bare: u64,
-}
-
 /// Cover results accumulated in tuple order — the one accumulate path
-/// behind whole-database, streaming and reference compression.
-#[derive(Debug, Default)]
+/// behind whole-database, streaming and reference compression (see the
+/// module docs).
+#[derive(Debug)]
 struct Accumulator {
-    by_pattern: FxHashMap<u32, Members>,
+    /// Outlier rows of covered members, in tuple order.
+    rows: CsrTuples<Item>,
+    /// `row_pattern[r]` = the pattern index covering staged row `r`.
+    row_pattern: Vec<u32>,
+    /// `bare[pattern index]` = its members with no outlying items.
+    bare: Vec<u64>,
     plain: CsrTuples<Item>,
     original_items: usize,
 }
 
 impl Accumulator {
+    /// An empty accumulator for a run over `num_patterns` patterns.
+    fn new(num_patterns: usize) -> Self {
+        Accumulator {
+            rows: CsrTuples::new(),
+            row_pattern: Vec::new(),
+            bare: vec![0; num_patterns],
+            plain: CsrTuples::new(),
+            original_items: 0,
+        }
+    }
+
     /// Covers `tuples` with `index` and appends the result; a serial
     /// pass records straight into `self`. With a non-serial `par` each
     /// worker sweeps one contiguous row range (a borrowed window of the
     /// CSR storage, so splitting costs two offsets) into its own
     /// accumulator, and the parts merge in range order — concatenating
-    /// every pattern's members exactly as one serial pass would, so the
-    /// result is identical for any thread count.
+    /// the staged rows exactly as one serial pass would, so the result
+    /// is identical for any thread count.
     fn feed(&mut self, index: &CoverIndex<'_>, tuples: TupleSlices<'_, Item>, par: Parallelism) {
         if par.for_items(tuples.len()) <= 1 {
             self.cover(index, tuples);
             return;
         }
         let parts = par_ranges(par, tuples.len(), |_, range| {
-            let mut part = Accumulator::default();
+            let mut part = Accumulator::new(index.len());
             part.cover(index, tuples.range(range.start, range.end));
             part
         });
@@ -293,72 +306,84 @@ impl Accumulator {
     /// Sweeps `tuples` with `index` and records every tuple in order.
     fn cover(&mut self, index: &CoverIndex<'_>, tuples: TupleSlices<'_, Item>) {
         let assign = index.cover_all(tuples);
-        let mut rest = Vec::new();
         for (t, covered_by) in tuples.iter().zip(assign) {
-            self.record(t, covered_by.map(|pidx| (pidx, index.pattern(pidx).items())), &mut rest);
+            self.record(t, covered_by.map(|pidx| (pidx, index.pattern(pidx).items())));
         }
     }
 
     /// Records tuple `t`: a member of `covered_by`'s group — `(pattern
-    /// index, pattern items)` — or, when `None`, a plain row. `rest` is
-    /// scratch for the outlying items.
-    fn record(&mut self, t: &[Item], covered_by: Option<(u32, &[Item])>, rest: &mut Vec<Item>) {
+    /// index, pattern items)` — or, when `None`, a plain row.
+    fn record(&mut self, t: &[Item], covered_by: Option<(u32, &[Item])>) {
         self.original_items += t.len();
         let Some((pidx, pattern)) = covered_by else {
             self.plain.push_row(t);
             return;
         };
-        rest.clear();
-        difference_into(t, pattern, rest);
-        let members = self.by_pattern.entry(pidx).or_default();
-        if rest.is_empty() {
-            members.bare += 1;
+        self.rows.push_with(t.len(), Item(0), |slots| difference_into(t, pattern, slots));
+        if self.rows.commit_nonempty() {
+            self.row_pattern.push(pidx);
         } else {
-            members.outliers.push_row(rest);
+            self.bare[pidx as usize] += 1;
         }
     }
 
     /// Appends `part`, which covered the tuples following this one's.
     fn merge(&mut self, part: Accumulator) {
-        if self.plain.is_empty() && self.by_pattern.is_empty() {
+        if self.original_items == 0 && self.plain.is_empty() {
             *self = part;
             return;
         }
         self.original_items += part.original_items;
-        for t in part.plain.iter() {
-            self.plain.push_row(t);
-        }
-        for (pidx, part_members) in part.by_pattern {
-            let members = self.by_pattern.entry(pidx).or_default();
-            for o in part_members.outliers.iter() {
-                members.outliers.push_row(o);
-            }
-            members.bare += part_members.bare;
-        }
+        self.plain.append(&part.plain);
+        self.rows.append(&part.rows);
+        self.row_pattern.extend(part.row_pattern);
+        self.bare.iter_mut().zip(part.bare).for_each(|(b, p)| *b += p);
     }
 
-    /// Appends each used pattern's members to the output sections in
-    /// utility order. Only the patterns actually used are sorted — the
-    /// seed walked the *entire* order doing a hash remove per pattern,
-    /// which costs O(|FP|) even when a handful of groups exist.
-    /// `by_rank` compares two pattern indices in utility order.
+    /// Lays the used patterns' groups out in utility order and
+    /// counting-sorts the staged rows into the outlier section: a
+    /// group's members keep their tuple order. Only the used patterns
+    /// are sorted. `by_rank` compares two pattern indices in utility
+    /// order.
     fn into_cdb<'p>(
         self,
         by_rank: impl Fn(u32, u32) -> Ordering,
         items_of: impl Fn(u32) -> &'p [Item],
     ) -> CompressedDb {
-        let mut used: Vec<(u32, Members)> = self.by_pattern.into_iter().collect();
-        used.sort_unstable_by(|a, b| by_rank(a.0, b.0));
-        let mut cdb = CompressedDb::empty(self.original_items);
-        cdb.plain = self.plain;
-        // Sized once: every member row is copied exactly once.
-        let rows = used.iter().map(|(_, m)| m.outliers.len()).sum();
-        let elems = used.iter().map(|(_, m)| m.outliers.total_elems()).sum();
-        cdb.outliers = CsrTuples::with_capacity(rows, elems);
-        for (pidx, m) in used {
-            histogram::observe("compress.group_size", m.outliers.len() as u64 + m.bare);
-            cdb.push_group(items_of(pidx), m.outliers.iter(), m.bare);
+        // Per pattern: staged rows and items, then (below) the position
+        // of its next row and item in the outlier section.
+        let mut next_row = vec![0u32; self.bare.len()];
+        let mut next_elem = vec![0u32; self.bare.len()];
+        for (row, &p) in self.rows.iter().zip(&self.row_pattern) {
+            next_row[p as usize] += 1;
+            next_elem[p as usize] += row.len() as u32;
         }
+        let mut used: Vec<u32> = (0..self.bare.len() as u32)
+            .filter(|&p| next_row[p as usize] > 0 || self.bare[p as usize] > 0)
+            .collect();
+        used.sort_unstable_by(|&a, &b| by_rank(a, b));
+        let mut cdb = CompressedDb::empty(self.original_items);
+        let (mut row_at, mut elem_at) = (0u32, 0u32);
+        for &p in &used {
+            let (p, bare) = (p as usize, self.bare[p as usize]);
+            histogram::observe("compress.group_size", u64::from(next_row[p]) + bare);
+            row_at += std::mem::replace(&mut next_row[p], row_at);
+            elem_at += std::mem::replace(&mut next_elem[p], elem_at);
+            cdb.patterns.push_row(items_of(p as u32));
+            cdb.outlier_start.push(row_at);
+            cdb.bare.push(bare);
+        }
+        let mut data = vec![Item(0); self.rows.total_elems()];
+        let mut offsets = vec![0u32; self.rows.len() + 1];
+        for (row, &p) in self.rows.iter().zip(&self.row_pattern) {
+            let (r, e) = (next_row[p as usize] as usize, next_elem[p as usize] as usize);
+            data[e..e + row.len()].copy_from_slice(row);
+            offsets[r + 1] = (e + row.len()) as u32;
+            next_row[p as usize] += 1;
+            next_elem[p as usize] += row.len() as u32;
+        }
+        cdb.outliers = CsrTuples::from_raw_parts(data, offsets);
+        cdb.plain = self.plain;
         cdb
     }
 

@@ -6,11 +6,19 @@
 //! dominant phase and eats the recycling win the paper promises.
 //! [`CoverIndex`] replaces the scan with an index built once per
 //! compression run. The eager part of the build is deliberately tiny —
-//! the utility order, item rarity ranks, and a column slot per distinct
+//! the utility order's first block and a column slot per distinct
 //! pattern item — so that on easy inputs (where the seed scan already
 //! finds a cover within the first couple of candidates) the kernel costs
 //! no more than the scan, while on hard inputs it wins by orders of
 //! magnitude.
+//!
+//! Rarity — ascending (support, id), the order a chain ANDs its columns
+//! in — is only ever compared between pattern items, so the build sorts
+//! just those (a few dozen on the analogs, against thousands of item
+//! ids) and numbers the column slots in that order. Restricting a total
+//! order to a subset keeps the subset's relative order, so every
+//! compiled chain, and with it `cover.words_scanned`, is the same as
+//! ranking every item id would give.
 //!
 //! The utility order itself is built only as far as sweeps read it. The
 //! build *selects* the `CHAIN_BLOCK` best ranks (one linear
@@ -30,6 +38,13 @@
 //! aborting on the first empty intersection. The sweep stops the moment
 //! every tuple is claimed — on dense databases that is typically after a
 //! handful of patterns.
+//!
+//! The column fill that precedes the sweep is branch-free. Most items of
+//! a sparse tuple belong to no pattern, and a "has it a column?" test
+//! per item mispredicts at random; instead every item sets its bit in
+//! the column its slot names, and items with no slot — or with an id
+//! past the supports table — share one trailing sink column that no
+//! chain reads.
 //!
 //! A pattern's AND-chain (its items' column slots, rarest first) depends
 //! only on the index, never on the tuples swept, so it is compiled once
@@ -87,24 +102,21 @@ pub struct CoverIndex<'a> {
     /// `order[CHAIN_BLOCK..]` in utility order (blocks 1 and on), sorted
     /// by the first sweep that reaches block 1.
     rest: OnceLock<Vec<u32>>,
-    /// `rarity[item index]` = F-list position (ascending support, ties by
-    /// id) — rarest items first, so rarity comparisons are plain `u32`s.
-    /// One entry per item id occurring in the database.
-    rarity: Vec<u32>,
-    /// `slot_of_item[item index]` = column slot in the vertical sweep,
-    /// [`SLOT_NONE`] for items no pattern uses (they never need a
-    /// column).
+    /// `slot_of_item[item index]` = column slot in the vertical sweep, for
+    /// every item id of the supports table plus one trailing entry that
+    /// ids past the table clamp to. Pattern items get slots `0..num_slots`
+    /// in rarity order — ascending (support, id) among pattern items — so
+    /// a chain's rarest-first order is its slots sorted. Every other id
+    /// maps to the sink column `num_slots`, which the fill writes and no
+    /// chain reads.
     slot_of_item: Vec<u32>,
-    /// Number of assigned column slots.
+    /// Number of pattern-item column slots (the sink column excluded).
     num_slots: usize,
     /// `chains[b]` = the compiled AND-chains of ranks
     /// `b * CHAIN_BLOCK..(b + 1) * CHAIN_BLOCK`, compiled by the first
     /// sweep that reaches rank `b * CHAIN_BLOCK`.
     chains: Vec<OnceLock<ChainBlock>>,
 }
-
-/// Sentinel: "no column slot".
-const SLOT_NONE: u32 = u32::MAX;
 
 /// The compiled AND-chains of one block of consecutive utility ranks:
 /// each rank's column slots, rarest item first, stored flat;
@@ -160,40 +172,29 @@ impl<'a> CoverIndex<'a> {
         }
         let head = order.len().min(CHAIN_BLOCK);
         order[..head].sort_unstable_by(by_utility);
-        // Rarity ranks, computed once so chain ordering is plain u32
-        // comparisons with no allocation.
-        let mut by_support: Vec<u32> = (0..num_items as u32).collect();
-        by_support.sort_unstable_by_key(|&i| (supports[i as usize], i));
-        let mut rarity = vec![0u32; num_items];
-        for (r, &i) in by_support.iter().enumerate() {
-            rarity[i as usize] = r as u32;
-        }
-        // Column slots: one per distinct in-database pattern item, in
-        // first-seen order. A single linear pass — each pattern's chain
-        // is compiled lazily, only if a sweep reaches its block.
-        let mut slot_of_item = vec![SLOT_NONE; num_items];
-        let mut num_slots = 0usize;
+        // Column slots: one per distinct in-table pattern item, numbered
+        // by rarity among those items only (see the module docs). One
+        // linear marking pass — each pattern's chain is compiled lazily,
+        // only if a sweep reaches its block.
+        let unmarked = u32::MAX;
+        let mut slot_of_item = vec![unmarked; num_items + 1];
+        let mut slot_items: Vec<u32> = Vec::new();
         for p in patterns {
             for &it in p.items() {
-                if let Some(s) = slot_of_item.get_mut(it.index()) {
-                    if *s == SLOT_NONE {
-                        *s = num_slots as u32;
-                        num_slots += 1;
-                    }
+                if it.index() < num_items && slot_of_item[it.index()] == unmarked {
+                    slot_of_item[it.index()] = 0;
+                    slot_items.push(it.0);
                 }
             }
         }
-        let chains = (0..order.len().div_ceil(CHAIN_BLOCK)).map(|_| OnceLock::new()).collect();
-        CoverIndex {
-            patterns,
-            keys,
-            order,
-            rest: OnceLock::new(),
-            rarity,
-            slot_of_item,
-            num_slots,
-            chains,
+        slot_items.sort_unstable_by_key(|&i| (supports[i as usize], i));
+        for (slot, &i) in slot_items.iter().enumerate() {
+            slot_of_item[i as usize] = slot as u32;
         }
+        let num_slots = slot_items.len();
+        slot_of_item.iter_mut().for_each(|s| *s = (*s).min(num_slots as u32));
+        let chains = (0..order.len().div_ceil(CHAIN_BLOCK)).map(|_| OnceLock::new()).collect();
+        CoverIndex { patterns, keys, order, rest: OnceLock::new(), slot_of_item, num_slots, chains }
     }
 
     /// The pattern indices of block `b`'s ranks, in utility order. Block
@@ -225,22 +226,18 @@ impl<'a> CoverIndex<'a> {
         let mut slots = Vec::new();
         let mut start = Vec::with_capacity(ranks.len() + 1);
         start.push(0u32);
-        // Scratch for one pattern's (rarity, slot) pairs.
-        let mut chain: Vec<(u32, u32)> = Vec::new();
+        let num_items = self.slot_of_item.len() - 1;
         for &pidx in ranks {
             let items = self.patterns[pidx as usize].items();
-            // An item never occurring in the database (out of range here)
-            // disqualifies the pattern: it keeps an empty chain. Every
-            // in-range pattern item was assigned a slot at build time; a
-            // zero-support item's column is all-zero, so its AND-chain
-            // rejects the pattern naturally.
-            if items.iter().all(|it| it.index() < self.rarity.len()) {
-                chain.clear();
-                chain.extend(
-                    items.iter().map(|it| (self.rarity[it.index()], self.slot_of_item[it.index()])),
-                );
-                chain.sort_unstable();
-                slots.extend(chain.iter().map(|&(_, slot)| slot));
+            // An item past the supports table (never occurring in the
+            // database) disqualifies the pattern: it keeps an empty chain.
+            // Every in-table pattern item has a slot; a zero-support
+            // item's column is all-zero, so its AND-chain rejects the
+            // pattern naturally.
+            if items.iter().all(|it| it.index() < num_items) {
+                let from = slots.len();
+                slots.extend(items.iter().map(|it| self.slot_of_item[it.index()]));
+                slots[from..].sort_unstable();
             }
             start.push(slots.len() as u32);
         }
@@ -280,14 +277,16 @@ impl<'a> CoverIndex<'a> {
         if n == 0 || self.num_slots == 0 {
             return out;
         }
+        // The column fill is branch-free: every item sets its bit in its
+        // slot's column, and items no pattern uses (or past the supports
+        // table) land in the trailing sink column, which no chain reads.
         let words = bitmap::words_for(n);
-        let mut bits = vec![0u64; self.num_slots * words];
+        let mut bits = vec![0u64; (self.num_slots + 1) * words];
+        let last = self.slot_of_item.len() - 1;
         for (i, t) in tuples.iter().enumerate() {
+            let (w, bit) = (i / 64, 1u64 << (i % 64));
             for &it in t {
-                let Some(&slot) = self.slot_of_item.get(it.index()) else { continue };
-                if slot != SLOT_NONE {
-                    bitmap::set_bit(&mut bits[slot as usize * words..][..words], i);
-                }
+                bits[self.slot_of_item[it.index().min(last)] as usize * words + w] |= bit;
             }
         }
         let mut uncovered = vec![!0u64; words];
@@ -307,7 +306,7 @@ impl<'a> CoverIndex<'a> {
             'patterns: for (j, chain) in block.chains().enumerate() {
                 let Some((&first, rest)) = chain.split_first() else { continue };
                 // The AND-chain runs on the shared bitmap kernels (the
-                // same SIMD/unrolled code the vertical miner counts
+                // same unrolled code the vertical miner counts
                 // with), each returning the OR of the result for the
                 // early-exit test.
                 let col = &bits[first as usize * words..][..words];
@@ -410,6 +409,49 @@ mod tests {
         let index = CoverIndex::new(&db, &fp, Strategy::Mcp);
         assert_eq!(linear_cover(fp.as_slice(), &[0], db.tuple(0)), None);
         assert_eq!(index.cover_all(db.tuples()), vec![None]);
+    }
+
+    /// Tuples may hold ids past the index's supports table (a segment fed
+    /// to a stream built from older supports): the fill sends them to the
+    /// sink column, and a pattern using one keeps an empty chain. On
+    /// seeded random rows the sweep equals the linear scan over the
+    /// in-table patterns.
+    #[test]
+    fn cover_all_sinks_items_past_the_supports_table() {
+        use gogreen_util::rng::{Rng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(0x51_4c);
+        let rows: Vec<Vec<u32>> = (0..300)
+            .map(|_| {
+                let mut r: Vec<u32> =
+                    (0..1 + rng.gen_index(7)).map(|_| rng.gen_below(40) as u32).collect();
+                r.sort_unstable();
+                r.dedup();
+                r
+            })
+            .collect();
+        let row_refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let db = TransactionDb::from_rows(&row_refs);
+        let mut fp = PatternSet::new();
+        for a in 0..12u32 {
+            fp.insert(Pattern::from_ids([a], 3 + u64::from(a % 5)));
+            fp.insert(Pattern::from_ids([a, a + 3], 1 + u64::from(a % 4)));
+        }
+        // Item 25 lies past the table: the pattern never covers.
+        fp.insert(Pattern::from_ids([2, 25], 90));
+        // Supports for ids 0..20 only: ids 20..40 in the tuples are past it.
+        let supports: Vec<u64> = db.item_supports()[..20].to_vec();
+        for strategy in [Strategy::Mcp, Strategy::Mlp] {
+            let index =
+                CoverIndex::from_supports(fp.as_slice(), strategy, supports.clone(), db.len());
+            let order: Vec<u32> = order_by_utility(fp.as_slice(), strategy, db.len())
+                .into_iter()
+                .filter(|&p| fp.as_slice()[p as usize].items().iter().all(|it| it.index() < 20))
+                .collect();
+            let swept = index.cover_all(db.tuples());
+            for (i, (t, got)) in db.iter().zip(swept).enumerate() {
+                assert_eq!(got, linear_cover(fp.as_slice(), &order, t), "{strategy:?} tuple {i}");
+            }
+        }
     }
 
     #[test]

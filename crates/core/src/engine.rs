@@ -6,13 +6,14 @@
 //! a plain database instantiates it on the degenerate
 //! [`gogreen_data::PlainRanks`] view, and mining a [`CompressedDb`]
 //! instantiates it here on the real [`crate::cdb::CompressedRankDb`]:
-//! the F-list is counted group-at-a-time from the compressed form, the
-//! database is rank-encoded once, and [`Family::mine_source`] runs the
-//! family's search on it.
+//! the F-list is counted group-at-a-time from the compressed form (the
+//! `flist` span), the database is rank-encoded once (the `encode`
+//! span), and [`Family::mine_source`] runs the family's search on it.
 
 use crate::CompressedDb;
 use gogreen_data::{MinSupport, PatternSink};
 use gogreen_miners::{Family, Miner};
+use gogreen_obs::span;
 use gogreen_util::pool::Parallelism;
 
 /// Recycled mining. The name is the family's tag, the prefix of the
@@ -34,11 +35,18 @@ impl Miner<CompressedDb> for Family {
         sink: &mut dyn PatternSink,
     ) {
         let minsup = min_support.to_absolute(cdb.num_tuples());
-        let flist = cdb.flist_par(minsup, par);
+        let flist = {
+            let _sp = span("flist");
+            cdb.flist_par(minsup, par)
+        };
         if flist.is_empty() {
             return;
         }
-        self.mine_source(&cdb.to_ranks(&flist), &flist, minsup, par, sink);
+        let rdb = {
+            let _sp = span("encode");
+            cdb.to_ranks(&flist)
+        };
+        self.mine_source(&rdb, &flist, minsup, par, sink);
     }
 }
 

@@ -134,3 +134,52 @@ fn recycled_output_of_indexed_cover_mines_exactly() {
         );
     }
 }
+
+/// The accumulator's counting sort on a hand-built shape: more patterns
+/// than one chain block, utility order unlike pattern-index order, and
+/// groups whose members are all bare next to groups with outliers. The
+/// indexed kernel must equal the linear-scan reference at 1 and 3
+/// threads for both strategies.
+#[test]
+fn counting_sorted_groups_match_reference_past_one_chain_block() {
+    use gogreen_data::{Pattern, PatternSet};
+    // Every pair over items 0..30: 435 patterns, supports scrambled so
+    // utility order is unrelated to the pairs' index order.
+    let mut fp = PatternSet::new();
+    for a in 0..30u32 {
+        for b in a + 1..30 {
+            fp.insert(Pattern::from_ids([a, b], 1 + u64::from((a * 7 + b * 13) % 50)));
+        }
+    }
+    assert!(fp.len() > 256, "more patterns than one chain block");
+    // Each tuple holds one pair, so that pair covers it. Pairs with
+    // `a % 3 == 0` are always exact (all-bare groups); the rest carry an
+    // outlying item from 30..36 half the time.
+    let mut rng = SmallRng::seed_from_u64(0xba5e);
+    let txs: Vec<Transaction> = (0..600)
+        .map(|_| {
+            let a = rng.gen_below(29) as u32;
+            let b = a + 1 + rng.gen_below(u64::from(29 - a)) as u32;
+            let mut ids = vec![a, b];
+            if !a.is_multiple_of(3) && rng.gen_bool(0.5) {
+                ids.push(30 + rng.gen_below(6) as u32);
+            }
+            Transaction::from_ids(ids)
+        })
+        .collect();
+    let db = TransactionDb::from_transactions(txs);
+    for strategy in [Strategy::Mcp, Strategy::Mlp] {
+        let reference = Compressor::new(strategy).compress_reference(&db, &fp);
+        let all_bare = reference.groups().filter(|g| g.outliers.is_empty()).count();
+        assert!(all_bare > 0 && all_bare < reference.num_groups(), "{strategy:?} mixes groups");
+        let heads: Vec<&[gogreen_data::Item]> = reference.groups().map(|g| g.pattern).collect();
+        assert!(
+            heads.windows(2).any(|w| w[0] > w[1]),
+            "{strategy:?}: utility order is index order"
+        );
+        for threads in [1, 3] {
+            let indexed = Compressor::new(strategy).with_threads(threads).compress(&db, &fp);
+            assert_eq!(indexed, reference, "{strategy:?} threads={threads}");
+        }
+    }
+}

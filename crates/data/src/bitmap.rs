@@ -7,18 +7,13 @@
 //! four-line loop; this module is the single home for those kernels so
 //! the two stay instruction-identical and get optimized once.
 //!
-//! # Build-time kernel selection
+//! # One kernel body
 //!
-//! Every kernel has two implementations chosen at build time:
-//!
-//! * the default, a **4-way unrolled scalar** loop — four independent
-//!   accumulator lanes so the popcounts pipeline on any stable
-//!   toolchain;
-//! * an explicit `std::simd` path behind the `portable-simd` cargo
-//!   feature (nightly-only, since `portable_simd` is an unstable
-//!   library feature). Enabling the feature swaps the kernel bodies;
-//!   every public signature and result is identical, so the rest of the
-//!   workspace never notices which one it got.
+//! Every kernel is a **4-way unrolled scalar** loop. An explicit
+//! `std::simd` body once sat behind a nightly-only cargo feature; the
+//! `bitmap` group of `benches/pairs.rs` timed popcount and AND-count
+//! within noise of the scalar loops at every column length, so it was
+//! removed.
 //!
 //! Callers count their own kernel traffic (`cover.words_scanned`,
 //! `mine.bitmap_words_scanned`): the cover sweep's counter is
@@ -295,8 +290,8 @@ pub fn diff_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     }
 }
 
-/// The 4-way unrolled scalar kernels (default build).
-#[cfg(not(feature = "portable-simd"))]
+/// The 4-way unrolled scalar kernels: four independent accumulator
+/// lanes, so the popcounts pipeline on any stable toolchain.
 mod kernel {
     pub fn popcount(col: &[u64]) -> u64 {
         let it = col.chunks_exact(4);
@@ -388,103 +383,6 @@ mod kernel {
         }
         let mut any = o0 | o1 | o2 | o3;
         for (x, y) in ia.into_remainder().iter_mut().zip(ic.remainder()) {
-            *x &= *y;
-            any |= *x;
-        }
-        any
-    }
-}
-
-/// The explicit `std::simd` kernels (`--features portable-simd`,
-/// nightly toolchains only).
-#[cfg(feature = "portable-simd")]
-mod kernel {
-    use std::simd::num::SimdUint;
-    use std::simd::u64x4;
-
-    pub fn popcount(col: &[u64]) -> u64 {
-        let n = col.len() / 4 * 4;
-        let mut acc = u64x4::splat(0);
-        let mut i = 0;
-        while i < n {
-            acc += u64x4::from_slice(&col[i..i + 4]).count_ones();
-            i += 4;
-        }
-        let mut total = acc.reduce_sum();
-        for x in &col[n..] {
-            total += x.count_ones() as u64;
-        }
-        total
-    }
-
-    pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
-        let n = a.len() / 4 * 4;
-        let mut acc = u64x4::splat(0);
-        let mut i = 0;
-        while i < n {
-            let x = u64x4::from_slice(&a[i..i + 4]);
-            let y = u64x4::from_slice(&b[i..i + 4]);
-            acc += (x & y).count_ones();
-            i += 4;
-        }
-        let mut total = acc.reduce_sum();
-        for (x, y) in a[n..].iter().zip(&b[n..]) {
-            total += (x & y).count_ones() as u64;
-        }
-        total
-    }
-
-    pub fn andnot_popcount(a: &[u64], b: &[u64]) -> u64 {
-        let n = a.len() / 4 * 4;
-        let mut acc = u64x4::splat(0);
-        let mut i = 0;
-        while i < n {
-            let x = u64x4::from_slice(&a[i..i + 4]);
-            let y = u64x4::from_slice(&b[i..i + 4]);
-            acc += (x & !y).count_ones();
-            i += 4;
-        }
-        let mut total = acc.reduce_sum();
-        for (x, y) in a[n..].iter().zip(&b[n..]) {
-            total += (x & !y).count_ones() as u64;
-        }
-        total
-    }
-
-    pub fn select_and(dst: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
-        let n = dst.len() / 4 * 4;
-        let mut any = u64x4::splat(0);
-        let mut i = 0;
-        while i < n {
-            let x = u64x4::from_slice(&a[i..i + 4]);
-            let y = u64x4::from_slice(&b[i..i + 4]);
-            let r = x & y;
-            r.copy_to_slice(&mut dst[i..i + 4]);
-            any |= r;
-            i += 4;
-        }
-        let mut any = any.reduce_or();
-        for ((d, x), y) in dst[n..].iter_mut().zip(&a[n..]).zip(&b[n..]) {
-            *d = x & y;
-            any |= *d;
-        }
-        any
-    }
-
-    pub fn and_into(acc: &mut [u64], col: &[u64]) -> u64 {
-        let n = acc.len() / 4 * 4;
-        let mut any = u64x4::splat(0);
-        let mut i = 0;
-        while i < n {
-            let x = u64x4::from_slice(&acc[i..i + 4]);
-            let y = u64x4::from_slice(&col[i..i + 4]);
-            let r = x & y;
-            r.copy_to_slice(&mut acc[i..i + 4]);
-            any |= r;
-            i += 4;
-        }
-        let mut any = any.reduce_or();
-        for (x, y) in acc[n..].iter_mut().zip(&col[n..]) {
             *x &= *y;
             any |= *x;
         }
@@ -785,7 +683,7 @@ mod tests {
 
     #[test]
     fn andnot_popcount_matches_reference_at_all_tail_lengths() {
-        // Lengths straddling the 4-word unroll/SIMD-lane boundary,
+        // Lengths straddling the 4-word unroll boundary,
         // including the empty column.
         for len in 0..=13 {
             let (a, b) = test_vectors(len);

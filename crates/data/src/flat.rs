@@ -167,6 +167,41 @@ impl<T: Copy> CsrTuples<T> {
         self.data.truncate(self.total_elems());
     }
 
+    /// Commits the open row when it holds an element and discards it
+    /// otherwise; returns whether the row was kept.
+    #[inline]
+    pub fn commit_nonempty(&mut self) -> bool {
+        let kept = self.open_len() > 0;
+        if kept {
+            self.commit_row();
+        }
+        kept
+    }
+
+    /// Grows the open row through a write-then-keep kernel: `write` gets
+    /// `n` new slots (set to `fill`) at the end of the open row, writes
+    /// into them unconditionally and returns how many leading slots to
+    /// keep; the rest are dropped. Filters written this way (rank
+    /// encoding, set difference) store every candidate and advance their
+    /// cursor by a comparison instead of branching on it.
+    #[inline]
+    pub fn push_with(&mut self, n: usize, fill: T, write: impl FnOnce(&mut [T]) -> usize) {
+        let start = self.data.len();
+        self.data.resize(start + n, fill);
+        let kept = write(&mut self.data[start..]);
+        debug_assert!(kept <= n, "push_with kept more slots than it was given");
+        self.data.truncate(start + kept);
+    }
+
+    /// Appends every committed row of `other` (there must be no open
+    /// row).
+    pub fn append(&mut self, other: &CsrTuples<T>) {
+        debug_assert_eq!(self.open_len(), 0, "append with an open row");
+        let base = self.data.len() as u32;
+        self.data.extend_from_slice(other.flat());
+        self.offsets.extend(other.offsets[1..].iter().map(|&o| base + o));
+    }
+
     /// Removes the last committed row (it must be the last one pushed;
     /// there must be no open row).
     pub fn pop_row(&mut self) {
@@ -466,6 +501,32 @@ mod tests {
         let rows: Vec<&[u32]> = c.iter().collect();
         let expect: Vec<&[u32]> = vec![&[1, 2, 3], &[], &[9]];
         assert_eq!(rows, expect);
+    }
+
+    #[test]
+    fn push_with_keeps_a_prefix_and_append_shifts_offsets() {
+        let mut c = CsrTuples::new();
+        c.push_row(&[7]);
+        // Keep the odd values of 1..=5, written unconditionally.
+        c.push_with(5, 0, |slots| {
+            let mut k = 0;
+            for x in 1..=5u32 {
+                slots[k] = x;
+                k += (x % 2) as usize;
+            }
+            k
+        });
+        assert_eq!(c.open_row(), &[1, 3, 5]);
+        assert!(c.commit_nonempty());
+        c.push_with(2, 0, |_| 0);
+        assert!(!c.commit_nonempty());
+        assert_eq!(c.len(), 2);
+        let mut d = CsrTuples::new();
+        d.push_row(&[4, 4]);
+        d.append(&c);
+        d.append(&CsrTuples::new());
+        assert_eq!(d.iter().collect::<Vec<_>>(), vec![&[4, 4][..], &[7], &[1, 3, 5]]);
+        assert_eq!(d.offsets(), &[0, 2, 3, 6]);
     }
 
     #[test]

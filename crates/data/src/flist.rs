@@ -1,6 +1,7 @@
 //! The frequent list (paper Definition 3.1).
 
 use crate::database::TransactionDb;
+use crate::flat::CsrTuples;
 use crate::item::Item;
 
 /// Sentinel rank for infrequent items.
@@ -31,7 +32,8 @@ pub const NO_RANK: u32 = u32::MAX;
 pub struct FList {
     /// `(item, support)` ascending by `(support, item)`.
     entries: Vec<(Item, u64)>,
-    /// Dense map item id → rank (`NO_RANK` if infrequent).
+    /// Dense map item id → rank (`NO_RANK` if infrequent), plus one
+    /// trailing `NO_RANK` slot that every id past the table clamps to.
     ranks: Vec<u32>,
     /// The absolute threshold the list was built with.
     min_support: u64,
@@ -57,7 +59,7 @@ impl FList {
             .map(|(id, &c)| (Item(id as u32), c))
             .collect();
         entries.sort_unstable_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        let mut ranks = vec![NO_RANK; counts.len()];
+        let mut ranks = vec![NO_RANK; counts.len() + 1];
         for (rank, &(item, _)) in entries.iter().enumerate() {
             ranks[item.index()] = rank as u32;
         }
@@ -123,23 +125,31 @@ impl FList {
         out
     }
 
-    /// Re-encodes a tuple into rank space directly into the open row of
-    /// a CSR container, returning the number of surviving ranks.
+    /// Encodes a tuple (sorted by item id) into **sorted rank space** as a
+    /// new row of `out`: the row is committed when a frequent item
+    /// survives and discarded otherwise. Returns whether it was kept.
     ///
-    /// This is the one-pass form of [`FList::encode`]: ranks are pushed
-    /// into `out`'s open row and sorted in place, with no intermediate
-    /// `Vec` per tuple. The row is left **open** — the caller decides to
-    /// `commit_row()` (keep the tuple) or `discard_row()` (drop an
-    /// emptied tuple, count it as bare, …).
-    pub fn encode_push(&self, items: &[Item], out: &mut crate::flat::CsrTuples<u32>) -> usize {
-        debug_assert_eq!(out.open_len(), 0, "encode_push needs a fresh open row");
-        for &it in items {
-            if let Some(r) = self.rank_of(it) {
-                out.push_elem(r);
+    /// This is the one encode kernel every rank-encode pass runs (the
+    /// allocating [`FList::encode`] is its reference). It is branch-free:
+    /// each item's rank is written unconditionally (ids past the table
+    /// read its trailing `NO_RANK` slot), and the row advances by
+    /// `rank != NO_RANK`, so rows mixing frequent and infrequent items at
+    /// random cost no mispredicted branch. Survivors are then sorted in
+    /// place.
+    pub fn encode_row(&self, items: &[Item], out: &mut CsrTuples<u32>) -> bool {
+        debug_assert_eq!(out.open_len(), 0, "encode_row needs a fresh open row");
+        let last = self.ranks.len() - 1;
+        out.push_with(items.len(), NO_RANK, |slots| {
+            let mut k = 0;
+            for &it in items {
+                let r = self.ranks[it.index().min(last)];
+                slots[k] = r;
+                k += usize::from(r != NO_RANK);
             }
-        }
-        out.open_row_mut().sort_unstable();
-        out.open_len()
+            slots[..k].sort_unstable();
+            k
+        });
+        out.commit_nonempty()
     }
 
     /// Decodes a slice of ranks back to items sorted by item id.
@@ -153,6 +163,7 @@ impl FList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gogreen_util::rng::{Rng, SmallRng};
 
     // Paper encoding: a=0, b=1, c=2, d=3, e=4, f=5, g=6, h=7, i=8.
     fn paper_flist(minsup: u64) -> FList {
@@ -215,22 +226,52 @@ mod tests {
     }
 
     #[test]
-    fn encode_push_matches_encode() {
+    fn encode_row_matches_encode() {
         let fl = paper_flist(2);
         let db = TransactionDb::paper_example();
         let mut csr = crate::flat::CsrTuples::new();
         let mut expect = Vec::new();
         for t in db.iter() {
-            let n = fl.encode_push(t, &mut csr);
-            assert_eq!(n, csr.open_len());
-            if n == 0 {
-                csr.discard_row();
-            } else {
-                csr.commit_row();
+            let kept = fl.encode_row(t, &mut csr);
+            assert_eq!(kept, !fl.encode(t).is_empty());
+            assert_eq!(csr.open_len(), 0, "the row is committed or discarded");
+            if kept {
                 expect.push(fl.encode(t));
             }
         }
         assert_eq!(csr.iter().map(|r| r.to_vec()).collect::<Vec<_>>(), expect);
+    }
+
+    /// The branch-free kernel against the reference on seeded random
+    /// rows: ids past the F-list's table, empty rows and rows with no
+    /// frequent item included.
+    #[test]
+    fn encode_row_matches_encode_on_random_rows() {
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let counts: Vec<u64> = (0..40).map(|_| rng.gen_below(12)).collect();
+        for minsup in [1, 4, 8, 13] {
+            let fl = FList::from_counts(&counts, minsup);
+            let mut csr = CsrTuples::new();
+            let mut expect = Vec::new();
+            for row in 0..400 {
+                // Ids up to 59: a third lie past the 40-entry table.
+                let len = rng.gen_index(9);
+                let mut t: Vec<Item> = (0..len).map(|_| Item(rng.gen_below(60) as u32)).collect();
+                if row % 7 == 0 {
+                    // All infrequent at every threshold here.
+                    t = vec![Item(45), Item(50 + row as u32 % 9)];
+                }
+                t.sort_unstable();
+                t.dedup();
+                let want = fl.encode(&t);
+                assert_eq!(fl.encode_row(&t, &mut csr), !want.is_empty(), "minsup {minsup} {t:?}");
+                if !want.is_empty() {
+                    expect.push(want);
+                }
+            }
+            assert_eq!(csr.iter().map(|r| r.to_vec()).collect::<Vec<_>>(), expect);
+            assert!(!fl.encode_row(&[], &mut csr));
+        }
     }
 
     #[test]

@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 //! Transaction-database substrate for the `gogreen` workspace.
 //!
@@ -20,9 +19,8 @@
 //!   the [`ProjectionArena`] bump slab: the canonical flat memory layout
 //!   every engine scans.
 //! * [`bitmap`] — the shared word-wise AND/popcount kernels (4-way
-//!   unrolled scalar by default, `std::simd` behind the `portable-simd`
-//!   feature) and the [`BitsetArena`] tidset slab used by the cover
-//!   sweep and the vertical mining engine.
+//!   unrolled scalar) and the [`BitsetArena`] tidset slab used by the
+//!   cover sweep and the vertical mining engine.
 //! * [`projected`] — materialized projected databases (paper Definition
 //!   3.2) used by the reference miners.
 //! * [`grouped`] — the [`GroupedSource`] substrate abstraction that lets

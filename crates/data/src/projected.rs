@@ -29,11 +29,7 @@ impl RankDb {
     pub fn encode(db: &TransactionDb, flist: &FList) -> Self {
         let mut tuples = CsrTuples::with_capacity(db.len(), db.csr().total_elems());
         for t in db.iter() {
-            if flist.encode_push(t, &mut tuples) == 0 {
-                tuples.discard_row();
-            } else {
-                tuples.commit_row();
-            }
+            flist.encode_row(t, &mut tuples);
         }
         RankDb { tuples, num_ranks: flist.len() }
     }

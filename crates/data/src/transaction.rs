@@ -43,23 +43,27 @@ pub fn contains_all(tuple: &[Item], pattern: &[Item]) -> bool {
     true
 }
 
-/// Appends the items of `tuple` not in `pattern` (both sorted ascending)
-/// to `out`: the *outlying items* left over after compressing with
-/// `pattern` (paper §3.1, Table 2). The reusable output buffer is the
-/// no-allocation path the compression kernel runs per tuple.
-pub fn difference_into(tuple: &[Item], pattern: &[Item], out: &mut Vec<Item>) {
+/// Writes the items of `tuple` not in `pattern` (both sorted ascending)
+/// to the front of `out` and returns how many it wrote: the *outlying
+/// items* left over after compressing with `pattern` (paper §3.1,
+/// Table 2). `out` needs at least `tuple.len()` slots. The kernel is
+/// branch-free: every item is written, and the cursor advances past it
+/// only when `pattern` lacks it, so a row's mix of pattern and outlying
+/// items costs no mispredicted branch.
+pub fn difference_into(tuple: &[Item], pattern: &[Item], out: &mut [Item]) -> usize {
     debug_assert!(pattern.windows(2).all(|w| w[0] < w[1]));
-    let mut p = 0;
+    let out = &mut out[..tuple.len()];
+    let (mut k, mut p) = (0, 0);
     for &it in tuple {
         while p < pattern.len() && pattern[p] < it {
             p += 1;
         }
-        if p < pattern.len() && pattern[p] == it {
-            p += 1;
-        } else {
-            out.push(it);
-        }
+        let hit = pattern.get(p) == Some(&it);
+        out[k] = it;
+        k += usize::from(!hit);
+        p += usize::from(hit);
     }
+    k
 }
 
 impl Transaction {
@@ -119,8 +123,9 @@ impl Transaction {
     /// *outlying items* left over after compressing with `pattern`
     /// (paper §3.1, Table 2).
     pub fn difference(&self, pattern: &[Item]) -> Vec<Item> {
-        let mut out = Vec::with_capacity(self.items.len().saturating_sub(pattern.len()));
-        difference_into(&self.items, pattern, &mut out);
+        let mut out = vec![Item(0); self.items.len()];
+        let kept = difference_into(&self.items, pattern, &mut out);
+        out.truncate(kept);
         out
     }
 }
@@ -206,6 +211,33 @@ mod tests {
     fn difference_ignores_pattern_items_absent_from_tx() {
         let tx = t(&[1, 3]);
         assert_eq!(tx.difference(&[Item(2)]), vec![Item(1), Item(3)]);
+    }
+
+    /// The branch-free kernel against a `BTreeSet` difference on seeded
+    /// random rows, with pattern items the tuple lacks, patterns that
+    /// are subsets, and empty sides.
+    #[test]
+    fn difference_into_matches_set_difference_on_random_rows() {
+        use gogreen_util::rng::{Rng, SmallRng};
+        use std::collections::BTreeSet;
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut draw = |n: usize| -> BTreeSet<Item> {
+            (0..n).map(|_| Item(rng.gen_below(24) as u32)).collect()
+        };
+        for case in 0..600 {
+            let tuple = draw(case % 13);
+            let mut pattern = draw(case % 5);
+            if case % 3 == 0 {
+                // A subset of the tuple, as compression always passes.
+                pattern = tuple.iter().copied().filter(|it| it.0 % 2 == 0).collect();
+            }
+            let tv: Vec<Item> = tuple.iter().copied().collect();
+            let pv: Vec<Item> = pattern.iter().copied().collect();
+            let mut out = vec![Item(u32::MAX); tv.len() + 2];
+            let k = difference_into(&tv, &pv, &mut out);
+            let want: Vec<Item> = tuple.difference(&pattern).copied().collect();
+            assert_eq!(&out[..k], &want[..], "tuple {tv:?} pattern {pv:?}");
+        }
     }
 
     #[test]

@@ -5,25 +5,9 @@
 use gogreen_data::{CsrTuples, FList, Item, PatternSink, TransactionDb};
 use gogreen_util::pool::{par_map_init, Parallelism};
 
-/// Encodes `db` against `flist` straight into flat CSR rank storage,
-/// dropping tuples with no frequent item — one pass, no intermediate
-/// per-tuple vectors. Every baseline front-end funnels through this
-/// before handing the engines a [`gogreen_data::PlainRanks`] view.
-pub fn encode_db(db: &TransactionDb, flist: &FList) -> CsrTuples<u32> {
-    let mut tuples = CsrTuples::with_capacity(db.len(), db.csr().total_elems());
-    for t in db.iter() {
-        if flist.encode_push(t, &mut tuples) == 0 {
-            tuples.discard_row();
-        } else {
-            tuples.commit_row();
-        }
-    }
-    tuples
-}
-
-/// [`encode_db`] with constraint pushdown: ranks whose `allowed` slot is
-/// `false` never enter the row, and rows left empty are discarded. Used
-/// by the pruned miner entry points.
+/// [`gogreen_data::projected::RankDb::encode`] with constraint pushdown:
+/// ranks whose `allowed` slot is `false` never enter the row, and rows
+/// left empty are discarded. Used by the pruned miner entry points.
 pub fn encode_db_pruned(db: &TransactionDb, flist: &FList, allowed: &[bool]) -> CsrTuples<u32> {
     let mut tuples = CsrTuples::new();
     for t in db.iter() {
@@ -34,12 +18,8 @@ pub fn encode_db_pruned(db: &TransactionDb, flist: &FList, allowed: &[bool]) -> 
                 }
             }
         }
-        if tuples.open_len() == 0 {
-            tuples.discard_row();
-        } else {
-            tuples.open_row_mut().sort_unstable();
-            tuples.commit_row();
-        }
+        tuples.open_row_mut().sort_unstable();
+        tuples.commit_nonempty();
     }
     tuples
 }

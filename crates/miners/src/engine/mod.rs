@@ -33,9 +33,10 @@ pub mod hm;
 pub mod tp;
 pub mod vt;
 
-use crate::common::encode_db;
 use crate::Miner;
+use gogreen_data::projected::RankDb;
 use gogreen_data::{FList, GroupedSource, MinSupport, PatternSink, PlainRanks, TransactionDb};
+use gogreen_obs::span;
 use gogreen_util::pool::Parallelism;
 use vt::VtRepr;
 
@@ -136,7 +137,9 @@ impl Family {
 }
 
 /// The plain substrate: F-list, rank-encode, then the degenerate
-/// all-plain [`PlainRanks`] view.
+/// all-plain [`PlainRanks`] view. The F-list count and the encode pass
+/// run under the `flist` and `encode` spans, so a traced run attributes
+/// them apart from the search.
 impl Miner for Family {
     fn name(&self) -> &'static str {
         Family::name(*self)
@@ -154,12 +157,18 @@ impl Miner for Family {
         sink: &mut dyn PatternSink,
     ) {
         let minsup = min_support.to_absolute(db.len());
-        let flist = FList::from_db(db, minsup);
+        let flist = {
+            let _sp = span("flist");
+            FList::from_db(db, minsup)
+        };
         if flist.is_empty() {
             return;
         }
-        let tuples = encode_db(db, &flist);
-        self.mine_source(&PlainRanks::from_csr(&tuples, flist.len()), &flist, minsup, par, sink);
+        let rdb = {
+            let _sp = span("encode");
+            RankDb::encode(db, &flist)
+        };
+        self.mine_source(&PlainRanks::new(rdb.tuples(), flist.len()), &flist, minsup, par, sink);
     }
 }
 
@@ -201,8 +210,8 @@ mod tests {
     fn pruned_hooks_report_support_correctly() {
         let db = TransactionDb::paper_example();
         let flist = FList::from_db(&db, 2);
-        let tuples = encode_db(&db, &flist);
-        let src = PlainRanks::from_csr(&tuples, flist.len());
+        let rdb = RankDb::encode(&db, &flist);
+        let src = PlainRanks::new(rdb.tuples(), flist.len());
         let mut sink = CollectSink::new();
         hm::mine_source_pruned(&src, &flist, &[], 2, &NoPrune, &mut sink);
         assert!(sink.into_set().same_patterns_as(&mine_apriori(&db, MinSupport::Absolute(2))));

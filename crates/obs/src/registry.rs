@@ -108,6 +108,18 @@ pub const ALL: &[MetricDef] = defs![
         "bitmap words read by AND-chains in the cover kernel (machine work: chunked sweeps \
          rescan boundaries)"
     ),
+    (
+        "encode",
+        Span,
+        false,
+        "rank-encoding the mined database against its F-list, once per engine run"
+    ),
+    (
+        "flist",
+        Span,
+        false,
+        "counting item supports into the F-list, once per engine run (plain or compressed)"
+    ),
     ("mine", Span, false, "one mining run (any engine, raw or recycled)"),
     (
         "mine.bitmap_words_scanned",

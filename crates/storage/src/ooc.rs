@@ -9,7 +9,7 @@
 //! the in-memory miner at any thread count, because every stage
 //! reproduces the in-memory pipeline exactly: `minsup` from the same
 //! total row count, the F-list from identical global counts, and the
-//! per-segment `encode_push` appends in segment order — which *is* the
+//! per-segment `encode_row` appends in segment order — which *is* the
 //! whole-database encode pass, just chunked.
 //!
 //! What stays resident is the frequent-rank projection (the paper's
@@ -87,11 +87,7 @@ impl<'a> OocMiner<'a> {
         let mut tuples: CsrTuples<u32> = CsrTuples::new();
         self.db.for_each_segment(|_, seg| {
             for t in seg.iter() {
-                if flist.encode_push(t, &mut tuples) == 0 {
-                    tuples.discard_row();
-                } else {
-                    tuples.commit_row();
-                }
+                flist.encode_row(t, &mut tuples);
             }
             Ok(())
         })?;
