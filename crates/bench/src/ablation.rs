@@ -1,722 +1,457 @@
-//! Ablations beyond the paper (indexed in DESIGN.md §6):
+//! Ablations and extension experiments beyond the paper (indexed in
+//! DESIGN.md §6 and EXPERIMENTS.md), each a spec list plus a
+//! projection:
 //!
-//! 1. **Utility function** — MCP vs MLP vs support-only vs length-only.
-//!    Separates MCP's two ingredients (exponential length term ×
-//!    support).
-//! 2. **`ξ_old` sensitivity** — the paper argues (§5) that a lower
-//!    initial support leaves more to recycle. Sweep `ξ_old` at a fixed
-//!    `ξ_new` and watch HM-MCP's time fall.
-//! 3. **Lemma 3.1** — RP-Mine with and without the single-group
-//!    shortcut.
-//! 4. **Incremental recycling** (§2 extension case 1) — an evolving
-//!    database mined after each update batch, recycling the previous
-//!    round's patterns, against from-scratch re-mining.
+//! * **A1 utility function**: MCP vs MLP vs support-only vs
+//!   length-only, separating MCP's two ingredients (exponential length
+//!   term × support).
+//! * **A2 `ξ_old` sensitivity**: the paper argues (§5) that a lower
+//!   initial support leaves more to recycle. Sweep `ξ_old` at a fixed
+//!   `ξ_new` and watch HM-MCP's time fall.
+//! * **E2 two-step mining**: the paper's future work, a cold query
+//!   answered by pre-mining at a planned `ξ_mid`, compressing and
+//!   mining the compressed database.
+//! * **E4 compression kernel**: the seed's linear scan vs the indexed
+//!   cover kernel at 1/2/4/8 threads.
+//! * **E8/E10 horizontal vs vertical**: all four families at a matched
+//!   `ξ_new`, and the vertical family under each forced representation.
+//! * **E11/E12 gates**: the batched fleet's shared pass and the
+//!   out-of-core datapath.
 
-use gogreen_core::incremental::IncrementalMiner;
-use gogreen_core::rpmine::RpMine;
-use gogreen_core::twostep::TwoStepMiner;
-use gogreen_core::{Compressor, Strategy};
-use gogreen_data::{CountSink, MinSupport};
-use gogreen_datagen::{DatasetPreset, PresetKind};
+use crate::batchwork;
+use crate::pipeline::{pct, Experiment, PipelineSpec, Run};
+use gogreen_core::twostep;
+use gogreen_core::Strategy;
+use gogreen_data::MinSupport;
+use gogreen_datagen::PresetKind;
 use gogreen_miners::engine::vt::VtRepr;
-use gogreen_miners::{Family, Miner};
+use gogreen_miners::Family;
+use gogreen_obs::MetricsSnapshot;
 use gogreen_util::pool::Parallelism;
-use gogreen_util::{Json, ToJson};
-use std::time::Instant;
+use gogreen_util::Json;
 
-use crate::algo::{timed, PAPER_FAMILIES};
-
-/// One strategy's outcome in the utility ablation.
-#[derive(Debug, Clone)]
-pub struct UtilityAblationRow {
-    /// Strategy label (MCP/MLP/SUP/LEN).
-    pub strategy: &'static str,
-    /// Compression ratio achieved.
-    pub ratio: f64,
-    /// Compression seconds.
-    pub compress_s: f64,
-    /// HM-recycled mining seconds at the lowest sweep threshold.
-    pub mine_s: f64,
+/// `repro ablation`: A1, A2 and E2 on the connect4 analog.
+pub fn ablations(scale: f64) -> Vec<Experiment> {
+    let kind = PresetKind::Connect4;
+    vec![utility_ablation(kind, scale), xi_old_sensitivity(kind, scale), two_step(kind, scale)]
 }
 
-impl ToJson for UtilityAblationRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("strategy", self.strategy.into()),
-            ("ratio", self.ratio.into()),
-            ("compress_s", self.compress_s.into()),
-            ("mine_s", self.mine_s.into()),
-        ])
+/// A1: each strategy's compression and the HM-recycled mine at the
+/// sweep floor.
+pub fn utility_ablation(dataset: PresetKind, scale: f64) -> Experiment {
+    let base = PipelineSpec::new(dataset, scale);
+    let strategies = [Strategy::Mcp, Strategy::Mlp, Strategy::SupportOnly, Strategy::LengthOnly];
+    Experiment {
+        file: "ablation_utility".into(),
+        title: format!(
+            "Ablation 1: utility functions ({}, ξ_new = sweep floor)",
+            base.preset.name()
+        ),
+        specs: strategies.map(|s| base.mining(Family::Hm, Some(s))).into(),
+        project: Box::new(|runs: &[Run]| {
+            runs.iter()
+                .map(|r| {
+                    let stats = r.compression.unwrap_or_default();
+                    Json::obj([
+                        ("strategy", r.spec.strategy.expect("recycled").suffix().into()),
+                        ("ratio", stats.ratio.into()),
+                        ("compress_s", stats.duration.as_secs_f64().into()),
+                        ("mine_s", r.secs.into()),
+                    ])
+                })
+                .collect()
+        }),
     }
 }
 
-/// Utility-function ablation on one dataset.
-pub fn utility_ablation(dataset: PresetKind, scale: f64) -> Vec<UtilityAblationRow> {
-    let preset = DatasetPreset::new(dataset, scale);
-    let db = preset.generate();
-    let fp_old = Family::Hm.mine(&db, preset.xi_old());
-    let xi_new = *preset.sweep().last().expect("non-empty sweep");
-    [Strategy::Mcp, Strategy::Mlp, Strategy::SupportOnly, Strategy::LengthOnly]
-        .into_iter()
-        .map(|strategy| {
-            let (cdb, stats) = Compressor::new(strategy).compress_with_stats(&db, &fp_old);
-            let run = timed(Family::Hm, &cdb, xi_new, Parallelism::serial());
-            UtilityAblationRow {
-                strategy: strategy.suffix(),
-                ratio: stats.ratio,
-                compress_s: stats.duration.as_secs_f64(),
-                mine_s: run.secs,
-            }
-        })
-        .collect()
-}
-
-/// One `ξ_old` setting's outcome.
-#[derive(Debug, Clone)]
-pub struct XiOldRow {
-    /// The initial threshold, as a multiple of the preset's `ξ_old`
-    /// percentage.
-    pub xi_old_pct: f64,
-    /// Patterns available for recycling.
-    pub recycled_patterns: usize,
-    /// Seconds of the `ξ_old` pre-mining run.
-    pub prep_s: f64,
-    /// HM-MCP seconds at the fixed `ξ_new`.
-    pub mine_s: f64,
-    /// Compression ratio.
-    pub ratio: f64,
-}
-
-impl ToJson for XiOldRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("xi_old_pct", self.xi_old_pct.into()),
-            ("recycled_patterns", self.recycled_patterns.into()),
-            ("prep_s", self.prep_s.into()),
-            ("mine_s", self.mine_s.into()),
-            ("ratio", self.ratio.into()),
-        ])
+/// A2: fixes `ξ_new` at the sweep floor and recycles pattern sets mined
+/// at the preset's `ξ_old` and then each upper sweep point.
+pub fn xi_old_sensitivity(dataset: PresetKind, scale: f64) -> Experiment {
+    let base = PipelineSpec::new(dataset, scale).mining(Family::Hm, Some(Strategy::Mcp));
+    let sweep = base.preset.sweep();
+    let candidates = std::iter::once(base.xi_old).chain(sweep[..sweep.len() - 1].iter().copied());
+    Experiment {
+        file: "ablation_xi_old".into(),
+        title: format!(
+            "Ablation 2: ξ_old sensitivity ({}, fixed lowest ξ_new)",
+            base.preset.name()
+        ),
+        specs: candidates.map(|xi_old| PipelineSpec { xi_old, ..base.clone() }).collect(),
+        project: Box::new(|runs: &[Run]| {
+            runs.iter()
+                .map(|r| {
+                    let xi_old_pct = match r.spec.xi_old {
+                        MinSupport::Relative(f) => f * 100.0,
+                        MinSupport::Absolute(n) => n as f64,
+                    };
+                    Json::obj([
+                        ("xi_old_pct", xi_old_pct.into()),
+                        ("recycled_patterns", r.setup.recycled.into()),
+                        ("prep_s", r.setup.prep_s.into()),
+                        ("mine_s", r.secs.into()),
+                        ("ratio", r.compression.unwrap_or_default().ratio.into()),
+                    ])
+                })
+                .collect()
+        }),
     }
 }
 
-/// `ξ_old` sensitivity: fixes `ξ_new` at the preset's lowest sweep point
-/// and recycles pattern sets mined at progressively lower `ξ_old`.
-pub fn xi_old_sensitivity(dataset: PresetKind, scale: f64) -> Vec<XiOldRow> {
-    let preset = DatasetPreset::new(dataset, scale);
-    let db = preset.generate();
-    let sweep = preset.sweep();
-    let xi_new = *sweep.last().expect("non-empty sweep");
-    // ξ_old candidates: the preset's own ξ_old plus the upper sweep
-    // points (all still above ξ_new).
-    let mut candidates = vec![preset.xi_old()];
-    candidates.extend(sweep[..sweep.len() - 1].iter().copied());
-    candidates
+/// E2: per target of the sweep, single-step H-Mine against the two-step
+/// split [`twostep::plan`] picks from the item supports (the same run
+/// again where it declines).
+pub fn two_step(dataset: PresetKind, scale: f64) -> Experiment {
+    let base = PipelineSpec::new(dataset, scale);
+    let db = base.preset.generate();
+    let supports = db.item_supports();
+    let specs = base
+        .preset
+        .sweep()
         .into_iter()
-        .map(|xi_old| {
-            let start = Instant::now();
-            let fp_old = Family::Hm.mine(&db, xi_old);
-            let prep_s = start.elapsed().as_secs_f64();
-            let (cdb, stats) = Compressor::new(Strategy::Mcp).compress_with_stats(&db, &fp_old);
-            let run = timed(Family::Hm, &cdb, xi_new, Parallelism::serial());
-            XiOldRow {
-                xi_old_pct: match xi_old {
-                    MinSupport::Relative(f) => f * 100.0,
-                    MinSupport::Absolute(n) => n as f64,
+        .flat_map(|target| {
+            let single = PipelineSpec { xi_new: Some(target), ..base.clone() };
+            let mid = twostep::plan(Family::Hm, &supports, db.len(), target.to_absolute(db.len()));
+            let two = match mid {
+                Some(mid) => PipelineSpec {
+                    xi_old: MinSupport::Absolute(mid),
+                    strategy: Some(Strategy::Mcp),
+                    ..single.clone()
                 },
-                recycled_patterns: fp_old.len(),
-                prep_s,
-                mine_s: run.secs,
-                ratio: stats.ratio,
-            }
+                None => single.clone(),
+            };
+            [single, two]
         })
-        .collect()
-}
-
-/// Lemma 3.1 ablation outcome.
-#[derive(Debug, Clone)]
-pub struct LemmaAblation {
-    /// RP-Mine seconds with the single-group shortcut.
-    pub with_shortcut_s: f64,
-    /// RP-Mine seconds without it.
-    pub without_shortcut_s: f64,
-    /// Patterns (identical in both runs).
-    pub patterns: u64,
-}
-
-impl ToJson for LemmaAblation {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("with_shortcut_s", self.with_shortcut_s.into()),
-            ("without_shortcut_s", self.without_shortcut_s.into()),
-            ("patterns", self.patterns.into()),
-        ])
+        .collect();
+    Experiment {
+        file: "ext_twostep".into(),
+        title: format!(
+            "Extension: two-step mining, the paper's future work ({})",
+            base.preset.name()
+        ),
+        specs,
+        project: Box::new(|runs: &[Run]| {
+            runs.chunks(2)
+                .map(|r| {
+                    let (single, two) = (&r[0], &r[1]);
+                    assert_eq!(single.patterns, two.patterns, "two-step mismatch");
+                    let mid = match (two.spec.strategy, two.spec.xi_old) {
+                        (Some(_), MinSupport::Absolute(mid)) => Json::from(mid),
+                        _ => Json::Null,
+                    };
+                    let compress_s = two.compression.unwrap_or_default().duration.as_secs_f64();
+                    Json::obj([
+                        ("target_pct", pct(single.spec.xi_new.expect("mining spec")).into()),
+                        ("intermediate_abs", mid),
+                        ("single_s", single.secs.into()),
+                        ("two_step_s", (two.setup.prep_s + compress_s + two.secs).into()),
+                        ("two_step_mine_s", two.secs.into()),
+                        ("patterns", single.patterns.into()),
+                    ])
+                })
+                .collect()
+        }),
     }
 }
 
-/// Measures the single-group shortcut's contribution on a dense dataset
-/// (where whole groups dominate projections).
-pub fn lemma_ablation(dataset: PresetKind, scale: f64) -> LemmaAblation {
-    let preset = DatasetPreset::new(dataset, scale);
-    let db = preset.generate();
-    let fp_old = Family::Hm.mine(&db, preset.xi_old());
-    let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-    let xi_new = preset.sweep()[preset.sweep().len() / 2];
+/// E4: the linear scan and the indexed kernel at 1/2/4/8 threads, MCP,
+/// best of three, on every analog. Every kernel's compressed database
+/// must equal the linear one.
+pub fn compress_kernel(scale: f64) -> Vec<Experiment> {
+    let kinds = [PresetKind::Connect4, PresetKind::Pumsb, PresetKind::Weather, PresetKind::Forest];
+    kinds.map(|kind| compress_kernel_experiment(kind, scale)).into()
+}
 
-    let run = |shortcut: bool| -> (f64, u64) {
-        let miner = RpMine { single_group_shortcut: shortcut };
-        let mut sink = CountSink::new();
-        let start = Instant::now();
-        miner.mine_into(&cdb, xi_new, &mut sink);
-        (start.elapsed().as_secs_f64(), sink.count())
+/// E4 on one analog.
+pub fn compress_kernel_experiment(dataset: PresetKind, scale: f64) -> Experiment {
+    let base = PipelineSpec::new(dataset, scale).compressing(Strategy::Mcp);
+    let kernels = std::iter::once(PipelineSpec { linear: true, ..base.clone() })
+        .chain([1, 2, 4, 8].map(|threads| PipelineSpec { threads, ..base.clone() }));
+    Experiment {
+        file: "ext_compress_par".into(),
+        title: format!("Extension: compression kernel on {} (MCP)", base.preset.name()),
+        specs: kernels.flat_map(|spec| [spec.clone(), spec.clone(), spec]).collect(),
+        project: Box::new(|runs: &[Run]| {
+            runs.chunks(3)
+                .map(|r| {
+                    assert_eq!(r[0].cdb, runs[0].cdb, "indexed kernel drifted from linear scan");
+                    let secs = r.iter().map(|run| run.secs).fold(f64::INFINITY, f64::min);
+                    let spec = &r[0].spec;
+                    Json::obj([
+                        ("dataset", spec.preset.name().into()),
+                        ("kernel", if spec.linear { "linear" } else { "indexed" }.into()),
+                        ("threads", spec.threads.into()),
+                        ("secs", secs.into()),
+                        ("groups", r[0].cdb.as_ref().map_or(0, |cdb| cdb.num_groups()).into()),
+                        ("recycled_patterns", r[0].setup.recycled.into()),
+                    ])
+                })
+                .collect()
+        }),
+    }
+}
+
+/// E8 and E10 on the connect4 and weather analogs.
+pub fn mine_vertical(scale: f64) -> Vec<Experiment> {
+    [PresetKind::Connect4, PresetKind::Weather]
+        .into_iter()
+        .flat_map(|kind| [mine_vertical_experiment(kind, scale), vt_repr_ablation(kind, scale)])
+        .collect()
+}
+
+/// E8: all four families at the sweep floor, fresh and MCP-recycled,
+/// serial and at 4 threads. The threshold is matched, so every row must
+/// report the same pattern count.
+pub fn mine_vertical_experiment(dataset: PresetKind, scale: f64) -> Experiment {
+    let base = PipelineSpec::new(dataset, scale);
+    let mut specs = Vec::new();
+    for family in Family::ALL {
+        for threads in [1, 4] {
+            let at = PipelineSpec { threads, ..base.clone() };
+            specs.extend([None, Some(Strategy::Mcp)].map(|s| at.mining(family, s)));
+        }
+    }
+    Experiment {
+        file: "ext_mine_vertical".into(),
+        title: format!("Extension: horizontal vs vertical mining on {}", base.preset.name()),
+        specs,
+        project: Box::new(|runs: &[Run]| {
+            runs.iter()
+                .map(|r| {
+                    assert_eq!(r.patterns, runs[0].patterns, "{r:?}: count drift at matched ξ");
+                    let engine = match r.spec.strategy {
+                        None => r.spec.family.name().to_owned(),
+                        Some(_) => format!("{}-MCP", r.spec.family.tag()),
+                    };
+                    Json::obj([
+                        ("dataset", r.spec.preset.name().into()),
+                        ("engine", engine.into()),
+                        ("threads", r.spec.threads.into()),
+                        ("secs", r.secs.into()),
+                        ("patterns", r.patterns.into()),
+                    ])
+                })
+                .collect()
+        }),
+    }
+}
+
+/// E10: the vt family under each forced representation, fresh and
+/// MCP-recycled, serial, with each mode's kernel traffic. The
+/// representation is an encoding, never a semantic: every row must
+/// report the same pattern count.
+pub fn vt_repr_ablation(dataset: PresetKind, scale: f64) -> Experiment {
+    let base = PipelineSpec::new(dataset, scale);
+    let specs = VtRepr::ALL
+        .into_iter()
+        .flat_map(|repr| [None, Some(Strategy::Mcp)].map(|s| base.mining(Family::Vt(repr), s)))
+        .collect();
+    Experiment {
+        file: "ext_mine_vertical".into(),
+        title: format!("Extension: forced vt representations on {}", base.preset.name()),
+        specs,
+        project: Box::new(|runs: &[Run]| {
+            runs.iter()
+                .map(|r| {
+                    assert_eq!(r.patterns, runs[0].patterns, "{r:?}: count drift");
+                    let Family::Vt(repr) = r.spec.family else { unreachable!("vt specs") };
+                    Json::obj([
+                        ("dataset", r.spec.preset.name().into()),
+                        ("mode", repr.as_str().into()),
+                        ("substrate", if r.spec.strategy.is_some() { "MCP" } else { "raw" }.into()),
+                        ("secs", r.secs.into()),
+                        ("patterns", r.patterns.into()),
+                        ("bitmap_words", r.counter("mine.bitmap_words_scanned").into()),
+                        ("tidlist_elems", r.counter("mine.tidlist_elems").into()),
+                        ("diffset_words", r.counter("mine.diffset_words").into()),
+                        ("repr_switches", r.counter("mine.repr_switches").into()),
+                        ("arena_bytes", r.counter("alloc.projection_bytes").into()),
+                    ])
+                })
+                .collect()
+        }),
+    }
+}
+
+/// E12 on the weather and connect4 analogs.
+pub fn batch(scale: f64) -> Vec<Experiment> {
+    [PresetKind::Weather, PresetKind::Connect4].map(|kind| batch_experiment(kind, scale)).into()
+}
+
+/// E12: a k=8 Zipf-skewed ξ fleet over the preset's sweep, answered by
+/// one shared pass at ξ_min (the sweep floor), against the eight solo
+/// runs it replaces. **Gate:** the shared pass touches at most 1.5× the
+/// tuples of the solo run at ξ_min.
+pub fn batch_experiment(dataset: PresetKind, scale: f64) -> Experiment {
+    let base = PipelineSpec::new(dataset, scale);
+    let ladder = batchwork::zipf_ladder(&base.preset.sweep(), 8);
+    let batched = PipelineSpec { batch: Some(ladder.clone()), ..base.clone() };
+    let solo = ladder.iter().map(|&xi| PipelineSpec { xi_new: Some(xi), ..base.clone() });
+    Experiment {
+        file: "ext_batch".into(),
+        title: format!("Extension: one shared pass answers a k=8 fleet ({})", base.preset.name()),
+        specs: std::iter::once(batched).chain(solo).collect(),
+        project: Box::new(|runs: &[Run]| {
+            let touches = |r: &Run| r.counter("mine.tuple_touches");
+            let (batched, solo) = (&runs[0], &runs[1..]);
+            // The ladder keeps sweep order, so its last rung is ξ_min.
+            let floor = solo.last().expect("non-empty ladder");
+            let xi_min =
+                floor.spec.xi_new.expect("solo run").to_absolute(floor.setup.db.num_tuples);
+            let touches_solo: u64 = solo.iter().map(touches).sum();
+            let touches_floor = touches(floor);
+            let vs_floor = touches(batched) as f64 / touches_floor.max(1) as f64;
+            let vs_solo = touches(batched) as f64 / touches_solo.max(1) as f64;
+            let name = batched.spec.preset.name();
+            assert!(
+                vs_floor <= 1.5,
+                "{name}: batched pass touches {vs_floor:.2}× the single ξ_min run (> 1.5× gate)"
+            );
+            vec![Json::obj([
+                ("dataset", name.into()),
+                ("k", solo.len().into()),
+                ("xi_min", xi_min.into()),
+                ("touches_batched", touches(batched).into()),
+                ("touches_solo_total", touches_solo.into()),
+                ("touches_floor", touches_floor.into()),
+                ("ratio_vs_solo", vs_solo.into()),
+                ("ratio_vs_floor", vs_floor.into()),
+                ("secs_batched", batched.secs.into()),
+                ("secs_solo_total", solo.iter().map(|r| r.secs).sum::<f64>().into()),
+                ("identical", true.into()),
+            ])]
+        }),
+    }
+}
+
+/// E12's stream gate: the fleet's per-query streams must be
+/// byte-identical at 1 and 8 threads, and a pure-support fleet rejects
+/// no query.
+pub fn batch_streams_agree(dataset: PresetKind, scale: f64) -> Result<(), String> {
+    let preset = PipelineSpec::new(dataset, scale).preset;
+    let db = preset.generate();
+    let ladder = batchwork::zipf_ladder(&preset.sweep(), 8);
+    let run = |threads| {
+        batchwork::fleet(&ladder)
+            .with_parallelism(Parallelism::threads(threads))
+            .run(&db, Family::Hm)
+            .map_err(|e| format!("batched run (t{threads}): {e}"))
     };
-    let (with_shortcut_s, n1) = run(true);
-    let (without_shortcut_s, n2) = run(false);
-    assert_eq!(n1, n2, "shortcut changed the result set");
-    LemmaAblation { with_shortcut_s, without_shortcut_s, patterns: n1 }
+    let (one, eight) = (run(1)?, run(8)?);
+    if !one.report.plan.rejected.is_empty() {
+        return Err("pure-support fleet unexpectedly rejected a query".into());
+    }
+    for (i, (a, b)) in one.results.iter().zip(&eight.results).enumerate() {
+        if pattern_bytes(a) != pattern_bytes(b) {
+            return Err(format!("query #{i}: stream diverges between 1 and 8 threads"));
+        }
+    }
+    Ok(())
+}
+
+/// The canonical pattern-file bytes of `set`.
+pub fn pattern_bytes(set: &gogreen_data::PatternSet) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    gogreen_data::pattern_io::write_patterns(set, &mut bytes).expect("in-memory write");
+    bytes
+}
+
+/// One `ext_ooc` record (E11): an out-of-core run at `threads` and the
+/// storage counters it recorded.
+pub fn ooc_record(
+    threads: usize,
+    secs: f64,
+    patterns: usize,
+    snap: &MetricsSnapshot,
+    segments: usize,
+    budget: usize,
+) -> Json {
+    Json::obj([
+        ("threads", threads.into()),
+        ("secs", secs.into()),
+        ("patterns", patterns.into()),
+        ("segments", segments.into()),
+        ("passes", snap.value("storage.segments_read").unwrap_or(0).into()),
+        ("resident_peak", snap.value("storage.resident_peak").unwrap_or(0).into()),
+        ("budget", budget.into()),
+        ("identical", true.into()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn column<'a>(rows: &'a [Json], key: &str) -> Vec<&'a Json> {
+        rows.iter().map(|r| r.get(key).expect(key)).collect()
+    }
+
     #[test]
     fn utility_ablation_covers_four_strategies() {
-        let rows = utility_ablation(PresetKind::Connect4, 0.001);
+        let rows = utility_ablation(PresetKind::Connect4, 0.001).run();
         assert_eq!(rows.len(), 4);
-        let labels: Vec<_> = rows.iter().map(|r| r.strategy).collect();
-        assert_eq!(labels, vec!["MCP", "MLP", "SUP", "LEN"]);
-        assert!(rows.iter().all(|r| r.ratio > 0.0 && r.ratio <= 1.0));
+        let labels: Vec<_> = column(&rows, "strategy").into_iter().map(Json::as_str).collect();
+        assert_eq!(labels, ["MCP", "MLP", "SUP", "LEN"].map(Some));
+        let ratios = column(&rows, "ratio").into_iter().map(|r| r.as_f64().unwrap());
+        assert!(ratios.into_iter().all(|r| r > 0.0 && r <= 1.0));
     }
 
     #[test]
     fn xi_old_rows_relax_downward() {
-        let rows = xi_old_sensitivity(PresetKind::Connect4, 0.001);
+        let rows = xi_old_sensitivity(PresetKind::Connect4, 0.001).run();
         assert!(rows.len() >= 2);
+        let num = |key| column(&rows, key).into_iter().map(|v| v.as_f64().unwrap()).collect();
+        let (pcts, patterns): (Vec<f64>, Vec<f64>) = (num("xi_old_pct"), num("recycled_patterns"));
         // Lower ξ_old ⇒ at least as many recycled patterns.
-        assert!(rows.windows(2).all(|w| w[0].xi_old_pct >= w[1].xi_old_pct));
-        assert!(rows.windows(2).all(|w| w[0].recycled_patterns <= w[1].recycled_patterns));
+        assert!(pcts.windows(2).all(|w| w[0] >= w[1]));
+        assert!(patterns.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
     fn compress_kernel_rows_agree() {
-        let rows = compress_kernel_experiment(PresetKind::Connect4, 0.001);
+        let rows = compress_kernel_experiment(PresetKind::Connect4, 0.001).run();
         assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].kernel, "linear");
-        assert!(rows.iter().all(|r| r.groups == rows[0].groups));
-        assert!(rows.iter().all(|r| r.secs >= 0.0));
+        assert_eq!(rows[0].get("kernel").and_then(Json::as_str), Some("linear"));
+        assert!(column(&rows, "groups").iter().all(|&g| g == rows[0].get("groups").unwrap()));
+        assert!(column(&rows, "secs").iter().all(|s| s.as_f64().unwrap() >= 0.0));
     }
 
     #[test]
-    fn mine_par_rows_agree_across_engines_and_threads() {
-        let rows = mine_par_experiment(PresetKind::Connect4, 0.001);
-        // 3 families × {fresh, recycled} × 4 thread counts.
-        assert_eq!(rows.len(), 24);
-        assert!(rows.iter().all(|r| r.patterns == rows[0].patterns));
-        assert!(rows.iter().all(|r| r.secs >= 0.0));
-    }
-
-    #[test]
-    fn lemma_ablation_is_exact() {
-        let a = lemma_ablation(PresetKind::Connect4, 0.001);
-        assert!(a.patterns > 0);
-        assert!(a.with_shortcut_s >= 0.0 && a.without_shortcut_s >= 0.0);
+    fn two_step_rows_match_single_step() {
+        let rows = two_step(PresetKind::Connect4, 0.001).run();
+        assert_eq!(rows.len(), 5);
+        assert!(column(&rows, "intermediate_abs").iter().any(|m| m.as_u64().is_some()));
     }
 
     #[test]
     fn vt_repr_ablation_rows_agree_across_modes() {
-        let (rows, outer) = gogreen_obs::measure(|| vt_repr_ablation(PresetKind::Connect4, 0.001));
+        let exp = vt_repr_ablation(PresetKind::Connect4, 0.001);
+        let (rows, outer) = gogreen_obs::measure(|| exp.run());
         // 4 modes × {raw, MCP}.
         assert_eq!(rows.len(), 8);
-        assert!(rows.iter().all(|r| r.patterns == rows[0].patterns));
+        let count = |r: &Json, key: &str| r.get(key).and_then(Json::as_u64).unwrap();
         // Each row is measured in its own scope, and the scopes add up
         // to the enclosing run's totals: nothing is reset mid-run.
-        let row_words: u64 = rows.iter().map(|r| r.bitmap_words).sum();
+        let row_words: u64 = rows.iter().map(|r| count(r, "bitmap_words")).sum();
         assert!(row_words > 0);
         assert_eq!(outer.value("mine.bitmap_words_scanned"), Some(row_words));
         // Each forced mode accounts its traffic in its own unit: pure
         // bitmap scans no list elements, pure tid-list runs count list
         // elements, and forced modes never switch representation.
         for r in &rows {
-            match r.mode {
-                "bitmap" => {
-                    assert_eq!(r.tidlist_elems + r.diffset_words, 0, "bitmap mode scanned lists")
-                }
-                "tidlist" => {
-                    assert_eq!(r.bitmap_words + r.diffset_words, 0, "tidlist scanned {r:?}")
-                }
+            let (bitmap, lists) = (count(r, "bitmap_words"), count(r, "tidlist_elems"));
+            let diffset = count(r, "diffset_words");
+            match r.get("mode").and_then(Json::as_str).unwrap() {
+                "bitmap" => assert_eq!(lists + diffset, 0, "bitmap mode scanned lists"),
+                "tidlist" => assert_eq!(bitmap + diffset, 0, "tidlist scanned {r}"),
                 // Forced diffset roots as tid-lists and goes
                 // differential from depth 1, so it touches no bitmap
                 // words but does record the root→depth-1 switches.
-                "diffset" => assert_eq!(r.bitmap_words, 0, "diffset scanned bitmaps {r:?}"),
-                _ => {}
+                "diffset" => assert_eq!(bitmap, 0, "diffset scanned bitmaps {r}"),
+                _ => continue,
             }
-            if matches!(r.mode, "bitmap" | "tidlist") {
-                assert_eq!(r.repr_switches, 0, "forced mode switched: {r:?}");
-            }
-        }
-    }
-}
-
-/// One update batch's outcome in the incremental experiment.
-#[derive(Debug, Clone)]
-pub struct IncrementalRow {
-    /// Tuples in the database after this batch.
-    pub tuples: usize,
-    /// Recycled (incremental) mining seconds.
-    pub recycled_s: f64,
-    /// From-scratch mining seconds.
-    pub scratch_s: f64,
-    /// Patterns found (identical by construction).
-    pub patterns: usize,
-}
-
-impl ToJson for IncrementalRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("tuples", self.tuples.into()),
-            ("recycled_s", self.recycled_s.into()),
-            ("scratch_s", self.scratch_s.into()),
-            ("patterns", self.patterns.into()),
-        ])
-    }
-}
-
-/// Incremental recycling across growing data: the database doubles in
-/// four batches; each round recycles the previous round's patterns.
-pub fn incremental_experiment(dataset: PresetKind, scale: f64) -> Vec<IncrementalRow> {
-    let preset = DatasetPreset::new(dataset, scale);
-    let full = preset.generate();
-    let all: Vec<_> =
-        full.iter().map(|t| gogreen_data::Transaction::from_sorted_unchecked(t.to_vec())).collect();
-    let half = all.len() / 2;
-    let xi = preset.sweep()[1];
-    let mut inc =
-        IncrementalMiner::new(gogreen_data::TransactionDb::from_transactions(all[..half].to_vec()));
-    let mut rows = Vec::new();
-    // Initial round, then four growth batches.
-    let batch = (all.len() - half) / 4;
-    let mut next = half;
-    loop {
-        let start = Instant::now();
-        let recycled = inc.mine(xi);
-        let recycled_s = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let scratch = Family::Hm.mine(inc.db(), xi);
-        let scratch_s = start.elapsed().as_secs_f64();
-        assert!(recycled.same_patterns_as(&scratch), "incremental mismatch");
-        rows.push(IncrementalRow {
-            tuples: inc.db().len(),
-            recycled_s,
-            scratch_s,
-            patterns: recycled.len(),
-        });
-        if next >= all.len() {
-            break;
-        }
-        let end = (next + batch).min(all.len());
-        inc.insert(all[next..end].iter().cloned());
-        next = end;
-    }
-    rows
-}
-
-/// One threshold's outcome in the two-step experiment.
-#[derive(Debug, Clone)]
-pub struct TwoStepRow {
-    /// Target `ξ` as a percentage.
-    pub target_pct: f64,
-    /// Intermediate threshold the planner picked (absolute tuples);
-    /// `None` when it declined and the run was single-step.
-    pub intermediate_abs: Option<u64>,
-    /// Single-step H-Mine seconds.
-    pub single_s: f64,
-    /// Two-step total seconds (pre-pass + compression + mining).
-    pub two_step_s: f64,
-    /// The final (compressed) mining phase alone.
-    pub two_step_mine_s: f64,
-    /// Patterns found.
-    pub patterns: usize,
-}
-
-impl ToJson for TwoStepRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("target_pct", self.target_pct.into()),
-            ("intermediate_abs", self.intermediate_abs.map_or(Json::Null, Json::from)),
-            ("single_s", self.single_s.into()),
-            ("two_step_s", self.two_step_s.into()),
-            ("two_step_mine_s", self.two_step_mine_s.into()),
-            ("patterns", self.patterns.into()),
-        ])
-    }
-}
-
-/// The paper's future-work experiment: answer single low-support
-/// requests by bootstrapping a high-support pre-pass.
-pub fn two_step_experiment(dataset: PresetKind, scale: f64) -> Vec<TwoStepRow> {
-    let preset = DatasetPreset::new(dataset, scale);
-    let db = preset.generate();
-    preset
-        .sweep()
-        .into_iter()
-        .map(|target| {
-            let (single, single_t) = TwoStepMiner::single_step(&db, target);
-            let (two, report) = TwoStepMiner::new().mine(&db, target);
-            assert!(two.same_patterns_as(&single), "two-step mismatch");
-            TwoStepRow {
-                target_pct: match target {
-                    MinSupport::Relative(f) => (f * 100.0 * 1e6).round() / 1e6,
-                    MinSupport::Absolute(n) => n as f64,
-                },
-                intermediate_abs: report.intermediate.map(|m| m.to_absolute(db.len())),
-                single_s: single_t.as_secs_f64(),
-                two_step_s: report.total().as_secs_f64(),
-                two_step_mine_s: report.mining_time.as_secs_f64(),
-                patterns: single.len(),
-            }
-        })
-        .collect()
-}
-
-/// One thread count's outcome in the parallel-mining experiment.
-#[derive(Debug, Clone)]
-pub struct ParallelRow {
-    /// Worker threads.
-    pub threads: usize,
-    /// Wall seconds.
-    pub secs: f64,
-    /// Patterns found.
-    pub patterns: usize,
-}
-
-impl ToJson for ParallelRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("threads", self.threads.into()),
-            ("secs", self.secs.into()),
-            ("patterns", self.patterns.into()),
-        ])
-    }
-}
-
-/// One kernel/thread-count outcome in the compression-kernel experiment.
-#[derive(Debug, Clone)]
-pub struct CompressParRow {
-    /// Dataset analog name.
-    pub dataset: &'static str,
-    /// `"linear"` (the original full-FP scan) or `"indexed"` (the
-    /// `CoverIndex` vertical sweep).
-    pub kernel: &'static str,
-    /// Worker threads (the linear reference is always serial).
-    pub threads: usize,
-    /// Compression wall seconds.
-    pub secs: f64,
-    /// Groups in the compressed database (identical across rows by
-    /// construction — asserted).
-    pub groups: usize,
-    /// Recycled patterns driving the compression.
-    pub recycled_patterns: usize,
-}
-
-impl ToJson for CompressParRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("dataset", self.dataset.into()),
-            ("kernel", self.kernel.into()),
-            ("threads", self.threads.into()),
-            ("secs", self.secs.into()),
-            ("groups", self.groups.into()),
-            ("recycled_patterns", self.recycled_patterns.into()),
-        ])
-    }
-}
-
-/// Compression-kernel experiment: the seed's linear scan vs the indexed
-/// kernel at 1/2/4/8 threads, MCP, on one dataset analog. Every variant's
-/// `CompressedDb` is asserted equal to the linear reference.
-pub fn compress_kernel_experiment(dataset: PresetKind, scale: f64) -> Vec<CompressParRow> {
-    let preset = DatasetPreset::new(dataset, scale);
-    let name = preset.name();
-    let db = preset.generate();
-    let fp_old = Family::Hm.mine(&db, preset.xi_old());
-    let compressor = Compressor::new(Strategy::Mcp);
-
-    // Best of three so one-shot jitter on small inputs doesn't decide
-    // the reported ratio.
-    let best = |f: &mut dyn FnMut() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
-    let mut reference = None;
-    let linear_s = best(&mut || {
-        let start = Instant::now();
-        reference = Some(compressor.compress_reference(&db, &fp_old));
-        start.elapsed().as_secs_f64()
-    });
-    let reference = reference.expect("reference run");
-    let mut rows = vec![CompressParRow {
-        dataset: name,
-        kernel: "linear",
-        threads: 1,
-        secs: linear_s,
-        groups: reference.num_groups(),
-        recycled_patterns: fp_old.len(),
-    }];
-    for threads in [1usize, 2, 4, 8] {
-        let c = compressor.with_threads(threads);
-        let mut cdb = None;
-        let secs = best(&mut || {
-            let start = Instant::now();
-            cdb = Some(c.compress(&db, &fp_old));
-            start.elapsed().as_secs_f64()
-        });
-        let cdb = cdb.expect("indexed run");
-        assert_eq!(cdb, reference, "indexed kernel drifted from linear scan");
-        rows.push(CompressParRow {
-            dataset: name,
-            kernel: "indexed",
-            threads,
-            secs,
-            groups: cdb.num_groups(),
-            recycled_patterns: fp_old.len(),
-        });
-    }
-    rows
-}
-
-/// Parallel recycled mining (RP-Mine over first-level projections) at
-/// the lowest sweep threshold.
-pub fn parallel_experiment(dataset: PresetKind, scale: f64) -> Vec<ParallelRow> {
-    let preset = DatasetPreset::new(dataset, scale);
-    let db = preset.generate();
-    let fp_old = Family::Hm.mine(&db, preset.xi_old());
-    let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-    let xi_new = *preset.sweep().last().expect("non-empty sweep");
-    let mut reference: Option<usize> = None;
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|threads| {
-            let start = Instant::now();
-            let set = RpMine::default().mine_par(&cdb, xi_new, Parallelism::threads(threads));
-            let secs = start.elapsed().as_secs_f64();
-            match reference {
-                None => reference = Some(set.len()),
-                Some(n) => assert_eq!(n, set.len(), "parallel count drift"),
-            }
-            ParallelRow { threads, secs, patterns: set.len() }
-        })
-        .collect()
-}
-
-/// One engine/thread-count outcome in the parallel-mining-phase
-/// experiment.
-#[derive(Debug, Clone)]
-pub struct MineParRow {
-    /// Dataset analog name.
-    pub dataset: &'static str,
-    /// Engine label — a baseline ("H-Mine") or its MCP-recycled
-    /// counterpart ("HM-MCP").
-    pub engine: String,
-    /// Worker threads for the first-level fan-out.
-    pub threads: usize,
-    /// Mining wall seconds (output excluded — `CountSink`).
-    pub secs: f64,
-    /// Patterns found (asserted identical across thread counts and
-    /// between each baseline and its recycled counterpart).
-    pub patterns: u64,
-}
-
-impl ToJson for MineParRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("dataset", self.dataset.into()),
-            ("engine", self.engine.clone().into()),
-            ("threads", self.threads.into()),
-            ("secs", self.secs.into()),
-            ("patterns", self.patterns.into()),
-        ])
-    }
-}
-
-/// Parallel mining phase: every algorithm family, fresh on the raw
-/// database and recycled on the MCP-compressed one, with first-level
-/// projections fanned out over 1/2/4/8 threads at the lowest sweep
-/// threshold. Pattern counts are asserted invariant across thread
-/// counts and across the fresh/recycled pair.
-pub fn mine_par_experiment(dataset: PresetKind, scale: f64) -> Vec<MineParRow> {
-    let preset = DatasetPreset::new(dataset, scale);
-    let name = preset.name();
-    let db = preset.generate();
-    let fp_old = Family::Hm.mine(&db, preset.xi_old());
-    let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-    let xi_new = *preset.sweep().last().expect("non-empty sweep");
-    let mut rows = Vec::new();
-    for family in PAPER_FAMILIES {
-        let mut reference: Option<u64> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let par = Parallelism::threads(threads);
-            let fresh = timed(family, &db, xi_new, par);
-            let rec = timed(family, &cdb, xi_new, par);
-            assert_eq!(fresh.patterns, rec.patterns, "{family:?}: recycled count drift");
-            match reference {
-                None => reference = Some(fresh.patterns),
-                Some(n) => assert_eq!(n, fresh.patterns, "{family:?}: parallel count drift"),
-            }
-            rows.push(MineParRow {
-                dataset: name,
-                engine: family.name().to_owned(),
-                threads,
-                secs: fresh.secs,
-                patterns: fresh.patterns,
-            });
-            rows.push(MineParRow {
-                dataset: name,
-                engine: format!("{}-MCP", family.tag()),
-                threads,
-                secs: rec.secs,
-                patterns: rec.patterns,
-            });
-        }
-    }
-    rows
-}
-
-/// Horizontal vs vertical head-to-head: all four algorithm families
-/// (the paper's three plus the Eclat extension) at the same `ξ_new`,
-/// fresh on the raw database and recycled on the MCP-compressed one,
-/// serial and with the first-level fan-out at 4 threads. Because the
-/// threshold is matched, *every* row of one dataset must report the
-/// same pattern count — cross-family, cross-substrate, cross-thread —
-/// and the experiment asserts exactly that before returning.
-pub fn mine_vertical_experiment(dataset: PresetKind, scale: f64) -> Vec<MineParRow> {
-    let preset = DatasetPreset::new(dataset, scale);
-    let name = preset.name();
-    let db = preset.generate();
-    let fp_old = Family::Hm.mine(&db, preset.xi_old());
-    let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-    let xi_new = *preset.sweep().last().expect("non-empty sweep");
-    let mut rows = Vec::new();
-    let mut reference: Option<u64> = None;
-    for family in Family::ALL {
-        for threads in [1usize, 4] {
-            let par = Parallelism::threads(threads);
-            let fresh = timed(family, &db, xi_new, par);
-            let rec = timed(family, &cdb, xi_new, par);
-            for (engine, run) in
-                [(family.name().to_owned(), fresh), (format!("{}-MCP", family.tag()), rec)]
-            {
-                match reference {
-                    None => reference = Some(run.patterns),
-                    Some(n) => {
-                        assert_eq!(
-                            n, run.patterns,
-                            "{engine} t={threads}: count drift at matched ξ"
-                        )
-                    }
-                }
-                rows.push(MineParRow {
-                    dataset: name,
-                    engine,
-                    threads,
-                    secs: run.secs,
-                    patterns: run.patterns,
-                });
+            if r.get("mode").and_then(Json::as_str) != Some("diffset") {
+                assert_eq!(count(r, "repr_switches"), 0, "forced mode switched: {r}");
             }
         }
     }
-    rows
-}
-
-/// One forced-representation outcome in the vertical repr ablation.
-#[derive(Debug, Clone)]
-pub struct VtReprRow {
-    /// Dataset analog name.
-    pub dataset: &'static str,
-    /// `--vt-repr` mode (auto/bitmap/tidlist/diffset).
-    pub mode: &'static str,
-    /// Substrate: fresh on the raw database or MCP-recycled.
-    pub substrate: &'static str,
-    /// Mining wall seconds (output excluded — `CountSink`).
-    pub secs: f64,
-    /// Patterns found (asserted identical across every mode and row).
-    pub patterns: u64,
-    /// `mine.bitmap_words_scanned` for the run.
-    pub bitmap_words: u64,
-    /// `mine.tidlist_elems` for the run.
-    pub tidlist_elems: u64,
-    /// `mine.diffset_words` for the run.
-    pub diffset_words: u64,
-    /// Nodes materialized in a different representation than their
-    /// parent (`mine.repr_switches`).
-    pub repr_switches: u64,
-    /// Column-arena bytes flushed (`alloc.projection_bytes`) — the
-    /// memory side of the representation trade.
-    pub arena_bytes: u64,
-}
-
-impl ToJson for VtReprRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("dataset", self.dataset.into()),
-            ("mode", self.mode.into()),
-            ("substrate", self.substrate.into()),
-            ("secs", self.secs.into()),
-            ("patterns", self.patterns.into()),
-            ("bitmap_words", self.bitmap_words.into()),
-            ("tidlist_elems", self.tidlist_elems.into()),
-            ("diffset_words", self.diffset_words.into()),
-            ("repr_switches", self.repr_switches.into()),
-            ("arena_bytes", self.arena_bytes.into()),
-        ])
-    }
-}
-
-/// Vertical representation ablation: the vt family under each
-/// `--vt-repr` mode, fresh and MCP-recycled, serial, reporting the
-/// per-mode kernel traffic (`mine.bitmap_words_scanned`,
-/// `mine.tidlist_elems`, `mine.diffset_words`), the switch count, and
-/// the arena-byte peak. Pattern counts are asserted identical across
-/// every mode and row — the representation is an encoding, never a
-/// semantic.
-pub fn vt_repr_ablation(dataset: PresetKind, scale: f64) -> Vec<VtReprRow> {
-    let preset = DatasetPreset::new(dataset, scale);
-    let name = preset.name();
-    let db = preset.generate();
-    let fp_old = Family::Hm.mine(&db, preset.xi_old());
-    let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-    let xi_new = *preset.sweep().last().expect("non-empty sweep");
-    let mut rows = Vec::new();
-    let mut reference: Option<u64> = None;
-    for repr in VtRepr::ALL {
-        for substrate in ["raw", "MCP"] {
-            let mut sink = CountSink::new();
-            let start = Instant::now();
-            let ((), snap) = gogreen_obs::measure(|| {
-                if substrate == "raw" {
-                    Family::Vt(repr).mine_into(&db, xi_new, &mut sink);
-                } else {
-                    Family::Vt(repr).mine_into(&cdb, xi_new, &mut sink);
-                }
-            });
-            let secs = start.elapsed().as_secs_f64();
-            let get = |name: &str| snap.value(name).unwrap_or(0);
-            let row = VtReprRow {
-                dataset: name,
-                mode: repr.as_str(),
-                substrate,
-                secs,
-                patterns: sink.count(),
-                bitmap_words: get("mine.bitmap_words_scanned"),
-                tidlist_elems: get("mine.tidlist_elems"),
-                diffset_words: get("mine.diffset_words"),
-                repr_switches: get("mine.repr_switches"),
-                arena_bytes: get("alloc.projection_bytes"),
-            };
-            match reference {
-                None => reference = Some(row.patterns),
-                Some(n) => {
-                    assert_eq!(n, row.patterns, "{name} --vt-repr {repr} {substrate}: count drift")
-                }
-            }
-            rows.push(row);
-        }
-    }
-    rows
 }

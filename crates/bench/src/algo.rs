@@ -8,13 +8,11 @@
 use gogreen_data::{CountSink, MinSupport};
 use gogreen_miners::{Family, Miner};
 use gogreen_util::pool::Parallelism;
-use gogreen_util::{Json, ToJson};
 use std::time::Instant;
 
 /// The three families of the paper's evaluation, in its presentation
-/// order. Paper-reproduction experiments iterate this set; the extension
-/// experiments take all of [`Family::ALL`] (vertical Eclat included, see
-/// `EXPERIMENTS.md` E8).
+/// order; the extension experiments take all of [`Family::ALL`]
+/// (vertical Eclat included, see `EXPERIMENTS.md` E8).
 pub const PAPER_FAMILIES: [Family; 3] = [Family::Hm, Family::Fp, Family::Tp];
 
 /// Wall time and emitted-pattern count of one run.
@@ -24,12 +22,6 @@ pub struct TimedRun {
     pub secs: f64,
     /// Patterns emitted.
     pub patterns: u64,
-}
-
-impl ToJson for TimedRun {
-    fn to_json(&self) -> Json {
-        Json::obj([("secs", self.secs.into()), ("patterns", self.patterns.into())])
-    }
 }
 
 /// Times `family` mining `db` — a plain database (the baseline) or a

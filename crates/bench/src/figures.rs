@@ -7,15 +7,11 @@
 //!   8 MiB budgets (budgets scale with the dataset so the
 //!   structure-to-budget ratio matches the paper's setting).
 
-use crate::algo::timed;
-use gogreen_core::{CompressionStats, Compressor, Strategy};
-use gogreen_data::{CountSink, MinSupport, PatternSet, TransactionDb};
-use gogreen_datagen::{DatasetPreset, PresetKind};
-use gogreen_miners::{Family, Miner};
-use gogreen_storage::{LimitedHMine, LimitedRecycleHm, MemoryBudget};
-use gogreen_util::pool::Parallelism;
-use gogreen_util::{Json, ToJson};
-use std::time::Instant;
+use crate::pipeline::{pct, Experiment, PipelineSpec, Run};
+use gogreen_core::{CompressionStats, Strategy};
+use gogreen_datagen::PresetKind;
+use gogreen_miners::Family;
+use gogreen_util::Json;
 
 /// Static description of one in-memory figure (9–20).
 #[derive(Debug, Clone, Copy)]
@@ -30,137 +26,19 @@ pub struct FigureSpec {
     pub log_y: bool,
 }
 
-/// One sweep point of an in-memory figure.
-#[derive(Debug, Clone, Copy)]
-pub struct FigureRow {
-    /// `ξ_new` as a percentage.
-    pub xi_new_pct: f64,
-    /// Baseline seconds.
-    pub baseline_s: f64,
-    /// MCP-recycled seconds.
-    pub mcp_s: f64,
-    /// MLP-recycled seconds.
-    pub mlp_s: f64,
-    /// Patterns found (identical across the three runs).
-    pub patterns: u64,
-}
-
-/// A complete in-memory figure.
-#[derive(Debug, Clone)]
-pub struct FigureResult {
-    /// The figure description.
-    pub spec: FigureSpec,
-    /// Dataset scale used.
-    pub scale: f64,
-    /// `ξ_old` as a percentage.
-    pub xi_old_pct: f64,
-    /// Seconds spent mining the recycled pattern set at `ξ_old`
-    /// (observation 1 in §5.2 compares savings against this).
-    pub prep_mine_s: f64,
-    /// Patterns recycled.
-    pub recycled_patterns: usize,
-    /// MCP compression metrics.
-    pub mcp_compression: CompressionSummary,
-    /// MLP compression metrics.
-    pub mlp_compression: CompressionSummary,
-    /// The sweep.
-    pub rows: Vec<FigureRow>,
-}
-
-/// Serializable subset of [`CompressionStats`].
-#[derive(Debug, Clone, Copy)]
-pub struct CompressionSummary {
-    /// Compression seconds (pipeline, in memory).
-    pub secs: f64,
-    /// `S_c / S_o`.
-    pub ratio: f64,
-    /// Groups formed.
-    pub groups: usize,
-    /// Tuples covered.
-    pub covered: usize,
-}
-
-impl From<CompressionStats> for CompressionSummary {
-    fn from(s: CompressionStats) -> Self {
-        CompressionSummary {
-            secs: s.duration.as_secs_f64(),
-            ratio: s.ratio,
-            groups: s.num_groups,
-            covered: s.covered_tuples,
-        }
-    }
-}
-
-impl ToJson for FigureSpec {
-    fn to_json(&self) -> Json {
+impl FigureSpec {
+    fn to_json(self) -> Json {
+        let family = match self.family {
+            Family::Hm => "HMine",
+            Family::Fp => "FpTree",
+            Family::Tp => "TreeProjection",
+            Family::Vt(_) => "Eclat",
+        };
         Json::obj([
             ("id", self.id.into()),
             ("dataset", Json::Str(format!("{:?}", self.dataset))),
-            ("family", archived_family_name(self.family).into()),
+            ("family", family.into()),
             ("log_y", self.log_y.into()),
-        ])
-    }
-}
-
-impl ToJson for FigureRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("xi_new_pct", self.xi_new_pct.into()),
-            ("baseline_s", self.baseline_s.into()),
-            ("mcp_s", self.mcp_s.into()),
-            ("mlp_s", self.mlp_s.into()),
-            ("patterns", self.patterns.into()),
-        ])
-    }
-}
-
-impl ToJson for CompressionSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("secs", self.secs.into()),
-            ("ratio", self.ratio.into()),
-            ("groups", self.groups.into()),
-            ("covered", self.covered.into()),
-        ])
-    }
-}
-
-impl ToJson for FigureResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("spec", self.spec.to_json()),
-            ("scale", self.scale.into()),
-            ("xi_old_pct", self.xi_old_pct.into()),
-            ("prep_mine_s", self.prep_mine_s.into()),
-            ("recycled_patterns", self.recycled_patterns.into()),
-            ("mcp_compression", self.mcp_compression.to_json()),
-            ("mlp_compression", self.mlp_compression.to_json()),
-            ("rows", Json::Arr(self.rows.iter().map(ToJson::to_json).collect())),
-        ])
-    }
-}
-
-impl ToJson for MemFigureRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("xi_new_pct", self.xi_new_pct.into()),
-            ("budget_mib", self.budget_mib.into()),
-            ("hmine_s", self.hmine_s.into()),
-            ("hm_mcp_s", self.hm_mcp_s.into()),
-            ("hmine_spills", self.hmine_spills.into()),
-            ("hm_mcp_spills", self.hm_mcp_spills.into()),
-            ("patterns", self.patterns.into()),
-        ])
-    }
-}
-
-impl ToJson for MemFigureResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", self.id.into()),
-            ("dataset", Json::Str(format!("{:?}", self.dataset))),
-            ("scale", self.scale.into()),
-            ("rows", Json::Arr(self.rows.iter().map(ToJson::to_json).collect())),
         ])
     }
 }
@@ -187,105 +65,77 @@ pub fn figure_spec(id: u8) -> Option<FigureSpec> {
     Some(FigureSpec { id, dataset, family, log_y })
 }
 
-/// The family spelling the archived `results/fig*.jsonl` specs store.
-fn archived_family_name(family: Family) -> &'static str {
-    match family {
-        Family::Hm => "HMine",
-        Family::Fp => "FpTree",
-        Family::Tp => "TreeProjection",
-        Family::Vt(_) => "Eclat",
-    }
+fn compression_json(stats: Option<CompressionStats>) -> Json {
+    let s = stats.unwrap_or_default();
+    Json::obj([
+        ("secs", s.duration.as_secs_f64().into()),
+        ("ratio", s.ratio.into()),
+        ("groups", s.num_groups.into()),
+        ("covered", s.covered_tuples.into()),
+    ])
 }
 
-/// Mines the recycled pattern set at `ξ_old` (timed) — shared setup of
-/// every figure.
-pub fn prepare_recycled(db: &TransactionDb, xi_old: MinSupport) -> (PatternSet, f64) {
-    let start = Instant::now();
-    let fp = Family::Hm.mine(db, xi_old);
-    (fp, start.elapsed().as_secs_f64())
-}
-
-/// Runs one in-memory figure (9–20).
+/// One in-memory figure (9–20): per `ξ_new` of the sweep, the baseline
+/// and its MCP and MLP variants, which must agree on the pattern count.
 ///
 /// # Panics
 ///
-/// Panics if `id` is not in `9..=20`, or if the three algorithm variants
-/// disagree on the pattern count (which would mean a correctness bug).
-pub fn run_figure(id: u8, scale: f64) -> FigureResult {
-    let spec = figure_spec(id).expect("figure id in 9..=20");
-    let preset = DatasetPreset::new(spec.dataset, scale);
-    let db = preset.generate();
-    let (fp_old, prep_mine_s) = prepare_recycled(&db, preset.xi_old());
-    let (cdb_mcp, stats_mcp) = Compressor::new(Strategy::Mcp).compress_with_stats(&db, &fp_old);
-    let (cdb_mlp, stats_mlp) = Compressor::new(Strategy::Mlp).compress_with_stats(&db, &fp_old);
-    let mut rows = Vec::new();
-    for ms in preset.sweep() {
-        let serial = Parallelism::serial();
-        let base = timed(spec.family, &db, ms, serial);
-        let mcp = timed(spec.family, &cdb_mcp, ms, serial);
-        let mlp = timed(spec.family, &cdb_mlp, ms, serial);
-        assert_eq!(base.patterns, mcp.patterns, "fig {id}: MCP count mismatch");
-        assert_eq!(base.patterns, mlp.patterns, "fig {id}: MLP count mismatch");
-        rows.push(FigureRow {
-            xi_new_pct: pct(ms),
-            baseline_s: base.secs,
-            mcp_s: mcp.secs,
-            mlp_s: mlp.secs,
-            patterns: base.patterns,
-        });
+/// Panics if `id` is not in `9..=20`.
+pub fn figure(id: u8, scale: f64) -> Experiment {
+    let fig = figure_spec(id).expect("figure id in 9..=20");
+    let base = PipelineSpec::new(fig.dataset, scale);
+    let specs = base
+        .preset
+        .sweep()
+        .into_iter()
+        .flat_map(|xi| {
+            let at = PipelineSpec { xi_new: Some(xi), ..base.clone() };
+            [None, Some(Strategy::Mcp), Some(Strategy::Mlp)].map(|s| at.mining(fig.family, s))
+        })
+        .collect();
+    Experiment {
+        file: format!("fig{id}"),
+        title: format!(
+            "Figure {id}: {} vs its MCP and MLP recycling on {} (scale {scale}{})",
+            fig.family.name(),
+            base.preset.name(),
+            if fig.log_y { ", log-y in the paper" } else { "" }
+        ),
+        specs,
+        project: Box::new(move |runs: &[Run]| {
+            let rows = runs.chunks(3).map(|r| {
+                assert_eq!(r[0].patterns, r[1].patterns, "fig {id}: MCP count mismatch");
+                assert_eq!(r[0].patterns, r[2].patterns, "fig {id}: MLP count mismatch");
+                Json::obj([
+                    ("xi_new_pct", pct(r[0].spec.xi_new.expect("mining spec")).into()),
+                    ("baseline_s", r[0].secs.into()),
+                    ("mcp_s", r[1].secs.into()),
+                    ("mlp_s", r[2].secs.into()),
+                    ("patterns", r[0].patterns.into()),
+                ])
+            });
+            vec![Json::obj([
+                ("spec", fig.to_json()),
+                ("scale", scale.into()),
+                ("xi_old_pct", pct(base.xi_old).into()),
+                ("prep_mine_s", runs[1].setup.prep_s.into()),
+                ("recycled_patterns", runs[1].setup.recycled.into()),
+                ("mcp_compression", compression_json(runs[1].compression)),
+                ("mlp_compression", compression_json(runs[2].compression)),
+                ("rows", Json::Arr(rows.collect())),
+            ])]
+        }),
     }
-    FigureResult {
-        spec,
-        scale,
-        xi_old_pct: pct(preset.xi_old()),
-        prep_mine_s,
-        recycled_patterns: fp_old.len(),
-        mcp_compression: stats_mcp.into(),
-        mlp_compression: stats_mlp.into(),
-        rows,
-    }
 }
 
-/// One sweep point of a memory-limited figure (21–24).
-#[derive(Debug, Clone, Copy)]
-pub struct MemFigureRow {
-    /// `ξ_new` as a percentage.
-    pub xi_new_pct: f64,
-    /// Budget in (scaled) MiB — 4 or 8.
-    pub budget_mib: f64,
-    /// H-Mine seconds under the budget.
-    pub hmine_s: f64,
-    /// HM-MCP seconds under the budget.
-    pub hm_mcp_s: f64,
-    /// Disk spills performed by H-Mine.
-    pub hmine_spills: usize,
-    /// Disk spills performed by HM-MCP.
-    pub hm_mcp_spills: usize,
-    /// Patterns found.
-    pub patterns: u64,
-}
-
-/// A complete memory-limited figure.
-#[derive(Debug, Clone)]
-pub struct MemFigureResult {
-    /// Paper figure number (21–24).
-    pub id: u8,
-    /// Dataset analog.
-    pub dataset: PresetKind,
-    /// Dataset scale.
-    pub scale: f64,
-    /// The sweep (two rows per `ξ_new`: one per budget).
-    pub rows: Vec<MemFigureRow>,
-}
-
-/// Runs one memory-limited figure (21–24): H-Mine vs HM-MCP under the
+/// One memory-limited figure (21–24): H-Mine vs HM-MCP under the
 /// paper's 4 MiB and 8 MiB budgets, scaled by the dataset scale so the
 /// pressure matches the paper's setting.
 ///
 /// # Panics
 ///
-/// Panics if `id` is not in `21..=24` or on an algorithm disagreement.
-pub fn run_mem_figure(id: u8, scale: f64) -> MemFigureResult {
+/// Panics if `id` is not in `21..=24`.
+pub fn mem_figure(id: u8, scale: f64) -> Experiment {
     let dataset = match id {
         21 => PresetKind::Weather,
         22 => PresetKind::Forest,
@@ -293,46 +143,44 @@ pub fn run_mem_figure(id: u8, scale: f64) -> MemFigureResult {
         24 => PresetKind::Pumsb,
         _ => panic!("memory figure id in 21..=24"),
     };
-    let preset = DatasetPreset::new(dataset, scale);
-    let db = preset.generate();
-    let (fp_old, _) = prepare_recycled(&db, preset.xi_old());
-    let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
-    let mut rows = Vec::new();
-    for mib in [4.0f64, 8.0] {
-        let budget = MemoryBudget::bytes(((mib * scale) * 1024.0 * 1024.0).max(1024.0) as usize);
-        for ms in preset.sweep() {
-            let mut sink = CountSink::new();
-            let start = Instant::now();
-            let rep_h = LimitedHMine::new(budget).mine_into(&db, ms, &mut sink).expect("spill i/o");
-            let hmine_s = start.elapsed().as_secs_f64();
-            let base_patterns = sink.count();
-
-            let mut sink = CountSink::new();
-            let start = Instant::now();
-            let rep_m =
-                LimitedRecycleHm::new(budget).mine_into(&cdb, ms, &mut sink).expect("spill i/o");
-            let hm_mcp_s = start.elapsed().as_secs_f64();
-            assert_eq!(base_patterns, sink.count(), "fig {id}: count mismatch");
-
-            rows.push(MemFigureRow {
-                xi_new_pct: pct(ms),
-                budget_mib: mib,
-                hmine_s,
-                hm_mcp_s,
-                hmine_spills: rep_h.spills,
-                hm_mcp_spills: rep_m.spills,
-                patterns: base_patterns,
-            });
+    const MIBS: [f64; 2] = [4.0, 8.0];
+    let base = PipelineSpec::new(dataset, scale);
+    let mut specs = Vec::new();
+    for mib in MIBS {
+        let budget = Some(((mib * scale) * 1024.0 * 1024.0).max(1024.0) as usize);
+        for xi in base.preset.sweep() {
+            let at = PipelineSpec { xi_new: Some(xi), budget, ..base.clone() };
+            specs.extend([None, Some(Strategy::Mcp)].map(|s| at.mining(Family::Hm, s)));
         }
     }
-    MemFigureResult { id, dataset, scale, rows }
-}
-
-fn pct(ms: MinSupport) -> f64 {
-    match ms {
-        // Round away binary-float noise (0.9 * 100 = 90.000…01).
-        MinSupport::Relative(f) => (f * 100.0 * 1e6).round() / 1e6,
-        MinSupport::Absolute(n) => n as f64,
+    Experiment {
+        file: format!("fig{id}"),
+        title: format!(
+            "Figure {id}: memory-limited H-Mine vs HM-MCP on {} (scale {scale}, budgets 4/8 MiB × scale)",
+            base.preset.name()
+        ),
+        specs,
+        project: Box::new(move |runs: &[Run]| {
+            let per_budget = runs.len() / MIBS.len();
+            let rows = runs.chunks(2).enumerate().map(|(i, r)| {
+                assert_eq!(r[0].patterns, r[1].patterns, "fig {id}: count mismatch");
+                Json::obj([
+                    ("xi_new_pct", pct(r[0].spec.xi_new.expect("mining spec")).into()),
+                    ("budget_mib", MIBS[2 * i / per_budget].into()),
+                    ("hmine_s", r[0].secs.into()),
+                    ("hm_mcp_s", r[1].secs.into()),
+                    ("hmine_spills", r[0].spills.into()),
+                    ("hm_mcp_spills", r[1].spills.into()),
+                    ("patterns", r[0].patterns.into()),
+                ])
+            });
+            vec![Json::obj([
+                ("id", id.into()),
+                ("dataset", Json::Str(format!("{dataset:?}"))),
+                ("scale", scale.into()),
+                ("rows", Json::Arr(rows.collect())),
+            ])]
+        }),
     }
 }
 
@@ -360,23 +208,32 @@ mod tests {
         assert!(spec.contains(r#""family":"FpTree""#), "{spec}");
     }
 
+    fn rows(record: &Json) -> &[Json] {
+        record.get("rows").and_then(Json::as_arr).expect("rows")
+    }
+
     /// A miniature end-to-end figure run (tiny scale, real pipeline).
     #[test]
     fn tiny_figure_run_is_consistent() {
-        let res = run_figure(15, 0.001);
-        assert_eq!(res.rows.len(), 5);
-        assert!(res.recycled_patterns > 0);
-        for row in &res.rows {
-            assert!(row.patterns > 0);
-        }
+        let res = figure(15, 0.001).run().remove(0);
+        assert_eq!(rows(&res).len(), 5);
+        assert!(res.get("recycled_patterns").and_then(Json::as_u64).unwrap() > 0);
+        let pcts: Vec<f64> = rows(&res)
+            .iter()
+            .inspect(|row| assert!(row.get("patterns").and_then(Json::as_u64).unwrap() > 0))
+            .map(|row| row.get("xi_new_pct").and_then(Json::as_f64).unwrap())
+            .collect();
         // ξ_new decreases monotonically along the sweep.
-        assert!(res.rows.windows(2).all(|w| w[0].xi_new_pct > w[1].xi_new_pct));
+        assert!(pcts.windows(2).all(|w| w[0] > w[1]));
     }
 
     #[test]
     fn tiny_mem_figure_run_is_consistent() {
-        let res = run_mem_figure(23, 0.001);
-        assert_eq!(res.rows.len(), 10); // 2 budgets × 5 points
-        assert!(res.rows.iter().all(|r| r.patterns > 0));
+        let res = mem_figure(23, 0.001).run().remove(0);
+        assert_eq!(rows(&res).len(), 10); // 2 budgets × 5 points
+        assert!(rows(&res).iter().all(|r| r.get("patterns").and_then(Json::as_u64).unwrap() > 0));
+        let budgets: Vec<_> =
+            rows(&res).iter().map(|r| r.get("budget_mib").and_then(Json::as_f64)).collect();
+        assert_eq!(budgets[4..6], [Some(4.0), Some(8.0)]);
     }
 }

@@ -146,11 +146,6 @@ impl BenchGroup {
         self.results.last().expect("just pushed")
     }
 
-    /// All results measured so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
     /// Consumes the group, returning its results.
     pub fn finish(self) -> Vec<BenchResult> {
         self.results

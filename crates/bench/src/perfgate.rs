@@ -11,10 +11,11 @@
 //! `mine.tuple_touches` by one has changed the datapath, and this gate
 //! says so with an exact diff instead of a shrug.
 //!
-//! The flow (`repro check-perf`): parse the committed baseline rows,
-//! re-run each row's workload once (serially — invariance makes the
-//! thread count irrelevant), [`measure`] its counter/histogram totals,
-//! and [`compare`] them against every matching row. Thread-variant
+//! The flow (`repro check-perf`, [`check_perf`]): parse the committed
+//! baseline rows, re-run each row's workload once (serially — invariance
+//! makes the thread count irrelevant), [`measure`] its counter/histogram
+//! totals, and [`compare`] them against every matching row. The
+//! workloads are [`bench_rows`], the same specs the benches time. Thread-variant
 //! names (`cover.*`) are skipped on both sides; everything else must
 //! match in both directions — a counter that drifted, vanished, or
 //! newly appeared is a failure naming the exact metric and values.
@@ -23,6 +24,12 @@
 //! run record written by `--report F` names only registered metrics and
 //! carries the counters every recycled run must touch.
 
+use crate::batchwork::zipf_ladder;
+use crate::pipeline::{self, PipelineSpec, Runner};
+use gogreen_core::Strategy;
+use gogreen_data::MinSupport;
+use gogreen_datagen::PresetKind;
+use gogreen_miners::Family;
 use gogreen_obs::metrics::{self, Kind};
 use gogreen_util::Json;
 
@@ -114,19 +121,14 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> Observed {
     }
 }
 
-/// True when `name` participates in the gate: thread-invariant per the
-/// registry (the archived rows span thread counts, so variant machine
-/// work like `cover.*` can never gate) and not a histogram the archive
-/// predates.
-fn gated(name: &str) -> bool {
-    metrics::is_thread_invariant(name)
-}
-
-/// Compares one observed fingerprint against one baseline row. Returns
-/// the drift messages (empty = pass): every gated baseline counter and
+/// Compares one observed fingerprint against one baseline row. Only
+/// thread-invariant names gate: the archived rows span thread counts,
+/// so variant machine work like `cover.*` never can. Returns the drift
+/// messages (empty = pass): every gated baseline counter and
 /// histogram total must be present and exactly equal in the observation,
 /// and every gated observed name must exist in the baseline.
 pub fn compare(row: &BaselineRow, observed: &Observed) -> Vec<String> {
+    let gated = metrics::is_thread_invariant;
     let ctx = format!("{}/{}", row.id, row.param);
     let mut drifts = Vec::new();
     for (name, want) in row.counters.iter().filter(|(n, _)| gated(n)) {
@@ -160,6 +162,107 @@ pub fn compare(row: &BaselineRow, observed: &Observed) -> Vec<String> {
         }
     }
     drifts
+}
+
+/// Every row of the `group` bench (`"mining"` or `"compression"`), in
+/// archive order, as `(id, workload)`; [`bench_param`] names its
+/// param. The benches time these workloads and [`check_perf`] replays
+/// them, so both derive a row from the same spec.
+pub fn bench_rows(group: &str) -> Vec<(String, PipelineSpec)> {
+    let mut rows = Vec::new();
+    if group == "mining" {
+        for kind in [PresetKind::Connect4, PresetKind::Weather, PresetKind::Pumsb] {
+            let base = PipelineSpec::new(kind, 0.01);
+            // A k=8 Zipf-skewed multi-query fleet over the preset's
+            // sweep: one shared pass at the sweep floor answers all eight.
+            let batch = Some(zipf_ladder(&base.preset.sweep(), 8));
+            for threads in [1, 2, 4, 8] {
+                let at = PipelineSpec { threads, ..base.clone() };
+                for family in Family::ALL {
+                    let tag = family.tag();
+                    rows.push((family.name().to_owned(), at.mining(family, None)));
+                    rows.push((format!("{tag}-MCP"), at.mining(family, Some(Strategy::Mcp))));
+                    let batched = PipelineSpec { batch: batch.clone(), ..at.mining(family, None) };
+                    rows.push((format!("{tag}-Batch8"), batched));
+                }
+            }
+        }
+    } else if group == "compression" {
+        for kind in [PresetKind::Connect4, PresetKind::Weather] {
+            for strategy in [Strategy::Mcp, Strategy::Mlp] {
+                let spec = PipelineSpec::new(kind, 0.01).compressing(strategy);
+                rows.push((strategy.suffix().to_owned(), spec));
+            }
+        }
+        // The kernel sweep: the indexed kernel against the seed's linear
+        // scan at growing |FP| (ξ_old lowered below the preset's).
+        let sweeps =
+            [(PresetKind::Connect4, [0.95, 0.85, 0.75]), (PresetKind::Weather, [0.05, 0.02, 0.01])];
+        for (kind, supports) in sweeps {
+            for rel in supports {
+                let spec = PipelineSpec {
+                    xi_old: MinSupport::Relative(rel),
+                    ..PipelineSpec::new(kind, 0.01).compressing(Strategy::Mcp)
+                };
+                rows.push(("linear".to_owned(), PipelineSpec { linear: true, ..spec.clone() }));
+                rows.push(("indexed".to_owned(), spec));
+            }
+        }
+    }
+    rows
+}
+
+/// The `param` of a bench row: `<dataset>/t<threads>` for mining,
+/// `<dataset>/fp<|FP|>` for the kernel sweep (so a miner drift changes
+/// the key), and the dataset alone for the strategy rows.
+pub fn bench_param(id: &str, spec: &PipelineSpec, recycled: usize) -> String {
+    let name = spec.preset.name();
+    match (id, spec.xi_new) {
+        ("linear" | "indexed", _) => format!("{name}/fp{recycled}"),
+        (_, None) => name.to_owned(),
+        (_, Some(_)) => format!("{name}/t{}", spec.threads),
+    }
+}
+
+/// Replays every [`bench_rows`] workload of each `(group, baseline)`
+/// archive once, serially (the gated names are thread-invariant, so one
+/// run covers every `tN` row), and compares it with every row of the
+/// same `(id, param)`. Returns the rows compared and every drift,
+/// including archived rows no workload replays.
+pub fn check_perf(archives: &[(&str, Vec<BaselineRow>)]) -> (usize, Vec<String>) {
+    let mut runner = Runner::default();
+    let mut replayed: Vec<(PipelineSpec, Observed)> = Vec::new();
+    let (mut compared, mut drifts) = (0, Vec::new());
+    for (group, rows) in archives {
+        let mut matched = vec![false; rows.len()];
+        for (id, spec) in bench_rows(group) {
+            let serial = PipelineSpec { threads: 1, ..spec.clone() };
+            let inputs = runner.prepare(&serial);
+            let param = bench_param(&id, &spec, inputs.setup.recycled);
+            let at = match replayed.iter().position(|(s, _)| *s == serial) {
+                Some(at) => at,
+                None => {
+                    let observed = measure(|| pipeline::step(&serial, &inputs));
+                    replayed.push((serial, observed));
+                    replayed.len() - 1
+                }
+            };
+            for (i, row) in rows.iter().enumerate() {
+                if row.id == id && row.param == param {
+                    drifts.extend(compare(row, &replayed[at].1));
+                    matched[i] = true;
+                    compared += 1;
+                }
+            }
+        }
+        for (row, _) in rows.iter().zip(&matched).filter(|(_, &m)| !m) {
+            drifts.push(format!(
+                "{}/{}: no replay workload for this baseline row",
+                row.id, row.param
+            ));
+        }
+    }
+    (compared, drifts)
 }
 
 /// Counters every recycled run touches: CI runs `repro --quick --report

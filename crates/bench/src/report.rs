@@ -2,6 +2,7 @@
 //! under `results/`.
 
 use gogreen_util::json::ToJson;
+use gogreen_util::Json;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -18,11 +19,6 @@ impl Reporter {
         Reporter { results_dir: dir.into() }
     }
 
-    /// Default reporter: `./results`.
-    pub fn default_dir() -> Self {
-        Self::new("results")
-    }
-
     /// Appends `record` as one JSON line to `<name>.jsonl`.
     pub fn save_json(&self, name: &str, record: &impl ToJson) -> std::io::Result<()> {
         std::fs::create_dir_all(&self.results_dir)?;
@@ -32,6 +28,55 @@ impl Reporter {
         f.write_all(b"\n")?;
         Ok(())
     }
+
+    /// Prints `records` under `title` and appends each to `<name>.jsonl`.
+    pub fn emit(&self, name: &str, title: &str, records: &[Json]) -> std::io::Result<()> {
+        print!("\n== {title} ==\n\n{}", render_records(records));
+        records.iter().try_for_each(|r| self.save_json(name, r))
+    }
+}
+
+/// Renders records as a table of their scalar columns. A record holding
+/// a `rows` array prints its scalars on one line and its rows as a
+/// table of their own.
+pub fn render_records(records: &[Json]) -> String {
+    let mut out = String::new();
+    let mut flat: Vec<Vec<(&str, String)>> = Vec::new();
+    for record in records {
+        match record.get("rows").and_then(Json::as_arr) {
+            Some(rows) => {
+                let line: Vec<String> =
+                    scalars(record).into_iter().map(|(k, v)| format!("{k}={v}")).collect();
+                out.push_str(&format!("{}\n\n{}", line.join(" "), render_records(rows)));
+            }
+            None => flat.push(scalars(record)),
+        }
+    }
+    if let Some(first) = flat.first() {
+        let headers: Vec<&str> = first.iter().map(|&(k, _)| k).collect();
+        let rows: Vec<Vec<String>> =
+            flat.into_iter().map(|r| r.into_iter().map(|(_, v)| v).collect()).collect();
+        out.push_str(&render_table(&headers, &rows));
+    }
+    out
+}
+
+/// A record's scalar fields, formatted: seconds adaptively, integers
+/// plainly, other numbers to three decimals.
+fn scalars(record: &Json) -> Vec<(&str, String)> {
+    let Json::Obj(fields) = record else { return Vec::new() };
+    let cell = |key: &str, value: &Json| match value {
+        Json::Num(x) if key.ends_with("_s") || key.contains("secs") || key.starts_with("t_") => {
+            Some(fmt_secs(*x))
+        }
+        Json::Num(x) if x.fract() == 0.0 => Some(format!("{x:.0}")),
+        Json::Num(x) => Some(format!("{x:.3}")),
+        Json::Str(s) => Some(s.clone()),
+        Json::Bool(b) => Some(b.to_string()),
+        Json::Null => Some("—".to_owned()),
+        Json::Arr(_) | Json::Obj(_) => None,
+    };
+    fields.iter().filter_map(|(k, v)| Some((k.as_str(), cell(k, v)?))).collect()
 }
 
 /// Renders an aligned text table.

@@ -97,14 +97,8 @@ pub fn run(argv: Vec<String>) -> Result<(), String> {
         }
         None => {
             let db = load_db(&path)?;
-            let (patterns, arena_bytes) = measure_arena_bytes(|| {
-                let mut sp = gogreen_obs::span("mine");
-                let patterns = mine(&db, support, algo, par, &args, &pushdown, &attrs);
-                if let Ok(p) = &patterns {
-                    sp.field("algo", algo).field("patterns", p.len());
-                }
-                patterns
-            });
+            let (patterns, arena_bytes) =
+                measure_arena_bytes(|| mine(&db, support, algo, par, &args, &pushdown, &attrs));
             (patterns?, db.len(), format!("{algo}, arena {}", show_bytes(arena_bytes)))
         }
     };
@@ -157,18 +151,22 @@ fn mine(
     // unconstrained — fanning the first-level projections out over
     // `par` threads — and post-filter the pushed constraints. With
     // nothing pushed, the pruned path would only cost H-Mine its Lemma
-    // 3.1 shortcut and raw fast path (and change its counters).
-    if par.is_serial() && !pushdown.is_empty() {
+    // 3.1 shortcut and raw fast path (and change its counters). Either
+    // way the search runs under one `mine` span: `Miner::mine_par` opens
+    // its own.
+    let is_hm = parse_family(algo, args)? == Some(Family::Hm);
+    if par.is_serial() && !pushdown.is_empty() && (is_hm || algo == "naive") {
         let prune = pushdown.search(attrs);
+        let mut sp = gogreen_obs::span("mine");
         let mut sink = CollectSink::new();
-        if parse_family(algo, args)? == Some(Family::Hm) {
+        if is_hm {
             hm::mine_db_pruned(db, support, &prune, &mut sink);
-            return Ok(sink.into_set());
-        }
-        if algo == "naive" {
+        } else {
             NaiveProjection.mine_pruned(db, support, &prune, &mut sink);
-            return Ok(sink.into_set());
         }
+        let set = sink.into_set();
+        sp.field("engine", algo).field("patterns", set.len());
+        return Ok(set);
     }
     let miner = raw_miner(algo, args)?;
     Ok(miner.mine_par(db, support, par).filter(|p| pushdown.prefix_ok(p.items(), attrs)))

@@ -266,3 +266,36 @@ fn session_report_records_one_entry_per_round() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Profile paths of a `--report` record.
+fn profile_paths(report: &Path) -> Vec<String> {
+    let rec = read_record(report);
+    let Some(Json::Obj(profile)) = rec.get("profile") else { panic!("no profile object") };
+    profile.iter().map(|(path, _)| path.clone()).collect()
+}
+
+#[test]
+fn mine_and_recycle_each_profile_one_mine_span() {
+    let dir = tmpdir();
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (db, fp) = (file("db.txt"), file("fp.txt"));
+    run_ok(&["generate", "weather", "--scale", "0.01", "-o", &db]);
+    let mine = file("report-mine.json");
+    run_ok(&["mine", &db, "--support", "5%", "-o", &fp, "--report", &mine]);
+    let recycle = file("report-recycle.json");
+    run_ok(&["recycle", &db, "--patterns", &fp, "--support", "4%", "--report", &recycle]);
+    for report in [&mine, &recycle] {
+        let paths = profile_paths(Path::new(report));
+        for want in ["mine;flist", "mine;encode"] {
+            assert!(paths.iter().any(|p| p == want), "{report}: no {want} in {paths:?}");
+        }
+        assert!(!paths.iter().any(|p| p.starts_with("mine;mine")), "{report}: {paths:?}");
+    }
+    // The pushed-constraint search runs under its own single span.
+    let pushed = file("report-pushed.json");
+    run_ok(&["mine", &db, "--support", "5%", "--max-length", "2", "--report", &pushed]);
+    let paths = profile_paths(Path::new(&pushed));
+    assert!(paths.iter().any(|p| p == "mine"), "{paths:?}");
+    assert!(!paths.iter().any(|p| p.starts_with("mine;mine")), "{paths:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -159,6 +159,12 @@ impl<T: Copy + Ord> CdbLayout<T> {
         self.close_group(bare);
     }
 
+    /// A database with no groups: every row of `plain` (ascending ids)
+    /// is a plain tuple. `extent` is as for [`CdbLayout::empty`].
+    pub fn from_plain(plain: CsrTuples<T>, extent: usize) -> Self {
+        CdbLayout { plain, ..Self::empty(extent) }
+    }
+
     /// Appends a plain tuple (ascending ids).
     pub fn push_plain(&mut self, row: &[T]) {
         debug_assert!(ascending(row));
@@ -279,18 +285,13 @@ impl<T: Copy + Ord> CdbLayout<T> {
 }
 
 impl CompressedDb {
-    /// A database with no groups: every row of `plain` is a plain tuple.
-    pub fn from_plain(plain: CsrTuples<Item>) -> Self {
-        CompressedDb { extent: plain.total_elems(), plain, ..Self::empty(0) }
-    }
-
     /// Wraps a plain database with no compression at all (every tuple in
     /// the plain residue). Recycling miners on such a "compressed"
     /// database behave exactly like their non-recycling counterparts —
     /// used as a correctness bridge in tests. The CSR tuple storage is
     /// cloned wholesale; no per-tuple work.
     pub fn uncompressed(db: &TransactionDb) -> Self {
-        Self::from_plain(db.csr().clone())
+        Self::from_plain(db.csr().clone(), db.csr().total_elems())
     }
 
     /// Size/ratio summary.

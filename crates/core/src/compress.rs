@@ -41,7 +41,7 @@ use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 /// Outcome metrics of one compression run (paper Table 3 columns).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CompressionStats {
     /// Wall time of the compression pass itself (the paper's "pipeline"
     /// time: I/O excluded — this library compresses in memory).

@@ -370,6 +370,23 @@ mod tests {
         assert_eq!(fp.support_of(&[Item(1), Item(2), Item(3)]), Some(4));
     }
 
+    /// Lemma 3.1 is a shortcut, never a semantic: on a dense analog,
+    /// where single-group projections are common, RP-Mine finds the same
+    /// patterns with and without it.
+    #[test]
+    fn single_group_shortcut_changes_no_pattern() {
+        use gogreen_datagen::{DatasetPreset, PresetKind};
+        use gogreen_miners::{Family, Miner};
+        let preset = DatasetPreset::new(PresetKind::Connect4, 0.001);
+        let db = preset.generate();
+        let cdb =
+            Compressor::new(Strategy::Mcp).compress(&db, &Family::Hm.mine(&db, preset.xi_old()));
+        let xi_new = preset.sweep()[2];
+        let with = RpMine::default().mine(&cdb, xi_new);
+        let without = RpMine { single_group_shortcut: false }.mine(&cdb, xi_new);
+        assert!(!with.is_empty() && with.same_patterns_as(&without));
+    }
+
     #[test]
     fn recycled_patterns_need_not_be_frequent_at_new_threshold() {
         // Compress with patterns mined at support 1 (including rare ones):

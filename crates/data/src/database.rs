@@ -20,7 +20,7 @@ pub struct TransactionDb {
 
 /// Summary statistics of a database, as reported in the paper's Table 3
 /// (number of tuples, average tuple length, number of distinct items).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DbStats {
     /// Number of tuples.
     pub num_tuples: usize,

@@ -118,7 +118,9 @@ impl FList {
 
     /// Re-encodes a tuple (sorted by item id) into **sorted rank space**:
     /// infrequent items are dropped and the survivors are ordered by rank.
-    /// The returned ranks index back into this F-list.
+    /// The returned ranks index back into this F-list. It allocates per
+    /// call and is kept as the reference [`FList::encode_row`] is tested
+    /// against; encode passes use `encode_row`.
     pub fn encode(&self, items: &[Item]) -> Vec<u32> {
         let mut out: Vec<u32> = items.iter().filter_map(|&it| self.rank_of(it)).collect();
         out.sort_unstable();

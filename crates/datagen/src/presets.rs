@@ -56,7 +56,7 @@ pub struct PaperRow {
 /// assert_eq!(db.stats().avg_len, 43.0); // one item per board position
 /// assert_eq!(db, preset.generate());    // deterministic
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetPreset {
     /// Which dataset is imitated.
     pub kind: PresetKind,

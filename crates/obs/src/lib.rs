@@ -59,7 +59,7 @@ pub mod report;
 pub mod snapshot;
 pub mod span;
 
-pub use recorder::{measure, Recorder};
+pub use recorder::{measure, measure_profiled, Recorder};
 pub use snapshot::MetricsSnapshot;
 pub use span::{event, span, tracing_enabled, Span};
 

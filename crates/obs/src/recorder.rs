@@ -182,16 +182,33 @@ impl Recorder {
 /// assert_eq!(snap.value("test.n"), Some(3));
 /// ```
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
+    let (out, snap, _) = scope(false, f);
+    (out, snap)
+}
+
+/// Like [`measure`], and also returns the profile of the spans `f`
+/// opened, profiled even when the calling thread's recorder is not.
+pub fn measure_profiled<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot, Profile) {
+    let (out, snap, profile) = scope(true, f);
+    (out, snap, profile.unwrap_or_default())
+}
+
+fn scope<R>(profile: bool, f: impl FnOnce() -> R) -> (R, MetricsSnapshot, Option<Profile>) {
     let parent = swap(None);
-    Recorder::install(parent.as_ref().map_or_else(Recorder::new, Recorder::child));
+    let mut child = parent.as_ref().map_or_else(Recorder::new, Recorder::child);
+    if profile && child.profile.is_none() {
+        child = child.with_profile();
+    }
+    Recorder::install(child);
     let out = f();
     let child = swap(None).unwrap_or_default();
     let snap = child.snapshot();
+    let profile = if profile { child.profile.clone() } else { None };
     if let Some(mut parent) = parent {
         parent.merge(child);
         swap(Some(parent));
     }
-    (out, snap)
+    (out, snap, profile)
 }
 
 /// The pool's fork hook: what the calling thread's workers inherit.

@@ -75,13 +75,11 @@ impl LimitedHMine {
     ) -> io::Result<LimitedReport> {
         let minsup = min_support.to_absolute(db.len());
         let flist = FList::from_db(db, minsup);
-        let mut rdb = CompressedRankDb::empty(flist.len());
+        let mut plain = CsrTuples::with_capacity(db.len(), db.csr().total_elems());
         for t in db.iter() {
-            let enc = flist.encode(t);
-            if !enc.is_empty() {
-                rdb.push_plain(&enc);
-            }
+            flist.encode_row(t, &mut plain);
         }
+        let rdb = CompressedRankDb::from_plain(plain, flist.len());
         let est = estimate_hmine_bytes(rdb.plain().total_elems(), rdb.plain().len());
         Recycling { budget: self.budget, flist: &flist, minsup }.run(&rdb, est, sink)
     }

@@ -250,7 +250,8 @@ impl SegmentedIncrementalMiner {
                     }
                     Ok(())
                 })?;
-                CompressedDb::from_plain(plain)
+                let extent = plain.total_elems();
+                CompressedDb::from_plain(plain, extent)
             }
         };
         let result = Arc::new(Family::Hm.mine_par(&cdb, min_support, self.parallelism));
