@@ -109,6 +109,12 @@ impl TransactionDb {
         &self.tuples
     }
 
+    /// Consumes the database, yielding its CSR storage (the inverse of
+    /// [`TransactionDb::from_csr`]).
+    pub fn into_csr(self) -> CsrTuples<Item> {
+        self.tuples
+    }
+
     /// Consumes the database, yielding its tuples.
     pub fn into_transactions(self) -> Vec<Transaction> {
         self.tuples.iter().map(|row| Transaction::from_sorted_unchecked(row.to_vec())).collect()

@@ -52,7 +52,7 @@ pub use flat::{CsrTuples, ProjectionArena, TupleSlices};
 pub use flist::{FList, NO_RANK};
 pub use grouped::{GroupedSource, PlainRanks};
 pub use item::{Item, ItemCatalog};
-pub use pattern::{Pattern, PatternSet};
+pub use pattern::{Pattern, PatternSet, INLINE_ITEMS};
 pub use prune::{NoPrune, SearchPrune};
 pub use sink::{CollectSink, CountSink, FnSink, PatternSink};
 pub use support::MinSupport;

@@ -1,19 +1,99 @@
 //! Patterns (frequent itemsets) and pattern collections.
+//!
+//! A [`Pattern`] keeps up to [`INLINE_ITEMS`] items in place and only
+//! longer itemsets on the heap, in one shared block, so materializing a
+//! result set allocates nothing per short pattern and filtering or
+//! cloning one allocates nothing per pattern at all (see the memory
+//! layout table in DESIGN.md).
 
 use crate::item::Item;
 #[cfg(debug_assertions)]
 use gogreen_util::FxHashSet;
 use gogreen_util::{FxHashMap, HeapSize};
+use std::borrow::Borrow;
 use std::fmt;
-use std::sync::OnceLock;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
+
+/// Items a [`Pattern`] stores in place. Longer itemsets spill to one
+/// heap block. On the connect4 analog's fleet 97.6 % of result patterns
+/// have at most 8 items (the longest has 11).
+pub const INLINE_ITEMS: usize = 8;
+
+/// A sorted, deduplicated itemset: in place up to [`INLINE_ITEMS`]
+/// items, in one reference-counted block beyond (an itemset never
+/// changes, so copies share it). Hashes and compares as its item slice,
+/// so a map keyed by `Itemset` is looked up with a `&[Item]`.
+#[derive(Clone)]
+enum Itemset {
+    Inline { len: u8, items: [Item; INLINE_ITEMS] },
+    Heap(Arc<[Item]>),
+}
+
+impl Itemset {
+    /// Copies `items` (already canonical) into an itemset.
+    fn from_canonical(items: &[Item]) -> Self {
+        if items.len() <= INLINE_ITEMS {
+            let mut buf = [Item(0); INLINE_ITEMS];
+            buf[..items.len()].copy_from_slice(items);
+            Itemset::Inline { len: items.len() as u8, items: buf }
+        } else {
+            Itemset::Heap(items.into())
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[Item] {
+        match self {
+            Itemset::Inline { len, items } => &items[..*len as usize],
+            Itemset::Heap(items) => items,
+        }
+    }
+}
+
+impl Borrow<[Item]> for Itemset {
+    fn borrow(&self) -> &[Item] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for Itemset {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Itemset {}
+
+impl Hash for Itemset {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state)
+    }
+}
+
+impl fmt::Debug for Itemset {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl HeapSize for Itemset {
+    fn heap_size(&self) -> usize {
+        match self {
+            Itemset::Inline { .. } => 0,
+            Itemset::Heap(items) => std::mem::size_of_val::<[Item]>(items),
+        }
+    }
+}
 
 /// A pattern (itemset) together with its support — one element of the
 /// paper's `FP` set.
 ///
 /// Items are sorted ascending by id, so the representation is canonical.
+/// Up to [`INLINE_ITEMS`] of them are stored in the value itself.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pattern {
-    items: Box<[Item]>,
+    items: Itemset,
     support: u64,
 }
 
@@ -28,7 +108,36 @@ impl Pattern {
         items.sort_unstable();
         items.dedup();
         assert!(!items.is_empty(), "patterns are non-empty itemsets");
-        Pattern { items: items.into_boxed_slice(), support }
+        Pattern { items: Itemset::from_canonical(&items), support }
+    }
+
+    /// Builds a pattern from borrowed items in any order, like
+    /// [`Pattern::new`]. An itemset that fits in place is sorted and
+    /// deduplicated there, with no allocation; a longer one of distinct
+    /// items (what miners emit) is sorted in its one heap block.
+    pub(crate) fn from_unsorted(items: &[Item], support: u64) -> Self {
+        if items.len() > INLINE_ITEMS {
+            let mut block: Arc<[Item]> = items.into();
+            let sorted = Arc::get_mut(&mut block).expect("a fresh block is unshared");
+            sorted.sort_unstable();
+            if sorted.windows(2).any(|w| w[0] == w[1]) {
+                return Pattern::new(items.to_vec(), support);
+            }
+            return Pattern { items: Itemset::Heap(block), support };
+        }
+        assert!(!items.is_empty(), "patterns are non-empty itemsets");
+        let mut buf = [Item(0); INLINE_ITEMS];
+        let buf_items = &mut buf[..items.len()];
+        buf_items.copy_from_slice(items);
+        buf_items.sort_unstable();
+        let mut len = 1;
+        for k in 1..items.len() {
+            if buf[k] != buf[len - 1] {
+                buf[len] = buf[k];
+                len += 1;
+            }
+        }
+        Pattern { items: Itemset::Inline { len: len as u8, items: buf }, support }
     }
 
     /// Builds from raw `u32` ids.
@@ -39,13 +148,13 @@ impl Pattern {
     /// The items, sorted ascending.
     #[inline]
     pub fn items(&self) -> &[Item] {
-        &self.items
+        self.items.as_slice()
     }
 
     /// The pattern length `|X|`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.items().len()
     }
 
     /// Patterns are never empty; provided for API symmetry.
@@ -62,13 +171,13 @@ impl Pattern {
 
     /// True when `self`'s itemset is a subset of `other`'s.
     pub fn is_subset_of(&self, other: &Pattern) -> bool {
-        is_subset(&self.items, &other.items)
+        is_subset(self.items(), other.items())
     }
 }
 
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, it) in self.items.iter().enumerate() {
+        for (k, it) in self.items().iter().enumerate() {
             if k > 0 {
                 write!(f, " ")?;
             }
@@ -119,11 +228,11 @@ pub fn is_subset(small: &[Item], big: &[Item]) -> bool {
 #[derive(Debug, Clone, Default)]
 pub struct PatternSet {
     patterns: Vec<Pattern>,
-    index: OnceLock<FxHashMap<Box<[Item]>, usize>>,
+    index: OnceLock<FxHashMap<Itemset, usize>>,
     /// Every itemset held, so debug builds can catch an append that
     /// would break the distinctness the unindexed path relies on.
     #[cfg(debug_assertions)]
-    held: FxHashSet<Box<[Item]>>,
+    held: FxHashSet<Itemset>,
 }
 
 impl PatternSet {
@@ -159,7 +268,7 @@ impl PatternSet {
     }
 
     /// The itemset index, built on first use.
-    fn index(&self) -> &FxHashMap<Box<[Item]>, usize> {
+    fn index(&self) -> &FxHashMap<Itemset, usize> {
         self.index.get_or_init(|| {
             self.patterns.iter().enumerate().map(|(at, p)| (p.items.clone(), at)).collect()
         })
@@ -284,7 +393,7 @@ impl HeapSize for PatternSet {
         // Index keys share no storage with the patterns; count both
         // once the index exists.
         let keys = self.index.get().map_or(0, |index| {
-            index.keys().map(|k| k.len() * std::mem::size_of::<Item>()).sum::<usize>()
+            index.keys().map(|k| std::mem::size_of_val(k.as_slice())).sum::<usize>()
         });
         self.patterns.heap_size() + keys
     }
@@ -302,6 +411,26 @@ mod tests {
     fn pattern_canonicalizes() {
         assert_eq!(p(&[3, 1, 2], 5), p(&[1, 2, 3], 5));
         assert_eq!(p(&[1, 1, 2], 5).len(), 2);
+    }
+
+    #[test]
+    fn short_and_long_itemsets_read_back_the_same_from_any_constructor() {
+        for n in [1, INLINE_ITEMS - 1, INLINE_ITEMS, INLINE_ITEMS + 1, 2 * INLINE_ITEMS] {
+            let ids: Vec<u32> = (0..n as u32).map(|i| i * 3 + 1).collect();
+            let sorted = Pattern::from_ids(ids.iter().copied(), 7);
+            let shuffled: Vec<Item> = ids.iter().rev().map(|&i| Item(i)).collect();
+            // Miners emit in DFS order; duplicates only come from callers.
+            let mut with_dups = shuffled.clone();
+            with_dups.extend_from_slice(&shuffled[..1]);
+            for p in [Pattern::from_unsorted(&shuffled, 7), Pattern::from_unsorted(&with_dups, 7)] {
+                assert_eq!(p, sorted, "{n} items");
+                assert_eq!(p.items(), ids.iter().map(|&i| Item(i)).collect::<Vec<_>>());
+                assert_eq!(p.clone(), p);
+            }
+            let heap = if n > INLINE_ITEMS { n * std::mem::size_of::<Item>() } else { 0 };
+            assert_eq!(sorted.heap_size(), heap, "{n} items");
+        }
+        assert_eq!(std::mem::size_of::<Pattern>(), 48);
     }
 
     #[test]

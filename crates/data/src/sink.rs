@@ -43,7 +43,7 @@ impl CollectSink {
 impl PatternSink for CollectSink {
     fn emit(&mut self, items: &[Item], support: u64) {
         // Distinct by the `PatternSink` contract: append, no lookup.
-        self.set.push_distinct(Pattern::new(items.to_vec(), support));
+        self.set.push_distinct(Pattern::from_unsorted(items, support));
     }
 }
 

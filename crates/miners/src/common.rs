@@ -187,24 +187,25 @@ pub fn fan_out_ordered<S, I, F>(
 /// one support.
 pub fn for_each_subset(elems: &[(u32, u64)], f: &mut impl FnMut(&[u32], u64)) {
     assert!(elems.len() <= 62, "subset enumeration over >62 elements");
-    let mut ranks = Vec::with_capacity(elems.len());
+    // The chosen ranks, on the stack: shortcuts fire once per node.
+    let mut ranks = [0u32; 62];
     fn rec(
         elems: &[(u32, u64)],
         from: usize,
-        ranks: &mut Vec<u32>,
+        ranks: &mut [u32; 62],
+        depth: usize,
         support: u64,
         f: &mut impl FnMut(&[u32], u64),
     ) {
         for k in from..elems.len() {
             let (r, s) = elems[k];
-            ranks.push(r);
+            ranks[depth] = r;
             let sup = support.min(s);
-            f(ranks, sup);
-            rec(elems, k + 1, ranks, sup, f);
-            ranks.pop();
+            f(&ranks[..=depth], sup);
+            rec(elems, k + 1, ranks, depth + 1, sup, f);
         }
     }
-    rec(elems, 0, &mut ranks, u64::MAX, f);
+    rec(elems, 0, &mut ranks, 0, u64::MAX, f);
 }
 
 /// A scratch counting vector with O(touched) reset.
@@ -253,18 +254,15 @@ impl ScratchCounts {
         self.touched.clear();
     }
 
-    /// Collects `(rank, count)` of touched slots with `count >= min`,
-    /// sorted ascending by rank, then clears.
-    pub fn drain_frequent(&mut self, min: u64) -> Vec<(u32, u64)> {
-        let mut out: Vec<(u32, u64)> = self
-            .touched
-            .iter()
-            .map(|&r| (r, self.counts[r as usize]))
-            .filter(|&(_, c)| c >= min)
-            .collect();
+    /// Replaces `out`'s contents with the `(rank, count)` of touched
+    /// slots with `count >= min`, sorted ascending by rank, then clears.
+    pub fn drain_frequent(&mut self, min: u64, out: &mut Vec<(u32, u64)>) {
+        out.clear();
+        out.extend(
+            self.touched.iter().map(|&r| (r, self.counts[r as usize])).filter(|&(_, c)| c >= min),
+        );
         out.sort_unstable_by_key(|&(r, _)| r);
         self.clear();
-        out
     }
 }
 
@@ -387,7 +385,8 @@ mod tests {
         c.add(9, 5);
         c.add(1, 1);
         c.add(4, 3);
-        let freq = c.drain_frequent(3);
+        let mut freq = vec![(0, 0)];
+        c.drain_frequent(3, &mut freq);
         assert_eq!(freq, vec![(4, 3), (9, 5)]);
         assert_eq!(c.get(9), 0);
     }

@@ -19,10 +19,10 @@
 //!   group count; outlier supports are read off the per-group FP-tree
 //!   header tables.
 //! * **Projection**: on a pattern item, a group is projected in O(1) —
-//!   the pattern shrinks and the (shared, reference-counted) outlier
-//!   tree is kept with a raised *rank bound*, because discarded ranks
-//!   live at the bottom of every branch (trees are built in descending
-//!   rank order). Only projection through an *outlier* item pays for
+//!   the pattern shrinks and the outlier tree is kept (borrowed, not
+//!   copied) with a raised *rank bound*, because discarded ranks live at
+//!   the bottom of every branch (trees are built in descending rank
+//!   order). Only projection through an *outlier* item pays for
 //!   conditional-pattern-base extraction, exactly as in FP-growth.
 //!
 //! Root trees keep every rank of their group. Every conditional tree
@@ -31,16 +31,31 @@
 //! the whole child across all groups (residual patterns, kept trees,
 //! extracted bases), then builds each new tree over the child-frequent
 //! ranks only and drops the rest from every residual pattern.
+//!
+//! Storage is per search depth, as in H-Mine's slabs: `levels[d]` holds
+//! the depth-`d` node's frequent ranks and the child projected from it —
+//! groups, residual patterns and the child's new trees — and siblings
+//! clear and refill it in place, so after warm-up a descent allocates
+//! nothing. A group names its tree by the depth of the node that built
+//! it (0 for the root's trees, which every fan-out worker reads) and its
+//! index there; a kept tree is such a name, copied.
 
 use crate::common::{fan_out_ordered, for_each_subset, RankEmitter, ScratchCounts};
-use crate::fpgrowth::{FpHeader, FpTree, FpTreeBuilder, FP_NIL};
+use crate::fpgrowth::{FpChains, FpHeader, FpTree, FpTreeBuilder, FP_NIL};
 use gogreen_data::{FList, GroupedSource, PatternSink, ProjectionArena, TupleSlices};
 use gogreen_obs::{histogram, metrics};
 use gogreen_util::pool::{par_chunks, Parallelism};
-use std::sync::Arc;
 
 const SRC_NONE: u32 = u32::MAX;
 const SRC_MIXED: u32 = u32::MAX - 1;
+
+/// A conditional tree: number `idx` of those built for the node at
+/// search depth `depth` (the root is depth 0).
+#[derive(Clone, Copy)]
+struct TreeRef {
+    depth: u32,
+    idx: u32,
+}
 
 /// One group in the current projection.
 struct CondGroup {
@@ -50,8 +65,7 @@ struct CondGroup {
     /// Members in this projection.
     count: u64,
     /// Outlier store; `None` when no member has relevant outliers.
-    /// `Arc` rather than `Rc` so fan-out workers can share root trees.
-    tree: Option<Arc<FpTree>>,
+    tree: Option<TreeRef>,
     /// Ranks ≤ `bound` in the tree are projected away (they sit below
     /// every relevant prefix, so climbs never see them; header rows with
     /// rank ≤ bound are skipped). `-1` marks a tree built for this very
@@ -60,17 +74,43 @@ struct CondGroup {
     bound: i64,
 }
 
-/// One node of the search: its conditional groups and the one slab
-/// their residual patterns live in.
+/// One node of the search: its conditional groups, the one slab their
+/// residual patterns live in, and the trees built for it. A node below
+/// the root is refilled in place for each sibling; `trees` past `built`
+/// are earlier siblings' trees, kept for their capacity.
 #[derive(Default)]
 struct Forest {
     cgs: Vec<CondGroup>,
     pats: Vec<u32>,
+    trees: Vec<FpTree>,
+    built: usize,
 }
 
 impl Forest {
     fn pattern(&self, cg: &CondGroup) -> &[u32] {
         &self.pats[cg.pat.0 as usize..cg.pat.1 as usize]
+    }
+
+    /// Empties the node, keeping every buffer and tree for reuse.
+    fn clear(&mut self) {
+        self.cgs.clear();
+        self.pats.clear();
+        self.built = 0;
+    }
+
+    /// The tree slot the next [`Forest::keep_tree`] keeps.
+    fn tree_slot(&mut self) -> &mut FpTree {
+        if self.built == self.trees.len() {
+            self.trees.push(FpTree::default());
+        }
+        &mut self.trees[self.built]
+    }
+
+    /// Keeps the tree just built in [`Forest::tree_slot`]; `depth` is
+    /// this node's.
+    fn keep_tree(&mut self, depth: u32) -> TreeRef {
+        self.built += 1;
+        TreeRef { depth, idx: self.built as u32 - 1 }
     }
 
     /// Appends a group, unless it carries nothing: an empty pattern and
@@ -79,7 +119,7 @@ impl Forest {
         &mut self,
         pattern: impl IntoIterator<Item = u32>,
         count: u64,
-        tree: Option<Arc<FpTree>>,
+        tree: Option<TreeRef>,
         bound: i64,
     ) {
         let from = self.pats.len();
@@ -88,6 +128,37 @@ impl Forest {
             let pat = (from as u32, self.pats.len() as u32);
             self.cgs.push(CondGroup { pat, count, tree, bound });
         }
+    }
+}
+
+/// Per-depth storage: `levels[d]` projects the node at depth `d`. The
+/// node at depth `d ≥ 1` is `levels[d - 1].child`; the root is built
+/// once and shared by every fan-out worker.
+#[derive(Default)]
+struct FpLevel {
+    /// The locally frequent `(rank, count)` pairs of the depth-`d` node
+    /// (unused at depth 0, whose list is shared).
+    frequent: Vec<(u32, u64)>,
+    /// The child projected from it on one of those ranks.
+    child: Forest,
+}
+
+/// Every tree a node at some depth can reach: the root's, and those
+/// built for each node on its path.
+#[derive(Clone, Copy)]
+struct Trees<'a> {
+    root: &'a Forest,
+    /// `levels[..d]` for a node at depth `d`.
+    levels: &'a [FpLevel],
+}
+
+impl<'a> Trees<'a> {
+    fn get(self, t: TreeRef) -> &'a FpTree {
+        let node = match t.depth as usize {
+            0 => self.root,
+            d => &self.levels[d - 1].child,
+        };
+        &node.trees[t.idx as usize]
     }
 }
 
@@ -106,6 +177,8 @@ struct Pending {
     base: Option<(usize, usize)>,
 }
 
+/// One worker's scratch: every buffer here is filled and consumed
+/// within one step, before the search descends.
 struct Ctx {
     /// Node counts; between [`project`]'s passes, the child's counts.
     scratch: ScratchCounts,
@@ -115,11 +188,17 @@ struct Ctx {
     /// Conditional-base slab. Every projection resets it, fills it with
     /// the climbed prefix paths (one weighted row each, one row range per
     /// group), and fully consumes it building the child trees *before*
-    /// recursing — so one arena per context suffices and steady-state DFS
-    /// allocates nothing.
+    /// recursing — so one arena per context suffices.
     arena: ProjectionArena,
     /// [`project`]'s child groups between its two passes.
     pending: Vec<Pending>,
+    /// One prefix path, climbed.
+    climb: Vec<u32>,
+    /// The header rows of the tree being built.
+    freq: Vec<(u32, u64)>,
+    /// A single-path tree's elements.
+    path: Vec<(u32, u64)>,
+    chains: FpChains,
     minsup: u64,
 }
 
@@ -131,7 +210,27 @@ impl Ctx {
             src: vec![SRC_NONE; num_ranks],
             arena: ProjectionArena::new(),
             pending: Vec::new(),
+            climb: Vec::with_capacity(16),
+            freq: Vec::new(),
+            path: Vec::new(),
+            chains: FpChains::default(),
             minsup,
+        }
+    }
+}
+
+/// One fan-out worker's search below the shared root.
+struct Search<'a> {
+    root: &'a Forest,
+    levels: Vec<FpLevel>,
+    ctx: Ctx,
+}
+
+impl Search<'_> {
+    /// Makes `levels[d]` exist.
+    fn reach(&mut self, d: usize) {
+        if self.levels.len() <= d {
+            self.levels.resize_with(d + 1, FpLevel::default);
         }
     }
 }
@@ -141,9 +240,9 @@ impl Ctx {
 ///
 /// With a non-serial `par`, the per-group outlier trees of the root
 /// forest are also built on worker threads (the forest is embarrassingly
-/// parallel — each tree reads only its own group; trees are shared via
-/// `Arc`, read-only once built). The emitted stream is byte-identical
-/// for any thread count.
+/// parallel — each tree reads only its own group; trees are read-only
+/// once built, and every worker borrows them). The emitted stream is
+/// byte-identical for any thread count.
 pub fn mine_source_par<S: GroupedSource + Sync>(
     src: &S,
     flist: &FList,
@@ -151,17 +250,17 @@ pub fn mine_source_par<S: GroupedSource + Sync>(
     par: Parallelism,
     sink: &mut dyn PatternSink,
 ) {
-    let mut scratch = ScratchCounts::new(flist.len());
-    let root = build_root(src, &mut scratch, par);
-    mine_root(&root, !S::GROUPED, flist, minsup, par, sink);
+    let mut ctx = Ctx::new(flist.len(), minsup);
+    let root = build_root(src, &mut ctx, par);
+    mine_root(&root, !S::GROUPED, flist, ctx, par, sink);
 }
 
 /// Root dispatch: the single-path shortcut, the count, and the Lemma 3.1
-/// check run once on the calling thread; each frequent root rank then
-/// projects and mines over the shared conditional groups as one fan-out
-/// unit. Pattern-item projections clone the group's `Arc` tree — the
-/// underlying node arenas are never written after construction, so
-/// sharing across workers is safe by construction.
+/// check run once on the calling thread (with `ctx`); each frequent root
+/// rank then projects and mines over the shared conditional groups as
+/// one fan-out unit. Pattern-item projections keep a root tree by name —
+/// trees are never written after construction, so sharing across
+/// workers is safe by construction.
 ///
 /// `raw` marks the group-free substrate, where the node shape is known
 /// statically: a sole pattern-free group forever (outlier projection of
@@ -174,21 +273,23 @@ fn mine_root(
     root: &Forest,
     raw: bool,
     flist: &FList,
-    minsup: u64,
+    mut ctx: Ctx,
     par: Parallelism,
     sink: &mut dyn PatternSink,
 ) {
     if root.cgs.is_empty() {
         return;
     }
+    let trees = Trees { root, levels: &[] };
+    let minsup = ctx.minsup;
     {
         let mut emitter = RankEmitter::new(flist);
-        if try_single_path(root, minsup, &mut emitter, sink) {
+        if try_single_path(root, trees, &mut ctx, &mut emitter, sink) {
             return;
         }
     }
-    let mut root_ctx = Ctx::new(flist.len(), minsup);
-    let (frequent, single_group) = count_cgs(root, &mut root_ctx);
+    let mut frequent = Vec::new();
+    let single_group = count_cgs(root, trees, &mut ctx, &mut frequent);
     if frequent.is_empty() {
         return;
     }
@@ -199,77 +300,87 @@ fn mine_root(
     }
     metrics::set_max("mine.max_depth", 1);
     let frequent = &frequent;
-    let sole_tree = if raw { root.cgs.first().and_then(|cg| cg.tree.as_deref()) } else { None };
     fan_out_ordered(
         par,
         frequent.len(),
         sink,
-        || (Ctx::new(flist.len(), minsup), RankEmitter::new(flist), Vec::with_capacity(16)),
-        |(ctx, emitter, climb), k, sink| {
-            let (r, _) = frequent[k];
-            if let Some(tree) = sole_tree {
+        || {
+            let s = Search { root, levels: Vec::new(), ctx: Ctx::new(flist.len(), minsup) };
+            (s, RankEmitter::new(flist))
+        },
+        |(s, emitter), k, sink| {
+            let (r, c) = frequent[k];
+            if raw {
+                let tree = &root.trees[0];
                 let row = tree.headers().binary_search_by_key(&r, |h| h.rank).unwrap();
-                mine_sole_row(tree, row, ctx, climb, emitter, sink);
+                mine_sole_row(s, 0, row, emitter, sink);
                 return;
             }
-            let (r, c) = frequent[k];
             emitter.push(r);
             emitter.emit(sink, c);
-            let child = project(root, r, frequent, ctx, climb);
+            s.reach(0);
+            let child = &mut s.levels[0].child;
+            project(root, trees, r, frequent, child, 1, &mut s.ctx);
             if !child.cgs.is_empty() {
                 metrics::add("mine.projected_dbs", 1);
                 histogram::observe("mine.projected_db_size", child.cgs.len() as u64);
-                mine_node(&child, ctx, emitter, sink);
+                mine_node(s, 1, emitter, sink);
             }
             emitter.pop();
         },
     );
 }
 
-/// Classic FP-growth over one (conditional) tree of the raw substrate.
+/// Classic FP-growth over the raw substrate's conditional tree at depth
+/// `d ≥ 1` (`levels[d - 1]`'s only tree).
 ///
 /// Reachable only through [`mine_sole_row`], whose conditional trees are
 /// thresholded at `minsup` — so header rows ARE the locally frequent
 /// ranks, ascending, and the generic per-node count/project machinery
-/// (counting pass, source tracking, `CondGroup` vector, `Arc` wrap)
-/// drops out. Emits the byte-identical stream the generic path produces
-/// on a degenerately grouped database (pinned by the engine-unification
-/// suite).
+/// (counting pass, source tracking, `CondGroup` vector) drops out. Emits
+/// the byte-identical stream the generic path produces on a degenerately
+/// grouped database (pinned by the engine-unification suite).
 fn mine_sole_tree(
-    tree: &FpTree,
-    ctx: &mut Ctx,
+    s: &mut Search<'_>,
+    d: usize,
     emitter: &mut RankEmitter<'_>,
     sink: &mut dyn PatternSink,
 ) {
     metrics::set_max("mine.max_depth", emitter.depth() as u64);
-    if tree.headers().is_empty() {
+    let Search { root, levels, ctx } = s;
+    let tree = Trees { root, levels }.get(TreeRef { depth: d as u32, idx: 0 });
+    let rows = tree.headers().len();
+    if rows == 0 {
         return;
     }
-    if let Some(path) = tree.single_path() {
-        let kept: Vec<(u32, u64)> = path.into_iter().filter(|&(_, c)| c >= ctx.minsup).collect();
-        if kept.len() <= 62 {
-            for_each_subset(&kept, &mut |ranks, sup| emitter.emit_with(sink, ranks, sup));
+    if tree.single_path_into(&mut ctx.path) {
+        ctx.path.retain(|&(_, c)| c >= ctx.minsup);
+        if ctx.path.len() <= 62 {
+            for_each_subset(&ctx.path, &mut |ranks, sup| emitter.emit_with(sink, ranks, sup));
             return;
         }
     }
-    let mut climb = Vec::with_capacity(16);
-    for row in 0..tree.headers().len() {
-        mine_sole_row(tree, row, ctx, &mut climb, emitter, sink);
+    for row in 0..rows {
+        mine_sole_row(s, d, row, emitter, sink);
     }
 }
 
-/// One header row of a raw-substrate tree: emit its pattern, extract the
-/// conditional pattern base (no local-frequency retain — every climbed
-/// rank has a header row, hence is locally frequent), build the
-/// `minsup`-thresholded conditional tree, and recurse.
+/// One header row of the raw substrate's tree at depth `d` (the shared
+/// root tree at 0): emit its pattern, extract the conditional pattern
+/// base (no local-frequency retain — every climbed rank has a header
+/// row, hence is locally frequent), build the `minsup`-thresholded
+/// conditional tree into `levels[d]`, and recurse.
 fn mine_sole_row(
-    tree: &FpTree,
+    s: &mut Search<'_>,
+    d: usize,
     row: usize,
-    ctx: &mut Ctx,
-    climb: &mut Vec<u32>,
     emitter: &mut RankEmitter<'_>,
     sink: &mut dyn PatternSink,
 ) {
+    s.reach(d);
+    let Search { root, levels, ctx } = &mut *s;
+    let (upper, lower) = levels.split_at_mut(d);
+    let tree = Trees { root, levels: upper }.get(TreeRef { depth: d as u32, idx: 0 });
     let hdr = tree.headers()[row];
     emitter.push(hdr.rank);
     emitter.emit(sink, hdr.count);
@@ -278,35 +389,34 @@ fn mine_sole_row(
     let mut node = hdr.head;
     while node != FP_NIL {
         let w = tree.count_of(node);
-        tree.climb_into(node, climb);
-        if !climb.is_empty() {
-            for &x in climb.iter() {
+        tree.climb_into(node, &mut ctx.climb);
+        if !ctx.climb.is_empty() {
+            for &x in &ctx.climb {
                 ctx.scratch.add(x, w);
             }
-            touches += climb.len() as u64;
-            ctx.arena.push_weighted(climb, w);
+            touches += ctx.climb.len() as u64;
+            ctx.arena.push_weighted(&ctx.climb, w);
         }
         node = tree.next_same_rank(node);
     }
     metrics::add("mine.tuple_touches", touches);
     histogram::observe("mine.touches_per_projection", touches);
     metrics::add("mine.candidate_tests", ctx.scratch.touched().len() as u64);
-    let freq = ctx.scratch.drain_frequent(ctx.minsup);
-    if !freq.is_empty() {
+    ctx.scratch.drain_frequent(ctx.minsup, &mut ctx.freq);
+    if !ctx.freq.is_empty() {
         metrics::add("mine.projected_dbs", 1);
         histogram::observe("mine.projected_db_size", ctx.arena.rows().len() as u64);
-        let mut b = FpTreeBuilder::new(&freq);
-        let mut filtered: Vec<u32> = Vec::new();
+        let child = &mut lower[0].child;
+        child.clear();
+        let freq = &ctx.freq;
+        let mut b = FpTreeBuilder::new(child.tree_slot(), &mut ctx.chains, freq);
+        let is_frequent = |x: &u32| freq.binary_search_by_key(x, |&(f, _)| f).is_ok();
         for (ranks, &w) in ctx.arena.rows().iter().zip(ctx.arena.weights()) {
-            filtered.clear();
-            filtered.extend(
-                ranks.iter().filter(|&&x| freq.binary_search_by_key(&x, |&(f, _)| f).is_ok()),
-            );
-            if !filtered.is_empty() {
-                b.insert_desc(filtered.iter().rev().copied(), w);
-            }
+            b.insert_desc(ranks.iter().rev().copied().filter(is_frequent), w);
         }
-        mine_sole_tree(&b.finish(), ctx, emitter, sink);
+        b.finish();
+        child.keep_tree(d as u32 + 1);
+        mine_sole_tree(s, d + 1, emitter, sink);
     }
     emitter.pop();
 }
@@ -319,7 +429,8 @@ fn mine_sole_row(
 /// a filtered element is infrequent too). Returns whether it fired.
 fn try_single_path(
     node: &Forest,
-    minsup: u64,
+    trees: Trees<'_>,
+    ctx: &mut Ctx,
     emitter: &mut RankEmitter<'_>,
     sink: &mut dyn PatternSink,
 ) -> bool {
@@ -327,90 +438,104 @@ fn try_single_path(
     if !node.pattern(cg).is_empty() {
         return false;
     }
-    let Some(tree) = &cg.tree else { return false };
-    let Some(path) = tree.single_path() else { return false };
-    let kept: Vec<(u32, u64)> =
-        path.into_iter().filter(|&(x, c)| (x as i64) > cg.bound && c >= minsup).collect();
-    if kept.len() > 62 {
+    let Some(tree) = cg.tree else { return false };
+    let path = &mut ctx.path;
+    if !trees.get(tree).single_path_into(path) {
         return false;
     }
-    for_each_subset(&kept, &mut |ranks, sup| emitter.emit_with(sink, ranks, sup));
+    path.retain(|&(x, c)| (x as i64) > cg.bound && c >= ctx.minsup);
+    if path.len() > 62 {
+        return false;
+    }
+    for_each_subset(path, &mut |ranks, sup| emitter.emit_with(sink, ranks, sup));
     true
 }
 
-/// Builds one root group's outlier FP-tree (`None` when there is nothing
-/// to store). Insertion order is the tuple order, so the tree shape is
-/// deterministic wherever this runs. Every rank is kept: on a degenerate
-/// (plain-only) source every rank survived global F-list encoding, and
-/// in a grouped source an outlier that is rare at the root may still
-/// combine with pattern items into a frequent extension. Below the root,
-/// [`project`] thresholds each conditional tree at the child it feeds.
-fn build_tree(tuples: TupleSlices<'_>, scratch: &mut ScratchCounts) -> Option<FpTree> {
-    if tuples.is_empty() {
-        return None;
-    }
+/// Builds one root group's outlier FP-tree into `tree`; returns whether
+/// there was anything to store. Insertion order is the tuple order, so
+/// the tree shape is deterministic wherever this runs. Every rank is
+/// kept: on a degenerate (plain-only) source every rank survived global
+/// F-list encoding, and in a grouped source an outlier that is rare at
+/// the root may still combine with pattern items into a frequent
+/// extension. Below the root, [`project`] thresholds each conditional
+/// tree at the child it feeds.
+fn build_tree(tuples: TupleSlices<'_>, ctx: &mut Ctx, tree: &mut FpTree) -> bool {
     // Counting ignores row boundaries, so sweep the flat CSR buffer.
     for &x in tuples.flat() {
-        scratch.add(x, 1);
+        ctx.scratch.add(x, 1);
     }
-    let freq = scratch.drain_frequent(1);
-    if freq.is_empty() {
-        return None;
+    ctx.scratch.drain_frequent(1, &mut ctx.freq);
+    if ctx.freq.is_empty() {
+        return false;
     }
-    let mut b = FpTreeBuilder::new(&freq);
+    let mut b = FpTreeBuilder::new(tree, &mut ctx.chains, &ctx.freq);
     for t in tuples {
         b.insert_desc(t.iter().rev().copied(), 1);
     }
-    Some(b.finish())
+    b.finish();
+    true
 }
 
 /// Builds the root conditional groups from the source. The per-group
 /// trees are independent, so with a non-serial `par` they are
-/// constructed on worker threads ([`FpTree`] is plain data and `Send`;
-/// the `Arc` sharing wrapper is applied after the join, on this thread).
-fn build_root<S: GroupedSource + Sync>(
-    src: &S,
-    scratch: &mut ScratchCounts,
-    par: Parallelism,
-) -> Forest {
+/// constructed on worker threads, each with its own scratch, and moved
+/// into the root after the join.
+fn build_root<S: GroupedSource + Sync>(src: &S, ctx: &mut Ctx, par: Parallelism) -> Forest {
     let num_groups = src.num_groups();
-    let mut root = Forest { cgs: Vec::with_capacity(num_groups + 1), pats: Vec::new() };
+    let mut root = Forest { cgs: Vec::with_capacity(num_groups + 1), ..Forest::default() };
+    let add = |root: &mut Forest, tuples: TupleSlices<'_>, ctx: &mut Ctx| {
+        build_tree(tuples, ctx, root.tree_slot()).then(|| root.keep_tree(0))
+    };
     if S::GROUPED {
         if par.for_items(num_groups) <= 1 {
             for g in 0..num_groups {
-                let tree = build_tree(src.group_outliers(g), scratch).map(Arc::new);
+                let tree = add(&mut root, src.group_outliers(g), ctx);
                 root.push(src.group_pattern(g).iter().copied(), src.group_count(g), tree, -1);
             }
         } else {
             let gs: Vec<u32> = (0..num_groups as u32).collect();
+            let minsup = ctx.minsup;
             let parts = par_chunks(par, &gs, |_, chunk| {
-                let mut scratch = ScratchCounts::new(src.num_ranks());
-                chunk
-                    .iter()
-                    .map(|&g| build_tree(src.group_outliers(g as usize), &mut scratch))
-                    .collect::<Vec<_>>()
+                let mut ctx = Ctx::new(src.num_ranks(), minsup);
+                let mut trees = Vec::with_capacity(chunk.len());
+                for &g in chunk {
+                    let mut tree = FpTree::default();
+                    let built = build_tree(src.group_outliers(g as usize), &mut ctx, &mut tree);
+                    trees.push(built.then_some(tree));
+                }
+                trees
             });
             for (lo, trees) in parts {
                 for (g, tree) in (lo..num_groups).zip(trees) {
+                    let tree = tree.map(|tree| {
+                        *root.tree_slot() = tree;
+                        root.keep_tree(0)
+                    });
                     let pattern = src.group_pattern(g).iter().copied();
-                    root.push(pattern, src.group_count(g), tree.map(Arc::new), -1);
+                    root.push(pattern, src.group_count(g), tree, -1);
                 }
             }
         }
     }
     if !src.plain().is_empty() {
-        let tree = build_tree(src.plain(), scratch).map(Arc::new);
+        let tree = add(&mut root, src.plain(), ctx);
         root.push([], src.plain().len() as u64, tree, -1);
     }
     root
 }
 
-/// Counts one node's conditional groups: pattern items via group counts,
-/// outliers via tree headers. Both paths are group-at-a-time: one
-/// weighted add stands in for a whole group (or header row) of member
-/// tuples. Returns the locally frequent `(rank, count)` pairs (ascending)
-/// and the single source group if Lemma 3.1 applies.
-fn count_cgs(node: &Forest, ctx: &mut Ctx) -> (Vec<(u32, u64)>, Option<u32>) {
+/// Counts one node's conditional groups into `frequent`: pattern items
+/// via group counts, outliers via tree headers. Both paths are
+/// group-at-a-time: one weighted add stands in for a whole group (or
+/// header row) of member tuples. Leaves the locally frequent `(rank,
+/// count)` pairs (ascending) in `frequent` and returns the single source
+/// group if Lemma 3.1 applies.
+fn count_cgs(
+    node: &Forest,
+    trees: Trees<'_>,
+    ctx: &mut Ctx,
+    frequent: &mut Vec<(u32, u64)>,
+) -> Option<u32> {
     let mut group_hits = 0u64;
     for (ci, cg) in node.cgs.iter().enumerate() {
         for &x in node.pattern(cg) {
@@ -423,8 +548,8 @@ fn count_cgs(node: &Forest, ctx: &mut Ctx) -> (Vec<(u32, u64)>, Option<u32>) {
                 _ => SRC_MIXED,
             };
         }
-        if let Some(tree) = &cg.tree {
-            for h in tree.headers() {
+        if let Some(tree) = cg.tree {
+            for h in trees.get(tree).headers() {
                 if (h.rank as i64) > cg.bound {
                     ctx.scratch.add(h.rank, h.count);
                     ctx.src[h.rank as usize] = SRC_MIXED;
@@ -436,13 +561,14 @@ fn count_cgs(node: &Forest, ctx: &mut Ctx) -> (Vec<(u32, u64)>, Option<u32>) {
         metrics::add("mine.group_hits", group_hits);
     }
     metrics::add("mine.candidate_tests", ctx.scratch.touched().len() as u64);
-    let mut frequent: Vec<(u32, u64)> = ctx
-        .scratch
-        .touched()
-        .iter()
-        .map(|&x| (x, ctx.scratch.get(x)))
-        .filter(|&(_, c)| c >= ctx.minsup)
-        .collect();
+    frequent.clear();
+    frequent.extend(
+        ctx.scratch
+            .touched()
+            .iter()
+            .map(|&x| (x, ctx.scratch.get(x)))
+            .filter(|&(_, c)| c >= ctx.minsup),
+    );
     frequent.sort_unstable_by_key(|&(x, _)| x);
     let single_group = match frequent.split_first() {
         Some((&(x0, _), rest)) => {
@@ -455,45 +581,59 @@ fn count_cgs(node: &Forest, ctx: &mut Ctx) -> (Vec<(u32, u64)>, Option<u32>) {
         ctx.src[x as usize] = SRC_NONE;
     }
     ctx.scratch.clear();
-    (frequent, single_group)
+    single_group
 }
 
-/// Mines one node of the search: single-path and Lemma 3.1 shortcuts if
-/// they fire, otherwise extend by every locally frequent rank.
+/// Mines the node at depth `d ≥ 1` (`levels[d - 1].child`): single-path
+/// and Lemma 3.1 shortcuts if they fire, otherwise extend by every
+/// locally frequent rank, each child projected into `levels[d]`.
 fn mine_node(
-    node: &Forest,
-    ctx: &mut Ctx,
+    s: &mut Search<'_>,
+    d: usize,
     emitter: &mut RankEmitter<'_>,
     sink: &mut dyn PatternSink,
 ) {
     metrics::set_max("mine.max_depth", emitter.depth() as u64);
-    if try_single_path(node, ctx.minsup, emitter, sink) {
-        return;
+    s.reach(d);
+    {
+        let Search { root, levels, ctx } = &mut *s;
+        let (upper, lower) = levels.split_at_mut(d);
+        let trees = Trees { root, levels: upper };
+        let node = &upper[d - 1].child;
+        if try_single_path(node, trees, ctx, emitter, sink) {
+            return;
+        }
+        let frequent = &mut lower[0].frequent;
+        let single_group = count_cgs(node, trees, ctx, frequent);
+        if frequent.is_empty() {
+            return;
+        }
+        if single_group.is_some() && frequent.len() <= 62 {
+            for_each_subset(frequent, &mut |ranks, sup| emitter.emit_with(sink, ranks, sup));
+            return;
+        }
     }
-    let (frequent, single_group) = count_cgs(node, ctx);
-    if frequent.is_empty() {
-        return;
-    }
-    if single_group.is_some() && frequent.len() <= 62 {
-        for_each_subset(&frequent, &mut |ranks, sup| emitter.emit_with(sink, ranks, sup));
-        return;
-    }
-    let mut climb = Vec::with_capacity(16);
-    for &(r, c) in &frequent {
+    for k in 0.. {
+        let Search { root, levels, ctx } = &mut *s;
+        let (upper, lower) = levels.split_at_mut(d);
+        let FpLevel { frequent, child } = &mut lower[0];
+        let Some(&(r, c)) = frequent.get(k) else { break };
         emitter.push(r);
         emitter.emit(sink, c);
-        let child = project(node, r, &frequent, ctx, &mut climb);
+        let trees = Trees { root, levels: upper };
+        project(&upper[d - 1].child, trees, r, frequent, child, d as u32 + 1, ctx);
         if !child.cgs.is_empty() {
             metrics::add("mine.projected_dbs", 1);
             histogram::observe("mine.projected_db_size", child.cgs.len() as u64);
-            mine_node(&child, ctx, emitter, sink);
+            mine_node(s, d + 1, emitter, sink);
         }
         emitter.pop();
     }
 }
 
-/// Projects every conditional group on rank `r`, in two passes, so that
-/// each new conditional tree is thresholded at the child node it feeds.
+/// Projects every conditional group of `node` on rank `r` into `out`
+/// (the node at `depth`), in two passes, so that each new conditional
+/// tree is thresholded at the child node it feeds.
 ///
 /// No single group can see the child's counts, so pass 1 counts the
 /// whole child first: a pattern-item projection contributes its residual
@@ -511,28 +651,32 @@ fn mine_node(
 /// (anti-monotonicity).
 fn project(
     node: &Forest,
+    trees: Trees<'_>,
     r: u32,
     node_frequent: &[(u32, u64)],
+    out: &mut Forest,
+    depth: u32,
     ctx: &mut Ctx,
-    climb: &mut Vec<u32>,
-) -> Forest {
+) {
     let is_node_frequent = |x: u32| node_frequent.binary_search_by_key(&x, |&(fr, _)| fr).is_ok();
-    let Ctx { scratch, counts, arena, pending, minsup, .. } = ctx;
+    let Ctx { scratch, counts, arena, pending, climb, freq, chains, minsup, .. } = ctx;
     // The bases live in the arena only until pass 2 has built the child
     // trees — one generation per projection, no per-path allocation.
     arena.reset();
     pending.clear();
+    out.clear();
     // Per-path work of conditional-base extraction (the part compression
     // does NOT save — pattern-item projections are O(1)).
     let mut touches = 0u64;
     for (ci, cg) in node.cgs.iter().enumerate() {
         let pattern = node.pattern(cg);
+        let tree = cg.tree.map(|t| trees.get(t));
         match pattern.binary_search(&r) {
             Ok(pos) => {
-                // Pattern item: every member follows, the shared tree is
-                // kept with a raised bound.
+                // Pattern item: every member follows, the tree is kept
+                // with a raised bound.
                 let pattern = &pattern[pos + 1..];
-                let above_r = cg.tree.as_deref().map_or(&[][..], |t| headers_above(t, r));
+                let above_r = tree.map_or(&[][..], |t| headers_above(t, r));
                 if pattern.is_empty() && above_r.is_empty() {
                     continue;
                 }
@@ -546,7 +690,7 @@ fn project(
             }
             Err(ppos) => {
                 // Outlier item: extract r's conditional pattern base.
-                let Some(tree) = &cg.tree else { continue };
+                let Some(tree) = tree else { continue };
                 if (r as i64) <= cg.bound {
                     continue;
                 }
@@ -591,22 +735,24 @@ fn project(
     histogram::observe("mine.touches_per_projection", touches);
     let minsup = *minsup;
     let keep = |x: u32| scratch.get(x) >= minsup;
-    let mut out = Forest { cgs: Vec::with_capacity(pending.len()), pats: Vec::new() };
     for p in pending.iter() {
         let cg = &node.cgs[p.cg];
         let (tree, bound) = match p.base {
             None => {
-                let kept =
-                    cg.tree.as_ref().filter(|t| headers_above(t, r).iter().any(|h| keep(h.rank)));
-                (kept.cloned(), r as i64)
+                let kept = cg
+                    .tree
+                    .filter(|&t| headers_above(trees.get(t), r).iter().any(|h| keep(h.rank)));
+                (kept, r as i64)
             }
-            Some((lo, hi)) => (build_base_tree(arena, lo, hi, keep, counts).map(Arc::new), -1),
+            Some((lo, hi)) => {
+                let built = build_base_tree(arena, lo, hi, keep, counts, freq, chains, out);
+                (built.then(|| out.keep_tree(depth)), -1)
+            }
         };
         let pattern = node.pattern(cg)[p.from..].iter().copied().filter(|&x| keep(x));
         out.push(pattern, p.count, tree, bound);
     }
     scratch.clear();
-    out
 }
 
 /// The header rows of `tree` with rank above `r` — the ones a projection
@@ -617,15 +763,20 @@ fn headers_above(tree: &FpTree, r: u32) -> &[FpHeader] {
 }
 
 /// Builds one outlier projection's conditional tree from its base, rows
-/// `lo..hi` of `arena`, over the ranks `keep` admits (`None` when none
-/// is left). `counts` tallies the tree's header rows.
+/// `lo..hi` of `arena`, over the ranks `keep` admits, into `out`'s next
+/// tree slot; returns whether any rank was left. `counts` tallies the
+/// tree's header rows into `freq`.
+#[allow(clippy::too_many_arguments)]
 fn build_base_tree(
     arena: &ProjectionArena,
     lo: usize,
     hi: usize,
     keep: impl Fn(u32) -> bool,
     counts: &mut ScratchCounts,
-) -> Option<FpTree> {
+    freq: &mut Vec<(u32, u64)>,
+    chains: &mut FpChains,
+    out: &mut Forest,
+) -> bool {
     let rows = arena.rows().as_slices().range(lo, hi);
     let weights = &arena.weights()[lo..hi];
     for (ranks, &w) in rows.iter().zip(weights) {
@@ -635,15 +786,16 @@ fn build_base_tree(
             }
         }
     }
-    let freq = counts.drain_frequent(1);
+    counts.drain_frequent(1, freq);
     if freq.is_empty() {
-        return None;
+        return false;
     }
-    let mut b = FpTreeBuilder::new(&freq);
+    let mut b = FpTreeBuilder::new(out.tree_slot(), chains, freq);
     for (ranks, &w) in rows.iter().zip(weights) {
         b.insert_desc(ranks.iter().rev().copied().filter(|&x| keep(x)), w);
     }
-    Some(b.finish())
+    b.finish();
+    true
 }
 
 #[cfg(test)]
@@ -651,9 +803,9 @@ mod tests {
     use super::*;
     use gogreen_data::CsrTuples;
 
-    fn tree(rows: &[&[u32]]) -> Option<Arc<FpTree>> {
+    fn tree(root: &mut Forest, ctx: &mut Ctx, rows: &[&[u32]]) -> Option<TreeRef> {
         let rows: CsrTuples<u32> = rows.iter().map(|r| r.to_vec()).collect();
-        build_tree(rows.as_slices(), &mut ScratchCounts::new(8)).map(Arc::new)
+        build_tree(rows.as_slices(), ctx, root.tree_slot()).then(|| root.keep_tree(0))
     }
 
     /// The rank-space form of `tests/fp_recycle.rs`'s fixture: projecting
@@ -661,29 +813,31 @@ mod tests {
     /// from a conditional base — all frequent at the root, none under 0.
     #[test]
     fn projection_keeps_only_child_frequent_ranks() {
+        let mut ctx = Ctx::new(6, 3);
         let mut root = Forest::default();
-        for (pattern, count, tree) in [
-            (&[0, 3, 4, 5][..], 2, None),
-            (&[5], 8, None),
-            (&[4], 3, tree(&[&[0, 1, 2], &[0, 2], &[0, 3]])),
-            (
-                &[],
-                5,
-                tree(&[&[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3]]),
-            ),
+        for (pattern, count, rows) in [
+            (&[0, 3, 4, 5][..], 2, &[][..]),
+            (&[5], 8, &[]),
+            (&[4], 3, &[&[0, 1, 2][..], &[0, 2], &[0, 3]]),
+            (&[], 5, &[&[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3, 4], &[1, 2, 3]]),
         ] {
+            let tree = tree(&mut root, &mut ctx, rows);
             root.push(pattern.iter().copied(), count, tree, -1);
         }
-        let mut ctx = Ctx::new(6, 3);
-        let (frequent, _) = count_cgs(&root, &mut ctx);
+        let trees = Trees { root: &root, levels: &[] };
+        let mut frequent = Vec::new();
+        count_cgs(&root, trees, &mut ctx, &mut frequent);
         assert_eq!(frequent, [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9), (5, 10)]);
-        let child = project(&root, 0, &frequent, &mut ctx, &mut Vec::new());
+        let mut child = Forest::default();
+        project(&root, trees, 0, &frequent, &mut child, 1, &mut ctx);
         let patterns: Vec<&[u32]> = child.cgs.iter().map(|cg| child.pattern(cg)).collect();
         assert_eq!(patterns, [&[3, 4][..], &[4]]);
         assert_eq!(child.cgs.iter().map(|cg| cg.count).collect::<Vec<_>>(), [2, 3]);
         assert!(child.cgs[0].tree.is_none());
         // The base rows [1, 2], [2], [3] shrink to the one row [3].
-        let t = child.cgs[1].tree.as_deref().expect("rank 3 survives");
+        let t = child.cgs[1].tree.expect("rank 3 survives");
+        assert_eq!((t.depth, t.idx, child.built), (1, 0, 1));
+        let t = &child.trees[0];
         assert_eq!(t.headers().iter().map(|h| (h.rank, h.count)).collect::<Vec<_>>(), [(3, 1)]);
         assert_eq!(t.num_nodes(), 2);
     }

@@ -250,6 +250,8 @@ struct Bucket {
 /// nothing per node.
 #[derive(Default)]
 struct LevelScratch {
+    /// The node's locally frequent `(rank, count)` pairs, ascending.
+    frequent: Vec<(u32, u64)>,
     buckets: Vec<Bucket>,
     member_run: Vec<(u32, Member)>,
     cur: Bucket,
@@ -471,19 +473,19 @@ pub fn mine_source_par<S: GroupedSource>(
     let num_ranks = flist.len();
     metrics::set_max("mine.max_depth", prefix_items.len() as u64);
     let mut root_ctx = Ctx::new(&s, num_ranks, minsup, true);
-    let counted = count_node(&node, &mut root_ctx);
-    if counted.frequent.is_empty() {
+    let mut frequent = Vec::new();
+    let single_group = count_node(&node, &mut root_ctx, &mut frequent);
+    if frequent.is_empty() {
         return;
     }
-    if counted.single_group && counted.frequent.len() <= 62 {
+    if single_group && frequent.len() <= 62 {
         let mut emitter = RankEmitter::new(flist);
         for &it in prefix_items {
             emitter.push_item(it);
         }
-        for_each_subset(&counted.frequent, &mut |ranks, sup| emitter.emit_with(sink, ranks, sup));
+        for_each_subset(&frequent, &mut |ranks, sup| emitter.emit_with(sink, ranks, sup));
         return;
     }
-    let frequent = counted.frequent;
     root_ctx.tag_lf(&frequent);
     // Root plan sweep (see above): bucket every group at each locally
     // frequent residual pattern rank, every member at each locally
@@ -657,18 +659,13 @@ fn push_lf_outliers(ctx: &Ctx<'_>, gi: u32, m: Member, plan: &mut [Bucket]) {
     }
 }
 
-/// Counting outcome of one node.
-struct Counted {
-    frequent: Vec<(u32, u64)>,
-    /// Lemma 3.1: every occurrence of every frequent rank lies in a
-    /// single projected group's pattern.
-    single_group: bool,
-}
-
 /// Counts candidate extensions of the node: residual pattern items once
 /// per group (weight = member count), outliers and plain tuples per
-/// occurrence.
-fn count_node(node: &Node, ctx: &mut Ctx<'_>) -> Counted {
+/// occurrence. Leaves the locally frequent `(rank, count)` pairs,
+/// ascending, in `frequent` and returns whether Lemma 3.1 applies: every
+/// occurrence of every frequent rank lies in a single projected group's
+/// pattern.
+fn count_node(node: &Node, ctx: &mut Ctx<'_>, frequent: &mut Vec<(u32, u64)>) -> bool {
     let track_src = !node.groups.is_empty();
     let mut group_hits = 0u64;
     let mut touches = 0u64;
@@ -693,13 +690,14 @@ fn count_node(node: &Node, ctx: &mut Ctx<'_>) -> Counted {
     metrics::add("mine.tuple_touches", touches);
     histogram::observe("mine.touches_per_projection", touches);
     metrics::add("mine.candidate_tests", ctx.scratch.touched().len() as u64);
-    let mut frequent: Vec<(u32, u64)> = ctx
-        .scratch
-        .touched()
-        .iter()
-        .map(|&x| (x, ctx.scratch.get(x)))
-        .filter(|&(_, c)| c >= ctx.minsup)
-        .collect();
+    frequent.clear();
+    frequent.extend(
+        ctx.scratch
+            .touched()
+            .iter()
+            .map(|&x| (x, ctx.scratch.get(x)))
+            .filter(|&(_, c)| c >= ctx.minsup),
+    );
     frequent.sort_unstable_by_key(|&(x, _)| x);
     let single_group = track_src
         && match frequent.split_first() {
@@ -715,7 +713,7 @@ fn count_node(node: &Node, ctx: &mut Ctx<'_>) -> Counted {
         }
     }
     ctx.scratch.clear();
-    Counted { frequent, single_group }
+    single_group
 }
 
 /// Queues group `gi` on its first locally frequent pattern rank at or
@@ -794,38 +792,41 @@ fn mine_node<P: SearchPrune + ?Sized>(
     sink: &mut dyn PatternSink,
 ) {
     metrics::set_max("mine.max_depth", emitter.depth() as u64);
-    let counted = count_node(node, ctx);
-    if counted.frequent.is_empty() {
-        return;
-    }
-    if ctx.shortcut && counted.single_group && counted.frequent.len() <= 62 {
-        for_each_subset(&counted.frequent, &mut |ranks, sup| emitter.emit_with(sink, ranks, sup));
-        return;
-    }
-    let frequent = counted.frequent;
-    // The *last* locally frequent rank cannot be extended: every rank
-    // after it in any tail or residual pattern is locally infrequent
-    // here, hence infrequent in its child too (anti-monotone). Its child
-    // is never built and its queue never relinks — classic H-Mine's
-    // last-cell skip, valid on both substrates. A single-rank node
-    // therefore needs no header table at all.
-    if let [(r, c)] = frequent[..] {
-        emitter.push(r);
-        if prune.prefix_ok(emitter.prefix()) {
-            emitter.emit(sink, c);
-        }
-        emitter.pop();
-        return;
-    }
-    ctx.tag_lf(&frequent);
     // Borrow this depth's scratch arena; the recursion below only uses
-    // deeper slots, so taking it out of the context is conflict-free.
+    // deeper slots, so taking it out of the context is conflict-free
+    // (its vectors leave empty ones behind, which allocate nothing).
     let depth = ctx.depth;
     if ctx.levels.len() <= depth {
         ctx.levels.resize_with(depth + 1, LevelScratch::default);
     }
     let mut lvl = std::mem::take(&mut ctx.levels[depth]);
-    lvl.reset(frequent.len());
+    let single_group = count_node(node, ctx, &mut lvl.frequent);
+    let frequent = &lvl.frequent;
+    if ctx.shortcut && single_group && frequent.len() <= 62 {
+        for_each_subset(frequent, &mut |ranks, sup| emitter.emit_with(sink, ranks, sup));
+        ctx.levels[depth] = lvl;
+        return;
+    }
+    // The *last* locally frequent rank cannot be extended: every rank
+    // after it in any tail or residual pattern is locally infrequent
+    // here, hence infrequent in its child too (anti-monotone). Its child
+    // is never built and its queue never relinks — classic H-Mine's
+    // last-cell skip, valid on both substrates. A node of at most one
+    // rank therefore needs no header table at all.
+    if frequent.len() <= 1 {
+        if let [(r, c)] = frequent[..] {
+            emitter.push(r);
+            if prune.prefix_ok(emitter.prefix()) {
+                emitter.emit(sink, c);
+            }
+            emitter.pop();
+        }
+        ctx.levels[depth] = lvl;
+        return;
+    }
+    ctx.tag_lf(frequent);
+    let n = frequent.len();
+    lvl.reset(n);
     ctx.depth = depth + 1;
     if node.groups.is_empty() {
         // Plain-only node: no group coverage to consult, and anchors are
@@ -845,8 +846,8 @@ fn mine_node<P: SearchPrune + ?Sized>(
         }
     }
 
-    for li in 0..frequent.len() {
-        let (r, c) = frequent[li];
+    for li in 0..n {
+        let (r, c) = lvl.frequent[li];
         emitter.push(r);
         // Anti-monotone pushdown: a violating prefix dooms the subtree
         // (but the queues must still relink for the later ranks).
@@ -854,7 +855,7 @@ fn mine_node<P: SearchPrune + ?Sized>(
         if prefix_ok {
             emitter.emit(sink, c);
         }
-        if li + 1 == frequent.len() {
+        if li + 1 == n {
             // Last-cell skip (see above): no child, no relink.
             emitter.pop();
             break;
@@ -875,7 +876,7 @@ fn mine_node<P: SearchPrune + ?Sized>(
                 );
                 mine_node(child, ctx, prune, emitter, sink);
                 // The recursion reused the tag arrays; restore this node's.
-                ctx.tag_lf(&frequent);
+                ctx.tag_lf(&lvl.frequent);
             }
         }
 
@@ -1007,6 +1008,37 @@ struct RawCell {
     head: u32,
 }
 
+/// One level's header table of the classic fast path. Its vectors are
+/// cleared and refilled across siblings; taking a level out of its
+/// [`RawUnit`] for the recursion leaves empty vectors behind, which
+/// allocate nothing.
+#[derive(Default)]
+struct RawLevel {
+    /// The level's locally frequent `(rank, count)` pairs.
+    sub: Vec<(u32, u64)>,
+    cells: Vec<RawCell>,
+    /// The enclosing level's cell of each `sub` rank, restored on exit.
+    saved: Vec<(u32, u32)>,
+}
+
+impl RawUnit {
+    /// Takes level `depth`'s storage out of the unit (see [`RawLevel`]).
+    fn take_level(&mut self, depth: usize) -> RawLevel {
+        if self.levels.len() <= depth {
+            self.levels.resize_with(depth + 1, RawLevel::default);
+        }
+        std::mem::take(&mut self.levels[depth])
+    }
+
+    /// Drains the scratch counts into `lvl`'s header: its frequent
+    /// ranks, one empty queue each.
+    fn fill_header(&mut self, lvl: &mut RawLevel, minsup: u64) {
+        self.scratch.drain_frequent(minsup, &mut lvl.sub);
+        lvl.cells.clear();
+        lvl.cells.extend(lvl.sub.iter().map(|&(x, c)| RawCell { rank: x, count: c, head: NIL }));
+    }
+}
+
 /// The classic H-Mine fast path of the group-free substrate (see the
 /// module doc): per-worker buffers reused across first-level units.
 ///
@@ -1026,6 +1058,9 @@ struct RawUnit {
     active: Vec<u32>,
     cell_of: Vec<u32>,
     scratch: ScratchCounts,
+    /// Header storage per level (index 0 = the unit's own header),
+    /// reused across siblings.
+    levels: Vec<RawLevel>,
     /// Slab-accounting mirror of [`gogreen_data::ProjectionArena`]: bytes
     /// *used* (not reserved) by each unit's compacted hyper-structure and
     /// the number of non-empty fills, flushed to the `alloc.*` counters
@@ -1043,6 +1078,7 @@ impl RawUnit {
             active: vec![0; num_ranks],
             cell_of: vec![NIL; num_ranks],
             scratch: ScratchCounts::new(num_ranks),
+            levels: Vec::new(),
             used_bytes: 0,
             reuses: 0,
         }
@@ -1089,8 +1125,10 @@ impl RawUnit {
             self.reuses += 1;
             self.used_bytes += (self.eitem.len() + self.firsts.len()) as u64 * 4;
         }
-        let sub = self.scratch.drain_frequent(minsup);
-        if sub.is_empty() {
+        let mut lvl = self.take_level(0);
+        self.fill_header(&mut lvl, minsup);
+        if lvl.sub.is_empty() {
+            self.levels[0] = lvl;
             return;
         }
         metrics::add("mine.projected_dbs", 1);
@@ -1098,9 +1136,7 @@ impl RawUnit {
         self.next.clear();
         self.next.resize(self.eitem.len(), NIL);
         self.used_bytes += self.next.len() as u64 * 4;
-        let mut cells: Vec<RawCell> =
-            sub.iter().map(|&(x, c)| RawCell { rank: x, count: c, head: NIL }).collect();
-        for (i, c) in cells.iter().enumerate() {
+        for (i, c) in lvl.cells.iter().enumerate() {
             self.active[c.rank as usize] = 1;
             self.cell_of[c.rank as usize] = i as u32;
         }
@@ -1115,19 +1151,20 @@ impl RawUnit {
                 }
                 if self.active[x as usize] == 1 {
                     let ci = self.cell_of[x as usize] as usize;
-                    self.next[e] = cells[ci].head;
-                    cells[ci].head = e as u32;
+                    self.next[e] = lvl.cells[ci].head;
+                    lvl.cells[ci].head = e as u32;
                     break;
                 }
                 e += 1;
             }
         }
-        mine_level_raw(self, &mut cells, 1, minsup, emitter, sink);
+        mine_level_raw(self, &mut lvl.cells, 1, minsup, emitter, sink);
         // Un-tag this unit's ranks so the next unit starts clean.
-        for &(x, _) in &sub {
+        for &(x, _) in &lvl.sub {
             self.active[x as usize] = 0;
             self.cell_of[x as usize] = NIL;
         }
+        self.levels[0] = lvl;
     }
 }
 
@@ -1155,6 +1192,8 @@ fn mine_level_raw(
     sink: &mut dyn PatternSink,
 ) {
     metrics::set_max("mine.max_depth", emitter.depth() as u64);
+    // The sub-header of every cell lives in this depth's storage.
+    let mut sub = u.take_level(depth as usize);
     for idx in 0..cells.len() {
         emitter.push(cells[idx].rank);
         emitter.emit(sink, cells[idx].count);
@@ -1187,16 +1226,14 @@ fn mine_level_raw(
         metrics::add("mine.tuple_touches", touches);
         histogram::observe("mine.touches_per_projection", touches);
         metrics::add("mine.candidate_tests", u.scratch.touched().len() as u64);
-        let sub = u.scratch.drain_frequent(minsup);
-        if !sub.is_empty() {
+        u.fill_header(&mut sub, minsup);
+        if !sub.sub.is_empty() {
             metrics::add("mine.projected_dbs", 1);
             histogram::observe("mine.projected_db_size", rows);
             // Enter sub-level: activate its ranks, saving parent state.
-            let mut subcells: Vec<RawCell> =
-                sub.iter().map(|&(x, c)| RawCell { rank: x, count: c, head: NIL }).collect();
-            let saved: Vec<(u32, u32)> =
-                sub.iter().map(|&(x, _)| (x, u.cell_of[x as usize])).collect();
-            for (i, c) in subcells.iter().enumerate() {
+            sub.saved.clear();
+            sub.saved.extend(sub.sub.iter().map(|&(x, _)| (x, u.cell_of[x as usize])));
+            for (i, c) in sub.cells.iter().enumerate() {
                 u.active[c.rank as usize] = depth + 1;
                 u.cell_of[c.rank as usize] = i as u32;
             }
@@ -1213,17 +1250,17 @@ fn mine_level_raw(
                     }
                     if u.active[x as usize] == depth + 1 {
                         let ci = u.cell_of[x as usize] as usize;
-                        u.next[p] = subcells[ci].head;
-                        subcells[ci].head = p as u32;
+                        u.next[p] = sub.cells[ci].head;
+                        sub.cells[ci].head = p as u32;
                         break;
                     }
                     p += 1;
                 }
                 e = succ;
             }
-            mine_level_raw(u, &mut subcells, depth + 1, minsup, emitter, sink);
+            mine_level_raw(u, &mut sub.cells, depth + 1, minsup, emitter, sink);
             // Exit sub-level: restore parent activity and cell map.
-            for (x, old_cell) in saved {
+            for &(x, old_cell) in &sub.saved {
                 u.active[x as usize] = depth;
                 u.cell_of[x as usize] = old_cell;
             }
@@ -1251,6 +1288,7 @@ fn mine_level_raw(
         }
         emitter.pop();
     }
+    u.levels[depth as usize] = sub;
 }
 
 #[cfg(test)]

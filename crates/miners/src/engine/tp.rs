@@ -20,8 +20,10 @@
 //! plain [`CsrTuples`], one row per group): a `TpGroup` is a row *range*
 //! of the member slab plus a bare count, and projection writes the
 //! child's patterns and rows into the next depth's slabs — reset between
-//! siblings — so steady-state descent performs no allocation and a
-//! node's counting pass is a linear walk of one buffer.
+//! siblings — so a node's counting pass is a linear walk of one buffer.
+//! The node's pair matrix lives beside its slabs. Each depth's storage
+//! is borrowed in place (the search splits the per-depth vector at the
+//! node's depth), so after warm-up a descent allocates nothing.
 //!
 //! A node's children come from one forward sweep. The node keeps a
 //! cursor per residual pattern and per member row (a `Sweep`, held in
@@ -81,9 +83,10 @@ struct Node<'a> {
     exts: &'a [(u32, u64)],
 }
 
-/// Reusable per-depth scratch: the child node built by projecting on one
-/// extension. Sibling extensions at the same depth recycle these buffers
-/// (`reset()`/`clear()`), so after warm-up descent allocates nothing.
+/// Reusable per-depth storage: the child node built by projecting on one
+/// extension, and its pair matrix. Sibling extensions at the same depth
+/// recycle these buffers (`reset()`/`clear()`), so after warm-up descent
+/// allocates nothing.
 #[derive(Default)]
 struct TpLevel {
     groups: Vec<TpGroup>,
@@ -97,10 +100,24 @@ struct TpLevel {
     /// as the single pattern-free partition.
     plain: CsrTuples<u32>,
     exts: Vec<(u32, u64)>,
+    /// The child node's pair supports, filled when the child is mined.
+    matrix: PairMatrix,
     remap: Vec<u32>,
     /// Cursors into the node being projected (the parent of the child
     /// held above).
     sweep: Sweep,
+}
+
+impl TpLevel {
+    /// The child node held here.
+    fn node(&self) -> Node<'_> {
+        Node {
+            groups: &self.groups,
+            patterns: self.patterns.as_slices(),
+            members: self.members.rows().as_slices(),
+            exts: &self.exts,
+        }
+    }
 }
 
 /// The forward cursors of one node's projection sweep: per group, then
@@ -125,13 +142,6 @@ impl Sweep {
         }
         self.next = i + 1;
     }
-}
-
-/// Per-worker mining state: one [`TpLevel`] per depth below the root.
-#[derive(Default)]
-struct TpCtx {
-    levels: Vec<TpLevel>,
-    depth: usize,
 }
 
 /// Mines `src` against `flist` at the absolute threshold `minsup`, the
@@ -184,15 +194,20 @@ fn tp_root(
         return;
     }
     metrics::set_max("mine.max_depth", 1);
-    let matrix = fill_group_matrix(root, k);
+    let mut matrix = PairMatrix::default();
+    fill_group_matrix(root, k, &mut matrix);
     let matrix = &matrix;
     fan_out_ordered(
         par,
         k,
         sink,
-        || (RankEmitter::new(flist), TpCtx::default()),
-        |(emitter, ctx), i, sink| {
-            tp_extend(root, i as u32, matrix, minsup, ctx, emitter, sink);
+        || (RankEmitter::new(flist), vec![TpLevel::default()]),
+        |(emitter, levels), i, sink| {
+            if extend(root, matrix, i as u32, minsup, &mut levels[0]) {
+                emitter.push(root.exts[i].0);
+                tp_node(levels, 1, minsup, emitter, sink);
+                emitter.pop();
+            }
         },
     );
 }
@@ -240,48 +255,68 @@ impl RootNode {
     }
 }
 
-/// Processes one lexicographic node.
+/// Processes the lexicographic node at depth `d ≥ 1`, held in
+/// `levels[d - 1]`; its children are projected into `levels[d]`.
 fn tp_node(
-    node: Node<'_>,
+    levels: &mut Vec<TpLevel>,
+    d: usize,
     minsup: u64,
-    ctx: &mut TpCtx,
     emitter: &mut RankEmitter<'_>,
     sink: &mut dyn PatternSink,
 ) {
-    let exts = node.exts;
-    // Lemma 3.1 degenerate form: a single all-bare group means every
-    // extension is a pattern item with identical support.
-    if node.groups.len() == 1 && !node.groups[0].has_members() && exts.len() <= 62 {
-        for_each_subset(exts, &mut |locals, sup| {
-            // Local indices map to ranks through `exts`; `for_each_subset`
-            // hands back the elements' first components, which here are
-            // already the global ranks.
-            emitter.emit_with(sink, locals, sup)
-        });
-        return;
+    {
+        // Field by field rather than `TpLevel::node`, so the matrix
+        // beside the node can be filled.
+        let lvl = &mut levels[d - 1];
+        let node = Node {
+            groups: &lvl.groups,
+            patterns: lvl.patterns.as_slices(),
+            members: lvl.members.rows().as_slices(),
+            exts: &lvl.exts,
+        };
+        let exts = node.exts;
+        // Lemma 3.1 degenerate form: a single all-bare group means every
+        // extension is a pattern item with identical support.
+        if node.groups.len() == 1 && !node.groups[0].has_members() && exts.len() <= 62 {
+            for_each_subset(exts, &mut |locals, sup| {
+                // Local indices map to ranks through `exts`;
+                // `for_each_subset` hands back the elements' first
+                // components, which here are already the global ranks.
+                emitter.emit_with(sink, locals, sup)
+            });
+            return;
+        }
+        for &(rank, sup) in exts {
+            emitter.push(rank);
+            emitter.emit(sink, sup);
+            emitter.pop();
+        }
+        if exts.len() < 2 {
+            return;
+        }
+        metrics::set_max("mine.max_depth", emitter.depth() as u64 + 1);
+        fill_group_matrix(node, exts.len(), &mut lvl.matrix);
     }
-    for &(rank, sup) in exts {
-        emitter.push(rank);
-        emitter.emit(sink, sup);
-        emitter.pop();
+    if levels.len() <= d {
+        levels.resize_with(d + 1, TpLevel::default);
     }
-    let k = exts.len();
-    if k < 2 {
-        return;
-    }
-    metrics::set_max("mine.max_depth", emitter.depth() as u64 + 1);
-    let matrix = fill_group_matrix(node, k);
     // Children, depth-first.
-    for i in 0..k as u32 {
-        tp_extend(node, i, &matrix, minsup, ctx, emitter, sink);
+    for i in 0..levels[d - 1].exts.len() {
+        let (upper, lower) = levels.split_at_mut(d);
+        let parent = &upper[d - 1];
+        if extend(parent.node(), &parent.matrix, i as u32, minsup, &mut lower[0]) {
+            emitter.push(parent.exts[i].0);
+            tp_node(levels, d + 1, minsup, emitter, sink);
+            emitter.pop();
+        }
     }
 }
 
 /// One group-aware pass fills all pair supports. Pattern × pattern
 /// bumps are group-at-a-time (weight = member count); everything
 /// touching an outlier list is per-member work.
-fn fill_group_matrix(node: Node<'_>, k: usize) -> PairMatrix {
-    let mut matrix = PairMatrix::new(k);
+fn fill_group_matrix(node: Node<'_>, k: usize, matrix: &mut PairMatrix) {
+    matrix.reset(k);
     let mut group_hits = 0u64;
     let mut touches = 0u64;
     for (g, pattern) in node.groups.iter().zip(node.patterns) {
@@ -316,31 +351,16 @@ fn fill_group_matrix(node: Node<'_>, k: usize) -> PairMatrix {
     metrics::add("mine.tuple_touches", touches);
     histogram::observe("mine.touches_per_projection", touches);
     metrics::add("mine.candidate_tests", (k * (k - 1) / 2) as u64);
-    matrix
 }
 
-/// Builds and recurses into the child node of extension `i`. This is
-/// both the serial loop body of [`tp_node`] and the root fan-out unit.
-/// The child's rows land in this depth's [`TpLevel`] slabs, reset here —
-/// the rows live exactly as long as the child subtree.
-fn tp_extend(
-    node: Node<'_>,
-    i: u32,
-    matrix: &PairMatrix,
-    minsup: u64,
-    ctx: &mut TpCtx,
-    emitter: &mut RankEmitter<'_>,
-    sink: &mut dyn PatternSink,
-) {
+/// Builds the child node of extension `i` into `lvl`, the storage one
+/// depth below `node`, and says whether it has any extension to mine.
+/// This serves both [`tp_node`]'s loop and the root fan-out unit. The
+/// child's rows live in `lvl`'s slabs, reset here — they live exactly as
+/// long as the child subtree.
+fn extend(node: Node<'_>, matrix: &PairMatrix, i: u32, minsup: u64, lvl: &mut TpLevel) -> bool {
     let exts = node.exts;
     let k = exts.len();
-    let depth = ctx.depth;
-    if ctx.levels.len() <= depth {
-        ctx.levels.resize_with(depth + 1, TpLevel::default);
-    }
-    // Borrow this depth's scratch; the recursion below only uses deeper
-    // slots, so taking it out of the context is conflict-free.
-    let mut lvl = std::mem::take(&mut ctx.levels[depth]);
     lvl.sweep.start(i);
     lvl.exts.clear();
     for j in (i + 1)..k as u32 {
@@ -350,8 +370,7 @@ fn tp_extend(
         }
     }
     if lvl.exts.is_empty() {
-        ctx.levels[depth] = lvl;
-        return;
+        return false;
     }
     lvl.remap.clear();
     lvl.remap.resize(k, u32::MAX);
@@ -362,21 +381,10 @@ fn tp_extend(
             next_local += 1;
         }
     }
-    project(node, i, &mut lvl);
+    project(node, i, lvl);
     metrics::add("mine.projected_dbs", 1);
     histogram::observe("mine.projected_db_size", (lvl.groups.len() + lvl.plain.len()) as u64);
-    emitter.push(exts[i as usize].0);
-    ctx.depth = depth + 1;
-    let child = Node {
-        groups: &lvl.groups,
-        patterns: lvl.patterns.as_slices(),
-        members: lvl.members.rows().as_slices(),
-        exts: &lvl.exts,
-    };
-    tp_node(child, minsup, ctx, emitter, sink);
-    ctx.depth = depth;
-    emitter.pop();
-    ctx.levels[depth] = lvl;
+    true
 }
 
 /// Filters `list` through `remap` into the open row of `csr`. Surviving

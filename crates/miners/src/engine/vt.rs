@@ -231,6 +231,8 @@ struct VtLevel {
     /// Parent-local column index of each child extension (parallel to
     /// `exts`), for the materialization pass.
     srcs: Vec<u32>,
+    /// The child node's pair supports.
+    matrix: PairMatrix,
 }
 
 /// Per-worker mining state: one [`VtLevel`] per depth below the root.
@@ -489,10 +491,13 @@ fn build_tidlist_columns<S: GroupedSource>(src: &S, exts: &[(u32, u64)]) -> (Vec
 /// shortcut and the candidate-bound termination, then descends.
 ///
 /// `cols` holds one materialized column per extension, in extension
-/// order (ignored when there are fewer than two extensions).
+/// order (ignored when there are fewer than two extensions). The pair
+/// supports go into `matrix`, which the node's level keeps for reuse.
+#[allow(clippy::too_many_arguments)]
 fn vt_node(
     exts: &[(u32, u64)],
     cols: Cols<'_>,
+    matrix: &mut PairMatrix,
     cfg: &VtCfg,
     ctx: &mut VtCtx,
     emitter: &mut RankEmitter<'_>,
@@ -505,7 +510,7 @@ fn vt_node(
     metrics::set_max("mine.max_depth", emitter.depth() as u64 + 1);
     // Pair pass: the whole next level counted without materializing
     // anything, in whatever representation this node holds.
-    let mut matrix = PairMatrix::new(k);
+    matrix.reset(k);
     let mut n2 = 0u64;
     let mut scanned = 0u64;
     for (a, &(_, sup_a)) in exts.iter().enumerate() {
@@ -531,7 +536,7 @@ fn vt_node(
     // a chain — and any subset's support is its minimum member
     // support. Enumerate subsets directly (singletons were already
     // emitted by the caller).
-    if k <= 62 && n2 == pairs && is_chain(exts, &matrix) {
+    if k <= 62 && n2 == pairs && is_chain(exts, matrix) {
         for_each_subset(exts, &mut |ranks, sup| {
             if ranks.len() >= 2 {
                 emitter.emit_with(sink, ranks, sup);
@@ -746,7 +751,7 @@ fn vt_extend(
             emitter.pop();
         }
         ctx.depth = depth + 1;
-        vt_node(&lvl.exts, ccols, cfg, ctx, emitter, sink);
+        vt_node(&lvl.exts, ccols, &mut lvl.matrix, cfg, ctx, emitter, sink);
         ctx.depth = depth;
     }
     emitter.pop();

@@ -94,7 +94,8 @@ fn mine_rec(
                 }
                 metrics::add("mine.tuple_touches", touches);
                 metrics::add("mine.candidate_tests", scratch.touched().len() as u64);
-                let sub = scratch.drain_frequent(minsup);
+                let mut sub = Vec::new();
+                scratch.drain_frequent(minsup, &mut sub);
                 if !sub.is_empty() {
                     mine_rec(&proj, &sub, minsup, prune, emitter, scratch, sink);
                 }

@@ -40,13 +40,40 @@ pub enum PairMatrix {
     Sparse(FxHashMap<(u32, u32), u64>),
 }
 
+impl Default for PairMatrix {
+    /// An empty dense matrix that owns no heap memory; [`Self::reset`]
+    /// sizes it.
+    fn default() -> Self {
+        PairMatrix::Dense { k: 0, counts: Vec::new() }
+    }
+}
+
 impl PairMatrix {
     /// Creates a matrix over `k ≥ 2` extensions.
     pub fn new(k: usize) -> Self {
-        if k <= DENSE_LIMIT {
-            PairMatrix::Dense { k, counts: vec![0; k * (k - 1) / 2] }
-        } else {
-            PairMatrix::Sparse(FxHashMap::default())
+        let mut m = PairMatrix::default();
+        m.reset(k);
+        m
+    }
+
+    /// Zeroes the matrix and resizes it for `k ≥ 2` extensions, reusing
+    /// its storage, so one matrix per search depth serves every node
+    /// there.
+    pub fn reset(&mut self, k: usize) {
+        if k > DENSE_LIMIT {
+            match self {
+                PairMatrix::Sparse(m) => m.clear(),
+                dense => *dense = PairMatrix::Sparse(FxHashMap::default()),
+            }
+            return;
+        }
+        if matches!(self, PairMatrix::Sparse(_)) {
+            *self = PairMatrix::default();
+        }
+        if let PairMatrix::Dense { k: dk, counts } = self {
+            *dk = k;
+            counts.clear();
+            counts.resize(k * k.saturating_sub(1) / 2, 0);
         }
     }
 
@@ -117,6 +144,21 @@ mod tests {
                 assert_eq!(d.get(a, b), s.get(a, b), "({a},{b})");
             }
         }
+    }
+
+    #[test]
+    fn reset_zeroes_and_switches_representation() {
+        let mut m = PairMatrix::new(4);
+        m.bump_by(1, 3, 5);
+        m.reset(3);
+        assert!(matches!(m, PairMatrix::Dense { k: 3, ref counts } if counts == &[0; 3]));
+        m.reset(DENSE_LIMIT + 1);
+        m.bump(0, DENSE_LIMIT as u32);
+        m.reset(DENSE_LIMIT + 2);
+        assert!(matches!(&m, PairMatrix::Sparse(map) if map.is_empty()));
+        m.reset(2);
+        m.bump(0, 1);
+        assert_eq!(m.get(0, 1), 1);
     }
 
     #[test]

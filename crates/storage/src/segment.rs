@@ -361,6 +361,18 @@ impl SegmentedDb {
     /// reassembles the rows as a [`TransactionDb`] via
     /// [`CsrTuples::from_raw_parts`].
     pub fn load(&self, i: usize) -> io::Result<TransactionDb> {
+        self.load_into(i, &mut Vec::new(), TransactionDb::new())
+    }
+
+    /// [`SegmentedDb::load`] into reused storage: the payload is read
+    /// into `payload` and decoded into `reuse`'s CSR vectors, whose
+    /// capacity the returned database keeps.
+    fn load_into(
+        &self,
+        i: usize,
+        payload: &mut Vec<u8>,
+        reuse: TransactionDb,
+    ) -> io::Result<TransactionDb> {
         let seg = &self.segments[i];
         if !self.budget.fits(seg.payload_bytes) {
             return Err(bad_data(format!(
@@ -371,10 +383,11 @@ impl SegmentedDb {
             )));
         }
         let (_, stored_crc, mut f) = read_header(&seg.path)?;
-        let mut payload = vec![0u8; seg.payload_bytes];
-        f.read_exact(&mut payload)
+        payload.clear();
+        payload.resize(seg.payload_bytes, 0);
+        f.read_exact(payload)
             .map_err(|_| bad_data(format!("{}: truncated payload", seg.path.display())))?;
-        let computed = crc32(&payload);
+        let computed = crc32(payload);
         if computed != stored_crc {
             return Err(bad_data(format!(
                 "{}: payload checksum mismatch (stored {stored_crc:#010x}, computed \
@@ -384,14 +397,12 @@ impl SegmentedDb {
         }
         let offsets_end = (seg.rows as usize + 1) * 4;
         let data_end = offsets_end + seg.elems as usize * 4;
-        let offsets: Vec<u32> = payload[..offsets_end]
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        let data: Vec<Item> = payload[offsets_end..data_end]
-            .chunks_exact(4)
-            .map(|b| Item(u32::from_le_bytes(b.try_into().unwrap())))
-            .collect();
+        let word = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap());
+        let (mut data, mut offsets) = reuse.into_csr().into_raw_parts();
+        offsets.clear();
+        offsets.extend(payload[..offsets_end].chunks_exact(4).map(word));
+        data.clear();
+        data.extend(payload[offsets_end..data_end].chunks_exact(4).map(|b| Item(word(b))));
         if offsets.first() != Some(&0)
             || offsets.last().map(|&o| o as usize) != Some(data.len())
             || offsets.windows(2).any(|w| w[0] > w[1])
@@ -404,13 +415,16 @@ impl SegmentedDb {
     }
 
     /// Loads each segment in turn (one resident at a time) and hands it
-    /// to `f` with its index.
+    /// to `f` with its index. One payload buffer and one decoded CSR
+    /// serve every segment.
     pub fn for_each_segment(
         &self,
         mut f: impl FnMut(usize, &TransactionDb) -> io::Result<()>,
     ) -> io::Result<()> {
+        let mut payload = Vec::new();
+        let mut db = TransactionDb::new();
         for i in 0..self.segments.len() {
-            let db = self.load(i)?;
+            db = self.load_into(i, &mut payload, db)?;
             f(i, &db)?;
         }
         Ok(())

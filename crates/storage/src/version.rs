@@ -67,10 +67,26 @@ fn put_header(buf: &mut Vec<u8>, original_items: u64, groups: usize, plain: usiz
     buf.extend_from_slice(&crc.to_le_bytes());
 }
 
+/// The exact length of `cdb`'s file: the header, then per record its
+/// kind byte, its CRC and its lists, each a length word plus one word
+/// per item; a Group record also holds its bare count and row count.
+fn encoded_len(cdb: &CompressedDb) -> usize {
+    const WORD: usize = 4;
+    let group_fixed = 1 + WORD + 8 + WORD + WORD;
+    let plain_fixed = 1 + WORD + WORD;
+    let lists = cdb.pattern_items() + cdb.group_outlier_rows() + cdb.group_outlier_items();
+    HEADER_BYTES
+        + cdb.num_groups() * group_fixed
+        + cdb.plain().len() * plain_fixed
+        + WORD * (lists + cdb.plain().total_elems())
+}
+
 /// Writes `cdb` to `path` through `<path>.tmp` and a rename, replacing
-/// any previous state atomically. Returns the bytes written.
+/// any previous state atomically. Returns the bytes written. The file is
+/// encoded into one buffer sized up front from the database's section
+/// lengths.
 pub fn save(path: &Path, cdb: &CompressedDb) -> io::Result<u64> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(encoded_len(cdb));
     put_header(&mut buf, cdb.stats().original_size as u64, cdb.num_groups(), cdb.plain().len());
     for g in cdb.groups() {
         put_group(&mut buf, g);
@@ -78,6 +94,7 @@ pub fn save(path: &Path, cdb: &CompressedDb) -> io::Result<u64> {
     for row in cdb.plain().iter() {
         put_plain(&mut buf, row);
     }
+    debug_assert_eq!(buf.len(), encoded_len(cdb), "encoded_len disagrees with the encoder");
     let tmp = tmp_path(path);
     std::fs::write(&tmp, &buf)?;
     std::fs::rename(&tmp, path)?;
