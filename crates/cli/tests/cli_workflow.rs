@@ -145,6 +145,28 @@ fn bad_usage_fails_cleanly() {
     assert!(run(&["help"]).status.success());
 }
 
+/// A `--batch` spec nested past the JSON parser's depth bound — arrays
+/// or objects — is a clean one-line error, not a stack overflow.
+#[test]
+fn batch_spec_nested_too_deep_fails_cleanly() {
+    let dir = tmpdir();
+    let db = dir.join("db.txt");
+    std::fs::write(&db, "1 2 3\n1 2\n2 3\n").unwrap();
+    let n = 100_000;
+    let arrays = "[".repeat(n) + &"]".repeat(n);
+    let objects = "{\"queries\":".repeat(n) + "[]" + &"}".repeat(n);
+    for (name, spec) in [("arrays", arrays), ("objects", objects)] {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, spec).unwrap();
+        let out = run(&["mine", db.to_str().unwrap(), "--batch", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("gogreen: ") && err.contains("nesting deeper"), "{name}: {err}");
+        assert_eq!(err.lines().count(), 1, "{name}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn diff_and_condensed_filters() {
     let dir = tmpdir();

@@ -28,11 +28,10 @@
 //! whole-database pass fed in chunks — the index, and the AND-chains it
 //! compiles, live for the whole stream.
 
-use crate::cdb::CompressedDb;
 use crate::cover::CoverIndex;
 use crate::utility::{order_by_utility, Strategy};
 use gogreen_data::{
-    difference_into, CsrTuples, Item, Pattern, PatternSet, TransactionDb, TupleSlices,
+    difference_into, CompressedDb, CsrTuples, Item, Pattern, PatternSet, TransactionDb, TupleSlices,
 };
 use gogreen_obs::{histogram, metrics, span, Span};
 use gogreen_util::pool::{par_ranges, Parallelism};
@@ -362,16 +361,17 @@ impl Accumulator {
             .filter(|&p| next_row[p as usize] > 0 || self.bare[p as usize] > 0)
             .collect();
         used.sort_unstable_by(|&a, &b| by_rank(a, b));
-        let mut cdb = CompressedDb::empty(self.original_items);
+        let mut patterns = CsrTuples::new();
+        let (mut outlier_start, mut bare) = (vec![0u32], Vec::new());
         let (mut row_at, mut elem_at) = (0u32, 0u32);
         for &p in &used {
-            let (p, bare) = (p as usize, self.bare[p as usize]);
-            histogram::observe("compress.group_size", u64::from(next_row[p]) + bare);
+            let p = p as usize;
+            histogram::observe("compress.group_size", u64::from(next_row[p]) + self.bare[p]);
             row_at += std::mem::replace(&mut next_row[p], row_at);
             elem_at += std::mem::replace(&mut next_elem[p], elem_at);
-            cdb.patterns.push_row(items_of(p as u32));
-            cdb.outlier_start.push(row_at);
-            cdb.bare.push(bare);
+            patterns.push_row(items_of(p as u32));
+            outlier_start.push(row_at);
+            bare.push(self.bare[p]);
         }
         let mut data = vec![Item(0); self.rows.total_elems()];
         let mut offsets = vec![0u32; self.rows.len() + 1];
@@ -382,9 +382,15 @@ impl Accumulator {
             next_row[p as usize] += 1;
             next_elem[p as usize] += row.len() as u32;
         }
-        cdb.outliers = CsrTuples::from_raw_parts(data, offsets);
-        cdb.plain = self.plain;
-        cdb
+        let outliers = CsrTuples::from_raw_parts(data, offsets);
+        CompressedDb::from_raw_parts(
+            patterns,
+            outliers,
+            outlier_start,
+            bare,
+            self.plain,
+            self.original_items,
+        )
     }
 
     /// Seals a compression run: emits the groups, records its

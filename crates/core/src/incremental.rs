@@ -11,7 +11,7 @@
 
 use crate::compress::Compressor;
 use crate::utility::Strategy;
-use gogreen_data::{MinSupport, PatternSet, Transaction, TransactionDb};
+use gogreen_data::{CompressedDb, MinSupport, PatternSet, Transaction, TransactionDb};
 use gogreen_miners::{Family, Miner};
 
 /// An evolving database whose mining rounds recycle earlier rounds'
@@ -80,7 +80,7 @@ impl IncrementalMiner {
             _ => {
                 // Nothing to recycle: mine the trivial compression (all
                 // plain), which is plain H-Mine-style mining.
-                let cdb = crate::cdb::CompressedDb::uncompressed(&self.db);
+                let cdb = CompressedDb::uncompressed(&self.db);
                 Family::Hm.mine(&cdb, min_support)
             }
         };

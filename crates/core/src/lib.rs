@@ -10,16 +10,17 @@
 //!    contains, and factor the tuple into `(group pattern, outlying
 //!    items)`. Utilities come from [`utility`]: the cost-minimizing MCP or
 //!    the storage-minimizing MLP.
-//! 2. **Mining the compressed database** ([`cdb`], [`engine`]):
-//!    projected-database miners run directly on the grouped
-//!    representation, saving work in support counting (group counts
-//!    stand in for per-tuple scans) and in projection construction (group
-//!    heads are touched once). Each of the four engine families —
-//!    H-Mine's RP-Struct adaptation (Figs. 4–8), the FP-tree and Tree
-//!    Projection adaptations (§4.2) and the vertical Eclat adaptation —
-//!    is one [`Family`](gogreen_miners::Family) value: the same generic
-//!    traversal that mines plain databases, instantiated here on the
-//!    compressed substrate. [`oracle`] holds the reference miners,
+//! 2. **Mining the compressed database** ([`CompressedDb`], laid out in
+//!    `gogreen_data::cdb`): projected-database miners run directly on
+//!    the grouped representation, saving work in support counting (group
+//!    counts stand in for per-tuple scans) and in projection
+//!    construction (group heads are touched once). Each of the four
+//!    engine families — H-Mine's RP-Struct adaptation (Figs. 4–8), the
+//!    FP-tree and Tree Projection adaptations (§4.2) and the vertical
+//!    Eclat adaptation — is one [`Family`](gogreen_miners::Family) value
+//!    whose one traversal mines plain and compressed databases alike:
+//!    both enter as the same rank layout, a plain one with zero groups.
+//!    [`oracle`] holds the reference miners,
 //!    including [`rpmine::RpMine`], the paper's naive Algorithm
 //!    *Recycling* (Fig. 3) with the Lemma 3.1 single-group shortcut.
 //!
@@ -38,7 +39,6 @@
 //! against the Apriori oracle.
 
 pub mod batch;
-pub mod cdb;
 pub mod compress;
 pub mod cover;
 pub mod engine;
@@ -52,9 +52,9 @@ pub mod twostep;
 pub mod utility;
 
 pub use batch::{BatchOutcome, BatchPlan, BatchQuery, BatchReport, QueryBatch};
-pub use cdb::CompressedDb;
 pub use compress::{CompressionStats, Compressor};
 pub use cover::CoverIndex;
+pub use gogreen_data::CompressedDb;
 pub use utility::Strategy;
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! The estimators here are formula-based (no structure is built); the
 //! unit tests cross-check them against the real arena sizes.
 
-use crate::cdb::CompressedRankDb;
+use gogreen_data::CompressedRankDb;
 
 /// Bytes per outlier entry in the RP-Struct arena (the rank itself).
 const BYTES_PER_ENTRY: usize = 4;
@@ -55,10 +55,9 @@ pub fn estimate_hmine_bytes(occurrences: usize, tuples: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cdb::CompressedDb;
     use crate::compress::Compressor;
     use crate::utility::Strategy;
-    use gogreen_data::{MinSupport, TransactionDb};
+    use gogreen_data::{CompressedDb, MinSupport, TransactionDb};
     use gogreen_miners::engine::hm::RpStruct;
     use gogreen_miners::mine_apriori;
 

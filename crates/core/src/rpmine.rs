@@ -20,8 +20,7 @@
 //! structures; RP-Mine doubles as their readable specification and as a
 //! differential-testing partner (see [`crate::oracle`]).
 
-use crate::cdb::{CompressedDb, CompressedRankDb};
-use gogreen_data::{MinSupport, NoPrune, PatternSink, SearchPrune};
+use gogreen_data::{CompressedDb, CompressedRankDb, MinSupport, NoPrune, PatternSink, SearchPrune};
 use gogreen_miners::common::{for_each_subset, RankEmitter, ScratchCounts};
 use gogreen_miners::Miner;
 use gogreen_obs::metrics;
@@ -182,75 +181,43 @@ fn count_view(view: &CompressedRankDb, ctx: &mut Ctx) -> Counted {
 }
 
 /// Materializes the `r`-projection of a compressed view — one pass,
-/// suffix slices copied straight into the projection's CSR sections.
+/// suffix slices copied straight into the projection's sections.
 fn project(view: &CompressedRankDb, r: u32) -> CompressedRankDb {
     let mut out = CompressedRankDb::empty(view.num_ranks());
-    for g in 0..view.num_groups() {
-        let pat = view.group_pattern(g);
-        match pat.binary_search(&r) {
+    let mut rows: Vec<&[u32]> = Vec::new();
+    for g in view.groups() {
+        // The members joining the projection, cut past `r`: on a pattern
+        // item the whole group follows, bare members included; otherwise
+        // only the members whose outliers hold `r`, keeping the residual
+        // pattern (items after `r`).
+        rows.clear();
+        let (pattern, mut bare) = match g.pattern.binary_search(&r) {
             Ok(pos) => {
-                // Pattern item: every member joins the projection.
-                let pattern = &pat[pos + 1..];
-                if pattern.is_empty() {
-                    for o in view.group_outliers(g) {
-                        let cut = o.partition_point(|&x| x <= r);
-                        if cut < o.len() {
-                            out.plain.push_row(&o[cut..]);
-                        }
-                    }
-                } else {
-                    out.patterns.push_row(pattern);
-                    let mut bare = view.group_bare(g);
-                    for o in view.group_outliers(g) {
-                        let cut = o.partition_point(|&x| x <= r);
-                        if cut < o.len() {
-                            out.outliers.push_row(&o[cut..]);
-                        } else {
-                            bare += 1;
-                        }
-                    }
-                    out.close_group(bare);
-                }
+                rows.extend(g.outliers.iter().map(|o| &o[o.partition_point(|&x| x <= r)..]));
+                (&g.pattern[pos + 1..], g.bare)
             }
-            Err(ppos) => {
-                // Only members whose outliers contain r join, keeping the
-                // residual pattern (items after r).
-                let pattern = &pat[ppos..];
-                if pattern.is_empty() {
-                    for o in view.group_outliers(g) {
-                        if let Ok(opos) = o.binary_search(&r) {
-                            if opos + 1 < o.len() {
-                                out.plain.push_row(&o[opos + 1..]);
-                            }
-                        }
-                    }
-                } else {
-                    let mut bare = 0u64;
-                    let rows_before = out.outliers.len();
-                    for o in view.group_outliers(g) {
-                        if let Ok(opos) = o.binary_search(&r) {
-                            if opos + 1 < o.len() {
-                                out.outliers.push_row(&o[opos + 1..]);
-                            } else {
-                                bare += 1;
-                            }
-                        }
-                    }
-                    // Keep the group only if any member followed; an
-                    // empty group left no rows behind, so there is
-                    // nothing to roll back.
-                    if bare > 0 || out.outliers.len() > rows_before {
-                        out.patterns.push_row(pattern);
-                        out.close_group(bare);
-                    }
-                }
+            Err(pos) => {
+                let holding =
+                    g.outliers.iter().filter_map(|o| Some(&o[o.binary_search(&r).ok()? + 1..]));
+                rows.extend(holding);
+                (&g.pattern[pos..], 0)
             }
+        };
+        let followed = rows.iter().copied().filter(|o| !o.is_empty());
+        if pattern.is_empty() {
+            // The group dissolves: its members turn plain.
+            followed.for_each(|o| out.push_plain(o));
+            continue;
+        }
+        bare += rows.iter().filter(|o| o.is_empty()).count() as u64;
+        if bare > 0 || !rows.is_empty() {
+            out.push_group(pattern, followed, bare);
         }
     }
     for t in view.plain() {
         if let Ok(pos) = t.binary_search(&r) {
             if pos + 1 < t.len() {
-                out.plain.push_row(&t[pos + 1..]);
+                out.push_plain(&t[pos + 1..]);
             }
         }
     }

@@ -21,20 +21,22 @@
 //! * [`bitmap`] — the shared word-wise AND/popcount kernels (4-way
 //!   unrolled scalar) and the [`BitsetArena`] tidset slab used by the
 //!   cover sweep and the vertical mining engine.
+//! * [`cdb`] — the compressed database (paper §3.1) in item and rank
+//!   space, [`CompressedDb`] and [`CompressedRankDb`]. The rank form is
+//!   the one substrate every mining engine reads: a plain database is
+//!   the layout with zero groups (the paper's raw-DB-as-degenerate-CDB
+//!   identity).
 //! * [`projected`] — materialized projected databases (paper Definition
-//!   3.2) used by the reference miners.
-//! * [`grouped`] — the [`GroupedSource`] substrate abstraction that lets
-//!   one engine per algorithm family serve both plain and compressed
-//!   databases (the paper's raw-DB-as-degenerate-CDB identity).
+//!   3.2) used by the reference miner.
 //! * [`io`] / [`pattern_io`] — plain text interchange formats for
 //!   transactions (one per line) and pattern sets (`items : support`).
 
 pub mod bitmap;
+pub mod cdb;
 pub mod database;
 pub mod error;
 pub mod flat;
 pub mod flist;
-pub mod grouped;
 pub mod io;
 pub mod item;
 pub mod pattern;
@@ -46,11 +48,11 @@ pub mod support;
 pub mod transaction;
 
 pub use bitmap::BitsetArena;
+pub use cdb::{CdbLayout, CdbStats, CompressedDb, CompressedRankDb, GroupView};
 pub use database::{DbStats, TransactionDb};
 pub use error::DataError;
 pub use flat::{CsrTuples, ProjectionArena, TupleSlices};
 pub use flist::{FList, NO_RANK};
-pub use grouped::{GroupedSource, PlainRanks};
 pub use item::{Item, ItemCatalog};
 pub use pattern::{Pattern, PatternSet, INLINE_ITEMS};
 pub use prune::{NoPrune, SearchPrune};

@@ -1,50 +1,30 @@
 //! Materialized projected databases (paper Definition 3.2).
 //!
 //! A [`RankDb`] is a database re-encoded into rank space against an
-//! [`FList`]: each tuple keeps only frequent items, stored as ascending
+//! [`crate::FList`]: each tuple keeps only frequent items, stored as ascending
 //! ranks. The `i`-projected database of the paper — "tuples containing `i`
 //! with infrequent items, `i`, and items before `i` removed" — is then
 //! simply: for every tuple containing rank `r`, the suffix of ranks
 //! greater than `r`.
 
-use crate::database::TransactionDb;
 use crate::flat::{CsrTuples, TupleSlices};
-use crate::flist::FList;
 
 /// A rank-encoded database: tuples are ascending rank rows in flat CSR
 /// storage.
 ///
 /// This is the representation the reference ("naive") projected-database
-/// miner operates on, and the shape that compressed databases generalize.
+/// miner operates on; every other engine reads the compressed layout
+/// ([`crate::CompressedRankDb`]), of which this is the zero-group case.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankDb {
     tuples: CsrTuples<u32>,
-    /// Number of distinct ranks (the F-list length at encoding time).
-    num_ranks: usize,
 }
 
 impl RankDb {
-    /// Encodes `db` against `flist`, dropping infrequent items and empty
-    /// tuples — one pass, straight into CSR storage.
-    pub fn encode(db: &TransactionDb, flist: &FList) -> Self {
-        let mut tuples = CsrTuples::with_capacity(db.len(), db.csr().total_elems());
-        for t in db.iter() {
-            flist.encode_row(t, &mut tuples);
-        }
-        RankDb { tuples, num_ranks: flist.len() }
-    }
-
-    /// Builds directly from rank tuples (each sorted ascending, non-empty).
-    pub fn from_tuples(tuples: Vec<Vec<u32>>, num_ranks: usize) -> Self {
-        debug_assert!(tuples.iter().all(|t| !t.is_empty() && t.windows(2).all(|w| w[0] < w[1])));
-        debug_assert!(tuples.iter().flatten().all(|&r| (r as usize) < num_ranks));
-        RankDb { tuples: tuples.into_iter().collect(), num_ranks }
-    }
-
     /// Adopts already-encoded CSR storage (rows ascending, non-empty).
-    pub fn from_csr(tuples: CsrTuples<u32>, num_ranks: usize) -> Self {
+    pub fn from_csr(tuples: CsrTuples<u32>) -> Self {
         debug_assert!(tuples.iter().all(|t| !t.is_empty() && t.windows(2).all(|w| w[0] < w[1])));
-        RankDb { tuples, num_ranks }
+        RankDb { tuples }
     }
 
     /// The tuples as a CSR view.
@@ -52,30 +32,9 @@ impl RankDb {
         self.tuples.as_slices()
     }
 
-    /// Number of tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
     /// True when there are no tuples.
     pub fn is_empty(&self) -> bool {
         self.tuples.is_empty()
-    }
-
-    /// Number of rank slots (size of the counting vector needed).
-    pub fn num_ranks(&self) -> usize {
-        self.num_ranks
-    }
-
-    /// Counts the support of every rank into `counts` (reused workhorse
-    /// buffer; it is zeroed and resized here). The count ignores row
-    /// boundaries, so it sweeps the flat buffer directly.
-    pub fn count_supports(&self, counts: &mut Vec<u64>) {
-        counts.clear();
-        counts.resize(self.num_ranks, 0);
-        for &r in self.tuples.flat() {
-            counts[r as usize] += 1;
-        }
     }
 
     /// Materializes the `r`-projected database: for each tuple containing
@@ -90,38 +49,44 @@ impl RankDb {
                 }
             }
         }
-        RankDb { tuples, num_ranks: self.num_ranks }
-    }
-
-    /// Support of rank `r` (full scan; used by tests).
-    pub fn support_of(&self, r: u32) -> u64 {
-        self.tuples.iter().filter(|t| t.binary_search(&r).is_ok()).count() as u64
+        RankDb { tuples }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::TransactionDb;
+    use crate::{CompressedRankDb, FList, TransactionDb};
 
     fn paper_rankdb() -> (RankDb, FList) {
         let db = TransactionDb::paper_example();
         let fl = FList::from_db(&db, 2);
-        (RankDb::encode(&db, &fl), fl)
+        let encoded = CompressedRankDb::encode(&db, &fl);
+        (RankDb::from_csr(encoded.plain().iter().map(<[u32]>::to_vec).collect()), fl)
+    }
+
+    fn rankdb(rows: &[&[u32]]) -> RankDb {
+        RankDb::from_csr(rows.iter().map(|r| r.to_vec()).collect())
+    }
+
+    /// Per-rank occurrence counts over `rdb`'s tuples.
+    fn supports(rdb: &RankDb, num_ranks: usize) -> Vec<u64> {
+        let mut counts = vec![0u64; num_ranks];
+        rdb.tuples().flat().iter().for_each(|&r| counts[r as usize] += 1);
+        counts
     }
 
     #[test]
     fn encode_keeps_all_five_tuples() {
         let (rdb, fl) = paper_rankdb();
-        assert_eq!(rdb.len(), 5);
-        assert_eq!(rdb.num_ranks(), fl.len());
+        assert_eq!(rdb.tuples().len(), 5);
+        assert!(rdb.tuples().flat().iter().all(|&r| (r as usize) < fl.len()));
     }
 
     #[test]
     fn count_supports_matches_flist() {
         let (rdb, fl) = paper_rankdb();
-        let mut counts = Vec::new();
-        rdb.count_supports(&mut counts);
+        let counts = supports(&rdb, fl.len());
         for r in 0..fl.len() as u32 {
             assert_eq!(counts[r as usize], fl.support(r), "rank {r}");
         }
@@ -133,9 +98,8 @@ mod tests {
         // Rank 0 is item d (support 2): the d-projected database has two
         // source tuples (100 and 200), both with non-empty suffixes.
         let proj = rdb.project(0);
-        assert_eq!(proj.len(), 2);
-        let mut counts = Vec::new();
-        proj.count_supports(&mut counts);
+        assert_eq!(proj.tuples().len(), 2);
+        let counts = supports(&proj, fl.len());
         // In d-projection: f,g,c have support 2; a,e have 1.
         let sup = |id: u32| counts[fl.rank_of(crate::Item(id)).unwrap() as usize];
         assert_eq!(sup(5), 2); // f
@@ -147,23 +111,14 @@ mod tests {
 
     #[test]
     fn project_drops_empty_suffixes() {
-        let rdb = RankDb::from_tuples(vec![vec![0, 1], vec![1]], 2);
-        let proj = rdb.project(1);
+        let proj = rankdb(&[&[0, 1], &[1]]).project(1);
         assert!(proj.is_empty());
     }
 
     #[test]
     fn project_skips_tuples_without_rank() {
-        let rdb = RankDb::from_tuples(vec![vec![0, 2], vec![1, 2]], 3);
-        let proj = rdb.project(0);
-        assert_eq!(proj.len(), 1);
+        let proj = rankdb(&[&[0, 2], &[1, 2]]).project(0);
+        assert_eq!(proj.tuples().len(), 1);
         assert_eq!(proj.tuples().row(0), &[2]);
-    }
-
-    #[test]
-    fn support_of_scans() {
-        let rdb = RankDb::from_tuples(vec![vec![0, 1], vec![1], vec![0]], 2);
-        assert_eq!(rdb.support_of(0), 2);
-        assert_eq!(rdb.support_of(1), 2);
     }
 }

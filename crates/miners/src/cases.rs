@@ -2,7 +2,9 @@
 //! `family_cases!` instantiates a family's cases as named `#[test]`s.
 
 use crate::{mine_apriori, Family, Miner};
-use gogreen_data::{FnSink, Item, MinSupport, Transaction, TransactionDb};
+use gogreen_data::{
+    CompressedRankDb, FList, FnSink, Item, MinSupport, PatternSink, Transaction, TransactionDb,
+};
 use gogreen_util::pool::Parallelism;
 use gogreen_util::rng::{Rng, SmallRng};
 use std::collections::BTreeSet;
@@ -125,5 +127,51 @@ pub fn parallel_stream_is_byte_identical(f: Family) {
     assert!(!serial.is_empty());
     for threads in [2, 4, 8] {
         assert_eq!(serial, stream(Parallelism::threads(threads)), "{threads} threads");
+    }
+}
+
+/// A family's root entry with its unit path forced: `raw = true` takes
+/// the group-free fast path, `raw = false` the grouped traversal.
+pub type RootWithPath<'a> =
+    &'a dyn Fn(&CompressedRankDb, bool, &FList, u64, Parallelism, &mut dyn PatternSink);
+
+/// Asserts that `mine` emits the byte-identical stream down both paths
+/// on zero-group layouts — the paper example and a structured database
+/// with shared prefixes and identical tuples — at ξ = 1, 2, 3, on 1 and
+/// 4 threads. Plain mining always takes the fast path, so this is the
+/// check that the grouped traversal still agrees with it.
+pub fn fast_path_matches_grouped(mine: RootWithPath<'_>) {
+    let structured = TransactionDb::from_rows(&[
+        &[1, 2, 3, 4],
+        &[1, 2, 3, 5],
+        &[1, 2, 4, 5],
+        &[2, 3, 4, 5],
+        &[1, 2, 3],
+        &[1, 2, 3],
+        &[1, 2],
+        &[4, 5],
+        &[4, 5, 6],
+        &[1, 6],
+    ]);
+    for (name, db) in [("paper", TransactionDb::paper_example()), ("structured", structured)] {
+        for minsup in [1, 2, 3] {
+            let flist = FList::from_db(&db, minsup);
+            let layout = CompressedRankDb::encode(&db, &flist);
+            assert_eq!(layout.num_groups(), 0);
+            for threads in [1, 4] {
+                let par = Parallelism::threads(threads);
+                let stream = |raw: bool| {
+                    let mut out: Vec<(Vec<Item>, u64)> = Vec::new();
+                    let mut sink =
+                        FnSink(|items: &[Item], sup: u64| out.push((items.to_vec(), sup)));
+                    mine(&layout, raw, &flist, minsup, par, &mut sink);
+                    out
+                };
+                let fast = stream(true);
+                let what = format!("{name} ξ={minsup} t={threads}");
+                assert!(!fast.is_empty(), "{what}: nothing mined");
+                assert_eq!(fast, stream(false), "{what}: fast path and grouped streams differ");
+            }
+        }
     }
 }

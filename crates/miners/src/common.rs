@@ -5,7 +5,7 @@
 use gogreen_data::{CsrTuples, FList, Item, PatternSink, TransactionDb};
 use gogreen_util::pool::{par_map_init, Parallelism};
 
-/// [`gogreen_data::projected::RankDb::encode`] with constraint pushdown:
+/// [`gogreen_data::CompressedRankDb::encode`] with constraint pushdown:
 /// ranks whose `allowed` slot is `false` never enter the row, and rows
 /// left empty are discarded. Used by the pruned miner entry points.
 pub fn encode_db_pruned(db: &TransactionDb, flist: &FList, allowed: &[bool]) -> CsrTuples<u32> {

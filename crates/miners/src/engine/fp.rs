@@ -1,5 +1,6 @@
 //! The FP-growth family engine: conditional-group forests over
-//! [`FpTree`]s (paper §4.2), generic over [`GroupedSource`].
+//! [`FpTree`]s (paper §4.2), over the compressed rank layout
+//! [`CompressedRankDb`].
 //!
 //! The paper sketches the adaptation as "treat each group head as a
 //! special item in the upper part of each prefix-tree branch" and defers
@@ -8,10 +9,9 @@
 //! of **conditional groups**, each a `(residual pattern, member count,
 //! FP-tree over the members' outlying items)` triple. The plain
 //! (uncovered) tuples form one conditional group with an empty pattern —
-//! on the degenerate [`gogreen_data::PlainRanks`] substrate that sole
-//! group IS the database and the search is classic FP-growth: one tree,
-//! conditional-pattern-base extraction per header row, and the
-//! single-path subset shortcut.
+//! on a layout with zero groups that sole group IS the database and the
+//! search is classic FP-growth: one tree, conditional-pattern-base
+//! extraction per header row, and the single-path subset shortcut.
 //!
 //! Both compression savings survive in this shape:
 //!
@@ -42,7 +42,7 @@
 
 use crate::common::{fan_out_ordered, for_each_subset, RankEmitter, ScratchCounts};
 use crate::fpgrowth::{FpChains, FpHeader, FpTree, FpTreeBuilder, FP_NIL};
-use gogreen_data::{FList, GroupedSource, PatternSink, ProjectionArena, TupleSlices};
+use gogreen_data::{CompressedRankDb, FList, PatternSink, ProjectionArena, TupleSlices};
 use gogreen_obs::{histogram, metrics};
 use gogreen_util::pool::{par_chunks, Parallelism};
 
@@ -242,9 +242,10 @@ impl Search<'_> {
 /// forest are also built on worker threads (the forest is embarrassingly
 /// parallel — each tree reads only its own group; trees are read-only
 /// once built, and every worker borrows them). The emitted stream is
-/// byte-identical for any thread count.
-pub fn mine_source_par<S: GroupedSource + Sync>(
-    src: &S,
+/// byte-identical for any thread count. A layout without groups takes
+/// the classic FP-growth fast path.
+pub fn mine_source_par(
+    src: &CompressedRankDb,
     flist: &FList,
     minsup: u64,
     par: Parallelism,
@@ -252,7 +253,7 @@ pub fn mine_source_par<S: GroupedSource + Sync>(
 ) {
     let mut ctx = Ctx::new(flist.len(), minsup);
     let root = build_root(src, &mut ctx, par);
-    mine_root(&root, !S::GROUPED, flist, ctx, par, sink);
+    mine_root(&root, src.num_groups() == 0, flist, ctx, par, sink);
 }
 
 /// Root dispatch: the single-path shortcut, the count, and the Lemma 3.1
@@ -262,13 +263,15 @@ pub fn mine_source_par<S: GroupedSource + Sync>(
 /// trees are never written after construction, so sharing across
 /// workers is safe by construction.
 ///
-/// `raw` marks the group-free substrate, where the node shape is known
-/// statically: a sole pattern-free group forever (outlier projection of
-/// such a group yields another one). Its units dispatch to the classic
+/// `raw` selects the fast path, and is only valid when the source
+/// layout had no groups: then the node shape is known for the whole
+/// run — a sole pattern-free group forever (outlier projection of such
+/// a group yields another one). Its units dispatch to the classic
 /// FP-growth recursion ([`mine_sole_row`]), which reads local frequency
 /// straight off header rows instead of running the generic counting
-/// pass — the degenerate substrate promises the group machinery
-/// vanishes, not merely that it tolerates empty groups.
+/// pass. The caller chooses once, from the group count; with `raw`
+/// false the generic path mines the same zero-group root to the
+/// byte-identical stream (a unit test pins both sides).
 fn mine_root(
     root: &Forest,
     raw: bool,
@@ -338,8 +341,8 @@ fn mine_root(
 /// thresholded at `minsup` — so header rows ARE the locally frequent
 /// ranks, ascending, and the generic per-node count/project machinery
 /// (counting pass, source tracking, `CondGroup` vector) drops out. Emits
-/// the byte-identical stream the generic path produces on a degenerately
-/// grouped database (pinned by the engine-unification suite).
+/// the byte-identical stream the generic path produces on the same
+/// zero-group layout (pinned by this module's unit tests).
 fn mine_sole_tree(
     s: &mut Search<'_>,
     d: usize,
@@ -454,8 +457,8 @@ fn try_single_path(
 /// Builds one root group's outlier FP-tree into `tree`; returns whether
 /// there was anything to store. Insertion order is the tuple order, so
 /// the tree shape is deterministic wherever this runs. Every rank is
-/// kept: on a degenerate (plain-only) source every rank survived global
-/// F-list encoding, and in a grouped source an outlier that is rare at
+/// kept: on a layout without groups every rank survived global F-list
+/// encoding, and in a grouped layout an outlier that is rare at
 /// the root may still combine with pattern items into a frequent
 /// extension. Below the root, [`project`] thresholds each conditional
 /// tree at the child it feeds.
@@ -480,40 +483,38 @@ fn build_tree(tuples: TupleSlices<'_>, ctx: &mut Ctx, tree: &mut FpTree) -> bool
 /// trees are independent, so with a non-serial `par` they are
 /// constructed on worker threads, each with its own scratch, and moved
 /// into the root after the join.
-fn build_root<S: GroupedSource + Sync>(src: &S, ctx: &mut Ctx, par: Parallelism) -> Forest {
+fn build_root(src: &CompressedRankDb, ctx: &mut Ctx, par: Parallelism) -> Forest {
     let num_groups = src.num_groups();
     let mut root = Forest { cgs: Vec::with_capacity(num_groups + 1), ..Forest::default() };
     let add = |root: &mut Forest, tuples: TupleSlices<'_>, ctx: &mut Ctx| {
         build_tree(tuples, ctx, root.tree_slot()).then(|| root.keep_tree(0))
     };
-    if S::GROUPED {
-        if par.for_items(num_groups) <= 1 {
-            for g in 0..num_groups {
-                let tree = add(&mut root, src.group_outliers(g), ctx);
-                root.push(src.group_pattern(g).iter().copied(), src.group_count(g), tree, -1);
+    if par.for_items(num_groups) <= 1 {
+        for g in 0..num_groups {
+            let tree = add(&mut root, src.group_outliers(g), ctx);
+            root.push(src.group_pattern(g).iter().copied(), src.group_count(g), tree, -1);
+        }
+    } else {
+        let gs: Vec<u32> = (0..num_groups as u32).collect();
+        let minsup = ctx.minsup;
+        let parts = par_chunks(par, &gs, |_, chunk| {
+            let mut ctx = Ctx::new(src.num_ranks(), minsup);
+            let mut trees = Vec::with_capacity(chunk.len());
+            for &g in chunk {
+                let mut tree = FpTree::default();
+                let built = build_tree(src.group_outliers(g as usize), &mut ctx, &mut tree);
+                trees.push(built.then_some(tree));
             }
-        } else {
-            let gs: Vec<u32> = (0..num_groups as u32).collect();
-            let minsup = ctx.minsup;
-            let parts = par_chunks(par, &gs, |_, chunk| {
-                let mut ctx = Ctx::new(src.num_ranks(), minsup);
-                let mut trees = Vec::with_capacity(chunk.len());
-                for &g in chunk {
-                    let mut tree = FpTree::default();
-                    let built = build_tree(src.group_outliers(g as usize), &mut ctx, &mut tree);
-                    trees.push(built.then_some(tree));
-                }
-                trees
-            });
-            for (lo, trees) in parts {
-                for (g, tree) in (lo..num_groups).zip(trees) {
-                    let tree = tree.map(|tree| {
-                        *root.tree_slot() = tree;
-                        root.keep_tree(0)
-                    });
-                    let pattern = src.group_pattern(g).iter().copied();
-                    root.push(pattern, src.group_count(g), tree, -1);
-                }
+            trees
+        });
+        for (lo, trees) in parts {
+            for (g, tree) in (lo..num_groups).zip(trees) {
+                let tree = tree.map(|tree| {
+                    *root.tree_slot() = tree;
+                    root.keep_tree(0)
+                });
+                let pattern = src.group_pattern(g).iter().copied();
+                root.push(pattern, src.group_count(g), tree, -1);
             }
         }
     }
@@ -840,5 +841,16 @@ mod tests {
         let t = &child.trees[0];
         assert_eq!(t.headers().iter().map(|h| (h.rank, h.count)).collect::<Vec<_>>(), [(3, 1)]);
         assert_eq!(t.num_nodes(), 2);
+    }
+
+    /// On layouts without groups, the classic FP-growth fast path and
+    /// the generic conditional-group traversal emit the same stream.
+    #[test]
+    fn raw_fast_path_matches_grouped_traversal() {
+        crate::cases::fast_path_matches_grouped(&|src, raw, flist, minsup, par, sink| {
+            let mut ctx = Ctx::new(flist.len(), minsup);
+            let root = build_root(src, &mut ctx, par);
+            mine_root(&root, raw, flist, ctx, par, sink);
+        });
     }
 }

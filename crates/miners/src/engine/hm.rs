@@ -1,5 +1,6 @@
 //! The H-Mine family engine: hyper-structure search over the RP-Struct
-//! arena (paper §4.1, Figures 4–8), generic over [`GroupedSource`].
+//! arena (paper §4.1, Figures 4–8), over the compressed rank layout
+//! [`CompressedRankDb`].
 //!
 //! H-Mine's defining trait is **pseudo-projection**: tuples are loaded
 //! once into an entry arena and never copied; a projected database is a
@@ -30,38 +31,36 @@
 //! that depth is cleared and refilled into, so after warm-up the search
 //! allocates nothing per node.
 //!
-//! On the degenerate [`gogreen_data::PlainRanks`] substrate there are no
-//! groups at all: every tuple is a plain tail, the projected-group
-//! machinery is never entered, and the search is exactly classic H-Mine
-//! (per-rank queues realized as buckets, queue relinks as bucket hops).
-//! Savings on the real substrate (paper §3.1): counting touches each
-//! projected group once per pattern item — weight = member count —
-//! instead of once per member tuple; projecting on a pattern item moves
-//! the whole group in one step; and Lemma 3.1 (single-group pattern
-//! generation) prunes entire subtrees into subset enumeration.
+//! On a layout with zero groups — a plain database — every tuple is a
+//! plain tail, the projected-group machinery is never entered, and the
+//! search is exactly classic H-Mine (per-rank queues realized as
+//! buckets, queue relinks as bucket hops). Savings on real groups (paper
+//! §3.1): counting touches each projected group once per pattern item —
+//! weight = member count — instead of once per member tuple; projecting
+//! on a pattern item moves the whole group in one step; and Lemma 3.1
+//! (single-group pattern generation) prunes entire subtrees into subset
+//! enumeration.
 //!
 //! The classic H-Mine economies survive the genericity. In the generic
 //! search, queued members are anchored *at* the entry of their queue
 //! rank, so hops and projections resume in place instead of rescanning
 //! the tail, and the last locally frequent rank of a node is emitted
 //! without building its child, which anti-monotonicity proves empty.
-//! Beyond that, the group-free substrate dispatches each first-level
-//! unit to a *classic* H-Mine fast path (`RawUnit`): the unit's
-//! suffixes are compacted into a private arena threaded by intrusive
-//! hyperlinks — one reusable link per entry, the original algorithm's
-//! trick — so queue hops write a single index and no per-node structures
-//! are materialized at all. The fast path is a static specialization
-//! (`GroupedSource::GROUPED` is `false`), emits the byte-identical
-//! stream the generic search produces on a degenerately grouped
-//! database, and keeps the degenerate instantiation at parity with a
-//! hand-written H-Mine.
+//! Beyond that, a layout with no groups dispatches each first-level unit
+//! to a *classic* H-Mine fast path (`RawUnit`): the unit's suffixes are
+//! compacted into a private arena threaded by intrusive hyperlinks — one
+//! reusable link per entry, the original algorithm's trick — so queue
+//! hops write a single index and no per-node structures are materialized
+//! at all. The engine chooses the fast path once per run, at the root,
+//! from the group count; it emits the byte-identical stream the generic
+//! search produces on the same zero-group layout (a unit test pins both
+//! sides), and keeps plain mining at parity with a hand-written H-Mine.
 
 use crate::common::{
     encode_db_pruned, fan_out_ordered, for_each_subset, RankEmitter, ScratchCounts,
 };
 use gogreen_data::{
-    FList, GroupedSource, Item, MinSupport, NoPrune, PatternSink, PlainRanks, SearchPrune,
-    TransactionDb,
+    CompressedRankDb, FList, Item, MinSupport, NoPrune, PatternSink, SearchPrune, TransactionDb,
 };
 use gogreen_obs::{histogram, metrics};
 use gogreen_util::pool::Parallelism;
@@ -100,10 +99,10 @@ pub struct RpStruct {
 }
 
 impl RpStruct {
-    /// Loads `src` into the arena. On a group-free substrate this is a
+    /// Loads `src` into the arena. On a layout without groups this is a
     /// plain H-Mine hyper-structure: one tail per tuple, no group rows.
-    pub fn build<S: GroupedSource>(src: &S) -> Self {
-        let num_groups = if S::GROUPED { src.num_groups() } else { 0 };
+    pub fn build(src: &CompressedRankDb) -> Self {
+        let num_groups = src.num_groups();
         let total_entries: usize = (0..num_groups)
             .flat_map(|g| src.group_outliers(g))
             .chain(src.plain())
@@ -460,14 +459,30 @@ impl<'s> Ctx<'s> {
 /// rule only defers a queueing, never cancels it). One sweep therefore
 /// precomputes every unit's bucket, and workers share the read-only
 /// RP-Struct and root node.
-pub fn mine_source_par<S: GroupedSource>(
-    src: &S,
+pub fn mine_source_par(
+    src: &CompressedRankDb,
     flist: &FList,
     prefix_items: &[Item],
     minsup: u64,
     par: Parallelism,
     sink: &mut dyn PatternSink,
 ) {
+    mine_root(src, src.num_groups() == 0, flist, prefix_items, minsup, par, sink);
+}
+
+/// [`mine_source_par`] with the unit path chosen by `raw`: the classic
+/// H-Mine fast path (`RawUnit`), valid only on a layout without groups,
+/// or the generic search over projected groups.
+fn mine_root(
+    src: &CompressedRankDb,
+    raw: bool,
+    flist: &FList,
+    prefix_items: &[Item],
+    minsup: u64,
+    par: Parallelism,
+    sink: &mut dyn PatternSink,
+) {
+    debug_assert!(!raw || src.num_groups() == 0, "the raw fast path has no group handling");
     let s = RpStruct::build(src);
     let node = root_node(&s);
     let num_ranks = flist.len();
@@ -518,14 +533,14 @@ pub fn mine_source_par<S: GroupedSource>(
             for &it in prefix_items {
                 emitter.push_item(it);
             }
-            let state = if S::GROUPED {
+            let state = if raw {
+                UnitState::Raw(RawUnit::new(num_ranks))
+            } else {
                 UnitState::Grouped {
                     ctx: Ctx::new(s, num_ranks, minsup, true),
                     run: Vec::new(),
                     child: Node::default(),
                 }
-            } else {
-                UnitState::Raw(RawUnit::new(num_ranks))
             };
             (state, emitter)
         },
@@ -559,13 +574,13 @@ pub fn mine_source_par<S: GroupedSource>(
     );
 }
 
-/// Per-worker state of one first-level fan-out unit. The substrate picks
-/// the variant statically, so each monomorphization constructs only one.
+/// Per-worker state of one first-level fan-out unit. The run picks the
+/// variant once, at the root, so every worker constructs the same one.
 enum UnitState<'s> {
     /// The generic engine over projected groups, with the worker's
     /// grouping scratch and the buffer its units' children fill.
     Grouped { ctx: Ctx<'s>, run: Vec<(u32, Member)>, child: Node },
-    /// The classic H-Mine fast path of the group-free substrate.
+    /// The classic H-Mine fast path of a layout without groups.
     Raw(RawUnit),
 }
 
@@ -576,8 +591,8 @@ enum UnitState<'s> {
 /// subset enumeration would bypass the per-prefix checks; the [`NoPrune`]
 /// instantiation used by the unpruned paths monomorphizes the checks
 /// away entirely.
-pub fn mine_source_pruned<S: GroupedSource, P: SearchPrune + ?Sized>(
-    src: &S,
+pub fn mine_source_pruned<P: SearchPrune + ?Sized>(
+    src: &CompressedRankDb,
     flist: &FList,
     prefix_items: &[Item],
     minsup: u64,
@@ -611,8 +626,7 @@ pub fn mine_db_pruned<P: SearchPrune + ?Sized>(
     }
     let allowed: Vec<bool> =
         (0..flist.len() as u32).map(|r| prune.item_allowed(flist.item(r))).collect();
-    let tuples = encode_db_pruned(db, &flist, &allowed);
-    let src = PlainRanks::from_csr(&tuples, flist.len());
+    let src = CompressedRankDb::from_plain(encode_db_pruned(db, &flist, &allowed), flist.len());
     mine_source_pruned(&src, &flist, &[], minsup, prune, sink);
 }
 
@@ -1295,56 +1309,23 @@ fn mine_level_raw(
 mod tests {
     use super::*;
     use crate::mine_apriori;
-    use gogreen_data::{CollectSink, CsrTuples, TupleSlices};
-
-    /// A hand-built grouped rank database: `(pattern, outlier rows,
-    /// bare)` per group, then the plain rows.
-    struct Groups {
-        groups: Vec<(Vec<u32>, CsrTuples<u32>, u64)>,
-        plain: CsrTuples<u32>,
-    }
-
-    impl GroupedSource for Groups {
-        const GROUPED: bool = true;
-        fn num_ranks(&self) -> usize {
-            K as usize
-        }
-        fn num_groups(&self) -> usize {
-            self.groups.len()
-        }
-        fn group_pattern(&self, g: usize) -> &[u32] {
-            &self.groups[g].0
-        }
-        fn group_outliers(&self, g: usize) -> TupleSlices<'_> {
-            self.groups[g].1.as_slices()
-        }
-        fn group_bare(&self, g: usize) -> u64 {
-            self.groups[g].2
-        }
-        fn plain(&self) -> TupleSlices<'_> {
-            self.plain.as_slices()
-        }
-    }
+    use gogreen_data::CollectSink;
 
     const K: u32 = 8;
-
-    fn rows(rs: &[&[u32]]) -> CsrTuples<u32> {
-        rs.iter().map(|r| r.to_vec()).collect()
-    }
 
     /// Whole groups on 1, 3, 5 and on 2, 6; partial groups elsewhere; a
     /// group whose residual empties on 4 (its members turn plain); a
     /// bare-only group; and plain rows.
-    fn source() -> Groups {
-        Groups {
-            groups: vec![
-                (vec![1, 3, 5], rows(&[&[0, 2], &[4, 6], &[2, 7]]), 2),
-                (vec![2, 6], rows(&[&[1, 4], &[3], &[1, 5, 7]]), 1),
-                (vec![4], rows(&[&[2, 5], &[3, 6, 7], &[5], &[0, 5]]), 3),
-                (vec![0, 2, 7], rows(&[]), 5),
-            ],
-            plain: rows(&[&[0, 1, 2], &[1, 3], &[4, 6], &[5, 6, 7], &[0, 7], &[6]]),
+    fn source() -> CompressedRankDb {
+        let mut src = CompressedRankDb::empty(K as usize);
+        src.push_group(&[1, 3, 5], [&[0, 2][..], &[4, 6], &[2, 7]], 2);
+        src.push_group(&[2, 6], [&[1, 4][..], &[3], &[1, 5, 7]], 1);
+        src.push_group(&[4], [&[2, 5][..], &[3, 6, 7], &[5], &[0, 5]], 3);
+        src.push_group(&[0, 2, 7], std::iter::empty(), 5);
+        for row in [&[0, 1, 2][..], &[1, 3], &[4, 6], &[5, 6, 7], &[0, 7], &[6]] {
+            src.push_plain(row);
         }
+        src
     }
 
     /// A node spelt out: `(gid, residual pattern, member rows, bare)`
@@ -1479,14 +1460,14 @@ mod tests {
         // And the whole search finds exactly the frequent itemsets of
         // the expanded tuples, serial or fanned out.
         let flist = FList::from_counts(&[1; K as usize], 1);
-        let mut tuples: Vec<Vec<u32>> = src.plain.iter().map(<[u32]>::to_vec).collect();
-        for (pattern, outliers, bare) in &src.groups {
-            for o in outliers.iter() {
-                let mut t = [pattern.as_slice(), o].concat();
+        let mut tuples: Vec<Vec<u32>> = src.plain().iter().map(<[u32]>::to_vec).collect();
+        for g in src.groups() {
+            for o in g.outliers.iter() {
+                let mut t = [g.pattern, o].concat();
                 t.sort_unstable();
                 tuples.push(t);
             }
-            tuples.extend((0..*bare).map(|_| pattern.clone()));
+            tuples.extend((0..g.bare).map(|_| g.pattern.to_vec()));
         }
         let items: Vec<Vec<u32>> = tuples
             .iter()
@@ -1520,23 +1501,33 @@ mod tests {
     fn rp_struct_sections_are_flat_and_owned() {
         let src = source();
         let s = RpStruct::build(&src);
-        assert_eq!(s.num_groups(), src.groups.len());
+        assert_eq!(s.num_groups(), src.num_groups());
         let mut next_tail = 0;
-        for (g, (pattern, outliers, bare)) in src.groups.iter().enumerate() {
+        for (g, view) in src.groups().enumerate() {
             let g32 = g as u32;
-            assert_eq!(s.pattern(g32), pattern.as_slice(), "group {g} pattern");
+            assert_eq!(s.pattern(g32), view.pattern, "group {g} pattern");
             let tails = s.tails(g32);
-            assert_eq!(tails, next_tail..next_tail + outliers.len() as u32, "group {g} tails");
+            let rows = view.outliers.len() as u32;
+            assert_eq!(tails, next_tail..next_tail + rows, "group {g} tails");
             next_tail = tails.end;
-            for (t, row) in tails.zip(outliers.iter()) {
+            for (t, row) in tails.zip(view.outliers.iter()) {
                 assert_eq!(rest(&s, (t, s.tail_first[t as usize])), row, "tail {t}");
             }
-            assert_eq!(s.gcount[g], outliers.len() as u64 + bare);
+            assert_eq!(s.gcount[g], view.count());
         }
         assert_eq!(*s.gpat_start.last().unwrap() as usize, s.gpat.len());
         let plain: Vec<Vec<u32>> = (next_tail..s.tail_first.len() as u32)
             .map(|t| rest(&s, (t, s.tail_first[t as usize])))
             .collect();
-        assert_eq!(plain, src.plain.iter().map(<[u32]>::to_vec).collect::<Vec<_>>());
+        assert_eq!(plain, src.plain().iter().map(<[u32]>::to_vec).collect::<Vec<_>>());
+    }
+
+    /// On layouts without groups, the classic H-Mine fast path and the
+    /// generic projected-group search emit the same stream.
+    #[test]
+    fn raw_fast_path_matches_grouped_traversal() {
+        crate::cases::fast_path_matches_grouped(&|src, raw, flist, minsup, par, sink| {
+            mine_root(src, raw, flist, &[], minsup, par, sink);
+        });
     }
 }

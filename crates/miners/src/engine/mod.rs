@@ -1,6 +1,6 @@
-//! One traversal implementation per algorithm family, generic over the
-//! [`gogreen_data::GroupedSource`] substrate, and the [`Family`] enum
-//! that dispatches to them.
+//! One traversal implementation per algorithm family over the one rank
+//! substrate, [`CompressedRankDb`], and the [`Family`] enum that
+//! dispatches to them.
 //!
 //! The paper's central identity — a raw database is a compressed database
 //! in which every group has an empty head and unit count — means the
@@ -16,12 +16,14 @@
 //!   with group runs filled word-at-a-time on the compressed substrate.
 //!
 //! [`Family`] is the whole engine surface: [`Family::mine_source`] is the
-//! one dispatch over the four families, and [`Miner`] is implemented for
-//! it once per substrate — here on plain [`TransactionDb`]s (through the
-//! degenerate, group-free [`PlainRanks`] view) and in `gogreen-core` on
-//! compressed databases (through `CompressedRankDb`). Group handling is
-//! driven by the substrate's group count (zero for the degenerate view),
-//! so the plain instantiations pay nothing for the group machinery.
+//! one dispatch over the four families, and both [`Miner`] impls live
+//! here. A plain [`TransactionDb`] enters as the layout with zero groups
+//! ([`CompressedRankDb::encode`]); a [`CompressedDb`] enters through
+//! [`CompressedDb::to_ranks`]. Group handling is driven by the layout's
+//! group count, and where a family has a group-free fast path (H-Mine's
+//! hyperlinked arena, FP-growth's sole-tree recursion) the engine takes
+//! it when the count is zero, so plain mining pays nothing for the group
+//! machinery.
 //!
 //! Parallelism contract: each engine routes its first-level fan-out
 //! through [`crate::common::fan_out_ordered`] exactly once, so the
@@ -34,8 +36,7 @@ pub mod tp;
 pub mod vt;
 
 use crate::Miner;
-use gogreen_data::projected::RankDb;
-use gogreen_data::{FList, GroupedSource, MinSupport, PatternSink, PlainRanks, TransactionDb};
+use gogreen_data::{CompressedDb, CompressedRankDb, FList, MinSupport, PatternSink, TransactionDb};
 use gogreen_obs::span;
 use gogreen_util::pool::Parallelism;
 use vt::VtRepr;
@@ -119,9 +120,9 @@ impl Family {
     /// Mines `src` against `flist` at the absolute threshold `minsup`,
     /// the first-level projections fanned out over `par` scoped threads.
     /// The emitted stream is byte-identical for any thread count.
-    pub fn mine_source<S: GroupedSource + Sync>(
+    pub fn mine_source(
         self,
-        src: &S,
+        src: &CompressedRankDb,
         flist: &FList,
         minsup: u64,
         par: Parallelism,
@@ -136,10 +137,9 @@ impl Family {
     }
 }
 
-/// The plain substrate: F-list, rank-encode, then the degenerate
-/// all-plain [`PlainRanks`] view. The F-list count and the encode pass
-/// run under the `flist` and `encode` spans, so a traced run attributes
-/// them apart from the search.
+/// Plain mining: F-list, then the all-plain rank layout. The F-list
+/// count and the encode pass run under the `flist` and `encode` spans,
+/// so a traced run attributes them apart from the search.
 impl Miner for Family {
     fn name(&self) -> &'static str {
         Family::name(*self)
@@ -166,9 +166,45 @@ impl Miner for Family {
         }
         let rdb = {
             let _sp = span("encode");
-            RankDb::encode(db, &flist)
+            CompressedRankDb::encode(db, &flist)
         };
-        self.mine_source(&PlainRanks::new(rdb.tuples(), flist.len()), &flist, minsup, par, sink);
+        self.mine_source(&rdb, &flist, minsup, par, sink);
+    }
+}
+
+/// Recycled mining: the F-list is counted group-at-a-time from the
+/// compressed form (the `flist` span) and the database rank-encoded
+/// once (the `encode` span). The name is the family's tag, the prefix
+/// of the recycled bench ids (`"HM"` in `"HM-MCP"`).
+impl Miner<CompressedDb> for Family {
+    fn name(&self) -> &'static str {
+        self.tag()
+    }
+
+    fn mine_into(&self, cdb: &CompressedDb, min_support: MinSupport, sink: &mut dyn PatternSink) {
+        self.mine_into_par(cdb, min_support, Parallelism::serial(), sink);
+    }
+
+    fn mine_into_par(
+        &self,
+        cdb: &CompressedDb,
+        min_support: MinSupport,
+        par: Parallelism,
+        sink: &mut dyn PatternSink,
+    ) {
+        let minsup = min_support.to_absolute(cdb.num_tuples());
+        let flist = {
+            let _sp = span("flist");
+            cdb.flist_par(minsup, par)
+        };
+        if flist.is_empty() {
+            return;
+        }
+        let rdb = {
+            let _sp = span("encode");
+            cdb.to_ranks(&flist)
+        };
+        self.mine_source(&rdb, &flist, minsup, par, sink);
     }
 }
 
@@ -210,10 +246,9 @@ mod tests {
     fn pruned_hooks_report_support_correctly() {
         let db = TransactionDb::paper_example();
         let flist = FList::from_db(&db, 2);
-        let rdb = RankDb::encode(&db, &flist);
-        let src = PlainRanks::new(rdb.tuples(), flist.len());
+        let rdb = CompressedRankDb::encode(&db, &flist);
         let mut sink = CollectSink::new();
-        hm::mine_source_pruned(&src, &flist, &[], 2, &NoPrune, &mut sink);
+        hm::mine_source_pruned(&rdb, &flist, &[], 2, &NoPrune, &mut sink);
         assert!(sink.into_set().same_patterns_as(&mine_apriori(&db, MinSupport::Absolute(2))));
     }
 }

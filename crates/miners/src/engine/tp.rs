@@ -1,6 +1,6 @@
 //! The Tree Projection family engine: depth-first lexicographic-tree
-//! search with triangular pair-count matrices (paper §4.2), generic over
-//! [`GroupedSource`].
+//! search with triangular pair-count matrices (paper §4.2), over the
+//! compressed rank layout [`CompressedRankDb`].
 //!
 //! As in the depth-first Tree Projection baseline, each lexicographic
 //! node materializes its projected transactions and fills a triangular
@@ -37,14 +37,14 @@
 //! shared root with its own cursors, rewound whenever its next unit is
 //! not above its last one.
 //!
-//! On the degenerate [`gogreen_data::PlainRanks`] substrate every tuple
-//! lands in the single pattern-free root partition, the group-at-a-time
-//! arms never execute, and the search is exactly the classic depth-first
-//! Tree Projection of Agarwal, Aggarwal & Prasad.
+//! On a layout with zero groups every tuple lands in the single
+//! pattern-free root partition, the group-at-a-time arms never execute,
+//! and the search is exactly the classic depth-first Tree Projection of
+//! Agarwal, Aggarwal & Prasad.
 
 use crate::common::{fan_out_ordered, for_each_subset, RankEmitter};
 use crate::treeproj::PairMatrix;
-use gogreen_data::{CsrTuples, FList, GroupedSource, PatternSink, ProjectionArena, TupleSlices};
+use gogreen_data::{CompressedRankDb, CsrTuples, FList, PatternSink, ProjectionArena, TupleSlices};
 use gogreen_obs::{histogram, metrics};
 use gogreen_util::pool::Parallelism;
 
@@ -147,8 +147,8 @@ impl Sweep {
 /// Mines `src` against `flist` at the absolute threshold `minsup`, the
 /// root extensions fanned out over `par` scoped threads. The emitted
 /// stream is byte-identical for any thread count.
-pub fn mine_source_par<S: GroupedSource>(
-    src: &S,
+pub fn mine_source_par(
+    src: &CompressedRankDb,
     flist: &FList,
     minsup: u64,
     par: Parallelism,
@@ -226,7 +226,7 @@ impl RootNode {
     /// root member slab is an owned copy because projection rewrites
     /// index lists at every node below anyway; groups land in source
     /// order with the plain partition last, mirroring [`project`].
-    fn new<S: GroupedSource>(src: &S, flist: &FList) -> Self {
+    fn new(src: &CompressedRankDb, flist: &FList) -> Self {
         let exts = (0..flist.len() as u32).map(|r| (r, flist.support(r))).collect();
         let mut root = RootNode {
             groups: Vec::with_capacity(src.num_groups() + 1),
@@ -234,10 +234,8 @@ impl RootNode {
             members: CsrTuples::new(),
             exts,
         };
-        if S::GROUPED {
-            for g in 0..src.num_groups() {
-                root.push(src.group_pattern(g), src.group_outliers(g), src.group_bare(g));
-            }
+        for g in src.groups() {
+            root.push(g.pattern, g.outliers, g.bare);
         }
         if !src.plain().is_empty() {
             root.push(&[], src.plain(), 0);

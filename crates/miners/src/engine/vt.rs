@@ -1,6 +1,6 @@
 //! The vertical (Eclat-style) family engine: tidset intersection mining
-//! with **per-node adaptive representations**, generic over
-//! [`GroupedSource`].
+//! with **per-node adaptive representations**, over the compressed rank
+//! layout [`CompressedRankDb`].
 //!
 //! Where the three horizontal families walk tuples, this engine walks
 //! *columns*: every rank owns a vertical set of the tids containing it,
@@ -43,8 +43,7 @@
 //! ([`gogreen_data::bitmap::set_run`]) or pushes one `lo..hi` range
 //! into a tid-list — O(count/64) and O(count) per item respectively —
 //! while outlier residues and plain tuples pay per-bit/per-tid cost. On
-//! the degenerate [`gogreen_data::PlainRanks`] substrate the run arm
-//! vanishes statically.
+//! a layout with zero groups the run arm loops zero times.
 //!
 //! Each lexicographic node counts all extension pairs without
 //! materializing anything, then prunes with two representation-agnostic
@@ -81,7 +80,7 @@ use crate::bound;
 use crate::common::{fan_out_ordered, for_each_subset, RankEmitter};
 use crate::treeproj::PairMatrix;
 use gogreen_data::bitmap::{self, BitsetArena};
-use gogreen_data::{FList, GroupedSource, PatternSink};
+use gogreen_data::{CompressedRankDb, FList, PatternSink};
 use gogreen_obs::{histogram, metrics};
 use gogreen_util::pool::Parallelism;
 
@@ -293,8 +292,8 @@ fn choose_repr(forced: VtRepr, parent: Repr, sup_a: u64, kc: u64, sum: u64, widt
 /// representation mode `repr`, the root extensions fanned out over
 /// `par` scoped threads. The emitted stream is byte-identical for any
 /// thread count and any `repr`.
-pub fn mine_source_par<S: GroupedSource>(
-    src: &S,
+pub fn mine_source_par(
+    src: &CompressedRankDb,
     flist: &FList,
     minsup: u64,
     par: Parallelism,
@@ -361,15 +360,9 @@ pub fn mine_source_par<S: GroupedSource>(
     );
 }
 
-/// Expanded tuple count of the substrate (groups re-expanded).
-fn expanded_len<S: GroupedSource>(src: &S) -> usize {
-    let mut n = src.plain().len();
-    if S::GROUPED {
-        for g in 0..src.num_groups() {
-            n += src.group_count(g) as usize;
-        }
-    }
-    n
+/// Expanded tuple count of the layout (groups re-expanded).
+fn expanded_len(src: &CompressedRankDb) -> usize {
+    src.plain().len() + src.groups().map(|g| g.count() as usize).sum::<usize>()
 }
 
 /// Builds the root tid-bitmaps: one column of `width` words per rank.
@@ -378,8 +371,8 @@ fn expanded_len<S: GroupedSource>(src: &S) -> usize {
 /// contiguous run (outlier members first, then bare members), so every
 /// pattern item of the group is a single word-wise run fill. Plain
 /// tuples follow, one bit each. Column popcounts are exact supports.
-fn build_bitmap_columns<S: GroupedSource>(
-    src: &S,
+fn build_bitmap_columns(
+    src: &CompressedRankDb,
     num_ranks: usize,
     n: usize,
     width: usize,
@@ -389,21 +382,19 @@ fn build_bitmap_columns<S: GroupedSource>(
     let mut tid = 0usize;
     let mut touches = 0u64;
     let mut group_hits = 0u64;
-    if S::GROUPED {
-        for g in 0..src.num_groups() {
-            let count = src.group_count(g) as usize;
-            for &r in src.group_pattern(g) {
-                bitmap::set_run(&mut cols[r as usize * width..][..width], tid, count);
-                group_hits += 1;
-            }
-            for (idx, m) in src.group_outliers(g).into_iter().enumerate() {
-                for &r in m {
-                    bitmap::set_bit(&mut cols[r as usize * width..][..width], tid + idx);
-                }
-                touches += m.len() as u64;
-            }
-            tid += count;
+    for g in src.groups() {
+        let count = g.count() as usize;
+        for &r in g.pattern {
+            bitmap::set_run(&mut cols[r as usize * width..][..width], tid, count);
+            group_hits += 1;
         }
+        for (idx, m) in g.outliers.into_iter().enumerate() {
+            for &r in m {
+                bitmap::set_bit(&mut cols[r as usize * width..][..width], tid + idx);
+            }
+            touches += m.len() as u64;
+        }
+        tid += count;
     }
     for t in src.plain() {
         for &r in t {
@@ -431,7 +422,7 @@ fn build_bitmap_columns<S: GroupedSource>(
 /// contiguous run each, so a group pattern item is one `lo..hi` range
 /// push (the O(count) list analog of the word-wise run fill), and
 /// processing order alone keeps every column sorted.
-fn build_tidlist_columns<S: GroupedSource>(src: &S, exts: &[(u32, u64)]) -> (Vec<u32>, Vec<u32>) {
+fn build_tidlist_columns(src: &CompressedRankDb, exts: &[(u32, u64)]) -> (Vec<u32>, Vec<u32>) {
     let k = exts.len();
     let mut ends = vec![0u32; k];
     let mut total = 0u64;
@@ -449,25 +440,23 @@ fn build_tidlist_columns<S: GroupedSource>(src: &S, exts: &[(u32, u64)]) -> (Vec
     let mut tid = 0u32;
     let mut touches = 0u64;
     let mut group_hits = 0u64;
-    if S::GROUPED {
-        for g in 0..src.num_groups() {
-            let count = src.group_count(g) as u32;
-            for &r in src.group_pattern(g) {
-                let c = cur[r as usize] as usize;
-                for (i, slot) in data[c..c + count as usize].iter_mut().enumerate() {
-                    *slot = tid + i as u32;
-                }
-                cur[r as usize] += count;
-                group_hits += 1;
+    for g in src.groups() {
+        let count = g.count() as u32;
+        for &r in g.pattern {
+            let c = cur[r as usize] as usize;
+            for (i, slot) in data[c..c + count as usize].iter_mut().enumerate() {
+                *slot = tid + i as u32;
             }
-            for (idx, m) in src.group_outliers(g).into_iter().enumerate() {
-                for &r in m {
-                    push(&mut cur, &mut data, r as usize, tid + idx as u32);
-                }
-                touches += m.len() as u64;
-            }
-            tid += count;
+            cur[r as usize] += count;
+            group_hits += 1;
         }
+        for (idx, m) in g.outliers.into_iter().enumerate() {
+            for &r in m {
+                push(&mut cur, &mut data, r as usize, tid + idx as u32);
+            }
+            touches += m.len() as u64;
+        }
+        tid += count;
     }
     for t in src.plain() {
         for &r in t {

@@ -11,8 +11,8 @@
 //! This module holds the [`FpTree`]; the search is
 //! [`Family::Fp`](crate::Family::Fp). The conditional-group engine
 //! ([`crate::engine::fp`]) uses the tree both as the per-group outlier
-//! store of a compressed database and, on the degenerate
-//! [`gogreen_data::PlainRanks`] substrate, as the classic global FP-tree.
+//! store of a compressed database and, on a layout with zero groups, as
+//! the classic global FP-tree.
 
 use gogreen_obs::metrics;
 

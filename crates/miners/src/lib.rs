@@ -18,12 +18,12 @@
 //! [`bound`].
 //!
 //! The four families are one enum, [`Family`]: each is a single
-//! traversal in [`engine`], written once over the `GroupedSource`
-//! substrate abstraction. `Family` implements [`Miner`] here on plain
-//! databases (the degenerate all-plain view), and `gogreen-core`
-//! implements it again on compressed databases — the same code on real
-//! groups. Apriori and the naive miner are separate [`Miner`] impls, the
-//! oracles the families are tested against.
+//! traversal in [`engine`], written once over the compressed rank
+//! layout ([`gogreen_data::CompressedRankDb`]). `Family` implements
+//! [`Miner`] on plain databases (the layout with zero groups) and on
+//! compressed databases — the same code on real groups. Apriori and the
+//! naive miner are separate [`Miner`] impls, the oracles the families
+//! are tested against.
 
 pub mod apriori;
 pub mod bound;
@@ -41,8 +41,8 @@ pub use engine::Family;
 pub use naive::NaiveProjection;
 
 /// A frequent-pattern mining algorithm over databases of type `D` —
-/// plain [`TransactionDb`]s by default, compressed databases for the
-/// recycling miners in `gogreen-core`.
+/// plain [`TransactionDb`]s by default, compressed databases
+/// ([`gogreen_data::CompressedDb`]) for the recycling miners.
 ///
 /// ```
 /// use gogreen_miners::{Family, Miner};

@@ -49,7 +49,7 @@ impl NaiveProjection {
         // space. Supports of the remaining items are unaffected.
         let allowed: Vec<bool> =
             (0..flist.len() as u32).map(|r| prune.item_allowed(flist.item(r))).collect();
-        let rdb = RankDb::from_csr(encode_db_pruned(db, &flist, &allowed), flist.len());
+        let rdb = RankDb::from_csr(encode_db_pruned(db, &flist, &allowed));
         let mut emitter = RankEmitter::new(&flist);
         let mut scratch = ScratchCounts::new(flist.len());
         let root: Vec<(u32, u64)> = (0..flist.len() as u32)

@@ -8,11 +8,11 @@
 //! (two levels of the tree from one counting pass).
 //!
 //! The traversal is [`Family::Tp`](crate::Family::Tp), in
-//! [`crate::engine::tp`]; on the degenerate
-//! [`gogreen_data::PlainRanks`] substrate every transaction sits in the
-//! single pattern-free partition and the search is the classic
-//! depth-first algorithm. This module holds [`PairMatrix`], the node
-//! counting structure both substrates share.
+//! [`crate::engine::tp`]; on a layout with zero groups every
+//! transaction sits in the single pattern-free partition and the search
+//! is the classic depth-first algorithm. This module holds
+//! [`PairMatrix`], the node counting structure plain and recycled
+//! mining share.
 
 use gogreen_util::FxHashMap;
 

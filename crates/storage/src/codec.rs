@@ -30,8 +30,7 @@
 //! layout's invariants before anything builds on it.
 
 use crate::crc::crc32;
-use gogreen_core::cdb::GroupView;
-use gogreen_data::CsrTuples;
+use gogreen_data::{CsrTuples, GroupView};
 use std::io;
 
 /// Why an encoded record buffer failed to decode.

@@ -22,17 +22,16 @@
 //! and then its whole plain residue as one view with an empty pattern,
 //! or a partition's decoded records, which the spill reader has already
 //! held to the rank database's invariants. Counting, re-projection and
-//! loading each have one body for both. A level without groups is mined
-//! through a [`PlainRanks`] view, so H-Mine takes its classic group-free
-//! fast path there.
+//! loading each have one body for both. Every level that fits is mined
+//! as its rank layout; H-Mine itself takes its classic group-free fast
+//! path on a level without groups.
 
 use crate::budget::MemoryBudget;
 use crate::spill::SpillManager;
-use gogreen_core::cdb::{CompressedDb, CompressedRankDb, GroupView};
 use gogreen_core::memory::{estimate_hmine_bytes, estimate_rp_struct_bytes};
 use gogreen_data::{
-    CollectSink, CsrTuples, FList, Item, MinSupport, PatternSet, PatternSink, PlainRanks,
-    TransactionDb,
+    CollectSink, CompressedDb, CompressedRankDb, CsrTuples, FList, GroupView, Item, MinSupport,
+    PatternSet, PatternSink, TransactionDb,
 };
 use gogreen_miners::engine::hm;
 use gogreen_obs::metrics;
@@ -75,11 +74,7 @@ impl LimitedHMine {
     ) -> io::Result<LimitedReport> {
         let minsup = min_support.to_absolute(db.len());
         let flist = FList::from_db(db, minsup);
-        let mut plain = CsrTuples::with_capacity(db.len(), db.csr().total_elems());
-        for t in db.iter() {
-            flist.encode_row(t, &mut plain);
-        }
-        let rdb = CompressedRankDb::from_plain(plain, flist.len());
+        let rdb = CompressedRankDb::encode(db, &flist);
         let est = estimate_hmine_bytes(rdb.plain().total_elems(), rdb.plain().len());
         Recycling { budget: self.budget, flist: &flist, minsup }.run(&rdb, est, sink)
     }
@@ -213,13 +208,7 @@ impl Recycling<'_> {
                     &loaded
                 }
             };
-            let (flist, minsup, serial) = (self.flist, self.minsup, Parallelism::serial());
-            if rdb.num_groups() == 0 {
-                let src = PlainRanks::new(rdb.plain(), n);
-                hm::mine_source_par(&src, flist, prefix, minsup, serial, sink);
-            } else {
-                hm::mine_source_par(rdb, flist, prefix, minsup, serial, sink);
-            }
+            hm::mine_source_par(rdb, self.flist, prefix, self.minsup, Parallelism::serial(), sink);
             return Ok(());
         }
         // Too big: parallel projection one level deeper (paper §3.3).

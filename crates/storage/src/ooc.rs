@@ -30,11 +30,11 @@
 use crate::budget::MemoryBudget;
 use crate::segment::{SegmentWriter, SegmentedDb};
 use crate::version;
-use gogreen_core::cdb::CompressedDb;
 use gogreen_core::store::PatternStore;
 use gogreen_core::{CompressionStats, Compressor, Strategy};
 use gogreen_data::{
-    CollectSink, CsrTuples, FList, MinSupport, PatternSet, PatternSink, PlainRanks,
+    CollectSink, CompressedDb, CompressedRankDb, CsrTuples, FList, MinSupport, PatternSet,
+    PatternSink,
 };
 use gogreen_miners::{Family, Miner};
 use gogreen_util::pool::Parallelism;
@@ -91,8 +91,8 @@ impl<'a> OocMiner<'a> {
             }
             Ok(())
         })?;
-        let src = PlainRanks::new(tuples.as_slices(), flist.len());
-        self.family.mine_source(&src, &flist, minsup, self.parallelism, sink);
+        let rdb = CompressedRankDb::from_plain(tuples, flist.len());
+        self.family.mine_source(&rdb, &flist, minsup, self.parallelism, sink);
         Ok(())
     }
 

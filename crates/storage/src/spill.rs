@@ -15,7 +15,7 @@
 use crate::codec::{
     check_view, for_each_view, group_memory, plain_memory, put_group, put_plain, ByteReader,
 };
-use gogreen_core::cdb::GroupView;
+use gogreen_data::GroupView;
 use gogreen_obs::{histogram, metrics};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};

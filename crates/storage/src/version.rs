@@ -38,8 +38,7 @@
 
 use crate::codec::{check_view, for_each_view, put_group, put_plain, ByteReader};
 use crate::crc::crc32;
-use gogreen_core::cdb::CompressedDb;
-use gogreen_data::Item;
+use gogreen_data::{CompressedDb, Item};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -151,9 +150,8 @@ fn decode(bytes: &[u8]) -> io::Result<CompressedDb> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gogreen_core::cdb::GroupView;
     use gogreen_core::{Compressor, Strategy};
-    use gogreen_data::{CsrTuples, MinSupport, TransactionDb};
+    use gogreen_data::{CsrTuples, GroupView, MinSupport, TransactionDb};
     use gogreen_miners::{Family, Miner};
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -41,7 +41,7 @@ impl Json {
     /// Parses one JSON value from `text` (surrounding whitespace
     /// allowed; trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -102,11 +102,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The workspace
+/// writes at most a handful of levels; the bound keeps hostile input
+/// (say, 100,000 `[`s) an error instead of a stack overflow.
+const MAX_DEPTH: usize = 256;
+
 /// Recursive-descent parser over the raw bytes (JSON syntax is ASCII;
 /// string contents pass through as UTF-8).
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -148,11 +155,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses an array or object one nesting level deeper, refusing to
+    /// go past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -466,6 +485,18 @@ mod tests {
     fn parse_rejects_malformed_input() {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_nesting_past_the_bound() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "null" + &"}".repeat(n);
+        for nest in [arrays, objects] {
+            assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+            for n in [MAX_DEPTH + 1, 100_000] {
+                assert!(Json::parse(&nest(n)).unwrap_err().contains("nesting"), "depth {n}");
+            }
         }
     }
 

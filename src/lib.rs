@@ -9,7 +9,8 @@
 //! This facade crate re-exports the workspace crates under stable module
 //! names:
 //!
-//! * [`data`] — items, transactions, databases, F-lists, patterns.
+//! * [`data`] — items, transactions, databases, F-lists, patterns, and
+//!   the compressed rank layout every mining engine reads.
 //! * [`datagen`] — synthetic dataset generators and paper-analog presets.
 //! * [`miners`] — the four engine families as one [`miners::Family`]
 //!   (H-Mine, FP-growth, Tree Projection, vertical bitmap Eclat), plus
@@ -58,15 +59,15 @@ pub use gogreen_util as util;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use gogreen_core::batch::{BatchOutcome, BatchPlan, BatchQuery, BatchReport, QueryBatch};
-    pub use gogreen_core::cdb::CompressedDb;
     pub use gogreen_core::compress::Compressor;
     pub use gogreen_core::rpmine::RpMine;
     pub use gogreen_core::session::MiningSession;
     pub use gogreen_core::store::PatternStore;
     pub use gogreen_core::utility::Strategy;
     pub use gogreen_data::{
-        contains_all, CollectSink, CountSink, CsrTuples, FList, Item, ItemCatalog, MinSupport,
-        Pattern, PatternSet, PatternSink, ProjectionArena, Transaction, TransactionDb, TupleSlices,
+        contains_all, CollectSink, CompressedDb, CountSink, CsrTuples, FList, Item, ItemCatalog,
+        MinSupport, Pattern, PatternSet, PatternSink, ProjectionArena, Transaction, TransactionDb,
+        TupleSlices,
     };
     pub use gogreen_miners::engine::vt::VtRepr;
     pub use gogreen_miners::{mine_apriori, Family, Miner};

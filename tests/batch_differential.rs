@@ -5,6 +5,9 @@
 //! shared pass's thread-invariant counters (`mine.*`, `batch.*`) must be
 //! bit-identical at any `--threads N`.
 
+mod common;
+
+use common::{stream_of, Stream};
 use gogreen::constraints::{Constraint, ConstraintSet};
 use gogreen::data::FnSink;
 use gogreen::obs::measure;
@@ -43,18 +46,6 @@ fn fleet(db: &TransactionDb) -> QueryBatch {
         ConstraintSet::support_only(MinSupport::Relative(0.03)).with(Constraint::SubsetOf(dense)),
     ));
     batch
-}
-
-/// The exact emission sequence of one query's stream.
-type Stream = Vec<(Vec<Item>, u64)>;
-
-fn stream_of(f: &mut dyn FnMut(&mut dyn PatternSink)) -> Stream {
-    let mut out: Stream = Vec::new();
-    {
-        let mut sink = FnSink(|items: &[Item], sup: u64| out.push((items.to_vec(), sup)));
-        f(&mut sink);
-    }
-    out
 }
 
 /// Runs `batch` on the raw db and returns all member streams.

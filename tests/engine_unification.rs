@@ -1,37 +1,26 @@
 //! Differential tests for the unified engines: each algorithm family is
-//! written once, generically over `GroupedSource`, and instantiated on
-//! two substrates — the degenerate `PlainRanks` view (raw mining) and
-//! the real `CompressedRankDb` (recycled mining). This suite pins the
-//! unification down three ways per family:
+//! one traversal over the compressed rank layout, which plain databases
+//! enter with zero groups (raw mining) and compressed databases with
+//! their real groups (recycled mining). This suite pins the unification
+//! down three ways per family:
 //!
 //! 1. the raw miner equals the Apriori oracle;
 //! 2. mining an *uncompressed* compressed database (every tuple in the
-//!    plain partition, zero groups) emits the **byte-identical stream**
-//!    the raw miner emits — the degenerate substrate is a view, not a
-//!    different algorithm;
+//!    plain partition, zero groups) through the recycled entry emits the
+//!    **byte-identical stream** the raw miner emits. Both reach the
+//!    engines as a zero-group layout and take the same fast path; that
+//!    the grouped traversal agrees with the fast path on such input is
+//!    checked by the `raw_fast_path_matches_grouped_traversal` unit
+//!    tests in `gogreen_miners::engine::{hm, fp}`;
 //! 3. MCP- and MLP-compressed databases mine to the oracle set too,
 //!    serial and at 4 threads.
 
+mod common;
+
+use common::{as_set, stream_of, Stream};
 use gogreen::core::oracle;
-use gogreen::data::FnSink;
 use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
-
-/// The exact emission sequence of one mining run.
-type Stream = Vec<(Vec<Item>, u64)>;
-
-fn stream_of(f: &mut dyn FnMut(&mut dyn PatternSink)) -> Stream {
-    let mut out: Stream = Vec::new();
-    {
-        let mut sink = FnSink(|items: &[Item], sup: u64| out.push((items.to_vec(), sup)));
-        f(&mut sink);
-    }
-    out
-}
-
-fn as_set(stream: &Stream) -> PatternSet {
-    stream.iter().map(|(items, sup)| Pattern::new(items.clone(), *sup)).collect()
-}
 
 /// A database with shared prefixes, identical tuples (bare group
 /// members), and items that fall in and out of frequency across
@@ -193,6 +182,10 @@ fn vt_repr_modes_emit_identical_streams() {
     }
 }
 
+/// Raw mining against the uncompressed compressed database (the
+/// recycled entry: group-wise F-list count, `to_ranks`) and against the
+/// oracle: the two entries must hand the engines the same zero-group
+/// layout and emit the same stream.
 #[test]
 fn raw_and_degenerate_grouped_streams_are_identical() {
     for db in [TransactionDb::paper_example(), structured_db()] {
@@ -207,7 +200,7 @@ fn raw_and_degenerate_grouped_streams_are_identical() {
                         stream_of(&mut |sink| rec_miner.mine_into_par(&cdb, ms, par, sink));
                     assert_eq!(
                         raw, grouped,
-                        "{key} ξ={minsup} t={threads}: raw and degenerate streams differ"
+                        "{key} ξ={minsup} t={threads}: raw and uncompressed-CDB streams differ"
                     );
                     let oracle = mine_apriori(&db, ms);
                     assert!(

@@ -6,8 +6,10 @@
 //! counts. The spill codec's CSR group records must survive an
 //! encode/decode round-trip and fail loudly on corrupt bytes.
 
-use gogreen::core::cdb::GroupView;
-use gogreen::data::FnSink;
+mod common;
+
+use common::stream_of;
+use gogreen::data::{FnSink, GroupView};
 use gogreen::obs::{measure, metrics};
 use gogreen::prelude::*;
 use gogreen::storage::codec::{for_each_view, put_group, put_plain, ByteReader, DecodeError};
@@ -24,17 +26,6 @@ fn substrates() -> (TransactionDb, CompressedDb, CompressedDb) {
     let mcp = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let mlp = Compressor::new(Strategy::Mlp).compress(&db, &fp);
     (db, mcp, mlp)
-}
-
-type Stream = Vec<(Vec<Item>, u64)>;
-
-fn stream_of(f: &mut dyn FnMut(&mut dyn PatternSink)) -> Stream {
-    let mut out: Stream = Vec::new();
-    {
-        let mut sink = FnSink(|items: &[Item], sup: u64| out.push((items.to_vec(), sup)));
-        f(&mut sink);
-    }
-    out
 }
 
 /// All 7 miners, every substrate each supports, threads 1 vs 4: the

@@ -15,18 +15,13 @@
 //! for: ranks frequent at a node that are infrequent in its child, both
 //! inside a residual pattern and inside a conditional base.
 
-use gogreen::data::FnSink;
+mod common;
+
+use common::{as_set, stream_of, Stream};
 use gogreen::obs::{measure, MetricsSnapshot};
 use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-
-/// The exact emission sequence of one mining run.
-type Stream = Vec<(Vec<Item>, u64)>;
-
-fn as_set(stream: &Stream) -> PatternSet {
-    stream.iter().map(|(items, sup)| Pattern::new(items.clone(), *sup)).collect()
-}
 
 /// Mines `db` with FP-growth at `threads`, returning the stream and the
 /// run's own counters.
@@ -34,14 +29,8 @@ fn run<D>(db: &D, ms: MinSupport, threads: usize) -> (Stream, MetricsSnapshot)
 where
     Family: Miner<D>,
 {
-    measure(|| {
-        let mut out: Stream = Vec::new();
-        {
-            let mut sink = FnSink(|items: &[Item], sup: u64| out.push((items.to_vec(), sup)));
-            Family::Fp.mine_into_par(db, ms, Parallelism::threads(threads), &mut sink);
-        }
-        out
-    })
+    let par = Parallelism::threads(threads);
+    measure(|| stream_of(&mut |sink| Family::Fp.mine_into_par(db, ms, par, sink)))
 }
 
 fn mine_counters(snap: &MetricsSnapshot) -> Vec<(&'static str, u64)> {

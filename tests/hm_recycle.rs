@@ -10,30 +10,20 @@
 //!    count. Three threads hand a worker root units that are not
 //!    consecutive, so its child buffer is refilled across gaps.
 
-use gogreen::data::FnSink;
+mod common;
+
+use common::{as_set, stream_of, Stream};
 use gogreen::obs::{measure, MetricsSnapshot};
 use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 
-/// The exact emission sequence of one mining run.
-type Stream = Vec<(Vec<Item>, u64)>;
-
-fn as_set(stream: &Stream) -> PatternSet {
-    stream.iter().map(|(items, sup)| Pattern::new(items.clone(), *sup)).collect()
-}
-
 /// Mines `cdb` with recycled H-Mine at `threads`, returning the stream
 /// and the `mine.*` counters of the run.
 fn run(cdb: &CompressedDb, ms: MinSupport, threads: usize) -> (Stream, Vec<(&'static str, u64)>) {
-    let (stream, snap): (Stream, MetricsSnapshot) = measure(|| {
-        let mut out: Stream = Vec::new();
-        {
-            let mut sink = FnSink(|items: &[Item], sup: u64| out.push((items.to_vec(), sup)));
-            Family::Hm.mine_into_par(cdb, ms, Parallelism::threads(threads), &mut sink);
-        }
-        out
-    });
+    let par = Parallelism::threads(threads);
+    let (stream, snap): (Stream, MetricsSnapshot) =
+        measure(|| stream_of(&mut |sink| Family::Hm.mine_into_par(cdb, ms, par, sink)));
     let counters = snap
         .metrics
         .iter()

@@ -8,6 +8,9 @@
 //! recycling miners on both an uncompressed view and an MCP-compressed
 //! database.
 
+mod common;
+
+use common::{stream_of, Stream};
 use gogreen::data::FnSink;
 use gogreen::obs::measure;
 use gogreen::prelude::*;
@@ -34,18 +37,6 @@ fn pumsb() -> (TransactionDb, CompressedDb, MinSupport) {
     let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
     let xi_new = *preset.sweep().last().expect("pumsb sweep");
     (db, cdb, xi_new)
-}
-
-/// The exact emission sequence of one mining run.
-type Stream = Vec<(Vec<Item>, u64)>;
-
-fn stream_of(f: &mut dyn FnMut(&mut dyn PatternSink)) -> Stream {
-    let mut out: Stream = Vec::new();
-    {
-        let mut sink = FnSink(|items: &[Item], sup: u64| out.push((items.to_vec(), sup)));
-        f(&mut sink);
-    }
-    out
 }
 
 fn assert_streams_match(serial: &Stream, name: &str, mut run: impl FnMut(Parallelism) -> Stream) {

@@ -170,7 +170,7 @@ fn disabled_instrumentation_is_nearly_free() {
 /// `threads` and returns the registry-invariant histogram totals.
 fn invariant_histograms(
     db: &TransactionDb,
-    cdb: &gogreen::core::cdb::CompressedDb,
+    cdb: &CompressedDb,
     xi_new: MinSupport,
     threads: usize,
 ) -> Vec<(&'static str, Histogram)> {

@@ -11,18 +11,13 @@
 //!    count. Three threads hand a worker root units that are not
 //!    consecutive, so its cursors skip extensions between units.
 
-use gogreen::data::FnSink;
+mod common;
+
+use common::{as_set, stream_of, Stream};
 use gogreen::obs::{measure, MetricsSnapshot};
 use gogreen::prelude::*;
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
-
-/// The exact emission sequence of one mining run.
-type Stream = Vec<(Vec<Item>, u64)>;
-
-fn as_set(stream: &Stream) -> PatternSet {
-    stream.iter().map(|(items, sup)| Pattern::new(items.clone(), *sup)).collect()
-}
 
 /// Mines `db` with TreeProjection at `threads`, returning the stream and
 /// the `mine.*` counters of the run.
@@ -30,14 +25,9 @@ fn run<D>(db: &D, ms: MinSupport, threads: usize) -> (Stream, Vec<(&'static str,
 where
     Family: Miner<D>,
 {
-    let (stream, snap): (Stream, MetricsSnapshot) = measure(|| {
-        let mut out: Stream = Vec::new();
-        {
-            let mut sink = FnSink(|items: &[Item], sup: u64| out.push((items.to_vec(), sup)));
-            Family::Tp.mine_into_par(db, ms, Parallelism::threads(threads), &mut sink);
-        }
-        out
-    });
+    let par = Parallelism::threads(threads);
+    let (stream, snap): (Stream, MetricsSnapshot) =
+        measure(|| stream_of(&mut |sink| Family::Tp.mine_into_par(db, ms, par, sink)));
     let counters = snap
         .metrics
         .iter()
