@@ -79,6 +79,41 @@ fn full_workflow_round_trips() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A file holding every row twice mines, at twice the absolute ξ, to
+/// the same patterns with every support doubled, for every family —
+/// whether the engine reads each copy (FP-growth, Eclat) or each
+/// distinct row once with its multiplicity (raw H-Mine and
+/// TreeProjection merge repeats).
+#[test]
+fn doubled_rows_double_every_support() {
+    let dir = tmpdir();
+    let (db, doubled) = (dir.join("c4.txt"), dir.join("c4x2.txt"));
+    run_ok(&["generate", "connect4", "--scale", "0.01", "-o", db.to_str().unwrap()]);
+    let text = std::fs::read_to_string(&db).unwrap();
+    let twice: String = text.lines().flat_map(|row| [row, "\n", row, "\n"]).collect();
+    std::fs::write(&doubled, twice).unwrap();
+    let rows = text.lines().filter(|row| !row.trim().is_empty()).count();
+    let xi = rows * 85 / 100;
+    for algo in ["hmine", "fp", "tp", "vt"] {
+        let mine = |input: &Path, xi: usize, tag: &str| {
+            let out = dir.join(format!("{algo}-{tag}.txt"));
+            let (input, out_s) = (input.to_str().unwrap(), out.to_str().unwrap());
+            run_ok(&["mine", input, "--support", &xi.to_string(), "--algo", algo, "-o", out_s]);
+            std::fs::read_to_string(out).unwrap()
+        };
+        let want: Vec<String> = mine(&db, xi, "once")
+            .lines()
+            .map(|line| {
+                let (items, support) = line.rsplit_once(" : ").expect("items : support");
+                format!("{items} : {}", 2 * support.parse::<u64>().unwrap())
+            })
+            .collect();
+        assert!(want.len() > 10, "{algo}: {} patterns", want.len());
+        let got: Vec<String> = mine(&doubled, 2 * xi, "twice").lines().map(String::from).collect();
+        assert_eq!(got, want, "{algo}: doubled rows at doubled ξ");
+    }
+}
+
 #[test]
 fn constrained_mine_restricts_output() {
     let dir = tmpdir();

@@ -13,9 +13,11 @@
 //! identity that a raw database is a compressed one whose groups are all
 //! empty is taken literally: a plain database reaches the engines as a
 //! [`CompressedRankDb`] with zero groups ([`CompressedRankDb::encode`]),
-//! and each engine chooses its group-free fast path from the group
-//! count. Storage is three flat CSR sections ([`CsrTuples`]) plus two
-//! per-group scalars:
+//! or — for engines that walk every row — with its repeated rows merged
+//! into groups whose members are all bare
+//! ([`CompressedRankDb::merge_repeats`]), and each engine chooses its
+//! fast path from what the layout holds. Storage is three flat CSR
+//! sections ([`CsrTuples`]) plus two per-group scalars:
 //!
 //! ```text
 //! patterns      row g                = group g's pattern head (ascending)
@@ -34,8 +36,11 @@
 //! empty head.
 
 use crate::{CsrTuples, FList, Item, Transaction, TransactionDb, TupleSlices};
+use gogreen_util::fxhash::FxHasher;
 use gogreen_util::pool::{par_chunks, Parallelism};
 use gogreen_util::HeapSize;
+use std::hash::Hasher;
+use std::mem::size_of_val;
 
 /// The compressed-database layout over ids of type `T` (see the module
 /// docs): [`CompressedDb`] in item space, [`CompressedRankDb`] in rank
@@ -102,10 +107,12 @@ pub struct CdbStats {
     pub compressed_size: usize,
     /// Item occurrences of the original database.
     pub original_size: usize,
-    /// Mean heap bytes per represented tuple of the compressed storage;
-    /// 0 for the empty database. Compare against
-    /// [`crate::DbStats::bytes_per_tuple`] of the source database
-    /// for the in-memory (as opposed to item-count) compression ratio.
+    /// Mean bytes per represented tuple that the compressed storage's
+    /// sections hold (their lengths, not their capacities, so the figure
+    /// depends only on the content); 0 for the empty database. Compare
+    /// against [`crate::DbStats::bytes_per_tuple`] of the source
+    /// database for the in-memory (as opposed to item-count) compression
+    /// ratio.
     pub bytes_per_tuple: f64,
 }
 
@@ -269,6 +276,17 @@ impl<T: Copy + Ord> CdbLayout<T> {
         self.outliers.len() + self.bare.iter().sum::<u64>() as usize + self.plain.len()
     }
 
+    /// Bytes the sections' contents occupy: ids and row offsets of the
+    /// three CSR sections, plus the per-group scalars.
+    fn stored_bytes(&self) -> usize {
+        let csr = |s: &CsrTuples<T>| size_of_val(s.flat()) + size_of_val(s.offsets());
+        csr(&self.patterns)
+            + csr(&self.outliers)
+            + csr(&self.plain)
+            + size_of_val(&self.outlier_start[..])
+            + size_of_val(&self.bare[..])
+    }
+
     /// Total outlier member rows across all groups.
     pub fn group_outlier_rows(&self) -> usize {
         self.outliers.len()
@@ -338,7 +356,7 @@ impl CompressedDb {
             bytes_per_tuple: if num_tuples == 0 {
                 0.0
             } else {
-                self.heap_size() as f64 / num_tuples as f64
+                self.stored_bytes() as f64 / num_tuples as f64
             },
         }
     }
@@ -427,6 +445,84 @@ impl CompressedRankDb {
             flist.encode_row(t, &mut plain);
         }
         Self::from_plain(plain, flist.len())
+    }
+
+    /// Merges repeated rows of a layout without groups: each row that
+    /// occurs k ≥ 2 times becomes one group whose pattern is the row and
+    /// whose k members are all bare — the limiting case of the paper's
+    /// grouping, a pattern that covers its whole tuple. Groups keep the
+    /// rows' first-occurrence order, and so do the rows that stay plain.
+    /// A layout with no repeated row is returned as is, uncopied.
+    ///
+    /// One open-addressing table of row ids (Fx hash, linear probing, at
+    /// most half full) finds the repeats; beyond it and the output only
+    /// one count per distinct row is allocated.
+    pub fn merge_repeats(self) -> Self {
+        debug_assert_eq!(self.num_groups(), 0, "merge_repeats takes a layout without groups");
+        let n = self.plain.len();
+        if n < 2 {
+            return self;
+        }
+        const EMPTY: u32 = u32::MAX;
+        let bits = (2 * n).next_power_of_two().trailing_zeros();
+        let mask = (1usize << bits) - 1;
+        let home = |row: &[u32]| {
+            let mut h = FxHasher::default();
+            row.iter().for_each(|&r| h.write_u32(r));
+            (h.finish() >> (64 - bits)) as usize
+        };
+        // Slot → index into `distinct`: (first occurrence, occurrences).
+        let mut table = vec![EMPTY; mask + 1];
+        let mut distinct: Vec<(u32, u32)> = Vec::new();
+        for (i, row) in self.plain.iter().enumerate() {
+            let mut slot = home(row);
+            loop {
+                let d = table[slot];
+                if d == EMPTY {
+                    table[slot] = distinct.len() as u32;
+                    distinct.push((i as u32, 1));
+                    break;
+                }
+                let (first, count) = &mut distinct[d as usize];
+                if self.plain.row(*first as usize) == row {
+                    *count += 1;
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+        drop(table);
+        if distinct.len() == n {
+            return self;
+        }
+        let (mut groups, mut group_elems, mut singles, mut single_elems) = (0, 0, 0, 0);
+        for &(first, count) in &distinct {
+            let len = self.plain.row(first as usize).len();
+            if count > 1 {
+                groups += 1;
+                group_elems += len;
+            } else {
+                singles += 1;
+                single_elems += len;
+            }
+        }
+        let mut outlier_start = Vec::with_capacity(groups + 1);
+        outlier_start.push(0);
+        let mut out = CdbLayout {
+            patterns: CsrTuples::with_capacity(groups, group_elems),
+            outliers: CsrTuples::new(),
+            outlier_start,
+            bare: Vec::with_capacity(groups),
+            plain: CsrTuples::with_capacity(singles, single_elems),
+            extent: self.extent,
+        };
+        for &(first, count) in distinct.iter().filter(|&&(_, count)| count > 1) {
+            out.push_group(self.plain.row(first as usize), std::iter::empty(), count.into());
+        }
+        for &(first, _) in distinct.iter().filter(|&&(_, count)| count == 1) {
+            out.push_plain(self.plain.row(first as usize));
+        }
+        out
     }
 
     /// Rank-space size (F-list length at encoding time).
@@ -574,6 +670,91 @@ mod tests {
         assert!(r.plain().is_empty());
         // fgc(3) + outliers(3+1+1) + ae(2) + outlier(1) = 11.
         assert_eq!(r.pattern_items() + r.group_outlier_items() + r.plain().total_elems(), 11);
+    }
+
+    /// Rank supports of the represented tuples: pattern ranks once per
+    /// group with its count, outlier and plain ranks per occurrence.
+    fn rank_supports(rdb: &CompressedRankDb) -> Vec<u64> {
+        let mut counts = vec![0u64; rdb.num_ranks()];
+        for g in rdb.groups() {
+            g.pattern.iter().for_each(|&r| counts[r as usize] += g.count());
+            g.outliers.iter().flatten().for_each(|&r| counts[r as usize] += 1);
+        }
+        rdb.plain().iter().flatten().for_each(|&r| counts[r as usize] += 1);
+        counts
+    }
+
+    fn plain_layout(rows: &[&[u32]]) -> CompressedRankDb {
+        let mut rdb = CompressedRankDb::empty(6);
+        rows.iter().for_each(|row| rdb.push_plain(row));
+        rdb
+    }
+
+    #[test]
+    fn merge_repeats_groups_each_repeated_row_once() {
+        let rows: &[&[u32]] =
+            &[&[0, 2], &[1, 3, 5], &[0, 2], &[4], &[1, 3, 5], &[0, 2], &[2, 3], &[1, 3, 5]];
+        let rdb = plain_layout(rows);
+        let merged = rdb.clone().merge_repeats();
+        assert_eq!(merged.num_tuples(), rdb.num_tuples());
+        assert_eq!(rank_supports(&merged), rank_supports(&rdb));
+        // First-occurrence order, every member bare.
+        assert_eq!(merged.num_groups(), 2);
+        assert_eq!(merged.group_pattern(0), &[0, 2]);
+        assert_eq!(merged.group_pattern(1), &[1, 3, 5]);
+        for g in merged.groups() {
+            assert!(g.outliers.is_empty());
+            assert_eq!(g.bare, 3);
+        }
+        assert_eq!(merged.group_outlier_rows(), 0);
+        assert_eq!(rows_of(merged.plain()), vec![vec![4], vec![2, 3]]);
+        assert_eq!(merged.num_ranks(), rdb.num_ranks());
+    }
+
+    #[test]
+    fn merge_repeats_makes_one_bare_group_of_a_k_fold_row() {
+        for k in [2u64, 5, 1000] {
+            let row: &[u32] = &[1, 4];
+            let merged = plain_layout(&vec![row; k as usize]).merge_repeats();
+            assert_eq!(merged.num_groups(), 1);
+            assert_eq!(merged.group_pattern(0), row);
+            assert!(merged.group_outliers(0).is_empty());
+            assert_eq!(merged.group_bare(0), k);
+            assert!(merged.plain().is_empty());
+            assert_eq!(merged.num_tuples(), k as usize);
+        }
+    }
+
+    #[test]
+    fn merge_repeats_returns_repeat_free_and_empty_input_unchanged() {
+        let rdb = plain_layout(&[&[0], &[0, 1], &[1], &[2, 3, 4], &[0, 1, 2]]);
+        let merged = rdb.clone().merge_repeats();
+        assert_eq!(merged.num_groups(), 0);
+        assert_eq!(merged, rdb);
+        for rows in [&[][..], &[&[3u32][..]]] {
+            let merged = plain_layout(rows).merge_repeats();
+            assert_eq!(merged, plain_layout(rows));
+            assert_eq!(merged.num_tuples(), rows.len());
+        }
+    }
+
+    /// Content decides the bytes/tuple figure, not how the sections grew.
+    #[test]
+    fn bytes_per_tuple_ignores_spare_capacity() {
+        let pushed = paper_cdb();
+        let mut padded = CompressedDb::empty(22);
+        padded.patterns = CsrTuples::with_capacity(64, 512);
+        padded.bare.reserve(64);
+        for g in pushed.groups() {
+            padded.push_group(g.pattern, g.outliers, g.bare);
+        }
+        assert_eq!(padded, pushed);
+        assert!(padded.heap_size() > pushed.heap_size());
+        assert_eq!(padded.stats(), pushed.stats());
+        // fgc + ae (5 ids, 3 offsets), 5 outlier rows (9 ids, 6
+        // offsets), no plain row (1 offset), 3 starts, 2 bare counts.
+        let bytes = (5 + 3) * 4 + (9 + 6) * 4 + 4 + 3 * 4 + 2 * 8;
+        assert_eq!(pushed.stats().bytes_per_tuple, bytes as f64 / 5.0);
     }
 
     #[test]

@@ -139,8 +139,11 @@ pub type RootWithPath<'a> =
 /// on zero-group layouts — the paper example and a structured database
 /// with shared prefixes and identical tuples — at ξ = 1, 2, 3, on 1 and
 /// 4 threads. Plain mining always takes the fast path, so this is the
-/// check that the grouped traversal still agrees with it.
-pub fn fast_path_matches_grouped(mine: RootWithPath<'_>) {
+/// check that the grouped traversal still agrees with it. With `merged`
+/// the layouts' repeated rows are merged into bare-only groups
+/// ([`CompressedRankDb::merge_repeats`]) first; the structured
+/// database's repeats make at least one such group.
+pub fn fast_path_matches_grouped(mine: RootWithPath<'_>, merged: bool) {
     let structured = TransactionDb::from_rows(&[
         &[1, 2, 3, 4],
         &[1, 2, 3, 5],
@@ -158,6 +161,10 @@ pub fn fast_path_matches_grouped(mine: RootWithPath<'_>) {
             let flist = FList::from_db(&db, minsup);
             let layout = CompressedRankDb::encode(&db, &flist);
             assert_eq!(layout.num_groups(), 0);
+            let layout = if merged { layout.merge_repeats() } else { layout };
+            if merged && name == "structured" {
+                assert!(layout.num_groups() > 0, "ξ={minsup}: no repeat merged");
+            }
             for threads in [1, 4] {
                 let par = Parallelism::threads(threads);
                 let stream = |raw: bool| {

@@ -847,10 +847,13 @@ mod tests {
     /// the generic conditional-group traversal emit the same stream.
     #[test]
     fn raw_fast_path_matches_grouped_traversal() {
-        crate::cases::fast_path_matches_grouped(&|src, raw, flist, minsup, par, sink| {
-            let mut ctx = Ctx::new(flist.len(), minsup);
-            let root = build_root(src, &mut ctx, par);
-            mine_root(&root, raw, flist, ctx, par, sink);
-        });
+        crate::cases::fast_path_matches_grouped(
+            &|src, raw, flist, minsup, par, sink| {
+                let mut ctx = Ctx::new(flist.len(), minsup);
+                let root = build_root(src, &mut ctx, par);
+                mine_root(&root, raw, flist, ctx, par, sink);
+            },
+            false,
+        );
     }
 }

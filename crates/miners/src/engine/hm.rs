@@ -46,15 +46,23 @@
 //! rank, so hops and projections resume in place instead of rescanning
 //! the tail, and the last locally frequent rank of a node is emitted
 //! without building its child, which anti-monotonicity proves empty.
-//! Beyond that, a layout with no groups dispatches each first-level unit
-//! to a *classic* H-Mine fast path (`RawUnit`): the unit's suffixes are
-//! compacted into a private arena threaded by intrusive hyperlinks — one
-//! reusable link per entry, the original algorithm's trick — so queue
-//! hops write a single index and no per-node structures are materialized
-//! at all. The engine chooses the fast path once per run, at the root,
-//! from the group count; it emits the byte-identical stream the generic
-//! search produces on the same zero-group layout (a unit test pins both
-//! sides), and keeps plain mining at parity with a hand-written H-Mine.
+//! Beyond that, a layout whose groups have no outliers dispatches each
+//! first-level unit to a *classic* H-Mine fast path (`RawUnit`): the
+//! unit's suffixes are compacted into a private arena threaded by
+//! intrusive hyperlinks — one reusable link per entry, the original
+//! algorithm's trick — so queue hops write a single index and no
+//! per-node structures are materialized at all. Such a layout is a plain
+//! database, raw or with its repeated rows merged into bare-only groups
+//! ([`CompressedRankDb::merge_repeats`], what raw mining hands the
+//! engine): each group's pattern is then one row weighing its count,
+//! carried by the row's terminator in the private arena, so a row
+//! repeated k times is walked once and counted k times. The engine
+//! chooses the fast path once per run, at the root, from the layout's
+//! outlier rows; it emits the byte-identical stream the generic search
+//! produces on the same layout (a unit test pins both sides, with and
+//! without merged repeats), and keeps plain mining at parity with a
+//! hand-written H-Mine. The weights stay on the fast path: the generic
+//! search, which every recycled answer takes, never loads one.
 
 use crate::common::{
     encode_db_pruned, fan_out_ordered, for_each_subset, RankEmitter, ScratchCounts,
@@ -96,28 +104,42 @@ pub struct RpStruct {
     /// Tail offsets: one per group plus a final end offset, which is
     /// also the first plain tail.
     gtail_start: Vec<u32>,
+    /// Weights of the leading plain tails (the fast path's merged
+    /// repeats); every later tail weighs 1. Empty for the generic search.
+    tweight: Vec<u64>,
 }
 
 impl RpStruct {
     /// Loads `src` into the arena. On a layout without groups this is a
     /// plain H-Mine hyper-structure: one tail per tuple, no group rows.
     pub fn build(src: &CompressedRankDb) -> Self {
-        let num_groups = src.num_groups();
-        let total_entries: usize = (0..num_groups)
-            .flat_map(|g| src.group_outliers(g))
-            .chain(src.plain())
-            .map(|t| t.len() + 1)
-            .sum();
-        let num_tails: usize =
-            (0..num_groups).map(|g| src.group_outliers(g).len()).sum::<usize>() + src.plain().len();
-        let pattern_items: usize = (0..num_groups).map(|g| src.group_pattern(g).len()).sum();
+        Self::load(src, false)
+    }
+
+    /// [`RpStruct::build`], or with `weighted` the fast path's plain
+    /// hyper-structure of a layout whose groups are bare-only (merged
+    /// repeats): each group's pattern is one tail weighing its count,
+    /// ahead of the plain tuples, and no group rows are kept.
+    fn load(src: &CompressedRankDb, weighted: bool) -> Self {
+        debug_assert!(!weighted || src.group_outlier_rows() == 0);
+        let num_groups = if weighted { 0 } else { src.num_groups() };
+        let pattern_tails = if weighted { src.num_groups() } else { 0 };
+        let pattern_items = src.pattern_items();
+        let plain = src.plain();
+        let total_entries = src.group_outlier_items()
+            + src.group_outlier_rows()
+            + if weighted { pattern_items + pattern_tails } else { 0 }
+            + plain.total_elems()
+            + plain.len();
+        let num_tails = src.group_outlier_rows() + pattern_tails + plain.len();
         let mut s = RpStruct {
             eitem: Vec::with_capacity(total_entries),
             tail_first: Vec::with_capacity(num_tails),
-            gpat: Vec::with_capacity(pattern_items),
+            gpat: Vec::with_capacity(if weighted { 0 } else { pattern_items }),
             gpat_start: Vec::with_capacity(num_groups + 1),
             gcount: Vec::with_capacity(num_groups),
             gtail_start: Vec::with_capacity(num_groups + 1),
+            tweight: Vec::with_capacity(pattern_tails),
         };
         fn push_tail(s: &mut RpStruct, items: &[u32]) {
             s.tail_first.push(s.eitem.len() as u32);
@@ -135,10 +157,27 @@ impl RpStruct {
         }
         s.gpat_start.push(s.gpat.len() as u32);
         s.gtail_start.push(s.tail_first.len() as u32);
-        for t in src.plain() {
+        if weighted {
+            for g in src.groups() {
+                assert!(
+                    g.bare <= MAX_WEIGHT,
+                    "a row repeats {} times, above the fast path's bound",
+                    g.bare
+                );
+                push_tail(&mut s, g.pattern);
+                s.tweight.push(g.bare);
+            }
+        }
+        for t in plain {
             push_tail(&mut s, t);
         }
         s
+    }
+
+    /// The weight of tail `t`: its row's multiplicity.
+    #[inline]
+    fn weight(&self, t: u32) -> u64 {
+        self.tweight.get(t as usize).copied().unwrap_or(1)
     }
 
     /// Number of groups.
@@ -166,7 +205,7 @@ impl RpStruct {
             + self.gpat_start.capacity()
             + self.gtail_start.capacity())
             * 4
-            + self.gcount.capacity() * 8
+            + (self.gcount.capacity() + self.tweight.capacity()) * 8
     }
 }
 
@@ -396,13 +435,13 @@ impl<'s> Ctx<'s> {
             .find(|&(x, _)| self.lf_tag[x as usize] == self.lf_gen)
     }
 
-    /// Adds +1 for each remaining outlier rank of `member` (anchors
+    /// Adds `w` for each remaining outlier rank of `member` (anchors
     /// guarantee every remaining entry is in scope); returns the number
     /// of entries touched. `track_src` marks each rank as multi-source
     /// for the Lemma 3.1 test — pointless (and skipped) on nodes with no
     /// projected groups, where the lemma can never fire.
     #[inline]
-    fn count_member(&mut self, (_, pos): Member, track_src: bool) -> u64 {
+    fn count_member(&mut self, (_, pos): Member, w: u64, track_src: bool) -> u64 {
         let mut e = pos as usize;
         let mut touched = 0u64;
         loop {
@@ -410,7 +449,7 @@ impl<'s> Ctx<'s> {
             if x == SENT {
                 return touched;
             }
-            self.scratch.add(x, 1);
+            self.scratch.add(x, w);
             if track_src {
                 self.src[x as usize] = SRC_MIXED;
             }
@@ -467,12 +506,13 @@ pub fn mine_source_par(
     par: Parallelism,
     sink: &mut dyn PatternSink,
 ) {
-    mine_root(src, src.num_groups() == 0, flist, prefix_items, minsup, par, sink);
+    mine_root(src, src.group_outlier_rows() == 0, flist, prefix_items, minsup, par, sink);
 }
 
 /// [`mine_source_par`] with the unit path chosen by `raw`: the classic
-/// H-Mine fast path (`RawUnit`), valid only on a layout without groups,
-/// or the generic search over projected groups.
+/// H-Mine fast path (`RawUnit`), valid only on a layout whose groups are
+/// bare-only (merged repeats, each read as one weighted row), or the
+/// generic search over projected groups.
 fn mine_root(
     src: &CompressedRankDb,
     raw: bool,
@@ -482,14 +522,24 @@ fn mine_root(
     par: Parallelism,
     sink: &mut dyn PatternSink,
 ) {
-    debug_assert!(!raw || src.num_groups() == 0, "the raw fast path has no group handling");
-    let s = RpStruct::build(src);
+    debug_assert!(!raw || src.group_outlier_rows() == 0, "the raw fast path has no outliers");
+    let s = RpStruct::load(src, raw);
     let node = root_node(&s);
     let num_ranks = flist.len();
     metrics::set_max("mine.max_depth", prefix_items.len() as u64);
     let mut root_ctx = Ctx::new(&s, num_ranks, minsup, true);
     let mut frequent = Vec::new();
-    let single_group = count_node(&node, &mut root_ctx, &mut frequent);
+    let single_group = if raw {
+        // Every tail is plain, so the lemma cannot fire; each merged
+        // repeat is walked once and counted with its weight.
+        let mut touches = 0;
+        for &m in &node.plain {
+            touches += root_ctx.count_member(m, s.weight(m.0), false);
+        }
+        tally_node(&mut root_ctx, touches, 0, false, &mut frequent)
+    } else {
+        count_node(&node, &mut root_ctx, &mut frequent)
+    };
     if frequent.is_empty() {
         return;
     }
@@ -692,12 +742,25 @@ fn count_node(node: &Node, ctx: &mut Ctx<'_>, frequent: &mut Vec<(u32, u64)>) ->
             group_hits += 1;
         }
         for &m in node.members_of(g) {
-            touches += ctx.count_member(m, true);
+            touches += ctx.count_member(m, 1, true);
         }
     }
     for &m in &node.plain {
-        touches += ctx.count_member(m, track_src);
+        touches += ctx.count_member(m, 1, track_src);
     }
+    tally_node(ctx, touches, group_hits, track_src, frequent)
+}
+
+/// Closes a node's counting pass: records its counters, leaves the
+/// locally frequent `(rank, count)` pairs, ascending, in `frequent`,
+/// evaluates the Lemma 3.1 test when `track_src`, and clears the counts.
+fn tally_node(
+    ctx: &mut Ctx<'_>,
+    touches: u64,
+    group_hits: u64,
+    track_src: bool,
+    frequent: &mut Vec<(u32, u64)>,
+) -> bool {
     if group_hits > 0 {
         metrics::add("mine.group_hits", group_hits);
     }
@@ -1014,6 +1077,21 @@ fn build_child(
 /// Queue-link sentinel of the classic fast path.
 const NIL: u32 = u32::MAX;
 
+/// Every terminator of the fast path's private arena is at least this,
+/// above every rank. A tail of weight `w` ends in `SENT - (w - 1)`, so a
+/// single row ends in `SENT` as in the shared arena and a merged repeat
+/// carries its multiplicity where its walks stop anyway.
+const TERM_MIN: u32 = 1 << 31;
+
+/// The largest weight a terminator can carry.
+const MAX_WEIGHT: u64 = (SENT - TERM_MIN) as u64 + 1;
+
+/// Whether arena entry `x` ends its tail.
+#[inline]
+fn is_term(x: u32) -> bool {
+    x >= TERM_MIN
+}
+
 /// One header cell of the classic fast path: an item (rank), its support
 /// in the current projection, and the head of its tuple queue.
 struct RawCell {
@@ -1053,15 +1131,17 @@ impl RawUnit {
     }
 }
 
-/// The classic H-Mine fast path of the group-free substrate (see the
+/// The classic H-Mine fast path of a layout with no outliers (see the
 /// module doc): per-worker buffers reused across first-level units.
 ///
 /// `eitem`/`next` are the unit's private hyper-structure — suffix
-/// entries compacted from the shared arena, threaded by one intrusive
-/// hyperlink per entry. The single-link trick is sound for the same
-/// reason as in the original algorithm: during the depth-first search an
-/// entry is live in at most one queue at a time, and descendants' stale
-/// links are dead by the time an ancestor relinks the entry forward.
+/// entries compacted from the shared arena, each tail ended by a
+/// terminator carrying its row's weight (see [`TERM_MIN`]), threaded by
+/// one intrusive hyperlink per entry. The single-link trick is sound for
+/// the same reason as in the original algorithm: during the depth-first
+/// search an entry is live in at most one queue at a time, and
+/// descendants' stale links are dead by the time an ancestor relinks the
+/// entry forward.
 /// `active[rank] == depth` ⇔ rank belongs to the current level's header
 /// table (levels nest, so a depth number plus restore-on-exit suffices);
 /// `cell_of` maps each active rank to its header cell.
@@ -1085,6 +1165,7 @@ struct RawUnit {
 
 impl RawUnit {
     fn new(num_ranks: usize) -> Self {
+        debug_assert!(num_ranks < TERM_MIN as usize);
         RawUnit {
             eitem: Vec::new(),
             next: Vec::new(),
@@ -1099,7 +1180,8 @@ impl RawUnit {
     }
 
     /// Mines one first-level unit: compact the suffixes past each
-    /// member's anchor (counting them in the same pass), build the
+    /// member's anchor (counting them, with the row's weight, in the
+    /// same pass; the terminator keeps the weight), build the
     /// unit-local header table and queues, and run the classic level
     /// search. The whole subtree touches a working set sized to this
     /// unit, not to the full database.
@@ -1119,6 +1201,7 @@ impl RawUnit {
             if s.eitem[e] == SENT {
                 continue;
             }
+            let w = s.weight(m.0);
             self.firsts.push(self.eitem.len() as u32);
             loop {
                 let x = s.eitem[e];
@@ -1126,11 +1209,11 @@ impl RawUnit {
                     break;
                 }
                 self.eitem.push(x);
-                self.scratch.add(x, 1);
+                self.scratch.add(x, w);
                 touches += 1;
                 e += 1;
             }
-            self.eitem.push(SENT);
+            self.eitem.push(SENT - (w - 1) as u32);
         }
         metrics::add("mine.tuple_touches", touches);
         histogram::observe("mine.touches_per_projection", touches);
@@ -1160,7 +1243,7 @@ impl RawUnit {
             let mut e = self.firsts[fi] as usize;
             loop {
                 let x = self.eitem[e];
-                if x == SENT {
+                if is_term(x) {
                     break;
                 }
                 if self.active[x as usize] == 1 {
@@ -1179,6 +1262,20 @@ impl RawUnit {
             self.cell_of[x as usize] = NIL;
         }
         self.levels[0] = lvl;
+    }
+
+    /// Adds the other `copies` of a merged repeat: its entries in
+    /// `range` active at `depth`, walked again once pass 1 found the
+    /// row's weight at its terminator. Kept out of line so the walk of a
+    /// single row stays as tight as before.
+    #[cold]
+    #[inline(never)]
+    fn count_copies(&mut self, range: std::ops::Range<usize>, depth: u32, copies: u64) {
+        for &x in &self.eitem[range] {
+            if self.active[x as usize] == depth {
+                self.scratch.add(x, copies);
+            }
+        }
     }
 }
 
@@ -1224,16 +1321,19 @@ fn mine_level_raw(
         while e != NIL {
             rows += 1;
             let mut p = e as usize + 1;
-            loop {
+            let term = loop {
                 let x = u.eitem[p];
-                if x == SENT {
-                    break;
+                if is_term(x) {
+                    break x;
                 }
                 if u.active[x as usize] == depth {
                     u.scratch.add(x, 1);
                     touches += 1;
                 }
                 p += 1;
+            };
+            if term != SENT {
+                u.count_copies(e as usize + 1..p, depth, u64::from(SENT - term));
             }
             e = u.next[e as usize];
         }
@@ -1259,7 +1359,7 @@ fn mine_level_raw(
                 let mut p = e as usize + 1;
                 loop {
                     let x = u.eitem[p];
-                    if x == SENT {
+                    if is_term(x) {
                         break;
                     }
                     if u.active[x as usize] == depth + 1 {
@@ -1287,7 +1387,7 @@ fn mine_level_raw(
             let mut p = e as usize + 1;
             loop {
                 let x = u.eitem[p];
-                if x == SENT {
+                if is_term(x) {
                     break;
                 }
                 if u.active[x as usize] == depth {
@@ -1522,12 +1622,19 @@ mod tests {
         assert_eq!(plain, src.plain().iter().map(<[u32]>::to_vec).collect::<Vec<_>>());
     }
 
-    /// On layouts without groups, the classic H-Mine fast path and the
-    /// generic projected-group search emit the same stream.
+    /// On layouts without groups, and on the same layouts with their
+    /// repeats merged into bare-only groups (weighted rows on the fast
+    /// path), the classic H-Mine fast path and the generic
+    /// projected-group search emit the same stream.
     #[test]
     fn raw_fast_path_matches_grouped_traversal() {
-        crate::cases::fast_path_matches_grouped(&|src, raw, flist, minsup, par, sink| {
-            mine_root(src, raw, flist, &[], minsup, par, sink);
-        });
+        for merged in [false, true] {
+            crate::cases::fast_path_matches_grouped(
+                &|src, raw, flist, minsup, par, sink| {
+                    mine_root(src, raw, flist, &[], minsup, par, sink);
+                },
+                merged,
+            );
+        }
     }
 }

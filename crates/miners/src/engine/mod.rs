@@ -18,12 +18,14 @@
 //! [`Family`] is the whole engine surface: [`Family::mine_source`] is the
 //! one dispatch over the four families, and both [`Miner`] impls live
 //! here. A plain [`TransactionDb`] enters as the layout with zero groups
-//! ([`CompressedRankDb::encode`]); a [`CompressedDb`] enters through
-//! [`CompressedDb::to_ranks`]. Group handling is driven by the layout's
-//! group count, and where a family has a group-free fast path (H-Mine's
-//! hyperlinked arena, FP-growth's sole-tree recursion) the engine takes
-//! it when the count is zero, so plain mining pays nothing for the group
-//! machinery.
+//! ([`CompressedRankDb::encode`]) — for H-Mine and TreeProjection with
+//! its repeated rows merged into bare-only groups
+//! ([`CompressedRankDb::merge_repeats`]); a [`CompressedDb`] enters
+//! through [`CompressedDb::to_ranks`]. Group handling is driven by what
+//! the layout holds, and where a family has a fast path (H-Mine's
+//! hyperlinked arena, taken when no group has outliers; FP-growth's
+//! sole-tree recursion, taken on zero groups) the engine takes it, so
+//! plain mining pays nothing for the group machinery.
 //!
 //! Parallelism contract: each engine routes its first-level fan-out
 //! through [`crate::common::fan_out_ordered`] exactly once, so the
@@ -137,9 +139,15 @@ impl Family {
     }
 }
 
-/// Plain mining: F-list, then the all-plain rank layout. The F-list
-/// count and the encode pass run under the `flist` and `encode` spans,
-/// so a traced run attributes them apart from the search.
+/// Plain mining: F-list, then the all-plain rank layout. For H-Mine and
+/// TreeProjection, which walk every row they are given, the layout's
+/// repeated rows are then merged into bare-only groups
+/// ([`CompressedRankDb::merge_repeats`]), so each distinct row is read
+/// once with its multiplicity; FP-growth's prefix tree already merges
+/// them, and Eclat's tid columns are indexed by tuple. The F-list count
+/// and the encode pass (with the merge) run under the `flist` and
+/// `encode` spans, so a traced run attributes them apart from the
+/// search.
 impl Miner for Family {
     fn name(&self) -> &'static str {
         Family::name(*self)
@@ -166,7 +174,11 @@ impl Miner for Family {
         }
         let rdb = {
             let _sp = span("encode");
-            CompressedRankDb::encode(db, &flist)
+            let rdb = CompressedRankDb::encode(db, &flist);
+            match self {
+                Family::Hm | Family::Tp => rdb.merge_repeats(),
+                Family::Fp | Family::Vt(_) => rdb,
+            }
         };
         self.mine_source(&rdb, &flist, minsup, par, sink);
     }

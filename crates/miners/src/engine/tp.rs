@@ -40,7 +40,11 @@
 //! On a layout with zero groups every tuple lands in the single
 //! pattern-free root partition, the group-at-a-time arms never execute,
 //! and the search is exactly the classic depth-first Tree Projection of
-//! Agarwal, Aggarwal & Prasad.
+//! Agarwal, Aggarwal & Prasad. Raw mining does not hand it that layout,
+//! though: a plain database arrives with its repeated rows merged into
+//! bare-only groups ([`CompressedRankDb::merge_repeats`]), so the group
+//! arms bump each distinct row's pairs once with its multiplicity and
+//! projection moves it as one group — with no code of its own.
 
 use crate::common::{fan_out_ordered, for_each_subset, RankEmitter};
 use crate::treeproj::PairMatrix;

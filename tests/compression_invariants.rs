@@ -58,6 +58,36 @@ fn group_invariants() {
     }
 }
 
+/// `gogreen compress`'s bytes/tuple figure depends on the content only:
+/// the compressor's output, the same groups pushed one by one, and the
+/// same database saved and loaded by `storage::version` report
+/// identical stats, whatever spare capacity each build left behind.
+#[test]
+fn stats_agree_across_builders() {
+    let dir = std::env::temp_dir().join(format!("gogreen-cdbstats-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut grouped = 0;
+    for case in 0..16u64 {
+        let mut rng = SmallRng::seed_from_u64(0x6005_0000 + case);
+        let db = random_db(&mut rng);
+        let fp = mine_apriori(&db, MinSupport::Absolute(1 + rng.gen_below(3)));
+        let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp);
+        grouped += usize::from(cdb.num_groups() > 0);
+        let mut pushed = CompressedDb::empty(cdb.stats().original_size);
+        cdb.groups().for_each(|g| pushed.push_view(g));
+        cdb.plain().iter().for_each(|row| pushed.push_plain(row));
+        let path = dir.join(format!("case{case}.cdb"));
+        gogreen::storage::version::save(&path, &cdb).unwrap();
+        let loaded = gogreen::storage::version::load(&path).unwrap().expect("saved state");
+        for (how, other) in [("pushed", &pushed), ("loaded", &loaded)] {
+            assert_eq!(*other, cdb, "case {case}: {how} layout");
+            assert_eq!(other.stats(), cdb.stats(), "case {case}: {how} stats");
+        }
+    }
+    assert!(grouped >= 8, "only {grouped} of 16 cases compressed anything");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Reconstruction returns the original multiset for every strategy.
 #[test]
 fn lossless_for_every_strategy() {

@@ -7,11 +7,15 @@
 //! 1. the raw miner equals the Apriori oracle;
 //! 2. mining an *uncompressed* compressed database (every tuple in the
 //!    plain partition, zero groups) through the recycled entry emits the
-//!    **byte-identical stream** the raw miner emits. Both reach the
-//!    engines as a zero-group layout and take the same fast path; that
-//!    the grouped traversal agrees with the fast path on such input is
-//!    checked by the `raw_fast_path_matches_grouped_traversal` unit
-//!    tests in `gogreen_miners::engine::{hm, fp}`;
+//!    **byte-identical stream** the raw miner emits. The recycled entry
+//!    hands the engines a zero-group layout; raw H-Mine and
+//!    TreeProjection get the same rows with repeats merged into
+//!    bare-only groups, FP-growth and Eclat the zero-group layout. That
+//!    the grouped traversal agrees with the fast path on both kinds of
+//!    input is checked by the `raw_fast_path_matches_grouped_traversal`
+//!    unit tests in `gogreen_miners::engine::{hm, fp}`, and raw mining
+//!    of a connect4 analog whose encoded rows repeat heavily is checked
+//!    against the oracle per family;
 //! 3. MCP- and MLP-compressed databases mine to the oracle set too,
 //!    serial and at 4 threads.
 
@@ -117,6 +121,46 @@ fn dense_analog_is_exact_for_every_family() {
     }
 }
 
+/// A connect4 analog: the preset's positional generator at 400 rows. At
+/// ξ = 80–89 % only the dominated positions' values are frequent, so the
+/// rank-encoded rows repeat heavily and raw H-Mine and TreeProjection
+/// mine a few dozen merged rows, each weighted by its multiplicity.
+/// Every family's raw stream must match the oracle at 1 and 4 threads.
+#[test]
+fn connect4_analog_repeats_mine_exactly_for_every_family() {
+    use gogreen::data::CompressedRankDb;
+    use gogreen::datagen::PositionalGenerator;
+    let db = PositionalGenerator {
+        num_transactions: 400,
+        positions: 43,
+        values_per_position: 3,
+        skew: 1.2,
+        dominated_positions: 16,
+        dominant_prob: 0.998,
+        dominant_prob_lo: 0.80,
+        dominant_gamma: 3.0,
+        seed: 0x636f_6e34,
+    }
+    .generate();
+    for pct in [89.0, 80.0] {
+        let ms = MinSupport::percent(pct);
+        let flist = FList::from_db(&db, ms.to_absolute(db.len()));
+        let merged = CompressedRankDb::encode(&db, &flist).merge_repeats();
+        let distinct = merged.num_groups() + merged.plain().len();
+        assert!(distinct * 4 <= db.len(), "ξ={pct}%: {distinct} distinct rows of {}", db.len());
+        let oracle = mine_apriori(&db, ms);
+        for (key, raw_miner, _) in pairs() {
+            let serial = stream_of(&mut |sink| {
+                raw_miner.mine_into_par(&db, ms, Parallelism::serial(), sink)
+            });
+            assert!(as_set(&serial).same_patterns_as(&oracle), "{key} ξ={pct}%: raw vs oracle");
+            let par = Parallelism::threads(4);
+            let fanned = stream_of(&mut |sink| raw_miner.mine_into_par(&db, ms, par, sink));
+            assert_eq!(serial, fanned, "{key} ξ={pct}%: stream differs at 4 threads");
+        }
+    }
+}
+
 /// A sparse pumsb-style analog: a wide universe (census categories),
 /// short tuples, and a support distribution with a handful of heavy
 /// items over a long light tail — the regime where tid-lists beat
@@ -184,8 +228,8 @@ fn vt_repr_modes_emit_identical_streams() {
 
 /// Raw mining against the uncompressed compressed database (the
 /// recycled entry: group-wise F-list count, `to_ranks`) and against the
-/// oracle: the two entries must hand the engines the same zero-group
-/// layout and emit the same stream.
+/// oracle: the two entries must emit the same stream, although raw
+/// H-Mine and TreeProjection mine the rows with repeats merged.
 #[test]
 fn raw_and_degenerate_grouped_streams_are_identical() {
     for db in [TransactionDb::paper_example(), structured_db()] {
