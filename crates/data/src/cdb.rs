@@ -242,6 +242,13 @@ impl<T: Copy + Ord> CdbLayout<T> {
             .range(self.outlier_start[g] as usize, self.outlier_start[g + 1] as usize)
     }
 
+    /// Every group's outlier member rows, as one CSR view in group order:
+    /// group `g`'s rows follow group `g - 1`'s, so a reader that walks
+    /// the groups can number its member rows over the whole section.
+    pub fn outliers(&self) -> TupleSlices<'_, T> {
+        self.outliers.as_slices()
+    }
+
     /// Members of group `g` with no outlying items.
     pub fn group_bare(&self, g: usize) -> u64 {
         self.bare[g]
