@@ -8,7 +8,7 @@
 //! memory-limited experiments use the H-Mine pair only.
 //!
 //! The estimators here are formula-based (no structure is built); the
-//! unit tests cross-check them against the real arena sizes.
+//! unit tests check them against the layouts they price.
 
 use gogreen_data::CompressedRankDb;
 
@@ -58,8 +58,8 @@ mod tests {
     use crate::compress::Compressor;
     use crate::utility::Strategy;
     use gogreen_data::{CompressedDb, MinSupport, TransactionDb};
-    use gogreen_miners::engine::hm::RpStruct;
     use gogreen_miners::mine_apriori;
+    use gogreen_util::HeapSize;
 
     fn rdb_for(db: &TransactionDb, xi_old: u64, minsup: u64) -> CompressedRankDb {
         let fp = mine_apriori(db, MinSupport::Absolute(xi_old));
@@ -68,18 +68,18 @@ mod tests {
         cdb.to_ranks(&flist)
     }
 
+    /// The RP-Struct copies the rank layout's ids into its arena, adding
+    /// a sentinel and a first-entry index per tail, and mining adds its
+    /// member references: the estimate must cover the layout and stay
+    /// within a small factor of it — tight enough for budget decisions.
     #[test]
-    fn estimate_tracks_real_arena_size() {
+    fn estimate_covers_the_rank_layout() {
         let db = TransactionDb::paper_example();
         let rdb = rdb_for(&db, 3, 2);
         let est = estimate_rp_struct_bytes(&rdb);
-        let real = RpStruct::build(&rdb).arena_bytes();
-        // The estimate covers the arena plus the working member
-        // references mining allocates, so it must be at least the arena
-        // and within a small factor of it — tight enough for budget
-        // decisions.
-        assert!(est >= real, "est {est} below arena {real}");
-        assert!(est <= real * 4, "est {est} far above arena {real}");
+        let layout = rdb.heap_size();
+        assert!(est >= layout, "est {est} below the layout's {layout} bytes");
+        assert!(est <= layout * 4, "est {est} far above the layout's {layout} bytes");
     }
 
     #[test]

@@ -29,13 +29,16 @@
 //!
 //! Engines receive `&[u32]` row slices of shared buffers, and a
 //! whole-database count sweeps one allocation per section. A group reads
-//! out as a borrowed [`GroupView`] — pattern slice, outlier rows, `bare` —
-//! which is also what the storage codec encodes and decodes. A view with
-//! an empty pattern stands for its outlier rows as plain tuples: the
-//! paper's identity that a plain tuple is a member of a group with an
-//! empty head.
+//! out as a borrowed [`GroupView`] — pattern slice, outlier rows, `bare`.
+//! A view with an empty pattern stands for its outlier rows as plain
+//! tuples: the paper's identity that a plain tuple is a member of a group
+//! with an empty head.
+//!
+//! The sections are also the on-disk format: a file stores them verbatim,
+//! and [`CdbLayout::try_from_raw_parts`] is the one place that holds
+//! sections read back to the layout's invariants.
 
-use crate::{CsrTuples, FList, Item, Transaction, TransactionDb, TupleSlices};
+use crate::{CsrTuples, DataError, FList, Item, Transaction, TransactionDb, TupleSlices};
 use gogreen_util::fxhash::FxHasher;
 use gogreen_util::pool::{par_chunks, Parallelism};
 use gogreen_util::HeapSize;
@@ -66,6 +69,18 @@ pub struct CdbLayout<T> {
 
 /// A database compressed with recycled frequent patterns.
 pub type CompressedDb = CdbLayout<Item>;
+
+/// The id space of a layout. Rank space adds two invariants to those
+/// every layout keeps: each id is below the layout's extent (the F-list
+/// length), and plain rows are non-empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdSpace {
+    /// Item ids ([`CompressedDb`]); empty transactions are empty plain
+    /// rows.
+    Item,
+    /// Ranks against an F-list ([`CompressedRankDb`]).
+    Rank,
+}
 
 /// A compressed database in rank space — the input of every mining
 /// engine, raw (zero groups) or recycled. Everything engines read comes
@@ -177,29 +192,19 @@ impl<T: Copy + Ord> CdbLayout<T> {
         CdbLayout { plain, ..Self::empty(extent) }
     }
 
-    /// Adopts finished sections — the single-copy handoff of a writer
-    /// that lays the sections out itself (the compressor's counting
-    /// sort). `outlier_start` has one entry per group plus a final end
-    /// offset, and `bare` one per group; rows obey the invariants of
-    /// [`CdbLayout::push_group`] and [`CdbLayout::push_plain`] (checked
-    /// in debug builds).
-    pub fn from_raw_parts(
-        patterns: CsrTuples<T>,
-        outliers: CsrTuples<T>,
-        outlier_start: Vec<u32>,
-        bare: Vec<u64>,
-        plain: CsrTuples<T>,
-        extent: usize,
-    ) -> Self {
-        debug_assert_eq!(outlier_start.len(), patterns.len() + 1);
-        debug_assert_eq!(bare.len(), patterns.len());
-        debug_assert_eq!(outlier_start.first(), Some(&0));
-        debug_assert_eq!(outlier_start.last().map(|&e| e as usize), Some(outliers.len()));
-        debug_assert!(outlier_start.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!(patterns.iter().all(|p| !p.is_empty() && ascending(p)));
-        debug_assert!(outliers.iter().all(|o| !o.is_empty() && ascending(o)));
-        debug_assert!(plain.iter().all(ascending));
-        CdbLayout { patterns, outliers, outlier_start, bare, plain, extent }
+    /// The plain section, for a layout without groups (a segment's rows).
+    pub fn into_plain(self) -> CsrTuples<T> {
+        debug_assert_eq!(self.num_groups(), 0, "into_plain drops the groups");
+        self.plain
+    }
+
+    /// Empties every section, keeping their capacity and the extent.
+    pub fn clear(&mut self) {
+        self.patterns.clear();
+        self.outliers.clear();
+        self.outlier_start.truncate(1);
+        self.bare.clear();
+        self.plain.clear();
     }
 
     /// Appends a plain tuple (ascending ids).
@@ -240,6 +245,28 @@ impl<T: Copy + Ord> CdbLayout<T> {
         self.outliers
             .as_slices()
             .range(self.outlier_start[g] as usize, self.outlier_start[g + 1] as usize)
+    }
+
+    /// Every group's pattern, as one CSR view in group order.
+    pub fn patterns(&self) -> TupleSlices<'_, T> {
+        self.patterns.as_slices()
+    }
+
+    /// The outlier row boundaries: group `g` owns rows
+    /// `outlier_start()[g]..outlier_start()[g + 1]` of [`Self::outliers`].
+    pub fn outlier_start(&self) -> &[u32] {
+        &self.outlier_start
+    }
+
+    /// Every group's bare-member count, in group order.
+    pub fn bare_counts(&self) -> &[u64] {
+        &self.bare
+    }
+
+    /// Item occurrences of the original database (item space) or the
+    /// F-list length (rank space).
+    pub fn extent(&self) -> usize {
+        self.extent
     }
 
     /// Every group's outlier member rows, as one CSR view in group order:
@@ -339,7 +366,108 @@ impl<T: Copy + Ord> CdbLayout<T> {
     }
 }
 
+impl<T: Copy + Ord + Into<u32>> CdbLayout<T> {
+    /// Adopts sections read from outside — a file — after holding them to
+    /// every invariant of the layout (the CSR sections' offsets hold by
+    /// construction), as [`DataError::Layout`] naming the first one
+    /// broken; this is the one validator of decoded sections:
+    /// * `outlier_start` holds one entry per group plus the end, starts
+    ///   at 0, never decreases and ends at the outlier row count, and
+    ///   `bare` holds one count per group, each within `u32`;
+    /// * patterns are non-empty and strictly ascending;
+    /// * outlier rows are non-empty, strictly ascending and disjoint from
+    ///   their group's pattern;
+    /// * plain rows are strictly ascending (and non-empty in rank space);
+    /// * in rank space every id is below `extent`.
+    pub fn try_from_raw_parts(
+        patterns: CsrTuples<T>,
+        outliers: CsrTuples<T>,
+        outlier_start: Vec<u32>,
+        bare: Vec<u64>,
+        plain: CsrTuples<T>,
+        extent: usize,
+        space: IdSpace,
+    ) -> Result<Self, DataError> {
+        let layout = CdbLayout { patterns, outliers, outlier_start, bare, plain, extent };
+        layout.check(space)?;
+        Ok(layout)
+    }
+
+    /// The invariants of [`CdbLayout::try_from_raw_parts`].
+    fn check(&self, space: IdSpace) -> Result<(), DataError> {
+        let (groups, starts) = (self.num_groups(), &self.outlier_start);
+        if starts.len() != groups + 1
+            || self.bare.len() != groups
+            || starts[0] != 0
+            || starts[groups] as usize != self.outliers.len()
+            || starts.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(invalid(format!(
+                "outlier_start and bare do not split {} outlier rows among {groups} groups",
+                self.outliers.len()
+            )));
+        }
+        for (g, view) in self.groups().enumerate() {
+            let pattern = view.pattern;
+            if pattern.is_empty() || !ascending(pattern) {
+                return Err(invalid(format!("group {g}: pattern empty or not strictly ascending")));
+            }
+            let overlaps = |o: &[T]| o.iter().any(|x| pattern.binary_search(x).is_ok());
+            if view.outliers.iter().any(|o| o.is_empty() || !ascending(o) || overlaps(o)) {
+                return Err(invalid(format!(
+                    "group {g}: an outlier row is empty, not strictly ascending or overlaps the \
+                     pattern"
+                )));
+            }
+            if view.bare > u64::from(u32::MAX) {
+                return Err(invalid(format!("group {g}: bare count {} exceeds u32", view.bare)));
+            }
+        }
+        let rank = space == IdSpace::Rank;
+        if let Some(i) = self.plain.iter().position(|t| !ascending(t) || (rank && t.is_empty())) {
+            return Err(invalid(format!("plain row {i} is empty or not strictly ascending")));
+        }
+        if rank {
+            let mut ids = [&self.patterns, &self.outliers, &self.plain]
+                .into_iter()
+                .flat_map(|s| s.flat())
+                .map(|&x| x.into());
+            if let Some(x) = ids.find(|&x| x as usize >= self.extent) {
+                return Err(invalid(format!("rank {x} out of range for {} ranks", self.extent)));
+            }
+        }
+        Ok(())
+    }
+}
+
+fn invalid(reason: String) -> DataError {
+    DataError::Layout(reason)
+}
+
 impl CompressedDb {
+    /// Adopts finished sections — the single-copy handoff of a writer
+    /// that lays the sections out itself (the compressor's counting
+    /// sort). `outlier_start` has one entry per group plus a final end
+    /// offset, and `bare` one per group; the sections obey the
+    /// invariants of [`CdbLayout::try_from_raw_parts`], which only debug
+    /// builds check here.
+    pub fn from_raw_parts(
+        patterns: CsrTuples<Item>,
+        outliers: CsrTuples<Item>,
+        outlier_start: Vec<u32>,
+        bare: Vec<u64>,
+        plain: CsrTuples<Item>,
+        extent: usize,
+    ) -> Self {
+        let layout = CdbLayout { patterns, outliers, outlier_start, bare, plain, extent };
+        if cfg!(debug_assertions) {
+            if let Err(e) = layout.check(IdSpace::Item) {
+                panic!("from_raw_parts: {e}");
+            }
+        }
+        layout
+    }
+
     /// Wraps a plain database with no compression at all (every tuple in
     /// the plain residue). Recycling miners on such a "compressed"
     /// database behave exactly like their non-recycling counterparts —
@@ -762,6 +890,32 @@ mod tests {
         // offsets), no plain row (1 offset), 3 starts, 2 bare counts.
         let bytes = (5 + 3) * 4 + (9 + 6) * 4 + 4 + 3 * 4 + 2 * 8;
         assert_eq!(pushed.stats().bytes_per_tuple, bytes as f64 / 5.0);
+    }
+
+    /// Rank space refuses ids at or past the extent and empty plain rows;
+    /// item space keeps empty rows (empty transactions).
+    #[test]
+    fn checked_constructor_holds_rank_space_to_its_extent() {
+        let csr = |rows: &[&[u32]]| rows.iter().map(|r| r.to_vec()).collect::<CsrTuples<u32>>();
+        let build = |plain: &[&[u32]], extent, space| {
+            let (patterns, outliers) = (csr(&[&[1, 3]]), csr(&[&[0, 2]]));
+            let plain = csr(plain);
+            CompressedRankDb::try_from_raw_parts(
+                patterns,
+                outliers,
+                vec![0, 1],
+                vec![1],
+                plain,
+                extent,
+                space,
+            )
+        };
+        let rdb = build(&[&[2]], 4, IdSpace::Rank).unwrap();
+        assert_eq!((rdb.group_count(0), rdb.plain().len()), (2, 1));
+        let err = build(&[&[2]], 3, IdSpace::Rank).unwrap_err().to_string();
+        assert!(err.contains("rank 3 out of range for 3 ranks"), "{err}");
+        assert!(build(&[&[]], 4, IdSpace::Rank).is_err());
+        assert_eq!(build(&[&[]], 4, IdSpace::Item).unwrap().plain().len(), 1);
     }
 
     #[test]

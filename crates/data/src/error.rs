@@ -23,6 +23,9 @@ pub enum DataError {
         /// What about the line's structure is wrong.
         reason: String,
     },
+    /// Compressed-layout sections that break one of the layout's
+    /// invariants (see [`crate::CdbLayout::try_from_raw_parts`]).
+    Layout(String),
 }
 
 impl fmt::Display for DataError {
@@ -35,6 +38,7 @@ impl fmt::Display for DataError {
             DataError::Format { line, reason } => {
                 write!(f, "line {line}: {reason}")
             }
+            DataError::Layout(reason) => write!(f, "invalid compressed layout: {reason}"),
         }
     }
 }
@@ -43,7 +47,7 @@ impl std::error::Error for DataError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DataError::Io(e) => Some(e),
-            DataError::Parse { .. } | DataError::Format { .. } => None,
+            DataError::Parse { .. } | DataError::Format { .. } | DataError::Layout(_) => None,
         }
     }
 }

@@ -68,14 +68,17 @@ impl<T: Copy> CsrTuples<T> {
     /// end at `data.len()`; violations panic rather than constructing a
     /// container whose accessors would slice out of bounds.
     pub fn from_raw_parts(data: Vec<T>, offsets: Vec<u32>) -> Self {
-        assert_eq!(offsets.first(), Some(&0), "offsets must start at 0");
-        assert_eq!(
-            *offsets.last().expect("offsets non-empty") as usize,
-            data.len(),
-            "last offset must equal data length"
-        );
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be non-decreasing");
-        CsrTuples { data, offsets }
+        Self::try_from_raw_parts(data, offsets)
+            .expect("offsets must start at 0, never decrease, and have a last offset of data.len()")
+    }
+
+    /// [`CsrTuples::from_raw_parts`], answering `None` instead of
+    /// panicking when `offsets` do not delimit `data`.
+    pub fn try_from_raw_parts(data: Vec<T>, offsets: Vec<u32>) -> Option<Self> {
+        let delimits = offsets.first() == Some(&0)
+            && offsets.last().map(|&end| end as usize) == Some(data.len())
+            && offsets.windows(2).all(|w| w[0] <= w[1]);
+        delimits.then_some(CsrTuples { data, offsets })
     }
 
     /// Consumes the container, returning `(data, offsets)` — the inverse
@@ -307,6 +310,13 @@ impl<'a, T> TupleSlices<'a, T> {
     #[inline]
     pub fn flat(&self) -> &'a [T] {
         &self.data[self.offsets[0] as usize..self.offsets[self.offsets.len() - 1] as usize]
+    }
+
+    /// The window's row offsets, absolute into the container's elements
+    /// (so a whole container's view starts at 0).
+    #[inline]
+    pub fn offsets(&self) -> &'a [u32] {
+        self.offsets
     }
 }
 

@@ -48,7 +48,7 @@ pub mod support;
 pub mod transaction;
 
 pub use bitmap::BitsetArena;
-pub use cdb::{CdbLayout, CdbStats, CompressedDb, CompressedRankDb, GroupView};
+pub use cdb::{CdbLayout, CdbStats, CompressedDb, CompressedRankDb, GroupView, IdSpace};
 pub use database::{DbStats, TransactionDb};
 pub use error::DataError;
 pub use flat::{CsrTuples, ProjectionArena, TupleSlices};

@@ -86,10 +86,7 @@ const SRC_MIXED: u32 = u32::MAX - 1;
 /// are loaded consecutively (groups first, in group order, then the
 /// plain tuples), group `g` owns tails `gtail_start[g]..gtail_start[g +
 /// 1]` — no per-group heap vector at all.
-///
-/// Public so the memory estimator in `gogreen-core` can budget against
-/// [`RpStruct::arena_bytes`]; mining code never needs it directly.
-pub struct RpStruct {
+struct RpStruct {
     /// Entry items (ranks, ascending within a tail); `SENT` terminates
     /// each tail.
     eitem: Vec<u32>,
@@ -112,7 +109,7 @@ pub struct RpStruct {
 impl RpStruct {
     /// Loads `src` into the arena. On a layout without groups this is a
     /// plain H-Mine hyper-structure: one tail per tuple, no group rows.
-    pub fn build(src: &CompressedRankDb) -> Self {
+    fn build(src: &CompressedRankDb) -> Self {
         Self::load(src, false)
     }
 
@@ -194,18 +191,6 @@ impl RpStruct {
     /// The tail ids group `g` owns.
     fn tails(&self, g: u32) -> std::ops::Range<u32> {
         self.gtail_start[g as usize]..self.gtail_start[g as usize + 1]
-    }
-
-    /// Arena bytes — the base quantity the paper's memory estimator
-    /// (§3.3) budgets against.
-    pub fn arena_bytes(&self) -> usize {
-        (self.eitem.capacity()
-            + self.tail_first.capacity()
-            + self.gpat.capacity()
-            + self.gpat_start.capacity()
-            + self.gtail_start.capacity())
-            * 4
-            + (self.gcount.capacity() + self.tweight.capacity()) * 8
     }
 }
 

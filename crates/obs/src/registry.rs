@@ -208,12 +208,6 @@ pub const ALL: &[MetricDef] = defs![
     ("storage.segments_written", Counter, true, "segment files sealed"),
     ("storage.spill_bytes", Counter, true, "bytes written to spill partitions"),
     ("storage.spill_partitions", Counter, true, "spill partition files flushed"),
-    (
-        "storage.spill_record_bytes",
-        Hist,
-        true,
-        "encoded size of each record appended to a spill partition"
-    ),
 ];
 
 /// Looks up a declared name.

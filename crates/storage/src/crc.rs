@@ -1,6 +1,6 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the checksum
-//! guarding every codec record (spill partitions, the compressed-state
-//! file) and every segment payload.
+//! guarding every header and section of the one on-disk file kind
+//! (segments, the compressed-state file, spill chunks).
 //!
 //! Hand-rolled slicing-by-8 implementation: the workspace takes no
 //! external dependencies, and the checksum is on a hot path — every

@@ -9,11 +9,14 @@
 //! every tuple into all of its first-level projected databases, trading
 //! disk space for speed (§3.3).
 //!
-//! * [`codec`] — compact binary encoding of spilled records (plain
-//!   tuples and compressed groups).
-//! * [`spill`] — partition files under a private temp directory, with
-//!   in-memory size accounting so the driver can decide load-vs-respill
-//!   *before* touching a partition.
+//! * [`layout`] — the one on-disk file kind: a header, then a
+//!   compressed layout's sections written verbatim, read back through
+//!   one checked decoder. Segments, the state file and spill chunks are
+//!   all such files.
+//! * [`spill`] — partition files (runs of rank-space layout chunks)
+//!   under a private temp directory, with in-memory size accounting so
+//!   the driver can decide load-vs-respill *before* touching a
+//!   partition.
 //! * [`budget`] — the memory budget (the paper enforces 4 MiB / 8 MiB).
 //! * [`limited`] — one Figure 3 spill recursion over a compressed rank
 //!   database behind two entry points, one per member of the H-Mine
@@ -21,18 +24,22 @@
 //!   compressed one as itself (the paper's §5.3 compares exactly
 //!   H-Mine vs HM-MCP because H-Mine-style structures are the ones
 //!   whose memory is reliably estimable).
-//! * [`crc`] — the CRC-32 every on-disk record and file carries.
-//! * [`segment`] — immutable on-disk CSR segments with item-support
-//!   sidecars: the out-of-core database substrate.
+//! * [`crc`] — the CRC-32 every file header and section carries.
+//! * [`segment`] — immutable on-disk segments (layouts without groups)
+//!   with item-support sidecars: the out-of-core database substrate.
 //! * [`version`] — the one crash-safe compressed-state file an
-//!   incremental store keeps: the newest round's compressed database in
-//!   [`codec`]'s record framing, replaced by tmp → rename.
+//!   incremental store keeps: the newest round's compressed database as
+//!   one item-space layout file, replaced by tmp → rename.
 //! * [`ooc`] — out-of-core mining drivers: raw engines and the
 //!   segmented incremental miner over the two layers above.
 
 pub mod budget;
-pub mod codec;
+/// The layout codec's round-trip and corruption tests.
+#[cfg(test)]
+#[path = "codec_tests.rs"]
+mod codec;
 pub mod crc;
+pub mod layout;
 pub mod limited;
 pub mod ooc;
 pub mod segment;

@@ -15,13 +15,14 @@
 //!   own identity), priced by the H-Mine hyper-structure estimate.
 //! * [`LimitedRecycleHm`] — a compressed database enters as its rank
 //!   form, priced by the RP-Struct estimate. Spilled partitions keep
-//!   their group structure (one group record per partition), so the
+//!   their group structure (each group stored once per partition), so the
 //!   recycling savings survive the disk round-trip.
 //!
 //! Every level is read as a stream of [`GroupView`]s: the root's groups
 //! and then its whole plain residue as one view with an empty pattern,
-//! or a partition's decoded records, which the spill reader has already
-//! held to the rank database's invariants. Counting, re-projection and
+//! or a partition's chunks (each chunk's groups, then its plain rows as
+//! one view), which the spill reader has already held to the rank
+//! database's invariants. Counting, re-projection and
 //! loading each have one body for both. Every level that fits is mined
 //! as its rank layout; H-Mine itself takes its classic group-free fast
 //! path on a level without groups.
@@ -148,7 +149,7 @@ enum Level<'a> {
 impl Level<'_> {
     /// Feeds the level to `f` as views, stopping at the first error: the
     /// root's groups then its plain residue as one view with an empty
-    /// pattern, or a partition's records in file order.
+    /// pattern, or a partition's chunks in file order.
     fn for_each(self, mut f: impl FnMut(GroupView<'_>) -> io::Result<()>) -> io::Result<()> {
         match self {
             Level::Root(rdb, _) => {
@@ -188,7 +189,7 @@ impl Recycling<'_> {
     ) -> io::Result<()> {
         let est = match level {
             Level::Root(_, est) => est,
-            Level::Partition(mgr, r) if mgr.partition_records(r) > 0 => mgr.estimated_memory(r),
+            Level::Partition(mgr, r) if mgr.partition_tuples(r) > 0 => mgr.estimated_memory(r),
             Level::Partition(..) => return Ok(()),
         };
         metrics::set_max("storage.budget_high_water", est as u64);
@@ -297,7 +298,7 @@ fn project(
     // Projections on outlier items: only the members holding the item
     // follow, carrying the residual pattern (a residual that empties
     // spills the members as plain rows). Members of the same group are
-    // aggregated into ONE record per partition so the pattern is written
+    // aggregated into ONE group per partition so the pattern is written
     // once per (partition, group) — not once per member occurrence,
     // which would balloon the spill.
     let mut by_rank: FxHashMap<u32, (u64, CsrTuples<u32>)> = FxHashMap::default();
@@ -397,7 +398,7 @@ mod tests {
 
     #[test]
     fn spilled_groups_preserve_structure() {
-        // A compressed DB whose spill produces group records; nested
+        // A compressed DB whose spill produces groups; nested
         // budget forces the group-projection code paths.
         let db = TransactionDb::from_rows(&[
             &[1, 2, 3, 4],
@@ -421,7 +422,7 @@ mod tests {
     }
 
     /// The six-row database of `spilled_groups_preserve_structure`,
-    /// whose MCP compression spills group records.
+    /// whose MCP compression spills groups.
     fn grouped_db() -> TransactionDb {
         TransactionDb::from_rows(&[
             &[1, 2, 3, 4],
@@ -436,9 +437,10 @@ mod tests {
     /// One line per `driver database budget minsup`: the report's
     /// `spills loads disk_bytes max_depth`, then the run's
     /// `storage.budget_high_water`, `storage.spill_bytes` and
-    /// `storage.spill_partitions`. These pin the spill decisions and disk
-    /// traffic behind Figs. 21–24: change them only with a change meant
-    /// to move those figures.
+    /// `storage.spill_partitions`. These pin the spill decisions behind
+    /// Figs. 21–24, which follow `EM(D)`: change them only with a change
+    /// meant to move those figures. The two byte columns also follow the
+    /// partition file format.
     const GOLDEN: [&str; 56] = [
         "hm paper unlimited 1: 0 0 0 0 216 0 0",
         "mcp paper unlimited 1: 0 0 0 0 288 0 0",
@@ -456,22 +458,22 @@ mod tests {
         "mcp paper 400 3: 0 0 0 0 220 0 0",
         "hm paper 400 4: 0 0 0 0 104 0 0",
         "mcp paper 400 4: 0 0 0 0 204 0 0",
-        "hm paper 120 1: 6 14 608 3 216 608 19",
-        "mcp paper 120 1: 7 13 714 3 288 714 19",
-        "hm paper 120 2: 6 7 461 3 192 461 12",
-        "mcp paper 120 2: 7 6 467 3 252 467 12",
-        "hm paper 120 3: 4 2 239 2 176 239 5",
-        "mcp paper 120 3: 5 1 236 2 220 236 5",
+        "hm paper 120 1: 6 14 2176 3 216 2176 19",
+        "mcp paper 120 1: 7 13 2332 3 288 2332 19",
+        "hm paper 120 2: 6 7 1420 3 192 1420 12",
+        "mcp paper 120 2: 7 6 1476 3 252 1476 12",
+        "hm paper 120 3: 4 2 624 2 176 624 5",
+        "mcp paper 120 3: 5 1 656 2 220 656 5",
         "hm paper 120 4: 0 0 0 0 104 0 0",
-        "mcp paper 120 4: 2 0 51 2 204 51 1",
-        "hm paper 64 1: 16 14 779 4 216 779 29",
-        "mcp paper 64 1: 28 18 1312 5 288 1312 45",
-        "hm paper 64 2: 14 0 487 4 192 487 13",
-        "mcp paper 64 2: 12 2 492 4 252 492 13",
-        "hm paper 64 3: 6 0 239 3 176 239 5",
-        "mcp paper 64 3: 5 1 236 2 220 236 5",
-        "hm paper 64 4: 2 0 39 2 108 39 1",
-        "mcp paper 64 4: 2 0 51 2 204 51 1",
+        "mcp paper 120 4: 2 0 128 2 204 128 1",
+        "hm paper 64 1: 16 14 3212 4 216 3212 29",
+        "mcp paper 64 1: 28 18 5192 5 288 5192 45",
+        "hm paper 64 2: 14 0 1528 4 192 1528 13",
+        "mcp paper 64 2: 12 2 1588 4 252 1588 13",
+        "hm paper 64 3: 6 0 624 3 176 624 5",
+        "mcp paper 64 3: 5 1 656 2 220 656 5",
+        "hm paper 64 4: 2 0 116 2 108 116 1",
+        "mcp paper 64 4: 2 0 128 2 204 128 1",
         "hm grouped unlimited 1: 0 0 0 0 216 0 0",
         "mcp grouped unlimited 1: 0 0 0 0 312 0 0",
         "hm grouped unlimited 2: 0 0 0 0 216 0 0",
@@ -484,18 +486,18 @@ mod tests {
         "mcp grouped 400 2: 0 0 0 0 312 0 0",
         "hm grouped 400 3: 0 0 0 0 216 0 0",
         "mcp grouped 400 3: 0 0 0 0 312 0 0",
-        "hm grouped 120 1: 5 8 513 3 240 513 12",
-        "mcp grouped 120 1: 7 6 528 3 312 528 12",
-        "hm grouped 120 2: 5 8 513 3 240 513 12",
-        "mcp grouped 120 2: 7 6 528 3 312 528 12",
-        "hm grouped 120 3: 5 2 329 3 240 329 6",
-        "mcp grouped 120 3: 6 1 326 3 312 326 6",
-        "hm grouped 64 1: 13 3 552 4 240 552 15",
-        "mcp grouped 64 1: 10 6 603 4 312 603 15",
-        "hm grouped 64 2: 13 0 513 4 240 513 12",
-        "mcp grouped 64 2: 10 3 528 4 312 528 12",
-        "hm grouped 64 3: 7 0 329 3 240 329 6",
-        "mcp grouped 64 3: 6 1 326 3 312 326 6",
+        "hm grouped 120 1: 5 8 1452 3 240 1452 12",
+        "mcp grouped 120 1: 7 6 1552 3 312 1552 12",
+        "hm grouped 120 2: 5 8 1452 3 240 1452 12",
+        "mcp grouped 120 2: 7 6 1552 3 312 1552 12",
+        "hm grouped 120 3: 5 2 776 3 240 776 6",
+        "mcp grouped 120 3: 6 1 828 3 312 828 6",
+        "hm grouped 64 1: 13 3 1752 4 240 1752 15",
+        "mcp grouped 64 1: 10 6 1888 4 312 1888 15",
+        "hm grouped 64 2: 13 0 1452 4 240 1452 12",
+        "mcp grouped 64 2: 10 3 1552 4 312 1552 12",
+        "hm grouped 64 3: 7 0 776 3 240 776 6",
+        "mcp grouped 64 3: 6 1 828 3 312 828 6",
     ];
 
     #[test]
@@ -543,5 +545,52 @@ mod tests {
         let (got, _) =
             LimitedHMine::new(MemoryBudget::bytes(10)).mine(&db, MinSupport::Absolute(1)).unwrap();
         assert!(got.is_empty());
+    }
+
+    /// CRC-32 of every run's emission stream in emission order: a
+    /// `driver database budget minsup` line, then one `items:support` line
+    /// per emitted pattern. A spill chunk lists its groups before its
+    /// plain rows, not in append order; the stream mined from a partition
+    /// must not depend on that, or on any other detail of its disk layout.
+    #[test]
+    fn spilled_levels_emit_a_pinned_stream() {
+        use gogreen_data::FnSink;
+        use gogreen_datagen::{DatasetPreset, PresetKind};
+        use gogreen_miners::Miner;
+        let preset = DatasetPreset::new(PresetKind::Weather, 0.004);
+        let weather = preset.generate();
+        let mut text = String::new();
+        let mut runs = 0;
+        for (name, db, xi_old) in [
+            ("paper", TransactionDb::paper_example(), MinSupport::Absolute(3)),
+            ("grouped", grouped_db(), MinSupport::Absolute(3)),
+            ("weather", weather, preset.xi_old()),
+        ] {
+            let fp_old = gogreen_miners::Family::Hm.mine(&db, xi_old);
+            let cdb = Compressor::new(Strategy::Mcp).compress(&db, &fp_old);
+            let minsups: Vec<MinSupport> = match name {
+                "weather" => vec![MinSupport::percent(2.0), MinSupport::percent(1.0)],
+                _ => (1..=3).map(MinSupport::Absolute).collect(),
+            };
+            for budget in [120usize, 2 << 10, 16 << 10] {
+                for &ms in &minsups {
+                    for driver in ["hm", "mcp"] {
+                        text.push_str(&format!("{driver} {name} {budget} {ms:?}\n"));
+                        let mut sink = FnSink(|items: &[Item], support: u64| {
+                            text.push_str(&format!("{items:?}:{support}\n"));
+                        });
+                        let budget = MemoryBudget::bytes(budget);
+                        let report = match driver {
+                            "hm" => LimitedHMine::new(budget).mine_into(&db, ms, &mut sink),
+                            _ => LimitedRecycleHm::new(budget).mine_into(&cdb, ms, &mut sink),
+                        };
+                        runs += (report.unwrap().spills > 0) as usize;
+                    }
+                }
+            }
+        }
+        assert_eq!(runs, 24, "runs that spilled");
+        assert_eq!(text.lines().count(), 83_664);
+        assert_eq!(crate::crc::crc32(text.as_bytes()), 0xb5c2_503a);
     }
 }

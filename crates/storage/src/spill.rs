@@ -1,44 +1,71 @@
 //! Partition files for parallel projection.
 //!
 //! A [`SpillManager`] owns one temporary directory holding one file per
-//! frequent item (rank). Writers buffer per partition and flush in large
-//! appends; a partition's first flush truncates its file, so a stale file
-//! left in a reused directory by a killed process is never read back.
-//! Readers read a partition file whole and decode it record by record,
-//! so reading a partition costs its full encoded size in memory — a
-//! partition re-spilled because it exceeds the budget is read whole once
-//! for counting and once for re-projection. Every decoded record is held
-//! to the rank database's invariants, ranks below the manager's rank
-//! count included, so a corrupt partition is `InvalidData`, never a
-//! panic. Everything is deleted on drop.
+//! frequent item (rank). Each partition buffers what is appended to it
+//! as a [`CompressedRankDb`] — groups and plain rows in append order
+//! within each kind — and flushes it as one rank-space
+//! [`crate::layout`] file, a *chunk*, whenever the chunk reaches
+//! 256 KiB; a partition file is its chunks back to back. A
+//! partition's first flush truncates its file, so a stale file left in a
+//! reused directory by a killed process is never read back.
+//!
+//! Readers take a partition one chunk at a time, through one buffer
+//! reused across chunks and sized from each chunk's checked header, so
+//! reading never holds more than one chunk however large the partition
+//! (a partition re-spilled because it exceeds the budget is read once
+//! for counting and once for re-projection). Every chunk goes through
+//! the layout reader — header counts within the rest of the file, every
+//! section checksum, the one validator with ranks below the manager's
+//! rank count — so a corrupt partition is `InvalidData`, never a panic.
+//! Everything is deleted on drop.
 
-use crate::codec::{
-    check_view, for_each_view, group_memory, plain_memory, put_group, put_plain, ByteReader,
-};
-use gogreen_data::GroupView;
-use gogreen_obs::{histogram, metrics};
+use crate::layout::{self, invalid};
+use gogreen_data::{CompressedRankDb, GroupView, IdSpace};
+use gogreen_obs::metrics;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Flush threshold per partition buffer.
+/// Flush threshold per partition buffer: its encoded chunk size.
 const FLUSH_BYTES: usize = 256 * 1024;
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Estimated bytes of the in-memory RP-Struct share one plain row of
+/// `len` ranks expands to (used for load-vs-respill decisions).
+pub(crate) fn plain_memory(len: usize) -> usize {
+    (len + 1) * 12 + 12
+}
+
+/// [`plain_memory`] for one group: a fixed group cost, the pattern, and
+/// per member row its tail plus a group link.
+pub(crate) fn group_memory(g: &GroupView<'_>) -> usize {
+    60 + g.pattern.len() * 4 + g.outliers.iter().map(|o| plain_memory(o.len()) + 4).sum::<usize>()
+}
+
 struct Partition {
-    buf: Vec<u8>,
+    /// What was appended since the last flush: the next chunk.
+    buf: CompressedRankDb,
     created: bool,
     bytes: u64,
-    records: u64,
+    tuples: u64,
     est_memory: usize,
+}
+
+impl Partition {
+    fn buffered(&self) -> bool {
+        self.buf.num_groups() > 0 || !self.buf.plain().is_empty()
+    }
 }
 
 /// One level of disk-resident projected partitions.
 pub struct SpillManager {
     dir: PathBuf,
     partitions: Vec<Partition>,
+    /// One chunk's encoding, reused by every flush.
+    scratch: Vec<u8>,
+    flush_bytes: usize,
 }
 
 impl SpillManager {
@@ -51,63 +78,67 @@ impl SpillManager {
         std::fs::create_dir_all(&dir)?;
         let partitions = (0..num_ranks)
             .map(|_| Partition {
-                buf: Vec::new(),
+                buf: CompressedRankDb::empty(num_ranks),
                 created: false,
                 bytes: 0,
-                records: 0,
+                tuples: 0,
                 est_memory: 0,
             })
             .collect();
-        Ok(SpillManager { dir, partitions })
+        Ok(SpillManager { dir, partitions, scratch: Vec::new(), flush_bytes: FLUSH_BYTES })
     }
 
-    /// Appends `g` to partition `rank`: one Group record, or, when its
-    /// pattern is empty, one Plain record per outlier row (its bare
-    /// members carry nothing).
+    pub(crate) fn partition_path(&self, rank: u32) -> PathBuf {
+        self.dir.join(format!("part-{rank}.bin"))
+    }
+
+    /// Appends `g` to partition `rank`: as a group, or, when its pattern
+    /// is empty, as one plain row per outlier row (its bare members carry
+    /// nothing).
     pub fn append(&mut self, rank: u32, g: GroupView<'_>) -> std::io::Result<()> {
         if g.pattern.is_empty() {
             return g.outliers.iter().try_for_each(|row| self.append_plain(rank, row));
         }
-        self.push(rank, group_memory(&g), |buf| put_group(buf, g))
+        let p = &mut self.partitions[rank as usize];
+        p.buf.push_group(g.pattern, g.outliers, g.bare);
+        p.tuples += g.count();
+        p.est_memory += group_memory(&g);
+        self.flush_if_full(rank)
     }
 
-    /// Appends one Plain record (non-empty ascending ranks) to partition
+    /// Appends one plain row (non-empty ascending ranks) to partition
     /// `rank`.
     pub fn append_plain(&mut self, rank: u32, row: &[u32]) -> std::io::Result<()> {
-        self.push(rank, plain_memory(row.len()), |buf| put_plain(buf, row))
+        let p = &mut self.partitions[rank as usize];
+        p.buf.push_plain(row);
+        p.tuples += 1;
+        p.est_memory += plain_memory(row.len());
+        self.flush_if_full(rank)
     }
 
-    fn push(
-        &mut self,
-        rank: u32,
-        est_memory: usize,
-        encode: impl FnOnce(&mut Vec<u8>),
-    ) -> std::io::Result<()> {
-        let p = &mut self.partitions[rank as usize];
-        let before = p.buf.len();
-        encode(&mut p.buf);
-        histogram::observe("storage.spill_record_bytes", (p.buf.len() - before) as u64);
-        p.records += 1;
-        p.est_memory += est_memory;
-        if p.buf.len() >= FLUSH_BYTES {
-            Self::flush_partition(&self.dir, rank, p)?;
+    fn flush_if_full(&mut self, rank: u32) -> std::io::Result<()> {
+        if layout::encoded_len(&self.partitions[rank as usize].buf, 0) >= self.flush_bytes {
+            self.flush(rank)?;
         }
         Ok(())
     }
 
     /// Flushes all buffered data; must be called before reading.
     pub fn finish(&mut self) -> std::io::Result<()> {
-        for rank in 0..self.partitions.len() {
-            let p = &mut self.partitions[rank];
-            if !p.buf.is_empty() {
-                Self::flush_partition(&self.dir, rank as u32, p)?;
+        for rank in 0..self.partitions.len() as u32 {
+            if self.partitions[rank as usize].buffered() {
+                self.flush(rank)?;
             }
         }
         Ok(())
     }
 
-    fn flush_partition(dir: &std::path::Path, rank: u32, p: &mut Partition) -> std::io::Result<()> {
-        let path = dir.join(format!("part-{rank}.bin"));
+    /// Writes partition `rank`'s buffer as one chunk, in one write.
+    fn flush(&mut self, rank: u32) -> std::io::Result<()> {
+        let path = self.partition_path(rank);
+        let p = &mut self.partitions[rank as usize];
+        self.scratch.clear();
+        layout::encode(&mut self.scratch, &p.buf, IdSpace::Rank, &[]);
         // The first flush truncates: the directory name can repeat across
         // processes, and a stale file must not prefix this partition.
         let mut f = if p.created {
@@ -115,25 +146,28 @@ impl SpillManager {
         } else {
             File::create(path)?
         };
-        f.write_all(&p.buf)?;
-        metrics::add("storage.spill_bytes", p.buf.len() as u64);
+        f.write_all(&self.scratch)?;
+        metrics::add("storage.spill_bytes", self.scratch.len() as u64);
         if !p.created {
             metrics::add("storage.spill_partitions", 1);
         }
-        p.bytes += p.buf.len() as u64;
+        p.bytes += self.scratch.len() as u64;
         p.buf.clear();
         p.created = true;
         Ok(())
     }
 
-    /// Bytes written to partition `rank`.
+    /// Bytes written to partition `rank`, counting its buffer as the
+    /// chunk it would flush to.
     pub fn partition_bytes(&self, rank: u32) -> u64 {
-        self.partitions[rank as usize].bytes + self.partitions[rank as usize].buf.len() as u64
+        let p = &self.partitions[rank as usize];
+        p.bytes + if p.buffered() { layout::encoded_len(&p.buf, 0) as u64 } else { 0 }
     }
 
-    /// Records written to partition `rank`.
-    pub fn partition_records(&self, rank: u32) -> u64 {
-        self.partitions[rank as usize].records
+    /// Tuples appended to partition `rank`: a group's members plus plain
+    /// rows.
+    pub fn partition_tuples(&self, rank: u32) -> u64 {
+        self.partitions[rank as usize].tuples
     }
 
     /// Estimated in-memory structure bytes if partition `rank` were
@@ -148,32 +182,62 @@ impl SpillManager {
         (0..self.partitions.len() as u32).map(|r| self.partition_bytes(r)).sum()
     }
 
-    /// Streams every record of partition `rank` through `f` as a view,
-    /// stopping at the first error. Call [`SpillManager::finish`] first.
+    /// Streams partition `rank` through `f` as views, chunk by chunk —
+    /// each chunk's groups, then its plain rows as one view with an empty
+    /// pattern — stopping at the first error. Call
+    /// [`SpillManager::finish`] first.
     pub fn for_each_record(
         &self,
         rank: u32,
         mut f: impl FnMut(GroupView<'_>) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
         let p = &self.partitions[rank as usize];
-        assert!(p.buf.is_empty(), "finish() must run before reading");
+        assert!(!p.buffered(), "finish() must run before reading");
         if !p.created {
             return Ok(());
         }
-        let path = self.dir.join(format!("part-{rank}.bin"));
-        // Spill files are modest per partition; read whole then decode.
-        // (Records never span our flush boundaries incorrectly because
-        // flushing always writes whole encoded records.)
-        let mut raw = Vec::with_capacity(p.bytes as usize);
-        File::open(path)?.read_to_end(&mut raw)?;
-        // A decode or invariant failure means the partition file is
-        // corrupt; it surfaces as InvalidData so the caller can fail this
-        // one partition instead of the whole process.
+        let mut file = File::open(self.partition_path(rank))?;
+        let len = file.metadata()?.len();
+        if len != p.bytes {
+            return Err(invalid(format!(
+                "partition {rank}: {len} bytes on disk, {} written",
+                p.bytes
+            )));
+        }
         let num_ranks = self.partitions.len();
-        for_each_view(&mut ByteReader::new(&raw), |g| {
-            check_view(&g, Some(num_ranks))?;
-            f(g)
-        })
+        let mut body = Vec::new();
+        let mut at = 0;
+        while at < len {
+            let at_chunk =
+                |e: std::io::Error| invalid(format!("partition {rank}, chunk at {at}: {e}"));
+            let h = layout::read_header(&mut file, IdSpace::Rank, len - at).map_err(at_chunk)?;
+            body.clear();
+            body.resize(h.body_bytes() as usize, 0);
+            file.read_exact(&mut body)?;
+            let chunk = layout::decode_body(&h, &body, Default::default()).map_err(at_chunk)?;
+            if chunk.num_ranks() != num_ranks {
+                return Err(at_chunk(invalid(format!(
+                    "a chunk of {} ranks in a partition of {num_ranks}",
+                    chunk.num_ranks()
+                ))));
+            }
+            chunk.groups().try_for_each(&mut f)?;
+            if !chunk.plain().is_empty() {
+                f(GroupView { pattern: &[], outliers: chunk.plain(), bare: 0 })?;
+            }
+            at += (layout::HEADER_BYTES + body.len()) as u64;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+impl SpillManager {
+    /// Flushes each partition once its chunk reaches `flush_bytes`, so
+    /// tests get many chunks from little data.
+    pub(crate) fn with_flush_bytes(mut self, flush_bytes: usize) -> Self {
+        self.flush_bytes = flush_bytes;
+        self
     }
 }
 
@@ -187,23 +251,38 @@ impl Drop for SpillManager {
 mod tests {
     use super::*;
 
-    /// A decoded record, owned: pattern (empty for Plain), bare count,
-    /// outlier rows.
+    /// A read-back item, owned: pattern (empty for a plain row), bare
+    /// count, outlier rows (the one row, for a plain row).
     type Owned = (Vec<u32>, u64, Vec<Vec<u32>>);
 
     fn plain(row: &[u32]) -> Owned {
         (Vec::new(), 0, vec![row.to_vec()])
     }
 
+    fn group(pattern: &[u32], bare: u64, rows: &[&[u32]]) -> Owned {
+        (pattern.to_vec(), bare, rows.iter().map(|r| r.to_vec()).collect())
+    }
+
+    /// Reads partition `rank` into `seen`, a plain view as one item per
+    /// row.
     fn read(mgr: &SpillManager, rank: u32, seen: &mut Vec<Owned>) -> std::io::Result<()> {
         mgr.for_each_record(rank, |g| {
-            seen.push((
-                g.pattern.to_vec(),
-                g.bare,
-                g.outliers.iter().map(<[u32]>::to_vec).collect(),
-            ));
+            if g.pattern.is_empty() {
+                seen.extend(g.outliers.iter().map(plain));
+            } else {
+                seen.push((
+                    g.pattern.to_vec(),
+                    g.bare,
+                    g.outliers.iter().map(<[u32]>::to_vec).collect(),
+                ));
+            }
             Ok(())
         })
+    }
+
+    fn append_owned(mgr: &mut SpillManager, rank: u32, (pattern, bare, rows): &Owned) {
+        let rows: gogreen_data::CsrTuples<u32> = rows.iter().cloned().collect();
+        mgr.append(rank, GroupView { pattern, outliers: rows.as_slices(), bare: *bare }).unwrap();
     }
 
     #[test]
@@ -220,7 +299,7 @@ mod tests {
         let mut got2 = Vec::new();
         read(&mgr, 2, &mut got2).unwrap();
         assert_eq!(got2, vec![(vec![4], 1, Vec::new())]);
-        assert_eq!(mgr.partition_records(0), 2);
+        assert_eq!(mgr.partition_tuples(0), 2);
     }
 
     #[test]
@@ -239,56 +318,123 @@ mod tests {
 
     #[test]
     fn accounting_accumulates() {
-        let mut mgr = SpillManager::new(1).unwrap();
+        let mut mgr = SpillManager::new(101).unwrap();
         for k in 0..100u32 {
             mgr.append_plain(0, &[k, k + 1]).unwrap();
         }
-        assert_eq!(mgr.partition_records(0), 100);
+        assert_eq!(mgr.partition_tuples(0), 100);
         assert!(mgr.estimated_memory(0) > 0);
-        assert!(mgr.partition_bytes(0) > 0);
+        let buffered = mgr.partition_bytes(0);
+        assert!(buffered > 0);
         mgr.finish().unwrap();
-        assert!(mgr.total_bytes() > 0);
+        assert_eq!(mgr.total_bytes(), buffered);
+    }
+
+    /// A partition written across at least three flushes reads back
+    /// chunk by chunk: within each chunk its groups, then its plain rows,
+    /// each kind in append order.
+    #[test]
+    fn partition_across_three_flushes_round_trips() {
+        let mut mgr = SpillManager::new(40).unwrap().with_flush_bytes(300);
+        let appended: Vec<Owned> = (0..30u32)
+            .map(|k| match k % 3 {
+                0 => plain(&[k, k + 1]),
+                1 => group(&[k % 7, 8 + k % 5], u64::from(k % 2), &[&[20 + k % 9], &[7, 30]]),
+                _ => group(&[k], 3, &[]),
+            })
+            .collect();
+        for a in &appended {
+            append_owned(&mut mgr, 0, a);
+        }
+        mgr.finish().unwrap();
+        let chunks = layout::tests::chunk_starts(&std::fs::read(mgr.partition_path(0)).unwrap());
+        assert!(chunks.len() >= 3, "{} chunks", chunks.len());
+        let mut got = Vec::new();
+        read(&mgr, 0, &mut got).unwrap();
+        let groups =
+            |v: &[Owned]| v.iter().filter(|o| !o.0.is_empty()).cloned().collect::<Vec<_>>();
+        let plains = |v: &[Owned]| v.iter().filter(|o| o.0.is_empty()).cloned().collect::<Vec<_>>();
+        assert_eq!(groups(&got), groups(&appended));
+        assert_eq!(plains(&got), plains(&appended));
+        assert_eq!(mgr.partition_tuples(0), appended.iter().map(|o| o.1 + o.2.len() as u64).sum());
+    }
+
+    /// A chunk header whose counts (under a valid header checksum) claim
+    /// more bytes than the file has left is `InvalidData` from the header
+    /// check, before the chunk's buffer is sized from it.
+    #[test]
+    fn chunk_claiming_more_than_the_file_holds_is_invalid_data() {
+        let mut mgr = SpillManager::new(8).unwrap().with_flush_bytes(1);
+        mgr.append_plain(3, &[4, 5]).unwrap();
+        mgr.append_plain(3, &[6]).unwrap();
+        mgr.finish().unwrap();
+        let path = mgr.partition_path(3);
+        let good = std::fs::read(&path).unwrap();
+        let second = layout::tests::chunk_starts(&good)[1];
+        for (count, value) in [(4, 2), (5, 1000), (6, u32::MAX)] {
+            let mut bytes = good.clone();
+            layout::tests::set_count(&mut bytes[second..], count, value);
+            std::fs::write(&path, &bytes).unwrap();
+            let mut seen = Vec::new();
+            let err = read(&mgr, 3, &mut seen).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("header counts describe"), "{err}");
+            assert_eq!(seen, vec![plain(&[4, 5])], "the first chunk reads before the bad one");
+        }
     }
 
     #[test]
     fn corrupted_partition_file_reads_as_invalid_data() {
-        let mut mgr = SpillManager::new(3).unwrap();
+        let mut mgr = SpillManager::new(3).unwrap().with_flush_bytes(1);
         mgr.append_plain(0, &[1, 2]).unwrap();
+        mgr.append_plain(0, &[2]).unwrap();
         mgr.finish().unwrap();
-        // Append a record with an unknown tag behind the valid one.
-        let path = mgr.dir.join("part-0.bin");
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&[9u8, 0, 0, 0, 0]).unwrap();
-        drop(f);
+        let path = mgr.partition_path(0);
+        let good = std::fs::read(&path).unwrap();
+        // Flip a bit of the second chunk's last rank.
+        let mut bytes = good.clone();
+        *bytes.last_mut().unwrap() ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
         let mut seen = Vec::new();
         let err = read(&mgr, 0, &mut seen).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("tag 9"), "{err}");
-        // The valid prefix decoded before the corruption surfaced.
+        assert!(err.to_string().contains("plain section checksum"), "{err}");
+        // The valid first chunk decoded before the corruption surfaced.
         assert_eq!(seen, vec![plain(&[1, 2])]);
+        // Bytes behind the last chunk are caught on the file's length.
+        let mut trailing = good;
+        trailing.extend([9u8, 0, 0, 0, 0]);
+        std::fs::write(&path, &trailing).unwrap();
+        let err = read(&mgr, 0, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
-    /// A checksum-valid record whose rank is beyond the manager's rank
+    /// A checksum-valid chunk whose ranks reach beyond the manager's rank
     /// count is `InvalidData` — it would otherwise index past a count
-    /// array in the driver and the engine.
+    /// array in the driver and the engine — and so is a chunk that claims
+    /// another rank count, or breaks the rank database's row invariants.
     #[test]
     fn decoded_rank_beyond_partition_count_is_invalid_data() {
         let mut mgr = SpillManager::new(4).unwrap();
         mgr.append_plain(1, &[2, 3]).unwrap();
+        mgr.append_plain(1, &[1]).unwrap();
         mgr.finish().unwrap();
-        let mut forged = Vec::new();
-        put_plain(&mut forged, &[9u32]);
-        std::fs::write(mgr.dir.join("part-1.bin"), forged).unwrap();
-        let err = read(&mgr, 1, &mut Vec::new()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("rank 9"), "{err}");
-        // Unsorted and empty rows break the rank database's invariants too.
-        for row in [&[3u32, 2][..], &[]] {
-            let mut forged = Vec::new();
-            put_plain(&mut forged, row);
-            std::fs::write(mgr.dir.join("part-1.bin"), forged).unwrap();
+        let path = mgr.partition_path(1);
+        // Same shape as the real chunk (two rows, three ranks), so the
+        // file length still matches what the manager wrote.
+        let forge =
+            |rows: &[&[u32]], extent| layout::tests::forge(&[], rows, IdSpace::Rank, extent);
+        assert_eq!(forge(&[&[2, 3], &[1]], 4), std::fs::read(&path).unwrap());
+        for (rows, extent, why) in [
+            (&[&[9u32, 10][..], &[1]][..], 4, "rank 9 out of range"),
+            (&[&[2, 9], &[1]], 10, "a chunk of 10 ranks"),
+            (&[&[3, 2], &[1]], 4, "not strictly ascending"),
+            (&[&[], &[1, 2, 3]], 4, "empty"),
+        ] {
+            std::fs::write(&path, forge(rows, extent)).unwrap();
             let err = read(&mgr, 1, &mut Vec::new()).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{row:?}");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{rows:?}");
+            assert!(err.to_string().contains(why), "{err}");
         }
     }
 
@@ -296,10 +442,9 @@ mod tests {
     fn stale_partition_file_is_overwritten_not_read_back() {
         let mut mgr = SpillManager::new(10).unwrap();
         // A killed process with the same pid and sequence number left a
-        // CRC-valid record behind in the reused directory.
-        let mut stale = Vec::new();
-        put_plain(&mut stale, &[7u32, 8, 9]);
-        std::fs::write(mgr.dir.join("part-0.bin"), stale).unwrap();
+        // valid chunk behind in the reused directory.
+        let stale = layout::tests::forge(&[], &[&[7, 8, 9]], IdSpace::Rank, 10);
+        std::fs::write(mgr.partition_path(0), stale).unwrap();
         mgr.append_plain(0, &[1, 2]).unwrap();
         mgr.finish().unwrap();
         let mut got = Vec::new();
@@ -327,10 +472,18 @@ mod tests {
         for _ in 0..100 {
             mgr.append_plain(0, &fat).unwrap();
         }
+        assert!(mgr.partitions[0].created, "the buffer flushed before finish");
         mgr.finish().unwrap();
         let mut got = Vec::new();
         read(&mgr, 0, &mut got).unwrap();
         assert_eq!(got.len(), 100);
         assert!(got.iter().all(|r| *r == plain(&fat)));
+    }
+
+    #[test]
+    fn memory_estimate_grows_with_content() {
+        let rows = gogreen_data::CsrTuples::from_iter([vec![4u32, 5], vec![6]]);
+        let big = GroupView { pattern: &[1u32, 2, 3], outliers: rows.as_slices(), bare: 0 };
+        assert!(group_memory(&big) > plain_memory(1));
     }
 }

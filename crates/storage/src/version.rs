@@ -6,49 +6,23 @@
 //! [`save`] writes a [`CompressedDb`] to one file; [`load`] reads it
 //! back bit for bit.
 //!
-//! The file is a 28-byte header followed by [`crate::codec`] records in
-//! item space (the id space every round shares; rank encodings change
-//! with the F-list):
+//! The file is one [`crate::layout`] file: the header, then the
+//! database's sections in item space (the id space every round shares;
+//! rank encodings change with the F-list), with no sidecar. The extent
+//! is the original database's item-occurrence count.
 //!
-//! ```text
-//! 0..4    magic "GGDV"
-//! 4..8    format version (2)
-//! 8..16   original_items (u64)
-//! 16..20  group records (u32)
-//! 20..24  plain records (u32)
-//! 24..28  CRC-32 of bytes 0..24
-//! 28..    one Group record per group, in utility order,
-//!         then one Plain record per residue row
-//! ```
-//!
-//! Each record carries its own CRC-32, and the header's counts make a
-//! file cut at a record boundary as detectable as one cut mid-record.
-//! Saving writes `<file>.tmp` and renames it over `<file>`, so a crash
-//! leaves the previous state or the new one, never a torn file; a stale
-//! `.tmp` is simply overwritten by the next save.
-//!
-//! Loading trusts nothing it reads: a bad header, checksum, count or
-//! trailing byte, a record of the wrong kind for its place, and a record
-//! that breaks a layout invariant ([`check_view`]: an empty or unsorted
-//! pattern; an empty, unsorted or pattern-overlapping outlier row; a bare
-//! count beyond `u32`; an unsorted plain row) is `InvalidData` — never a
-//! panic, never a silently invalid database. Records decode through the
-//! same [`for_each_view`] as spilled partitions, straight into the
-//! database's sections.
+//! Saving encodes the file into one buffer, writes `<file>.tmp` and
+//! renames it over `<file>`, so a crash leaves the previous state or the
+//! new one, never a torn file; a stale `.tmp` is simply overwritten by
+//! the next save. Loading goes through the layout reader, so a bad
+//! header, count, checksum or trailing byte, and sections that break a
+//! layout invariant, are `InvalidData` — never a panic, never a silently
+//! invalid database.
 
-use crate::codec::{check_view, for_each_view, put_group, put_plain, ByteReader};
-use crate::crc::crc32;
-use gogreen_data::{CompressedDb, Item};
-use std::io;
+use crate::layout::{self, invalid};
+use gogreen_data::{CompressedDb, CsrTuples, IdSpace};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-
-const MAGIC: [u8; 4] = *b"GGDV";
-const FORMAT_VERSION: u32 = 2;
-const HEADER_BYTES: usize = 28;
-
-fn invalid(msg: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
 
 fn tmp_path(path: &Path) -> PathBuf {
     let mut tmp = path.as_os_str().to_owned();
@@ -56,44 +30,14 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-fn put_header(buf: &mut Vec<u8>, original_items: u64, groups: usize, plain: usize) {
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&original_items.to_le_bytes());
-    buf.extend_from_slice(&(groups as u32).to_le_bytes());
-    buf.extend_from_slice(&(plain as u32).to_le_bytes());
-    let crc = crc32(buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-}
-
-/// The exact length of `cdb`'s file: the header, then per record its
-/// kind byte, its CRC and its lists, each a length word plus one word
-/// per item; a Group record also holds its bare count and row count.
-fn encoded_len(cdb: &CompressedDb) -> usize {
-    const WORD: usize = 4;
-    let group_fixed = 1 + WORD + 8 + WORD + WORD;
-    let plain_fixed = 1 + WORD + WORD;
-    let lists = cdb.pattern_items() + cdb.group_outlier_rows() + cdb.group_outlier_items();
-    HEADER_BYTES
-        + cdb.num_groups() * group_fixed
-        + cdb.plain().len() * plain_fixed
-        + WORD * (lists + cdb.plain().total_elems())
-}
-
 /// Writes `cdb` to `path` through `<path>.tmp` and a rename, replacing
 /// any previous state atomically. Returns the bytes written. The file is
 /// encoded into one buffer sized up front from the database's section
 /// lengths.
 pub fn save(path: &Path, cdb: &CompressedDb) -> io::Result<u64> {
-    let mut buf = Vec::with_capacity(encoded_len(cdb));
-    put_header(&mut buf, cdb.stats().original_size as u64, cdb.num_groups(), cdb.plain().len());
-    for g in cdb.groups() {
-        put_group(&mut buf, g);
-    }
-    for row in cdb.plain().iter() {
-        put_plain(&mut buf, row);
-    }
-    debug_assert_eq!(buf.len(), encoded_len(cdb), "encoded_len disagrees with the encoder");
+    let mut buf = Vec::with_capacity(layout::encoded_len(cdb, 0));
+    layout::encode(&mut buf, cdb, IdSpace::Item, &[]);
+    debug_assert_eq!(buf.len(), layout::encoded_len(cdb, 0), "encoded_len disagrees");
     let tmp = tmp_path(path);
     std::fs::write(&tmp, &buf)?;
     std::fs::rename(&tmp, path)?;
@@ -103,55 +47,23 @@ pub fn save(path: &Path, cdb: &CompressedDb) -> io::Result<u64> {
 /// Reads the state saved at `path`; `Ok(None)` when nothing was ever
 /// saved there.
 pub fn load(path: &Path) -> io::Result<Option<CompressedDb>> {
-    let bytes = match std::fs::read(path) {
+    let (h, mut f) = match layout::open(path, IdSpace::Item) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        read => read?,
+        opened => opened?,
     };
-    decode(&bytes).map(Some).map_err(|e| invalid(format!("{}: {e}", path.display())))
-}
-
-fn decode(bytes: &[u8]) -> io::Result<CompressedDb> {
-    let header = bytes
-        .get(..HEADER_BYTES)
-        .filter(|h| h[..4] == MAGIC)
-        .ok_or_else(|| invalid("not a compressed-state file"))?;
-    let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().unwrap());
-    if word(4) != FORMAT_VERSION {
-        return Err(invalid(format!("unsupported state-file format {}", word(4))));
-    }
-    let (stored, computed) = (word(24), crc32(&header[..24]));
-    if stored != computed {
-        return Err(invalid(format!(
-            "header checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-        )));
-    }
-    let original_items = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    let (n_groups, n_plain) = (word(16) as usize, word(20) as usize);
-
-    // Groups come first, then plain rows; a Plain record decodes as a
-    // view with an empty pattern, and a Group record never does.
-    let mut cdb = CompressedDb::empty(original_items as usize);
-    let mut seen = 0;
-    for_each_view(&mut ByteReader { data: bytes, pos: HEADER_BYTES }, |g| {
-        check_view::<Item>(&g, None)?;
-        if seen == n_groups + n_plain || g.pattern.is_empty() != (seen >= n_groups) {
-            return Err(invalid(format!("expected {n_groups} group then {n_plain} plain records")));
-        }
-        seen += 1;
-        cdb.push_view(g);
-        Ok(())
-    })?;
-    if seen < n_groups + n_plain {
-        return Err(invalid(format!("expected {} records, found {seen}", n_groups + n_plain)));
-    }
-    Ok(cdb)
+    let mut body = vec![0u8; h.body_bytes() as usize];
+    f.read_exact(&mut body)?;
+    layout::decode_body(&h, &body, CsrTuples::new())
+        .map(Some)
+        .map_err(|e| invalid(format!("{}: {e}", path.display())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc32;
     use gogreen_core::{Compressor, Strategy};
-    use gogreen_data::{CsrTuples, GroupView, MinSupport, TransactionDb};
+    use gogreen_data::{Item, MinSupport, TransactionDb};
     use gogreen_miners::{Family, Miner};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -228,35 +140,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A group record's fields: pattern, bare count, outlier rows.
-    type ForgedGroup<'a> = (&'a [u32], u64, &'a [&'a [u32]]);
-
-    /// Header plus hand-built records, for payloads `save` never writes.
-    fn forged(groups: &[ForgedGroup<'_>], plain: &[&[u32]]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_header(&mut buf, 7, groups.len(), plain.len());
-        for &(pattern, bare, outliers) in groups {
-            let outliers: CsrTuples<u32> = outliers.iter().map(|o| o.to_vec()).collect();
-            put_group(&mut buf, GroupView { pattern, outliers: outliers.as_slices(), bare });
-        }
-        for row in plain {
-            put_plain(&mut buf, row);
-        }
-        buf
+    /// Item-space file bytes of `groups` (pattern, bare count, outlier
+    /// rows) and `plain` rows, written verbatim whether or not they form
+    /// a valid layout.
+    fn forged(groups: &[layout::tests::ForgedGroup<'_>], plain: &[&[u32]]) -> Vec<u8> {
+        layout::tests::forge(groups, plain, IdSpace::Item, 7)
     }
 
     fn assert_rejected(bytes: &[u8], why: &str) {
-        let err = decode(bytes).expect_err(why);
+        let err = layout::decode::<Item>(bytes, IdSpace::Item).expect_err(why);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}: {err}");
     }
 
-    /// CRC-valid records that break a group or row invariant are
-    /// `InvalidData`, one case per invariant; the same bytes must not
-    /// reach `CompressedDb::push_view`, whose checks are debug-only.
+    /// CRC-valid sections that break a group or row invariant are
+    /// `InvalidData`, one case per invariant: `try_from_raw_parts` holds
+    /// every decoded layout to them in release builds too.
     #[test]
     fn invariant_violations_are_invalid_data() {
         let ok = forged(&[(&[1, 4], u64::from(u32::MAX), &[&[0, 9], &[5]])], &[&[], &[2, 3]]);
-        let cdb = decode(&ok).unwrap();
+        let cdb = layout::decode::<Item>(&ok, IdSpace::Item).unwrap();
         assert_eq!((cdb.group(0).count(), cdb.plain().len()), (u64::from(u32::MAX) + 2, 2));
         let over = u64::from(u32::MAX) + 1;
         for (why, bytes) in [
@@ -274,34 +176,41 @@ mod tests {
         }
     }
 
+    /// Sections that are each well formed but do not fit together, a
+    /// rank-space chunk where the state belongs, and a trailing byte are
+    /// all `InvalidData`.
     #[test]
-    fn records_out_of_order_or_trailing_are_rejected() {
-        let mut plain_first = Vec::new();
-        put_header(&mut plain_first, 7, 1, 0);
-        put_plain(&mut plain_first, &[1u32]);
-        assert_rejected(&plain_first, "plain record where a group belongs");
+    fn misplaced_sections_and_trailing_bytes_are_rejected() {
+        let mut sections = layout::tests::Forged::new(&[(&[1], 0, &[&[2], &[3]])], &[&[4]]);
+        sections.1 = vec![0, 1];
+        assert_rejected(&sections.bytes(IdSpace::Item, 7), "outlier_start ends early");
+        let mut sections = layout::tests::Forged::new(&[], &[&[1, 2]]);
+        sections.0[2].0 = vec![0, 3];
+        assert_rejected(&sections.bytes(IdSpace::Item, 7), "plain offsets overrun");
+        let chunk = layout::tests::forge(&[], &[&[1]], IdSpace::Rank, 7);
+        assert_rejected(&chunk, "rank-space chunk as a state file");
         let mut trailing = forged(&[], &[&[1]]);
         trailing.push(0);
         assert_rejected(&trailing, "trailing byte");
     }
 
-    /// A count of `u32::MAX` over a few bytes of input must fail on the
-    /// missing records, without reserving room for four billion.
+    /// Header counts of `u32::MAX` over a few bytes of input, under a
+    /// valid header checksum, must fail on the file's length before any
+    /// section is read or allocated.
     #[test]
     fn hostile_counts_fail_without_preallocating() {
-        for (groups, plain) in [(u32::MAX, 0), (0, u32::MAX), (u32::MAX, u32::MAX)] {
-            let mut bytes = Vec::new();
-            put_header(&mut bytes, 7, groups as usize, plain as usize);
-            bytes.extend([1, 0, 0, 0, 0]);
-            assert_rejected(&bytes, &format!("counts {groups}/{plain}"));
+        let dir = temp_dir("hostile");
+        let path = dir.join("state.ggd");
+        let good = forged(&[(&[1], 1, &[&[2]])], &[&[3]]);
+        for count in 0..7 {
+            let mut bytes = good.clone();
+            layout::tests::set_count(&mut bytes, count, u32::MAX);
+            assert_rejected(&bytes, &format!("count {count} = u32::MAX"));
+            std::fs::write(&path, &bytes).unwrap();
+            let err = load(&path).unwrap_err();
+            assert!(err.to_string().contains("header counts describe"), "{err}");
         }
-        // A list length of u32::MAX inside an otherwise plausible record.
-        let mut bytes = Vec::new();
-        put_header(&mut bytes, 7, 0, 1);
-        bytes.push(0);
-        bytes.extend(u32::MAX.to_le_bytes());
-        bytes.extend([0; 8]);
-        assert_rejected(&bytes, "list length u32::MAX");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -315,11 +224,34 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = load(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum"), "{err}");
-        // A format-1 file is refused by version, not misread.
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(err.to_string().contains("plain section checksum"), "{err}");
+        // A file of another layout version is refused by version, not
+        // misread.
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(load(&path).unwrap_err().to_string().contains("format 1"));
+        assert!(load(&path).unwrap_err().to_string().contains("format version 2"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A state file of the retired `GGDV` v2 format (a 28-byte header,
+    /// then one CRC-sealed record per group and plain row) fails to load
+    /// with `InvalidData` naming that format.
+    #[test]
+    fn ggdv_v2_state_file_is_refused_by_name() {
+        let dir = temp_dir("ggdv");
+        let path = dir.join("state.ggd");
+        let mut old = b"GGDV".to_vec();
+        old.extend(2u32.to_le_bytes());
+        old.extend(7u64.to_le_bytes());
+        old.extend([0u32, 1].iter().flat_map(|w| w.to_le_bytes()));
+        old.extend(crc32(&old).to_le_bytes());
+        let record = [0u8, 1, 0, 0, 0, 5, 0, 0, 0];
+        old.extend(record);
+        old.extend(crc32(&record).to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        let err = load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported format GGDV v2"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -385,9 +317,8 @@ mod tests {
         Compressor::new(Strategy::Mcp).compress(&db, &fp)
     }
 
-    /// The file bytes are format 2 as written before the compressed
-    /// layout became one CSR layout: length and CRC-32 of the whole file
-    /// for the paper example (MCP, ξ_old = 3) and for a database with
+    /// The file bytes are layout format 3: length and CRC-32 of the whole
+    /// file for the paper example (MCP, ξ_old = 3) and for a database with
     /// bare members and a plain residue.
     #[test]
     fn saved_bytes_match_golden_length_and_crc() {
@@ -396,7 +327,7 @@ mod tests {
         let bare: u64 = synthetic.groups().map(|g| g.bare).sum();
         assert_eq!((synthetic.num_groups(), bare, synthetic.plain().len()), (5, 44, 19));
         for (name, cdb, len, crc) in
-            [("paper", paper_cdb(3), 146, 0x334d_2615), ("synthetic", synthetic, 2608, 0xa61b_09c6)]
+            [("paper", paper_cdb(3), 200, 0x7602_0408), ("synthetic", synthetic, 2552, 0x293f_3c41)]
         {
             let path = dir.join(format!("{name}.ggd"));
             assert_eq!(save(&path, &cdb).unwrap(), len, "{name}");

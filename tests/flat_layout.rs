@@ -3,16 +3,17 @@
 //! *byte-identical* pattern stream over every substrate view — raw,
 //! MCP-compressed, MLP-compressed — at any thread count, and the
 //! `mine.*` / `alloc.*` counters must be bit-identical between thread
-//! counts. The spill codec's CSR group records must survive an
-//! encode/decode round-trip and fail loudly on corrupt bytes.
+//! counts. A spill chunk — a rank-space layout file — must survive an
+//! encode/decode round-trip with its CSR groups and fail loudly on
+//! corrupt bytes.
 
 mod common;
 
 use common::stream_of;
-use gogreen::data::{FnSink, GroupView};
+use gogreen::data::{CompressedRankDb, FnSink, IdSpace};
 use gogreen::obs::{measure, metrics};
 use gogreen::prelude::*;
-use gogreen::storage::codec::{for_each_view, put_group, put_plain, ByteReader, DecodeError};
+use gogreen::storage::layout;
 use gogreen::util::pool::Parallelism;
 use gogreen_datagen::{DatasetPreset, PresetKind};
 
@@ -129,58 +130,41 @@ fn csr_storage_round_trips_tuples() {
     assert_eq!(view.flat().len(), rows.iter().map(Vec::len).sum::<usize>());
 }
 
-/// A spill record, owned: pattern (empty for a Plain record), bare
-/// count, outlier rows.
-type Record = (Vec<u32>, u64, Vec<Vec<u32>>);
-
-fn encode(buf: &mut Vec<u8>, (pattern, bare, rows): &Record) {
-    if pattern.is_empty() {
-        put_plain(buf, &rows[0]);
-    } else {
-        let rows: CsrTuples<u32> = rows.iter().cloned().collect();
-        put_group(buf, GroupView { pattern, outliers: rows.as_slices(), bare: *bare });
-    }
+/// A rank-space layout with CSR outlier slabs: groups with and without
+/// outlier rows, and plain rows.
+fn spill_chunk() -> CompressedRankDb {
+    let mut rdb = CompressedRankDb::empty(10);
+    rdb.push_plain(&[1, 4, 9]);
+    rdb.push_group(&[2, 5], [&[6u32][..], &[7, 8]], 3);
+    rdb.push_group(&[0], std::iter::empty(), 1);
+    rdb.push_plain(&[0]);
+    rdb
 }
 
-fn decode(buf: &[u8]) -> Result<Vec<Record>, DecodeError> {
-    let mut back = Vec::new();
-    for_each_view(&mut ByteReader::new(buf), |g: GroupView<'_, u32>| {
-        back.push((g.pattern.to_vec(), g.bare, g.outliers.iter().map(<[u32]>::to_vec).collect()));
-        Ok::<(), DecodeError>(())
-    })?;
-    Ok(back)
-}
-
-/// Spill records with CSR outlier slabs survive an encode/decode
-/// round-trip in a mixed stream.
+/// A spill chunk's CSR sections survive an encode/decode round-trip.
 #[test]
 fn spill_codec_round_trips_csr_groups() {
-    let records: Vec<Record> = vec![
-        (vec![], 0, vec![vec![1, 4, 9]]),
-        (vec![2, 5], 3, vec![vec![6], vec![7, 8]]),
-        (vec![0], 0, vec![]),
-        (vec![], 0, vec![vec![0]]),
-    ];
+    let chunk = spill_chunk();
     let mut buf = Vec::new();
-    for r in &records {
-        encode(&mut buf, r);
-    }
-    assert_eq!(decode(&buf).expect("clean buffer decodes"), records);
+    layout::encode(&mut buf, &chunk, IdSpace::Rank, &[]);
+    let back: CompressedRankDb = layout::decode(&buf, IdSpace::Rank).expect("clean buffer decodes");
+    assert_eq!(back, chunk);
+    let rows: Vec<Vec<u32>> = back.group_outliers(0).iter().map(<[u32]>::to_vec).collect();
+    assert_eq!(rows, [vec![6], vec![7, 8]]);
 }
 
-/// Corruption surfaces as a structured error, never a panic or a
-/// silently wrong record: bad tags, and truncation at every byte.
+/// Corruption surfaces as `InvalidData`, never a panic or a silently
+/// wrong layout: truncation at every byte, and a bad magic.
 #[test]
 fn spill_codec_rejects_corruption() {
     let mut buf = Vec::new();
-    encode(&mut buf, &(vec![3], 2, vec![vec![5, 6], vec![7]]));
-    // Every proper prefix is a truncation error.
-    for cut in 1..buf.len() {
-        let got = decode(&buf[..cut]);
-        assert!(matches!(got, Err(DecodeError::Truncated { .. })), "cut={cut}: {got:?}");
+    layout::encode(&mut buf, &spill_chunk(), IdSpace::Rank, &[]);
+    for cut in 0..buf.len() {
+        let got = layout::decode::<u32>(&buf[..cut], IdSpace::Rank);
+        assert_eq!(got.unwrap_err().kind(), std::io::ErrorKind::InvalidData, "cut={cut}");
     }
-    // A flipped tag byte is a BadTag at its offset.
     let mut bad = buf.clone();
     bad[0] = 0xEE;
-    assert_eq!(decode(&bad), Err(DecodeError::BadTag { offset: 0, tag: 0xEE }));
+    let err = layout::decode::<u32>(&bad, IdSpace::Rank).unwrap_err();
+    assert!(err.to_string().contains("bad magic"), "{err}");
 }

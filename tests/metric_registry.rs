@@ -139,7 +139,7 @@ fn invariance_flags_flow_through_the_metrics_api() {
     // hard-coded prefix list: spot-check one of each class plus a span.
     use gogreen::obs::metrics::is_thread_invariant;
     assert!(is_thread_invariant("mine.tuple_touches"));
-    assert!(is_thread_invariant("storage.spill_record_bytes"));
+    assert!(is_thread_invariant("storage.segment_bytes"));
     assert!(!is_thread_invariant("cover.run_len"));
     assert!(!is_thread_invariant("mine"), "spans carry wall time; never invariant");
 }
